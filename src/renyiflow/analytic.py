@@ -23,6 +23,8 @@ from .grids import sphere_surface
 UNIT_COEFF = "unit"
 PDE_NORMALIZED = "pde"
 
+_FAR_RADIUS = 2.0 ** 29  # suggest_domain_radius: tail targets needing more are unreachable
+
 
 def lgamma(x: float) -> float:
     if x <= 0.0:
@@ -274,24 +276,37 @@ def barenblatt_tail_mass(spec: BarenblattSpec, radius: float) -> float:
 
 def suggest_domain_radius(p: float, n: int, tail_mass: float = 1e-6,
                           convention: str = UNIT_COEFF) -> float:
-    """Smallest radius (up to bisection tolerance) with profile tail below tail_mass.
+    """Smallest float radius r >= 1 whose profile tail mass is at most tail_mass.
 
-    For p > 1 this is just the support edge.
+    For p > 1 this is just the support edge.  For p < 1, Newton's method on
+    log T against log r, with the exact slope -|S^{n-1}| r^n profile(r) / T,
+    lands within a few ulps of the root of T(r) = tail_mass, where T is
+    `barenblatt_tail_mass`; a nextafter walk then finds the smallest float r
+    with T(r) <= tail_mass (the first such r below the Newton landing point
+    where rounding makes T wobble within ulps of the target).
     """
     spec = barenblatt_spec(p, n, convention)
     if p > 1.0:
         return support_radius(spec)
     if not 0.0 < tail_mass < 1.0:
         raise DomainError("tail mass target must lie in (0, 1)")
-    lo, hi = 1.0, 2.0
-    while barenblatt_tail_mass(spec, hi) > tail_mass:
-        lo, hi = hi, hi * 2.0
-        if hi > 1e9:
+    surface, r = sphere_surface(n), 2.0
+    tail = barenblatt_tail_mass(spec, r)
+    for _ in range(40):
+        # slope = -d log T / d log r; a step moves r by at most a factor e^3
+        slope = surface * r ** n * float(barenblatt_profile(r, spec)) / tail if tail > 0.0 else 0.0
+        step = math.log(tail / tail_mass) / slope if slope > 0.0 else math.copysign(3.0, tail - tail_mass)
+        nxt = min(max(r * math.exp(min(max(step, -3.0), 3.0)), 1.0), _FAR_RADIUS)
+        if nxt == r:
+            break
+        r, tail = nxt, barenblatt_tail_mass(spec, nxt)
+        if abs(step) < 2.0 ** -49:
+            break
+    while tail > tail_mass:
+        if r >= _FAR_RADIUS:
             raise DomainError("tail target unreachable; p too close to n/(n+2)?")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if barenblatt_tail_mass(spec, mid) > tail_mass:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+        r = math.nextafter(r, math.inf)
+        tail = barenblatt_tail_mass(spec, r)
+    while r > 1.0 and barenblatt_tail_mass(spec, math.nextafter(r, 0.0)) <= tail_mass:
+        r = math.nextafter(r, 0.0)
+    return r

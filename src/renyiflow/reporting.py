@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -40,11 +41,15 @@ def read_snapshots(path) -> list[FunctionalSnapshot]:
     if not lines or lines[0] != SNAPSHOT_HEADER:
         raise DomainError(f"{path} is not a snapshot CSV (bad header)")
     out = []
-    for line in lines[1:]:
+    for row, line in enumerate(lines[1:], start=1):
         cells = line.split(",")
         if len(cells) != 9:
             raise DomainError(f"malformed snapshot row: {line!r}")
         vals = [None if c == "" else float(c) for c in cells]
+        if not all(v is None or math.isfinite(v) for v in vals):
+            raise DomainError(f"{path}: snapshot row {row} has a non-finite cell: {line!r}")
+        if vals[0] is None or (out and not vals[0] > out[-1].t):
+            raise DomainError(f"{path}: snapshot row {row}: t = {cells[0]!r} does not increase")
         out.append(FunctionalSnapshot(*vals))
     return out
 

@@ -17,7 +17,7 @@ import numpy as np
 from .analytic import barenblatt_spec, barenblatt_tail_mass, coefficients, suggest_domain_radius, support_radius
 from .errors import BoundaryLeakWarning, DomainError, StabilityError
 from .functionals import FunctionalSnapshot, snapshot
-from .grids import DensityField, Grid
+from .grids import RADIAL, DensityField, Grid
 
 MAX_REJECTIONS = 40
 NEGATIVITY_SLACK = 1e-14  # relative to max(u): tolerated roundoff undershoot
@@ -70,77 +70,99 @@ class SolverState:
     boundary_flux: float = 0.0   # actual flux through the closed wall: stays 0
     leak_estimate: float = 0.0   # would-be outflow if the wall were open
 
-    def field(self) -> DensityField:
-        return DensityField(self.grid, np.maximum(self.values, 0.0))
 
+class _Kernel:
+    """The explicit flux step on one (grid, p), in preallocated buffers.
 
-def _stiffness(values: np.ndarray, p: float) -> float:
-    """Max diffusivity bound entering the CFL step.
-
-    For p >= 1 this is p * max(u)^{p-1}.  For p < 1 that expression would
-    pick the *least* stiff node, so the max face chord slope of u -> u^p is
-    used instead, which is exactly the convex-combination (monotonicity)
-    bound for this scheme.
+    u is clipped to u >= 0 once, on entry; accepted steps end in that clip.
+    v = u^p and its differences dv serve both the p < 1 chord stiffness and the
+    fluxes, and the acceptance test's max(u) is the next umax.  Each out= pass
+    keeps the operation order of the plain array expressions: bitwise theirs.
     """
-    umax = float(values.max())
-    if not umax > 0.0:
-        raise DomainError("field has no positive maximum")
-    if p >= 1.0:
-        return p * umax ** (p - 1.0)
-    v = values ** p
-    du = np.diff(values)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        chord = np.where(du != 0.0, np.diff(v) / du, 0.0)
-    return float(np.max(np.abs(chord), initial=p * umax ** (p - 1.0)))
+
+    def __init__(self, grid: Grid, p: float, values: np.ndarray):
+        n = grid.node_count
+        self.p, self.h = p, grid.spacing
+        self.d_geom = grid.dim if grid.kind == RADIAL else 1
+        self.weights = grid.weights()
+        areas = grid.face_areas()
+        self.outer_area, self.inner_area = float(areas[-1]), float(areas[0])
+        self.areas = areas if grid.kind == RADIAL else None  # cartesian faces: all 1
+        self.u = np.maximum(values, 0.0)
+        self.umax = float(self.u.max())
+        self.new, self.v, self.div = np.empty(n), np.empty(n), np.empty(n)
+        self.dv, self.du = np.empty(n - 1), np.empty(n - 1)
+        self.flux, self.face = np.zeros(n + 1), np.empty(n + 1)  # walls: zero flux
+        self._faces()
+
+    def _faces(self) -> None:
+        np.power(self.u, self.p, out=self.v)
+        np.subtract(self.v[1:], self.v[:-1], out=self.dv)
+
+    def stiffness(self) -> float:
+        """Max diffusivity bound entering the CFL step: p * max(u)^{p-1} for p >= 1.
+
+        For p < 1 that would pick the *least* stiff node, so the max face chord
+        slope of u -> u^p is used instead: exactly the convex-combination
+        (monotonicity) bound for this scheme.
+        """
+        if not self.umax > 0.0:
+            raise DomainError("field has no positive maximum")
+        bound = self.p * self.umax ** (self.p - 1.0)
+        if self.p >= 1.0:
+            return bound
+        chord = np.subtract(self.u[1:], self.u[:-1], out=self.du)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(self.dv, chord, out=chord)  # 0/0 = nan where du == 0
+        # fmax skips those nans: such faces count as chord 0, below the bound
+        return float(np.fmax.reduce(np.abs(chord, out=chord), initial=bound))
+
+    def cfl_dt(self, cfl_safety: float) -> float:
+        return cfl_safety * self.h ** 2 / (2.0 * self.d_geom * self.stiffness())
+
+    def advance(self, dt: float, t: float) -> tuple[float, float, int]:
+        """One accepted step from t, halving dt on undershoot: (dt, leak rate, rejections)."""
+        face = self.flux
+        np.divide(self.dv, self.h, out=face[1:-1])
+        if self.areas is not None:
+            face = np.multiply(self.areas, face, out=self.face)
+        div = np.subtract(face[1:], face[:-1], out=self.div)
+        new, rejections = self.new, 0
+        while True:
+            np.multiply(div, dt, out=new)
+            np.divide(new, self.weights, out=new)
+            np.add(self.u, new, out=new)
+            umax = new.max()
+            if new.min() >= -NEGATIVITY_SLACK * umax:
+                break
+            rejections += 1
+            if rejections > MAX_REJECTIONS:
+                raise StabilityError(
+                    f"step at t = {t} rejected {rejections} times; CFL bound violated")
+            dt *= 0.5
+        np.maximum(new, 0.0, out=new)
+        # outflow if the walls were vacuum; the inner radial face has zero area
+        leak_rate = (self.outer_area * self.v[-1] + self.inner_area * self.v[0]) / self.h
+        self.u, self.new, self.umax = new, self.u, float(umax)
+        self._faces()
+        return dt, leak_rate, rejections
 
 
 def cfl_dt(f: DensityField, params: DiffusionParams) -> float:
     """Stable explicit step: cfl * h^2 / (2 * D_geom * max diffusivity)."""
-    d_geom = f.grid.dim if f.grid.kind == "radial" else 1
-    return params.cfl_safety * f.grid.spacing ** 2 / (
-        2.0 * d_geom * _stiffness(f.values, params.p))
-
-
-def _flux_update(values: np.ndarray, p: float, dt: float, h: float,
-                 weights: np.ndarray, areas: np.ndarray) -> tuple[np.ndarray, float]:
-    """One explicit step; returns the new values and the would-be leak rate."""
-    v = np.maximum(values, 0.0) ** p
-    flux = np.zeros(values.size + 1)
-    flux[1:-1] = (v[1:] - v[:-1]) / h
-    new = values + dt * (areas[1:] * flux[1:] - areas[:-1] * flux[:-1]) / weights
-    # outflow if the walls were vacuum; the inner radial face has zero area
-    leak_rate = (areas[-1] * v[-1] + areas[0] * v[0]) / h
-    return new, leak_rate
-
-
-def _advance(values: np.ndarray, t: float, p: float, dt: float, h: float,
-             weights: np.ndarray, areas: np.ndarray) -> tuple[np.ndarray, float, float, int]:
-    """Rejection loop: returns (new values, dt used, leak rate, rejections)."""
-    rejections = 0
-    while True:
-        new, leak_rate = _flux_update(values, p, dt, h, weights, areas)
-        if new.min() >= -NEGATIVITY_SLACK * new.max():
-            break
-        rejections += 1
-        if rejections > MAX_REJECTIONS:
-            raise StabilityError(
-                f"step at t = {t} rejected {rejections} times; CFL bound violated")
-        dt *= 0.5
-    np.maximum(new, 0.0, out=new)
-    return new, dt, leak_rate, rejections
+    return _Kernel(f.grid, params.p, f.values).cfl_dt(params.cfl_safety)
 
 
 def step(state: SolverState, params: DiffusionParams, dt: float | None = None) -> SolverState:
-    """Advance one accepted step, rejecting and halving dt on CFL violations."""
+    """Advance one accepted step from max(values, 0), halving dt on CFL violations."""
+    kernel = _Kernel(state.grid, params.p, state.values)
     if dt is None:
-        dt = cfl_dt(state.field(), params)
-    new, dt_used, leak_rate, rejections = _advance(
-        state.values, state.t, params.p, dt, state.grid.spacing,
-        state.grid.weights(), state.grid.face_areas())
+        dt = kernel.cfl_dt(params.cfl_safety)
+    dt_used, leak_rate, rejections = kernel.advance(dt, state.t)
     return replace(
         state,
         t=state.t + dt_used,
-        values=new,
+        values=kernel.u,
         step_count=state.step_count + 1,
         rejection_count=state.rejection_count + rejections,
         leak_estimate=state.leak_estimate + dt_used * leak_rate,
@@ -176,10 +198,8 @@ def evolve(f0: DensityField, params: DiffusionParams,
         raise DomainError(f"initial mass must be 1 within 1e-6, got {m0}")
     times = params.times()
     grid = f0.grid
-    h, weights, areas = grid.spacing, grid.weights(), grid.face_areas()
-    d_geom = grid.dim if grid.kind == "radial" else 1
-    cfl_scale = params.cfl_safety * h * h / (2.0 * d_geom)
-    values = f0.values.copy()
+    kernel = _Kernel(grid, params.p, f0.values)
+    cfl_scale = params.cfl_safety * grid.spacing * grid.spacing / (2.0 * kernel.d_geom)
     t = float(times[0])
     steps = rejections = 0
     leak = 0.0
@@ -188,17 +208,16 @@ def evolve(f0: DensityField, params: DiffusionParams,
     warned = False
     for target in times[1:]:
         while t < target:
-            proposal = cfl_scale / _stiffness(values, params.p)
+            proposal = cfl_scale / kernel.stiffness()
             remaining = target - t
             parts = max(1, math.ceil(remaining / proposal))
-            values, dt_used, leak_rate, rej = _advance(
-                values, t, params.p, remaining / parts, h, weights, areas)
+            dt_used, leak_rate, rej = kernel.advance(remaining / parts, t)
             t += dt_used
             steps += 1
             rejections += rej
             leak += dt_used * leak_rate
         t = float(target)  # absorb roundoff from the exact landing
-        fld = DensityField(grid, values.copy())
+        fld = DensityField(grid, kernel.u.copy())
         snaps.append(snapshot(fld, params.p, params.dim, t=t,
                               with_dissipation=with_dissipation))
         if keep_fields:

@@ -335,3 +335,97 @@ class TestModuleInvariants:
                 grid = rf.Grid.radial(n, 8192, radius)
                 ups.append(rf.upsilon(rf.sample_barenblatt_from_spec(grid, spec), p))
             assert ups[0] == pytest.approx(ups[1], rel=1e-8)
+
+
+def _reference_radius(p, n, tail, convention):
+    """The sizing it replaces: doubling from [1, 2], then 60 bisection steps."""
+    spec = rf.barenblatt_spec(p, n, convention)
+    lo, hi = 1.0, 2.0
+    while rf.barenblatt_tail_mass(spec, hi) > tail:
+        lo, hi = hi, hi * 2.0
+        if hi > 1e9:
+            raise DomainError("tail target unreachable")
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if rf.barenblatt_tail_mass(spec, mid) > tail:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+SIZING_P = (0.45, 0.6, 0.8, 0.95)
+SIZING_N = (1, 2, 3)
+SIZING_TAILS = (1e-10, 1e-8, 1e-6, 3e-6)
+SIZING_CONVENTIONS = (rf.UNIT_COEFF, rf.PDE_NORMALIZED)
+# every p, n, tail and convention, and each tail with both conventions
+SIZING_COVER = [(SIZING_P[i // 2], SIZING_N[i % 3], SIZING_TAILS[i % 4], SIZING_CONVENTIONS[i // 4])
+                for i in range(8)]
+
+
+@pytest.fixture
+def tail_calls(monkeypatch):
+    """Counts the quadratures suggest_domain_radius makes."""
+    calls = []
+    original = rf.analytic.barenblatt_tail_mass
+
+    def counted(spec, radius):
+        calls.append(radius)
+        return original(spec, radius)
+
+    monkeypatch.setattr(rf.analytic, "barenblatt_tail_mass", counted)
+    return calls
+
+
+class TestSuggestDomainRadius:
+    @pytest.mark.parametrize("p,n,tail,convention", SIZING_COVER)
+    def test_matches_bisection_bitwise(self, p, n, tail, convention, tail_calls):
+        try:
+            want = _reference_radius(p, n, tail, convention)
+        except DomainError:
+            with pytest.raises(DomainError):
+                rf.suggest_domain_radius(p, n, tail, convention)
+        else:
+            assert rf.suggest_domain_radius(p, n, tail, convention) == want
+        assert len(tail_calls) <= 16
+
+    @pytest.mark.parametrize("p", SIZING_P)
+    @pytest.mark.parametrize("n", SIZING_N)
+    def test_smallest_float_radius(self, p, n, tail_calls):
+        # what the bisection returns: r >= 1 with T(r) <= tail < T(r - ulp),
+        # or r = 1 when T(1) <= tail already; unreachable iff T(2^29) > tail
+        for convention in SIZING_CONVENTIONS:
+            spec = rf.barenblatt_spec(p, n, convention)
+            for tail in SIZING_TAILS:
+                tail_calls.clear()
+                try:
+                    r = rf.suggest_domain_radius(p, n, tail, convention)
+                except DomainError:
+                    assert rf.barenblatt_tail_mass(spec, 2.0 ** 29) > tail
+                    continue
+                assert len(tail_calls) <= 16
+                assert 1.0 <= r <= 2.0 ** 29 and rf.barenblatt_tail_mass(spec, r) <= tail
+                if r > 1.0:
+                    assert rf.barenblatt_tail_mass(spec, math.nextafter(r, 0.0)) > tail
+
+    def test_unreachable_exactly_beyond_far_radius(self):
+        spec = rf.barenblatt_spec(0.45, 3, rf.UNIT_COEFF)
+        far_tail = rf.barenblatt_tail_mass(spec, 2.0 ** 29)
+        assert rf.suggest_domain_radius(0.45, 3, far_tail) <= 2.0 ** 29
+        with pytest.raises(DomainError, match="unreachable"):
+            rf.suggest_domain_radius(0.45, 3, math.nextafter(far_tail, 0.0))
+
+    def test_root_below_one_returns_one(self, tail_calls):
+        spec = rf.barenblatt_spec(0.95, 1, rf.UNIT_COEFF)
+        assert rf.barenblatt_tail_mass(spec, 0.9) < 3e-6  # the root lies below 1
+        assert rf.suggest_domain_radius(0.95, 1, 3e-6) == 1.0
+        assert len(tail_calls) <= 16
+
+    def test_support_edge_for_porous_medium(self):
+        spec = rf.barenblatt_spec(2.0, 3, rf.PDE_NORMALIZED)
+        assert rf.suggest_domain_radius(2.0, 3, 1e-6, rf.PDE_NORMALIZED) == rf.support_radius(spec)
+
+    @pytest.mark.parametrize("tail", [0.0, 1.0])
+    def test_tail_target_range(self, tail):
+        with pytest.raises(DomainError):
+            rf.suggest_domain_radius(0.8, 1, tail)

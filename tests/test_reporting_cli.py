@@ -1,5 +1,6 @@
 """Serialization round trips and the command-line contract (exit codes, determinism)."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,24 @@ from renyiflow.cli import main
 from renyiflow.reporting import (
     read_profile,
     read_snapshots,
+    snapshot_csv_lines,
     write_profile,
     write_snapshots,
 )
+
+
+def _corrupt(series, defect):
+    """Snapshot CSV lines with one defect in data row 3."""
+    lines = snapshot_csv_lines(series)
+    cells = lines[3].split(",")
+    if defect in ("nan", "inf"):
+        cells[4] = defect  # the Np column
+    elif defect == "repeated_t":
+        cells[0] = lines[2].split(",")[0]
+    else:  # decreasing_t
+        cells[0] = lines[1].split(",")[0]
+    lines[3] = ",".join(cells)
+    return lines
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +64,13 @@ class TestSnapshotCsv:
         path = tmp_path / "bogus.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(rf.DomainError):
+            read_snapshots(path)
+
+    @pytest.mark.parametrize("defect", ["nan", "inf", "repeated_t", "decreasing_t"])
+    def test_bad_rows_rejected_by_row(self, short_run, tmp_path, defect):
+        path = tmp_path / "snapshots.csv"
+        path.write_text("\n".join(_corrupt(short_run.snapshots, defect)) + "\n")
+        with pytest.raises(rf.DomainError, match="row 3"):
             read_snapshots(path)
 
 
@@ -194,6 +217,18 @@ class TestVerifyCommand:
 
     def test_missing_csv_exit_one(self):
         assert main(["verify", "--snapshots-csv", "/nonexistent.csv", "--p", "2"]) == 1
+
+    @pytest.mark.parametrize("defect", ["nan", "repeated_t"])
+    def test_bad_csv_exit_one_without_warnings(self, short_run, tmp_path, capsys, defect):
+        csv_path = tmp_path / "snapshots.csv"
+        csv_path.write_text("\n".join(_corrupt(short_run.snapshots, defect)) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["verify", "--snapshots-csv", str(csv_path), "--p", "1.5",
+                         "--dim", "1", "--checks", "concavity,upsilon"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "row 3" in captured.err and "FAIL" not in captured.out
 
 
 class TestSweepCommand:

@@ -6,7 +6,7 @@ import pytest
 
 import renyiflow as rf
 from renyiflow.errors import BoundaryLeakWarning, DomainError, StabilityError
-from renyiflow.solver import SolverState, cfl_dt, step
+from renyiflow.solver import MAX_REJECTIONS, NEGATIVITY_SLACK, SolverState, cfl_dt, step
 
 
 def make_state(field, t=1.0):
@@ -231,3 +231,106 @@ class TestConservationLongHaul:
             state = step(state, params)
             assert state.values.min() >= -1e-14 * state.values.max()
         assert abs(float(w @ state.values) - m0) / m0 <= 1e-12
+
+
+# A frozen copy of the unbuffered march (stiffness, flux update and rejection
+# loop as plain array expressions): the buffered kernel must match it bitwise.
+def _reference_stiffness(values, p):
+    umax = float(values.max())
+    if p >= 1.0:
+        return p * umax ** (p - 1.0)
+    v = values ** p
+    du = np.diff(values)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chord = np.where(du != 0.0, np.diff(v) / du, 0.0)
+    return float(np.max(np.abs(chord), initial=p * umax ** (p - 1.0)))
+
+
+def _reference_advance(values, p, dt, grid):
+    h, weights, areas = grid.spacing, grid.weights(), grid.face_areas()
+    rejections = 0
+    while True:
+        v = np.maximum(values, 0.0) ** p
+        flux = np.zeros(values.size + 1)
+        flux[1:-1] = (v[1:] - v[:-1]) / h
+        new = values + dt * (areas[1:] * flux[1:] - areas[:-1] * flux[:-1]) / weights
+        leak_rate = (areas[-1] * v[-1] + areas[0] * v[0]) / h
+        if new.min() >= -NEGATIVITY_SLACK * new.max():
+            break
+        rejections += 1
+        assert rejections <= MAX_REJECTIONS
+        dt *= 0.5
+    np.maximum(new, 0.0, out=new)
+    return new, dt, leak_rate, rejections
+
+
+def _reference_march(f0, params):
+    grid = f0.grid
+    d_geom = grid.dim if grid.kind == "radial" else 1
+    cfl_scale = params.cfl_safety * grid.spacing * grid.spacing / (2.0 * d_geom)
+    times = params.times()
+    values, t = f0.values.copy(), float(times[0])
+    fields, steps, rejections, leak = [values.copy()], 0, 0, 0.0
+    for target in times[1:]:
+        while t < target:
+            proposal = cfl_scale / _reference_stiffness(values, params.p)
+            remaining = target - t
+            parts = max(1, math.ceil(remaining / proposal))
+            values, dt_used, leak_rate, rej = _reference_advance(
+                values, params.p, remaining / parts, grid)
+            t += dt_used
+            steps += 1
+            rejections += rej
+            leak += dt_used * leak_rate
+        t = float(target)
+        fields.append(values.copy())
+    return fields, steps, rejections, leak
+
+
+class TestKernelMatchesReference:
+    @pytest.mark.filterwarnings("ignore::renyiflow.errors.BoundaryLeakWarning")
+    @pytest.mark.parametrize("p", [0.8, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("geometry", ["cartesian", "radial3"])
+    def test_evolve_bitwise(self, p, geometry):
+        # narrow bumps make max(u) fall fast, so a stale max would change the steps;
+        # fast diffusion needs wide ones to keep the explicit step from collapsing
+        widths = (1.5, 3.0) if p < 1.0 else (0.2, 0.5)
+        if geometry == "cartesian":
+            grid = rf.Grid.cartesian(128, 8.0)
+            f0 = rf.sample_mixture(grid, seed=4, var_range=widths)
+        else:
+            grid = rf.Grid.radial(3, 128, 8.0)
+            f0 = rf.sample_mixture(grid, seed=4, mean_range=(0.0, 2.0), var_range=widths)
+        params = rf.DiffusionParams(p=p, dim=grid.dim, t_start=1.0, t_end=1.2, snapshot_count=5)
+        run = rf.evolve(f0, params)
+        fields, steps, rejections, leak = _reference_march(f0, params)
+        assert len(run.fields) == len(fields)
+        for got, want in zip(run.fields, fields):
+            assert np.array_equal(got.values, want)
+        assert (run.step_count, run.rejection_count) == (steps, rejections)
+        assert run.leak_estimate == leak
+
+    def test_forced_rejection_step_bitwise(self):
+        grid = rf.Grid.cartesian(128, 1.0)
+        spike = np.full(128, 1e-9)
+        spike[60] = 1.0
+        f = rf.DensityField(grid, spike)
+        params = rf.DiffusionParams(p=2.0, dim=1, t_start=0.0, t_end=1.0)
+        out = step(make_state(f, 0.0), params, dt=1e-2)
+        new, dt_used, leak_rate, rejections = _reference_advance(spike, 2.0, 1e-2, grid)
+        assert rejections > 0 and out.rejection_count == rejections
+        assert np.array_equal(out.values, new)
+        assert out.t == dt_used and out.leak_estimate == dt_used * leak_rate
+
+    @pytest.mark.parametrize("geometry", ["cartesian", "radial3"])
+    def test_chord_stiffness_with_plateaus(self, geometry):
+        # equal neighbours (du == 0, here also u == 0) drop out of the chord bound
+        grid = rf.Grid.cartesian(128, 4.0) if geometry == "cartesian" else rf.Grid.radial(3, 128, 4.0)
+        values = np.round(rf.sample_mixture(grid, seed=6, mean_range=(0.0, 1.0)).values, 2)
+        assert np.any(np.diff(values) == 0.0) and values.min() == 0.0
+        f = rf.DensityField(grid, values)
+        params = rf.DiffusionParams(p=0.8, dim=grid.dim, t_start=0.0, t_end=1.0)
+        d_geom = grid.dim if geometry == "radial3" else 1
+        want = params.cfl_safety * grid.spacing ** 2 / (
+            2.0 * d_geom * _reference_stiffness(values, 0.8))
+        assert cfl_dt(f, params) == want
