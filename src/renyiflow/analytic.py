@@ -8,6 +8,7 @@ sharp Sobolev constant.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -274,17 +275,8 @@ def barenblatt_tail_mass(spec: BarenblattSpec, radius: float) -> float:
     return float(sphere_surface(n) * vals.sum() * ds)
 
 
-def suggest_domain_radius(p: float, n: int, tail_mass: float = 1e-6,
-                          convention: str = UNIT_COEFF) -> float:
-    """Smallest float radius r >= 1 whose profile tail mass is at most tail_mass.
-
-    For p > 1 this is just the support edge.  For p < 1, Newton's method on
-    log T against log r, with the exact slope -|S^{n-1}| r^n profile(r) / T,
-    lands within a few ulps of the root of T(r) = tail_mass, where T is
-    `barenblatt_tail_mass`; a nextafter walk then finds the smallest float r
-    with T(r) <= tail_mass (the first such r below the Newton landing point
-    where rounding makes T wobble within ulps of the target).
-    """
+@functools.lru_cache(maxsize=256)
+def _domain_radius(p: float, n: int, tail_mass: float, convention: str) -> float:
     spec = barenblatt_spec(p, n, convention)
     if p > 1.0:
         return support_radius(spec)
@@ -310,3 +302,22 @@ def suggest_domain_radius(p: float, n: int, tail_mass: float = 1e-6,
     while r > 1.0 and barenblatt_tail_mass(spec, math.nextafter(r, 0.0)) <= tail_mass:
         r = math.nextafter(r, 0.0)
     return r
+
+
+def suggest_domain_radius(p: float, n: int, tail_mass: float = 1e-6,
+                          convention: str = UNIT_COEFF) -> float:
+    """Smallest float radius r >= 1 whose profile tail mass is at most tail_mass.
+
+    For p > 1 this is just the support edge.  For p < 1, Newton's method on
+    log T against log r, with the exact slope -|S^{n-1}| r^n profile(r) / T,
+    lands within a few ulps of the root of T(r) = tail_mass, where T is
+    `barenblatt_tail_mass`; a nextafter walk then finds the smallest float r
+    with T(r) <= tail_mass (the first such r below the Newton landing point
+    where rounding makes T wobble within ulps of the target).
+
+    Results are memoized on all four arguments (``cache_clear`` empties the cache).
+    """
+    return _domain_radius(p, n, tail_mass, convention)
+
+
+suggest_domain_radius.cache_clear = _domain_radius.cache_clear

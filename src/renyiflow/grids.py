@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,11 +64,20 @@ class Grid:
         return self.origin + self.spacing * np.arange(self.node_count)
 
     def weights(self) -> np.ndarray:
-        """Quadrature weight per node (length, or shell volume for radial grids)."""
+        """Quadrature weight per node (length, or shell volume for radial grids).
+
+        Computed once per grid; the array is shared, so it is read-only.
+        """
+        return self._weights
+
+    @cached_property
+    def _weights(self) -> np.ndarray:
         if self.kind == CARTESIAN:
-            return np.full(self.node_count, self.spacing)
-        r = self.nodes()
-        return sphere_surface(self.dim) * r ** (self.dim - 1) * self.spacing
+            w = np.full(self.node_count, self.spacing)
+        else:
+            w = sphere_surface(self.dim) * self.nodes() ** (self.dim - 1) * self.spacing
+        w.flags.writeable = False
+        return w
 
     def face_areas(self) -> np.ndarray:
         """Areas of the node_count+1 cell faces, used by the flux solver."""

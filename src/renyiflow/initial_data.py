@@ -61,8 +61,7 @@ def sample_mixture(grid: Grid, seed: int, components: int | None = None,
     density is smooth at r = 0; the mean range is then folded to [0, max).
 
     For fast-diffusion (p < 1) solver runs, pass a variance range with a
-    floor around 1.5 so the truncated-domain tails do not starve the
-    explicit time step.
+    floor around 1.5 so the truncated-domain tails stay near the envelope.
     """
     rng = np.random.default_rng(seed)
     k = int(components) if components is not None else int(rng.integers(2, 6))
@@ -98,10 +97,10 @@ def blend_with_barenblatt(f: DensityField, p: float, t: float = 1.0,
 
     Fast-diffusion (p < 1) runs on a truncated domain need initial tails at
     the level of the self-similar envelope: the whole-space flow lifts thin
-    (e.g. Gaussian) tails to the fat envelope almost instantly, which an
-    explicit scheme can only follow with a collapsing time step.  Blending in
-    a small Barenblatt provides those tails while keeping the datum smooth,
-    strictly positive and rapidly decaying.
+    (e.g. Gaussian) tails to the fat envelope almost instantly, a transient
+    that the closed wall distorts.  Blending in a small Barenblatt provides
+    those tails while keeping the datum smooth, strictly positive and
+    rapidly decaying.
     """
     if not 0.0 < weight < 1.0:
         raise DomainError("blend weight must lie in (0, 1)")

@@ -45,7 +45,13 @@ def read_snapshots(path) -> list[FunctionalSnapshot]:
         cells = line.split(",")
         if len(cells) != 9:
             raise DomainError(f"malformed snapshot row: {line!r}")
-        vals = [None if c == "" else float(c) for c in cells]
+        vals = []
+        for cell in cells:
+            try:
+                vals.append(None if cell == "" else float(cell))
+            except ValueError:
+                raise DomainError(
+                    f"{path}: snapshot row {row} has a non-numeric cell {cell!r}") from None
         if not all(v is None or math.isfinite(v) for v in vals):
             raise DomainError(f"{path}: snapshot row {row} has a non-finite cell: {line!r}")
         if vals[0] is None or (out and not vals[0] > out[-1].t):

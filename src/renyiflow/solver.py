@@ -1,10 +1,14 @@
-"""Conservative explicit finite-volume solver for u_t = Lap(u^p).
+"""Conservative finite-volume solver for u_t = Lap(u^p).
 
 The update is written in flux form on v = u^p: face fluxes (v_R - v_L)/h,
 radial faces weighted by their area |S^{n-1}| r^{n-1}.  Interior fluxes
 telescope, so the discrete mass changes only through the (closed, zero-flux)
-boundary; nonnegativity follows from the CFL bound because each update is a
-convex combination of neighbor values.
+boundary.  For p >= 1 (and in `step`/`cfl_dt`) the step is explicit, and
+nonnegativity follows from the CFL bound because each update is a convex
+combination of neighbor values.  For p < 1 the diffusivity p u^{p-1} peaks
+in the far tail, where a CFL bound would set the step, so `evolve` takes
+backward-Euler steps instead: no step bound, and dt follows the flow's own
+rate of change.
 """
 from __future__ import annotations
 
@@ -22,6 +26,9 @@ from .grids import RADIAL, DensityField, Grid
 MAX_REJECTIONS = 40
 NEGATIVITY_SLACK = 1e-14  # relative to max(u): tolerated roundoff undershoot
 LEAK_THRESHOLD = 1e-6
+STEP_CHANGE = 2e-3  # implicit steps move at most this fraction of the mass
+NEWTON_RTOL = 1e-8  # quadratic convergence: an update this small leaves ~rounding
+NEWTON_MAX_ITER = 25  # a step whose Newton solve needs more is retried at dt/2
 
 
 @dataclass(frozen=True)
@@ -34,7 +41,7 @@ class DiffusionParams:
     t_end: float
     snapshot_count: int = 9
     snapshot_times: tuple[float, ...] | None = None
-    cfl_safety: float = 0.9
+    cfl_safety: float = 0.9  # explicit steps only (p >= 1, `step`, `cfl_dt`)
     boundary: str = "zero-flux"
 
     def __post_init__(self):
@@ -72,12 +79,15 @@ class SolverState:
 
 
 class _Kernel:
-    """The explicit flux step on one (grid, p), in preallocated buffers.
+    """The flux steps on one (grid, p), in preallocated buffers.
 
+    `advance` is the explicit step, `implicit_advance` the backward-Euler one;
+    both share the weights, face areas, buffers and state.
     u is clipped to u >= 0 once, on entry; accepted steps end in that clip.
     v = u^p and its differences dv serve both the p < 1 chord stiffness and the
     fluxes, and the acceptance test's max(u) is the next umax.  Each out= pass
-    keeps the operation order of the plain array expressions: bitwise theirs.
+    of `advance` keeps the operation order of the plain array expressions:
+    bitwise theirs.
     """
 
     def __init__(self, grid: Grid, p: float, values: np.ndarray):
@@ -93,6 +103,10 @@ class _Kernel:
         self.new, self.v, self.div = np.empty(n), np.empty(n), np.empty(n)
         self.dv, self.du = np.empty(n - 1), np.empty(n - 1)
         self.flux, self.face = np.zeros(n + 1), np.empty(n + 1)  # walls: zero flux
+        self.conductance = areas[1:-1] / self.h  # interior faces, for the implicit step
+        self.coupling = np.zeros(n)  # sum of a node's face conductances
+        self.coupling[1:] += self.conductance
+        self.coupling[:-1] += self.conductance
         self._faces()
 
     def _faces(self) -> None:
@@ -147,6 +161,93 @@ class _Kernel:
         self._faces()
         return dt, leak_rate, rejections
 
+    def _divergence(self, v: np.ndarray) -> np.ndarray:
+        """(L v)_i: net face flux of v into cell i, walls closed."""
+        np.subtract(v[1:], v[:-1], out=self.dv)
+        np.multiply(self.conductance, self.dv, out=self.flux[1:-1])
+        return np.subtract(self.flux[1:], self.flux[:-1], out=self.div)
+
+    def accuracy_dt(self, mass_step: float) -> float:
+        """Step that moves at most mass_step of mass: mass_step / ||u_t||_1, u_t = L v / W.
+
+        ||u_t||_1 does not grow along the flow (the flow, and backward Euler at a
+        fixed dt, is an L1 contraction), so a step sized now keeps later steps
+        within the same bound.
+        """
+        rate = float(np.abs(self._divergence(self.v)).sum())
+        return mass_step / rate if rate > 0.0 else math.inf
+
+    def _newton(self, dt: float) -> np.ndarray | None:
+        """v = u'^p solving W (u' - u) = dt L v, or None if Newton has not converged."""
+        p, w = self.p, self.weights
+        off = -dt * self.conductance
+        spring = dt * self.coupling
+        v = self.v
+        for _ in range(NEWTON_MAX_ITER):
+            u = v ** (1.0 / p)
+            residual = w * (u - self.u) - dt * self._divergence(v)
+            diag = w * u ** (1.0 - p) / p + spring
+            delta = _solve_tridiagonal(diag, off, -residual)
+            v = np.maximum(v + delta, 0.0)
+            if np.all(np.abs(delta) <= NEWTON_RTOL * v):
+                return v
+        return None
+
+    def implicit_advance(self, dt: float, t: float) -> tuple[float, float, int]:
+        """One backward-Euler step from t, halving dt if Newton stalls: (dt, leak rate, rejections).
+
+        Newton runs on v = u'^p.  Its Jacobian diag(W u'^{1-p} / p) - dt L is a
+        symmetric, diagonally dominant M-matrix, so the tridiagonal solve needs no
+        pivoting and positivity and the max principle hold for any dt.  u' is formed
+        from the telescoping fluxes of the converged v, so mass is conserved to rounding.
+        """
+        rejections = 0
+        while True:
+            v = self._newton(dt)
+            if v is not None:
+                new = np.multiply(self._divergence(v), dt, out=self.new)
+                np.divide(new, self.weights, out=new)
+                np.add(self.u, new, out=new)
+                umax = new.max()
+                if new.min() >= -NEGATIVITY_SLACK * umax:
+                    break
+            rejections += 1
+            if rejections > MAX_REJECTIONS:
+                raise StabilityError(f"implicit step at t = {t} failed {rejections} times")
+            dt *= 0.5
+        np.maximum(new, 0.0, out=new)
+        leak_rate = (self.outer_area * v[-1] + self.inner_area * v[0]) / self.h
+        self.u, self.new, self.umax = new, self.u, float(umax)
+        self._faces()
+        return dt, leak_rate, rejections
+
+
+def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the symmetric tridiagonal system (diag, off) x = rhs by odd-even cyclic reduction.
+
+    Eliminating the odd unknowns leaves a symmetric tridiagonal system in the even
+    ones (their Schur complement), solved the same way; the odd unknowns follow by
+    back substitution.  There is no pivoting: the Schur complements of a nonsingular
+    M-matrix are nonsingular M-matrices, so no pivot vanishes.
+    """
+    n = diag.size
+    if n == 1:
+        return rhs / diag
+    odd_diag, odd_rhs = diag[1::2], rhs[1::2]
+    left, right = off[0::2], off[1::2]  # odd row k couples to even rows k and k+1
+    over_left, over_right = left / odd_diag, right / odd_diag[:right.size]
+    even_diag, even_rhs = diag[0::2].copy(), rhs[0::2].copy()
+    even_diag[:left.size] -= left * over_left
+    even_rhs[:left.size] -= over_left * odd_rhs
+    even_diag[1:] -= right * over_right
+    even_rhs[1:] -= over_right * odd_rhs[:right.size]
+    x = np.empty(n)
+    x[0::2] = even = _solve_tridiagonal(even_diag, -left[:right.size] * over_right, even_rhs)
+    odd = odd_rhs - left * even[:left.size]
+    odd[:right.size] -= right * even[1:]
+    x[1::2] = odd / odd_diag
+    return x
+
 
 def cfl_dt(f: DensityField, params: DiffusionParams) -> float:
     """Stable explicit step: cfl * h^2 / (2 * D_geom * max diffusivity)."""
@@ -187,9 +288,13 @@ def evolve(f0: DensityField, params: DiffusionParams,
            with_dissipation: bool = False, keep_fields: bool = True) -> EvolutionResult:
     """March from t_start to t_end, landing exactly on every snapshot time.
 
-    The step toward the next snapshot is the CFL step smoothed by dividing
-    the remaining interval into equal parts, so the recorded functional
-    series has no step-size kinks at snapshot boundaries.
+    The step toward the next snapshot divides the remaining interval into
+    equal parts no longer than the proposed step, so the recorded functional
+    series has no step-size kinks at snapshot boundaries.  For p >= 1 the
+    proposal is the explicit CFL step.  For p < 1 the steps are backward
+    Euler, and the proposal is fixed for the run at the step that moves
+    STEP_CHANGE of the mass at t_start: their time error is first order in
+    dt, so a step that grew along the run would bend N_p(t) by that error.
     """
     if f0.grid.dim != params.dim:
         raise DomainError("initial field dimension does not match params.dim")
@@ -199,7 +304,12 @@ def evolve(f0: DensityField, params: DiffusionParams,
     times = params.times()
     grid = f0.grid
     kernel = _Kernel(grid, params.p, f0.values)
-    cfl_scale = params.cfl_safety * grid.spacing * grid.spacing / (2.0 * kernel.d_geom)
+    if params.p < 1.0:
+        dt_run = kernel.accuracy_dt(STEP_CHANGE * m0)
+        march, proposal = kernel.implicit_advance, lambda: dt_run
+    else:
+        cfl_scale = params.cfl_safety * grid.spacing * grid.spacing / (2.0 * kernel.d_geom)
+        march, proposal = kernel.advance, lambda: cfl_scale / kernel.stiffness()
     t = float(times[0])
     steps = rejections = 0
     leak = 0.0
@@ -208,10 +318,9 @@ def evolve(f0: DensityField, params: DiffusionParams,
     warned = False
     for target in times[1:]:
         while t < target:
-            proposal = cfl_scale / kernel.stiffness()
             remaining = target - t
-            parts = max(1, math.ceil(remaining / proposal))
-            dt_used, leak_rate, rej = kernel.advance(remaining / parts, t)
+            parts = max(1, math.ceil(remaining / proposal()))
+            dt_used, leak_rate, rej = march(remaining / parts, t)
             t += dt_used
             steps += 1
             rejections += rej

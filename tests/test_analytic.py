@@ -374,6 +374,7 @@ def tail_calls(monkeypatch):
         return original(spec, radius)
 
     monkeypatch.setattr(rf.analytic, "barenblatt_tail_mass", counted)
+    rf.suggest_domain_radius.cache_clear()  # a memoized radius would count 0
     return calls
 
 
@@ -398,6 +399,7 @@ class TestSuggestDomainRadius:
             spec = rf.barenblatt_spec(p, n, convention)
             for tail in SIZING_TAILS:
                 tail_calls.clear()
+                rf.suggest_domain_radius.cache_clear()
                 try:
                     r = rf.suggest_domain_radius(p, n, tail, convention)
                 except DomainError:
@@ -420,6 +422,16 @@ class TestSuggestDomainRadius:
         assert rf.barenblatt_tail_mass(spec, 0.9) < 3e-6  # the root lies below 1
         assert rf.suggest_domain_radius(0.95, 1, 3e-6) == 1.0
         assert len(tail_calls) <= 16
+
+    def test_repeated_call_memoized(self, tail_calls):
+        first = rf.suggest_domain_radius(0.8, 3, 1e-6, rf.PDE_NORMALIZED)
+        assert tail_calls
+        tail_calls.clear()
+        assert rf.suggest_domain_radius(0.8, 3, 1e-6, rf.PDE_NORMALIZED) == first
+        assert tail_calls == []  # no quadrature on a repeat
+        rf.suggest_domain_radius.cache_clear()
+        assert rf.suggest_domain_radius(0.8, 3, 1e-6, rf.PDE_NORMALIZED) == first
+        assert tail_calls
 
     def test_support_edge_for_porous_medium(self):
         spec = rf.barenblatt_spec(2.0, 3, rf.PDE_NORMALIZED)

@@ -32,6 +32,18 @@ class TestGrid:
         r = g.nodes()
         np.testing.assert_allclose(g.weights(), 4.0 * math.pi * r ** 2 * g.spacing, rtol=1e-14)
 
+    @pytest.mark.parametrize("grid", [rf.Grid.cartesian(64, 2.0), rf.Grid.radial(3, 32, 8.0)])
+    def test_weights_computed_once_read_only(self, grid):
+        w = grid.weights()
+        assert grid.weights() is w and not w.flags.writeable
+        if grid.kind == "radial":
+            want = rf.sphere_surface(3) * grid.nodes() ** 2 * grid.spacing
+        else:
+            want = np.full(64, grid.spacing)
+        assert np.array_equal(w, want)
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+
     def test_cartesian_uniform_density_mass(self):
         g = rf.Grid.cartesian(128, 3.0)
         f = rf.DensityField(g, np.full(128, 1.0 / 6.0))

@@ -20,7 +20,7 @@ def _corrupt(series, defect):
     """Snapshot CSV lines with one defect in data row 3."""
     lines = snapshot_csv_lines(series)
     cells = lines[3].split(",")
-    if defect in ("nan", "inf"):
+    if defect in ("nan", "inf", "abc"):
         cells[4] = defect  # the Np column
     elif defect == "repeated_t":
         cells[0] = lines[2].split(",")[0]
@@ -66,7 +66,7 @@ class TestSnapshotCsv:
         with pytest.raises(rf.DomainError):
             read_snapshots(path)
 
-    @pytest.mark.parametrize("defect", ["nan", "inf", "repeated_t", "decreasing_t"])
+    @pytest.mark.parametrize("defect", ["nan", "inf", "abc", "repeated_t", "decreasing_t"])
     def test_bad_rows_rejected_by_row(self, short_run, tmp_path, defect):
         path = tmp_path / "snapshots.csv"
         path.write_text("\n".join(_corrupt(short_run.snapshots, defect)) + "\n")
@@ -218,7 +218,7 @@ class TestVerifyCommand:
     def test_missing_csv_exit_one(self):
         assert main(["verify", "--snapshots-csv", "/nonexistent.csv", "--p", "2"]) == 1
 
-    @pytest.mark.parametrize("defect", ["nan", "repeated_t"])
+    @pytest.mark.parametrize("defect", ["nan", "abc", "repeated_t"])
     def test_bad_csv_exit_one_without_warnings(self, short_run, tmp_path, capsys, defect):
         csv_path = tmp_path / "snapshots.csv"
         csv_path.write_text("\n".join(_corrupt(short_run.snapshots, defect)) + "\n")
@@ -229,6 +229,13 @@ class TestVerifyCommand:
         assert code == 1
         captured = capsys.readouterr()
         assert "row 3" in captured.err and "FAIL" not in captured.out
+        assert captured.err.startswith("configuration error")
+
+    def test_non_numeric_cell_named(self, short_run, tmp_path):
+        path = tmp_path / "snapshots.csv"
+        path.write_text("\n".join(_corrupt(short_run.snapshots, "abc")) + "\n")
+        with pytest.raises(rf.DomainError, match="row 3 has a non-numeric cell 'abc'"):
+            read_snapshots(path)
 
 
 class TestSweepCommand:
