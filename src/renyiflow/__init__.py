@@ -2,9 +2,10 @@
 
 A numerical laboratory for the functionals H_p, N_p, F_p, I_p, D_p and
 Upsilon_p = N_p I_p on 1-D and radially symmetric densities: closed-form
-source solutions and sharp constants, a conservative explicit solver, and
-verdict-style verification of concavity, the DeBruijn-type identity, the
-dissipation identity, the isoperimetric bound and Sobolev sharpness.
+source solutions and sharp constants, a conservative finite-volume solver
+(explicit for p >= 1, backward Euler for p < 1), and verdict-style
+verification of concavity, the DeBruijn-type identity, the dissipation
+identity, the isoperimetric bound and Sobolev sharpness.
 """
 
 from .analytic import (
@@ -58,7 +59,7 @@ from .functionals import (
     sobolev_pair,
     upsilon,
 )
-from .grids import DensityField, Grid, gradient, hessian_invariants, second_derivative, sphere_surface
+from .grids import DensityField, Grid, gradient, second_derivative, sphere_surface
 from .initial_data import (
     blend_with_barenblatt,
     compact_two_bump,
@@ -66,7 +67,6 @@ from .initial_data import (
     sample_barenblatt_from_spec,
     sample_gaussian,
     sample_mixture,
-    two_bump,
 )
 from .solver import (
     DiffusionParams,
@@ -80,9 +80,9 @@ from .solver import (
 )
 from .verification import (
     ChainReport,
+    CHECKS,
+    Check,
     CheckResult,
-    ExperimentReport,
-    assemble_report,
     barenblatt_convergence,
     concavity_condition_chain,
     concavity_report,
@@ -90,6 +90,7 @@ from .verification import (
     dissipation_check,
     isoperimetric_check,
     rescaled_l1_distances,
+    run_checks,
     second_differences,
     sobolev_check,
     upsilon_monotone,

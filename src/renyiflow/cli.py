@@ -29,18 +29,7 @@ from .reporting import (
     write_verdicts,
 )
 from .solver import DiffusionParams, evolve, fast_diffusion_guard
-from .verification import (
-    TOL_CONCAVITY,
-    TOL_DEBRUIJN,
-    TOL_DISSIPATION,
-    TOL_ISOPERIMETRIC,
-    TOL_UPSILON,
-    concavity_report,
-    debruijn_check,
-    dissipation_check,
-    isoperimetric_check,
-    upsilon_monotone,
-)
+from .verification import CHECKS, run_checks, validate_checks
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -48,6 +37,9 @@ EXIT_STABILITY = 2
 EXIT_VERDICT = 3
 
 CONSTANTS_HEADER = "p,n,mu,nu,A_p,C_p,Hp_B,Ip_B,gamma,Sn,error"
+
+# the checks that need only a snapshot series, so `verify` can run them
+SERIES_CHECKS = tuple(name for name, check in CHECKS.items() if not check.needs_fields)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,9 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="barenblatt | gaussian | mixture | file:PATH")
     e.add_argument("--seed", type=int, default=None)
     e.add_argument("--cfl", type=float, default=None)
-    e.add_argument("--verify", type=str, default=None,
-                   help="comma list: concavity,upsilon,debruijn,dissipation,isoperimetric")
-    for name in ("concavity", "upsilon", "debruijn", "dissipation", "isoperimetric"):
+    e.add_argument("--verify", type=str, default=None, help="comma list: " + ",".join(CHECKS))
+    for name in CHECKS:
         e.add_argument(f"--tol-{name}", dest=f"tol_{name}", type=float, default=None)
 
     v = sub.add_parser("verify", help="run checks on an existing snapshot CSV")
@@ -97,8 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--snapshots-csv", dest="snapshots_csv", type=str, default=None)
     v.add_argument("--p", type=float, default=None)
     v.add_argument("--dim", type=int, default=None)
-    v.add_argument("--checks", type=str, default=None)
-    for name in ("concavity", "upsilon", "debruijn", "dissipation"):
+    v.add_argument("--checks", type=str, default=None,
+                   help="comma list: " + ",".join(SERIES_CHECKS))
+    for name in SERIES_CHECKS:
         v.add_argument(f"--tol-{name}", dest=f"tol_{name}", type=float, default=None)
 
     s = sub.add_parser("sweep", help="verdict table over (p, dim, seed) triples")
@@ -264,34 +256,20 @@ def _initial_field(kind: str, grid: Grid, p: float, t_start: float, seed: int):
     raise DomainError(f"unknown initial data kind {kind!r}")
 
 
-def _run_checks(result, p: float, dim: int, names, tols, fields=None) -> dict:
-    checks = {}
+def _check_names(raw: str, with_fields: bool) -> list[str]:
+    names = [n for n in raw.split(",") if n] if raw else []
+    validate_checks(names, with_fields)
+    return names
+
+
+def _tolerances(args, config, names) -> dict[str, float]:
+    """The --tol-NAME overrides given for the checks in names."""
+    tols = {}
     for name in names:
-        if name == "concavity":
-            checks[name] = concavity_report(result.snapshots, p, dim,
-                                            tols.get("concavity", TOL_CONCAVITY))
-        elif name == "upsilon":
-            checks[name] = upsilon_monotone(result.snapshots,
-                                            tols.get("upsilon", TOL_UPSILON))
-        elif name == "debruijn":
-            checks[name] = debruijn_check(result.snapshots, p,
-                                          tols.get("debruijn", TOL_DEBRUIJN))
-        elif name == "dissipation":
-            checks[name] = dissipation_check(result.snapshots, p, dim,
-                                             tols.get("dissipation", TOL_DISSIPATION))
-        elif name == "isoperimetric":
-            if fields is None or not fields:
-                raise DomainError("isoperimetric check needs the evolved fields")
-            worst = None
-            for fld in fields:
-                r = isoperimetric_check(fld, p, dim,
-                                        tols.get("isoperimetric", TOL_ISOPERIMETRIC))
-                if worst is None or r.margin < worst.margin:
-                    worst = r
-            checks[name] = worst
-        else:
-            raise DomainError(f"unknown check {name!r}")
-    return checks
+        val = _effective(args, config, f"tol_{name}", None, float)
+        if val is not None:
+            tols[name] = val
+    return tols
 
 
 def run_evolve(args, config) -> int:
@@ -309,16 +287,11 @@ def run_evolve(args, config) -> int:
     initial = _effective(args, config, "initial", "mixture")
     seed = _effective(args, config, "seed", 0, int)
     cfl = _effective(args, config, "cfl", 0.9, float)
+    names = _check_names(_effective(args, config, "verify", ""), with_fields=True)
+    tols = _tolerances(args, config, CHECKS)
     radius = _effective(args, config, "radius", None, float)
     if radius is None:
         radius = _default_radius(p, dim, t_end, initial)
-    verify_raw = _effective(args, config, "verify", "")
-    names = [n for n in verify_raw.split(",") if n] if verify_raw else []
-    tols = {}
-    for n in ("concavity", "upsilon", "debruijn", "dissipation", "isoperimetric"):
-        val = _effective(args, config, f"tol_{n}", None, float)
-        if val is not None:
-            tols[n] = val
 
     cfg = {"subcommand": "evolve", "p": p, "dim": dim, "geometry": geometry,
            "nodes": nodes, "radius": radius, "t_start": t_start, "t_end": t_end,
@@ -339,7 +312,7 @@ def run_evolve(args, config) -> int:
         sizing = {"compact_support": rep.compact_support, "tail_mass": rep.tail_mass,
                   "recommended_radius": rep.recommended_radius, "adequate": rep.adequate}
     result = evolve(f0, params, with_dissipation="dissipation" in names)
-    checks = _run_checks(result, p, dim, names, tols, result.fields)
+    checks = run_checks(names, result.snapshots, p, dim, tols, result.fields)
 
     d = _outdir(getattr(args, "out", None) or config.get("out"), cfg)
     write_snapshots(d / "snapshots.csv", result.snapshots)
@@ -347,7 +320,6 @@ def run_evolve(args, config) -> int:
     write_run_meta(d / "run_meta.json", {
         "config": cfg, "steps": result.step_count,
         "rejections": result.rejection_count,
-        "boundary_flux": result.boundary_flux,
         "leak_estimate": result.leak_estimate,
         "final_mass": result.snapshots[-1].mass,
         "domain_sizing": sizing,
@@ -368,28 +340,10 @@ def run_verify(args, config) -> int:
     if csv_path is None or p is None:
         print("verify: --snapshots-csv and --p are required", file=sys.stderr)
         return EXIT_CONFIG
-    series = read_snapshots(csv_path)
-    names_raw = _effective(args, config, "checks", "concavity,upsilon")
-    names = [n for n in names_raw.split(",") if n]
-    tols = {}
-    for n in ("concavity", "upsilon", "debruijn", "dissipation"):
-        val = _effective(args, config, f"tol_{n}", None, float)
-        if val is not None:
-            tols[n] = val
-    checks = {}
-    for name in names:
-        if name == "concavity":
-            checks[name] = concavity_report(series, p, dim, tols.get("concavity", TOL_CONCAVITY))
-        elif name == "upsilon":
-            checks[name] = upsilon_monotone(series, tols.get("upsilon", TOL_UPSILON))
-        elif name == "debruijn":
-            checks[name] = debruijn_check(series, p, tols.get("debruijn", TOL_DEBRUIJN))
-        elif name == "dissipation":
-            checks[name] = dissipation_check(series, p, dim,
-                                             tols.get("dissipation", TOL_DISSIPATION))
-        else:
-            print(f"verify: unknown check {name!r}", file=sys.stderr)
-            return EXIT_CONFIG
+    names = _check_names(_effective(args, config, "checks", "concavity,upsilon"),
+                         with_fields=False)
+    tols = _tolerances(args, config, SERIES_CHECKS)
+    checks = run_checks(names, read_snapshots(csv_path), p, dim, tols)
     print(summary_table(checks))
     out = getattr(args, "out", None) or config.get("out")
     if out:
@@ -415,7 +369,7 @@ def _sweep_row(job: tuple) -> dict:
         names = ["concavity", "upsilon"]
         if p != 1.0 and p > dim / (dim + 2.0):
             names.append("isoperimetric")
-        checks = _run_checks(result, p, dim, names, {}, result.fields)
+        checks = run_checks(names, result.snapshots, p, dim, {}, result.fields)
         row["passed"] = all(c.passed for c in checks.values())
         row["margins"] = {k: c.margin for k, c in checks.items()}
         row["error"] = ""

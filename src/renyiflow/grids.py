@@ -144,17 +144,3 @@ def second_derivative(values: np.ndarray, grid: Grid) -> np.ndarray:
         d2[0] = (v[1] - v[0]) / h2  # mirror ghost: v[-1] == v[0]
     return d2
 
-
-def hessian_invariants(values: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """(|D^2 g|^2, Laplacian g) for a radial or 1-D profile g.
-
-    For a radial function the Hessian eigenvalues are g'' and g'/r with
-    multiplicity n-1, so |D^2 g|^2 = g''^2 + (n-1)(g'/r)^2 and
-    Lap g = g'' + (n-1) g'/r.  Nodes never sit at r = 0.
-    """
-    d2 = second_derivative(values, grid)
-    if grid.kind == CARTESIAN or grid.dim == 1:
-        return d2 * d2, d2
-    slope_over_r = gradient(values, grid) / grid.nodes()
-    m = grid.dim - 1
-    return d2 * d2 + m * slope_over_r ** 2, d2 + m * slope_over_r

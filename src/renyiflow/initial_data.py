@@ -86,11 +86,6 @@ def sample_mixture(grid: Grid, seed: int, components: int | None = None,
     return DensityField(grid, vals / total)
 
 
-def two_bump(grid: Grid, seed: int, **kwargs) -> DensityField:
-    """Two-component mixture, the generic smooth rapidly decaying test datum."""
-    return sample_mixture(grid, seed, components=2, **kwargs)
-
-
 def blend_with_barenblatt(f: DensityField, p: float, t: float = 1.0,
                           weight: float = 1e-2) -> DensityField:
     """(1-weight) f + weight * Barenblatt(., t), renormalized to unit mass.

@@ -33,7 +33,7 @@ NEWTON_MAX_ITER = 25  # a step whose Newton solve needs more is retried at dt/2
 
 @dataclass(frozen=True)
 class DiffusionParams:
-    """Run parameters; boundary handling is fixed to zero-flux."""
+    """Run parameters; the boundary is a closed, zero-flux wall."""
 
     p: float
     dim: int
@@ -42,7 +42,6 @@ class DiffusionParams:
     snapshot_count: int = 9
     snapshot_times: tuple[float, ...] | None = None
     cfl_safety: float = 0.9  # explicit steps only (p >= 1, `step`, `cfl_dt`)
-    boundary: str = "zero-flux"
 
     def __post_init__(self):
         coefficients(self.p, self.dim)  # validates p > 1 - 2/dim
@@ -50,8 +49,6 @@ class DiffusionParams:
             raise DomainError("need t_end > t_start >= 0")
         if not 0.0 < self.cfl_safety < 1.0:
             raise DomainError("cfl_safety must lie in (0, 1)")
-        if self.boundary != "zero-flux":
-            raise DomainError("only the zero-flux boundary is supported")
         if self.snapshot_times is not None:
             ts = np.asarray(self.snapshot_times, dtype=float)
             if ts.size < 2 or np.any(np.diff(ts) <= 0.0):
@@ -74,7 +71,6 @@ class SolverState:
     values: np.ndarray
     step_count: int = 0
     rejection_count: int = 0
-    boundary_flux: float = 0.0   # actual flux through the closed wall: stays 0
     leak_estimate: float = 0.0   # would-be outflow if the wall were open
 
 
@@ -132,7 +128,7 @@ class _Kernel:
         return float(np.fmax.reduce(np.abs(chord, out=chord), initial=bound))
 
     def cfl_dt(self, cfl_safety: float) -> float:
-        return cfl_safety * self.h ** 2 / (2.0 * self.d_geom * self.stiffness())
+        return cfl_safety * self.h * self.h / (2.0 * self.d_geom) / self.stiffness()
 
     def advance(self, dt: float, t: float) -> tuple[float, float, int]:
         """One accepted step from t, halving dt on undershoot: (dt, leak rate, rejections)."""
@@ -250,7 +246,7 @@ def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np
 
 
 def cfl_dt(f: DensityField, params: DiffusionParams) -> float:
-    """Stable explicit step: cfl * h^2 / (2 * D_geom * max diffusivity)."""
+    """Stable explicit step: cfl * h^2 / (2 * D_geom) / max diffusivity."""
     return _Kernel(f.grid, params.p, f.values).cfl_dt(params.cfl_safety)
 
 
@@ -277,7 +273,6 @@ class EvolutionResult:
     fields: list[DensityField]
     step_count: int
     rejection_count: int
-    boundary_flux: float
     leak_estimate: float
 
     def times(self) -> np.ndarray:
@@ -285,7 +280,7 @@ class EvolutionResult:
 
 
 def evolve(f0: DensityField, params: DiffusionParams,
-           with_dissipation: bool = False, keep_fields: bool = True) -> EvolutionResult:
+           with_dissipation: bool = False) -> EvolutionResult:
     """March from t_start to t_end, landing exactly on every snapshot time.
 
     The step toward the next snapshot divides the remaining interval into
@@ -308,13 +303,12 @@ def evolve(f0: DensityField, params: DiffusionParams,
         dt_run = kernel.accuracy_dt(STEP_CHANGE * m0)
         march, proposal = kernel.implicit_advance, lambda: dt_run
     else:
-        cfl_scale = params.cfl_safety * grid.spacing * grid.spacing / (2.0 * kernel.d_geom)
-        march, proposal = kernel.advance, lambda: cfl_scale / kernel.stiffness()
+        march, proposal = kernel.advance, lambda: kernel.cfl_dt(params.cfl_safety)
     t = float(times[0])
     steps = rejections = 0
     leak = 0.0
     snaps = [snapshot(f0, params.p, params.dim, t=t, with_dissipation=with_dissipation)]
-    fields = [f0] if keep_fields else []
+    fields = [f0]
     warned = False
     for target in times[1:]:
         while t < target:
@@ -329,14 +323,13 @@ def evolve(f0: DensityField, params: DiffusionParams,
         fld = DensityField(grid, kernel.u.copy())
         snaps.append(snapshot(fld, params.p, params.dim, t=t,
                               with_dissipation=with_dissipation))
-        if keep_fields:
-            fields.append(fld)
+        fields.append(fld)
         if not warned and leak > LEAK_THRESHOLD:
             warnings.warn(
                 f"would-be boundary outflow {leak:.3e} exceeds "
                 f"{LEAK_THRESHOLD}; domain is likely too small", BoundaryLeakWarning)
             warned = True
-    return EvolutionResult(params, snaps, fields, steps, rejections, 0.0, leak)
+    return EvolutionResult(params, snaps, fields, steps, rejections, leak)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ entropy power, increasing Upsilon) to prove the verdicts are non-vacuous.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +15,6 @@ import numpy as np
 from .analytic import barenblatt_spec, coefficients, gamma_const
 from .errors import DegenerateError, DomainError, InsufficientData
 from .functionals import (
-    FunctionalSnapshot,
     d_p,
     fisher_p,
     p_norm_integral,
@@ -42,20 +42,6 @@ class CheckResult:
     margin: float       # signed; negative means violation for inequality checks
     tolerance: float
     detail: str = ""
-
-
-@dataclass(frozen=True)
-class ExperimentReport:
-    """A functional time series with its derived arrays and verdicts."""
-
-    snapshots: tuple[FunctionalSnapshot, ...]
-    n_p_second_differences: np.ndarray
-    upsilon_rises: np.ndarray
-    checks: dict[str, CheckResult]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks.values())
 
 
 def _times_values(series, attr: str) -> tuple[np.ndarray, np.ndarray]:
@@ -217,6 +203,50 @@ def isoperimetric_check(f: DensityField, p: float, n: int | None = None,
                        rel_tol * gamma, f"Upsilon - gamma = {margin:.6e} (gamma {gamma:.6e})")
 
 
+@dataclass(frozen=True)
+class Check:
+    """One entry of CHECKS: run(series, fields, p, n, tol) -> CheckResult, the
+    default tol, and whether it needs the evolved fields, not just the series."""
+
+    run: Callable[..., CheckResult]
+    tol: float
+    needs_fields: bool = False
+
+
+# The one table of verdicts behind `evolve --verify`, `verify --checks`, `sweep`
+# and the --tol-* flags.  Entries call the checks by their module-global names,
+# so rebinding a check (for instrumentation) reaches every caller.
+CHECKS: dict[str, Check] = {
+    "concavity": Check(lambda s, f, p, n, tol: concavity_report(s, p, n, tol), TOL_CONCAVITY),
+    "upsilon": Check(lambda s, f, p, n, tol: upsilon_monotone(s, tol), TOL_UPSILON),
+    "debruijn": Check(lambda s, f, p, n, tol: debruijn_check(s, p, tol), TOL_DEBRUIJN),
+    "dissipation": Check(lambda s, f, p, n, tol: dissipation_check(s, p, n, tol),
+                         TOL_DISSIPATION),
+    # the worst snapshot decides; on ties the earliest
+    "isoperimetric": Check(lambda s, f, p, n, tol: min(
+        (isoperimetric_check(fld, p, n, tol) for fld in f), key=lambda r: r.margin),
+        TOL_ISOPERIMETRIC, needs_fields=True),
+}
+
+
+def validate_checks(names, with_fields: bool) -> None:
+    """Raise DomainError for a name not in CHECKS, or one that needs fields there are none of."""
+    for name in names:
+        if name not in CHECKS:
+            raise DomainError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
+        if CHECKS[name].needs_fields and not with_fields:
+            raise DomainError(f"check {name!r} needs the evolved fields, which a snapshot "
+                              f"series lacks; run it as `evolve --verify {name}`")
+
+
+def run_checks(names, series, p: float, n: int, tols: dict[str, float],
+               fields=None) -> dict[str, CheckResult]:
+    """Run the named CHECKS in order; tols[name] overrides a check's default tolerance."""
+    validate_checks(names, with_fields=bool(fields))
+    return {name: CHECKS[name].run(series, fields, p, n, tols.get(name, CHECKS[name].tol))
+            for name in names}
+
+
 def rescaled_l1_distances(run, p: float, n: int) -> np.ndarray:
     """L1 distance of each rescaled field to the unit-mass Barenblatt profile."""
     spec = barenblatt_spec(p, n, "pde")
@@ -237,8 +267,6 @@ def barenblatt_convergence(run, p: float, n: int, target: float = 1e-2,
     """
     if len(run.snapshots) < 3:
         raise InsufficientData("needs at least 3 snapshots")
-    if not run.fields:
-        raise InsufficientData("run was evolved without keeping fields")
     d = rescaled_l1_distances(run, p, n)
     rises = np.diff(d)
     monotone = bool(np.all(rises <= slack))
@@ -249,30 +277,6 @@ def barenblatt_convergence(run, p: float, n: int, target: float = 1e-2,
         "barenblatt_convergence", ok, target - float(d[-1]), target,
         f"final L1 {d[-1]:.3e}, max rise {float(np.max(rises)):.3e}, "
         f"relative Upsilon gap {ups_gap:.3e}")
-
-
-def assemble_report(series, p: float, n: int,
-                    tolerances: dict[str, float] | None = None) -> ExperimentReport:
-    """Bundle a series with its derived arrays and the standard verdicts.
-
-    Always runs concavity and Upsilon monotonicity; adds the DeBruijn check
-    on uniformly spaced series and the dissipation check when D_p is present.
-    """
-    tols = tolerances or {}
-    t, y = _times_values(series, "n_p")
-    checks = {
-        "concavity": concavity_report(series, p, n, tols.get("concavity", TOL_CONCAVITY)),
-        "upsilon_monotone": upsilon_monotone(series, tols.get("upsilon", TOL_UPSILON)),
-    }
-    try:
-        checks["debruijn"] = debruijn_check(series, p, tols.get("debruijn", TOL_DEBRUIJN))
-    except InsufficientData:
-        pass
-    if all(s.d_p is not None for s in series):
-        checks["dissipation"] = dissipation_check(series, p, n,
-                                                  tols.get("dissipation", TOL_DISSIPATION))
-    ups = np.array([s.upsilon for s in series])
-    return ExperimentReport(tuple(series), second_differences(t, y), np.diff(ups), checks)
 
 
 def sobolev_check(g_samples, n: int, rel_tol: float = 1e-3) -> CheckResult:

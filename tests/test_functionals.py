@@ -6,6 +6,7 @@ import pytest
 
 import renyiflow as rf
 from renyiflow.errors import DomainError
+from renyiflow.functionals import _dissipation_terms
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +183,43 @@ class TestDissipationFunctional:
         p = 1.5
         bound = 2.0 * (1.0 / 3.0 + p - 1.0) * rf.pressure_laplacian_integral(f, p)
         assert rf.d_p(f, p) >= bound - 1e-12 * abs(bound)
+
+
+class TestDissipationTerms:
+    """The nodewise integrands u^p |D^2 g|^2 and u^p (Lap g)^2, g = e_p'(u)."""
+
+    def test_cartesian_hessian_is_laplacian(self):
+        grid = rf.Grid.cartesian(128, 2.0)
+        f = rf.DensityField(grid, np.exp(-grid.nodes() ** 2))
+        for p in (0.8, 1.5, 2.0):
+            hess, lap = _dissipation_terms(f, p)
+            assert np.array_equal(hess, lap)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_trace_inequality_nodewise(self, dim):
+        # |D^2 g|^2 >= (Lap g)^2 / n holds algebraically on (g'', g'/r) pairs
+        rng = np.random.default_rng(7)
+        grid = rf.Grid.radial(dim, 256, 5.0)
+        for _ in range(20):
+            v = rng.uniform(0.1, 1.0, 256)
+            v = np.convolve(v, np.ones(9) / 9.0, mode="same")  # keep it resolvable
+            for p in (0.8, 1.5, 2.0):
+                hess, lap = _dissipation_terms(rf.DensityField(grid, v), p)
+                assert np.all(hess >= lap / dim - 1e-12 * np.abs(hess) - 1e-300)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_exact_laplacian_on_barenblatt_p2(self, dim):
+        # at p = 2, g = 2u = 2(C - kappa r^2) inside the support: Lap g = -4 n kappa,
+        # and the stencils are exact on quadratics, so (Lap g)^2 = 16 n^2 kappa^2
+        spec = rf.barenblatt_spec(2.0, dim, rf.PDE_NORMALIZED)
+        edge = rf.support_radius(spec)
+        grid = rf.Grid.cartesian(256, 1.5 * edge) if dim == 1 else rf.Grid.radial(dim, 256, 1.5 * edge)
+        f = rf.sample_barenblatt_from_spec(grid, spec)
+        _, lap = _dissipation_terms(f, 2.0)
+        inside = np.abs(grid.nodes()) <= edge - 2.0 * grid.spacing
+        assert inside.sum() > 100
+        np.testing.assert_allclose(lap[inside] / f.values[inside] ** 2,
+                                   16.0 * dim * dim * spec.kappa ** 2, rtol=1e-9)
 
 
 class TestUpsilon:

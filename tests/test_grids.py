@@ -6,7 +6,7 @@ import pytest
 
 import renyiflow as rf
 from renyiflow.errors import DomainError
-from renyiflow.grids import gradient, hessian_invariants, second_derivative
+from renyiflow.grids import gradient, second_derivative
 
 
 class TestSphereSurface:
@@ -132,30 +132,3 @@ class TestDerivatives:
             errs.append(np.max(np.abs(gradient(np.cos(r), g) + np.sin(r))))
         assert errs[0] / errs[1] > 2.0
 
-
-class TestHessianInvariants:
-    def test_cartesian_reduces_to_second_derivative(self):
-        g = rf.Grid.cartesian(128, 2.0)
-        v = np.exp(-g.nodes() ** 2)
-        hess_sq, lap = hessian_invariants(v, g)
-        d2 = second_derivative(v, g)
-        np.testing.assert_allclose(hess_sq, d2 * d2, rtol=1e-13)
-        np.testing.assert_allclose(lap, d2, rtol=1e-13)
-
-    @pytest.mark.parametrize("dim", [2, 3, 5])
-    def test_trace_inequality_nodewise(self, dim):
-        # |D^2 g|^2 >= (Lap g)^2 / n holds algebraically on (g'', g'/r) pairs
-        rng = np.random.default_rng(7)
-        g = rf.Grid.radial(dim, 256, 5.0)
-        for _ in range(20):
-            v = rng.uniform(0.1, 1.0, 256)
-            v = np.convolve(v, np.ones(9) / 9.0, mode="same")  # keep it resolvable
-            hess_sq, lap = hessian_invariants(v, g)
-            assert np.all(hess_sq >= lap * lap / dim - 1e-12 * np.abs(hess_sq) - 1e-300)
-
-    def test_radial_laplacian_of_r_squared(self):
-        # Lap |x|^2 = 2n everywhere
-        for dim in (2, 3):
-            g = rf.Grid.radial(dim, 128, 4.0)
-            _, lap = hessian_invariants(g.nodes() ** 2, g)
-            np.testing.assert_allclose(lap, 2.0 * dim, rtol=1e-9)

@@ -1,4 +1,5 @@
 """Serialization round trips and the command-line contract (exit codes, determinism)."""
+import argparse
 import math
 import warnings
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import renyiflow as rf
+from renyiflow import cli
 from renyiflow.cli import main
 from renyiflow.reporting import (
     read_profile,
@@ -14,6 +16,7 @@ from renyiflow.reporting import (
     write_profile,
     write_snapshots,
 )
+from renyiflow.verification import CHECKS
 
 
 def _corrupt(series, defect):
@@ -195,6 +198,16 @@ class TestEvolveCommand:
                      "--tol-debruijn", "1e-12", "--out", str(tmp_path)])
         assert code == 3
 
+    def test_unknown_check_exits_before_solving(self, monkeypatch, capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("evolve ran for a run that cannot be verified")
+
+        monkeypatch.setattr(cli, "evolve", no_solve)
+        code = main(["evolve", "--p", "2", "--dim", "1", "--nodes", "2048", "--t-end", "3",
+                     "--initial", "barenblatt", "--verify", "concavty"])
+        assert code == 1
+        assert "unknown check 'concavty'" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_checks_on_existing_csv(self, short_run, tmp_path, capsys):
@@ -214,6 +227,15 @@ class TestVerifyCommand:
         code = main(["verify", "--snapshots-csv", str(csv_path), "--p", "2",
                      "--dim", "1", "--checks", "concavity"])
         assert code == 3
+
+    def test_isoperimetric_points_to_evolve(self, short_run, tmp_path, capsys):
+        csv_path = tmp_path / "snapshots.csv"
+        write_snapshots(csv_path, short_run.snapshots)
+        code = main(["verify", "--snapshots-csv", str(csv_path), "--p", "1.5",
+                     "--dim", "1", "--checks", "concavity,isoperimetric"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "needs the evolved fields" in err and "evolve --verify isoperimetric" in err
 
     def test_missing_csv_exit_one(self):
         assert main(["verify", "--snapshots-csv", "/nonexistent.csv", "--p", "2"]) == 1
@@ -236,6 +258,22 @@ class TestVerifyCommand:
         path.write_text("\n".join(_corrupt(short_run.snapshots, "abc")) + "\n")
         with pytest.raises(rf.DomainError, match="row 3 has a non-numeric cell 'abc'"):
             read_snapshots(path)
+
+
+class TestCheckRegistry:
+    @staticmethod
+    def _tol_flags(subcommand):
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return [opt[len("--tol-"):] for a in sub.choices[subcommand]._actions
+                for opt in a.option_strings if opt.startswith("--tol-")]
+
+    def test_evolve_flags_are_the_registry(self):
+        assert self._tol_flags("evolve") == list(CHECKS)
+
+    def test_verify_flags_are_the_series_checks(self):
+        assert self._tol_flags("verify") == [n for n, c in CHECKS.items() if not c.needs_fields]
+        assert self._tol_flags("verify") == ["concavity", "upsilon", "debruijn", "dissipation"]
 
 
 class TestSweepCommand:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import renyiflow as rf
+from renyiflow import verification
 from renyiflow.errors import DomainError, InsufficientData
 
 
@@ -237,20 +238,56 @@ class TestSobolevCheck:
             rf.sobolev_check([], 2)
 
 
-class TestAssembleReport:
-    def test_bundles_series_and_verdicts(self, fast_diffusion_run):
-        rep = rf.assemble_report(fast_diffusion_run.snapshots, 0.9, 1)
-        assert rep.passed
-        assert set(rep.checks) == {"concavity", "upsilon_monotone", "debruijn", "dissipation"}
-        assert rep.n_p_second_differences.shape == (9,)
-        assert rep.upsilon_rises.shape == (10,)
-        assert np.all(rep.upsilon_rises <= 0.0)
+class TestRunChecks:
+    def test_series_verdicts_in_order(self, fast_diffusion_run):
+        names = ["concavity", "upsilon", "debruijn", "dissipation"]
+        checks = rf.run_checks(names, fast_diffusion_run.snapshots, 0.9, 1, {})
+        assert list(checks) == names
+        assert all(c.passed for c in checks.values())
+        # Upsilon never rises on this run: the margin is the whole tolerance
+        assert checks["upsilon"].margin >= checks["upsilon"].tolerance
 
-    def test_skips_dissipation_without_dp(self, mixture_run):
+    def test_dissipation_needs_dp(self, mixture_run):
         series = [dataclasses.replace(s, d_p=None) for s in mixture_run.snapshots]
-        rep = rf.assemble_report(series, 1.5, 1)
-        assert "dissipation" not in rep.checks
-        assert rep.passed
+        checks = rf.run_checks(["concavity", "upsilon"], series, 1.5, 1, {})
+        assert all(c.passed for c in checks.values())
+        with pytest.raises(InsufficientData):
+            rf.run_checks(["dissipation"], series, 1.5, 1, {})
+
+    def test_tolerance_override_and_default(self, mixture_run):
+        series = mixture_run.snapshots
+        default = rf.run_checks(["concavity"], series, 1.5, 1, {})["concavity"]
+        assert default.tolerance == rf.CHECKS["concavity"].tol
+        tight = rf.run_checks(["concavity"], series, 1.5, 1, {"concavity": -1.0})["concavity"]
+        assert tight.tolerance == -1.0 and not tight.passed
+
+    def test_isoperimetric_takes_worst_field(self, mixture_run):
+        checks = rf.run_checks(["isoperimetric"], mixture_run.snapshots, 1.5, 1, {},
+                               mixture_run.fields)
+        each = [rf.isoperimetric_check(f, 1.5, 1) for f in mixture_run.fields]
+        assert checks["isoperimetric"] == min(each, key=lambda r: r.margin)
+
+    def test_isoperimetric_needs_fields(self, mixture_run):
+        with pytest.raises(DomainError, match="needs the evolved fields"):
+            rf.run_checks(["isoperimetric"], mixture_run.snapshots, 1.5, 1, {})
+
+    def test_unknown_name_runs_nothing(self, mixture_run, monkeypatch):
+        # entries look their check up by module-global name, so this stub is what runs
+        def not_called(*args):
+            raise AssertionError("a check ran before the names were validated")
+
+        monkeypatch.setattr(verification, "upsilon_monotone", not_called)
+        with pytest.raises(AssertionError):
+            rf.run_checks(["upsilon"], mixture_run.snapshots, 1.5, 1, {})
+        with pytest.raises(DomainError, match="unknown check 'concavty'"):
+            rf.run_checks(["upsilon", "concavty"], mixture_run.snapshots, 1.5, 1, {})
+
+    def test_default_tolerances(self):
+        # the per-check defaults the CLI used before the registry existed
+        assert {name: c.tol for name, c in rf.CHECKS.items()} == {
+            "concavity": 1e-6, "upsilon": 1e-8, "debruijn": 1e-2,
+            "dissipation": 5e-2, "isoperimetric": 1e-3}
+        assert [name for name, c in rf.CHECKS.items() if c.needs_fields] == ["isoperimetric"]
 
 
 class TestDeterminism:
