@@ -256,9 +256,9 @@ def _initial_field(kind: str, grid: Grid, p: float, t_start: float, seed: int):
     raise DomainError(f"unknown initial data kind {kind!r}")
 
 
-def _check_names(raw: str, with_fields: bool) -> list[str]:
+def _check_names(raw: str, p: float, dim: int, with_fields: bool) -> list[str]:
     names = [n for n in raw.split(",") if n] if raw else []
-    validate_checks(names, with_fields)
+    validate_checks(names, p, dim, with_fields)
     return names
 
 
@@ -287,7 +287,7 @@ def run_evolve(args, config) -> int:
     initial = _effective(args, config, "initial", "mixture")
     seed = _effective(args, config, "seed", 0, int)
     cfl = _effective(args, config, "cfl", 0.9, float)
-    names = _check_names(_effective(args, config, "verify", ""), with_fields=True)
+    names = _check_names(_effective(args, config, "verify", ""), p, dim, with_fields=True)
     tols = _tolerances(args, config, CHECKS)
     radius = _effective(args, config, "radius", None, float)
     if radius is None:
@@ -340,7 +340,7 @@ def run_verify(args, config) -> int:
     if csv_path is None or p is None:
         print("verify: --snapshots-csv and --p are required", file=sys.stderr)
         return EXIT_CONFIG
-    names = _check_names(_effective(args, config, "checks", "concavity,upsilon"),
+    names = _check_names(_effective(args, config, "checks", "concavity,upsilon"), p, dim,
                          with_fields=False)
     tols = _tolerances(args, config, SERIES_CHECKS)
     checks = run_checks(names, read_snapshots(csv_path), p, dim, tols)

@@ -3,12 +3,13 @@
 The update is written in flux form on v = u^p: face fluxes (v_R - v_L)/h,
 radial faces weighted by their area |S^{n-1}| r^{n-1}.  Interior fluxes
 telescope, so the discrete mass changes only through the (closed, zero-flux)
-boundary.  For p >= 1 (and in `step`/`cfl_dt`) the step is explicit, and
-nonnegativity follows from the CFL bound because each update is a convex
-combination of neighbor values.  For p < 1 the diffusivity p u^{p-1} peaks
-in the far tail, where a CFL bound would set the step, so `evolve` takes
-backward-Euler steps instead: no step bound, and dt follows the flow's own
-rate of change.
+boundary.  The explicit step keeps nonnegativity by the CFL bound, because
+each update is a convex combination of neighbor values; `step`, `cfl_dt` and
+p = 1 runs use it.  Where the CFL step is far below the step the flow's own
+rate of change allows, `evolve` takes variable-step BDF2 steps solved by
+Newton in u instead: always for p < 1, whose diffusivity p u^{p-1} peaks in
+the far tail, and for p > 1 when that is cheaper.  The degenerate p > 1 front
+is handled as in Vazquez, *The Porous Medium Equation* (2007), ch. 5 and 9.
 """
 from __future__ import annotations
 
@@ -27,8 +28,22 @@ MAX_REJECTIONS = 40
 NEGATIVITY_SLACK = 1e-14  # relative to max(u): tolerated roundoff undershoot
 LEAK_THRESHOLD = 1e-6
 STEP_CHANGE = 2e-3  # implicit steps move at most this fraction of the mass
+# An implicit march takes at least this many steps per snapshot interval, so its
+# startup ramp (about one step long, with less time error than the steps after
+# it) stays a small part of the first interval: at 5 steps per interval it bent
+# N_p by 2.1e-6 at the first snapshot (1024-node p = 2 Barenblatt, t 1..1.1).
+MIN_STEPS_PER_SNAPSHOT = 10
 NEWTON_RTOL = 1e-8  # quadratic convergence: an update this small leaves ~rounding
 NEWTON_MAX_ITER = 25  # a step whose Newton solve needs more is retried at dt/2
+EPS = float(np.finfo(float).eps)
+SEQUENTIAL_SIZE = 64  # tridiagonal systems this small are solved row by row
+# The ratio dt_run / CFL step at t_start above which the implicit march is the
+# cheaper one.  Measured on the 2048-node p = 2 Barenblatt run from t = 1 to 3
+# (2 cores, numpy 2.4.6): one implicit step costs 1.0-1.6 ms, one explicit step
+# 19-30 us (50-55x), and because the CFL step grows along a p > 1 run while
+# dt_run stays fixed, the two marches of that run cost the same at a ratio of
+# 70-100 (574 x 0.57 s implicit / 3.2-5.5 s explicit).
+IMPLICIT_STEP_COST = 100.0
 
 
 @dataclass(frozen=True)
@@ -41,7 +56,7 @@ class DiffusionParams:
     t_end: float
     snapshot_count: int = 9
     snapshot_times: tuple[float, ...] | None = None
-    cfl_safety: float = 0.9  # explicit steps only (p >= 1, `step`, `cfl_dt`)
+    cfl_safety: float = 0.9  # explicit steps, and the first step of an implicit march
 
     def __post_init__(self):
         coefficients(self.p, self.dim)  # validates p > 1 - 2/dim
@@ -77,13 +92,13 @@ class SolverState:
 class _Kernel:
     """The flux steps on one (grid, p), in preallocated buffers.
 
-    `advance` is the explicit step, `implicit_advance` the backward-Euler one;
-    both share the weights, face areas, buffers and state.
-    u is clipped to u >= 0 once, on entry; accepted steps end in that clip.
-    v = u^p and its differences dv serve both the p < 1 chord stiffness and the
-    fluxes, and the acceptance test's max(u) is the next umax.  Each out= pass
-    of `advance` keeps the operation order of the plain array expressions:
-    bitwise theirs.
+    `advance` is the explicit step, `implicit_advance` the BDF2 one, which also
+    keeps the previous u and step as its history; both share the weights, face
+    areas, buffers and state.  u is clipped to u >= 0 once, on entry; accepted
+    steps end in that clip.  v = u^p and its differences dv serve both the p < 1
+    chord stiffness and the fluxes, and the acceptance test's max(u) is the next
+    umax.  Each out= pass of `advance` keeps the operation order of the plain
+    array expressions: bitwise theirs.
     """
 
     def __init__(self, grid: Grid, p: float, values: np.ndarray):
@@ -103,6 +118,7 @@ class _Kernel:
         self.coupling = np.zeros(n)  # sum of a node's face conductances
         self.coupling[1:] += self.conductance
         self.coupling[:-1] += self.conductance
+        self.u_prev, self.dt_prev = None, 0.0  # BDF2 history: none before the first implicit step
         self._faces()
 
     def _faces(self) -> None:
@@ -166,44 +182,64 @@ class _Kernel:
     def accuracy_dt(self, mass_step: float) -> float:
         """Step that moves at most mass_step of mass: mass_step / ||u_t||_1, u_t = L v / W.
 
-        ||u_t||_1 does not grow along the flow (the flow, and backward Euler at a
-        fixed dt, is an L1 contraction), so a step sized now keeps later steps
-        within the same bound.
+        ||u_t||_1 does not grow along the flow (it is an L1 contraction), so a
+        step sized now keeps later steps near the same bound.
         """
         rate = float(np.abs(self._divergence(self.v)).sum())
         return mass_step / rate if rate > 0.0 else math.inf
 
-    def _newton(self, dt: float) -> np.ndarray | None:
-        """v = u'^p solving W (u' - u) = dt L v, or None if Newton has not converged."""
+    def _newton(self, base: np.ndarray, theta: float) -> np.ndarray | None:
+        """u' solving W (u' - base) = theta L u'^p, or None if Newton has not converged.
+
+        The Jacobian W - theta L diag(p u'^{p-1}) has nonpositive off-diagonals and
+        columns summing to W > 0: a column-diagonally-dominant M-matrix, nonsingular
+        where u' = 0, so a p > 1 front can advance.  Iterates are clipped to u' >= 0.
+        For p < 1, where u'^{p-1} is infinite at 0, they stay positive instead: the
+        start is floored at the rounding of max(u), and no iterate falls below half
+        the one before.
+        """
         p, w = self.p, self.weights
-        off = -dt * self.conductance
-        spring = dt * self.coupling
-        v = self.v
+        off = -theta * self.conductance
+        spring = theta * self.coupling
+        u = self.u if p > 1.0 else np.maximum(self.u, EPS * self.umax)
         for _ in range(NEWTON_MAX_ITER):
-            u = v ** (1.0 / p)
-            residual = w * (u - self.u) - dt * self._divergence(v)
-            diag = w * u ** (1.0 - p) / p + spring
-            delta = _solve_tridiagonal(diag, off, -residual)
-            v = np.maximum(v + delta, 0.0)
-            if np.all(np.abs(delta) <= NEWTON_RTOL * v):
-                return v
+            slope = p * u ** (p - 1.0)
+            residual = w * (u - base) - theta * self._divergence(u ** p)
+            trial = u - _solve_tridiagonal(off * slope[:-1], w + spring * slope,
+                                           off * slope[1:], residual)
+            trial = np.maximum(trial, 0.0 if p > 1.0 else 0.5 * u)
+            # relative change, or below the rounding of max(u) where u' is tiny
+            done = np.all(np.abs(trial - u) <= NEWTON_RTOL * trial + EPS * trial.max())
+            u = trial
+            if done:
+                return u
         return None
 
     def implicit_advance(self, dt: float, t: float) -> tuple[float, float, int]:
-        """One backward-Euler step from t, halving dt if Newton stalls: (dt, leak rate, rejections).
+        """One variable-step BDF2 step from t, halving dt on failure: (dt, leak rate, rejections).
 
-        Newton runs on v = u'^p.  Its Jacobian diag(W u'^{1-p} / p) - dt L is a
-        symmetric, diagonally dominant M-matrix, so the tridiagonal solve needs no
-        pivoting and positivity and the max principle hold for any dt.  u' is formed
-        from the telescoping fluxes of the converged v, so mass is conserved to rounding.
+        With omega = dt / dt_prev the step solves W (u' - b) = theta L u'^p for
+        b = ((1+omega)^2 u - omega^2 u_prev) / (1+2 omega) and
+        theta = dt (1+omega) / (1+2 omega); the first step, with no u_prev, is
+        backward Euler (b = u, theta = dt).  Callers keep omega <= 2 < 1 + sqrt(2),
+        where BDF2 is zero-stable.  u' is formed from the telescoping fluxes of the
+        Newton solution, so mass is conserved to rounding.  The M-matrix covers the
+        solve only: b can be negative near a front, so positivity rests on the same
+        undershoot test as the explicit step.  A stalled Newton or an undershoot
+        halves dt and counts as a rejection.
         """
         rejections = 0
         while True:
-            v = self._newton(dt)
-            if v is not None:
-                new = np.multiply(self._divergence(v), dt, out=self.new)
-                np.divide(new, self.weights, out=new)
-                np.add(self.u, new, out=new)
+            if self.u_prev is None:
+                base, theta = self.u, dt
+            else:
+                omega = dt / self.dt_prev
+                scale = 1.0 + 2.0 * omega
+                base = ((1.0 + omega) ** 2 * self.u - omega * omega * self.u_prev) / scale
+                theta = dt * (1.0 + omega) / scale
+            u = self._newton(base, theta)
+            if u is not None:
+                new = base + theta * self._divergence(u ** self.p) / self.weights
                 umax = new.max()
                 if new.min() >= -NEGATIVITY_SLACK * umax:
                     break
@@ -212,37 +248,60 @@ class _Kernel:
                 raise StabilityError(f"implicit step at t = {t} failed {rejections} times")
             dt *= 0.5
         np.maximum(new, 0.0, out=new)
-        leak_rate = (self.outer_area * v[-1] + self.inner_area * v[0]) / self.h
-        self.u, self.new, self.umax = new, self.u, float(umax)
+        self.u_prev, self.dt_prev = self.u, dt
+        self.u, self.umax = new, float(umax)
         self._faces()
+        leak_rate = (self.outer_area * self.v[-1] + self.inner_area * self.v[0]) / self.h
         return dt, leak_rate, rejections
 
 
-def _solve_tridiagonal(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the symmetric tridiagonal system (diag, off) x = rhs by odd-even cyclic reduction.
+def _solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
+                       rhs: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system (sub, diag, sup) x = rhs by odd-even cyclic reduction.
 
-    Eliminating the odd unknowns leaves a symmetric tridiagonal system in the even
-    ones (their Schur complement), solved the same way; the odd unknowns follow by
-    back substitution.  There is no pivoting: the Schur complements of a nonsingular
-    M-matrix are nonsingular M-matrices, so no pivot vanishes.
+    Row i reads sub[i-1] x[i-1] + diag[i] x[i] + sup[i] x[i+1].  Eliminating the odd
+    unknowns leaves a tridiagonal system in the even ones (their Schur complement),
+    solved the same way; the odd unknowns follow by back substitution.  Below
+    SEQUENTIAL_SIZE rows the per-call cost of numpy outweighs the work, and plain
+    forward elimination and back substitution finish.  There is no pivoting: the
+    Schur complements of a column-diagonally-dominant M-matrix are again such
+    matrices, so no pivot vanishes.
     """
     n = diag.size
-    if n == 1:
-        return rhs / diag
+    if n <= SEQUENTIAL_SIZE:
+        return _eliminate(sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist())
     odd_diag, odd_rhs = diag[1::2], rhs[1::2]
-    left, right = off[0::2], off[1::2]  # odd row k couples to even rows k and k+1
-    over_left, over_right = left / odd_diag, right / odd_diag[:right.size]
+    m = (n - 1) // 2  # odd rows with an even neighbour on the right
+    # odd row k couples to even rows k (left) and k+1 (right)
+    odd_left, odd_right = sub[0::2], sup[1::2]
+    # even row j couples to odd rows j (right) and j-1 (left)
+    even_right, even_left = sup[0::2] / odd_diag, sub[1::2] / odd_diag[:m]
     even_diag, even_rhs = diag[0::2].copy(), rhs[0::2].copy()
-    even_diag[:left.size] -= left * over_left
-    even_rhs[:left.size] -= over_left * odd_rhs
-    even_diag[1:] -= right * over_right
-    even_rhs[1:] -= over_right * odd_rhs[:right.size]
+    even_diag[:odd_diag.size] -= even_right * odd_left
+    even_rhs[:odd_diag.size] -= even_right * odd_rhs
+    even_diag[1:] -= even_left * odd_right
+    even_rhs[1:] -= even_left * odd_rhs[:m]
     x = np.empty(n)
-    x[0::2] = even = _solve_tridiagonal(even_diag, -left[:right.size] * over_right, even_rhs)
-    odd = odd_rhs - left * even[:left.size]
-    odd[:right.size] -= right * even[1:]
+    x[0::2] = even = _solve_tridiagonal(-even_left * odd_left[:m], even_diag,
+                                        -even_right[:m] * odd_right, even_rhs)
+    odd = odd_rhs - odd_left * even[:odd_diag.size]
+    odd[:m] -= odd_right * even[1:]
     x[1::2] = odd / odd_diag
     return x
+
+
+def _eliminate(sub: list, diag: list, sup: list, rhs: list) -> np.ndarray:
+    """The tridiagonal solve by sequential elimination, on Python floats; overwrites diag, rhs."""
+    n = len(diag)
+    for i in range(1, n):
+        factor = sub[i - 1] / diag[i - 1]
+        diag[i] -= factor * sup[i - 1]
+        rhs[i] -= factor * rhs[i - 1]
+    x = rhs
+    x[-1] /= diag[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = (rhs[i] - sup[i] * x[i + 1]) / diag[i]
+    return np.array(x)
 
 
 def cfl_dt(f: DensityField, params: DiffusionParams) -> float:
@@ -285,11 +344,16 @@ def evolve(f0: DensityField, params: DiffusionParams,
 
     The step toward the next snapshot divides the remaining interval into
     equal parts no longer than the proposed step, so the recorded functional
-    series has no step-size kinks at snapshot boundaries.  For p >= 1 the
-    proposal is the explicit CFL step.  For p < 1 the steps are backward
-    Euler, and the proposal is fixed for the run at the step that moves
-    STEP_CHANGE of the mass at t_start: their time error is first order in
-    dt, so a step that grew along the run would bend N_p(t) by that error.
+    series has no step-size kinks at snapshot boundaries.  The proposal is the
+    explicit CFL step for p = 1.  Otherwise dt_run, the step that moves
+    STEP_CHANGE of the mass at t_start (and at most a MIN_STEPS_PER_SNAPSHOT-th
+    of the shortest snapshot interval), is fixed for the run, and the march is
+    implicit (BDF2) for p < 1 and for p > 1 when dt_run exceeds
+    IMPLICIT_STEP_COST CFL steps, the break-even point; else it is explicit.
+    The implicit march starts at the CFL step and doubles it up to dt_run, so
+    omega <= 2 keeps BDF2 zero-stable and the backward-Euler start puts no kink
+    in N_p(t) at the first snapshot.  dt_run stays fixed because a step that
+    grew along the run would bend N_p(t) by the scheme's time error.
     """
     if f0.grid.dim != params.dim:
         raise DomainError("initial field dimension does not match params.dim")
@@ -299,11 +363,14 @@ def evolve(f0: DensityField, params: DiffusionParams,
     times = params.times()
     grid = f0.grid
     kernel = _Kernel(grid, params.p, f0.values)
-    if params.p < 1.0:
-        dt_run = kernel.accuracy_dt(STEP_CHANGE * m0)
-        march, proposal = kernel.implicit_advance, lambda: dt_run
-    else:
-        march, proposal = kernel.advance, lambda: kernel.cfl_dt(params.cfl_safety)
+    march, proposal = kernel.advance, lambda: kernel.cfl_dt(params.cfl_safety)
+    if params.p != 1.0:
+        dt_run = min(kernel.accuracy_dt(STEP_CHANGE * m0),
+                     float(np.diff(times).min()) / MIN_STEPS_PER_SNAPSHOT)
+        first = proposal()
+        if params.p < 1.0 or dt_run > IMPLICIT_STEP_COST * first:
+            march = kernel.implicit_advance
+            proposal = lambda: min(dt_run, 2.0 * kernel.dt_prev) if kernel.dt_prev else first
     t = float(times[0])
     steps = rejections = 0
     leak = 0.0

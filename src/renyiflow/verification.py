@@ -45,8 +45,19 @@ class CheckResult:
 
 
 def _times_values(series, attr: str) -> tuple[np.ndarray, np.ndarray]:
+    """Times and one functional of a series; DomainError unless both are finite
+    and the times strictly increase, so no verdict is computed from NaN."""
     t = np.array([s.t for s in series], dtype=float)
     y = np.array([getattr(s, attr) for s in series], dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(t) & np.isfinite(y)))
+    if bad.size:
+        k = int(bad[0])
+        raise DomainError(f"snapshot {k} has a non-finite value (t = {t[k]}, {attr} = {y[k]})")
+    ordered = np.diff(t) > 0.0
+    if not ordered.all():
+        k = int(np.argmin(ordered)) + 1
+        raise DomainError(f"snapshot times must strictly increase: t = {t[k]} "
+                          f"follows t = {t[k - 1]} at snapshot {k}")
     return t, y
 
 
@@ -191,13 +202,18 @@ def concavity_condition_chain(f: DensityField, p: float, n: int | None = None,
     return ChainReport(sigma, concavity_margin, cs, trace, sufficient)
 
 
+def _isoperimetric_gamma(p: float, n: int) -> float:
+    """gamma(n, p); DomainError where the bound is undefined (p = 1 or p <= n/(n+2))."""
+    if not p > n / (n + 2.0):
+        raise DomainError(f"isoperimetric bound needs p > n/(n+2) = {n / (n + 2.0)}")
+    return gamma_const(p, n)
+
+
 def isoperimetric_check(f: DensityField, p: float, n: int | None = None,
                         rel_tol: float = TOL_ISOPERIMETRIC) -> CheckResult:
     """Margin Upsilon_p(f) - gamma(n,p), required >= -rel_tol * gamma."""
     n = f.grid.dim if n is None else n
-    if not p > n / (n + 2.0):
-        raise DomainError(f"isoperimetric bound needs p > n/(n+2) = {n / (n + 2.0)}")
-    gamma = gamma_const(p, n)
+    gamma = _isoperimetric_gamma(p, n)
     margin = upsilon(f, p, n) - gamma
     return CheckResult("isoperimetric", margin >= -rel_tol * gamma, margin,
                        rel_tol * gamma, f"Upsilon - gamma = {margin:.6e} (gamma {gamma:.6e})")
@@ -206,11 +222,13 @@ def isoperimetric_check(f: DensityField, p: float, n: int | None = None,
 @dataclass(frozen=True)
 class Check:
     """One entry of CHECKS: run(series, fields, p, n, tol) -> CheckResult, the
-    default tol, and whether it needs the evolved fields, not just the series."""
+    default tol, whether it needs the evolved fields, not just the series, and
+    domain(p, n), which raises DomainError where the check is undefined."""
 
     run: Callable[..., CheckResult]
     tol: float
     needs_fields: bool = False
+    domain: Callable[[float, int], object] | None = None
 
 
 # The one table of verdicts behind `evolve --verify`, `verify --checks`, `sweep`
@@ -225,24 +243,28 @@ CHECKS: dict[str, Check] = {
     # the worst snapshot decides; on ties the earliest
     "isoperimetric": Check(lambda s, f, p, n, tol: min(
         (isoperimetric_check(fld, p, n, tol) for fld in f), key=lambda r: r.margin),
-        TOL_ISOPERIMETRIC, needs_fields=True),
+        TOL_ISOPERIMETRIC, needs_fields=True, domain=_isoperimetric_gamma),
 }
 
 
-def validate_checks(names, with_fields: bool) -> None:
-    """Raise DomainError for a name not in CHECKS, or one that needs fields there are none of."""
+def validate_checks(names, p: float, n: int, with_fields: bool) -> None:
+    """Raise DomainError for a name not in CHECKS, one that needs fields there are none
+    of, or one undefined at (p, n): what no solve could make verifiable."""
     for name in names:
         if name not in CHECKS:
             raise DomainError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
-        if CHECKS[name].needs_fields and not with_fields:
+        check = CHECKS[name]
+        if check.needs_fields and not with_fields:
             raise DomainError(f"check {name!r} needs the evolved fields, which a snapshot "
                               f"series lacks; run it as `evolve --verify {name}`")
+        if check.domain is not None:
+            check.domain(p, n)
 
 
 def run_checks(names, series, p: float, n: int, tols: dict[str, float],
                fields=None) -> dict[str, CheckResult]:
     """Run the named CHECKS in order; tols[name] overrides a check's default tolerance."""
-    validate_checks(names, with_fields=bool(fields))
+    validate_checks(names, p, n, with_fields=bool(fields))
     return {name: CHECKS[name].run(series, fields, p, n, tols.get(name, CHECKS[name].tol))
             for name in names}
 

@@ -208,6 +208,21 @@ class TestEvolveCommand:
         assert code == 1
         assert "unknown check 'concavty'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--p", "1", "--dim", "1", "--initial", "gaussian"], "p = 1 has no Barenblatt profile"),
+        (["--p", "0.6", "--dim", "3"], "isoperimetric bound needs p > n/(n+2) = 0.6"),
+    ])
+    def test_undefined_isoperimetric_exits_before_solving(self, monkeypatch, capsys, argv,
+                                                          message):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the run was set up for a check undefined at its p")
+
+        monkeypatch.setattr(cli, "evolve", no_solve)
+        monkeypatch.setattr(cli, "_default_radius", no_solve)  # runs before the grid
+        code = main(["evolve", *argv, "--verify", "concavity,isoperimetric"])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_checks_on_existing_csv(self, short_run, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Explicit finite-volume solver: conservation, stability, analytic oracles."""
+"""Finite-volume solver, explicit and implicit: conservation, stability, analytic oracles."""
 import math
 
 import numpy as np
@@ -297,8 +297,8 @@ def _mixture_case(geometry, p, widths, nodes=128, t_end=1.2, seed=4, blend=None)
     return f0, rf.DiffusionParams(p=p, dim=grid.dim, t_start=1.0, t_end=t_end, snapshot_count=5)
 
 
-# The implicit p < 1 march and the explicit oracle differ by backward Euler's
-# time error, O(STEP_CHANGE) in L1; observed at most 3e-4 on these cases.
+# The implicit march and the explicit oracle differ by the implicit time error,
+# O(STEP_CHANGE) in L1; observed at most 3e-4 on these cases.
 IMPLICIT_L1_BOUND = 1e-3
 
 
@@ -359,7 +359,7 @@ class TestKernelMatchesReference:
 
 
 class TestImplicitFastDiffusion:
-    """The p < 1 march: backward Euler solved by Newton, no CFL bound."""
+    """The p < 1 march: BDF2 solved by Newton, no CFL bound."""
 
     @pytest.mark.filterwarnings("ignore::renyiflow.errors.BoundaryLeakWarning")
     @settings(max_examples=12, deadline=None, derandomize=True)
@@ -389,7 +389,7 @@ class TestImplicitFastDiffusion:
         diag[:-1] -= off
         rhs = rng.standard_normal(n)
         dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        x = solver._solve_tridiagonal(diag, off, rhs)
+        x = solver._solve_tridiagonal(off, diag, off, rhs)
         np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=1e-12, atol=1e-12)
 
     def test_newton_stall_halves_dt(self, monkeypatch):
@@ -413,3 +413,97 @@ class TestImplicitFastDiffusion:
             f0, params = _mixture_case("radial3", 0.8, (1.5, 3.0), nodes=nodes, blend=1e-2)
             steps.append(rf.evolve(f0, params).step_count)
         assert steps[1] <= 1.1 * steps[0]
+
+
+def _tridiagonal_m_matrix(n, seed):
+    """A random nonsymmetric tridiagonal M-matrix whose columns sum to a positive
+    weight, like the Newton Jacobian W - theta L diag(p u^{p-1}); about a fifth of
+    its columns carry no coupling, as at nodes where u = 0 and p > 1."""
+    rng = np.random.default_rng(seed)
+    slope = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.0, 2.0, n))
+    conductance = rng.uniform(0.1, 1.0, n - 1)
+    sub, sup = -conductance * slope[:-1], -conductance * slope[1:]
+    diag = rng.uniform(1e-3, 0.1, n)
+    diag[:-1] -= sub  # column j holds sub[j] below the diagonal
+    diag[1:] -= sup   # and sup[j - 1] above it
+    return sub, diag, sup, rng.standard_normal(n)
+
+
+def _implicit_march(f0, p, t_end):
+    """Drive _Kernel.implicit_advance as evolve does: from the CFL step, doubling up
+    to the accuracy step.  Returns the kernel, the time reached and the fields."""
+    kernel = solver._Kernel(f0.grid, p, f0.values)
+    dt_run = kernel.accuracy_dt(solver.STEP_CHANGE)
+    dt, t, fields = kernel.cfl_dt(0.9), 1.0, []
+    while t < t_end:
+        dt_used, _, _ = kernel.implicit_advance(min(dt, dt_run), t)
+        t += dt_used
+        dt = 2.0 * dt_used
+        fields.append(kernel.u.copy())
+    return kernel, t, fields
+
+
+class TestImplicitPorousMedium:
+    """The p > 1 march: BDF2 with Newton in u, through the degenerate front."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 63, 64, 65, 66, 129, 130, 1000, 1001,
+                                   2048, 2049])
+    def test_tridiagonal_solve_nonsymmetric(self, n):
+        sub, diag, sup, rhs = _tridiagonal_m_matrix(n, seed=n)
+        dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+        want = np.linalg.solve(dense, rhs)
+        x = solver._solve_tridiagonal(sub, diag, sup, rhs)
+        np.testing.assert_allclose(x, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(geometry=st.sampled_from(["cartesian", "radial3"]),
+           p=st.floats(1.0, 3.0, exclude_min=True), seed=st.integers(0, 10 ** 6),
+           compact=st.booleans())
+    def test_conservative_positive_agrees(self, geometry, p, seed, compact):
+        grid = rf.Grid.cartesian(128, 8.0) if geometry == "cartesian" else rf.Grid.radial(3, 128, 8.0)
+        f0 = (rf.compact_two_bump(grid, seed=seed) if compact else
+              rf.sample_mixture(grid, seed=seed, mean_range=(0.0, 2.0), var_range=(0.2, 0.5)))
+        kernel, t_end, fields = _implicit_march(f0, p, t_end=1.1)
+        w = grid.weights()
+        m0 = float(w @ f0.values)
+        for u in fields:
+            assert abs(float(w @ u) - m0) <= 1e-13 * m0
+            assert u.min() >= 0.0
+        # on these coarse grids the CFL step is large: shrink it, so that the
+        # oracle's own first-order time error stays below the bound
+        params = rf.DiffusionParams(p=p, dim=grid.dim, t_start=1.0, t_end=t_end,
+                                    snapshot_count=2, cfl_safety=0.05)
+        want, _, _, _ = _reference_march(f0, params)
+        assert float(w @ np.abs(kernel.u - want[-1])) <= IMPLICIT_L1_BOUND
+
+    def test_criterion_10_style_run_stays_explicit(self):
+        # compact bumps on a grid sized for t = 1000: the CFL step is near the accuracy step
+        spec = rf.barenblatt_spec(2.0, 1, rf.PDE_NORMALIZED)
+        grid = rf.Grid.cartesian(2048, rf.support_radius(spec) * 1000.0 ** (1.0 / 3.0) * 1.25)
+        f0 = rf.compact_two_bump(grid, seed=11)
+        params = rf.DiffusionParams(p=2.0, dim=1, t_start=1.0, t_end=1.02,
+                                    snapshot_times=tuple(np.geomspace(1.0, 1.02, 3)))
+        run = rf.evolve(f0, params)
+        fields, steps, _, _ = _reference_march(f0, params)
+        assert run.step_count == steps
+        assert np.array_equal(run.fields[-1].values, fields[-1])
+
+    def test_sweep_mixture_stays_explicit(self):
+        # the sweep's p = 2, n = 3, seed 0 row: the accuracy step is 73 CFL steps
+        grid = rf.Grid.radial(3, 512, 10.0)
+        f0 = rf.sample_mixture(grid, seed=0, mean_range=(0.0, 2.0))
+        params = rf.DiffusionParams(p=2.0, dim=3, t_start=1.0, t_end=1.15, snapshot_count=7)
+        run = rf.evolve(f0, params)
+        fields, steps, _, _ = _reference_march(f0, params)
+        assert run.step_count == steps
+        assert np.array_equal(run.fields[-1].values, fields[-1])
+
+    def test_barenblatt_run_goes_implicit(self):
+        # the accuracy step is about 190 CFL steps here; explicit would take ~37,000
+        spec = rf.barenblatt_spec(2.0, 1, rf.PDE_NORMALIZED)
+        grid = rf.Grid.cartesian(1024, rf.support_radius(spec) * 2.0 ** (1.0 / 3.0) * 1.3)
+        f0 = rf.sample_barenblatt(grid, 2.0, 1.0, normalize=True)
+        params = rf.DiffusionParams(p=2.0, dim=1, t_start=1.0, t_end=2.0, snapshot_count=17)
+        run = rf.evolve(f0, params)
+        assert run.step_count < 1000 and run.rejection_count == 0
+        assert rf.concavity_report(run.snapshots, 2.0, 1, tol=1e-6).passed

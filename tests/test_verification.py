@@ -1,5 +1,6 @@
 """Verdict operations: positive cases from the flow, negative controls, determinism."""
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -60,7 +61,13 @@ class TestUpsilonMonotone:
         assert ups[-1] > rf.gamma_const(1.5, 1) * (1.0 - 1e-3)
 
     def test_reversed_series_fails(self, mixture_run):
-        assert not rf.upsilon_monotone(list(reversed(mixture_run.snapshots))).passed
+        # Upsilon replayed backwards along the same (increasing) times rises
+        series = mixture_run.snapshots
+        rising = [dataclasses.replace(s, upsilon=r.upsilon)
+                  for s, r in zip(series, reversed(series))]
+        assert not rf.upsilon_monotone(rising).passed
+        with pytest.raises(DomainError, match="strictly increase"):
+            rf.upsilon_monotone(list(reversed(series)))  # times that decrease
 
     def test_insufficient(self, mixture_run):
         with pytest.raises(InsufficientData):
@@ -282,12 +289,61 @@ class TestRunChecks:
         with pytest.raises(DomainError, match="unknown check 'concavty'"):
             rf.run_checks(["upsilon", "concavty"], mixture_run.snapshots, 1.5, 1, {})
 
+    @pytest.mark.parametrize("p, n", [(1.0, 1), (0.6, 3), (0.5, 3)])
+    def test_undefined_isoperimetric_runs_nothing(self, mixture_run, monkeypatch, p, n):
+        def not_called(*args):
+            raise AssertionError("a check ran before the (p, n) domain was validated")
+
+        monkeypatch.setattr(verification, "concavity_report", not_called)
+        with pytest.raises(DomainError):
+            rf.run_checks(["concavity", "isoperimetric"], mixture_run.snapshots, p, n, {},
+                          mixture_run.fields)
+
+    def test_validate_checks_domain(self):
+        verification.validate_checks(["isoperimetric"], 1.5, 1, with_fields=True)
+        verification.validate_checks(["concavity", "upsilon"], 1.0, 1, with_fields=False)
+        with pytest.raises(DomainError, match="p = 1 has no Barenblatt profile"):
+            verification.validate_checks(["isoperimetric"], 1.0, 1, with_fields=True)
+        with pytest.raises(DomainError, match=r"needs p > n/\(n\+2\) = 0.6"):
+            verification.validate_checks(["isoperimetric"], 0.6, 3, with_fields=True)
+
     def test_default_tolerances(self):
         # the per-check defaults the CLI used before the registry existed
         assert {name: c.tol for name, c in rf.CHECKS.items()} == {
             "concavity": 1e-6, "upsilon": 1e-8, "debruijn": 1e-2,
             "dissipation": 5e-2, "isoperimetric": 1e-3}
         assert [name for name, c in rf.CHECKS.items() if c.needs_fields] == ["isoperimetric"]
+
+
+class TestSeriesValidation:
+    """A NaN or a time that does not increase ends in DomainError, not in a NaN verdict."""
+
+    RUNS = {
+        "concavity": (lambda s: rf.concavity_report(s, 1.5, 1), "n_p"),
+        "upsilon": (lambda s: rf.upsilon_monotone(s), "upsilon"),
+        "debruijn": (lambda s: rf.debruijn_check(s, 1.5), "i_p"),
+    }
+
+    @pytest.mark.parametrize("check", list(RUNS))
+    @pytest.mark.parametrize("defect", ["nan", "inf", "nan_t", "repeated_t", "decreasing_t"])
+    def test_bad_series_raises(self, mixture_run, check, defect):
+        run, attr = self.RUNS[check]
+        series = list(mixture_run.snapshots)
+        t = series[3].t
+        changes = {"nan": {attr: float("nan")}, "inf": {attr: float("inf")},
+                   "nan_t": {"t": float("nan")}, "repeated_t": {"t": series[2].t},
+                   "decreasing_t": {"t": series[1].t}}[defect]
+        series[3] = dataclasses.replace(series[3], **changes)
+        assert series[3].t != t or defect in ("nan", "inf")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="snapshot 3"):
+                run(series)
+
+    @pytest.mark.parametrize("check", list(RUNS))
+    def test_clean_series_unchanged(self, mixture_run, check):
+        run, _ = self.RUNS[check]
+        assert run(mixture_run.snapshots).passed
 
 
 class TestDeterminism:
