@@ -6,10 +6,11 @@ telescope, so the discrete mass changes only through the (closed, zero-flux)
 boundary.  The explicit step keeps nonnegativity by the CFL bound, because
 each update is a convex combination of neighbor values; `step`, `cfl_dt` and
 p = 1 runs use it.  Where the CFL step is far below the step the flow's own
-rate of change allows, `evolve` takes variable-step BDF2 steps solved by
-Newton in u instead: always for p < 1, whose diffusivity p u^{p-1} peaks in
-the far tail, and for p > 1 when that is cheaper.  The degenerate p > 1 front
-is handled as in Vazquez, *The Porous Medium Equation* (2007), ch. 5 and 9.
+rate of change allows, `evolve` takes linearly implicit variable-step BDF2
+steps instead, one tridiagonal solve each: always for p < 1, whose
+diffusivity p u^{p-1} peaks in the far tail, and for p > 1 when that is
+cheaper.  The degenerate p > 1 front is handled as in Vazquez, *The Porous
+Medium Equation* (2007), ch. 5 and 9.
 """
 from __future__ import annotations
 
@@ -33,16 +34,16 @@ STEP_CHANGE = 2e-3  # implicit steps move at most this fraction of the mass
 # it) stays a small part of the first interval: at 5 steps per interval it bent
 # N_p by 2.1e-6 at the first snapshot (1024-node p = 2 Barenblatt, t 1..1.1).
 MIN_STEPS_PER_SNAPSHOT = 10
-NEWTON_RTOL = 1e-8  # quadratic convergence: an update this small leaves ~rounding
-NEWTON_MAX_ITER = 25  # a step whose Newton solve needs more is retried at dt/2
 EPS = float(np.finfo(float).eps)
 SEQUENTIAL_SIZE = 64  # tridiagonal systems this small are solved row by row
-# The ratio dt_run / CFL step at t_start above which the implicit march is the
-# cheaper one.  Measured on the 2048-node p = 2 Barenblatt run from t = 1 to 3
-# (2 cores, numpy 2.4.6): one implicit step costs 1.0-1.6 ms, one explicit step
-# 19-30 us (50-55x), and because the CFL step grows along a p > 1 run while
-# dt_run stays fixed, the two marches of that run cost the same at a ratio of
-# 70-100 (574 x 0.57 s implicit / 3.2-5.5 s explicit).
+# The ratio dt_run / CFL step at t_start above which a p > 1 run marches
+# implicitly.  One implicit step costs about 10 / 12 / 14 explicit ones at
+# N = 512 / 2048 / 8192 (p = 2 Barenblatt, at the accuracy step; 2 cores,
+# numpy 2.4.6), and the CFL step grows along a p > 1 run while dt_run stays
+# fixed, so the implicit march breaks even well below 100.  The bound stays at
+# 100 because below about 57 the 512-node Barenblatt run of the CLI's
+# `test_barenblatt_concavity_exit_zero` goes implicit, and its concavity check
+# fails there on spatial resolution.
 IMPLICIT_STEP_COST = 100.0
 
 
@@ -92,9 +93,10 @@ class SolverState:
 class _Kernel:
     """The flux steps on one (grid, p), in preallocated buffers.
 
-    `advance` is the explicit step, `implicit_advance` the BDF2 one, which also
-    keeps the previous u and step as its history; both share the weights, face
-    areas, buffers and state.  u is clipped to u >= 0 once, on entry; accepted
+    `advance` is the explicit step, `implicit_advance` the linearly implicit
+    BDF2 one, which makes one tridiagonal solve per attempt and keeps the
+    previous u and step as its history; both share the weights, face areas,
+    buffers and state.  u is clipped to u >= 0 once, on entry; accepted
     steps end in that clip.  v = u^p and its differences dv serve both the p < 1
     chord stiffness and the fluxes, and the acceptance test's max(u) is the next
     umax.  Each out= pass of `advance` keeps the operation order of the plain
@@ -188,61 +190,49 @@ class _Kernel:
         rate = float(np.abs(self._divergence(self.v)).sum())
         return mass_step / rate if rate > 0.0 else math.inf
 
-    def _newton(self, base: np.ndarray, theta: float) -> np.ndarray | None:
-        """u' solving W (u' - base) = theta L u'^p, or None if Newton has not converged.
-
-        The Jacobian W - theta L diag(p u'^{p-1}) has nonpositive off-diagonals and
-        columns summing to W > 0: a column-diagonally-dominant M-matrix, nonsingular
-        where u' = 0, so a p > 1 front can advance.  Iterates are clipped to u' >= 0.
-        For p < 1, where u'^{p-1} is infinite at 0, they stay positive instead: the
-        start is floored at the rounding of max(u), and no iterate falls below half
-        the one before.
-        """
-        p, w = self.p, self.weights
-        off = -theta * self.conductance
-        spring = theta * self.coupling
-        u = self.u if p > 1.0 else np.maximum(self.u, EPS * self.umax)
-        for _ in range(NEWTON_MAX_ITER):
-            slope = p * u ** (p - 1.0)
-            residual = w * (u - base) - theta * self._divergence(u ** p)
-            trial = u - _solve_tridiagonal(off * slope[:-1], w + spring * slope,
-                                           off * slope[1:], residual)
-            trial = np.maximum(trial, 0.0 if p > 1.0 else 0.5 * u)
-            # relative change, or below the rounding of max(u) where u' is tiny
-            done = np.all(np.abs(trial - u) <= NEWTON_RTOL * trial + EPS * trial.max())
-            u = trial
-            if done:
-                return u
-        return None
-
     def implicit_advance(self, dt: float, t: float) -> tuple[float, float, int]:
-        """One variable-step BDF2 step from t, halving dt on failure: (dt, leak rate, rejections).
+        """One variable-step BDF2 step from t, halving dt on undershoot: (dt, leak rate, rejections).
 
         With omega = dt / dt_prev the step solves W (u' - b) = theta L u'^p for
         b = ((1+omega)^2 u - omega^2 u_prev) / (1+2 omega) and
         theta = dt (1+omega) / (1+2 omega); the first step, with no u_prev, is
         backward Euler (b = u, theta = dt).  Callers keep omega <= 2 < 1 + sqrt(2),
-        where BDF2 is zero-stable.  u' is formed from the telescoping fluxes of the
-        Newton solution, so mass is conserved to rounding.  The M-matrix covers the
-        solve only: b can be negative near a front, so positivity rests on the same
-        undershoot test as the explicit step.  A stalled Newton or an undershoot
-        halves dt and counts as a rejection.
+        where BDF2 is zero-stable.  The step is linearly implicit (Akrivis and
+        Crouzeix, Math. Comp. 73, 2004): u'^p is linearized about the extrapolation
+        g = u + omega (u - u_prev) (g = u on the first step), and
+        W (u' - b) = theta L (g^p + s (u' - g)), s = p g^{p-1}, is solved once.  Its
+        error is O(theta |u' - g|^2) = O(dt^5) per step, so the march stays second
+        order.  The matrix W - theta L diag(s) has nonpositive off-diagonals and
+        columns summing to W > 0: a column-diagonally-dominant M-matrix, nonsingular
+        where s = 0, so a p > 1 front can advance.  g is floored at 0 for p > 1 and,
+        for p < 1, where g^{p-1} is infinite at 0, at the rounding of max(u).  u' is
+        formed from the telescoping fluxes of the linearized u'^p, so mass is
+        conserved to rounding.  The M-matrix covers the solve only: b can be negative
+        near a front, so positivity rests on the same undershoot test as the explicit
+        step, and an undershoot halves dt and counts as a rejection.
         """
+        p, w = self.p, self.weights
+        floor = 0.0 if p > 1.0 else EPS * self.umax
         rejections = 0
         while True:
             if self.u_prev is None:
-                base, theta = self.u, dt
+                base, theta, g = self.u, dt, self.u
             else:
                 omega = dt / self.dt_prev
                 scale = 1.0 + 2.0 * omega
                 base = ((1.0 + omega) ** 2 * self.u - omega * omega * self.u_prev) / scale
                 theta = dt * (1.0 + omega) / scale
-            u = self._newton(base, theta)
-            if u is not None:
-                new = base + theta * self._divergence(u ** self.p) / self.weights
-                umax = new.max()
-                if new.min() >= -NEGATIVITY_SLACK * umax:
-                    break
+                g = self.u + omega * (self.u - self.u_prev)
+            g = np.maximum(g, floor)
+            slope = p * g ** (p - 1.0)
+            shift = g ** p - slope * g  # the linearized u'^p is shift + slope u'
+            off = -theta * self.conductance
+            sol = _solve_tridiagonal(off * slope[:-1], w + theta * self.coupling * slope,
+                                     off * slope[1:], w * base + theta * self._divergence(shift))
+            new = base + theta * self._divergence(shift + slope * sol) / w
+            umax = new.max()
+            if new.min() >= -NEGATIVITY_SLACK * umax:
+                break
             rejections += 1
             if rejections > MAX_REJECTIONS:
                 raise StabilityError(f"implicit step at t = {t} failed {rejections} times")
@@ -348,8 +338,8 @@ def evolve(f0: DensityField, params: DiffusionParams,
     explicit CFL step for p = 1.  Otherwise dt_run, the step that moves
     STEP_CHANGE of the mass at t_start (and at most a MIN_STEPS_PER_SNAPSHOT-th
     of the shortest snapshot interval), is fixed for the run, and the march is
-    implicit (BDF2) for p < 1 and for p > 1 when dt_run exceeds
-    IMPLICIT_STEP_COST CFL steps, the break-even point; else it is explicit.
+    linearly implicit BDF2 for p < 1 and for p > 1 when dt_run exceeds
+    IMPLICIT_STEP_COST CFL steps; else it is explicit.
     The implicit march starts at the CFL step and doubles it up to dt_run, so
     omega <= 2 keeps BDF2 zero-stable and the backward-Euler start puts no kink
     in N_p(t) at the first snapshot.  dt_run stays fixed because a step that

@@ -358,8 +358,27 @@ class TestKernelMatchesReference:
         assert cfl_dt(f, params) == want
 
 
+def _count_solves(monkeypatch, nodes, undershoot_first=False):
+    """Wrap solver._solve_tridiagonal; returns the list of its full-size (top-level)
+    calls, the recursion's smaller systems not counted.  With undershoot_first the
+    first full-size call returns a vector with a spike at its maximum, which drives
+    the flux-formed u' of the step below zero there."""
+    real, calls = solver._solve_tridiagonal, []
+
+    def solve(sub, diag, sup, rhs):
+        x = real(sub, diag, sup, rhs)
+        if diag.size == nodes:
+            calls.append(diag.size)
+            if undershoot_first and len(calls) == 1:
+                x[np.argmax(x)] += 1e6 * x.max()
+        return x
+
+    monkeypatch.setattr(solver, "_solve_tridiagonal", solve)
+    return calls
+
+
 class TestImplicitFastDiffusion:
-    """The p < 1 march: BDF2 solved by Newton, no CFL bound."""
+    """The p < 1 march: linearly implicit BDF2, no CFL bound."""
 
     @pytest.mark.filterwarnings("ignore::renyiflow.errors.BoundaryLeakWarning")
     @settings(max_examples=12, deadline=None, derandomize=True)
@@ -392,16 +411,17 @@ class TestImplicitFastDiffusion:
         x = solver._solve_tridiagonal(off, diag, off, rhs)
         np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=1e-12, atol=1e-12)
 
-    def test_newton_stall_halves_dt(self, monkeypatch):
+    def test_undershooting_solve_halves_dt(self, monkeypatch):
         f0, params = _mixture_case("radial3", 0.8, (1.5, 3.0))
         kernel = solver._Kernel(f0.grid, 0.8, f0.values)
         dt = 4.0 * kernel.accuracy_dt(solver.STEP_CHANGE)
-        monkeypatch.setattr(solver, "NEWTON_MAX_ITER", 2)
+        _count_solves(monkeypatch, f0.grid.node_count, undershoot_first=True)
         dt_used, _, rejections = kernel.implicit_advance(dt, 1.0)
-        assert rejections > 0 and dt_used == dt / 2 ** rejections
+        assert rejections == 1 and dt_used == dt / 2
         w = f0.grid.weights()
         assert abs(float(w @ kernel.u) - 1.0) <= 1e-14
         monkeypatch.setattr(solver, "MAX_REJECTIONS", 0)
+        _count_solves(monkeypatch, f0.grid.node_count, undershoot_first=True)
         with pytest.raises(StabilityError):
             kernel.implicit_advance(dt, 1.0)
 
@@ -417,8 +437,8 @@ class TestImplicitFastDiffusion:
 
 def _tridiagonal_m_matrix(n, seed):
     """A random nonsymmetric tridiagonal M-matrix whose columns sum to a positive
-    weight, like the Newton Jacobian W - theta L diag(p u^{p-1}); about a fifth of
-    its columns carry no coupling, as at nodes where u = 0 and p > 1."""
+    weight, like the step's matrix W - theta L diag(p g^{p-1}); about a fifth of
+    its columns carry no coupling, as at nodes where g = 0 and p > 1."""
     rng = np.random.default_rng(seed)
     slope = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.0, 2.0, n))
     conductance = rng.uniform(0.1, 1.0, n - 1)
@@ -444,7 +464,7 @@ def _implicit_march(f0, p, t_end):
 
 
 class TestImplicitPorousMedium:
-    """The p > 1 march: BDF2 with Newton in u, through the degenerate front."""
+    """The p > 1 march: linearly implicit BDF2, through the degenerate front."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 63, 64, 65, 66, 129, 130, 1000, 1001,
                                    2048, 2049])
@@ -507,3 +527,97 @@ class TestImplicitPorousMedium:
         run = rf.evolve(f0, params)
         assert run.step_count < 1000 and run.rejection_count == 0
         assert rf.concavity_report(run.snapshots, 2.0, 1, tol=1e-6).passed
+
+
+# A frozen copy of the Newton-converged BDF2 step the linearly implicit one
+# replaced: Newton in u on W (u' - b) = theta L u'^p from u (floored at the
+# rounding of max(u) for p < 1), until every change is below
+# 1e-8 u' + eps max(u'), else retried at dt/2.
+NEWTON_RTOL, NEWTON_MAX_ITER = 1e-8, 25
+
+
+def _newton_solve(kernel, base, theta):
+    p, w, eps = kernel.p, kernel.weights, solver.EPS
+    off = -theta * kernel.conductance
+    spring = theta * kernel.coupling
+    u = kernel.u if p > 1.0 else np.maximum(kernel.u, eps * kernel.umax)
+    for _ in range(NEWTON_MAX_ITER):
+        slope = p * u ** (p - 1.0)
+        residual = w * (u - base) - theta * kernel._divergence(u ** p)
+        trial = u - solver._solve_tridiagonal(off * slope[:-1], w + spring * slope,
+                                              off * slope[1:], residual)
+        trial = np.maximum(trial, 0.0 if p > 1.0 else 0.5 * u)
+        done = np.all(np.abs(trial - u) <= NEWTON_RTOL * trial + eps * trial.max())
+        u = trial
+        if done:
+            return u
+    return None
+
+
+def _newton_implicit_advance(kernel, dt, t):
+    rejections = 0
+    while True:
+        if kernel.u_prev is None:
+            base, theta = kernel.u, dt
+        else:
+            omega = dt / kernel.dt_prev
+            scale = 1.0 + 2.0 * omega
+            base = ((1.0 + omega) ** 2 * kernel.u - omega * omega * kernel.u_prev) / scale
+            theta = dt * (1.0 + omega) / scale
+        u = _newton_solve(kernel, base, theta)
+        if u is not None:
+            new = base + theta * kernel._divergence(u ** kernel.p) / kernel.weights
+            umax = new.max()
+            if new.min() >= -NEGATIVITY_SLACK * umax:
+                break
+        rejections += 1
+        assert rejections <= MAX_REJECTIONS
+        dt *= 0.5
+    np.maximum(new, 0.0, out=new)
+    kernel.u_prev, kernel.dt_prev = kernel.u, dt
+    kernel.u, kernel.umax = new, float(umax)
+    kernel._faces()
+    leak_rate = (kernel.outer_area * kernel.v[-1] + kernel.inner_area * kernel.v[0]) / kernel.h
+    return dt, leak_rate, rejections
+
+
+def _implicit_cases():
+    spec = rf.barenblatt_spec(2.0, 1, rf.PDE_NORMALIZED)
+    grid = rf.Grid.cartesian(1024, rf.support_radius(spec) * 2.0 ** (1.0 / 3.0) * 1.3)
+    barenblatt = rf.sample_barenblatt(grid, 2.0, 1.0, normalize=True)
+    return {
+        "barenblatt-p2": (barenblatt, rf.DiffusionParams(p=2.0, dim=1, t_start=1.0, t_end=1.5,
+                                                         snapshot_count=9)),
+        "mixture-p0.8-radial3": _mixture_case("radial3", 0.8, (1.5, 3.0)),
+    }
+
+
+class TestLinearlyImplicitStep:
+    """One linear solve per implicit step, against the Newton-converged step."""
+
+    # observed: barenblatt-p2 4.6e-7 (L1, at the front) and 5.5e-9 (N_p);
+    # mixture-p0.8-radial3 5.9e-10 and 4.0e-10
+    @pytest.mark.filterwarnings("ignore::renyiflow.errors.BoundaryLeakWarning")
+    @pytest.mark.parametrize("case", ["barenblatt-p2", "mixture-p0.8-radial3"])
+    def test_agrees_with_newton_oracle(self, case, monkeypatch):
+        f0, params = _implicit_cases()[case]
+        run = rf.evolve(f0, params)
+        monkeypatch.setattr(solver._Kernel, "implicit_advance", _newton_implicit_advance)
+        oracle = rf.evolve(f0, params)
+        assert run.step_count == oracle.step_count
+        w = f0.grid.weights()
+        for got, want in zip(run.fields, oracle.fields):
+            l1 = float(w @ np.abs(got.values - want.values))
+            assert l1 <= 1e-6 * float(w @ want.values)
+        for got, want in zip(run.snapshots, oracle.snapshots):
+            assert abs(got.n_p - want.n_p) <= 1e-7 * abs(want.n_p)
+
+    @pytest.mark.filterwarnings("ignore::renyiflow.errors.BoundaryLeakWarning")
+    @pytest.mark.parametrize("case", ["barenblatt-p2", "mixture-p0.8-radial3"])
+    def test_one_solve_per_attempt(self, case, monkeypatch):
+        # the first solve undershoots, so the run counts one rejection as well
+        f0, params = _implicit_cases()[case]
+        calls = _count_solves(monkeypatch, f0.grid.node_count, undershoot_first=True)
+        run = rf.evolve(f0, params)
+        assert run.rejection_count == 1
+        assert len(calls) == run.step_count + run.rejection_count
