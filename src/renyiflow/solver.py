@@ -6,11 +6,10 @@ telescope, so the discrete mass changes only through the (closed, zero-flux)
 boundary.  The explicit step keeps nonnegativity by the CFL bound, because
 each update is a convex combination of neighbor values; `step`, `cfl_dt` and
 p = 1 runs use it.  Where the CFL step is far below the step the flow's own
-rate of change allows, `evolve` takes linearly implicit variable-step BDF2
-steps instead, one tridiagonal solve each: always for p < 1, whose
-diffusivity p u^{p-1} peaks in the far tail, and for p > 1 when that is
-cheaper.  The degenerate p > 1 front is handled as in Vazquez, *The Porous
-Medium Equation* (2007), ch. 5 and 9.
+rate of change allows, `evolve` takes linearly implicit BDF2 steps instead:
+always for p < 1, whose diffusivity p u^{p-1} peaks in the far tail, and for
+p > 1 when that is cheaper.  The degenerate p > 1 front is handled as in
+Vazquez, *The Porous Medium Equation* (2007), ch. 5 and 9.
 """
 from __future__ import annotations
 
@@ -29,6 +28,9 @@ MAX_REJECTIONS = 40
 NEGATIVITY_SLACK = 1e-14  # relative to max(u): tolerated roundoff undershoot
 LEAK_THRESHOLD = 1e-6
 STEP_CHANGE = 2e-3  # implicit steps move at most this fraction of the mass
+# An implicit step relinearizes while it misplaces more than this fraction of the mass it
+# moves (4096-node p = 2 Barenblatt, L1 off Newton's steps: 2.0e-6 at 1e-2, 4.8e-7 at 1e-3).
+LINEARIZATION_TOL = 1e-3
 # An implicit march takes at least this many steps per snapshot interval, so its
 # startup ramp (about one step long, with less time error than the steps after
 # it) stays a small part of the first interval: at 5 steps per interval it bent
@@ -37,13 +39,10 @@ MIN_STEPS_PER_SNAPSHOT = 10
 EPS = float(np.finfo(float).eps)
 SEQUENTIAL_SIZE = 64  # tridiagonal systems this small are solved row by row
 # The ratio dt_run / CFL step at t_start above which a p > 1 run marches
-# implicitly.  One implicit step costs about 10 / 12 / 14 explicit ones at
-# N = 512 / 2048 / 8192 (p = 2 Barenblatt, at the accuracy step; 2 cores,
-# numpy 2.4.6), and the CFL step grows along a p > 1 run while dt_run stays
-# fixed, so the implicit march breaks even well below 100.  The bound stays at
-# 100 because below about 57 the 512-node Barenblatt run of the CLI's
-# `test_barenblatt_concavity_exit_zero` goes implicit, and its concavity check
-# fails there on spatial resolution.
+# implicitly.  An implicit step costs 11-12 / 13-14 / 32-37 explicit ones at
+# N = 512 / 2048 / 8192 (p = 2 Barenblatt at the accuracy step; 2 cores, numpy
+# 2.4.6), so the march breaks even lower, but below about 57 the 512-node run of
+# `test_barenblatt_concavity_exit_zero` goes implicit and fails on resolution.
 IMPLICIT_STEP_COST = 100.0
 
 
@@ -93,10 +92,9 @@ class SolverState:
 class _Kernel:
     """The flux steps on one (grid, p), in preallocated buffers.
 
-    `advance` is the explicit step, `implicit_advance` the linearly implicit
-    BDF2 one, which makes one tridiagonal solve per attempt and keeps the
-    previous u and step as its history; both share the weights, face areas,
-    buffers and state.  u is clipped to u >= 0 once, on entry; accepted
+    `advance` is the explicit step, `implicit_advance` the BDF2 one, which also
+    keeps the previous u and step as its history; both share the weights, face
+    areas, buffers and state.  u is clipped to u >= 0 once, on entry; accepted
     steps end in that clip.  v = u^p and its differences dv serve both the p < 1
     chord stiffness and the fluxes, and the acceptance test's max(u) is the next
     umax.  Each out= pass of `advance` keeps the operation order of the plain
@@ -195,21 +193,22 @@ class _Kernel:
 
         With omega = dt / dt_prev the step solves W (u' - b) = theta L u'^p for
         b = ((1+omega)^2 u - omega^2 u_prev) / (1+2 omega) and
-        theta = dt (1+omega) / (1+2 omega); the first step, with no u_prev, is
-        backward Euler (b = u, theta = dt).  Callers keep omega <= 2 < 1 + sqrt(2),
-        where BDF2 is zero-stable.  The step is linearly implicit (Akrivis and
-        Crouzeix, Math. Comp. 73, 2004): u'^p is linearized about the extrapolation
-        g = u + omega (u - u_prev) (g = u on the first step), and
-        W (u' - b) = theta L (g^p + s (u' - g)), s = p g^{p-1}, is solved once.  Its
-        error is O(theta |u' - g|^2) = O(dt^5) per step, so the march stays second
-        order.  The matrix W - theta L diag(s) has nonpositive off-diagonals and
-        columns summing to W > 0: a column-diagonally-dominant M-matrix, nonsingular
-        where s = 0, so a p > 1 front can advance.  g is floored at 0 for p > 1 and,
-        for p < 1, where g^{p-1} is infinite at 0, at the rounding of max(u).  u' is
-        formed from the telescoping fluxes of the linearized u'^p, so mass is
-        conserved to rounding.  The M-matrix covers the solve only: b can be negative
-        near a front, so positivity rests on the same undershoot test as the explicit
-        step, and an undershoot halves dt and counts as a rejection.
+        theta = dt (1+omega) / (1+2 omega); with no u_prev it is backward Euler
+        (b = u, theta = dt).  Callers keep omega <= 2 < 1 + sqrt(2), where BDF2 is
+        zero-stable.  The step is linearly implicit (Akrivis and Crouzeix, Math.
+        Comp. 73, 2004): it solves W (u' - b) = theta L (g^p + s (u' - g)), s = p g^{p-1},
+        about g = u + omega (u - u_prev) (g = u first), floored at 0 for p > 1 and at
+        the rounding of max(u) for p < 1: a column-diagonally-dominant M-matrix,
+        nonsingular where s = 0.  u' comes from the telescoping fluxes of the
+        linearized u'^p, so mass is conserved.  Where u is smooth the linearization
+        error is O(theta |u' - g|^2) = O(dt^5), but ahead of a p > 1 front g = 0, the
+        linearized u'^p is 0, and one solve moves the front at most one cell.  While
+        the defect d = u'^p - (g^p + s (u' - g)) at the front (nodes with u' > 2 g;
+        elsewhere d is small, or rounding as large as the step near the flat state)
+        misplaces theta ||L d||_1 above LINEARIZATION_TOL of the mass the step moves,
+        the step relinearizes about u' (a Newton step) and solves again, moving the
+        front a cell further.  b can be negative near a front, so an undershoot of
+        any solve halves dt, a rejection.
         """
         p, w = self.p, self.weights
         floor = 0.0 if p > 1.0 else EPS * self.umax
@@ -224,14 +223,24 @@ class _Kernel:
                 theta = dt * (1.0 + omega) / scale
                 g = self.u + omega * (self.u - self.u_prev)
             g = np.maximum(g, floor)
-            slope = p * g ** (p - 1.0)
-            shift = g ** p - slope * g  # the linearized u'^p is shift + slope u'
             off = -theta * self.conductance
-            sol = _solve_tridiagonal(off * slope[:-1], w + theta * self.coupling * slope,
-                                     off * slope[1:], w * base + theta * self._divergence(shift))
-            new = base + theta * self._divergence(shift + slope * sol) / w
-            umax = new.max()
-            if new.min() >= -NEGATIVITY_SLACK * umax:
+            for _ in range(w.size):  # Newton moves the front at least a cell per solve
+                slope = p * g ** (p - 1.0)
+                shift = g ** p - slope * g  # the linearized u'^p is shift + slope u'
+                sol = _solve_tridiagonal(off * slope[:-1], w + theta * self.coupling * slope,
+                                         off * slope[1:], w * base + theta * self._divergence(shift))
+                new = base + theta * self._divergence(shift + slope * sol) / w
+                umax = new.max()
+                undershoot = not new.min() >= -NEGATIVITY_SLACK * umax  # nan counts too
+                trial = np.maximum(new, floor)
+                defect = np.where(trial > 2.0 * g, trial ** p - shift - slope * trial, 0.0)
+                if undershoot or theta * np.abs(self._divergence(defect)).sum() <= (
+                        LINEARIZATION_TOL * (w @ np.abs(new - self.u))):
+                    break
+                g = trial
+            else:
+                raise StabilityError(f"implicit step at t = {t}: linearization did not settle")
+            if not undershoot:
                 break
             rejections += 1
             if rejections > MAX_REJECTIONS:
