@@ -8,7 +8,6 @@ sharp Sobolev constant.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -249,34 +248,64 @@ def sobolev_constant(n: int) -> float:
     return n * (n - 2.0) * math.pi * math.exp((lgamma(n / 2.0) - lgamma(float(n))) * 2.0 / n)
 
 
-def barenblatt_tail_mass(spec: BarenblattSpec, radius: float) -> float:
-    """Mass of the profile outside |x| > radius (0 beyond the support for p > 1).
+def _incomplete_beta(a: float, b: float, x: float) -> float:
+    """Regularized incomplete Beta function I_x(a, b) for a, b > 0.
 
-    Evaluated by midpoint quadrature in the substituted variable s = 1/r, which
-    makes the integrand a bounded smooth function near s = 0.
+    Lentz's method on the continued fraction of Numerical Recipes (6.4.5),
+    which converges in a few terms for x < (a+1)/(a+b+2); above that point
+    (x >= 1 included) the symmetry I_x(a, b) = 1 - I_{1-x}(b, a) is used.
     """
-    p, n = spec.p, spec.n
-    if p > 1.0:
-        edge = support_radius(spec)
-        if radius >= edge:
-            return 0.0
-        r = np.linspace(radius, edge, 4001)
-        r = 0.5 * (r[1:] + r[:-1])
-        dr = (edge - radius) / 4000.0
-        vals = barenblatt_profile(r, spec) * r ** (n - 1)
-        return float(sphere_surface(n) * vals.sum() * dr)
+    if x <= 0.0:
+        return 0.0
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _incomplete_beta(b, a, 1.0 - x)
+    tiny = 1e-300  # stands in for a zero denominator
+    frac, c, d = 1.0, 1.0, 0.0
+    for j in range(1, 1000):
+        m = j // 2
+        if j % 2:
+            coeff = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))
+        else:
+            coeff = m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
+        d = 1.0 + coeff * d
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = 1.0 + coeff / c
+        c = c if abs(c) > tiny else tiny
+        frac *= c * d
+        if abs(c * d - 1.0) <= 2.0 ** -52:
+            log_front = (lgamma(a + b) - lgamma(a) - lgamma(b)
+                         + a * math.log(x) + b * math.log1p(-x))
+            return math.exp(log_front) / (a * frac)
+    raise DomainError(f"incomplete Beta I_{x}({a}, {b}) did not converge")
+
+
+def barenblatt_tail_mass(spec: BarenblattSpec, radius: float) -> float:
+    """Mass of the unit-mass profile (C - q |x|^2)^{1/(p-1)} in |x| > radius.
+
+    A regularized incomplete Beta function (Vazquez 2007, ch. 2): for p < 1
+    I_w(1/(1-p) - n/2, n/2) with w = C/(C - q r^2); for p > 1
+    I_{1-z}(1/(p-1) + 1, n/2) with z = q r^2/C, 0 from the support edge on.
+    """
     if not radius > 0.0:
         raise DomainError("tail radius must be positive")
-    # s = 1/r: integral over (0, 1/radius] of s^{-n-1} profile(1/s)
-    m = 200_000
-    ds = (1.0 / radius) / m
-    s = (np.arange(m) + 0.5) * ds
-    vals = s ** (-n - 1) * barenblatt_profile(1.0 / s, spec)
-    return float(sphere_surface(n) * vals.sum() * ds)
+    p, half_n = spec.p, spec.n / 2.0
+    c, qr2 = spec.c_const, _quadratic_coefficient(spec) * radius * radius
+    if p > 1.0:
+        return _incomplete_beta(1.0 / (p - 1.0) + 1.0, half_n, (c - qr2) / c)
+    return _incomplete_beta(1.0 / (1.0 - p) - half_n, half_n, c / (c - qr2))
 
 
-@functools.lru_cache(maxsize=256)
-def _domain_radius(p: float, n: int, tail_mass: float, convention: str) -> float:
+def suggest_domain_radius(p: float, n: int, tail_mass: float = 1e-6,
+                          convention: str = UNIT_COEFF) -> float:
+    """Smallest float radius r >= 1 whose profile tail mass is at most tail_mass.
+
+    For p > 1 this is just the support edge.  For p < 1, Newton's method on
+    log T against log r, with the exact slope -|S^{n-1}| r^n profile(r) / T,
+    lands within an ulp or so of the root of T(r) = tail_mass, where T is
+    `barenblatt_tail_mass`; a nextafter walk then steps to the smallest
+    float r with T(r) <= tail_mass.  Raises DomainError when T(2^29) is
+    still above the target.
+    """
     spec = barenblatt_spec(p, n, convention)
     if p > 1.0:
         return support_radius(spec)
@@ -302,22 +331,3 @@ def _domain_radius(p: float, n: int, tail_mass: float, convention: str) -> float
     while r > 1.0 and barenblatt_tail_mass(spec, math.nextafter(r, 0.0)) <= tail_mass:
         r = math.nextafter(r, 0.0)
     return r
-
-
-def suggest_domain_radius(p: float, n: int, tail_mass: float = 1e-6,
-                          convention: str = UNIT_COEFF) -> float:
-    """Smallest float radius r >= 1 whose profile tail mass is at most tail_mass.
-
-    For p > 1 this is just the support edge.  For p < 1, Newton's method on
-    log T against log r, with the exact slope -|S^{n-1}| r^n profile(r) / T,
-    lands within a few ulps of the root of T(r) = tail_mass, where T is
-    `barenblatt_tail_mass`; a nextafter walk then finds the smallest float r
-    with T(r) <= tail_mass (the first such r below the Newton landing point
-    where rounding makes T wobble within ulps of the target).
-
-    Results are memoized on all four arguments (``cache_clear`` empties the cache).
-    """
-    return _domain_radius(p, n, tail_mass, convention)
-
-
-suggest_domain_radius.cache_clear = _domain_radius.cache_clear

@@ -12,6 +12,7 @@ import configparser
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 from . import analytic
@@ -201,11 +202,8 @@ def run_barenblatt(args, config) -> int:
     spec = analytic.barenblatt_spec(p, dim, convention)
     radius = _effective(args, config, "radius", None, float)
     if radius is None:
-        if p > 1.0:
-            radius = analytic.support_radius(spec) * t ** (1.0 / spec.coeffs.mu) * 1.05
-        else:
-            radius = analytic.suggest_domain_radius(p, dim, 1e-8, convention) \
-                * t ** (1.0 / spec.coeffs.mu)
+        radius = analytic.suggest_domain_radius(p, dim, 1e-8, convention) \
+            * t ** (1.0 / spec.coeffs.mu) * (1.05 if p > 1.0 else 1.0)
     grid = Grid.cartesian(nodes, radius) if dim == 1 else Grid.radial(dim, nodes, radius)
     from .initial_data import sample_barenblatt_from_spec
 
@@ -229,13 +227,8 @@ def run_barenblatt(args, config) -> int:
 def _default_radius(p: float, dim: int, t_end: float, initial: str) -> float:
     if initial.startswith("gaussian") or p == 1.0:
         return 8.0 * math.sqrt(2.0 * t_end) + 4.0
-    mu = analytic.coefficients(p, dim).mu
-    spread = max(t_end, 1.0) ** (1.0 / mu)
-    if p > 1.0:
-        base = analytic.support_radius(analytic.barenblatt_spec(p, dim, "pde"))
-    else:
-        base = analytic.suggest_domain_radius(p, dim, 1e-6, "pde")
-    radius = 1.3 * base * spread
+    spread = max(t_end, 1.0) ** (1.0 / analytic.coefficients(p, dim).mu)
+    radius = 1.3 * analytic.suggest_domain_radius(p, dim, 1e-6, "pde") * spread
     # mixtures put bumps out to |mean| + a few sigmas regardless of p
     return max(radius, 10.0) if initial == "mixture" else radius
 
@@ -308,9 +301,7 @@ def run_evolve(args, config) -> int:
     f0 = _initial_field(initial, grid, p, t_start, seed)
     sizing = None
     if p > 1.0 or dim / (dim + 2.0) < p < 1.0:
-        rep = fast_diffusion_guard(params, grid)
-        sizing = {"compact_support": rep.compact_support, "tail_mass": rep.tail_mass,
-                  "recommended_radius": rep.recommended_radius, "adequate": rep.adequate}
+        sizing = asdict(fast_diffusion_guard(params, grid))
     result = evolve(f0, params, with_dissipation="dissipation" in names)
     checks = run_checks(names, result.snapshots, p, dim, tols, result.fields)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import barenblatt_spec, barenblatt_tail_mass, coefficients, suggest_domain_radius, support_radius
+from .analytic import barenblatt_spec, barenblatt_tail_mass, coefficients, suggest_domain_radius
 from .errors import BoundaryLeakWarning, DomainError, StabilityError
 from .functionals import FunctionalSnapshot, snapshot
 from .grids import RADIAL, DensityField, Grid
@@ -400,24 +400,21 @@ def evolve(f0: DensityField, params: DiffusionParams,
 
 @dataclass(frozen=True)
 class DomainSizingReport:
-    p: float
-    dim: int
-    compact_support: bool
-    support_radius: float          # inf for p < 1
-    domain_radius: float
+    compact_support: bool          # p > 1
     tail_mass: float               # envelope mass outside the domain
     recommended_radius: float
-    adequate: bool
+    adequate: bool                 # tail_mass <= tail_target
 
 
 def fast_diffusion_guard(params: DiffusionParams, grid: Grid,
                          tail_target: float = 1e-6) -> DomainSizingReport:
-    """Check the truncated domain against the fat Barenblatt tails.
+    """Check the truncated domain against the Barenblatt envelope at t_end.
 
-    For p > 1 the envelope has compact support (spreading like t^{1/mu}) and
-    no truncation is needed.  For n/(n+2) < p < 1 the report estimates the
-    envelope mass beyond the grid at t_end and recommends a radius with tail
-    mass below tail_target.
+    The envelope is the pde-normalized source solution at max(t_end, 1).
+    The report gives its closed-form mass outside the grid, whether that is
+    at most tail_target, and the `suggest_domain_radius` radius scaled by
+    the spread t^{1/mu}: the support edge for p > 1, and for
+    n/(n+2) < p < 1 the radius with tail mass tail_target.
     """
     p, n = params.p, params.dim
     if p == 1.0:
@@ -427,11 +424,6 @@ def fast_diffusion_guard(params: DiffusionParams, grid: Grid,
             f"tail-mass sizing needs p > n/(n+2) = {n / (n + 2.0)} (finite second moment)")
     spec = barenblatt_spec(p, n, "pde")
     spread = max(params.t_end, 1.0) ** (1.0 / spec.coeffs.mu)
-    if p > 1.0:
-        edge = support_radius(spec) * spread
-        return DomainSizingReport(p, n, True, edge, grid.radius(), 0.0, edge,
-                                  grid.radius() >= edge)
     tail = barenblatt_tail_mass(spec, grid.radius() / spread)
     rec = suggest_domain_radius(p, n, tail_target, "pde") * spread
-    return DomainSizingReport(p, n, False, math.inf, grid.radius(), tail, rec,
-                              tail <= tail_target)
+    return DomainSizingReport(p > 1.0, tail, rec, tail <= tail_target)

@@ -4,16 +4,16 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import betainc, gammaln
 
 import renyiflow as rf
 from renyiflow.errors import DomainError
 
 
-def radial_integral(func, n, upper):
-    """Oracle: integral of func(|x|) over R^n by adaptive quadrature."""
+def radial_integral(func, n, upper, lower=0.0):
+    """Oracle: integral of func(|x|) over lower < |x| < upper in R^n by adaptive quadrature."""
     surf = 2.0 * math.pi ** (n / 2.0) / math.exp(gammaln(n / 2.0))
-    val, _ = quad(lambda r: r ** (n - 1) * func(r), 0.0, upper, limit=400)
+    val, _ = quad(lambda r: r ** (n - 1) * func(r), lower, upper, limit=400)
     return surf * val
 
 
@@ -337,6 +337,41 @@ class TestModuleInvariants:
             assert ups[0] == pytest.approx(ups[1], rel=1e-8)
 
 
+class TestTailMassClosedForm:
+    @pytest.mark.parametrize("p", (0.45, 0.6, 0.8, 0.95, 1.5, 2.0, 3.0))
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    @pytest.mark.parametrize("convention", (rf.UNIT_COEFF, rf.PDE_NORMALIZED))
+    def test_matches_incomplete_beta(self, p, n, convention):
+        spec = rf.barenblatt_spec(p, n, convention)
+        c, q = spec.c_const, 1.0 if convention == rf.UNIT_COEFF else abs(spec.kappa)
+        if p < 1:
+            radii = np.geomspace(1.0, 300.0, 12)
+            want = betainc(1.0 / (1.0 - p) - n / 2.0, n / 2.0, c / (c + q * radii ** 2))
+        else:
+            radii = rf.support_radius(spec) * np.array([0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999])
+            want = betainc(1.0 / (p - 1.0) + 1.0, n / 2.0, (c - q * radii ** 2) / c)
+        got = [rf.barenblatt_tail_mass(spec, float(r)) for r in radii]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("p,n", [(0.45, 3), (0.8, 2), (0.95, 1), (1.5, 3), (2.0, 1)])
+    def test_matches_radial_quadrature(self, p, n):
+        spec = rf.barenblatt_spec(p, n, rf.PDE_NORMALIZED)
+        upper = rf.support_radius(spec)
+        for radius in ((2.0, 20.0) if p < 1 else (0.5 * upper, 0.999 * upper)):
+            oracle = radial_integral(lambda r: rf.barenblatt_profile(r, spec), n, upper, radius)
+            assert rf.barenblatt_tail_mass(spec, radius) == pytest.approx(oracle, rel=1e-8)
+
+    def test_zero_from_the_support_edge_on(self):
+        spec = rf.barenblatt_spec(2.0, 3, rf.PDE_NORMALIZED)
+        edge = rf.support_radius(spec)
+        assert rf.barenblatt_tail_mass(spec, edge) == 0.0
+        assert rf.barenblatt_tail_mass(spec, 2.0 * edge) == 0.0
+
+    def test_rejects_nonpositive_radius(self):
+        with pytest.raises(DomainError):
+            rf.barenblatt_tail_mass(rf.barenblatt_spec(0.8, 1), 0.0)
+
+
 def _reference_radius(p, n, tail, convention):
     """The sizing it replaces: doubling from [1, 2], then 60 bisection steps."""
     spec = rf.barenblatt_spec(p, n, convention)
@@ -365,7 +400,7 @@ SIZING_COVER = [(SIZING_P[i // 2], SIZING_N[i % 3], SIZING_TAILS[i % 4], SIZING_
 
 @pytest.fixture
 def tail_calls(monkeypatch):
-    """Counts the quadratures suggest_domain_radius makes."""
+    """Counts the tail-mass evaluations suggest_domain_radius makes."""
     calls = []
     original = rf.analytic.barenblatt_tail_mass
 
@@ -374,7 +409,6 @@ def tail_calls(monkeypatch):
         return original(spec, radius)
 
     monkeypatch.setattr(rf.analytic, "barenblatt_tail_mass", counted)
-    rf.suggest_domain_radius.cache_clear()  # a memoized radius would count 0
     return calls
 
 
@@ -399,7 +433,6 @@ class TestSuggestDomainRadius:
             spec = rf.barenblatt_spec(p, n, convention)
             for tail in SIZING_TAILS:
                 tail_calls.clear()
-                rf.suggest_domain_radius.cache_clear()
                 try:
                     r = rf.suggest_domain_radius(p, n, tail, convention)
                 except DomainError:
@@ -422,16 +455,6 @@ class TestSuggestDomainRadius:
         assert rf.barenblatt_tail_mass(spec, 0.9) < 3e-6  # the root lies below 1
         assert rf.suggest_domain_radius(0.95, 1, 3e-6) == 1.0
         assert len(tail_calls) <= 16
-
-    def test_repeated_call_memoized(self, tail_calls):
-        first = rf.suggest_domain_radius(0.8, 3, 1e-6, rf.PDE_NORMALIZED)
-        assert tail_calls
-        tail_calls.clear()
-        assert rf.suggest_domain_radius(0.8, 3, 1e-6, rf.PDE_NORMALIZED) == first
-        assert tail_calls == []  # no quadrature on a repeat
-        rf.suggest_domain_radius.cache_clear()
-        assert rf.suggest_domain_radius(0.8, 3, 1e-6, rf.PDE_NORMALIZED) == first
-        assert tail_calls
 
     def test_support_edge_for_porous_medium(self):
         spec = rf.barenblatt_spec(2.0, 3, rf.PDE_NORMALIZED)

@@ -202,6 +202,16 @@ class TestFastDiffusionGuard:
         rep = rf.fast_diffusion_guard(params, grid)
         assert rep.compact_support and rep.tail_mass == 0.0 and rep.adequate
 
+    def test_support_cutting_grid_reports_tail(self):
+        # p = 2, n = 1: (1 - s^2) puts 5/16 of its mass beyond half the support edge
+        params = rf.DiffusionParams(p=2.0, dim=1, t_start=1.0, t_end=2.0)
+        spec = rf.barenblatt_spec(2.0, 1, rf.PDE_NORMALIZED)
+        edge = rf.support_radius(spec) * 2.0 ** (1.0 / spec.coeffs.mu)
+        rep = rf.fast_diffusion_guard(params, rf.Grid.cartesian(256, 0.5 * edge))
+        assert rep.compact_support and not rep.adequate
+        assert rep.tail_mass == pytest.approx(0.3125, rel=1e-12)
+        assert rep.recommended_radius == edge
+
     def test_recommended_radius_captures_mass(self):
         params = rf.DiffusionParams(p=0.9, dim=1, t_start=1.0, t_end=1.0001)
         grid = rf.Grid.cartesian(256, 10.0)
