@@ -49,11 +49,6 @@ CONFIGS = {
 }
 
 
-def _exp_dir(run_dir: Path) -> Path:
-    (exp,) = run_dir.glob("exp-*")
-    return exp
-
-
 def run_all(outdir: Path) -> dict[str, Path]:
     """Run every config into outdir/LABEL; returns each run's exp-* directory."""
     exps = {}
@@ -63,7 +58,7 @@ def run_all(outdir: Path) -> dict[str, Path]:
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), \
                 contextlib.redirect_stderr(sink):
             code = cli.main(argv + ["--out", str(outdir / label)])
-        exps[label] = _exp_dir(outdir / label)
+        (exps[label],) = (outdir / label).glob("exp-*")
         print(f"{label}: exit {code}, {exps[label].name}", file=sys.stderr)
     return exps
 
@@ -80,7 +75,7 @@ def digests(exps: dict[str, Path]) -> list[str]:
 
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        print("usage: python tools/artifact_digests.py OUTDIR", file=sys.stderr)
         return 2
     outdir = Path(argv[0])
     if outdir.exists() and any(outdir.iterdir()):
