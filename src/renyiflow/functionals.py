@@ -44,9 +44,9 @@ def mass(f: DensityField) -> float:
 
 def p_norm_integral(f: DensityField, p: float) -> float:
     """Integral of u^p (safe for all p > 0: zero values contribute zero)."""
-    if not p > 0.0:
-        raise DomainError("p must be positive")
-    return float(f.grid.weights() @ f.values ** p)
+    if p == 1.0:
+        return mass(f)  # u^1 is u exactly; _integrals needs p != 1
+    return _integrals(f, p)[0]
 
 
 def renyi_entropy(f: DensityField, p: float) -> float:
@@ -98,14 +98,10 @@ def _pressure(values: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
     g = np.zeros_like(values)
     g[m] = values[m] ** (p - 1.0)
     eroded = m.copy()
-    for shift in (1, 2, -1, -2):
-        rolled = np.roll(m, shift)
-        # do not wrap around the array ends
-        if shift > 0:
-            rolled[:shift] = m[:shift]
-        else:
-            rolled[shift:] = m[shift:]
-        eroded &= rolled
+    eroded[1:] &= m[:-1]
+    eroded[2:] &= m[:-2]
+    eroded[:-1] &= m[1:]
+    eroded[:-2] &= m[2:]
     return g, eroded
 
 
@@ -113,17 +109,8 @@ def fisher_p(f: DensityField, p: float) -> tuple[float, float]:
     """(F_p, I_p) with F_p = q^2 integral |grad u^{p-1}|^2 u, I_p = F_p / integral u^p."""
     if p == 1.0:
         raise DomainError("p = 1 is the Shannon limit; use shannon_fisher")
-    if not p > 0.0:
-        raise DomainError("p must be positive")
-    v = f.values
-    if not support_mask(v).any():
-        raise DomainError("empty support")
-    q = p / (p - 1.0)
-    pressure, ok = _pressure(v, p)
-    # |grad g|^2 u written as (grad g * sqrt(u))^2 so huge g never squares alone
-    damped = gradient(pressure, f.grid) * np.sqrt(v)
-    f_p = q * q * float(f.grid.weights()[ok] @ (damped[ok] ** 2))
-    return f_p, f_p / p_norm_integral(f, p)
+    s, f_p = _integrals(f, p)[:2]
+    return f_p, f_p / s
 
 
 def e_p_integral(f: DensityField, p: float) -> float:
@@ -136,8 +123,9 @@ def e_p_integral(f: DensityField, p: float) -> float:
     return s / (p - 1.0)
 
 
-def _dissipation_terms(f: DensityField, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """(u^p |D^2 e_p'(u)|^2, u^p (Lap e_p'(u))^2) with u^{p/2} folded in early.
+def _dissipation_terms(f: DensityField, p: float, pressure: np.ndarray,
+                       ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u^p |D^2 e_p'(u)|^2, u^p (Lap e_p'(u))^2) from `_pressure`'s pair, u^{p/2} folded in early.
 
     For a radial profile the Hessian eigenvalues are g'' and g'/r, so with
     a = g'' u^{p/2} and b = (g'/r) u^{p/2} the two integrands are
@@ -145,10 +133,7 @@ def _dissipation_terms(f: DensityField, p: float) -> tuple[np.ndarray, np.ndarra
     |D^2 g|^2 >= (Lap g)^2 / n is preserved exactly by this grouping.
     """
     v = f.values
-    if not support_mask(v).any():
-        raise DomainError("empty support")
     q = p / (p - 1.0)
-    pressure, ok = _pressure(v, p)
     g = q * pressure
     damp = np.where(ok, v ** (p / 2.0), 0.0)
     a = second_derivative(g, f.grid) * damp
@@ -159,18 +144,45 @@ def _dissipation_terms(f: DensityField, p: float) -> tuple[np.ndarray, np.ndarra
     return a * a + m * b * b, (a + m * b) ** 2
 
 
+def _integrals(f: DensityField, p: float,
+               dissipation: bool = False) -> tuple[float, float, float | None, float | None]:
+    """(integral u^p, F_p, D_p, integral u^p (Lap e_p')^2) of f for p > 0, p != 1.
+
+    One pass per (field, p), kept in f._memo: the last two come from the same
+    pressure as F_p, and only once asked for (None until then).
+    """
+    if not p > 0.0:
+        raise DomainError("p must be positive")
+    got = f._memo.get(p)
+    if got is not None and (got[2] is not None or not dissipation):
+        return got
+    v, w = f.values, f.grid.weights()
+    s = float(w @ v ** p)
+    q = p / (p - 1.0)
+    pressure, ok = _pressure(v, p)
+    # |grad g|^2 u written as (grad g * sqrt(u))^2 so huge g never squares alone
+    damped = gradient(pressure, f.grid) * np.sqrt(v)
+    f_p = q * q * float(w[ok] @ (damped[ok] ** 2))
+    d = lap = None
+    if dissipation:
+        hess_term, lap_term = _dissipation_terms(f, p, pressure, ok)
+        d = 2.0 * float(w @ (hess_term + (p - 1.0) * lap_term))
+        lap = float(w @ lap_term)
+    got = f._memo[p] = (s, f_p, d, lap)
+    return got
+
+
 def d_p(f: DensityField, p: float, n: int | None = None) -> float:
     """Dissipation of F_p: 2 integral u^p (|D^2 e_p'|^2 + (p-1)(Lap e_p')^2)."""
     if p == 1.0:
         raise DomainError("dissipation functional is defined for p != 1")
     _dim(f, n)
-    hess_term, lap_term = _dissipation_terms(f, p)
-    return 2.0 * float(f.grid.weights() @ (hess_term + (p - 1.0) * lap_term))
+    return _integrals(f, p, dissipation=True)[2]
 
 
 def pressure_laplacian_integral(f: DensityField, p: float) -> float:
     """integral u^p (Lap e_p'(u))^2, the Cauchy-Schwarz side of the chain."""
-    return float(f.grid.weights() @ _dissipation_terms(f, p)[1])
+    return _integrals(f, p, dissipation=True)[3]
 
 
 def upsilon(f: DensityField, p: float, n: int | None = None) -> float:
@@ -260,11 +272,11 @@ def snapshot(f: DensityField, p: float, n: int | None = None, t: float = 0.0,
         n_p = math.exp(nu * h)
         i = shannon_fisher(f)
         return FunctionalSnapshot(t, m, None, h, n_p, i * m, i, None, n_p * i)
-    s = p_norm_integral(f, p)
+    s, f_val, d_val, _ = _integrals(f, p, with_dissipation)
     if not s > 0.0:
         raise DomainError("integral of u^p vanishes")
     h = math.log(s) / (1.0 - p)
     n_p = math.exp(nu * h)
-    f_val, i_val = fisher_p(f, p)
-    d_val = d_p(f, p, n) if with_dissipation else None
-    return FunctionalSnapshot(t, m, s / (p - 1.0), h, n_p, f_val, i_val, d_val, n_p * i_val)
+    i_val = f_val / s
+    return FunctionalSnapshot(t, m, s / (p - 1.0), h, n_p, f_val, i_val,
+                              d_val if with_dissipation else None, n_p * i_val)

@@ -8,7 +8,7 @@ node, with |S^{n-1}| = 2 pi^{n/2} / Gamma(n/2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -101,13 +101,21 @@ class Grid:
 
 @dataclass(frozen=True)
 class DensityField:
-    """Nonnegative samples of a density on a grid."""
+    """Nonnegative samples of a density on a grid.
+
+    values is a read-only copy of the array passed in, so nothing computed
+    from a field (see _memo) can go stale.
+    """
 
     grid: Grid
     values: np.ndarray
+    # per-p integrals, filled by functionals._integrals; floats only, so a
+    # kept field holds no extra arrays and no reference back to itself
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float, order="C")
+        v.flags.writeable = False
         object.__setattr__(self, "values", v)
         if v.shape != (self.grid.node_count,):
             raise DomainError("values shape does not match the grid")
@@ -117,6 +125,10 @@ class DensityField:
             raise DomainError("density values must be nonnegative")
         if not float(self.grid.weights() @ v) > 0.0:
             raise DomainError("density must have positive mass")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __post_init__: read-only values, empty memo
+        return DensityField, (self.grid, self.values)
 
 
 def gradient(values: np.ndarray, grid: Grid) -> np.ndarray:

@@ -386,7 +386,7 @@ def evolve(f0: DensityField, params: DiffusionParams,
             rejections += rej
             leak += dt_used * leak_rate
         t = float(target)  # absorb roundoff from the exact landing
-        fld = DensityField(grid, kernel.u.copy())
+        fld = DensityField(grid, kernel.u)
         snaps.append(snapshot(fld, params.p, params.dim, t=t,
                               with_dissipation=with_dissipation))
         fields.append(fld)

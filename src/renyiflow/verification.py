@@ -150,7 +150,7 @@ def dissipation_check(series, p: float, n: int, tol: float = TOL_DISSIPATION) ->
 class ChainReport:
     """Margins of the inequality chain that proves entropy-power concavity.
 
-    All integrals are evaluated fresh from the field.  Margins are normalized
+    All integrals come from one evaluation of the field.  Margins are normalized
     by the magnitude of their own right-hand side; nonnegative means the
     inequality holds.
     """
@@ -187,9 +187,9 @@ def concavity_condition_chain(f: DensityField, p: float, n: int | None = None,
     sigma = nu if sigma is None else sigma
     if not sigma > 0.0:
         raise DomainError("sigma must be positive")
+    d_val = d_p(f, p, n)  # first, so one pass evaluates all four integrals
     s_p = p_norm_integral(f, p)
     f_val = fisher_p(f, p)[0]
-    d_val = d_p(f, p, n)
     lap_int = pressure_laplacian_integral(f, p)
     # eq-condition with (p-1) E_p = int u^p: D int u^p >= (sigma + p - 1) F^2
     lhs = d_val * s_p

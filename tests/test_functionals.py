@@ -1,12 +1,14 @@
 """Discrete functionals: definitions, closed-form matches, scaling laws."""
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import renyiflow as rf
 from renyiflow.errors import DomainError
-from renyiflow.functionals import _dissipation_terms
+from renyiflow.functionals import _dissipation_terms, _pressure
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +187,10 @@ class TestDissipationFunctional:
         assert rf.d_p(f, p) >= bound - 1e-12 * abs(bound)
 
 
+def dissipation_terms(f, p):
+    return _dissipation_terms(f, p, *_pressure(f.values, p))
+
+
 class TestDissipationTerms:
     """The nodewise integrands u^p |D^2 g|^2 and u^p (Lap g)^2, g = e_p'(u)."""
 
@@ -192,7 +198,7 @@ class TestDissipationTerms:
         grid = rf.Grid.cartesian(128, 2.0)
         f = rf.DensityField(grid, np.exp(-grid.nodes() ** 2))
         for p in (0.8, 1.5, 2.0):
-            hess, lap = _dissipation_terms(f, p)
+            hess, lap = dissipation_terms(f, p)
             assert np.array_equal(hess, lap)
 
     @pytest.mark.parametrize("dim", [2, 3, 5])
@@ -204,7 +210,7 @@ class TestDissipationTerms:
             v = rng.uniform(0.1, 1.0, 256)
             v = np.convolve(v, np.ones(9) / 9.0, mode="same")  # keep it resolvable
             for p in (0.8, 1.5, 2.0):
-                hess, lap = _dissipation_terms(rf.DensityField(grid, v), p)
+                hess, lap = dissipation_terms(rf.DensityField(grid, v), p)
                 assert np.all(hess >= lap / dim - 1e-12 * np.abs(hess) - 1e-300)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -215,7 +221,7 @@ class TestDissipationTerms:
         edge = rf.support_radius(spec)
         grid = rf.Grid.cartesian(256, 1.5 * edge) if dim == 1 else rf.Grid.radial(dim, 256, 1.5 * edge)
         f = rf.sample_barenblatt_from_spec(grid, spec)
-        _, lap = _dissipation_terms(f, 2.0)
+        _, lap = dissipation_terms(f, 2.0)
         inside = np.abs(grid.nodes()) <= edge - 2.0 * grid.spacing
         assert inside.sum() > 100
         np.testing.assert_allclose(lap[inside] / f.values[inside] ** 2,
@@ -377,7 +383,72 @@ class TestSnapshot:
         assert s.upsilon == pytest.approx(s.n_p * s.i_p, rel=1e-14)
 
 
+def _rolled_trust_mask(m):
+    """The p < 1 trust mask as four np.roll erosions with the wrap undone."""
+    eroded = m.copy()
+    for shift in (1, 2, -1, -2):
+        rolled = np.roll(m, shift)
+        if shift > 0:
+            rolled[:shift] = m[:shift]
+        else:
+            rolled[shift:] = m[shift:]
+        eroded &= rolled
+    return eroded
+
+
+class TestMemo:
+    """snapshot, isoperimetric_check and the chain share one pass per (field, p)."""
+
+    @staticmethod
+    def _field(n):
+        grid = rf.Grid.cartesian(1024, 12.0) if n == 1 else rf.Grid.radial(3, 1024, 12.0)
+        return rf.sample_mixture(grid, seed=11)
+
+    @staticmethod
+    def _run_all(f, p, n, order):
+        out = {"chain": lambda: rf.concavity_condition_chain(f, p, n),
+               "snapshot": lambda: rf.snapshot(f, p, n, with_dissipation=True),
+               "isoperimetric": lambda: rf.isoperimetric_check(f, p, n)}
+        return {name: out[name]() for name in order}
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("p", [0.8, 1.5, 2.0])
+    def test_results_independent_of_call_order(self, p, n):
+        order = ("chain", "snapshot", "isoperimetric")
+        forward = self._run_all(self._field(n), p, n, order)
+        backward = self._run_all(self._field(n), p, n, order[::-1])
+        assert forward == backward
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("p", [0.8, 1.5, 2.0])
+    def test_memo_keeps_no_field_alive(self, p, n):
+        f = self._field(n)
+        ref = weakref.ref(f)
+        gc.disable()
+        try:
+            self._run_all(f, p, n, ("chain", "snapshot", "isoperimetric"))
+            del f
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_snapshot_after_dissipation_omits_it(self, mixture):
+        rf.d_p(mixture, 1.5)
+        assert rf.snapshot(mixture, 1.5).d_p is None
+
+
 class TestVanishingRegions:
+    def test_trust_mask_matches_rolled_erosion(self):
+        rng = np.random.default_rng(3)
+        for trial in range(200):
+            m = rng.random(64) < rng.uniform(0.2, 0.9)
+            if trial % 2:
+                m[[0, -1]] = False
+            j = rng.integers(2, 62)
+            m[j - 1:j + 2] = (False, True, False)  # an isolated positive node
+            v = np.where(m, rng.uniform(0.1, 1.0, 64), 0.0)
+            assert np.array_equal(_pressure(v, 0.8)[1], _rolled_trust_mask(m))
+
     def test_fast_diffusion_integrands_skip_exact_zeros(self):
         # an interior dead zone must not poison the p < 1 pressure stencils
         grid = rf.Grid.cartesian(512, 10.0)

@@ -1,5 +1,7 @@
 """Grid construction, quadrature weights, and difference operators."""
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -91,6 +93,24 @@ class TestDensityField:
         g = rf.Grid.cartesian(16, 1.0)
         with pytest.raises(DomainError):
             rf.DensityField(g, np.ones(8))
+
+    def test_values_are_a_read_only_copy(self):
+        g = rf.Grid.cartesian(16, 1.0)
+        src = np.full(16, 0.5)
+        f = rf.DensityField(g, src)
+        assert not f.values.flags.writeable
+        with pytest.raises(ValueError):
+            f.values[0] = 1.0
+        src[:] = 2.0
+        assert np.array_equal(f.values, np.full(16, 0.5))
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))])
+    def test_clones_stay_read_only(self, clone):
+        f = rf.sample_mixture(rf.Grid.cartesian(64, 5.0), seed=1)
+        rf.snapshot(f, 2.0)
+        g = clone(f)
+        assert not g.values.flags.writeable and np.array_equal(g.values, f.values)
+        assert g.grid == f.grid and not g._memo
 
 
 class TestDerivatives:
