@@ -43,10 +43,17 @@ def mass(f: DensityField) -> float:
 
 
 def p_norm_integral(f: DensityField, p: float) -> float:
-    """Integral of u^p (safe for all p > 0: zero values contribute zero)."""
-    if p == 1.0:
-        return mass(f)  # u^1 is u exactly; _integrals needs p != 1
-    return _integrals(f, p)[0]
+    """Integral of u^p (safe for all p > 0: zero values contribute zero).
+
+    Kept in f._memo as the first entry of _integrals' tuple, the rest None
+    until a pressure pass fills them.
+    """
+    if not p > 0.0:
+        raise DomainError("p must be positive")
+    got = f._memo.get(p)
+    if got is None:
+        got = f._memo[p] = (float(f.grid.weights() @ f.values ** p), None, None, None)
+    return got[0]
 
 
 def renyi_entropy(f: DensityField, p: float) -> float:
@@ -148,16 +155,15 @@ def _integrals(f: DensityField, p: float,
                dissipation: bool = False) -> tuple[float, float, float | None, float | None]:
     """(integral u^p, F_p, D_p, integral u^p (Lap e_p')^2) of f for p > 0, p != 1.
 
-    One pass per (field, p), kept in f._memo: the last two come from the same
-    pressure as F_p, and only once asked for (None until then).
+    One pressure pass per (field, p), kept in f._memo next to p_norm_integral's
+    first entry: the last two come from the same pressure as F_p, and only
+    once asked for (None until then).
     """
-    if not p > 0.0:
-        raise DomainError("p must be positive")
-    got = f._memo.get(p)
-    if got is not None and (got[2] is not None or not dissipation):
+    s = p_norm_integral(f, p)
+    got = f._memo[p]
+    if got[1] is not None and (got[2] is not None or not dissipation):
         return got
     v, w = f.values, f.grid.weights()
-    s = float(w @ v ** p)
     q = p / (p - 1.0)
     pressure, ok = _pressure(v, p)
     # |grad g|^2 u written as (grad g * sqrt(u))^2 so huge g never squares alone

@@ -109,8 +109,9 @@ class DensityField:
 
     grid: Grid
     values: np.ndarray
-    # per-p integrals, filled by functionals._integrals; floats only, so a
-    # kept field holds no extra arrays and no reference back to itself
+    # per-p integrals, filled by functionals.p_norm_integral and _integrals;
+    # floats only, so a kept field holds no extra arrays and no reference
+    # back to itself
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -15,10 +15,8 @@ import numpy as np
 from .analytic import barenblatt_spec, coefficients, gamma_const
 from .errors import DegenerateError, DomainError, InsufficientData
 from .functionals import (
-    d_p,
-    fisher_p,
-    p_norm_integral,
-    pressure_laplacian_integral,
+    _dim,
+    _integrals,
     self_similar_rescale,
     sobolev_pair,
     upsilon,
@@ -187,10 +185,8 @@ def concavity_condition_chain(f: DensityField, p: float, n: int | None = None,
     sigma = nu if sigma is None else sigma
     if not sigma > 0.0:
         raise DomainError("sigma must be positive")
-    d_val = d_p(f, p, n)  # first, so one pass evaluates all four integrals
-    s_p = p_norm_integral(f, p)
-    f_val = fisher_p(f, p)[0]
-    lap_int = pressure_laplacian_integral(f, p)
+    _dim(f, n)
+    s_p, f_val, d_val, lap_int = _integrals(f, p, dissipation=True)
     # eq-condition with (p-1) E_p = int u^p: D int u^p >= (sigma + p - 1) F^2
     lhs = d_val * s_p
     rhs = (sigma + p - 1.0) * f_val ** 2

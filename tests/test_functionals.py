@@ -432,6 +432,15 @@ class TestMemo:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("p", [0.8, 2.0])
+    def test_entropy_alone_evaluates_only_the_power_integral(self, p):
+        f, fresh = self._field(1), self._field(1)
+        s = float(f.grid.weights() @ f.values ** p)
+        assert rf.renyi_entropy(f, p) == math.log(s) / (1.0 - p)
+        assert f._memo[p] == (s, None, None, None)
+        assert rf.fisher_p(f, p) == rf.fisher_p(fresh, p)
+        assert rf.p_norm_integral(f, p) == s
+
     def test_snapshot_after_dissipation_omits_it(self, mixture):
         rf.d_p(mixture, 1.5)
         assert rf.snapshot(mixture, 1.5).d_p is None
