@@ -8,8 +8,10 @@ each update is a convex combination of neighbor values; `step`, `cfl_dt` and
 p = 1 runs use it.  Where the CFL step is far below the step the flow's own
 rate of change allows, `evolve` takes linearly implicit BDF2 steps instead:
 always for p < 1, whose diffusivity p u^{p-1} peaks in the far tail, and for
-p > 1 when that is cheaper.  The degenerate p > 1 front is handled as in
-Vazquez, *The Porous Medium Equation* (2007), ch. 5 and 9.
+p > 1 from the first snapshot at which that is cheaper.  It re-sizes the step
+at every snapshot, so a slowing flow takes longer steps.  The degenerate p > 1
+front is handled as in Vazquez, *The Porous Medium Equation* (2007), ch. 5
+and 9.
 """
 from __future__ import annotations
 
@@ -31,18 +33,20 @@ STEP_CHANGE = 2e-3  # implicit steps move at most this fraction of the mass
 # An implicit step relinearizes while it misplaces more than this fraction of the mass it
 # moves (4096-node p = 2 Barenblatt, L1 off Newton's steps: 2.0e-6 at 1e-2, 4.8e-7 at 1e-3).
 LINEARIZATION_TOL = 1e-3
-# An implicit march takes at least this many steps per snapshot interval, so its
-# startup ramp (about one step long, with less time error than the steps after
-# it) stays a small part of the first interval: at 5 steps per interval it bent
-# N_p by 2.1e-6 at the first snapshot (1024-node p = 2 Barenblatt, t 1..1.1).
+# An implicit march takes at least this many steps per snapshot interval (dt_run
+# is at most this fraction of the shortest interval still ahead), so its startup
+# ramp (about one step long, with less time error than the steps after it) stays
+# a small part of an interval: at 5 steps per interval it bent N_p by 2.1e-6 at
+# the first snapshot (1024-node p = 2 Barenblatt, t 1..1.1).
 MIN_STEPS_PER_SNAPSHOT = 10
 EPS = float(np.finfo(float).eps)
 SEQUENTIAL_SIZE = 64  # tridiagonal systems this small are solved row by row
-# The ratio dt_run / CFL step at t_start above which a p > 1 run marches
-# implicitly.  An implicit step costs 11-12 / 13-14 / 32-37 explicit ones at
-# N = 512 / 2048 / 8192 (p = 2 Barenblatt at the accuracy step; 2 cores, numpy
-# 2.4.6), so the march breaks even lower, but below about 57 the 512-node run of
-# `test_barenblatt_concavity_exit_zero` goes implicit and fails on resolution.
+# The ratio dt_run / CFL step, taken at each snapshot, above which a p > 1 run
+# marches implicitly from that snapshot on.  An implicit step costs 11-12 /
+# 13-14 / 32-37 explicit ones at N = 512 / 2048 / 8192 (p = 2 Barenblatt at the
+# accuracy step; 2 cores, numpy 2.4.6), so the march breaks even lower, but
+# below about 57 the 512-node run of `test_barenblatt_concavity_exit_zero` goes
+# implicit and fails on resolution.
 IMPLICIT_STEP_COST = 100.0
 
 
@@ -97,8 +101,10 @@ class _Kernel:
     areas, buffers and state.  u is clipped to u >= 0 once, on entry; accepted
     steps end in that clip.  v = u^p and its differences dv serve both the p < 1
     chord stiffness and the fluxes, and the acceptance test's max(u) is the next
-    umax.  Each out= pass of `advance` keeps the operation order of the plain
-    array expressions: bitwise theirs.
+    umax.  An explicit step refreshes v and dv; an implicit one uses them as
+    scratch, so callers refresh them with `_faces()` before reading them
+    (`accuracy_dt`, `cfl_dt`, `advance`).  Each out= pass of `advance` keeps
+    the operation order of the plain array expressions: bitwise theirs.
     """
 
     def __init__(self, grid: Grid, p: float, values: np.ndarray):
@@ -192,7 +198,8 @@ class _Kernel:
         """One variable-step BDF2 step from t, halving dt on undershoot: (dt, leak rate, rejections).
 
         With omega = dt / dt_prev the step solves W (u' - b) = theta L u'^p for
-        b = ((1+omega)^2 u - omega^2 u_prev) / (1+2 omega) and
+        b = ((1+omega)^2 u - omega^2 u_prev) / (1+2 omega), formed as
+        u + omega^2 (u - u_prev) / (1+2 omega), and
         theta = dt (1+omega) / (1+2 omega); with no u_prev it is backward Euler
         (b = u, theta = dt).  Callers keep omega <= 2 < 1 + sqrt(2), where BDF2 is
         zero-stable.  The step is linearly implicit (Akrivis and Crouzeix, Math.
@@ -207,8 +214,9 @@ class _Kernel:
         elsewhere d is small, or rounding as large as the step near the flat state)
         misplaces theta ||L d||_1 above LINEARIZATION_TOL of the mass the step moves,
         the step relinearizes about u' (a Newton step) and solves again, moving the
-        front a cell further.  b can be negative near a front, so an undershoot of
-        any solve halves dt, a rejection.
+        front a cell further.  With no front node d is zero and takes no pass.  b can
+        be negative near a front, so an undershoot of any solve halves dt, a
+        rejection.
         """
         p, w = self.p, self.weights
         floor = 0.0 if p > 1.0 else EPS * self.umax
@@ -219,23 +227,28 @@ class _Kernel:
             else:
                 omega = dt / self.dt_prev
                 scale = 1.0 + 2.0 * omega
-                base = ((1.0 + omega) ** 2 * self.u - omega * omega * self.u_prev) / scale
+                change = self.u - self.u_prev
+                base = self.u + (omega * omega / scale) * change
                 theta = dt * (1.0 + omega) / scale
-                g = self.u + omega * (self.u - self.u_prev)
+                g = self.u + omega * change
             g = np.maximum(g, floor)
-            off = -theta * self.conductance
+            off, spring, load = -theta * self.conductance, theta * self.coupling, w * base
             for _ in range(w.size):  # Newton moves the front at least a cell per solve
-                slope = p * g ** (p - 1.0)
-                shift = g ** p - slope * g  # the linearized u'^p is shift + slope u'
-                sol = _solve_tridiagonal(off * slope[:-1], w + theta * self.coupling * slope,
-                                         off * slope[1:], w * base + theta * self._divergence(shift))
+                power = g ** (p - 1.0)
+                slope = p * power
+                shift = (1.0 - p) * g * power  # the linearized u'^p is shift + slope u'
+                sol = _solve_tridiagonal(off * slope[:-1], w + spring * slope,
+                                         off * slope[1:], load + theta * self._divergence(shift))
                 new = base + theta * self._divergence(shift + slope * sol) / w
                 umax = new.max()
                 undershoot = not new.min() >= -NEGATIVITY_SLACK * umax  # nan counts too
                 trial = np.maximum(new, floor)
-                defect = np.where(trial > 2.0 * g, trial ** p - shift - slope * trial, 0.0)
-                if undershoot or theta * np.abs(self._divergence(defect)).sum() <= (
-                        LINEARIZATION_TOL * (w @ np.abs(new - self.u))):
+                front = trial > 2.0 * g
+                misplaced = 0.0  # no front node: no defect
+                if front.any():
+                    defect = np.where(front, trial ** p - shift - slope * trial, 0.0)
+                    misplaced = theta * np.abs(self._divergence(defect)).sum()
+                if undershoot or misplaced <= LINEARIZATION_TOL * (w @ np.abs(new - self.u)):
                     break
                 g = trial
             else:
@@ -249,9 +262,9 @@ class _Kernel:
         np.maximum(new, 0.0, out=new)
         self.u_prev, self.dt_prev = self.u, dt
         self.u, self.umax = new, float(umax)
-        self._faces()
-        leak_rate = (self.outer_area * self.v[-1] + self.inner_area * self.v[0]) / self.h
-        return dt, leak_rate, rejections
+        # v and dv are left stale; the leak needs u'^p at the two wall nodes only
+        leak_rate = (self.outer_area * new[-1] ** p + self.inner_area * new[0] ** p) / self.h
+        return dt, float(leak_rate), rejections
 
 
 def _solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
@@ -343,16 +356,18 @@ def evolve(f0: DensityField, params: DiffusionParams,
 
     The step toward the next snapshot divides the remaining interval into
     equal parts no longer than the proposed step, so the recorded functional
-    series has no step-size kinks at snapshot boundaries.  The proposal is the
-    explicit CFL step for p = 1.  Otherwise dt_run, the step that moves
-    STEP_CHANGE of the mass at t_start (and at most a MIN_STEPS_PER_SNAPSHOT-th
-    of the shortest snapshot interval), is fixed for the run, and the march is
-    linearly implicit BDF2 for p < 1 and for p > 1 when dt_run exceeds
-    IMPLICIT_STEP_COST CFL steps; else it is explicit.
-    The implicit march starts at the CFL step and doubles it up to dt_run, so
-    omega <= 2 keeps BDF2 zero-stable and the backward-Euler start puts no kink
-    in N_p(t) at the first snapshot.  dt_run stays fixed because a step that
-    grew along the run would bend N_p(t) by the scheme's time error.
+    series has no step-size kinks inside an interval.  The proposal is the
+    explicit CFL step for p = 1.  Otherwise, before each interval, dt_run is
+    re-sized to the step that moves STEP_CHANGE of the mass now, and at most a
+    MIN_STEPS_PER_SNAPSHOT-th of the shortest interval still ahead; the march
+    turns linearly implicit BDF2 for p < 1, and for p > 1 once dt_run exceeds
+    IMPLICIT_STEP_COST CFL steps, and stays implicit, with its BDF2 history,
+    to the end.  The implicit march starts at the CFL step of the switch and
+    doubles it up to dt_run, and a later dt_run is reached by doubling too,
+    so omega <= 2 keeps BDF2 zero-stable, and the backward-Euler start puts
+    no kink in N_p(t).  As the flow slows, dt_run grows from one interval to
+    the next; BDF2's second-order time error keeps that growth from bending
+    N_p(t) the way a growing backward-Euler step did.
     """
     if f0.grid.dim != params.dim:
         raise DomainError("initial field dimension does not match params.dim")
@@ -360,26 +375,32 @@ def evolve(f0: DensityField, params: DiffusionParams,
     if abs(m0 - 1.0) > 1e-6:
         raise DomainError(f"initial mass must be 1 within 1e-6, got {m0}")
     times = params.times()
+    intervals = np.diff(times)
     grid = f0.grid
     kernel = _Kernel(grid, params.p, f0.values)
-    march, proposal = kernel.advance, lambda: kernel.cfl_dt(params.cfl_safety)
-    if params.p != 1.0:
-        dt_run = min(kernel.accuracy_dt(STEP_CHANGE * m0),
-                     float(np.diff(times).min()) / MIN_STEPS_PER_SNAPSHOT)
-        first = proposal()
-        if params.p < 1.0 or dt_run > IMPLICIT_STEP_COST * first:
-            march = kernel.implicit_advance
-            proposal = lambda: min(dt_run, 2.0 * kernel.dt_prev) if kernel.dt_prev else first
+    implicit = False
     t = float(times[0])
     steps = rejections = 0
     leak = 0.0
     snaps = [snapshot(f0, params.p, params.dim, t=t, with_dissipation=with_dissipation)]
     fields = [f0]
     warned = False
-    for target in times[1:]:
+    for i, target in enumerate(times[1:]):
+        if params.p != 1.0:
+            kernel._faces()  # an implicit step leaves v = u^p stale
+            dt_run = min(kernel.accuracy_dt(STEP_CHANGE * m0),
+                         float(intervals[i:].min()) / MIN_STEPS_PER_SNAPSHOT)
+            if not implicit:
+                first = kernel.cfl_dt(params.cfl_safety)
+                implicit = params.p < 1.0 or dt_run > IMPLICIT_STEP_COST * first
+        march = kernel.implicit_advance if implicit else kernel.advance
         while t < target:
+            if implicit:
+                proposal = min(dt_run, 2.0 * kernel.dt_prev) if kernel.dt_prev else first
+            else:
+                proposal = kernel.cfl_dt(params.cfl_safety)
             remaining = target - t
-            parts = max(1, math.ceil(remaining / proposal()))
+            parts = max(1, math.ceil(remaining / proposal))
             dt_used, leak_rate, rej = march(remaining / parts, t)
             t += dt_used
             steps += 1

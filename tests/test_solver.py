@@ -131,6 +131,18 @@ class TestEvolve:
         s_vals = np.array([(0.9 - 1.0) * s.e_p for s in fast_diffusion_run.snapshots])
         assert np.all(np.diff(s_vals) >= -1e-10)  # integral u^p grows for p < 1
 
+    @pytest.mark.filterwarnings("ignore::renyiflow.errors.BoundaryLeakWarning")
+    @settings(max_examples=24, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 10 ** 6), p=st.sampled_from([0.8, 1.5, 2.0]),
+           geometry=st.sampled_from(["cartesian", "radial3"]))
+    def test_entropy_decreases_snapshot_to_snapshot(self, seed, p, geometry):
+        # E_p is a Lyapunov functional of the flow, whichever march evolve takes
+        widths = (1.5, 3.0) if p < 1.0 else (0.5, 2.0)
+        f0, params = _mixture_case(geometry, p, widths, nodes=256, seed=seed, snapshots=7)
+        run = rf.evolve(f0, params)
+        e_vals = np.array([s.e_p for s in run.snapshots])
+        assert np.all(np.diff(e_vals) < 0.0)
+
     def test_nonunit_mass_rejected(self):
         grid = rf.Grid.cartesian(256, 5.0)
         f = rf.DensityField(grid, rf.sample_mixture(grid, seed=1).values * 1.1)
@@ -295,7 +307,7 @@ def _reference_march(f0, params):
     return fields, steps, rejections, leak
 
 
-def _mixture_case(geometry, p, widths, nodes=128, t_end=1.2, seed=4, blend=None):
+def _mixture_case(geometry, p, widths, nodes=128, t_end=1.2, seed=4, blend=None, snapshots=5):
     if geometry == "cartesian":
         grid = rf.Grid.cartesian(nodes, 8.0)
         f0 = rf.sample_mixture(grid, seed=seed, var_range=widths)
@@ -304,7 +316,8 @@ def _mixture_case(geometry, p, widths, nodes=128, t_end=1.2, seed=4, blend=None)
         f0 = rf.sample_mixture(grid, seed=seed, mean_range=(0.0, 2.0), var_range=widths)
     if blend is not None:
         f0 = rf.blend_with_barenblatt(f0, p, 1.0, blend)
-    return f0, rf.DiffusionParams(p=p, dim=grid.dim, t_start=1.0, t_end=t_end, snapshot_count=5)
+    return f0, rf.DiffusionParams(p=p, dim=grid.dim, t_start=1.0, t_end=t_end,
+                                  snapshot_count=snapshots)
 
 
 # The implicit march and the explicit oracle differ by the implicit time error,
@@ -668,3 +681,162 @@ class TestLinearlyImplicitStep:
         with pytest.raises(StabilityError):
             kernel.implicit_advance(kernel.accuracy_dt(solver.STEP_CHANGE), 1.0)
         assert len(calls) == 64
+
+
+# A frozen copy of the implicit step before it dropped the passes it does not use
+# (the BDF2 base from both levels, two powers per linearization, the defect built
+# on every solve, u'^p refreshed over the whole grid after every step): the lean
+# step must take the same dt, rejections and solves, and agree to rounding.
+def _reference_implicit_advance(kernel, dt, t):
+    p, w = kernel.p, kernel.weights
+    floor = 0.0 if p > 1.0 else solver.EPS * kernel.umax
+    rejections = 0
+    while True:
+        if kernel.u_prev is None:
+            base, theta, g = kernel.u, dt, kernel.u
+        else:
+            omega = dt / kernel.dt_prev
+            scale = 1.0 + 2.0 * omega
+            base = ((1.0 + omega) ** 2 * kernel.u - omega * omega * kernel.u_prev) / scale
+            theta = dt * (1.0 + omega) / scale
+            g = kernel.u + omega * (kernel.u - kernel.u_prev)
+        g = np.maximum(g, floor)
+        off = -theta * kernel.conductance
+        for _ in range(w.size):
+            slope = p * g ** (p - 1.0)
+            shift = g ** p - slope * g
+            sol = solver._solve_tridiagonal(off * slope[:-1], w + theta * kernel.coupling * slope,
+                                            off * slope[1:],
+                                            w * base + theta * kernel._divergence(shift))
+            new = base + theta * kernel._divergence(shift + slope * sol) / w
+            umax = new.max()
+            undershoot = not new.min() >= -NEGATIVITY_SLACK * umax
+            trial = np.maximum(new, floor)
+            defect = np.where(trial > 2.0 * g, trial ** p - shift - slope * trial, 0.0)
+            if undershoot or theta * np.abs(kernel._divergence(defect)).sum() <= (
+                    solver.LINEARIZATION_TOL * (w @ np.abs(new - kernel.u))):
+                break
+            g = trial
+        else:
+            raise StabilityError(f"implicit step at t = {t}: linearization did not settle")
+        if not undershoot:
+            break
+        rejections += 1
+        assert rejections <= MAX_REJECTIONS
+        dt *= 0.5
+    np.maximum(new, 0.0, out=new)
+    kernel.u_prev, kernel.dt_prev = kernel.u, dt
+    kernel.u, kernel.umax = new, float(umax)
+    kernel._faces()
+    leak_rate = (kernel.outer_area * kernel.v[-1] + kernel.inner_area * kernel.v[0]) / kernel.h
+    return dt, leak_rate, rejections
+
+
+class TestLeanImplicitStep:
+    """The implicit step against its frozen predecessor, one step at a time."""
+
+    @pytest.mark.filterwarnings("ignore::renyiflow.errors.BoundaryLeakWarning")
+    @pytest.mark.parametrize("case", ["mixture-p0.8-radial3", "barenblatt-p2-4096"])
+    def test_matches_frozen_step(self, case, monkeypatch):
+        f0, params = _implicit_cases()[case]
+        nodes = f0.grid.node_count
+        lean = solver._Kernel(f0.grid, params.p, f0.values)
+        frozen = solver._Kernel(f0.grid, params.p, f0.values)
+        dt = lean.accuracy_dt(solver.STEP_CHANGE)
+        # backward Euler, BDF2 at omega = 2 and 1, then a step whose first solve
+        # undershoots, so that it is rejected and retried at dt/2
+        schedule = [(0.5 * dt, False), (dt, False), (dt, False), (dt, True)]
+        relinearized = False
+        for dt_try, undershoot_first in schedule:
+            outcomes = []
+            for kernel, advance in ((lean, solver._Kernel.implicit_advance),
+                                    (frozen, _reference_implicit_advance)):
+                with monkeypatch.context() as m:
+                    calls = _count_solves(m, nodes, undershoot_first)
+                    outcomes.append((advance(kernel, dt_try, 1.0), len(calls)))
+            (got, got_solves), (want, want_solves) = outcomes
+            assert got[0] == want[0] and got[2] == want[2] and got_solves == want_solves
+            assert got[1] == pytest.approx(want[1], rel=1e-12, abs=1e-300)
+            assert np.max(np.abs(lean.u - frozen.u)) <= 1e-12 * np.max(frozen.u)
+            assert (want[2] > 0) == undershoot_first
+            relinearized |= want_solves > 1 + want[2]
+        assert relinearized == (params.p > 1.0)  # the p = 2 front outruns a cell per step
+
+
+def _record_marches(monkeypatch):
+    """Wrap both steps of _Kernel; returns the list of (march, t, dt used) of every step."""
+    record = []
+    for march in ("advance", "implicit_advance"):
+        real = getattr(solver._Kernel, march)
+
+        def wrapped(self, dt, t, real=real, march=march):
+            out = real(self, dt, t)
+            record.append((march, t, out[0]))
+            return out
+
+        monkeypatch.setattr(solver._Kernel, march, wrapped)
+    return record
+
+
+def _steps_per_interval(record, times):
+    """Implicit steps started in each snapshot interval, and their dt in order."""
+    starts = np.array([t for march, t, _ in record if march == "implicit_advance"])
+    dts = np.array([dt for march, _, dt in record if march == "implicit_advance"])
+    counts = np.bincount(np.searchsorted(times, starts, side="right") - 1,
+                         minlength=times.size - 1)
+    return counts, dts
+
+
+class TestRechosenMarch:
+    """evolve re-chooses its march and dt at every snapshot; explicit to implicit is one-way."""
+
+    def test_switches_to_implicit_once(self, monkeypatch):
+        # `evolve --p 2 --dim 1 --nodes 768 --initial barenblatt --t-start 1 --t-end 3
+        # --snapshots 9`: explicit all the way it took 25,187 steps
+        spec = rf.barenblatt_spec(2.0, 1, rf.PDE_NORMALIZED)
+        grid = rf.Grid.cartesian(768, rf.support_radius(spec) * 3.0 ** (1.0 / 3.0) * 1.3)
+        f0 = rf.sample_barenblatt(grid, 2.0, 1.0, normalize=True)
+        params = rf.DiffusionParams(p=2.0, dim=1, t_start=1.0, t_end=3.0, snapshot_count=9)
+        record = _record_marches(monkeypatch)
+        run = rf.evolve(f0, params)
+        marches = [march for march, _, _ in record]
+        switch = marches.index("implicit_advance")
+        assert switch > 0 and set(marches[switch:]) == {"implicit_advance"}
+        assert record[switch][1] in params.times()[1:-1]  # the switch is at a snapshot
+        assert run.step_count == len(record) < 10_000
+        w = grid.weights()
+        m0 = float(w @ f0.values)
+        for fld in run.fields:
+            assert abs(float(w @ fld.values) - m0) <= 1e-12
+            assert fld.values.min() >= 0.0
+
+    def test_criterion_10_config(self, monkeypatch):
+        # explicit with dt fixed at t_start it took 368,555 steps; the march switches
+        # partway and takes at least MIN_STEPS_PER_SNAPSHOT steps per geometric interval
+        spec = rf.barenblatt_spec(2.0, 1, rf.PDE_NORMALIZED)
+        grid = rf.Grid.cartesian(2048, rf.support_radius(spec) * 1000.0 ** (1.0 / 3.0) * 1.25)
+        f0 = rf.compact_two_bump(grid, seed=11)
+        times = np.geomspace(1.0, 1000.0, 13)
+        params = rf.DiffusionParams(p=2.0, dim=1, t_start=1.0, t_end=1000.0,
+                                    snapshot_times=tuple(times))
+        record = _record_marches(monkeypatch)
+        run = rf.evolve(f0, params)
+        assert run.step_count < 50_000
+        counts, dts = _steps_per_interval(record, times)
+        assert counts[0] == 0 and counts[-1] > 0
+        assert np.all(counts[np.flatnonzero(counts)[0]:] >= solver.MIN_STEPS_PER_SNAPSHOT)
+        assert np.all(dts[1:] <= 2.0 * (1.0 + 1e-12) * dts[:-1])  # omega <= 2, up to the landing
+
+    @pytest.mark.filterwarnings("ignore::renyiflow.errors.BoundaryLeakWarning")
+    def test_fast_diffusion_geometric_snapshots(self, monkeypatch):
+        f0, _ = _mixture_case("radial3", 0.8, (1.5, 3.0), nodes=256, blend=1e-2)
+        times = np.geomspace(1.0, 10.0, 7)
+        params = rf.DiffusionParams(p=0.8, dim=3, t_start=1.0, t_end=10.0,
+                                    snapshot_times=tuple(times))
+        record = _record_marches(monkeypatch)
+        rf.evolve(f0, params)
+        counts, dts = _steps_per_interval(record, times)
+        assert len(dts) == len(record)  # p < 1 is implicit from the start
+        assert np.all(counts >= solver.MIN_STEPS_PER_SNAPSHOT)
+        assert np.all(dts[1:] <= 2.0 * (1.0 + 1e-12) * dts[:-1])
+        assert dts[-1] > 4.0 * dts[counts[0]]  # dt grows with the flow

@@ -3,7 +3,7 @@
 Usage:
     PYTHONPATH=src python tools/artifact_digests.py OUTDIR
 
-Runs eight configurations, each into OUTDIR/LABEL, and prints one line
+Runs nine configurations, each into OUTDIR/LABEL, and prints one line
 ``LABEL/RELATIVE-PATH SHA256`` per file written, sorted.  The ``exp-*``
 directory the CLI names after its config hash is left out of the path, so
 two trees whose configs differ (say, in a default radius) still list the
@@ -36,6 +36,10 @@ CONFIGS = {
                   "--t-end", "1.25", "--snapshots", "17"] + BARENBLATT_VERIFY,
     "sweep": ["sweep", "--p", "0.8,1.0,1.5,2.0", "--dim", "1,3", "--seeds", "3",
               "--nodes", "512", "--workers", "1"],
+    # explicit at first, implicit from a later snapshot on
+    "switch_pme_768": ["evolve", "--p", "2", "--dim", "1", "--nodes", "768",
+                       "--initial", "barenblatt", "--t-start", "1", "--t-end", "3",
+                       "--snapshots", "9"],
     "mixture_p1.5": ["evolve", "--p", "1.5", "--dim", "1", "--nodes", "512",
                      "--initial", "mixture", "--verify", ALL_CHECKS],
     "mixture_p0.8": ["evolve", "--p", "0.8", "--dim", "1", "--nodes", "512",
