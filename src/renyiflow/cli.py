@@ -43,105 +43,103 @@ CONSTANTS_HEADER = "p,n,mu,nu,A_p,C_p,Hp_B,Ip_B,gamma,Sn,error"
 SERIES_CHECKS = tuple(name for name, check in CHECKS.items() if not check.needs_fields)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are configuration errors (exit 1)."""
+    def error(self, message):
+        raise DomainError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="renyiflow",
-                                  description="entropy-power experiments for u_t = Lap(u^p)")
+    top = _Parser(prog="renyiflow", description="entropy-power experiments for u_t = Lap(u^p)")
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp):
+    def command(name, run, help):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run)
         sp.add_argument("--config", type=str, default=None, help="INI config file; flags win")
         sp.add_argument("--out", type=str, default=None, help="output directory")
+        return sp
 
-    c = sub.add_parser("constants", help="closed-form constants table")
-    common(c)
+    c = command("constants", run_constants, "closed-form constants table")
     c.add_argument("--pair", action="append", default=None, metavar="P,N",
                    help="a (p, n) pair; repeatable")
 
-    b = sub.add_parser("barenblatt", help="dump a Barenblatt profile and its values")
-    common(b)
+    b = command("barenblatt", run_barenblatt, "dump a Barenblatt profile and its values")
     b.add_argument("--p", type=float, default=None)
-    b.add_argument("--dim", type=int, default=None)
-    b.add_argument("--nodes", type=int, default=None)
+    b.add_argument("--dim", type=int, default=1)
+    b.add_argument("--nodes", type=int, default=2048)
     b.add_argument("--radius", type=float, default=None)
-    b.add_argument("--t", type=float, default=None)
-    b.add_argument("--convention", choices=["unit", "pde"], default=None)
+    b.add_argument("--t", type=float, default=1.0)
+    b.add_argument("--convention", choices=["unit", "pde"], default="pde")
 
-    e = sub.add_parser("evolve", help="run the solver and verify requested claims")
-    common(e)
+    e = command("evolve", run_evolve, "run the solver and verify requested claims")
     e.add_argument("--p", type=float, default=None)
-    e.add_argument("--dim", type=int, default=None)
+    e.add_argument("--dim", type=int, default=1)
     e.add_argument("--geometry", choices=["cartesian1d", "radial"], default=None)
-    e.add_argument("--nodes", type=int, default=None)
+    e.add_argument("--nodes", type=int, default=1024)
     e.add_argument("--radius", type=float, default=None)
-    e.add_argument("--t-start", dest="t_start", type=float, default=None)
-    e.add_argument("--t-end", dest="t_end", type=float, default=None)
-    e.add_argument("--snapshots", type=int, default=None)
-    e.add_argument("--initial", type=str, default=None,
+    e.add_argument("--t-start", dest="t_start", type=float, default=1.0)
+    e.add_argument("--t-end", dest="t_end", type=float, default=2.0)
+    e.add_argument("--snapshots", type=int, default=9)
+    e.add_argument("--initial", type=str, default="mixture",
                    help="barenblatt | gaussian | mixture | file:PATH")
-    e.add_argument("--seed", type=int, default=None)
-    e.add_argument("--cfl", type=float, default=None)
-    e.add_argument("--verify", type=str, default=None, help="comma list: " + ",".join(CHECKS))
+    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--cfl", type=float, default=0.9)
+    e.add_argument("--verify", type=str, default="", help="comma list: " + ",".join(CHECKS))
     for name in CHECKS:
         e.add_argument(f"--tol-{name}", dest=f"tol_{name}", type=float, default=None)
 
-    v = sub.add_parser("verify", help="run checks on an existing snapshot CSV")
-    common(v)
+    v = command("verify", run_verify, "run checks on an existing snapshot CSV")
     v.add_argument("--snapshots-csv", dest="snapshots_csv", type=str, default=None)
     v.add_argument("--p", type=float, default=None)
-    v.add_argument("--dim", type=int, default=None)
-    v.add_argument("--checks", type=str, default=None,
+    v.add_argument("--dim", type=int, default=1)
+    v.add_argument("--checks", type=str, default="concavity,upsilon",
                    help="comma list: " + ",".join(SERIES_CHECKS))
     for name in SERIES_CHECKS:
         v.add_argument(f"--tol-{name}", dest=f"tol_{name}", type=float, default=None)
 
-    s = sub.add_parser("sweep", help="verdict table over (p, dim, seed) triples")
-    common(s)
-    s.add_argument("--p", type=str, default=None, help="comma list of p values")
-    s.add_argument("--dim", type=str, default=None, help="comma list of dimensions")
-    s.add_argument("--seeds", type=int, default=None, help="seeds 0..count-1")
-    s.add_argument("--nodes", type=int, default=None)
-    s.add_argument("--t-start", dest="t_start", type=float, default=None)
-    s.add_argument("--t-end", dest="t_end", type=float, default=None)
-    s.add_argument("--snapshots", type=int, default=None)
-    s.add_argument("--cfl", type=float, default=None)
-    s.add_argument("--workers", type=int, default=None)
+    s = command("sweep", run_sweep, "verdict table over (p, dim, seed) triples")
+    s.add_argument("--p", type=str, default="0.8,1.5,2", help="comma list of p values")
+    s.add_argument("--dim", type=str, default="1", help="comma list of dimensions")
+    s.add_argument("--seeds", type=int, default=3, help="seeds 0..count-1")
+    s.add_argument("--nodes", type=int, default=512)
+    s.add_argument("--t-start", dest="t_start", type=float, default=1.0)
+    s.add_argument("--t-end", dest="t_end", type=float, default=1.15)
+    s.add_argument("--snapshots", type=int, default=7)
+    s.add_argument("--cfl", type=float, default=0.9)
+    s.add_argument("--workers", type=int, default=1)
     return top
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise DomainError(f"config file {path} not found")
-    merged: dict[str, str] = {}
-    for section in parser.sections():
-        merged.update(dict(parser[section]))
-    merged.update(dict(parser.defaults()))
-    return merged
+def _config_defaults(command: argparse.ArgumentParser, args, path: str) -> dict:
+    """The values of the INI file at path (all sections merged) that name an
+    option of command, as `t-end` or `t_end`, and that no flag set.  As defaults
+    of command, argparse converts and checks them like flags; an `append` flag
+    would add to them."""
+    ini = configparser.ConfigParser()
+    try:
+        if not ini.read(path):
+            raise DomainError(f"config file {path} not found")
+        config = {key: val for name in ini.sections() for key, val in ini[name].items()}
+    except configparser.Error as err:
+        raise DomainError(f"config file {path}: {err}") from None
+    config.update(ini.defaults())
+    defaults = {}
+    for action in command._actions:
+        raw = config.get(action.dest.replace("_", "-"), config.get(action.dest))
+        if raw is not None and getattr(args, action.dest, None) is action.default:
+            defaults[action.dest] = raw
+    return defaults
 
 
-def _effective(args: argparse.Namespace, config: dict, key: str, default, cast=None):
-    """Flag value if given, else config value, else default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    raw = config.get(key.replace("_", "-"), config.get(key))
-    if raw is None:
-        return default
-    if cast is not None:
-        return cast(raw)
-    if default is not None and not isinstance(default, str):
-        return type(default)(raw)
-    return raw
-
-
-def _outdir(base: str | None, config: dict, fallback: str = "out") -> Path:
-    root = Path(base) if base else Path(fallback)
-    d = root / f"exp-{config_hash(config)}"
+def _outdir(base: str | None, config: dict) -> Path:
+    d = Path(base or "out") / f"exp-{config_hash(config)}"
     d.mkdir(parents=True, exist_ok=True)
     return d
+
+
+def _exit_code(passed) -> int:
+    return EXIT_OK if all(passed) else EXIT_VERDICT
 
 
 # ---------------------------------------------------------------- constants
@@ -163,15 +161,15 @@ def _constants_row(p: float, n: int) -> str:
     return ",".join(cells)
 
 
-def run_constants(args, config) -> int:
-    pairs_raw = _effective(args, config, "pair", None)
-    if pairs_raw is None:
+def run_constants(args) -> int:
+    pairs = args.pair
+    if pairs is None:
         print("constants: need at least one --pair P,N", file=sys.stderr)
         return EXIT_CONFIG
-    if isinstance(pairs_raw, str):
-        pairs_raw = [tok for tok in pairs_raw.split(";") if tok.strip()]
+    if isinstance(pairs, str):  # from a config file: P,N;P,N
+        pairs = [tok for tok in pairs.split(";") if tok.strip()]
     rows = [CONSTANTS_HEADER]
-    for tok in pairs_raw:
+    for tok in pairs:
         try:
             p_str, n_str = tok.split(",")
             rows.append(_constants_row(float(p_str), int(n_str)))
@@ -180,9 +178,8 @@ def run_constants(args, config) -> int:
             return EXIT_CONFIG
     text = "\n".join(rows)
     print(text)
-    out = getattr(args, "out", None) or config.get("out")
-    if out:
-        d = _outdir(out, {"subcommand": "constants", "pairs": list(pairs_raw)})
+    if args.out:
+        d = _outdir(args.out, {"subcommand": "constants", "pairs": list(pairs)})
         (d / "constants.csv").write_text(text + "\n")
         print(f"wrote {d / 'constants.csv'}", file=sys.stderr)
     return EXIT_OK
@@ -190,21 +187,17 @@ def run_constants(args, config) -> int:
 
 # ---------------------------------------------------------------- barenblatt
 
-def run_barenblatt(args, config) -> int:
-    p = _effective(args, config, "p", None, float)
-    dim = _effective(args, config, "dim", 1, int)
+def run_barenblatt(args) -> int:
+    p, dim, t, convention = args.p, args.dim, args.t, args.convention
     if p is None:
         print("barenblatt: --p is required", file=sys.stderr)
         return EXIT_CONFIG
-    nodes = _effective(args, config, "nodes", 2048, int)
-    t = _effective(args, config, "t", 1.0, float)
-    convention = _effective(args, config, "convention", "pde")
     spec = analytic.barenblatt_spec(p, dim, convention)
-    radius = _effective(args, config, "radius", None, float)
+    radius = args.radius
     if radius is None:
         radius = analytic.suggest_domain_radius(p, dim, 1e-8, convention) \
             * t ** (1.0 / spec.coeffs.mu) * (1.05 if p > 1.0 else 1.0)
-    grid = Grid.cartesian(nodes, radius) if dim == 1 else Grid.radial(dim, nodes, radius)
+    grid = Grid.cartesian(args.nodes, radius) if dim == 1 else Grid.radial(dim, args.nodes, radius)
     from .initial_data import sample_barenblatt_from_spec
 
     fld = sample_barenblatt_from_spec(grid, spec, t)
@@ -213,10 +206,10 @@ def run_barenblatt(args, config) -> int:
     print(f"Hp={analytic.barenblatt_entropy(spec)!r} Ip={analytic.barenblatt_fisher(spec)!r}")
     print(f"Np={analytic.barenblatt_entropy_power(spec)!r} "
           f"gamma={analytic.gamma_const(p, dim)!r}")
-    out = getattr(args, "out", None) or config.get("out")
-    if out:
-        d = _outdir(out, {"subcommand": "barenblatt", "p": p, "dim": dim, "t": t,
-                          "nodes": nodes, "radius": radius, "convention": convention})
+    if args.out:
+        d = _outdir(args.out, {"subcommand": "barenblatt", "p": p, "dim": dim, "t": t,
+                               "nodes": args.nodes, "radius": radius,
+                               "convention": convention})
         write_profile(d / "profile.csv", fld)
         print(f"wrote {d / 'profile.csv'}", file=sys.stderr)
     return EXIT_OK
@@ -249,63 +242,54 @@ def _initial_field(kind: str, grid: Grid, p: float, t_start: float, seed: int):
     raise DomainError(f"unknown initial data kind {kind!r}")
 
 
-def _check_names(raw: str, p: float, dim: int, with_fields: bool) -> list[str]:
-    names = [n for n in raw.split(",") if n] if raw else []
-    validate_checks(names, p, dim, with_fields)
-    return names
+def _requested_checks(args, raw: str, with_fields: bool) -> tuple[list[str], dict[str, float]]:
+    """The check names in the comma list raw, validated at (args.p, args.dim),
+    and the --tol-NAME values given for the checks the subcommand offers."""
+    names = [n for n in raw.split(",") if n]
+    validate_checks(names, args.p, args.dim, with_fields)
+    tols = {key[len("tol_"):]: val for key, val in vars(args).items()
+            if key.startswith("tol_") and val is not None}
+    return names, tols
 
 
-def _tolerances(args, config, names) -> dict[str, float]:
-    """The --tol-NAME overrides given for the checks in names."""
-    tols = {}
-    for name in names:
-        val = _effective(args, config, f"tol_{name}", None, float)
-        if val is not None:
-            tols[name] = val
-    return tols
+def _run(cfg: dict, sized: bool = False):
+    """The result and checks of the run an evolve cfg describes and, if sized,
+    the Barenblatt sizing report of its domain (None where p has no envelope)."""
+    p, dim, nodes, radius = cfg["p"], cfg["dim"], cfg["nodes"], cfg["radius"]
+    grid = Grid.cartesian(nodes, radius) if cfg["geometry"] == "cartesian1d" \
+        else Grid.radial(dim, nodes, radius)
+    params = DiffusionParams(p=p, dim=dim, t_start=cfg["t_start"], t_end=cfg["t_end"],
+                             snapshot_count=cfg["snapshots"], cfl_safety=cfg["cfl"])
+    f0 = _initial_field(cfg["initial"], grid, p, cfg["t_start"], cfg["seed"])
+    sizing = None
+    if sized and (p > 1.0 or dim / (dim + 2.0) < p < 1.0):
+        sizing = asdict(fast_diffusion_guard(params, grid))
+    result = evolve(f0, params, with_dissipation="dissipation" in cfg["verify"])
+    checks = run_checks(cfg["verify"], result.snapshots, p, dim, cfg["tols"], result.fields)
+    return result, checks, sizing
 
 
-def run_evolve(args, config) -> int:
-    p = _effective(args, config, "p", None, float)
-    dim = _effective(args, config, "dim", 1, int)
+def run_evolve(args) -> int:
+    p, dim = args.p, args.dim
     if p is None:
         print("evolve: --p is required", file=sys.stderr)
         return EXIT_CONFIG
-    geometry = _effective(args, config, "geometry",
-                          "cartesian1d" if dim == 1 else "radial")
-    nodes = _effective(args, config, "nodes", 1024, int)
-    t_start = _effective(args, config, "t_start", 1.0, float)
-    t_end = _effective(args, config, "t_end", 2.0, float)
-    snapshots = _effective(args, config, "snapshots", 9, int)
-    initial = _effective(args, config, "initial", "mixture")
-    seed = _effective(args, config, "seed", 0, int)
-    cfl = _effective(args, config, "cfl", 0.9, float)
-    names = _check_names(_effective(args, config, "verify", ""), p, dim, with_fields=True)
-    tols = _tolerances(args, config, CHECKS)
-    radius = _effective(args, config, "radius", None, float)
+    names, tols = _requested_checks(args, args.verify, with_fields=True)
+    radius = args.radius
     if radius is None:
-        radius = _default_radius(p, dim, t_end, initial)
-
-    cfg = {"subcommand": "evolve", "p": p, "dim": dim, "geometry": geometry,
-           "nodes": nodes, "radius": radius, "t_start": t_start, "t_end": t_end,
-           "snapshots": snapshots, "initial": initial, "seed": seed, "cfl": cfl,
-           "verify": names, "tols": tols}
-    if geometry == "cartesian1d" and dim != 1:
+        radius = _default_radius(p, dim, args.t_end, args.initial)
+    cfg = {"subcommand": "evolve", "p": p, "dim": dim,
+           "geometry": args.geometry or ("cartesian1d" if dim == 1 else "radial"),
+           "nodes": args.nodes, "radius": radius, "t_start": args.t_start,
+           "t_end": args.t_end, "snapshots": args.snapshots, "initial": args.initial,
+           "seed": args.seed, "cfl": args.cfl, "verify": names, "tols": tols}
+    if cfg["geometry"] == "cartesian1d" and dim != 1:
         print("evolve: cartesian1d requires dim = 1 (DiffusionParams precondition)",
               file=sys.stderr)
         return EXIT_CONFIG
-    grid = Grid.cartesian(nodes, radius) if geometry == "cartesian1d" \
-        else Grid.radial(dim, nodes, radius)
-    params = DiffusionParams(p=p, dim=dim, t_start=t_start, t_end=t_end,
-                             snapshot_count=snapshots, cfl_safety=cfl)
-    f0 = _initial_field(initial, grid, p, t_start, seed)
-    sizing = None
-    if p > 1.0 or dim / (dim + 2.0) < p < 1.0:
-        sizing = asdict(fast_diffusion_guard(params, grid))
-    result = evolve(f0, params, with_dissipation="dissipation" in names)
-    checks = run_checks(names, result.snapshots, p, dim, tols, result.fields)
+    result, checks, sizing = _run(cfg, sized=True)
 
-    d = _outdir(getattr(args, "out", None) or config.get("out"), cfg)
+    d = _outdir(args.out, cfg)
     write_snapshots(d / "snapshots.csv", result.snapshots)
     write_profile(d / "profile_final.csv", result.fields[-1])
     write_run_meta(d / "run_meta.json", {
@@ -319,87 +303,67 @@ def run_evolve(args, config) -> int:
         write_verdicts(d / "verdicts.txt", checks)
         print(summary_table(checks))
     print(f"wrote {d}", file=sys.stderr)
-    return EXIT_OK if all(c.passed for c in checks.values()) else EXIT_VERDICT
+    return _exit_code(c.passed for c in checks.values())
 
 
 # ---------------------------------------------------------------- verify
 
-def run_verify(args, config) -> int:
-    csv_path = _effective(args, config, "snapshots_csv", None)
-    p = _effective(args, config, "p", None, float)
-    dim = _effective(args, config, "dim", 1, int)
-    if csv_path is None or p is None:
+def run_verify(args) -> int:
+    if args.snapshots_csv is None or args.p is None:
         print("verify: --snapshots-csv and --p are required", file=sys.stderr)
         return EXIT_CONFIG
-    names = _check_names(_effective(args, config, "checks", "concavity,upsilon"), p, dim,
-                         with_fields=False)
-    tols = _tolerances(args, config, SERIES_CHECKS)
-    checks = run_checks(names, read_snapshots(csv_path), p, dim, tols)
+    names, tols = _requested_checks(args, args.checks, with_fields=False)
+    checks = run_checks(names, read_snapshots(args.snapshots_csv), args.p, args.dim, tols)
     print(summary_table(checks))
-    out = getattr(args, "out", None) or config.get("out")
-    if out:
-        d = _outdir(out, {"subcommand": "verify", "csv": str(csv_path), "checks": names})
+    if args.out:
+        d = _outdir(args.out, {"subcommand": "verify", "csv": str(args.snapshots_csv),
+                               "checks": names})
         write_verdicts(d / "verdicts.txt", checks)
-    return EXIT_OK if all(c.passed for c in checks.values()) else EXIT_VERDICT
+    return _exit_code(c.passed for c in checks.values())
 
 
 # ---------------------------------------------------------------- sweep
 
 def _sweep_row(job: tuple) -> dict:
     p, dim, seed, nodes, t_start, t_end, snapshots, cfl, outdir = job
-    row = {"p": p, "dim": dim, "seed": seed}
+    row = {"p": p, "dim": dim, "seed": seed, "passed": False}
+    names = ["concavity", "upsilon"]
+    if p != 1.0 and p > dim / (dim + 2.0):
+        names.append("isoperimetric")
     try:
-        geometry = "cartesian1d" if dim == 1 else "radial"
-        radius = _default_radius(p, dim, t_end, "mixture")
-        grid = Grid.cartesian(nodes, radius) if geometry == "cartesian1d" \
-            else Grid.radial(dim, nodes, radius)
-        f0 = _initial_field("mixture", grid, p, t_start, seed)
-        params = DiffusionParams(p=p, dim=dim, t_start=t_start, t_end=t_end,
-                                 snapshot_count=snapshots, cfl_safety=cfl)
-        result = evolve(f0, params)
-        names = ["concavity", "upsilon"]
-        if p != 1.0 and p > dim / (dim + 2.0):
-            names.append("isoperimetric")
-        checks = run_checks(names, result.snapshots, p, dim, {}, result.fields)
-        row["passed"] = all(c.passed for c in checks.values())
-        row["margins"] = {k: c.margin for k, c in checks.items()}
-        row["error"] = ""
+        cfg = {"p": p, "dim": dim, "geometry": "cartesian1d" if dim == 1 else "radial",
+               "nodes": nodes, "radius": _default_radius(p, dim, t_end, "mixture"),
+               "t_start": t_start, "t_end": t_end, "snapshots": snapshots,
+               "initial": "mixture", "seed": seed, "cfl": cfl, "verify": names, "tols": {}}
+        result, checks, _ = _run(cfg)
+        row.update(passed=all(c.passed for c in checks.values()), error="")
         if outdir is not None:
             d = Path(outdir) / f"row-p{p}-n{dim}-s{seed}"
             d.mkdir(parents=True, exist_ok=True)
             write_snapshots(d / "snapshots.csv", result.snapshots)
             write_verdicts(d / "verdicts.txt", checks)
     except StabilityError as err:
-        row.update(passed=False, margins={}, error=f"stability: {err}")
+        row["error"] = f"stability: {err}"
     except (DomainError, InsufficientData) as err:
-        row.update(passed=False, margins={}, error=str(err))
+        row["error"] = str(err)
     return row
 
 
-def run_sweep(args, config) -> int:
-    p_list = _effective(args, config, "p", "0.8,1.5,2")
-    dim_list = _effective(args, config, "dim", "1")
-    seeds = _effective(args, config, "seeds", 3, int)
-    nodes = _effective(args, config, "nodes", 512, int)
-    t_start = _effective(args, config, "t_start", 1.0, float)
-    t_end = _effective(args, config, "t_end", 1.15, float)
-    snapshots = _effective(args, config, "snapshots", 7, int)
-    cfl = _effective(args, config, "cfl", 0.9, float)
-    workers = _effective(args, config, "workers", 1, int)
+def run_sweep(args) -> int:
     try:
-        ps = [float(x) for x in str(p_list).split(",") if x]
-        dims = [int(x) for x in str(dim_list).split(",") if x]
+        ps = [float(x) for x in args.p.split(",") if x]
+        dims = [int(x) for x in args.dim.split(",") if x]
     except ValueError:
         print("sweep: malformed --p or --dim list", file=sys.stderr)
         return EXIT_CONFIG
-    cfg = {"subcommand": "sweep", "p": ps, "dim": dims, "seeds": seeds,
-           "nodes": nodes, "t_start": t_start, "t_end": t_end,
-           "snapshots": snapshots, "cfl": cfl}
-    d = _outdir(getattr(args, "out", None) or config.get("out"), cfg)
-    jobs = [(p, dim, seed, nodes, t_start, t_end, snapshots, cfl, str(d))
-            for p in ps for dim in dims for seed in range(seeds)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    cfg = {"subcommand": "sweep", "p": ps, "dim": dims, "seeds": args.seeds,
+           "nodes": args.nodes, "t_start": args.t_start, "t_end": args.t_end,
+           "snapshots": args.snapshots, "cfl": args.cfl}
+    d = _outdir(args.out, cfg)
+    jobs = [(p, dim, seed, args.nodes, args.t_start, args.t_end, args.snapshots, args.cfl,
+             str(d)) for p in ps for dim in dims for seed in range(args.seeds)]
+    if args.workers > 1:
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_sweep_row, jobs))
     else:
         rows = [_sweep_row(j) for j in jobs]
@@ -410,24 +374,19 @@ def run_sweep(args, config) -> int:
     (d / "sweep.csv").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
     print(f"wrote {d / 'sweep.csv'}", file=sys.stderr)
-    return EXIT_OK if all(r["passed"] for r in rows) else EXIT_VERDICT
+    return _exit_code(r["passed"] for r in rows)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
     try:
-        config = _load_config(args.config)
-        if args.subcommand == "constants":
-            return run_constants(args, config)
-        if args.subcommand == "barenblatt":
-            return run_barenblatt(args, config)
-        if args.subcommand == "evolve":
-            return run_evolve(args, config)
-        if args.subcommand == "verify":
-            return run_verify(args, config)
-        if args.subcommand == "sweep":
-            return run_sweep(args, config)
-        raise DomainError(f"unknown subcommand {args.subcommand}")
+        args = parser.parse_args(argv)
+        if args.config is not None:
+            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            command = sub.choices[args.subcommand]
+            command.set_defaults(**_config_defaults(command, args, args.config))
+            args = parser.parse_args(argv)
+        return args.run(args)
     except StabilityError as err:
         print(f"stability failure: {err}", file=sys.stderr)
         return EXIT_STABILITY

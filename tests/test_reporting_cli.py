@@ -321,6 +321,17 @@ class TestSweepCommand:
         b = next((tmp_path / "par").glob("exp-*/sweep.csv")).read_bytes()
         assert a == b
 
+    def test_row_is_the_evolve_run(self, tmp_path):
+        # a sweep row and `evolve` share one run path: same datum, grid and march
+        common = ["--dim", "1", "--nodes", "256", "--t-end", "1.1", "--snapshots", "5"]
+        assert main(["sweep", "--p", "1.5", "--seeds", "2", *common,
+                     "--out", str(tmp_path / "sweep")]) == 0
+        assert main(["evolve", "--p", "1.5", "--seed", "1", *common,
+                     "--out", str(tmp_path / "evolve")]) == 0
+        row = next((tmp_path / "sweep").glob("exp-*/row-p1.5-n1-s1/snapshots.csv"))
+        run = next((tmp_path / "evolve").glob("exp-*/snapshots.csv"))
+        assert row.read_bytes() == run.read_bytes()
+
 
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path, capsys):
@@ -340,3 +351,60 @@ class TestConfigFile:
 
     def test_missing_config_exit_one(self):
         assert main(["constants", "--config", "/no/such/file.ini"]) == 1
+
+    @pytest.mark.parametrize("t_end_key", ["t-end", "t_end"])
+    def test_config_run_equals_flag_run(self, tmp_path, t_end_key):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[grid]\n{t_end_key} = 1.1\nnodes = 256\n[output]\nsnapshots = 5\n")
+        base = ["evolve", "--p", "1.5", "--dim", "1", "--seed", "3"]
+        assert main(base + ["--config", str(cfg), "--out", str(tmp_path / "config")]) == 0
+        assert main(base + ["--t-end", "1.1", "--nodes", "256", "--snapshots", "5",
+                            "--out", str(tmp_path / "flags")]) == 0
+        (by_config,) = (tmp_path / "config").glob("exp-*")
+        (by_flags,) = (tmp_path / "flags").glob("exp-*")
+        assert by_config.name == by_flags.name
+        assert (by_config / "run_meta.json").read_bytes() == \
+            (by_flags / "run_meta.json").read_bytes()
+
+    def test_unknown_keys_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\ncolour = red\nrun = sweep\npair = 2,1\n")
+        assert main(["constants", "--config", str(cfg), "--out", str(tmp_path / "config")]) == 0
+        by_config = capsys.readouterr().out
+        assert main(["constants", "--pair", "2,1", "--out", str(tmp_path / "flags")]) == 0
+        assert capsys.readouterr().out == by_config
+        assert [d.name for d in (tmp_path / "config").glob("exp-*")] == \
+            [d.name for d in (tmp_path / "flags").glob("exp-*")]
+
+    def test_bad_config_value_exit_one(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[grid]\nnodes = abc\n")
+        assert main(["evolve", "--p", "2", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == \
+            "configuration error: argument --nodes: invalid int value: 'abc'\n"
+
+    def test_malformed_config_exit_one(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("nodes = 256\n")  # no section header
+        assert main(["evolve", "--p", "2", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("configuration error:")
+
+
+class TestUsageErrors:
+    """argparse's usage errors are configuration errors: exit 1, not argparse's 2."""
+
+    def test_bad_flag_value_exit_one(self, capsys):
+        assert main(["evolve", "--p", "2", "--nodes", "abc"]) == 1
+        assert capsys.readouterr().err == \
+            "configuration error: argument --nodes: invalid int value: 'abc'\n"
+
+    @pytest.mark.parametrize("argv", [[], ["evolv", "--p", "2"], ["evolve", "--colour", "red"]])
+    def test_bad_command_line_exit_one(self, argv, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("configuration error: ")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["evolve", "--help"])
+        assert exit_.value.code == 0
+        assert "--tol-isoperimetric" in capsys.readouterr().out
