@@ -94,7 +94,7 @@ def upsilon_monotone(series, tol: float = TOL_UPSILON) -> CheckResult:
     t, y = _times_values(series, "upsilon")
     rises = np.diff(y)
     worst = int(np.argmax(rises))
-    violation = float(rises[worst]) / abs(y[0])
+    violation = float(rises[worst] / abs(y[0]))
     return CheckResult("upsilon_monotone", violation <= tol, tol - violation, tol,
                        f"max relative rise {violation:.3e} at t={t[worst + 1]:.6g}")
 

@@ -8,6 +8,7 @@ import pytest
 import renyiflow as rf
 from renyiflow import verification
 from renyiflow.errors import DomainError, InsufficientData
+from renyiflow.reporting import verdict_lines
 
 
 def series_with_np(times, values):
@@ -306,6 +307,14 @@ class TestRunChecks:
             verification.validate_checks(["isoperimetric"], 1.0, 1, with_fields=True)
         with pytest.raises(DomainError, match=r"needs p > n/\(n\+2\) = 0.6"):
             verification.validate_checks(["isoperimetric"], 0.6, 3, with_fields=True)
+
+    def test_margins_are_python_floats(self, mixture_run):
+        # verdicts.txt prints repr(margin), which for a numpy scalar reads np.float64(...)
+        checks = rf.run_checks(list(rf.CHECKS), mixture_run.snapshots, 1.5, 1, {},
+                               mixture_run.fields)
+        assert {name: type(c.margin) for name, c in checks.items()} == dict.fromkeys(
+            rf.CHECKS, float)
+        assert not any("np." in line for line in verdict_lines(checks))
 
     def test_default_tolerances(self):
         # the per-check defaults the CLI used before the registry existed
