@@ -113,9 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_defaults(command: argparse.ArgumentParser, args, path: str) -> dict:
     """The values of the INI file at path (all sections merged) that name an
-    option of command, as `t-end` or `t_end`, and that no flag set.  As defaults
-    of command, argparse converts and checks them like flags; an `append` flag
-    would add to them."""
+    option of command, as `t-end` or `t_end`, and that no flag set.  As defaults,
+    argparse converts them like flags but checks no choices, and appends flags to them."""
     ini = configparser.ConfigParser()
     try:
         if not ini.read(path):
@@ -127,6 +126,8 @@ def _config_defaults(command: argparse.ArgumentParser, args, path: str) -> dict:
     defaults = {}
     for action in command._actions:
         raw = config.get(action.dest.replace("_", "-"), config.get(action.dest))
+        if raw is not None and action.choices is not None and raw not in action.choices:
+            command.error(f"argument {action.option_strings[0]}: invalid choice: {raw!r}")
         if raw is not None and getattr(args, action.dest, None) is action.default:
             defaults[action.dest] = raw
     return defaults

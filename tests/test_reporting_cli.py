@@ -383,6 +383,17 @@ class TestConfigFile:
         assert capsys.readouterr().err == \
             "configuration error: argument --nodes: invalid int value: 'abc'\n"
 
+    def test_bad_config_choice_exit_one(self, tmp_path, monkeypatch, capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("evolve ran on a geometry no flag could give")
+
+        monkeypatch.setattr(cli, "evolve", no_solve)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[grid]\ngeometry = spherical\n")
+        assert main(["evolve", "--p", "2", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == \
+            "configuration error: argument --geometry: invalid choice: 'spherical'\n"
+
     def test_malformed_config_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
         cfg.write_text("nodes = 256\n")  # no section header
