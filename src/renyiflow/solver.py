@@ -94,17 +94,17 @@ class SolverState:
 
 
 class _Kernel:
-    """The flux steps on one (grid, p), in preallocated buffers.
+    """The flux steps on one (grid, p), in preallocated buffers and slice views.
 
     `advance` is the explicit step, `implicit_advance` the BDF2 one, which also
     keeps the previous u and step as its history; both share the weights, face
-    areas, buffers and state.  u is clipped to u >= 0 once, on entry; accepted
-    steps end in that clip.  v = u^p and its differences dv serve both the p < 1
-    chord stiffness and the fluxes, and the acceptance test's max(u) is the next
-    umax.  An explicit step refreshes v and dv; an implicit one uses them as
-    scratch, so callers refresh them with `_faces()` before reading them
-    (`accuracy_dt`, `cfl_dt`, `advance`).  Each out= pass of `advance` keeps
-    the operation order of the plain array expressions: bitwise theirs.
+    areas, buffers and state.  u is clipped to u >= 0 on entry and after a step
+    that undershoots.  v = u^p and its differences dv serve both the p < 1 chord
+    stiffness and the fluxes, and the acceptance test's max(u) is the next umax.
+    An explicit step refreshes v and dv; an implicit one uses them as scratch, so
+    callers refresh them with `_faces()` before reading them (`accuracy_dt`,
+    `cfl_dt`, `advance`).  Each out= pass of `advance` keeps the operation order
+    of the plain array expressions: bitwise theirs.
     """
 
     def __init__(self, grid: Grid, p: float, values: np.ndarray):
@@ -120,23 +120,23 @@ class _Kernel:
         self.new, self.v, self.div = np.empty(n), np.empty(n), np.empty(n)
         self.dv, self.du = np.empty(n - 1), np.empty(n - 1)
         self.flux, self.face = np.zeros(n + 1), np.empty(n + 1)  # walls: zero flux
-        self.conductance = areas[1:-1] / self.h  # interior faces, for the implicit step
-        self.coupling = np.zeros(n)  # sum of a node's face conductances
-        self.coupling[1:] += self.conductance
-        self.coupling[:-1] += self.conductance
+        face = self.face if grid.kind == RADIAL else self.flux
+        self.v_hi, self.v_lo, self.flux_in = self.v[1:], self.v[:-1], self.flux[1:-1]
+        self.face_hi, self.face_lo = face[1:], face[:-1]
+        cond = self.conductance = areas[1:-1] / self.h  # interior faces, for the implicit step
+        self.coupling = np.pad(cond, (1, 0)) + np.pad(cond, (0, 1))  # a node's face conductances
         self.u_prev, self.dt_prev = None, 0.0  # BDF2 history: none before the first implicit step
         self._faces()
 
     def _faces(self) -> None:
         np.power(self.u, self.p, out=self.v)
-        np.subtract(self.v[1:], self.v[:-1], out=self.dv)
+        np.subtract(self.v_hi, self.v_lo, out=self.dv)
 
     def stiffness(self) -> float:
         """Max diffusivity bound entering the CFL step: p * max(u)^{p-1} for p >= 1.
 
-        For p < 1 that would pick the *least* stiff node, so the max face chord
-        slope of u -> u^p is used instead: exactly the convex-combination
-        (monotonicity) bound for this scheme.
+        For p < 1 that would pick the *least* stiff node, so the max face chord slope
+        of u -> u^p is used instead: the convex-combination (monotonicity) bound.
         """
         if not self.umax > 0.0:
             raise DomainError("field has no positive maximum")
@@ -154,25 +154,25 @@ class _Kernel:
 
     def advance(self, dt: float, t: float) -> tuple[float, float, int]:
         """One accepted step from t, halving dt on undershoot: (dt, leak rate, rejections)."""
-        face = self.flux
-        np.divide(self.dv, self.h, out=face[1:-1])
+        np.divide(self.dv, self.h, out=self.flux_in)
         if self.areas is not None:
-            face = np.multiply(self.areas, face, out=self.face)
-        div = np.subtract(face[1:], face[:-1], out=self.div)
+            np.multiply(self.areas, self.flux, out=self.face)
+        div = np.subtract(self.face_hi, self.face_lo, out=self.div)
         new, rejections = self.new, 0
         while True:
             np.multiply(div, dt, out=new)
             np.divide(new, self.weights, out=new)
             np.add(self.u, new, out=new)
-            umax = new.max()
-            if new.min() >= -NEGATIVITY_SLACK * umax:
+            umax, umin = np.maximum.reduce(new), np.minimum.reduce(new)
+            if umin >= -NEGATIVITY_SLACK * umax:
                 break
             rejections += 1
             if rejections > MAX_REJECTIONS:
                 raise StabilityError(
                     f"step at t = {t} rejected {rejections} times; CFL bound violated")
             dt *= 0.5
-        np.maximum(new, 0.0, out=new)
+        if umin < 0.0:
+            np.maximum(new, 0.0, out=new)
         # outflow if the walls were vacuum; the inner radial face has zero area
         leak_rate = (self.outer_area * self.v[-1] + self.inner_area * self.v[0]) / self.h
         self.u, self.new, self.umax = new, self.u, float(umax)
@@ -182,7 +182,7 @@ class _Kernel:
     def _divergence(self, v: np.ndarray) -> np.ndarray:
         """(L v)_i: net face flux of v into cell i, walls closed."""
         np.subtract(v[1:], v[:-1], out=self.dv)
-        np.multiply(self.conductance, self.dv, out=self.flux[1:-1])
+        np.multiply(self.conductance, self.dv, out=self.flux_in)
         return np.subtract(self.flux[1:], self.flux[:-1], out=self.div)
 
     def accuracy_dt(self, mass_step: float) -> float:
