@@ -1,17 +1,18 @@
 """Conservative finite-volume solver for u_t = Lap(u^p).
 
-The update is written in flux form on v = u^p: face fluxes (v_R - v_L)/h,
-radial faces weighted by their area |S^{n-1}| r^{n-1}.  Interior fluxes
-telescope, so the discrete mass changes only through the (closed, zero-flux)
-boundary.  The explicit step keeps nonnegativity by the CFL bound, because
-each update is a convex combination of neighbor values; `step`, `cfl_dt` and
-p = 1 runs use it.  Where the CFL step is far below the step the flow's own
-rate of change allows, `evolve` takes linearly implicit BDF2 steps instead:
+The update is written in flux form on v = u^p: face fluxes (v_R - v_L)/h, radial
+faces weighted by their area |S^{n-1}| r^{n-1}.  Interior fluxes telescope, so
+the discrete mass changes only through the (closed, zero-flux) boundary.  The
+explicit step (`step`, `cfl_dt`, p = 1 runs) keeps nonnegativity: each update is
+a convex combination of neighbor values while dt D (A_{i-1/2} + A_{i+1/2}) is at
+most h w_i at every node (D the stiffness, A the face areas, w the weights), so
+for dt up to h^2 / (2 D) on Cartesian grids and h^2 / (2^(n-1) D) on radial
+ones, where node 0 sets it.  Where the CFL step is far below the step the flow's
+own rate of change allows, `evolve` takes linearly implicit BDF2 steps instead:
 always for p < 1, whose diffusivity p u^{p-1} peaks in the far tail, and for
-p > 1 from the first snapshot at which that is cheaper.  It re-sizes the step
-at every snapshot, so a slowing flow takes longer steps.  The degenerate p > 1
-front is handled as in Vazquez, *The Porous Medium Equation* (2007), ch. 5
-and 9.
+p > 1 from the first snapshot at which that is cheaper.  It re-sizes the step at
+every snapshot, so a slowing flow takes longer steps.  The degenerate p > 1
+front is handled as in Vazquez, *The Porous Medium Equation* (2007), ch. 5, 9.
 """
 from __future__ import annotations
 
@@ -109,10 +110,9 @@ class _Kernel:
 
     def __init__(self, grid: Grid, p: float, values: np.ndarray):
         n = grid.node_count
-        self.p, self.h = p, grid.spacing
-        self.d_geom = grid.dim if grid.kind == RADIAL else 1
-        self.weights = grid.weights()
+        self.p, self.h, self.weights = p, grid.spacing, grid.weights()
         areas = grid.face_areas()
+        self.d_geom = float(np.max((areas[:-1] + areas[1:]) * self.h / (2.0 * self.weights)))
         self.outer_area, self.inner_area = float(areas[-1]), float(areas[0])
         self.areas = areas if grid.kind == RADIAL else None  # cartesian faces: all 1
         self.u = np.maximum(values, 0.0)
@@ -317,7 +317,7 @@ def _eliminate(sub: list, diag: list, sup: list, rhs: list) -> np.ndarray:
 
 
 def cfl_dt(f: DensityField, params: DiffusionParams) -> float:
-    """Stable explicit step: cfl * h^2 / (2 * D_geom) / max diffusivity."""
+    """Stable explicit step cfl h^2 / (2 D_geom D): D_geom = 1 Cartesian, 2^(n-2) radial."""
     return _Kernel(f.grid, params.p, f.values).cfl_dt(params.cfl_safety)
 
 

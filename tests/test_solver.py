@@ -84,8 +84,47 @@ class TestCflDt:
         grid = rf.Grid.radial(3, 256, 5.0)
         f = rf.sample_mixture(grid, seed=1, mean_range=(0.0, 2.0))
         params3 = rf.DiffusionParams(p=2.0, dim=3, t_start=0.0, t_end=1.0)
-        expected = 0.9 * grid.spacing ** 2 / (2.0 * 3 * 2.0 * f.values.max())
+        # the factor 2^(n-2) = 2 at n = 3 is set by node 0, whose inner face has zero area
+        expected = 0.9 * grid.spacing ** 2 / (2.0 * 2.0 * 2.0 * f.values.max())
         assert cfl_dt(f, params3) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("kind, dim, factor", [
+        ("cartesian", 1, 1.0), ("radial", 1, 1.0), ("radial", 2, 1.0), ("radial", 3, 2.0),
+        ("radial", 4, 4.0), ("radial", 5, 8.0), ("radial", 6, 16.0)])
+    def test_exact_bound_factor(self, kind, dim, factor):
+        # p = 1 has unit stiffness, so cfl_dt = cfl h^2 / (2 factor)
+        grid = rf.Grid.cartesian(256, 5.0) if kind == "cartesian" else rf.Grid.radial(dim, 256, 5.0)
+        params = rf.DiffusionParams(p=1.0, dim=dim, t_start=0.0, t_end=1.0)
+        dt = cfl_dt(rf.sample_gaussian(grid, 0.5), params)
+        got = params.cfl_safety * grid.spacing ** 2 / (2.0 * dt)
+        assert got == pytest.approx(factor, abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+    def test_exact_bound_attained(self, dim):
+        # at the full bound the update's smallest convex weight 1 - dt D c_i / w_i is 0
+        # (D = 1 at p = 1); c_i sums the areas / h of node i's faces that carry flux
+        grid = rf.Grid.cartesian(256, 5.0) if dim == 1 else rf.Grid.radial(dim, 256, 5.0)
+        params = rf.DiffusionParams(p=1.0, dim=dim, t_start=0.0, t_end=1.0)
+        dt = cfl_dt(rf.sample_gaussian(grid, 0.5), params) / params.cfl_safety
+        areas = grid.face_areas().copy()
+        areas[[0, -1]] = 0.0
+        coupling = (areas[:-1] + areas[1:]) / grid.spacing
+        smallest = float(np.min(1.0 - dt * coupling / grid.weights()))
+        assert -1e-12 <= smallest <= 1e-12
+
+    @pytest.mark.parametrize("p", [0.8, 1.0, 2.0])
+    @pytest.mark.parametrize("dim", [4, 5, 6])
+    def test_spike_at_origin_no_rejection(self, dim, p):
+        # node 0 sets the bound; the 2n factor stepped above it for n >= 5
+        grid = rf.Grid.radial(dim, 256, 5.0)
+        spike = np.zeros(256)
+        spike[0] = 1.0
+        state = SolverState(t=0.0, grid=grid, values=spike)
+        params = rf.DiffusionParams(p=p, dim=dim, t_start=0.0, t_end=1.0)
+        for _ in range(50):
+            state = step(state, params)
+            assert state.values.min() >= 0.0
+        assert state.rejection_count == 0
 
     def test_barenblatt_run_zero_rejections(self, barenblatt_run):
         assert barenblatt_run.rejection_count == 0
@@ -284,9 +323,15 @@ def _reference_advance(values, p, dt, grid):
     return new, dt, leak_rate, rejections
 
 
+def _cfl_factor(grid):
+    """max_i (A_{i-1/2} + A_{i+1/2}) h / (2 w_i): 1 on Cartesian grids, 2^(n-2) on radial ones."""
+    areas = grid.face_areas()
+    return float(np.max((areas[:-1] + areas[1:]) * grid.spacing / (2.0 * grid.weights())))
+
+
 def _reference_march(f0, params):
     grid = f0.grid
-    d_geom = grid.dim if grid.kind == "radial" else 1
+    d_geom = _cfl_factor(grid)
     cfl_scale = params.cfl_safety * grid.spacing * grid.spacing / (2.0 * d_geom)
     times = params.times()
     values, t = f0.values.copy(), float(times[0])
@@ -375,7 +420,7 @@ class TestKernelMatchesReference:
         assert np.any(np.diff(values) == 0.0) and values.min() == 0.0
         f = rf.DensityField(grid, values)
         params = rf.DiffusionParams(p=0.8, dim=grid.dim, t_start=0.0, t_end=1.0)
-        d_geom = grid.dim if geometry == "radial3" else 1
+        d_geom = _cfl_factor(grid)
         want = params.cfl_safety * grid.spacing * grid.spacing / (2.0 * d_geom) / (
             _reference_stiffness(values, 0.8))
         assert cfl_dt(f, params) == want
@@ -532,7 +577,7 @@ class TestImplicitPorousMedium:
         assert np.array_equal(run.fields[-1].values, fields[-1])
 
     def test_sweep_mixture_stays_explicit(self):
-        # the sweep's p = 2, n = 3, seed 0 row: the accuracy step is 73 CFL steps
+        # the sweep's p = 2, n = 3, seed 0 row: the accuracy step is 49 CFL steps
         grid = rf.Grid.radial(3, 512, 10.0)
         f0 = rf.sample_mixture(grid, seed=0, mean_range=(0.0, 2.0))
         params = rf.DiffusionParams(p=2.0, dim=3, t_start=1.0, t_end=1.15, snapshot_count=7)
