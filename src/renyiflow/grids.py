@@ -135,13 +135,22 @@ class DensityField:
 def gradient(values: np.ndarray, grid: Grid) -> np.ndarray:
     """First derivative: central in the interior, one-sided second order at ends.
 
-    Radial grids use the even-extension ghost (g'(0) = 0) at the inner end.
+    Radial grids use the even-extension ghost (g'(0) = 0) at the inner end: with
+    a mirror node at -h/2, node 0's central difference is (v_1 - v_0) / (2h).
+    The stencils and their operation order are `np.gradient(v, h, edge_order=2)`'s,
+    so the result is bitwise its.
     """
-    h = grid.spacing
-    if grid.kind == CARTESIAN:
-        return np.gradient(values, h, edge_order=2)
-    ext = np.concatenate(([values[0]], values))  # mirror node at -h/2
-    return np.gradient(ext, h, edge_order=2)[1:]
+    h, v = grid.spacing, values
+    d = np.empty_like(v, dtype=float)
+    inner = d[1:-1]
+    np.subtract(v[2:], v[:-2], out=inner)
+    np.divide(inner, 2.0 * h, out=inner)
+    a, b, c = -1.5 / h, 2.0 / h, -0.5 / h  # one-sided weights, mirrored at the far end
+    v0, v1, v2 = v[:3].tolist()
+    d[0] = a * v0 + b * v1 + c * v2 if grid.kind == CARTESIAN else (v1 - v0) / (2.0 * h)
+    far = v[-3:].tolist()
+    d[-1] = -c * far[0] + -b * far[1] + -a * far[2]
+    return d
 
 
 def second_derivative(values: np.ndarray, grid: Grid) -> np.ndarray:

@@ -121,6 +121,20 @@ class TestDerivatives:
         err = np.max(np.abs(gradient(np.sin(x), g) - np.cos(x)))
         assert err < 5.0 * g.spacing ** 2
 
+    @pytest.mark.parametrize("nodes", [8, 512, 4096])
+    @pytest.mark.parametrize("kind", ["cartesian", "radial"])
+    def test_gradient_bitwise_numpy(self, kind, nodes):
+        # the radial inner end is np.gradient's central difference over a mirror node
+        rng = np.random.default_rng(nodes)
+        for _ in range(20):
+            radius = rng.uniform(0.5, 20.0)
+            g = rf.Grid.cartesian(nodes, radius) if kind == "cartesian" \
+                else rf.Grid.radial(3, nodes, radius)
+            v = rng.standard_normal(nodes) * 10.0 ** rng.uniform(-5.0, 5.0)
+            ext = v if kind == "cartesian" else np.concatenate(([v[0]], v))
+            want = np.gradient(ext, g.spacing, edge_order=2)[ext.size - nodes:]
+            assert np.array_equal(gradient(v, g).view(np.int64), want.view(np.int64))
+
     def test_cartesian_second_derivative(self):
         g = rf.Grid.cartesian(512, 2.0)
         x = g.nodes()
