@@ -38,6 +38,7 @@ EXIT_STABILITY = 2
 EXIT_VERDICT = 3
 
 CONSTANTS_HEADER = "p,n,mu,nu,A_p,C_p,Hp_B,Ip_B,gamma,Sn,error"
+_EVOLVE_NODES = 1024  # the --nodes default of evolve
 
 # the checks that need only a snapshot series, so `verify` can run them
 SERIES_CHECKS = tuple(name for name, check in CHECKS.items() if not check.needs_fields)
@@ -76,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--p", type=float, default=None)
     e.add_argument("--dim", type=int, default=1)
     e.add_argument("--geometry", choices=["cartesian1d", "radial"], default=None)
-    e.add_argument("--nodes", type=int, default=1024)
+    e.add_argument("--nodes", type=int, default=_EVOLVE_NODES)
     e.add_argument("--radius", type=float, default=None)
     e.add_argument("--t-start", dest="t_start", type=float, default=1.0)
     e.add_argument("--t-end", dest="t_end", type=float, default=2.0)
@@ -243,6 +244,25 @@ def _initial_field(kind: str, grid: Grid, p: float, t_start: float, seed: int):
     raise DomainError(f"unknown initial data kind {kind!r}")
 
 
+def _profile_grid(args) -> dict:
+    """nodes, radius and geometry of the grid of the --initial file:PATH profile.
+
+    The profile brings its own grid, so a --nodes, --radius or --geometry value
+    (flag or config) other than the option's default and the grid's own is an error.
+    """
+    grid = read_profile(args.initial[len("file:"):]).grid
+    own = {"nodes": grid.node_count, "radius": grid.radius(), "geometry": grid.kind}
+    unset = {"nodes": _EVOLVE_NODES, "radius": None, "geometry": None}
+    for name, value in own.items():
+        given = getattr(args, name)
+        if given in (unset[name], value):
+            continue
+        if name != "radius" or not math.isclose(given, value, rel_tol=1e-12):
+            raise DomainError(f"--{name} {given!r} differs from the {value!r} of the "
+                              f"grid of {args.initial}")
+    return own
+
+
 def _requested_checks(args, raw: str, with_fields: bool) -> tuple[list[str], dict[str, float]]:
     """The check names in the comma list raw, validated at (args.p, args.dim),
     and the --tol-NAME values given for the checks the subcommand offers."""
@@ -264,7 +284,7 @@ def _run(cfg: dict, sized: bool = False):
     f0 = _initial_field(cfg["initial"], grid, p, cfg["t_start"], cfg["seed"])
     sizing = None
     if sized and (p > 1.0 or dim / (dim + 2.0) < p < 1.0):
-        sizing = asdict(fast_diffusion_guard(params, grid))
+        sizing = asdict(fast_diffusion_guard(params, f0.grid))
     result = evolve(f0, params, with_dissipation="dissipation" in cfg["verify"])
     checks = run_checks(cfg["verify"], result.snapshots, p, dim, cfg["tols"], result.fields)
     return result, checks, sizing
@@ -276,12 +296,15 @@ def run_evolve(args) -> int:
         print("evolve: --p is required", file=sys.stderr)
         return EXIT_CONFIG
     names, tols = _requested_checks(args, args.verify, with_fields=True)
-    radius = args.radius
-    if radius is None:
-        radius = _default_radius(p, dim, args.t_end, args.initial)
+    if args.initial.startswith("file:"):
+        domain = _profile_grid(args)
+    else:
+        domain = {"nodes": args.nodes, "radius": args.radius, "geometry": args.geometry}
+        if domain["radius"] is None:
+            domain["radius"] = _default_radius(p, dim, args.t_end, args.initial)
     cfg = {"subcommand": "evolve", "p": p, "dim": dim,
-           "geometry": args.geometry or ("cartesian1d" if dim == 1 else "radial"),
-           "nodes": args.nodes, "radius": radius, "t_start": args.t_start,
+           "geometry": domain["geometry"] or ("cartesian1d" if dim == 1 else "radial"),
+           "nodes": domain["nodes"], "radius": domain["radius"], "t_start": args.t_start,
            "t_end": args.t_end, "snapshots": args.snapshots, "initial": args.initial,
            "seed": args.seed, "cfl": args.cfl, "verify": names, "tols": tols}
     if cfg["geometry"] == "cartesian1d" and dim != 1:

@@ -1,5 +1,6 @@
 """Serialization round trips and the command-line contract (exit codes, determinism)."""
 import argparse
+import json
 import math
 import warnings
 
@@ -189,6 +190,45 @@ class TestEvolveCommand:
                      "--snapshots", "3", "--initial", f"file:{src}",
                      "--out", str(tmp_path / "run")])
         assert code == 0
+
+    def test_file_initial_records_its_grid(self, tmp_path, short_run):
+        # the profile's 256-node, radius-8 grid is the run's grid, given or not
+        src = tmp_path / "initial.csv"
+        write_profile(src, short_run.fields[0])
+        base = ["evolve", "--p", "1.5", "--dim", "1", "--t-start", "1", "--t-end", "1.05",
+                "--snapshots", "3", "--initial", f"file:{src}"]
+        assert main(base + ["--out", str(tmp_path / "bare")]) == 0
+        assert main(base + ["--nodes", "256", "--radius", "8", "--geometry", "cartesian1d",
+                            "--out", str(tmp_path / "given")]) == 0
+        (bare,) = (tmp_path / "bare").glob("exp-*")
+        (given,) = (tmp_path / "given").glob("exp-*")
+        assert bare.name == given.name
+        meta = json.loads((bare / "run_meta.json").read_text())
+        config = meta["config"]
+        assert (config["nodes"], config["radius"], config["geometry"]) == (256, 8.0, "cartesian1d")
+        params = rf.DiffusionParams(p=1.5, dim=1, t_start=1.0, t_end=1.05)
+        want = rf.fast_diffusion_guard(params, short_run.fields[0].grid)
+        assert meta["domain_sizing"]["tail_mass"] == want.tail_mass
+        assert meta["domain_sizing"]["recommended_radius"] == want.recommended_radius
+
+    @pytest.mark.parametrize("flags", [["--nodes", "512"], ["--radius", "30"],
+                                       ["--geometry", "radial"], ["--config", "nodes = 512"]])
+    def test_file_initial_conflicting_grid_exit_one(self, tmp_path, short_run, monkeypatch,
+                                                    capsys, flags):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("evolve ran on a grid the profile does not have")
+
+        monkeypatch.setattr(cli, "evolve", no_solve)
+        src = tmp_path / "initial.csv"
+        write_profile(src, short_run.fields[0])
+        if flags[0] == "--config":
+            (tmp_path / "run.ini").write_text(f"[grid]\n{flags[1]}\n")
+            flags = ["--config", str(tmp_path / "run.ini")]
+        code = main(["evolve", "--p", "1.5", "--dim", "1", "--initial", f"file:{src}",
+                     "--out", str(tmp_path / "run")] + flags)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("configuration error: --")
+        assert not (tmp_path / "run").exists()
 
     def test_failed_verdict_exit_three(self, tmp_path):
         # debruijn at an absurdly tight tolerance must fail with exit 3
