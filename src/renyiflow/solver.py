@@ -5,14 +5,14 @@ faces weighted by their area |S^{n-1}| r^{n-1}.  Interior fluxes telescope, so
 the discrete mass changes only through the (closed, zero-flux) boundary.  The
 explicit step (`step`, `cfl_dt`, p = 1 runs) keeps nonnegativity: each update is
 a convex combination of neighbor values while dt D (A_{i-1/2} + A_{i+1/2}) is at
-most h w_i at every node (D the stiffness, A the face areas, w the weights), so
-for dt up to h^2 / (2 D) on Cartesian grids and h^2 / (2^(n-1) D) on radial
-ones, where node 0 sets it.  Where the CFL step is far below the step the flow's
-own rate of change allows, `evolve` takes linearly implicit BDF2 steps instead:
-always for p < 1, whose diffusivity p u^{p-1} peaks in the far tail, and for
-p > 1 from the first snapshot at which that is cheaper.  It re-sizes the step at
-every snapshot, so a slowing flow takes longer steps.  The degenerate p > 1
-front is handled as in Vazquez, *The Porous Medium Equation* (2007), ch. 5, 9.
+most h w_i at every node (D the stiffness, A the face areas, w the weights): for
+dt up to h^2 / (2 D) on Cartesian grids and h^2 / (2^(n-1) D), set by node 0, on
+radial ones.  Where that step is far below the one the flow's rate of change
+allows, `evolve` takes linearly implicit BDF2 steps instead: always for p < 1,
+whose diffusivity p u^{p-1} peaks in the far tail, and for p > 1 from the first
+snapshot at which that is cheaper.  It re-sizes the step at every snapshot, so a
+slowing flow takes longer steps.  The degenerate p > 1 front is handled as in
+Vazquez, *The Porous Medium Equation* (2007), ch. 5 and 9.
 """
 from __future__ import annotations
 
@@ -97,22 +97,21 @@ class SolverState:
 class _Kernel:
     """The flux steps on one (grid, p), in preallocated buffers and slice views.
 
-    `advance` is the explicit step, `implicit_advance` the BDF2 one, which also
-    keeps the previous u and step as its history; both share the weights, face
-    areas, buffers and state.  u is clipped to u >= 0 on entry and after a step
-    that undershoots.  v = u^p and its differences dv serve both the p < 1 chord
-    stiffness and the fluxes, and the acceptance test's max(u) is the next umax.
-    An explicit step refreshes v and dv; an implicit one uses them as scratch, so
-    callers refresh them with `_faces()` before reading them (`accuracy_dt`,
-    `cfl_dt`, `advance`).  Each out= pass of `advance` keeps the operation order
-    of the plain array expressions: bitwise theirs.
+    `advance` is the explicit step, `implicit_advance` the BDF2 one, which also keeps
+    the previous u and step as its history; both share the weights, face areas, buffers
+    and state.  u is clipped to u >= 0 on entry and after a step that undershoots.
+    v = u^p and its differences dv serve both the p < 1 chord stiffness and the fluxes,
+    and the acceptance test's max(u) is the next umax.  An explicit step refreshes v and
+    dv; an implicit one uses them as scratch, so callers refresh them with `_faces()`
+    before reading them (`accuracy_dt`, `cfl_dt`, `advance`).  Each out= pass of
+    `advance` keeps the operation order of the plain array expressions: bitwise theirs.
     """
 
     def __init__(self, grid: Grid, p: float, values: np.ndarray):
-        n = grid.node_count
-        self.p, self.h, self.weights = p, grid.spacing, grid.weights()
+        n, h, w = grid.node_count, grid.spacing, grid.weights()
+        self.p, self.h, self.weights = p, h, w
         areas = grid.face_areas()
-        self.d_geom = float(np.max((areas[:-1] + areas[1:]) * self.h / (2.0 * self.weights)))
+        self.d_geom = float(np.maximum.reduce((areas[:-1] + areas[1:]) * h / (2.0 * w)))
         self.outer_area, self.inner_area = float(areas[-1]), float(areas[0])
         self.areas = areas if grid.kind == RADIAL else None  # cartesian faces: all 1
         self.u = np.maximum(values, 0.0)
@@ -123,8 +122,9 @@ class _Kernel:
         face = self.face if grid.kind == RADIAL else self.flux
         self.v_hi, self.v_lo, self.flux_in = self.v[1:], self.v[:-1], self.flux[1:-1]
         self.face_hi, self.face_lo = face[1:], face[:-1]
-        cond = self.conductance = areas[1:-1] / self.h  # interior faces, for the implicit step
-        self.coupling = np.pad(cond, (1, 0)) + np.pad(cond, (0, 1))  # a node's face conductances
+        self.conductance = areas[1:-1] / self.h  # interior faces, for the implicit step
+        self.coupling = np.append(self.conductance, 0.0)  # sum of a node's face conductances
+        self.coupling[1:] += self.conductance
         self.u_prev, self.dt_prev = None, 0.0  # BDF2 history: none before the first implicit step
         self._faces()
 
