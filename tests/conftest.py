@@ -2,6 +2,22 @@ import numpy as np
 import pytest
 
 import renyiflow as rf
+from renyiflow import solver
+
+
+def record_marches(monkeypatch):
+    """Wrap both steps of _Kernel; returns the list of (march, t, dt used) of every step."""
+    record = []
+    for march in ("advance", "implicit_advance"):
+        real = getattr(solver._Kernel, march)
+
+        def wrapped(self, dt, t, real=real, march=march):
+            out = real(self, dt, t)
+            record.append((march, t, out[0]))
+            return out
+
+        monkeypatch.setattr(solver._Kernel, march, wrapped)
+    return record
 
 
 @pytest.fixture(scope="session")
@@ -14,6 +30,21 @@ def barenblatt_run():
     f0 = rf.sample_barenblatt(grid, p, 1.0, normalize=True)
     params = rf.DiffusionParams(p=p, dim=1, t_start=1.0, t_end=1.5, snapshot_count=9)
     return rf.evolve(f0, params)
+
+
+@pytest.fixture(scope="session")
+def criterion_10_run():
+    """Acceptance criterion 10's run: compact p=2 bumps on t in [1, 1000], 13 geometric
+    snapshots, 2048 nodes; with the (march, t, dt used) of each of its steps."""
+    spec = rf.barenblatt_spec(2.0, 1, rf.PDE_NORMALIZED)
+    grid = rf.Grid.cartesian(2048, rf.support_radius(spec) * 1000.0 ** (1.0 / 3.0) * 1.25)
+    f0 = rf.compact_two_bump(grid, seed=11)
+    params = rf.DiffusionParams(p=2.0, dim=1, t_start=1.0, t_end=1000.0,
+                                snapshot_times=tuple(np.geomspace(1.0, 1000.0, 13)))
+    with pytest.MonkeyPatch.context() as mp:
+        record = record_marches(mp)
+        run = rf.evolve(f0, params)
+    return run, record
 
 
 @pytest.fixture(scope="session")

@@ -214,16 +214,9 @@ def test_criterion_9_scaling_suite():
            f"20 fields x 4 dilations: worst deviation {worst:.2e} (tol 1e-6)")
 
 
-def test_criterion_10_convergence_to_barenblatt():
+def test_criterion_10_convergence_to_barenblatt(criterion_10_run):
     p = 2.0
-    spec = rf.barenblatt_spec(p, 1, rf.PDE_NORMALIZED)
-    radius = rf.support_radius(spec) * 1000.0 ** (1.0 / 3.0) * 1.25
-    grid = rf.Grid.cartesian(2048, radius)
-    f0 = rf.compact_two_bump(grid, seed=11)
-    times = tuple(np.geomspace(1.0, 1000.0, 13))
-    params = rf.DiffusionParams(p=p, dim=1, t_start=1.0, t_end=1000.0,
-                                snapshot_times=times)
-    run = rf.evolve(f0, params)
+    run, _ = criterion_10_run  # 2048 nodes, compact bumps, t in [1, 1e3], 13 geometric snapshots
     d = rf.rescaled_l1_distances(run, p, 1)
     gamma = rf.gamma_const(p, 1)
     ups_gap = abs(run.snapshots[-1].upsilon - gamma) / gamma

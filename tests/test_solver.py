@@ -11,6 +11,8 @@ from renyiflow import solver
 from renyiflow.errors import BoundaryLeakWarning, DomainError, StabilityError
 from renyiflow.solver import MAX_REJECTIONS, NEGATIVITY_SLACK, SolverState, cfl_dt, step
 
+from conftest import record_marches as _record_marches
+
 
 def make_state(field, t=1.0):
     return SolverState(t=t, grid=field.grid, values=field.values.copy())
@@ -808,21 +810,6 @@ class TestLeanImplicitStep:
         assert relinearized == (params.p > 1.0)  # the p = 2 front outruns a cell per step
 
 
-def _record_marches(monkeypatch):
-    """Wrap both steps of _Kernel; returns the list of (march, t, dt used) of every step."""
-    record = []
-    for march in ("advance", "implicit_advance"):
-        real = getattr(solver._Kernel, march)
-
-        def wrapped(self, dt, t, real=real, march=march):
-            out = real(self, dt, t)
-            record.append((march, t, out[0]))
-            return out
-
-        monkeypatch.setattr(solver._Kernel, march, wrapped)
-    return record
-
-
 def _steps_per_interval(record, times):
     """Implicit steps started in each snapshot interval, and their dt in order."""
     starts = np.array([t for march, t, _ in record if march == "implicit_advance"])
@@ -855,17 +842,11 @@ class TestRechosenMarch:
             assert abs(float(w @ fld.values) - m0) <= 1e-12
             assert fld.values.min() >= 0.0
 
-    def test_criterion_10_config(self, monkeypatch):
+    def test_criterion_10_config(self, criterion_10_run):
         # explicit with dt fixed at t_start it took 368,555 steps; the march switches
         # partway and takes at least MIN_STEPS_PER_SNAPSHOT steps per geometric interval
-        spec = rf.barenblatt_spec(2.0, 1, rf.PDE_NORMALIZED)
-        grid = rf.Grid.cartesian(2048, rf.support_radius(spec) * 1000.0 ** (1.0 / 3.0) * 1.25)
-        f0 = rf.compact_two_bump(grid, seed=11)
-        times = np.geomspace(1.0, 1000.0, 13)
-        params = rf.DiffusionParams(p=2.0, dim=1, t_start=1.0, t_end=1000.0,
-                                    snapshot_times=tuple(times))
-        record = _record_marches(monkeypatch)
-        run = rf.evolve(f0, params)
+        run, record = criterion_10_run
+        times = run.params.times()
         assert run.step_count < 50_000
         counts, dts = _steps_per_interval(record, times)
         assert counts[0] == 0 and counts[-1] > 0
