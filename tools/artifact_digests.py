@@ -3,7 +3,7 @@
 Usage:
     PYTHONPATH=src python tools/artifact_digests.py OUTDIR
 
-Runs nine configurations, each into OUTDIR/LABEL, and prints one line
+Runs ten configurations, each into OUTDIR/LABEL, and prints one line
 ``LABEL/RELATIVE-PATH SHA256`` per file written, sorted.  The ``exp-*``
 directory the CLI names after its config hash is left out of the path, so
 two trees whose configs differ (say, in a default radius) still list the
@@ -46,6 +46,9 @@ CONFIGS = {
                      "--initial", "mixture", "--verify", "concavity,upsilon"],
     "gaussian_p1": ["evolve", "--p", "1", "--dim", "1", "--nodes", "512",
                     "--initial", "gaussian", "--verify", "concavity,upsilon,debruijn"],
+    # the radial explicit march outside the sweep
+    "heat_radial3": ["evolve", "--p", "1", "--dim", "3", "--nodes", "512",
+                     "--initial", "gaussian", "--verify", "concavity,upsilon"],
     "verify_evolve_fd": ["verify", "--snapshots-csv", "{evolve_fd}", "--p", "0.8",
                          "--dim", "3", "--checks", "concavity,upsilon"],
     "verify_mixture_p1.5": ["verify", "--snapshots-csv", "{mixture_p1.5}", "--p", "1.5",
