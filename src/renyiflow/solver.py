@@ -122,7 +122,7 @@ class _Kernel:
         face = self.face if grid.kind == RADIAL else self.flux
         self.v_hi, self.v_lo, self.flux_in = self.v[1:], self.v[:-1], self.flux[1:-1]
         self.face_hi, self.face_lo = face[1:], face[:-1]
-        self.conductance = areas[1:-1] / self.h  # interior faces, for the implicit step
+        self.conductance = areas[1:-1] / h  # interior faces, for the implicit step
         self.coupling = np.append(self.conductance, 0.0)  # sum of a node's face conductances
         self.coupling[1:] += self.conductance
         self.u_prev, self.dt_prev = None, 0.0  # BDF2 history: none before the first implicit step
