@@ -29,7 +29,7 @@ from .reporting import (
     write_snapshots,
     write_verdicts,
 )
-from .solver import DiffusionParams, evolve, fast_diffusion_guard
+from .solver import DOMAIN_TOL, DiffusionParams, evolve, fast_diffusion_guard
 from .verification import CHECKS, run_checks, validate_checks
 
 EXIT_OK = 0
@@ -223,7 +223,7 @@ def _default_radius(p: float, dim: int, t_end: float, initial: str) -> float:
     if initial.startswith("gaussian") or p == 1.0:
         return 8.0 * math.sqrt(2.0 * t_end) + 4.0
     spread = max(t_end, 1.0) ** (1.0 / analytic.coefficients(p, dim).mu)
-    radius = 1.3 * analytic.suggest_domain_radius(p, dim, 1e-6, "pde") * spread
+    radius = 1.3 * analytic.suggest_domain_radius(p, dim, DOMAIN_TOL, "pde") * spread
     # mixtures put bumps out to |mean| + a few sigmas regardless of p
     return max(radius, 10.0) if initial == "mixture" else radius
 
@@ -319,7 +319,7 @@ def run_evolve(args) -> int:
     write_run_meta(d / "run_meta.json", {
         "config": cfg, "steps": result.step_count,
         "rejections": result.rejection_count,
-        "leak_estimate": result.leak_estimate,
+        "edge_mass": result.edge_mass,
         "final_mass": result.snapshots[-1].mass,
         "domain_sizing": sizing,
     })

@@ -18,4 +18,4 @@ class DegenerateError(ArithmeticError):
 
 
 class BoundaryLeakWarning(UserWarning):
-    """Issued when the would-be outflow through the truncated boundary grows large."""
+    """Issued when a run's edge mass, the mass at the wall of its truncated domain, grows large."""

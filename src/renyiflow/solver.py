@@ -3,13 +3,13 @@
 The update is written in flux form on v = u^p: face fluxes (v_R - v_L)/h, radial
 faces weighted by their area |S^{n-1}| r^{n-1}.  Interior fluxes telescope, so
 the discrete mass changes only through the (closed, zero-flux) boundary.  The
-explicit step (`step`, `cfl_dt`, p = 1 runs) keeps nonnegativity: each update is
+explicit step (`step`, `cfl_dt`) keeps nonnegativity: each update is
 a convex combination of neighbor values while dt D (A_{i-1/2} + A_{i+1/2}) is at
 most h w_i at every node (D the stiffness, A the face areas, w the weights): for
 dt up to h^2 / (2 D) on Cartesian grids and h^2 / (2^(n-1) D), set by node 0, on
 radial ones.  Where that step is far below the one the flow's rate of change
 allows, `evolve` takes linearly implicit BDF2 steps instead: always for p < 1,
-whose diffusivity p u^{p-1} peaks in the far tail, and for p > 1 from the first
+whose diffusivity p u^{p-1} peaks in the far tail, and for p >= 1 from the first
 snapshot at which that is cheaper.  It re-sizes the step at every snapshot, so a
 slowing flow takes longer steps.  The degenerate p > 1 front is handled as in
 Vazquez, *The Porous Medium Equation* (2007), ch. 5 and 9.
@@ -29,7 +29,8 @@ from .grids import RADIAL, DensityField, Grid
 
 MAX_REJECTIONS = 40
 NEGATIVITY_SLACK = 1e-14  # relative to max(u): tolerated roundoff undershoot
-LEAK_THRESHOLD = 1e-6
+DOMAIN_TOL = 1e-6  # mass a domain may leave past its wall (the sizing) or hold at it (the edge)
+EDGE_CELLS = 64  # the edge mass is read in the last node_count // EDGE_CELLS cells
 STEP_CHANGE = 2e-3  # implicit steps move at most this fraction of the mass
 # An implicit step relinearizes while it misplaces more than this fraction of the mass it
 # moves (4096-node p = 2 Barenblatt, L1 off Newton's steps: 2.0e-6 at 1e-2, 4.8e-7 at 1e-3).
@@ -91,7 +92,6 @@ class SolverState:
     values: np.ndarray
     step_count: int = 0
     rejection_count: int = 0
-    leak_estimate: float = 0.0   # would-be outflow if the wall were open
 
 
 class _Kernel:
@@ -112,7 +112,6 @@ class _Kernel:
         self.p, self.h, self.weights = p, h, w
         areas = grid.face_areas()
         self.d_geom = float(np.maximum.reduce((areas[:-1] + areas[1:]) * h / (2.0 * w)))
-        self.outer_area, self.inner_area = float(areas[-1]), float(areas[0])
         self.areas = areas if grid.kind == RADIAL else None  # cartesian faces: all 1
         self.u = np.maximum(values, 0.0)
         self.umax = float(self.u.max())
@@ -152,8 +151,8 @@ class _Kernel:
     def cfl_dt(self, cfl_safety: float) -> float:
         return cfl_safety * self.h * self.h / (2.0 * self.d_geom) / self.stiffness()
 
-    def advance(self, dt: float, t: float) -> tuple[float, float, int]:
-        """One accepted step from t, halving dt on undershoot: (dt, leak rate, rejections)."""
+    def advance(self, dt: float, t: float) -> tuple[float, int]:
+        """One accepted step from t, halving dt on undershoot: (dt, rejections)."""
         np.divide(self.dv, self.h, out=self.flux_in)
         if self.areas is not None:
             np.multiply(self.areas, self.flux, out=self.face)
@@ -173,11 +172,9 @@ class _Kernel:
             dt *= 0.5
         if umin < 0.0:
             np.maximum(new, 0.0, out=new)
-        # outflow if the walls were vacuum; the inner radial face has zero area
-        leak_rate = (self.outer_area * self.v[-1] + self.inner_area * self.v[0]) / self.h
         self.u, self.new, self.umax = new, self.u, float(umax)
         self._faces()
-        return dt, leak_rate, rejections
+        return dt, rejections
 
     def _divergence(self, v: np.ndarray) -> np.ndarray:
         """(L v)_i: net face flux of v into cell i, walls closed."""
@@ -194,8 +191,8 @@ class _Kernel:
         rate = float(np.abs(self._divergence(self.v)).sum())
         return mass_step / rate if rate > 0.0 else math.inf
 
-    def implicit_advance(self, dt: float, t: float) -> tuple[float, float, int]:
-        """One variable-step BDF2 step from t, halving dt on undershoot: (dt, leak rate, rejections).
+    def implicit_advance(self, dt: float, t: float) -> tuple[float, int]:
+        """One variable-step BDF2 step from t, halving dt on undershoot: (dt, rejections).
 
         With omega = dt / dt_prev the step solves W (u' - b) = theta L u'^p for
         b = ((1+omega)^2 u - omega^2 u_prev) / (1+2 omega), formed as
@@ -261,10 +258,8 @@ class _Kernel:
             dt *= 0.5
         np.maximum(new, 0.0, out=new)
         self.u_prev, self.dt_prev = self.u, dt
-        self.u, self.umax = new, float(umax)
-        # v and dv are left stale; the leak needs u'^p at the two wall nodes only
-        leak_rate = (self.outer_area * new[-1] ** p + self.inner_area * new[0] ** p) / self.h
-        return dt, float(leak_rate), rejections
+        self.u, self.umax = new, float(umax)  # v and dv are left stale
+        return dt, rejections
 
 
 def _solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
@@ -326,14 +321,13 @@ def step(state: SolverState, params: DiffusionParams, dt: float | None = None) -
     kernel = _Kernel(state.grid, params.p, state.values)
     if dt is None:
         dt = kernel.cfl_dt(params.cfl_safety)
-    dt_used, leak_rate, rejections = kernel.advance(dt, state.t)
+    dt_used, rejections = kernel.advance(dt, state.t)
     return replace(
         state,
         t=state.t + dt_used,
         values=kernel.u,
         step_count=state.step_count + 1,
         rejection_count=state.rejection_count + rejections,
-        leak_estimate=state.leak_estimate + dt_used * leak_rate,
     )
 
 
@@ -344,7 +338,7 @@ class EvolutionResult:
     fields: list[DensityField]
     step_count: int
     rejection_count: int
-    leak_estimate: float
+    edge_mass: float  # the largest over the snapshots
 
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.snapshots])
@@ -356,18 +350,22 @@ def evolve(f0: DensityField, params: DiffusionParams,
 
     The step toward the next snapshot divides the remaining interval into
     equal parts no longer than the proposed step, so the recorded functional
-    series has no step-size kinks inside an interval.  The proposal is the
-    explicit CFL step for p = 1.  Otherwise, before each interval, dt_run is
-    re-sized to the step that moves STEP_CHANGE of the mass now, and at most a
-    MIN_STEPS_PER_SNAPSHOT-th of the shortest interval still ahead; the march
-    turns linearly implicit BDF2 for p < 1, and for p > 1 once dt_run exceeds
-    IMPLICIT_STEP_COST CFL steps, and stays implicit, with its BDF2 history,
-    to the end.  The implicit march starts at the CFL step of the switch and
-    doubles it up to dt_run, and a later dt_run is reached by doubling too,
-    so omega <= 2 keeps BDF2 zero-stable, and the backward-Euler start puts
-    no kink in N_p(t).  As the flow slows, dt_run grows from one interval to
-    the next; BDF2's second-order time error keeps that growth from bending
-    N_p(t) the way a growing backward-Euler step did.
+    series has no step-size kinks inside an interval.  Before each interval,
+    dt_run is re-sized to the step that moves STEP_CHANGE of the mass now, and
+    at most a MIN_STEPS_PER_SNAPSHOT-th of the shortest interval still ahead.
+    The proposal is the explicit CFL step until dt_run exceeds
+    IMPLICIT_STEP_COST CFL steps (for p < 1 from the start); from then on the
+    march is linearly implicit BDF2, with its history, to the end.  It starts
+    at the CFL step of the switch and doubles it up to dt_run, and a later
+    dt_run is reached by doubling too, so omega <= 2 keeps BDF2 zero-stable,
+    and the backward-Euler start puts no kink in N_p(t).  As the flow slows,
+    dt_run grows from one interval to the next; BDF2's second-order time error
+    keeps that growth from bending N_p(t) the way a growing backward-Euler
+    step did.
+
+    The edge mass, the mass in the last node_count // EDGE_CELLS cells at each
+    wall, is read at the datum and at every snapshot; above DOMAIN_TOL, the
+    wall holds mass the flow on R^n would carry past it, and the run warns once.
     """
     if f0.grid.dim != params.dim:
         raise DomainError("initial field dimension does not match params.dim")
@@ -377,22 +375,24 @@ def evolve(f0: DensityField, params: DiffusionParams,
     times = params.times()
     intervals = np.diff(times)
     grid = f0.grid
+    from_wall = np.arange(grid.node_count)[::-1]  # cells between a node and the wall
+    if grid.kind != RADIAL:
+        from_wall = np.minimum(from_wall, from_wall[::-1])  # either wall
+    edge = np.where(from_wall < max(1, grid.node_count // EDGE_CELLS), grid.weights(), 0.0)
     kernel = _Kernel(grid, params.p, f0.values)
     implicit = False
     t = float(times[0])
     steps = rejections = 0
-    leak = 0.0
+    edge_mass = float(edge @ f0.values)
     snaps = [snapshot(f0, params.p, params.dim, t=t, with_dissipation=with_dissipation)]
     fields = [f0]
-    warned = False
     for i, target in enumerate(times[1:]):
-        if params.p != 1.0:
-            kernel._faces()  # an implicit step leaves v = u^p stale
-            dt_run = min(kernel.accuracy_dt(STEP_CHANGE * m0),
-                         float(intervals[i:].min()) / MIN_STEPS_PER_SNAPSHOT)
-            if not implicit:
-                first = kernel.cfl_dt(params.cfl_safety)
-                implicit = params.p < 1.0 or dt_run > IMPLICIT_STEP_COST * first
+        kernel._faces()  # an implicit step leaves v = u^p stale
+        dt_run = min(kernel.accuracy_dt(STEP_CHANGE * m0),
+                     float(intervals[i:].min()) / MIN_STEPS_PER_SNAPSHOT)
+        if not implicit:
+            first = kernel.cfl_dt(params.cfl_safety)
+            implicit = params.p < 1.0 or dt_run > IMPLICIT_STEP_COST * first
         march = kernel.implicit_advance if implicit else kernel.advance
         while t < target:
             if implicit:
@@ -401,22 +401,20 @@ def evolve(f0: DensityField, params: DiffusionParams,
                 proposal = kernel.cfl_dt(params.cfl_safety)
             remaining = target - t
             parts = max(1, math.ceil(remaining / proposal))
-            dt_used, leak_rate, rej = march(remaining / parts, t)
+            dt_used, rej = march(remaining / parts, t)
             t += dt_used
             steps += 1
             rejections += rej
-            leak += dt_used * leak_rate
         t = float(target)  # absorb roundoff from the exact landing
         fld = DensityField(grid, kernel.u)
         snaps.append(snapshot(fld, params.p, params.dim, t=t,
                               with_dissipation=with_dissipation))
         fields.append(fld)
-        if not warned and leak > LEAK_THRESHOLD:
-            warnings.warn(
-                f"would-be boundary outflow {leak:.3e} exceeds "
-                f"{LEAK_THRESHOLD}; domain is likely too small", BoundaryLeakWarning)
-            warned = True
-    return EvolutionResult(params, snaps, fields, steps, rejections, leak)
+        edge_mass = max(edge_mass, float(edge @ kernel.u))
+    if edge_mass > DOMAIN_TOL:
+        warnings.warn(f"edge mass {edge_mass:.3e} exceeds {DOMAIN_TOL}; "
+                      "domain is likely too small", BoundaryLeakWarning)
+    return EvolutionResult(params, snaps, fields, steps, rejections, edge_mass)
 
 
 @dataclass(frozen=True)
@@ -424,18 +422,17 @@ class DomainSizingReport:
     compact_support: bool          # p > 1
     tail_mass: float               # envelope mass outside the domain
     recommended_radius: float
-    adequate: bool                 # tail_mass <= tail_target
+    adequate: bool                 # tail_mass <= DOMAIN_TOL
 
 
-def fast_diffusion_guard(params: DiffusionParams, grid: Grid,
-                         tail_target: float = 1e-6) -> DomainSizingReport:
+def fast_diffusion_guard(params: DiffusionParams, grid: Grid) -> DomainSizingReport:
     """Check the truncated domain against the Barenblatt envelope at t_end.
 
     The envelope is the pde-normalized source solution at max(t_end, 1).
     The report gives its closed-form mass outside the grid, whether that is
-    at most tail_target, and the `suggest_domain_radius` radius scaled by
+    at most DOMAIN_TOL, and the `suggest_domain_radius` radius scaled by
     the spread t^{1/mu}: the support edge for p > 1, and for
-    n/(n+2) < p < 1 the radius with tail mass tail_target.
+    n/(n+2) < p < 1 the radius with tail mass DOMAIN_TOL.
     """
     p, n = params.p, params.dim
     if p == 1.0:
@@ -446,5 +443,5 @@ def fast_diffusion_guard(params: DiffusionParams, grid: Grid,
     spec = barenblatt_spec(p, n, "pde")
     spread = max(params.t_end, 1.0) ** (1.0 / spec.coeffs.mu)
     tail = barenblatt_tail_mass(spec, grid.radius() / spread)
-    rec = suggest_domain_radius(p, n, tail_target, "pde") * spread
-    return DomainSizingReport(p > 1.0, tail, rec, tail <= tail_target)
+    rec = suggest_domain_radius(p, n, DOMAIN_TOL, "pde") * spread
+    return DomainSizingReport(p > 1.0, tail, rec, tail <= DOMAIN_TOL)

@@ -121,10 +121,6 @@ def _concavity_case(p, dim, seed):
     return rf.concavity_report(run.snapshots, p, dim)
 
 
-# the would-be-outflow ledger assumes vacuum outside the wall, which heavily
-# overestimates the distortion for envelope-matched fat tails; the margins
-# below confirm the domains are adequate
-@pytest.mark.filterwarnings("ignore::renyiflow.errors.BoundaryLeakWarning")
 def test_criterion_5_entropy_power_concavity():
     worst = -math.inf
     for p in (0.8, 1.5, 2.0):

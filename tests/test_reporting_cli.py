@@ -1,8 +1,10 @@
 """Serialization round trips and the command-line contract (exit codes, determinism)."""
 import argparse
+import importlib.util
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 import renyiflow as rf
 from renyiflow import cli
 from renyiflow.cli import main
+from renyiflow.errors import BoundaryLeakWarning
 from renyiflow.reporting import (
     read_profile,
     read_snapshots,
@@ -18,6 +21,15 @@ from renyiflow.reporting import (
     write_snapshots,
 )
 from renyiflow.verification import CHECKS
+
+
+def _digest_configs() -> dict:
+    """The CLI configs of tools/artifact_digests.py, label -> argv."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "artifact_digests.py"
+    spec = importlib.util.spec_from_file_location("artifact_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CONFIGS
 
 
 def _corrupt(series, defect):
@@ -229,6 +241,25 @@ class TestEvolveCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("configuration error: --")
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.filterwarnings("error::renyiflow.errors.BoundaryLeakWarning")
+    @pytest.mark.parametrize("label", ["evolve_fd", "mixture_p0.8"])
+    def test_default_domain_does_not_warn(self, label, tmp_path):
+        # default-sized p < 1 runs: their edge mass is 3.8e-8 and 1.3e-8
+        assert main(_digest_configs()[label] + ["--out", str(tmp_path)]) == 0
+
+    def test_small_domain_warns(self, tmp_path):
+        # the p = 2 support reaches |x| = 2.08 at t = 1: a radius of 0.5 cuts it off
+        with pytest.warns(BoundaryLeakWarning):
+            code = main(["evolve", "--p", "2", "--dim", "1", "--nodes", "512",
+                         "--initial", "barenblatt", "--t-start", "1", "--radius", "0.5",
+                         "--out", str(tmp_path)])
+        assert code == 0
+        (meta,) = tmp_path.glob("exp-*/run_meta.json")
+        meta = json.loads(meta.read_text())
+        assert meta["edge_mass"] >= 1e-2
+        assert set(meta) == {"config", "steps", "rejections", "edge_mass", "final_mass",
+                             "domain_sizing"}
 
     def test_failed_verdict_exit_three(self, tmp_path):
         # debruijn at an absurdly tight tolerance must fail with exit 3
