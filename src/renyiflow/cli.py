@@ -11,7 +11,6 @@ import argparse
 import configparser
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -387,6 +386,8 @@ def run_sweep(args) -> int:
     jobs = [(p, dim, seed, args.nodes, args.t_start, args.t_end, args.snapshots, args.cfl,
              str(d)) for p in ps for dim in dims for seed in range(args.seeds)]
     if args.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # no other command pays its import
+
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_sweep_row, jobs))
     else:

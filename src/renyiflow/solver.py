@@ -11,11 +11,13 @@ radial ones.  Where that step is far below the one the flow's rate of change
 allows, `evolve` takes linearly implicit BDF2 steps instead: always for p < 1,
 whose diffusivity p u^{p-1} peaks in the far tail, and for p >= 1 from the first
 snapshot at which that is cheaper.  It re-sizes the step at every snapshot, so a
-slowing flow takes longer steps.  The degenerate p > 1 front is handled as in
-Vazquez, *The Porous Medium Equation* (2007), ch. 5 and 9.
+slowing flow takes longer steps.  Their tridiagonal systems are solved by odd-even
+cyclic reduction, on buffers and views prepared once per run.  The degenerate p > 1
+front is handled as in Vazquez, *The Porous Medium Equation* (2007), ch. 5 and 9.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -44,9 +46,10 @@ MIN_STEPS_PER_SNAPSHOT = 10
 EPS = float(np.finfo(float).eps)
 SEQUENTIAL_SIZE = 64  # tridiagonal systems this small are solved row by row
 # The ratio dt_run / CFL step, taken at each snapshot, above which a p > 1 run
-# marches implicitly from that snapshot on.  An implicit step costs 11-12 /
-# 13-14 / 32-37 explicit ones at N = 512 / 2048 / 8192 (p = 2 Barenblatt at the
-# accuracy step; 2 cores, numpy 2.4.6), so the march breaks even lower, but
+# marches implicitly from that snapshot on.  An implicit step costs about 11 /
+# 19-20 / 43-44 explicit ones, each with its CFL step, at N = 512 / 2048 / 8192
+# (p = 2 Barenblatt at t = 1 and the accuracy step, 1.0 / 1.8 / 4.3 solves per
+# step; 2 cores, numpy 2.4.6), so the march breaks even lower, but
 # below about 57 the 512-node run of `test_barenblatt_concavity_exit_zero` goes
 # implicit and fails on resolution.
 IMPLICIT_STEP_COST = 100.0
@@ -94,25 +97,44 @@ class SolverState:
     rejection_count: int = 0
 
 
+@functools.lru_cache(maxsize=16)
+def _geometry(grid: Grid) -> tuple[float, np.ndarray | None, np.ndarray, np.ndarray]:
+    """The kernel's terms that depend on the grid alone, once per grid and read-only.
+
+    (d_geom, areas, conductance, coupling): the CFL step's geometry factor, the face
+    areas (None on Cartesian grids, whose faces all have area 1), the interior faces'
+    area / h, for the implicit step, and each node's sum of them.
+    """
+    h, w, areas = grid.spacing, grid.weights(), grid.face_areas()
+    d_geom = float(np.maximum.reduce((areas[:-1] + areas[1:]) * h / (2.0 * w)))
+    conductance = areas[1:-1] / h
+    coupling = np.append(conductance, 0.0)
+    coupling[1:] += conductance
+    for a in (areas, conductance, coupling):
+        a.flags.writeable = False
+    return d_geom, areas if grid.kind == RADIAL else None, conductance, coupling
+
+
 class _Kernel:
     """The flux steps on one (grid, p), in preallocated buffers and slice views.
 
     `advance` is the explicit step, `implicit_advance` the BDF2 one, which also keeps
     the previous u and step as its history; both share the weights, face areas, buffers
-    and state.  u is clipped to u >= 0 on entry and after a step that undershoots.
-    v = u^p and its differences dv serve both the p < 1 chord stiffness and the fluxes,
-    and the acceptance test's max(u) is the next umax.  An explicit step refreshes v and
-    dv; an implicit one uses them as scratch, so callers refresh them with `_faces()`
-    before reading them (`accuracy_dt`, `cfl_dt`, `advance`).  Each out= pass of
-    `advance` keeps the operation order of the plain array expressions: bitwise theirs.
+    and state.  The terms that depend on the grid alone come from `_geometry`, once per
+    grid, and the implicit step's `_ReductionPlan` is built on its first call, so
+    `step`, `cfl_dt` and explicit runs never pay for it.  u is clipped to u >= 0 on
+    entry and after a step that undershoots.  v = u^p and its differences dv serve both
+    the p < 1 chord stiffness and the fluxes, and the acceptance test's max(u) is the
+    next umax.  An explicit step refreshes v and dv; an implicit one uses them as
+    scratch, so callers refresh them with `_faces()` before reading them
+    (`accuracy_dt`, `cfl_dt`, `advance`).  Each out= pass of `advance` keeps the
+    operation order of the plain array expressions: bitwise theirs.
     """
 
     def __init__(self, grid: Grid, p: float, values: np.ndarray):
-        n, h, w = grid.node_count, grid.spacing, grid.weights()
-        self.p, self.h, self.weights = p, h, w
-        areas = grid.face_areas()
-        self.d_geom = float(np.maximum.reduce((areas[:-1] + areas[1:]) * h / (2.0 * w)))
-        self.areas = areas if grid.kind == RADIAL else None  # cartesian faces: all 1
+        n = grid.node_count
+        self.p, self.h, self.weights = p, grid.spacing, grid.weights()
+        self.d_geom, self.areas, self.conductance, self.coupling = _geometry(grid)
         self.u = np.maximum(values, 0.0)
         self.umax = float(self.u.max())
         self.new, self.v, self.div = np.empty(n), np.empty(n), np.empty(n)
@@ -121,10 +143,8 @@ class _Kernel:
         face = self.face if grid.kind == RADIAL else self.flux
         self.v_hi, self.v_lo, self.flux_in = self.v[1:], self.v[:-1], self.flux[1:-1]
         self.face_hi, self.face_lo = face[1:], face[:-1]
-        self.conductance = areas[1:-1] / h  # interior faces, for the implicit step
-        self.coupling = np.append(self.conductance, 0.0)  # sum of a node's face conductances
-        self.coupling[1:] += self.conductance
         self.u_prev, self.dt_prev = None, 0.0  # BDF2 history: none before the first implicit step
+        self.plan = None  # the implicit step's solver, built on its first call
         self._faces()
 
     def _faces(self) -> None:
@@ -216,6 +236,9 @@ class _Kernel:
         rejection.
         """
         p, w = self.p, self.weights
+        if self.plan is None:
+            self.plan = _ReductionPlan(w.size)
+        plan = self.plan
         floor = 0.0 if p > 1.0 else EPS * self.umax
         rejections = 0
         while True:
@@ -229,13 +252,17 @@ class _Kernel:
                 theta = dt * (1.0 + omega) / scale
                 g = self.u + omega * change
             g = np.maximum(g, floor)
-            off, spring, load = -theta * self.conductance, theta * self.coupling, w * base
+            conduct, spring, load = theta * self.conductance, theta * self.coupling, w * base
             for _ in range(w.size):  # Newton moves the front at least a cell per solve
                 power = g ** (p - 1.0)
                 slope = p * power
                 shift = (1.0 - p) * g * power  # the linearized u'^p is shift + slope u'
-                sol = _solve_tridiagonal(off * slope[:-1], w + spring * slope,
-                                         off * slope[1:], load + theta * self._divergence(shift))
+                np.multiply(conduct, slope[:-1], out=plan.lower)
+                np.multiply(conduct, slope[1:], out=plan.upper)
+                np.add(w, np.multiply(spring, slope, out=plan.diag), out=plan.diag)
+                np.multiply(theta, self._divergence(shift), out=plan.rhs)
+                np.add(load, plan.rhs, out=plan.rhs)
+                sol = plan.solve()
                 new = base + theta * self._divergence(shift + slope * sol) / w
                 umax = new.max()
                 undershoot = not new.min() >= -NEGATIVITY_SLACK * umax  # nan counts too
@@ -262,53 +289,96 @@ class _Kernel:
         return dt, rejections
 
 
-def _solve_tridiagonal(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray,
-                       rhs: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system (sub, diag, sup) x = rhs by odd-even cyclic reduction.
+class _ReductionPlan:
+    """Odd-even cyclic reduction for tridiagonal systems of one size, in its own buffers.
 
-    Row i reads sub[i-1] x[i-1] + diag[i] x[i] + sup[i] x[i+1].  Eliminating the odd
-    unknowns leaves a tridiagonal system in the even ones (their Schur complement),
-    solved the same way; the odd unknowns follow by back substitution.  Below
-    SEQUENTIAL_SIZE rows the per-call cost of numpy outweighs the work, and plain
-    forward elimination and back substitution finish.  There is no pivoting: the
-    Schur complements of a column-diagonally-dominant M-matrix are again such
-    matrices, so no pivot vanishes.
+    Row i reads -lower[i-1] x[i-1] + diag[i] x[i] - upper[i] x[i+1] = rhs[i]: the
+    off-diagonals are stored negated, as the step's M-matrix has no positive ones.
+    Callers fill the four arrays, and `solve` returns x, a buffer the next solve
+    overwrites.  Eliminating the odd unknowns leaves a tridiagonal system in the
+    even ones (their Schur complement), written to the next level's buffers and
+    solved the same way, straight into x[0::2]; the multipliers overwrite the
+    couplings of lower and upper that the odd rows no longer need.  Below
+    SEQUENTIAL_SIZE rows the per-call cost of numpy outweighs the work, and
+    elimination on Python floats finishes; the odd unknowns follow by back
+    substitution.  Every level's buffers and views are made here, once, so a solve
+    is a flat run of out= ufunc calls.  Each product and sum is that of the plain
+    recursion on (sub, diag, sup) = (-lower, diag, -upper), in its order, and
+    negation is exact, so the solution is bitwise the recursion's.  There is no
+    pivoting: the Schur complements of a column-diagonally-dominant M-matrix are
+    again such matrices, so no pivot vanishes.
     """
-    n = diag.size
-    if n <= SEQUENTIAL_SIZE:
-        return _eliminate(sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist())
-    odd_diag, odd_rhs = diag[1::2], rhs[1::2]
-    m = (n - 1) // 2  # odd rows with an even neighbour on the right
-    # odd row k couples to even rows k (left) and k+1 (right)
-    odd_left, odd_right = sub[0::2], sup[1::2]
-    # even row j couples to odd rows j (right) and j-1 (left)
-    even_right, even_left = sup[0::2] / odd_diag, sub[1::2] / odd_diag[:m]
-    even_diag, even_rhs = diag[0::2].copy(), rhs[0::2].copy()
-    even_diag[:odd_diag.size] -= even_right * odd_left
-    even_rhs[:odd_diag.size] -= even_right * odd_rhs
-    even_diag[1:] -= even_left * odd_right
-    even_rhs[1:] -= even_left * odd_rhs[:m]
-    x = np.empty(n)
-    x[0::2] = even = _solve_tridiagonal(-even_left * odd_left[:m], even_diag,
-                                        -even_right[:m] * odd_right, even_rhs)
-    odd = odd_rhs - odd_left * even[:odd_diag.size]
-    odd[:m] -= odd_right * even[1:]
-    x[1::2] = odd / odd_diag
-    return x
+
+    def __init__(self, n: int):
+        self.lower, self.upper = np.empty(n - 1), np.empty(n - 1)
+        self.diag, self.rhs, self.x = np.empty(n), np.empty(n), np.empty(n)
+        scratch = np.empty(n // 2)
+        lower, diag, upper, rhs, x = self.lower, self.diag, self.upper, self.rhs, self.x
+        forward, backward = [], []
+        while diag.size > SEQUENTIAL_SIZE:
+            k, m = diag.size // 2, (diag.size - 1) // 2  # odd rows; those with an even right
+            odd_diag, odd_rhs, odd_x = diag[1::2], rhs[1::2], x[1::2]
+            # odd row j couples to even rows j (left) and j+1 (right); even row j to
+            # odd rows j (right) and j-1 (left), whose couplings become the multipliers
+            odd_left, odd_right, right, left = lower[0::2], upper[1::2], upper[0::2], lower[1::2]
+            even_diag, even_rhs, even_x = diag[0::2], rhs[0::2], x[0::2]
+            next_lower, next_upper = np.empty(m), np.empty(m)
+            next_diag, next_rhs = np.empty(diag.size - k), np.empty(diag.size - k)
+            tk, tm = scratch[:k], scratch[:m]
+            forward += [
+                (np.divide, (right, odd_diag, right)),
+                (np.divide, (left, odd_diag[:m], left)),
+                (np.multiply, (right, odd_left, tk)),
+                (np.subtract, (even_diag[:k], tk, next_diag[:k])),
+                (np.multiply, (right, odd_rhs, tk)),
+                (np.add, (even_rhs[:k], tk, next_rhs[:k])),
+            ]
+            if m == k:  # an odd size: the last row is even, with no odd row to its right
+                forward += [(np.copyto, (next_diag[k:], even_diag[k:])),
+                            (np.copyto, (next_rhs[k:], even_rhs[k:]))]
+            forward += [
+                (np.multiply, (left, odd_right, tm)),
+                (np.subtract, (next_diag[1:], tm, next_diag[1:])),
+                (np.multiply, (left, odd_rhs[:m], tm)),
+                (np.add, (next_rhs[1:], tm, next_rhs[1:])),
+                (np.multiply, (left, odd_left[:m], next_lower)),
+                (np.multiply, (right[:m], odd_right, next_upper)),
+            ]
+            backward[:0] = [
+                (np.multiply, (odd_left, even_x[:k], tk)),
+                (np.add, (odd_rhs, tk, odd_x)),
+                (np.multiply, (odd_right, even_x[1:], tm)),
+                (np.add, (odd_x[:m], tm, odd_x[:m])),
+                (np.divide, (odd_x, odd_diag, odd_x)),
+            ]
+            lower, diag, upper, rhs, x = next_lower, next_diag, next_upper, next_rhs, even_x
+        self.forward, self.backward = forward, backward
+        self.bottom = lower, diag, upper, rhs, x
+
+    def solve(self) -> np.ndarray:
+        """x for the system in lower, diag, upper and rhs."""
+        for call, args in self.forward:
+            call(*args)
+        lower, diag, upper, rhs, x = self.bottom
+        x[:] = _eliminate(lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist())
+        for call, args in self.backward:
+            call(*args)
+        return self.x
 
 
-def _eliminate(sub: list, diag: list, sup: list, rhs: list) -> np.ndarray:
-    """The tridiagonal solve by sequential elimination, on Python floats; overwrites diag, rhs."""
+def _eliminate(lower: list, diag: list, upper: list, rhs: list) -> list:
+    """The tridiagonal solve by sequential elimination, on Python floats, off-diagonals
+    negated as in `_ReductionPlan`; overwrites diag and rhs."""
     n = len(diag)
     for i in range(1, n):
-        factor = sub[i - 1] / diag[i - 1]
-        diag[i] -= factor * sup[i - 1]
-        rhs[i] -= factor * rhs[i - 1]
+        factor = lower[i - 1] / diag[i - 1]
+        diag[i] -= factor * upper[i - 1]
+        rhs[i] += factor * rhs[i - 1]
     x = rhs
     x[-1] /= diag[-1]
     for i in range(n - 2, -1, -1):
-        x[i] = (rhs[i] - sup[i] * x[i + 1]) / diag[i]
-    return np.array(x)
+        x[i] = (rhs[i] + upper[i] * x[i + 1]) / diag[i]
+    return x
 
 
 def cfl_dt(f: DensityField, params: DiffusionParams) -> float:

@@ -3,6 +3,9 @@ import argparse
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -243,9 +246,9 @@ class TestEvolveCommand:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.filterwarnings("error::renyiflow.errors.BoundaryLeakWarning")
-    @pytest.mark.parametrize("label", ["evolve_fd", "mixture_p0.8"])
+    @pytest.mark.parametrize("label", ["evolve_fd", "mixture_p0.8", "mixture_p0.8_777"])
     def test_default_domain_does_not_warn(self, label, tmp_path):
-        # default-sized p < 1 runs: their edge mass is 3.8e-8 and 1.3e-8
+        # default-sized p < 1 runs: their edge mass is 3.8e-8, 1.3e-8 and 1.2e-8
         assert main(_digest_configs()[label] + ["--out", str(tmp_path)]) == 0
 
     def test_small_domain_warns(self, tmp_path):
@@ -402,6 +405,16 @@ class TestSweepCommand:
         row = next((tmp_path / "sweep").glob("exp-*/row-p1.5-n1-s1/snapshots.csv"))
         run = next((tmp_path / "evolve").glob("exp-*/snapshots.csv"))
         assert row.read_bytes() == run.read_bytes()
+
+
+class TestStartUp:
+    def test_cli_import_leaves_out_the_process_pool(self):
+        # only `sweep --workers` > 1 needs it; test_parallel_workers_match_serial runs that
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = "import sys, renyiflow.cli; print('concurrent.futures.process' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
 
 
 class TestConfigFile:

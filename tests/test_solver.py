@@ -65,6 +65,20 @@ class TestStep:
             assert state.values.min() >= -1e-14 * state.values.max()
 
 
+class TestKernelSetUp:
+    def test_grid_terms_shared_and_read_only(self):
+        # computed once per grid: a kernel on an equal grid, at any p, reuses them
+        grid = rf.Grid.radial(3, 128, 5.0)
+        values = rf.sample_gaussian(grid, 0.5).values
+        a = solver._Kernel(grid, 2.0, values)
+        b = solver._Kernel(rf.Grid.radial(3, 128, 5.0), 0.8, values)
+        assert a.d_geom == b.d_geom
+        for name in ("areas", "conductance", "coupling"):
+            assert getattr(a, name) is getattr(b, name)
+            assert not getattr(a, name).flags.writeable
+        assert solver._Kernel(rf.Grid.cartesian(128, 5.0), 2.0, values).areas is None
+
+
 class TestCflDt:
     def test_doubling_resolution_quarters_dt(self):
         params = rf.DiffusionParams(p=2.0, dim=1, t_start=1.0, t_end=2.0)
@@ -426,22 +440,32 @@ class TestKernelMatchesReference:
 
 
 def _count_solves(monkeypatch, nodes, undershoot_first=False):
-    """Wrap solver._solve_tridiagonal; returns the list of its full-size (top-level)
-    calls, the recursion's smaller systems not counted.  With undershoot_first the
-    first full-size call returns a vector with a spike at its maximum, which drives
-    the flux-formed u' of the step below zero there."""
-    real, calls = solver._solve_tridiagonal, []
+    """Wrap solver._ReductionPlan.solve; returns the list of its calls on systems of
+    `nodes` rows.  With undershoot_first the first such call returns a vector with a
+    spike at its maximum, which drives the flux-formed u' of the step below zero there."""
+    real, calls = solver._ReductionPlan.solve, []
 
-    def solve(sub, diag, sup, rhs):
-        x = real(sub, diag, sup, rhs)
-        if diag.size == nodes:
-            calls.append(diag.size)
+    def solve(plan):
+        x = real(plan)
+        if x.size == nodes:
+            calls.append(x.size)
             if undershoot_first and len(calls) == 1:
                 x[np.argmax(x)] += 1e6 * x.max()
         return x
 
-    monkeypatch.setattr(solver, "_solve_tridiagonal", solve)
+    monkeypatch.setattr(solver._ReductionPlan, "solve", solve)
     return calls
+
+
+def _plan_solve(sub, diag, sup, rhs, plan=None):
+    """x for (sub, diag, sup) x = rhs by a `_ReductionPlan`, a fresh one unless given."""
+    if plan is None:
+        plan = solver._ReductionPlan(diag.size)
+    np.negative(sub, out=plan.lower)
+    np.negative(sup, out=plan.upper)
+    plan.diag[:] = diag
+    plan.rhs[:] = rhs
+    return plan.solve().copy()
 
 
 class TestImplicitFastDiffusion:
@@ -475,7 +499,7 @@ class TestImplicitFastDiffusion:
         diag[:-1] -= off
         rhs = rng.standard_normal(n)
         dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        x = solver._solve_tridiagonal(off, diag, off, rhs)
+        x = _plan_solve(off, diag, off, rhs)
         np.testing.assert_allclose(x, np.linalg.solve(dense, rhs), rtol=1e-12, atol=1e-12)
 
     def test_undershooting_solve_halves_dt(self, monkeypatch):
@@ -516,6 +540,83 @@ def _tridiagonal_m_matrix(n, seed):
     return sub, diag, sup, rng.standard_normal(n)
 
 
+# A frozen copy of the recursive cyclic reduction that `_ReductionPlan` replaced,
+# which sliced, allocated and negated anew at every level: the plan must give its bits.
+def _recursive_solve(sub, diag, sup, rhs):
+    n = diag.size
+    if n <= solver.SEQUENTIAL_SIZE:
+        return _recursive_eliminate(sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist())
+    odd_diag, odd_rhs = diag[1::2], rhs[1::2]
+    m = (n - 1) // 2
+    odd_left, odd_right = sub[0::2], sup[1::2]
+    even_right, even_left = sup[0::2] / odd_diag, sub[1::2] / odd_diag[:m]
+    even_diag, even_rhs = diag[0::2].copy(), rhs[0::2].copy()
+    even_diag[:odd_diag.size] -= even_right * odd_left
+    even_rhs[:odd_diag.size] -= even_right * odd_rhs
+    even_diag[1:] -= even_left * odd_right
+    even_rhs[1:] -= even_left * odd_rhs[:m]
+    x = np.empty(n)
+    x[0::2] = even = _recursive_solve(-even_left * odd_left[:m], even_diag,
+                                      -even_right[:m] * odd_right, even_rhs)
+    odd = odd_rhs - odd_left * even[:odd_diag.size]
+    odd[:m] -= odd_right * even[1:]
+    x[1::2] = odd / odd_diag
+    return x
+
+
+def _recursive_eliminate(sub, diag, sup, rhs):
+    n = len(diag)
+    for i in range(1, n):
+        factor = sub[i - 1] / diag[i - 1]
+        diag[i] -= factor * sup[i - 1]
+        rhs[i] -= factor * rhs[i - 1]
+    x = rhs
+    x[-1] /= diag[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = (rhs[i] - sup[i] * x[i + 1]) / diag[i]
+    return np.array(x)
+
+
+class TestReductionPlan:
+    """The implicit step's prepared cyclic reduction against the recursion it replaced."""
+
+    # odd sizes at the top level (777 -> 389 -> 195 -> 98 -> 49) and further down
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 63, 64, 65, 66, 129, 130, 777, 1000,
+                                   1001, 2047, 2048, 2049, 4097, 8192])
+    def test_bitwise_recursive_solve(self, n):
+        system = _tridiagonal_m_matrix(n, seed=n)
+        got, want = _plan_solve(*system), _recursive_solve(*system)
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()  # signed zeros too
+
+    def test_reused_plan_matches_fresh_plans(self):
+        plan = solver._ReductionPlan(1001)
+        for seed in (1, 2, 1):
+            system = _tridiagonal_m_matrix(1001, seed)
+            assert _plan_solve(*system, plan=plan).tobytes() == _plan_solve(*system).tobytes()
+
+    def test_built_on_the_first_implicit_step_only(self, monkeypatch):
+        built, real = [], solver._ReductionPlan.__init__
+
+        def init(plan, n):
+            built.append(n)
+            real(plan, n)
+
+        monkeypatch.setattr(solver._ReductionPlan, "__init__", init)
+        grid = rf.Grid.cartesian(256, 8.0)
+        f0 = rf.sample_mixture(grid, seed=2)
+        params = rf.DiffusionParams(p=2.0, dim=1, t_start=1.0, t_end=1.05, snapshot_count=3)
+        cfl_dt(f0, params)
+        step(make_state(f0), params)
+        record = _record_marches(monkeypatch)
+        rf.evolve(f0, params)
+        assert record and {march for march, _, _ in record} == {"advance"}
+        assert built == []
+        kernel = solver._Kernel(grid, 2.0, f0.values)
+        for _ in range(2):
+            kernel.implicit_advance(kernel.accuracy_dt(solver.STEP_CHANGE), 1.0)
+        assert built == [256]
+
+
 def _implicit_march(f0, p, t_end):
     """Drive _Kernel.implicit_advance as evolve does: from the CFL step, doubling up
     to the accuracy step.  Returns the kernel, the time reached and the fields."""
@@ -534,12 +635,12 @@ class TestImplicitPorousMedium:
     """The p > 1 march: linearly implicit BDF2, through the degenerate front."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 63, 64, 65, 66, 129, 130, 1000, 1001,
-                                   2048, 2049])
+                                   2048, 2049, 4097, 8193])
     def test_tridiagonal_solve_nonsymmetric(self, n):
         sub, diag, sup, rhs = _tridiagonal_m_matrix(n, seed=n)
         dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
         want = np.linalg.solve(dense, rhs)
-        x = solver._solve_tridiagonal(sub, diag, sup, rhs)
+        x = _plan_solve(sub, diag, sup, rhs)
         np.testing.assert_allclose(x, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     @settings(max_examples=12, deadline=None, derandomize=True)
@@ -611,8 +712,7 @@ def _newton_solve(kernel, base, theta):
     for _ in range(NEWTON_MAX_ITER):
         slope = p * u ** (p - 1.0)
         residual = w * (u - base) - theta * kernel._divergence(u ** p)
-        trial = u - solver._solve_tridiagonal(off * slope[:-1], w + spring * slope,
-                                              off * slope[1:], residual)
+        trial = u - _plan_solve(off * slope[:-1], w + spring * slope, off * slope[1:], residual)
         trial = np.maximum(trial, 0.0 if p > 1.0 else 0.5 * u)
         done = np.all(np.abs(trial - u) <= NEWTON_RTOL * trial + eps * trial.max())
         u = trial
@@ -751,9 +851,8 @@ def _reference_implicit_advance(kernel, dt, t):
         for _ in range(w.size):
             slope = p * g ** (p - 1.0)
             shift = g ** p - slope * g
-            sol = solver._solve_tridiagonal(off * slope[:-1], w + theta * kernel.coupling * slope,
-                                            off * slope[1:],
-                                            w * base + theta * kernel._divergence(shift))
+            sol = _plan_solve(off * slope[:-1], w + theta * kernel.coupling * slope,
+                              off * slope[1:], w * base + theta * kernel._divergence(shift))
             new = base + theta * kernel._divergence(shift + slope * sol) / w
             umax = new.max()
             undershoot = not new.min() >= -NEGATIVITY_SLACK * umax

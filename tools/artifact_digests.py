@@ -3,7 +3,7 @@
 Usage:
     PYTHONPATH=src python tools/artifact_digests.py OUTDIR
 
-Runs ten configurations, each into OUTDIR/LABEL, and prints one line
+Runs eleven configurations, each into OUTDIR/LABEL, and prints one line
 ``LABEL/RELATIVE-PATH SHA256`` per file written, sorted.  The ``exp-*``
 directory the CLI names after its config hash is left out of the path, so
 two trees whose configs differ (say, in a default radius) still list the
@@ -44,6 +44,9 @@ CONFIGS = {
                      "--initial", "mixture", "--verify", ALL_CHECKS],
     "mixture_p0.8": ["evolve", "--p", "0.8", "--dim", "1", "--nodes", "512",
                      "--initial", "mixture", "--verify", "concavity,upsilon"],
+    # its implicit solves reduce systems of odd size: 777, 389 and 195 rows, then 98 and 49
+    "mixture_p0.8_777": ["evolve", "--p", "0.8", "--dim", "1", "--nodes", "777",
+                         "--initial", "mixture", "--verify", "concavity,upsilon"],
     "gaussian_p1": ["evolve", "--p", "1", "--dim", "1", "--nodes", "512",
                     "--initial", "gaussian", "--verify", "concavity,upsilon,debruijn"],
     # the radial explicit march outside the sweep
