@@ -49,22 +49,12 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    top = _Parser(prog="renyiflow", description="entropy-power experiments for u_t = Lap(u^p)")
-    sub = top.add_subparsers(dest="subcommand", required=True)
-
-    def command(name, run, help):
-        sp = sub.add_parser(name, help=help)
-        sp.set_defaults(run=run)
-        sp.add_argument("--config", type=str, default=None, help="INI config file; flags win")
-        sp.add_argument("--out", type=str, default=None, help="output directory")
-        return sp
-
-    c = command("constants", run_constants, "closed-form constants table")
+def _constants_options(c: argparse.ArgumentParser) -> None:
     c.add_argument("--pair", action="append", default=None, metavar="P,N",
                    help="a (p, n) pair; repeatable")
 
-    b = command("barenblatt", run_barenblatt, "dump a Barenblatt profile and its values")
+
+def _barenblatt_options(b: argparse.ArgumentParser) -> None:
     b.add_argument("--p", type=float, default=None)
     b.add_argument("--dim", type=int, default=1)
     b.add_argument("--nodes", type=int, default=2048)
@@ -72,7 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--t", type=float, default=1.0)
     b.add_argument("--convention", choices=["unit", "pde"], default="pde")
 
-    e = command("evolve", run_evolve, "run the solver and verify requested claims")
+
+def _evolve_options(e: argparse.ArgumentParser) -> None:
     e.add_argument("--p", type=float, default=None)
     e.add_argument("--dim", type=int, default=1)
     e.add_argument("--geometry", choices=["cartesian1d", "radial"], default=None)
@@ -89,7 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in CHECKS:
         e.add_argument(f"--tol-{name}", dest=f"tol_{name}", type=float, default=None)
 
-    v = command("verify", run_verify, "run checks on an existing snapshot CSV")
+
+def _verify_options(v: argparse.ArgumentParser) -> None:
     v.add_argument("--snapshots-csv", dest="snapshots_csv", type=str, default=None)
     v.add_argument("--p", type=float, default=None)
     v.add_argument("--dim", type=int, default=1)
@@ -98,7 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in SERIES_CHECKS:
         v.add_argument(f"--tol-{name}", dest=f"tol_{name}", type=float, default=None)
 
-    s = command("sweep", run_sweep, "verdict table over (p, dim, seed) triples")
+
+def _sweep_options(s: argparse.ArgumentParser) -> None:
     s.add_argument("--p", type=str, default="0.8,1.5,2", help="comma list of p values")
     s.add_argument("--dim", type=str, default="1", help="comma list of dimensions")
     s.add_argument("--seeds", type=int, default=3, help="seeds 0..count-1")
@@ -108,7 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--snapshots", type=int, default=7)
     s.add_argument("--cfl", type=float, default=0.9)
     s.add_argument("--workers", type=int, default=1)
-    return top
 
 
 def _config_defaults(command: argparse.ArgumentParser, args, path: str) -> dict:
@@ -402,8 +394,39 @@ def run_sweep(args) -> int:
     return _exit_code(r["passed"] for r in rows)
 
 
+# name -> (run, help, the options beyond --config and --out)
+_COMMANDS = {
+    "constants": (run_constants, "closed-form constants table", _constants_options),
+    "barenblatt": (run_barenblatt, "dump a Barenblatt profile and its values",
+                   _barenblatt_options),
+    "evolve": (run_evolve, "run the solver and verify requested claims", _evolve_options),
+    "verify": (run_verify, "run checks on an existing snapshot CSV", _verify_options),
+    "sweep": (run_sweep, "verdict table over (p, dim, seed) triples", _sweep_options),
+}
+
+
+def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of the command line argv.  Every subcommand is there, but only
+    the one argv[0] names gets its options (all do when it names none: --help, a
+    typo, no argument): argparse's set-up of all of them takes about 1.3 ms, half
+    of a `verify` run.  `--config` changes a subcommand's defaults, so each call
+    builds its own."""
+    top = _Parser(prog="renyiflow", description="entropy-power experiments for u_t = Lap(u^p)")
+    sub = top.add_subparsers(dest="subcommand", required=True)
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    for name, (run, help, options) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run)
+        if named in (None, name):
+            sp.add_argument("--config", type=str, default=None, help="INI config file; flags win")
+            sp.add_argument("--out", type=str, default=None, help="output directory")
+            options(sp)
+    return top
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
         if args.config is not None:

@@ -66,10 +66,8 @@ def write_profile(path, f: DensityField) -> None:
     head = (f"# geometry={g.kind} dim={g.dim} "
             f"spacing={float(g.spacing)!r} origin={float(g.origin)!r}")
     col = "x" if g.kind == CARTESIAN else "r"
-    lines = [head, f"{col},u"]
-    for x, u in zip(g.nodes(), f.values):
-        lines.append(f"{float(x)!r},{float(u)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = map(",".join, zip(map(repr, g.nodes().tolist()), map(repr, f.values.tolist())))
+    Path(path).write_text("\n".join([head, f"{col},u", *rows]) + "\n")
 
 
 def read_profile(path) -> DensityField:

@@ -46,10 +46,10 @@ MIN_STEPS_PER_SNAPSHOT = 10
 EPS = float(np.finfo(float).eps)
 SEQUENTIAL_SIZE = 64  # tridiagonal systems this small are solved row by row
 # The ratio dt_run / CFL step, taken at each snapshot, above which a p > 1 run
-# marches implicitly from that snapshot on.  An implicit step costs about 11 /
-# 19-20 / 43-44 explicit ones, each with its CFL step, at N = 512 / 2048 / 8192
-# (p = 2 Barenblatt at t = 1 and the accuracy step, 1.0 / 1.8 / 4.3 solves per
-# step; 2 cores, numpy 2.4.6), so the march breaks even lower, but
+# marches implicitly from that snapshot on.  An implicit step costs about 9-10 /
+# 9-10 / 25-28 explicit ones, each with its CFL step, at N = 512 / 2048 / 8192
+# (tools/step_cost.py: p = 2 Barenblatt at t = 1 and the accuracy step, 1 / 1 / 3
+# solves per step; 2 cores, numpy 2.4.6), so the march breaks even lower, but
 # below about 57 the 512-node run of `test_barenblatt_concavity_exit_zero` goes
 # implicit and fails on resolution.
 IMPLICIT_STEP_COST = 100.0
@@ -121,14 +121,15 @@ class _Kernel:
     `advance` is the explicit step, `implicit_advance` the BDF2 one, which also keeps
     the previous u and step as its history; both share the weights, face areas, buffers
     and state.  The terms that depend on the grid alone come from `_geometry`, once per
-    grid, and the implicit step's `_ReductionPlan` is built on its first call, so
-    `step`, `cfl_dt` and explicit runs never pay for it.  u is clipped to u >= 0 on
-    entry and after a step that undershoots.  v = u^p and its differences dv serve both
-    the p < 1 chord stiffness and the fluxes, and the acceptance test's max(u) is the
-    next umax.  An explicit step refreshes v and dv; an implicit one uses them as
+    grid.  The implicit step's `_ReductionPlan` and its linearization buffers (`work`,
+    about 8N doubles, and a third u buffer) are made on its first call, so `step`,
+    `cfl_dt` and explicit runs never pay for them.  u is clipped to u >= 0 on entry
+    and after a step that undershoots.  v = u^p and its differences dv serve both the
+    p < 1 chord stiffness and the fluxes, and the acceptance test's max(u) is the next
+    umax.  An explicit step refreshes v and dv; an implicit one uses v, dv and du as
     scratch, so callers refresh them with `_faces()` before reading them
-    (`accuracy_dt`, `cfl_dt`, `advance`).  Each out= pass of `advance` keeps the
-    operation order of the plain array expressions: bitwise theirs.
+    (`accuracy_dt`, `cfl_dt`, `advance`).  Each out= pass of either step keeps the
+    operands and operation order of the plain array expressions: bitwise theirs.
     """
 
     def __init__(self, grid: Grid, p: float, values: np.ndarray):
@@ -144,7 +145,7 @@ class _Kernel:
         self.v_hi, self.v_lo, self.flux_in = self.v[1:], self.v[:-1], self.flux[1:-1]
         self.face_hi, self.face_lo = face[1:], face[:-1]
         self.u_prev, self.dt_prev = None, 0.0  # BDF2 history: none before the first implicit step
-        self.plan = None  # the implicit step's solver, built on its first call
+        self.plan = self.work = None  # the implicit solver and buffers: made by its first call
         self._faces()
 
     def _faces(self) -> None:
@@ -231,50 +232,68 @@ class _Kernel:
         elsewhere d is small, or rounding as large as the step near the flat state)
         misplaces theta ||L d||_1 above LINEARIZATION_TOL of the mass the step moves,
         the step relinearizes about u' (a Newton step) and solves again, moving the
-        front a cell further.  With no front node d is zero and takes no pass.  b can
-        be negative near a front, so an undershoot of any solve halves dt, a
-        rejection.
+        front a cell further.  d is formed at the front nodes only, in a zeroed buffer
+        that is zeroed again after use.  b can be negative near a front, so an
+        undershoot of any solve halves dt, a rejection.
         """
-        p, w = self.p, self.weights
+        p, w, u, new, scratch, conduct = self.p, self.weights, self.u, self.new, self.v, self.du
         if self.plan is None:
-            self.plan = _ReductionPlan(w.size)
+            n = w.size
+            self.plan = _ReductionPlan(n)
+            self.work = [np.empty(n) for _ in range(7)] + [np.zeros(n), np.empty(n, dtype=bool)]
         plan = self.plan
+        bdf_base, spring, load, slope, shift, g_buf, trial_buf, defect, front = self.work
         floor = 0.0 if p > 1.0 else EPS * self.umax
         rejections = 0
         while True:
+            g, trial = g_buf, trial_buf
             if self.u_prev is None:
-                base, theta, g = self.u, dt, self.u
+                base, theta = u, dt
+                np.maximum(u, floor, out=g)
             else:
                 omega = dt / self.dt_prev
                 scale = 1.0 + 2.0 * omega
-                change = self.u - self.u_prev
-                base = self.u + (omega * omega / scale) * change
+                change = np.subtract(u, self.u_prev, out=g)
+                base = np.multiply(change, omega * omega / scale, out=bdf_base)
+                np.add(u, base, out=base)
                 theta = dt * (1.0 + omega) / scale
-                g = self.u + omega * change
-            g = np.maximum(g, floor)
-            conduct, spring, load = theta * self.conductance, theta * self.coupling, w * base
+                np.multiply(change, omega, out=g)
+                np.add(u, g, out=g)
+                np.maximum(g, floor, out=g)
+            np.multiply(self.conductance, theta, out=conduct)
+            np.multiply(self.coupling, theta, out=spring)
+            np.multiply(w, base, out=load)
             for _ in range(w.size):  # Newton moves the front at least a cell per solve
-                power = g ** (p - 1.0)
-                slope = p * power
-                shift = (1.0 - p) * g * power  # the linearized u'^p is shift + slope u'
+                np.copyto(slope, g)
+                slope **= p - 1.0  # `**` with numpy's fast paths (sqrt, square), as g ** (p - 1)
+                np.multiply(g, 1.0 - p, out=shift)
+                np.multiply(shift, slope, out=shift)  # the linearized u'^p is shift + slope u'
+                np.multiply(slope, p, out=slope)
                 np.multiply(conduct, slope[:-1], out=plan.lower)
                 np.multiply(conduct, slope[1:], out=plan.upper)
                 np.add(w, np.multiply(spring, slope, out=plan.diag), out=plan.diag)
                 np.multiply(theta, self._divergence(shift), out=plan.rhs)
                 np.add(load, plan.rhs, out=plan.rhs)
                 sol = plan.solve()
-                new = base + theta * self._divergence(shift + slope * sol) / w
+                np.multiply(slope, sol, out=scratch)
+                np.add(shift, scratch, out=scratch)
+                np.multiply(theta, self._divergence(scratch), out=new)
+                np.divide(new, w, out=new)
+                np.add(base, new, out=new)
                 umax = new.max()
                 undershoot = not new.min() >= -NEGATIVITY_SLACK * umax  # nan counts too
-                trial = np.maximum(new, floor)
-                front = trial > 2.0 * g
+                np.maximum(new, floor, out=trial)
+                (at,) = np.greater(trial, np.multiply(g, 2.0, out=scratch), out=front).nonzero()
                 misplaced = 0.0  # no front node: no defect
-                if front.any():
-                    defect = np.where(front, trial ** p - shift - slope * trial, 0.0)
-                    misplaced = theta * np.abs(self._divergence(defect)).sum()
-                if undershoot or misplaced <= LINEARIZATION_TOL * (w @ np.abs(new - self.u)):
+                if at.size:
+                    front_u = trial[at]
+                    defect[at] = front_u ** p - shift[at] - slope[at] * front_u
+                    misplaced = theta * np.abs(self._divergence(defect), out=self.div).sum()
+                    defect[at] = 0.0
+                if undershoot or misplaced <= LINEARIZATION_TOL * (
+                        w @ np.abs(np.subtract(new, u, out=scratch), out=scratch)):
                     break
-                g = trial
+                g, trial = trial, g
             else:
                 raise StabilityError(f"implicit step at t = {t}: linearization did not settle")
             if not undershoot:
@@ -284,8 +303,10 @@ class _Kernel:
                 raise StabilityError(f"implicit step at t = {t} failed {rejections} times")
             dt *= 0.5
         np.maximum(new, 0.0, out=new)
-        self.u_prev, self.dt_prev = self.u, dt
-        self.u, self.umax = new, float(umax)  # v and dv are left stale
+        # u, u_prev and new take turns; the third buffer is made at the first step
+        spare = np.empty_like(new) if self.u_prev is None else self.u_prev
+        self.u_prev, self.dt_prev, self.u, self.new = u, dt, new, spare
+        self.umax = float(umax)  # v, dv and du are left stale
         return dt, rejections
 
 

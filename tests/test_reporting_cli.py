@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -483,6 +484,57 @@ class TestConfigFile:
         cfg.write_text("nodes = 256\n")  # no section header
         assert main(["evolve", "--p", "2", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("configuration error:")
+
+    def test_config_defaults_last_one_call(self, tmp_path, monkeypatch):
+        # --config sets the subcommand's defaults, so every call builds its own parser
+        seen = []
+
+        def record(args):
+            seen.append(args)
+            return 0
+
+        _, help_, options = cli._COMMANDS["evolve"]
+        monkeypatch.setitem(cli._COMMANDS, "evolve", (record, help_, options))
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[grid]\nnodes = 256\nt-end = 1.1\n")
+        assert main(["evolve", "--p", "2", "--config", str(cfg)]) == 0
+        assert main(["evolve", "--p", "2"]) == 0
+        assert (seen[0].nodes, seen[0].t_end) == (256, 1.1)
+        assert (seen[1].nodes, seen[1].t_end, seen[1].config) == (1024, 2.0, None)
+
+
+class TestParserOptions:
+    """main builds the options of the subcommand it runs; help still shows every one."""
+
+    @staticmethod
+    def _options(parser) -> dict[str, list[str]]:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return {name: [opt for a in command._actions for opt in a.option_strings]
+                for name, command in sub.choices.items()}
+
+    def test_only_the_named_subcommand_has_options(self):
+        full = self._options(cli._build_parser())
+        assert list(full) == list(cli._COMMANDS)
+        for name in full:
+            named = self._options(cli._build_parser([name, "--help"]))
+            assert named[name] == full[name]
+            assert all(opts == ["-h", "--help"] for other, opts in named.items() if other != name)
+        for argv in ([], ["--help"], ["evolv", "--p", "2"]):
+            assert self._options(cli._build_parser(argv)) == full
+
+    def test_help_lists_every_option(self, capsys):
+        full = self._options(cli._build_parser())
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        assert all(re.search(rf"\b{name}\b", out) for name in full)
+        for name, opts in full.items():
+            with pytest.raises(SystemExit) as exit_:
+                main([name, "--help"])
+            assert exit_.value.code == 0
+            out = capsys.readouterr().out
+            assert all(re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", out) for opt in opts)
 
 
 class TestUsageErrors:

@@ -601,7 +601,14 @@ class TestReductionPlan:
             built.append(n)
             real(plan, n)
 
+        kernels, real_kernel = [], solver._Kernel.__init__
+
+        def kernel_init(kernel, *args):
+            kernels.append(kernel)
+            real_kernel(kernel, *args)
+
         monkeypatch.setattr(solver._ReductionPlan, "__init__", init)
+        monkeypatch.setattr(solver._Kernel, "__init__", kernel_init)
         grid = rf.Grid.cartesian(256, 8.0)
         f0 = rf.sample_mixture(grid, seed=2)
         params = rf.DiffusionParams(p=2.0, dim=1, t_start=1.0, t_end=1.05, snapshot_count=3)
@@ -610,11 +617,15 @@ class TestReductionPlan:
         record = _record_marches(monkeypatch)
         rf.evolve(f0, params)
         assert record and {march for march, _, _ in record} == {"advance"}
-        assert built == []
+        assert built == [] and len(kernels) == 3
+        assert all(k.plan is None and k.work is None for k in kernels)  # no step buffers
         kernel = solver._Kernel(grid, 2.0, f0.values)
+        works = []
         for _ in range(2):
             kernel.implicit_advance(kernel.accuracy_dt(solver.STEP_CHANGE), 1.0)
-        assert built == [256]
+            works.append(kernel.work)
+        assert built == [256] and works[0] is works[1]
+        assert all(a.size == 256 for a in works[0])
 
 
 def _implicit_march(f0, p, t_end):
@@ -903,6 +914,115 @@ class TestLeanImplicitStep:
             assert (want[1] > 0) == undershoot_first
             relinearized |= want_solves > 1 + want[1]
         assert relinearized == (params.p > 1.0)  # the p = 2 front outruns a cell per step
+
+
+# A frozen copy of the implicit step before its linearization moved into prepared
+# buffers: every pass allocated afresh, and the defect was built over the whole grid
+# before np.where kept the front nodes.  The step in buffers must give its bits.
+def _allocating_implicit_advance(kernel, dt, t):
+    p, w = kernel.p, kernel.weights
+    if kernel.plan is None:
+        kernel.plan = solver._ReductionPlan(w.size)
+    plan = kernel.plan
+    floor = 0.0 if p > 1.0 else solver.EPS * kernel.umax
+    rejections = 0
+    while True:
+        if kernel.u_prev is None:
+            base, theta, g = kernel.u, dt, kernel.u
+        else:
+            omega = dt / kernel.dt_prev
+            scale = 1.0 + 2.0 * omega
+            change = kernel.u - kernel.u_prev
+            base = kernel.u + (omega * omega / scale) * change
+            theta = dt * (1.0 + omega) / scale
+            g = kernel.u + omega * change
+        g = np.maximum(g, floor)
+        conduct, spring, load = theta * kernel.conductance, theta * kernel.coupling, w * base
+        for _ in range(w.size):
+            power = g ** (p - 1.0)
+            slope = p * power
+            shift = (1.0 - p) * g * power
+            np.multiply(conduct, slope[:-1], out=plan.lower)
+            np.multiply(conduct, slope[1:], out=plan.upper)
+            np.add(w, np.multiply(spring, slope, out=plan.diag), out=plan.diag)
+            np.multiply(theta, kernel._divergence(shift), out=plan.rhs)
+            np.add(load, plan.rhs, out=plan.rhs)
+            sol = plan.solve()
+            new = base + theta * kernel._divergence(shift + slope * sol) / w
+            umax = new.max()
+            undershoot = not new.min() >= -NEGATIVITY_SLACK * umax
+            trial = np.maximum(new, floor)
+            front = trial > 2.0 * g
+            misplaced = 0.0
+            if front.any():
+                defect = np.where(front, trial ** p - shift - slope * trial, 0.0)
+                misplaced = theta * np.abs(kernel._divergence(defect)).sum()
+            if undershoot or misplaced <= solver.LINEARIZATION_TOL * (w @ np.abs(new - kernel.u)):
+                break
+            g = trial
+        else:
+            raise StabilityError(f"implicit step at t = {t}: linearization did not settle")
+        if not undershoot:
+            break
+        rejections += 1
+        assert rejections <= MAX_REJECTIONS
+        dt *= 0.5
+    np.maximum(new, 0.0, out=new)
+    kernel.u_prev, kernel.dt_prev = kernel.u, dt
+    kernel.u, kernel.umax = new, float(umax)
+    return dt, rejections
+
+
+class TestPreparedImplicitStep:
+    """The implicit step in prepared buffers against its allocating predecessor, bit for bit."""
+
+    @staticmethod
+    def _step_both(monkeypatch, prepared, frozen, dt, t, undershoot_first=False):
+        """One step of each kernel from the same state; returns ((dt, rejections), solves)."""
+        outcomes = []
+        for kernel, advance in ((prepared, solver._Kernel.implicit_advance),
+                                (frozen, _allocating_implicit_advance)):
+            with monkeypatch.context() as m:
+                calls = _count_solves(m, kernel.weights.size, undershoot_first)
+                outcomes.append((advance(kernel, dt, t), len(calls)))
+        assert outcomes[0] == outcomes[1]
+        for got, want in ((prepared.u, frozen.u), (prepared.u_prev, frozen.u_prev)):
+            assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+        assert (prepared.dt_prev, prepared.umax) == (frozen.dt_prev, frozen.umax)
+        return outcomes[1]
+
+    @pytest.mark.parametrize("case", ["barenblatt-p2", "mixture-p0.8-radial3"])
+    def test_start_bdf2_and_undershoot(self, case, monkeypatch):
+        f0, params = _implicit_cases()[case]
+        prepared = solver._Kernel(f0.grid, params.p, f0.values)
+        frozen = solver._Kernel(f0.grid, params.p, f0.values)
+        dt = prepared.accuracy_dt(solver.STEP_CHANGE)
+        # backward Euler, BDF2 at omega = 2 and 1, then a step whose first solve
+        # undershoots, so that it is rejected and retried at dt/2
+        schedule = [(0.5 * dt, False), (dt, False), (dt, False), (dt, True)]
+        t = params.t_start
+        for dt_try, undershoot_first in schedule:
+            (dt_used, rejections), _ = self._step_both(monkeypatch, prepared, frozen, dt_try,
+                                                       t, undershoot_first)
+            assert rejections == int(undershoot_first)
+            t += dt_used
+
+    def test_front_relinearizing_run(self, monkeypatch):
+        # 2048 nodes: from about the twelfth step on, the front outruns a cell per solve
+        spec = rf.barenblatt_spec(2.0, 1, rf.PDE_NORMALIZED)
+        grid = rf.Grid.cartesian(2048, rf.support_radius(spec) * 2.0 ** (1.0 / 3.0) * 1.3)
+        f0 = rf.sample_barenblatt(grid, 2.0, 1.0, normalize=True)
+        prepared = solver._Kernel(grid, 2.0, f0.values)
+        frozen = solver._Kernel(grid, 2.0, f0.values)
+        dt_run = prepared.accuracy_dt(solver.STEP_CHANGE)
+        dt, t, relinearized = prepared.cfl_dt(0.9), 1.0, 0
+        for _ in range(20):
+            (dt_used, _), solves = self._step_both(monkeypatch, prepared, frozen,
+                                                   min(dt, dt_run), t)
+            relinearized += solves > 1
+            t += dt_used
+            dt = 2.0 * dt_used
+        assert relinearized > 0
 
 
 def _steps_per_interval(record, times):
