@@ -887,35 +887,6 @@ def _reference_implicit_advance(kernel, dt, t):
     return dt, rejections
 
 
-class TestLeanImplicitStep:
-    """The implicit step against its frozen predecessor, one step at a time."""
-
-    @pytest.mark.parametrize("case", ["mixture-p0.8-radial3", "barenblatt-p2-4096"])
-    def test_matches_frozen_step(self, case, monkeypatch):
-        f0, params = _implicit_cases()[case]
-        nodes = f0.grid.node_count
-        lean = solver._Kernel(f0.grid, params.p, f0.values)
-        frozen = solver._Kernel(f0.grid, params.p, f0.values)
-        dt = lean.accuracy_dt(solver.STEP_CHANGE)
-        # backward Euler, BDF2 at omega = 2 and 1, then a step whose first solve
-        # undershoots, so that it is rejected and retried at dt/2
-        schedule = [(0.5 * dt, False), (dt, False), (dt, False), (dt, True)]
-        relinearized = False
-        for dt_try, undershoot_first in schedule:
-            outcomes = []
-            for kernel, advance in ((lean, solver._Kernel.implicit_advance),
-                                    (frozen, _reference_implicit_advance)):
-                with monkeypatch.context() as m:
-                    calls = _count_solves(m, nodes, undershoot_first)
-                    outcomes.append((advance(kernel, dt_try, 1.0), len(calls)))
-            (got, got_solves), (want, want_solves) = outcomes
-            assert got == want and got_solves == want_solves
-            assert np.max(np.abs(lean.u - frozen.u)) <= 1e-12 * np.max(frozen.u)
-            assert (want[1] > 0) == undershoot_first
-            relinearized |= want_solves > 1 + want[1]
-        assert relinearized == (params.p > 1.0)  # the p = 2 front outruns a cell per step
-
-
 # A frozen copy of the implicit step before its linearization moved into prepared
 # buffers: every pass allocated afresh, and the defect was built over the whole grid
 # before np.where kept the front nodes.  The step in buffers must give its bits.
@@ -973,55 +944,72 @@ def _allocating_implicit_advance(kernel, dt, t):
     return dt, rejections
 
 
-class TestPreparedImplicitStep:
-    """The implicit step in prepared buffers against its allocating predecessor, bit for bit."""
+def _step_against(monkeypatch, kernel, frozen, reference, dt, t, undershoot_first=False):
+    """One step of the kernel and one of its frozen copy from the same state:
+    ((dt, rejections), solves) of each."""
+    outcomes = []
+    for k, advance in ((kernel, solver._Kernel.implicit_advance), (frozen, reference)):
+        with monkeypatch.context() as m:
+            calls = _count_solves(m, k.weights.size, undershoot_first)
+            outcomes.append((advance(k, dt, t), len(calls)))
+    return outcomes
 
-    @staticmethod
-    def _step_both(monkeypatch, prepared, frozen, dt, t, undershoot_first=False):
-        """One step of each kernel from the same state; returns ((dt, rejections), solves)."""
-        outcomes = []
-        for kernel, advance in ((prepared, solver._Kernel.implicit_advance),
-                                (frozen, _allocating_implicit_advance)):
-            with monkeypatch.context() as m:
-                calls = _count_solves(m, kernel.weights.size, undershoot_first)
-                outcomes.append((advance(kernel, dt, t), len(calls)))
-        assert outcomes[0] == outcomes[1]
-        for got, want in ((prepared.u, frozen.u), (prepared.u_prev, frozen.u_prev)):
-            assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
-        assert (prepared.dt_prev, prepared.umax) == (frozen.dt_prev, frozen.umax)
-        return outcomes[1]
 
-    @pytest.mark.parametrize("case", ["barenblatt-p2", "mixture-p0.8-radial3"])
-    def test_start_bdf2_and_undershoot(self, case, monkeypatch):
+def _assert_same_bits(kernel, frozen):
+    for got, want in ((kernel.u, frozen.u), (kernel.u_prev, frozen.u_prev)):
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+    assert (kernel.dt_prev, kernel.umax) == (frozen.dt_prev, frozen.umax)
+
+
+class TestLeanImplicitStep:
+    """The implicit step against its frozen predecessors, one step at a time: to
+    rounding against the step with the unused passes, bit for bit against the
+    allocating step."""
+
+    @pytest.mark.parametrize("case, exact", [
+        pytest.param("mixture-p0.8-radial3", False, id="mixture-p0.8-radial3"),
+        pytest.param("barenblatt-p2-4096", False, id="barenblatt-p2-4096"),
+        pytest.param("mixture-p0.8-radial3", True, id="bitwise-mixture-p0.8-radial3"),
+        pytest.param("barenblatt-p2-4096", True, id="bitwise-barenblatt-p2-4096")])
+    def test_matches_frozen_step(self, case, exact, monkeypatch):
         f0, params = _implicit_cases()[case]
-        prepared = solver._Kernel(f0.grid, params.p, f0.values)
+        reference = _allocating_implicit_advance if exact else _reference_implicit_advance
+        lean = solver._Kernel(f0.grid, params.p, f0.values)
         frozen = solver._Kernel(f0.grid, params.p, f0.values)
-        dt = prepared.accuracy_dt(solver.STEP_CHANGE)
+        dt = lean.accuracy_dt(solver.STEP_CHANGE)
         # backward Euler, BDF2 at omega = 2 and 1, then a step whose first solve
         # undershoots, so that it is rejected and retried at dt/2
         schedule = [(0.5 * dt, False), (dt, False), (dt, False), (dt, True)]
-        t = params.t_start
+        relinearized = False
         for dt_try, undershoot_first in schedule:
-            (dt_used, rejections), _ = self._step_both(monkeypatch, prepared, frozen, dt_try,
-                                                       t, undershoot_first)
-            assert rejections == int(undershoot_first)
-            t += dt_used
+            (got, got_solves), (want, want_solves) = _step_against(
+                monkeypatch, lean, frozen, reference, dt_try, 1.0, undershoot_first)
+            assert got == want and got_solves == want_solves
+            if exact:
+                _assert_same_bits(lean, frozen)
+            else:
+                assert np.max(np.abs(lean.u - frozen.u)) <= 1e-12 * np.max(frozen.u)
+            assert (want[1] > 0) == undershoot_first
+            relinearized |= want_solves > 1 + want[1]
+        assert relinearized == (params.p > 1.0)  # the p = 2 front outruns a cell per step
 
     def test_front_relinearizing_run(self, monkeypatch):
         # 2048 nodes: from about the twelfth step on, the front outruns a cell per solve
         spec = rf.barenblatt_spec(2.0, 1, rf.PDE_NORMALIZED)
         grid = rf.Grid.cartesian(2048, rf.support_radius(spec) * 2.0 ** (1.0 / 3.0) * 1.3)
         f0 = rf.sample_barenblatt(grid, 2.0, 1.0, normalize=True)
-        prepared = solver._Kernel(grid, 2.0, f0.values)
+        lean = solver._Kernel(grid, 2.0, f0.values)
         frozen = solver._Kernel(grid, 2.0, f0.values)
-        dt_run = prepared.accuracy_dt(solver.STEP_CHANGE)
-        dt, t, relinearized = prepared.cfl_dt(0.9), 1.0, 0
+        dt_run = lean.accuracy_dt(solver.STEP_CHANGE)
+        dt, t, relinearized = lean.cfl_dt(0.9), 1.0, 0
         for _ in range(20):
-            (dt_used, _), solves = self._step_both(monkeypatch, prepared, frozen,
-                                                   min(dt, dt_run), t)
+            (got, got_solves), (want, solves) = _step_against(
+                monkeypatch, lean, frozen, _allocating_implicit_advance, min(dt, dt_run), t)
+            assert got == want and got_solves == solves
+            _assert_same_bits(lean, frozen)
             relinearized += solves > 1
-            t += dt_used
-            dt = 2.0 * dt_used
+            t += want[0]
+            dt = 2.0 * want[0]
         assert relinearized > 0
 
 

@@ -1,7 +1,7 @@
 """Microseconds per implicit and per explicit step of the renyiflow kernel.
 
 Usage:
-    PYTHONPATH=src python tools/step_cost.py [--repeats R] N [N ...]
+    PYTHONPATH=src python tools/step_cost.py N [N ...]
 
 For each node count N the field is the p = 2 Barenblatt at t = 1, normalized,
 on the 1-D domain of radius 1.3 times its support radius at t = 3 (the domain
@@ -9,7 +9,7 @@ on the 1-D domain of radius 1.3 times its support radius at t = 3 (the domain
 step is BDF2 at the step that moves STEP_CHANGE of the mass, `accuracy_dt`,
 after one backward-Euler step of that size; the explicit step is `advance` at
 the CFL step, timed together with its `cfl_dt`.  Every timed step starts from
-a copy of one kernel state, so all R of them (at least 200) do the same work.
+a copy of one kernel state, so all REPEATS = 400 of them do the same work.
 Implicit and explicit steps alternate, so a change in the host's speed touches
 both alike; the median is reported with the quartiles.  The solves per
 implicit step are counted once, outside the timing.  The ratio is that of the
@@ -32,7 +32,7 @@ import renyiflow as rf
 from renyiflow import solver
 
 P, T_START, T_DOMAIN = 2.0, 1.0, 3.0
-MIN_REPEATS = 200
+REPEATS = 400  # timed steps per march and N
 
 
 def _barenblatt_kernel(nodes: int) -> solver._Kernel:
@@ -80,13 +80,13 @@ def _explicit_stepper(nodes: int, cfl_safety: float = 0.9):
     return restore, lambda: kernel.advance(kernel.cfl_dt(cfl_safety), T_START)
 
 
-def step_cost(nodes: int, repeats: int) -> tuple[np.ndarray, np.ndarray, int]:
+def step_cost(nodes: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Quartiles of µs per implicit and per explicit step, and the solves per
     implicit step.  The two marches' steps alternate, so both see the same host."""
     restore, advance, solves = _implicit_stepper(nodes)
     steppers = [(restore, advance), _explicit_stepper(nodes)]
     samples = [[], []]
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         for (restore, advance), times in zip(steppers, samples):
             restore()
             start = time.perf_counter_ns()
@@ -99,20 +99,16 @@ def step_cost(nodes: int, repeats: int) -> tuple[np.ndarray, np.ndarray, int]:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("nodes", type=int, nargs="+", metavar="N")
-    parser.add_argument("--repeats", type=int, default=400,
-                        help=f"timed steps per march and N, at least {MIN_REPEATS}")
     args = parser.parse_args(argv)
-    if args.repeats < MIN_REPEATS:
-        parser.error(f"--repeats must be at least {MIN_REPEATS}")
     if min(args.nodes) < 8:
         parser.error("N must be at least 8")
     nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     print(f"# nproc {nproc}, python {platform.python_version()}, "
           f"numpy {np.__version__}; renyiflow from {os.path.dirname(rf.__file__)}")
-    print(f"# p = {P} Barenblatt at t = {T_START}; median [q1, q3] of {args.repeats} steps, µs")
+    print(f"# p = {P} Barenblatt at t = {T_START}; median [q1, q3] of {REPEATS} steps, µs")
     print(f"{'N':>6}  {'implicit':>24}  {'solves':>6}  {'explicit':>24}  {'ratio':>6}")
     for nodes in args.nodes:
-        implicit, explicit, solves = step_cost(nodes, args.repeats)
+        implicit, explicit, solves = step_cost(nodes)
         cells = [f"{q[1]:9.1f} [{q[0]:.1f}, {q[2]:.1f}]" for q in (implicit, explicit)]
         print(f"{nodes:>6}  {cells[0]:>24}  {solves:>6}  {cells[1]:>24}  "
               f"{implicit[1] / explicit[1]:>6.1f}")
