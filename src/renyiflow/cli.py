@@ -341,7 +341,7 @@ def run_verify(args) -> int:
 
 def _sweep_row(job: tuple) -> dict:
     p, dim, seed, nodes, t_start, t_end, snapshots, cfl, outdir = job
-    row = {"p": p, "dim": dim, "seed": seed, "passed": False}
+    row = {"p": p, "dim": dim, "seed": seed, "passed": False, "edge_mass": ""}
     names = ["concavity", "upsilon"]
     if p != 1.0 and p > dim / (dim + 2.0):
         names.append("isoperimetric")
@@ -351,7 +351,8 @@ def _sweep_row(job: tuple) -> dict:
                "t_start": t_start, "t_end": t_end, "snapshots": snapshots,
                "initial": "mixture", "seed": seed, "cfl": cfl, "verify": names, "tols": {}}
         result, checks, _ = _run(cfg)
-        row.update(passed=all(c.passed for c in checks.values()), error="")
+        row.update(passed=all(c.passed for c in checks.values()), error="",
+                   edge_mass=repr(result.edge_mass))
         if outdir is not None:
             d = Path(outdir) / f"row-p{p}-n{dim}-s{seed}"
             d.mkdir(parents=True, exist_ok=True)
@@ -384,10 +385,10 @@ def run_sweep(args) -> int:
             rows = list(pool.map(_sweep_row, jobs))
     else:
         rows = [_sweep_row(j) for j in jobs]
-    lines = ["p,n,seed,passed,error"]
+    lines = ["p,n,seed,passed,error,edge_mass"]
     for r in rows:
-        lines.append(f"{r['p']!r},{r['dim']},{r['seed']},"
-                     f"{str(r['passed']).lower()},{r['error'].replace(',', ';')}")
+        lines.append(f"{r['p']!r},{r['dim']},{r['seed']},{str(r['passed']).lower()},"
+                     f"{r['error'].replace(',', ';')},{r['edge_mass']}")
     (d / "sweep.csv").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
     print(f"wrote {d / 'sweep.csv'}", file=sys.stderr)

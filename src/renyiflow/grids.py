@@ -3,7 +3,8 @@
 Two geometries are supported: a 1-D Cartesian interval and a radially
 symmetric n-D half-line.  Radial grids are cell centered, starting at
 r = spacing/2, and carry the volume weight |S^{n-1}| r^{n-1} spacing per
-node, with |S^{n-1}| = 2 pi^{n/2} / Gamma(n/2).
+node, with |S^{n-1}| = 2 pi^{n/2} / Gamma(n/2).  The solver's kernel reads
+a grid only as these weights and its faces' conductances (`Grid.conductances`).
 """
 from __future__ import annotations
 
@@ -80,11 +81,27 @@ class Grid:
         return w
 
     def face_areas(self) -> np.ndarray:
-        """Areas of the node_count+1 cell faces, used by the flux solver."""
+        """Areas of the node_count+1 cell faces, from which `conductances` is formed."""
         if self.kind == CARTESIAN:
             return np.ones(self.node_count + 1)
         faces = self.spacing * np.arange(self.node_count + 1)
         return sphere_surface(self.dim) * faces ** (self.dim - 1)
+
+    def conductances(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(conductance, coupling, max_rate): the interior faces' area / spacing, each
+        node's sum of them (the walls carry no flux), and the largest coupling / weight.
+
+        Computed once per grid; the arrays are shared, so they are read-only.
+        """
+        return self._conductances
+
+    @cached_property
+    def _conductances(self) -> tuple[np.ndarray, np.ndarray, float]:
+        conductance = self.face_areas()[1:-1] / self.spacing
+        coupling = np.append(conductance, 0.0)
+        coupling[1:] += conductance
+        conductance.flags.writeable = coupling.flags.writeable = False
+        return conductance, coupling, float(np.maximum.reduce(coupling / self.weights()))
 
     def radius(self) -> float:
         """Outer edge of the covered domain (half-width for Cartesian grids)."""

@@ -1,23 +1,23 @@
 """Conservative finite-volume solver for u_t = Lap(u^p).
 
-The update is written in flux form on v = u^p: face fluxes (v_R - v_L)/h, radial
-faces weighted by their area |S^{n-1}| r^{n-1}.  Interior fluxes telescope, so
-the discrete mass changes only through the (closed, zero-flux) boundary.  The
-explicit step (`step`, `cfl_dt`) keeps nonnegativity: each update is
-a convex combination of neighbor values while dt D (A_{i-1/2} + A_{i+1/2}) is at
-most h w_i at every node (D the stiffness, A the face areas, w the weights): for
-dt up to h^2 / (2 D) on Cartesian grids and h^2 / (2^(n-1) D), set by node 0, on
-radial ones.  Where that step is far below the one the flow's rate of change
-allows, `evolve` takes linearly implicit BDF2 steps instead: always for p < 1,
-whose diffusivity p u^{p-1} peaks in the far tail, and for p >= 1 from the first
-snapshot at which that is cheaper.  It re-sizes the step at every snapshot, so a
-slowing flow takes longer steps.  Their tridiagonal systems are solved by odd-even
-cyclic reduction, on buffers and views prepared once per run.  The degenerate p > 1
-front is handled as in Vazquez, *The Porous Medium Equation* (2007), ch. 5 and 9.
+The update is written in flux form on v = u^p with one operator L, read from the grid
+as data: (L v)_i is the net flux c (v_R - v_L) into cell i through its faces, of
+conductance c = area / h.  Interior fluxes telescope, so the discrete mass changes
+only through the (closed, zero-flux) boundary.  The explicit step u + dt L(v) / w
+(`step`, `cfl_dt`) keeps nonnegativity: each update is a convex combination of
+neighbor values while dt D c_i <= w_i at every node (D the stiffness, c_i node i's
+summed conductances, w the weights): for dt up to 1 / (D max_i c_i / w_i), which is
+h^2 / (2 D) on Cartesian grids and h^2 / (2^(n-1) D), set by node 0, on radial ones
+of n >= 2.  Where that step is far below the one the flow's rate of change allows,
+`evolve` takes linearly implicit BDF2 steps instead: always for p < 1, whose
+diffusivity p u^{p-1} peaks in the far tail, and for p >= 1 from the first snapshot
+at which that is cheaper.  It re-sizes the step at every snapshot, so a slowing flow
+takes longer steps.  Their tridiagonal systems are solved by odd-even cyclic
+reduction, on buffers and views prepared once per run.  The degenerate p > 1 front
+is handled as in Vazquez, *The Porous Medium Equation* (2007), ch. 5 and 9.
 """
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -97,31 +97,13 @@ class SolverState:
     rejection_count: int = 0
 
 
-@functools.lru_cache(maxsize=16)
-def _geometry(grid: Grid) -> tuple[float, np.ndarray | None, np.ndarray, np.ndarray]:
-    """The kernel's terms that depend on the grid alone, once per grid and read-only.
-
-    (d_geom, areas, conductance, coupling): the CFL step's geometry factor, the face
-    areas (None on Cartesian grids, whose faces all have area 1), the interior faces'
-    area / h, for the implicit step, and each node's sum of them.
-    """
-    h, w, areas = grid.spacing, grid.weights(), grid.face_areas()
-    d_geom = float(np.maximum.reduce((areas[:-1] + areas[1:]) * h / (2.0 * w)))
-    conductance = areas[1:-1] / h
-    coupling = np.append(conductance, 0.0)
-    coupling[1:] += conductance
-    for a in (areas, conductance, coupling):
-        a.flags.writeable = False
-    return d_geom, areas if grid.kind == RADIAL else None, conductance, coupling
-
-
 class _Kernel:
     """The flux steps on one (grid, p), in preallocated buffers and slice views.
 
-    `advance` is the explicit step, `implicit_advance` the BDF2 one, which also keeps
-    the previous u and step as its history; both share the weights, face areas, buffers
-    and state.  The terms that depend on the grid alone come from `_geometry`, once per
-    grid.  The implicit step's `_ReductionPlan` and its linearization buffers (`work`,
+    The grid is read only as its weights w and `Grid.conductances`; every flux is
+    formed in `_net_flux`, as conductance * dv.  `advance` is the explicit step
+    u + dt L(v) / w, `implicit_advance` the BDF2 one, which keeps the previous u and
+    step as its history.  The implicit step's `_ReductionPlan` and buffers (`work`,
     about 8N doubles, and a third u buffer) are made on its first call, so `step`,
     `cfl_dt` and explicit runs never pay for them.  u is clipped to u >= 0 on entry
     and after a step that undershoots.  v = u^p and its differences dv serve both the
@@ -134,16 +116,15 @@ class _Kernel:
 
     def __init__(self, grid: Grid, p: float, values: np.ndarray):
         n = grid.node_count
-        self.p, self.h, self.weights = p, grid.spacing, grid.weights()
-        self.d_geom, self.areas, self.conductance, self.coupling = _geometry(grid)
+        self.p, self.weights = p, grid.weights()
+        self.conductance, self.coupling, self.max_rate = grid.conductances()
         self.u = np.maximum(values, 0.0)
         self.umax = float(self.u.max())
         self.new, self.v, self.div = np.empty(n), np.empty(n), np.empty(n)
         self.dv, self.du = np.empty(n - 1), np.empty(n - 1)
-        self.flux, self.face = np.zeros(n + 1), np.empty(n + 1)  # walls: zero flux
-        face = self.face if grid.kind == RADIAL else self.flux
+        self.flux = np.zeros(n + 1)  # walls: zero flux
         self.v_hi, self.v_lo, self.flux_in = self.v[1:], self.v[:-1], self.flux[1:-1]
-        self.face_hi, self.face_lo = face[1:], face[:-1]
+        self.flux_hi, self.flux_lo = self.flux[1:], self.flux[:-1]
         self.u_prev, self.dt_prev = None, 0.0  # BDF2 history: none before the first implicit step
         self.plan = self.work = None  # the implicit solver and buffers: made by its first call
         self._faces()
@@ -170,14 +151,11 @@ class _Kernel:
         return float(np.fmax.reduce(np.abs(chord, out=chord), initial=bound))
 
     def cfl_dt(self, cfl_safety: float) -> float:
-        return cfl_safety * self.h * self.h / (2.0 * self.d_geom) / self.stiffness()
+        return cfl_safety / (self.stiffness() * self.max_rate)
 
     def advance(self, dt: float, t: float) -> tuple[float, int]:
         """One accepted step from t, halving dt on undershoot: (dt, rejections)."""
-        np.divide(self.dv, self.h, out=self.flux_in)
-        if self.areas is not None:
-            np.multiply(self.areas, self.flux, out=self.face)
-        div = np.subtract(self.face_hi, self.face_lo, out=self.div)
+        div = self._net_flux()
         new, rejections = self.new, 0
         while True:
             np.multiply(div, dt, out=new)
@@ -200,8 +178,12 @@ class _Kernel:
     def _divergence(self, v: np.ndarray) -> np.ndarray:
         """(L v)_i: net face flux of v into cell i, walls closed."""
         np.subtract(v[1:], v[:-1], out=self.dv)
+        return self._net_flux()
+
+    def _net_flux(self) -> np.ndarray:
+        """(L v)_i from the differences dv: the net flux conductance * dv into cell i."""
         np.multiply(self.conductance, self.dv, out=self.flux_in)
-        return np.subtract(self.flux[1:], self.flux[:-1], out=self.div)
+        return np.subtract(self.flux_hi, self.flux_lo, out=self.div)
 
     def accuracy_dt(self, mass_step: float) -> float:
         """Step that moves at most mass_step of mass: mass_step / ||u_t||_1, u_t = L v / W.
@@ -209,7 +191,7 @@ class _Kernel:
         ||u_t||_1 does not grow along the flow (it is an L1 contraction), so a
         step sized now keeps later steps near the same bound.
         """
-        rate = float(np.abs(self._divergence(self.v)).sum())
+        rate = float(np.abs(self._net_flux(), out=self.div).sum())  # dv is _faces()'s
         return mass_step / rate if rate > 0.0 else math.inf
 
     def implicit_advance(self, dt: float, t: float) -> tuple[float, int]:
@@ -403,7 +385,7 @@ def _eliminate(lower: list, diag: list, upper: list, rhs: list) -> list:
 
 
 def cfl_dt(f: DensityField, params: DiffusionParams) -> float:
-    """Stable explicit step cfl h^2 / (2 D_geom D): D_geom = 1 Cartesian, 2^(n-2) radial."""
+    """Stable explicit step cfl / (D max_i c_i / w_i), c_i node i's summed conductances."""
     return _Kernel(f.grid, params.p, f.values).cfl_dt(params.cfl_safety)
 
 

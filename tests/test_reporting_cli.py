@@ -24,6 +24,7 @@ from renyiflow.reporting import (
     write_profile,
     write_snapshots,
 )
+from renyiflow.solver import DOMAIN_TOL
 from renyiflow.verification import CHECKS
 
 
@@ -388,13 +389,26 @@ class TestSweepCommand:
         assert a == b
 
     def test_parallel_workers_match_serial(self, tmp_path):
-        args = ["sweep", "--p", "1.5,2", "--dim", "1", "--seeds", "1",
-                "--nodes", "256", "--t-end", "1.1", "--snapshots", "5"]
-        main(args + ["--workers", "1", "--out", str(tmp_path / "serial")])
-        main(args + ["--workers", "2", "--out", str(tmp_path / "par")])
+        # p = 1 sizes its domain for the heat kernel at t_end = 0.02 (radius 5.6), which
+        # cuts the mixture's tails; p >= 1.5 keeps the mixture's radius of 10
+        args = ["sweep", "--p", "1,1.5,2", "--dim", "1", "--seeds", "1",
+                "--nodes", "256", "--t-start", "0.01", "--t-end", "0.02", "--snapshots", "3"]
+        with pytest.warns(BoundaryLeakWarning):
+            main(args + ["--workers", "1", "--out", str(tmp_path / "serial")])
+        main(args + ["--workers", "2", "--out", str(tmp_path / "par")])  # warns in a worker
         a = next((tmp_path / "serial").glob("exp-*/sweep.csv")).read_bytes()
         b = next((tmp_path / "par").glob("exp-*/sweep.csv")).read_bytes()
         assert a == b
+        header, *rows = a.decode().splitlines()
+        assert header == "p,n,seed,passed,error,edge_mass"
+        edge = {row.split(",")[0]: float(row.split(",")[5]) for row in rows}
+        assert edge["1.0"] > DOMAIN_TOL >= max(edge["1.5"], edge["2.0"])
+
+    def test_error_row_has_no_edge_mass(self, tmp_path):
+        main(["sweep", "--p", "2", "--dim", "1", "--seeds", "1", "--nodes", "64",
+              "--t-end", "1.01", "--snapshots", "2", "--out", str(tmp_path)])
+        row = next(tmp_path.glob("exp-*/sweep.csv")).read_text().splitlines()[1]
+        assert row == "2.0,1,0,false,concavity needs at least 3 snapshots,"
 
     def test_row_is_the_evolve_run(self, tmp_path):
         # a sweep row and `evolve` share one run path: same datum, grid and march

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -67,16 +68,22 @@ class TestStep:
 
 class TestKernelSetUp:
     def test_grid_terms_shared_and_read_only(self):
-        # computed once per grid: a kernel on an equal grid, at any p, reuses them
-        grid = rf.Grid.radial(3, 128, 5.0)
-        values = rf.sample_gaussian(grid, 0.5).values
-        a = solver._Kernel(grid, 2.0, values)
-        b = solver._Kernel(rf.Grid.radial(3, 128, 5.0), 0.8, values)
-        assert a.d_geom == b.d_geom
-        for name in ("areas", "conductance", "coupling"):
-            assert getattr(a, name) is getattr(b, name)
-            assert not getattr(a, name).flags.writeable
-        assert solver._Kernel(rf.Grid.cartesian(128, 5.0), 2.0, values).areas is None
+        # computed once per grid: every kernel on the grid, at any p, reads the same terms
+        for grid in (rf.Grid.cartesian(128, 5.0), rf.Grid.radial(3, 128, 5.0)):
+            values = rf.sample_gaussian(grid, 0.5).values
+            terms = grid.conductances()
+            assert grid.conductances() is terms
+            conductance, coupling, max_rate = terms
+            assert np.array_equal(conductance, grid.face_areas()[1:-1] / grid.spacing)
+            assert max_rate == _max_rate(grid)
+            for p in (2.0, 0.8):
+                kernel = solver._Kernel(grid, p, values)
+                assert kernel.conductance is conductance and kernel.coupling is coupling
+                assert kernel.max_rate == max_rate
+            for array in (conductance, coupling):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0.0
 
 
 class TestCflDt:
@@ -322,13 +329,13 @@ def _reference_stiffness(values, p):
 
 
 def _reference_advance(values, p, dt, grid):
-    h, weights, areas = grid.spacing, grid.weights(), grid.face_areas()
+    weights, areas = grid.weights(), grid.face_areas()
     rejections = 0
     while True:
         v = np.maximum(values, 0.0) ** p
         flux = np.zeros(values.size + 1)
-        flux[1:-1] = (v[1:] - v[:-1]) / h
-        new = values + dt * (areas[1:] * flux[1:] - areas[:-1] * flux[:-1]) / weights
+        flux[1:-1] = (areas[1:-1] / grid.spacing) * (v[1:] - v[:-1])
+        new = values + dt * (flux[1:] - flux[:-1]) / weights
         if new.min() >= -NEGATIVITY_SLACK * new.max():
             break
         rejections += 1
@@ -338,22 +345,24 @@ def _reference_advance(values, p, dt, grid):
     return new, dt, rejections
 
 
-def _cfl_factor(grid):
-    """max_i (A_{i-1/2} + A_{i+1/2}) h / (2 w_i): 1 on Cartesian grids, 2^(n-2) on radial ones."""
+def _max_rate(grid):
+    """max_i c_i / w_i, c_i the summed area / h of node i's faces that carry flux:
+    2 / h^2 on Cartesian grids, max(2, 2^(n-1)) / h^2 on radial ones."""
     areas = grid.face_areas()
-    return float(np.max((areas[:-1] + areas[1:]) * grid.spacing / (2.0 * grid.weights())))
+    areas[[0, -1]] = 0.0  # the walls carry no flux
+    conductance = areas / grid.spacing
+    return float(np.max((conductance[:-1] + conductance[1:]) / grid.weights()))
 
 
 def _reference_march(f0, params):
     grid = f0.grid
-    d_geom = _cfl_factor(grid)
-    cfl_scale = params.cfl_safety * grid.spacing * grid.spacing / (2.0 * d_geom)
+    rate = _max_rate(grid)
     times = params.times()
     values, t = f0.values.copy(), float(times[0])
     fields, steps, rejections = [values.copy()], 0, 0
     for target in times[1:]:
         while t < target:
-            proposal = cfl_scale / _reference_stiffness(values, params.p)
+            proposal = params.cfl_safety / (rate * _reference_stiffness(values, params.p))
             remaining = target - t
             parts = max(1, math.ceil(remaining / proposal))
             values, dt_used, rej = _reference_advance(
@@ -433,9 +442,7 @@ class TestKernelMatchesReference:
         assert np.any(np.diff(values) == 0.0) and values.min() == 0.0
         f = rf.DensityField(grid, values)
         params = rf.DiffusionParams(p=0.8, dim=grid.dim, t_start=0.0, t_end=1.0)
-        d_geom = _cfl_factor(grid)
-        want = params.cfl_safety * grid.spacing * grid.spacing / (2.0 * d_geom) / (
-            _reference_stiffness(values, 0.8))
+        want = params.cfl_safety / (_max_rate(grid) * _reference_stiffness(values, 0.8))
         assert cfl_dt(f, params) == want
 
 
@@ -649,8 +656,9 @@ class TestImplicitPorousMedium:
                                    2048, 2049, 4097, 8193])
     def test_tridiagonal_solve_nonsymmetric(self, n):
         sub, diag, sup, rhs = _tridiagonal_m_matrix(n, seed=n)
-        dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
-        want = np.linalg.solve(dense, rhs)
+        banded = np.zeros((3, n))  # LAPACK gbsv's band storage: superdiagonal first
+        banded[0, 1:], banded[1], banded[2, :-1] = sup, diag, sub
+        want = scipy.linalg.solve_banded((1, 1), banded, rhs)
         x = _plan_solve(sub, diag, sup, rhs)
         np.testing.assert_allclose(x, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
