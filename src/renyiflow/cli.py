@@ -1,21 +1,22 @@
 """Batch front-end: constants tables, profile dumps, evolution runs, sweeps.
 
 Configuration comes from an INI-style file (key = value under sections, all
-sections are merged) plus command-line flags; flags win.  Exit codes are the
-machine contract: 0 success, 1 configuration or domain error, 2 stability
-failure, 3 failed verdict.
+sections are merged), read as `--name=value` tokens before the command-line
+flags, which win.  Exit codes are the machine contract: 0 success, 1 configuration
+or domain error, 2 stability failure, 3 failed verdict.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
 from . import analytic
-from .errors import DomainError, InsufficientData, StabilityError
+from .errors import DegenerateError, DomainError, InsufficientData, StabilityError
 from .grids import Grid
 from .initial_data import blend_with_barenblatt, sample_barenblatt, sample_gaussian, sample_mixture
 from .reporting import (
@@ -37,7 +38,6 @@ EXIT_STABILITY = 2
 EXIT_VERDICT = 3
 
 CONSTANTS_HEADER = "p,n,mu,nu,A_p,C_p,Hp_B,Ip_B,gamma,Sn,error"
-_EVOLVE_NODES = 1024  # the --nodes default of evolve
 
 # the checks that need only a snapshot series, so `verify` can run them
 SERIES_CHECKS = tuple(name for name, check in CHECKS.items() if not check.needs_fields)
@@ -67,7 +67,7 @@ def _evolve_options(e: argparse.ArgumentParser) -> None:
     e.add_argument("--p", type=float, default=None)
     e.add_argument("--dim", type=int, default=1)
     e.add_argument("--geometry", choices=["cartesian1d", "radial"], default=None)
-    e.add_argument("--nodes", type=int, default=_EVOLVE_NODES)
+    e.add_argument("--nodes", type=int, default=1024)
     e.add_argument("--radius", type=float, default=None)
     e.add_argument("--t-start", dest="t_start", type=float, default=1.0)
     e.add_argument("--t-end", dest="t_end", type=float, default=2.0)
@@ -103,10 +103,10 @@ def _sweep_options(s: argparse.ArgumentParser) -> None:
     s.add_argument("--workers", type=int, default=1)
 
 
-def _config_defaults(command: argparse.ArgumentParser, args, path: str) -> dict:
-    """The values of the INI file at path (all sections merged) that name an
-    option of command, as `t-end` or `t_end`, and that no flag set.  As defaults,
-    argparse converts them like flags but checks no choices, and appends flags to them."""
+def _config_tokens(command: argparse.ArgumentParser, argv: list[str], path: str) -> list[str]:
+    """`--name=value` tokens of the values of the INI file at path (all sections merged) that
+    name an option of command, as `t-end` or `t_end`, and that no flag of argv sets, in full
+    or abbreviated; a repeatable option gets one token per `;`-separated value."""
     ini = configparser.ConfigParser()
     try:
         if not ini.read(path):
@@ -115,14 +115,18 @@ def _config_defaults(command: argparse.ArgumentParser, args, path: str) -> dict:
     except configparser.Error as err:
         raise DomainError(f"config file {path}: {err}") from None
     config.update(ini.defaults())
-    defaults = {}
+    flags = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
+    abbreviated = tuple(flags.difference(*(action.option_strings for action in command._actions)))
+    tokens = []
     for action in command._actions:
         raw = config.get(action.dest.replace("_", "-"), config.get(action.dest))
-        if raw is not None and action.choices is not None and raw not in action.choices:
-            command.error(f"argument {action.option_strings[0]}: invalid choice: {raw!r}")
-        if raw is not None and getattr(args, action.dest, None) is action.default:
-            defaults[action.dest] = raw
-    return defaults
+        given = any(opt in flags or opt.startswith(abbreviated) for opt in action.option_strings)
+        if raw is None or given or action.default is argparse.SUPPRESS:
+            continue
+        repeated = isinstance(action, argparse._AppendAction)
+        values = [tok for tok in raw.split(";") if tok.strip()] if repeated else [raw]
+        tokens += [f"{action.option_strings[0]}={value}" for value in values]
+    return tokens
 
 
 def _outdir(base: str | None, config: dict) -> Path:
@@ -155,14 +159,11 @@ def _constants_row(p: float, n: int) -> str:
 
 
 def run_constants(args) -> int:
-    pairs = args.pair
-    if pairs is None:
+    if args.pair is None:
         print("constants: need at least one --pair P,N", file=sys.stderr)
         return EXIT_CONFIG
-    if isinstance(pairs, str):  # from a config file: P,N;P,N
-        pairs = [tok for tok in pairs.split(";") if tok.strip()]
     rows = [CONSTANTS_HEADER]
-    for tok in pairs:
+    for tok in args.pair:
         try:
             p_str, n_str = tok.split(",")
             rows.append(_constants_row(float(p_str), int(n_str)))
@@ -172,7 +173,7 @@ def run_constants(args) -> int:
     text = "\n".join(rows)
     print(text)
     if args.out:
-        d = _outdir(args.out, {"subcommand": "constants", "pairs": list(pairs)})
+        d = _outdir(args.out, {"subcommand": "constants", "pairs": args.pair})
         (d / "constants.csv").write_text(text + "\n")
         print(f"wrote {d / 'constants.csv'}", file=sys.stderr)
     return EXIT_OK
@@ -230,28 +231,26 @@ def _initial_field(kind: str, grid: Grid, p: float, t_start: float, seed: int):
             mix = sample_mixture(grid, seed, var_range=(1.5, 3.0))
             return blend_with_barenblatt(mix, p, t_start, 1e-2)
         return sample_mixture(grid, seed)
-    if kind.startswith("file:"):
-        return read_profile(kind[5:])
     raise DomainError(f"unknown initial data kind {kind!r}")
 
 
-def _profile_grid(args) -> dict:
-    """nodes, radius and geometry of the grid of the --initial file:PATH profile.
+def _profile_grid(args):
+    """The --initial file:PATH profile's grid (nodes, radius, geometry) and the profile.
 
     The profile brings its own grid, so a --nodes, --radius or --geometry value
     (flag or config) other than the option's default and the grid's own is an error.
     """
-    grid = read_profile(args.initial[len("file:"):]).grid
+    field = read_profile(args.initial[len("file:"):])
+    grid, command = field.grid, _build_parser()[1]["evolve"]
     own = {"nodes": grid.node_count, "radius": grid.radius(), "geometry": grid.kind}
-    unset = {"nodes": _EVOLVE_NODES, "radius": None, "geometry": None}
     for name, value in own.items():
         given = getattr(args, name)
-        if given in (unset[name], value):
+        if given in (command.get_default(name), value):
             continue
         if name != "radius" or not math.isclose(given, value, rel_tol=1e-12):
             raise DomainError(f"--{name} {given!r} differs from the {value!r} of the "
                               f"grid of {args.initial}")
-    return own
+    return own, field
 
 
 def _requested_checks(args, raw: str, with_fields: bool) -> tuple[list[str], dict[str, float]]:
@@ -264,15 +263,16 @@ def _requested_checks(args, raw: str, with_fields: bool) -> tuple[list[str], dic
     return names, tols
 
 
-def _run(cfg: dict, sized: bool = False):
-    """The result and checks of the run an evolve cfg describes and, if sized,
-    the Barenblatt sizing report of its domain (None where p has no envelope)."""
+def _run(cfg: dict, sized: bool = False, f0=None):
+    """The result, checks and, if sized, Barenblatt domain sizing report (None where p
+    has no envelope) of the run an evolve cfg describes, from f0 if given."""
     p, dim, nodes, radius = cfg["p"], cfg["dim"], cfg["nodes"], cfg["radius"]
-    grid = Grid.cartesian(nodes, radius) if cfg["geometry"] == "cartesian1d" \
-        else Grid.radial(dim, nodes, radius)
     params = DiffusionParams(p=p, dim=dim, t_start=cfg["t_start"], t_end=cfg["t_end"],
                              snapshot_count=cfg["snapshots"], cfl_safety=cfg["cfl"])
-    f0 = _initial_field(cfg["initial"], grid, p, cfg["t_start"], cfg["seed"])
+    if f0 is None:
+        grid = Grid.cartesian(nodes, radius) if cfg["geometry"] == "cartesian1d" \
+            else Grid.radial(dim, nodes, radius)
+        f0 = _initial_field(cfg["initial"], grid, p, cfg["t_start"], cfg["seed"])
     sizing = None
     if sized and (p > 1.0 or dim / (dim + 2.0) < p < 1.0):
         sizing = asdict(fast_diffusion_guard(params, f0.grid))
@@ -287,12 +287,11 @@ def run_evolve(args) -> int:
         print("evolve: --p is required", file=sys.stderr)
         return EXIT_CONFIG
     names, tols = _requested_checks(args, args.verify, with_fields=True)
+    domain, f0 = {"nodes": args.nodes, "radius": args.radius, "geometry": args.geometry}, None
     if args.initial.startswith("file:"):
-        domain = _profile_grid(args)
-    else:
-        domain = {"nodes": args.nodes, "radius": args.radius, "geometry": args.geometry}
-        if domain["radius"] is None:
-            domain["radius"] = _default_radius(p, dim, args.t_end, args.initial)
+        domain, f0 = _profile_grid(args)
+    elif domain["radius"] is None:
+        domain["radius"] = _default_radius(p, dim, args.t_end, args.initial)
     cfg = {"subcommand": "evolve", "p": p, "dim": dim,
            "geometry": domain["geometry"] or ("cartesian1d" if dim == 1 else "radial"),
            "nodes": domain["nodes"], "radius": domain["radius"], "t_start": args.t_start,
@@ -302,7 +301,7 @@ def run_evolve(args) -> int:
         print("evolve: cartesian1d requires dim = 1 (DiffusionParams precondition)",
               file=sys.stderr)
         return EXIT_CONFIG
-    result, checks, sizing = _run(cfg, sized=True)
+    result, checks, sizing = _run(cfg, sized=True, f0=f0)
 
     d = _outdir(args.out, cfg)
     write_snapshots(d / "snapshots.csv", result.snapshots)
@@ -360,7 +359,7 @@ def _sweep_row(job: tuple) -> dict:
             write_verdicts(d / "verdicts.txt", checks)
     except StabilityError as err:
         row["error"] = f"stability: {err}"
-    except (DomainError, InsufficientData) as err:
+    except (DomainError, InsufficientData, DegenerateError) as err:
         row["error"] = str(err)
     return row
 
@@ -406,40 +405,33 @@ _COMMANDS = {
 }
 
 
-def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The parser of the command line argv.  Every subcommand is there, but only
-    the one argv[0] names gets its options (all do when it names none: --help, a
-    typo, no argument): argparse's set-up of all of them takes about 1.3 ms, half
-    of a `verify` run.  `--config` changes a subcommand's defaults, so each call
-    builds its own."""
+@functools.cache
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and each subcommand's, by name: built on the first call, never changed."""
     top = _Parser(prog="renyiflow", description="entropy-power experiments for u_t = Lap(u^p)")
     sub = top.add_subparsers(dest="subcommand", required=True)
-    named = argv[0] if argv and argv[0] in _COMMANDS else None
-    for name, (run, help, options) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=help)
-        sp.set_defaults(run=run)
-        if named in (None, name):
-            sp.add_argument("--config", type=str, default=None, help="INI config file; flags win")
-            sp.add_argument("--out", type=str, default=None, help="output directory")
-            options(sp)
-    return top
+    for name, (_, help, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help)
+        command.add_argument("--config", type=str, default=None, help="INI config file; flags win")
+        command.add_argument("--out", type=str, default=None, help="output directory")
+        options(command)
+    return top, sub.choices
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv)
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
         if args.config is not None:
-            sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-            command = sub.choices[args.subcommand]
-            command.set_defaults(**_config_defaults(command, args, args.config))
-            args = parser.parse_args(argv)
-        return args.run(args)
+            at = argv.index(args.subcommand) + 1
+            tokens = _config_tokens(commands[args.subcommand], argv[at:], args.config)
+            args = parser.parse_args(argv[:at] + tokens + argv[at:])
+        return _COMMANDS[args.subcommand][0](args)
     except StabilityError as err:
         print(f"stability failure: {err}", file=sys.stderr)
         return EXIT_STABILITY
-    except (DomainError, InsufficientData, OSError) as err:
+    except (DomainError, InsufficientData, DegenerateError, OSError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -59,6 +59,14 @@ def _times_values(series, attr: str) -> tuple[np.ndarray, np.ndarray]:
     return t, y
 
 
+def _denominator(values, name: str):
+    """|values| as a relative measure's denominator; DegenerateError where it vanishes."""
+    scale = np.abs(values)
+    if np.any(scale < 1e-300):
+        raise DegenerateError(f"{name} vanishes (below 1e-300); a relative measure is meaningless")
+    return scale
+
+
 def second_differences(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Three-point second-derivative estimates, safe for non-uniform times."""
     dt_fwd = t[2:] - t[1:-1]
@@ -94,7 +102,7 @@ def upsilon_monotone(series, tol: float = TOL_UPSILON) -> CheckResult:
     t, y = _times_values(series, "upsilon")
     rises = np.diff(y)
     worst = int(np.argmax(rises))
-    violation = float(rises[worst] / abs(y[0]))
+    violation = float(rises[worst] / _denominator(y[0], "Upsilon_p at the first snapshot"))
     return CheckResult("upsilon_monotone", violation <= tol, tol - violation, tol,
                        f"max relative rise {violation:.3e} at t={t[worst + 1]:.6g}")
 
@@ -118,7 +126,7 @@ def debruijn_check(series, p: float, tol: float = TOL_DEBRUIJN) -> CheckResult:
     _, i = _times_values(series, "i_p")
     dt = _require_uniform(t)
     dh = (h[2:] - h[:-2]) / (2.0 * dt)
-    res = np.abs(dh - i[1:-1]) / np.abs(i[1:-1])
+    res = np.abs(dh - i[1:-1]) / _denominator(i[1:-1], "I_p")
     worst = int(np.argmax(res))
     value = float(res[worst])
     return CheckResult("debruijn", value < tol, tol - value, tol,
@@ -133,11 +141,9 @@ def dissipation_check(series, p: float, n: int, tol: float = TOL_DISSIPATION) ->
         raise InsufficientData("series lacks D_p; evolve with dissipation enabled")
     t, f = _times_values(series, "f_p")
     d = np.array([s.d_p for s in series], dtype=float)
-    if np.any(np.abs(d[1:-1]) < 1e-300):
-        raise DegenerateError("D_p underflowed; residual is meaningless")
     dt = _require_uniform(t)
     df = -(f[2:] - f[:-2]) / (2.0 * dt)
-    res = np.abs(df - d[1:-1]) / np.abs(d[1:-1])
+    res = np.abs(df - d[1:-1]) / _denominator(d[1:-1], "D_p")
     worst = int(np.argmax(res))
     value = float(res[worst])
     return CheckResult("dissipation", value < tol, tol - value, tol,

@@ -1,5 +1,5 @@
 """Serialization round trips and the command-line contract (exit codes, determinism)."""
-import argparse
+import dataclasses
 import importlib.util
 import json
 import math
@@ -16,7 +16,7 @@ import pytest
 import renyiflow as rf
 from renyiflow import cli
 from renyiflow.cli import main
-from renyiflow.errors import BoundaryLeakWarning
+from renyiflow.errors import BoundaryLeakWarning, DegenerateError
 from renyiflow.reporting import (
     read_profile,
     read_snapshots,
@@ -38,16 +38,20 @@ def _digest_configs() -> dict:
 
 
 def _corrupt(series, defect):
-    """Snapshot CSV lines with one defect in data row 3."""
+    """Snapshot CSV lines with one defect in data row 3, or in data row 1 for a zero
+    Upsilon_p, since only the first one is a denominator."""
     lines = snapshot_csv_lines(series)
-    cells = lines[3].split(",")
+    row = 1 if defect == "zero_upsilon" else 3
+    cells = lines[row].split(",")
     if defect in ("nan", "inf", "abc"):
         cells[4] = defect  # the Np column
+    elif defect in ("zero_ip", "zero_upsilon"):
+        cells[6 if defect == "zero_ip" else 8] = "0.0"
     elif defect == "repeated_t":
         cells[0] = lines[2].split(",")[0]
     else:  # decreasing_t
         cells[0] = lines[1].split(",")[0]
-    lines[3] = ",".join(cells)
+    lines[row] = ",".join(cells)
     return lines
 
 
@@ -228,6 +232,21 @@ class TestEvolveCommand:
         assert meta["domain_sizing"]["tail_mass"] == want.tail_mass
         assert meta["domain_sizing"]["recommended_radius"] == want.recommended_radius
 
+    def test_file_initial_read_once(self, tmp_path, short_run, monkeypatch):
+        reads = []
+
+        def counted(path):
+            reads.append(path)
+            return read_profile(path)
+
+        monkeypatch.setattr(cli, "read_profile", counted)
+        src = tmp_path / "initial.csv"
+        write_profile(src, short_run.fields[0])
+        assert main(["evolve", "--p", "1.5", "--dim", "1", "--t-start", "1", "--t-end", "1.05",
+                     "--snapshots", "3", "--initial", f"file:{src}",
+                     "--out", str(tmp_path / "run")]) == 0
+        assert reads == [str(src)]
+
     @pytest.mark.parametrize("flags", [["--nodes", "512"], ["--radius", "30"],
                                        ["--geometry", "radial"], ["--config", "nodes = 512"]])
     def test_file_initial_conflicting_grid_exit_one(self, tmp_path, short_run, monkeypatch,
@@ -331,18 +350,31 @@ class TestVerifyCommand:
     def test_missing_csv_exit_one(self):
         assert main(["verify", "--snapshots-csv", "/nonexistent.csv", "--p", "2"]) == 1
 
-    @pytest.mark.parametrize("defect", ["nan", "abc", "repeated_t"])
+    @pytest.mark.parametrize("defect", ["nan", "abc", "repeated_t", "zero_ip", "zero_upsilon"])
     def test_bad_csv_exit_one_without_warnings(self, short_run, tmp_path, capsys, defect):
+        # the reader takes a zero; the check that divides by it rejects the series
+        checks, named = {"zero_ip": ("debruijn", "I_p vanishes"),
+                         "zero_upsilon": ("upsilon", "Upsilon_p at the first snapshot vanishes"),
+                         }.get(defect, ("concavity,upsilon", "row 3"))
         csv_path = tmp_path / "snapshots.csv"
         csv_path.write_text("\n".join(_corrupt(short_run.snapshots, defect)) + "\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code = main(["verify", "--snapshots-csv", str(csv_path), "--p", "1.5",
-                         "--dim", "1", "--checks", "concavity,upsilon"])
+                         "--dim", "1", "--checks", checks])
         assert code == 1
         captured = capsys.readouterr()
-        assert "row 3" in captured.err and "FAIL" not in captured.out
+        assert named in captured.err and "FAIL" not in captured.out
         assert captured.err.startswith("configuration error")
+
+    def test_vanishing_dissipation_exit_one(self, short_run, tmp_path, capsys):
+        csv_path = tmp_path / "snapshots.csv"
+        write_snapshots(csv_path, [dataclasses.replace(s, d_p=0.0) for s in short_run.snapshots])
+        code = main(["verify", "--snapshots-csv", str(csv_path), "--p", "1.5",
+                     "--dim", "1", "--checks", "dissipation"])
+        assert code == 1
+        assert capsys.readouterr().err == "configuration error: D_p vanishes (below 1e-300); " \
+            "a relative measure is meaningless\n"
 
     def test_non_numeric_cell_named(self, short_run, tmp_path):
         path = tmp_path / "snapshots.csv"
@@ -354,9 +386,7 @@ class TestVerifyCommand:
 class TestCheckRegistry:
     @staticmethod
     def _tol_flags(subcommand):
-        sub = next(a for a in cli._build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        return [opt[len("--tol-"):] for a in sub.choices[subcommand]._actions
+        return [opt[len("--tol-"):] for a in cli._build_parser()[1][subcommand]._actions
                 for opt in a.option_strings if opt.startswith("--tol-")]
 
     def test_evolve_flags_are_the_registry(self):
@@ -410,6 +440,14 @@ class TestSweepCommand:
         row = next(tmp_path.glob("exp-*/sweep.csv")).read_text().splitlines()[1]
         assert row == "2.0,1,0,false,concavity needs at least 3 snapshots,"
 
+    def test_degenerate_row_records_its_error(self, monkeypatch):
+        def degenerate(cfg):
+            raise DegenerateError("D_p vanishes")
+
+        monkeypatch.setattr(cli, "_run", degenerate)
+        row = cli._sweep_row((2.0, 1, 0, 64, 1.0, 1.1, 3, 0.9, None))
+        assert (row["passed"], row["error"], row["edge_mass"]) == (False, "D_p vanishes", "")
+
     def test_row_is_the_evolve_run(self, tmp_path):
         # a sweep row and `evolve` share one run path: same datum, grid and march
         common = ["--dim", "1", "--nodes", "256", "--t-end", "1.1", "--snapshots", "5"]
@@ -431,6 +469,13 @@ class TestStartUp:
                              check=True, env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "False"
 
+    def test_cli_import_builds_no_parser(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = "import renyiflow.cli as c; print(c._build_parser.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "0"
+
 
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path, capsys):
@@ -440,6 +485,27 @@ class TestConfigFile:
         out = capsys.readouterr().out
         assert code == 0
         assert "1.5,1" in out and "2,1" not in out.replace("1.5,1", "")
+
+    @pytest.mark.parametrize("flags", [["--pai", "1.5,1"], ["--pair=1.5,1"]])
+    def test_abbreviated_or_joined_flag_overrides_config(self, tmp_path, capsys, flags):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\npair = 2,1\n")
+        assert main(["constants", "--config", str(cfg), *flags]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["1.5"]
+
+    @pytest.mark.parametrize("flag", ["--dim", "--di"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_flag_wins_over_a_bad_config_value(self, tmp_path, monkeypatch, flag, dim):
+        # --dim 1 parses to the very object of the default, and still counts as given
+        seen = []
+        _, help_, options = cli._COMMANDS["evolve"]
+        monkeypatch.setitem(cli._COMMANDS, "evolve",
+                            (lambda args: seen.append(args.dim) or 0, help_, options))
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[grid]\ndim = abc\n")
+        assert main(["evolve", "--p", "2", flag, str(dim), "--config", str(cfg)]) == 0
+        assert seen == [dim]
 
     def test_config_supplies_values(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
@@ -490,8 +556,11 @@ class TestConfigFile:
         cfg = tmp_path / "run.ini"
         cfg.write_text("[grid]\ngeometry = spherical\n")
         assert main(["evolve", "--p", "2", "--config", str(cfg)]) == 1
-        assert capsys.readouterr().err == \
-            "configuration error: argument --geometry: invalid choice: 'spherical'\n"
+        by_config = capsys.readouterr().err
+        assert main(["evolve", "--p", "2", "--geometry", "spherical"]) == 1
+        assert by_config == capsys.readouterr().err
+        assert by_config.startswith(
+            "configuration error: argument --geometry: invalid choice: 'spherical'")
 
     def test_malformed_config_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
@@ -500,7 +569,7 @@ class TestConfigFile:
         assert capsys.readouterr().err.startswith("configuration error:")
 
     def test_config_defaults_last_one_call(self, tmp_path, monkeypatch):
-        # --config sets the subcommand's defaults, so every call builds its own parser
+        # a --config run leaves the parser that every later run shares as it found it
         seen = []
 
         def record(args):
@@ -518,26 +587,21 @@ class TestConfigFile:
 
 
 class TestParserOptions:
-    """main builds the options of the subcommand it runs; help still shows every one."""
+    """One parser per process, built by the first main call; help shows every option."""
 
-    @staticmethod
-    def _options(parser) -> dict[str, list[str]]:
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        return {name: [opt for a in command._actions for opt in a.option_strings]
-                for name, command in sub.choices.items()}
-
-    def test_only_the_named_subcommand_has_options(self):
-        full = self._options(cli._build_parser())
-        assert list(full) == list(cli._COMMANDS)
-        for name in full:
-            named = self._options(cli._build_parser([name, "--help"]))
-            assert named[name] == full[name]
-            assert all(opts == ["-h", "--help"] for other, opts in named.items() if other != name)
-        for argv in ([], ["--help"], ["evolv", "--p", "2"]):
-            assert self._options(cli._build_parser(argv)) == full
+    def test_two_calls_build_one_parser(self, tmp_path, capsys):
+        cli._build_parser.cache_clear()
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\npair = 2,1\n")
+        assert main(["constants", "--config", str(cfg)]) == 0
+        assert main(["constants", "--pair", "1.5,1"]) == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert list(cli._build_parser()[1]) == list(cli._COMMANDS)
 
     def test_help_lists_every_option(self, capsys):
-        full = self._options(cli._build_parser())
+        full = {name: [opt for a in command._actions for opt in a.option_strings]
+                for name, command in cli._build_parser()[1].items()}
         with pytest.raises(SystemExit) as exit_:
             main(["--help"])
         assert exit_.value.code == 0

@@ -7,7 +7,7 @@ import pytest
 
 import renyiflow as rf
 from renyiflow import verification
-from renyiflow.errors import DomainError, InsufficientData
+from renyiflow.errors import DegenerateError, DomainError, InsufficientData
 from renyiflow.reporting import verdict_lines
 
 
@@ -325,7 +325,8 @@ class TestRunChecks:
 
 
 class TestSeriesValidation:
-    """A NaN or a time that does not increase ends in DomainError, not in a NaN verdict."""
+    """A NaN or a time that does not increase ends in DomainError, and a vanishing
+    denominator in DegenerateError, not in a NaN verdict."""
 
     RUNS = {
         "concavity": (lambda s: rf.concavity_report(s, 1.5, 1), "n_p"),
@@ -348,6 +349,24 @@ class TestSeriesValidation:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DomainError, match="snapshot 3"):
                 run(series)
+
+    # the denominator of each relative measure: Upsilon_p at the first snapshot,
+    # I_p and D_p at the interior ones
+    @pytest.mark.parametrize("check, k, attr", [
+        ("upsilon", 0, "upsilon"), ("debruijn", 3, "i_p"), ("dissipation", 3, "d_p")])
+    def test_zero_denominator_raises(self, mixture_run, check, k, attr):
+        runs = {**self.RUNS, "dissipation": (lambda s: rf.dissipation_check(s, 1.5, 1), None)}
+        series = list(mixture_run.snapshots)
+        series[k] = dataclasses.replace(series[k], **{attr: 0.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DegenerateError, match="vanishes"):
+                runs[check][0](series)
+
+    def test_flat_series_keeps_its_concavity_scale(self):
+        # a constant N_p has no slope to scale by; the check falls back to 1, not to 0
+        report = rf.concavity_report(series_with_np([1.0, 1.5, 2.0, 2.5], [3.0] * 4), 2.0, 1)
+        assert report.passed and report.margin == report.tolerance
 
     @pytest.mark.parametrize("check", list(RUNS))
     def test_clean_series_unchanged(self, mixture_run, check):
