@@ -11,9 +11,10 @@ h^2 / (2 D) on Cartesian grids and h^2 / (2^(n-1) D), set by node 0, on radial o
 of n >= 2.  Where that step is far below the one the flow's rate of change allows,
 `evolve` takes linearly implicit BDF2 steps instead: always for p < 1, whose
 diffusivity p u^{p-1} peaks in the far tail, and for p >= 1 from the first snapshot
-at which that is cheaper.  It re-sizes the step at every snapshot, so a slowing flow
-takes longer steps.  Their tridiagonal systems are solved by odd-even cyclic
-reduction, on buffers and views prepared once per run.  The degenerate p > 1 front
+at which that is cheaper.  Each implicit step estimates its own local error and
+sizes the next from it, so a slowing flow takes longer steps.  Their tridiagonal
+systems are solved by odd-even cyclic reduction, on buffers and views prepared once
+per run.  The degenerate p > 1 front
 is handled as in Vazquez, *The Porous Medium Equation* (2007), ch. 5 and 9.
 """
 from __future__ import annotations
@@ -33,25 +34,39 @@ MAX_REJECTIONS = 40
 NEGATIVITY_SLACK = 1e-14  # relative to max(u): tolerated roundoff undershoot
 DOMAIN_TOL = 1e-6  # mass a domain may leave past its wall (the sizing) or hold at it (the edge)
 EDGE_CELLS = 64  # the edge mass is read in the last node_count // EDGE_CELLS cells
-STEP_CHANGE = 2e-3  # implicit steps move at most this fraction of the mass
 # An implicit step relinearizes while it misplaces more than this fraction of the mass it
 # moves (4096-node p = 2 Barenblatt, L1 off Newton's steps: 2.0e-6 at 1e-2, 4.8e-7 at 1e-3).
 LINEARIZATION_TOL = 1e-3
-# An implicit march takes at least this many steps per snapshot interval (dt_run
-# is at most this fraction of the shortest interval still ahead), so its startup
-# ramp (about one step long, with less time error than the steps after it) stays
-# a small part of an interval: at 5 steps per interval it bent N_p by 2.1e-6 at
-# the first snapshot (1024-node p = 2 Barenblatt, t 1..1.1).
-MIN_STEPS_PER_SNAPSHOT = 10
+# An implicit step's local-error estimate, in mass, is at most this fraction of the
+# most mass the flow can move over its snapshot interval: the interval times the
+# starting rate ||u_t||_1 (the rate never grows: the flow is an L1 contraction), and
+# at most the mass.  The concavity check takes second differences of N_p in units of
+# its largest change per interval, so closer snapshots get more accurate steps.
+# 2048-node p = 2 Barenblatt, t 1..3, 33 snapshots: 342 steps and 343 solves (347
+# and 369 under the mass step and the floor); 768-node p = 0.8, n = 3 Barenblatt,
+# t 1..1.25, 17 snapshots: 44 steps (183).  At half this fraction their concavity
+# margins move by 1.6e-7 and 6.4e-8.
+LOCAL_ERROR_TOL = 4e-5
+# An implicit step is at most this many CFL steps (taken at each snapshot).  Its flux
+# form carries the rounding of v = u^p into u' times dt / cfl_dt: about 2 eps per CFL
+# step, relative to max(u), on the flat state of three geometries (1.7e6 CFL steps:
+# 4.3e-10).  Near the flat state the local-error estimate vanishes, and that rounding
+# is all the error there is: the 256-node flat p = 0.8, n = 3 state ended uneven by
+# 5.8e-9 after steps of 1.7e7 CFL steps.
+MAX_CFL_STEPS = 1e6
 EPS = float(np.finfo(float).eps)
 SEQUENTIAL_SIZE = 64  # tridiagonal systems this small are solved row by row
-# The ratio dt_run / CFL step, taken at each snapshot, above which a p > 1 run
-# marches implicitly from that snapshot on.  An implicit step costs about 9-10 /
-# 9-10 / 25-28 explicit ones, each with its CFL step, at N = 512 / 2048 / 8192
-# (tools/step_cost.py: p = 2 Barenblatt at t = 1 and the accuracy step, 1 / 1 / 3
-# solves per step; 2 cores, numpy 2.4.6), so the march breaks even lower, but
-# below about 57 the 512-node run of `test_barenblatt_concavity_exit_zero` goes
-# implicit and fails on resolution.
+# The explicit-to-implicit switch, and nothing else, reads the next three.  Taken at
+# each snapshot, dt_run is the step that moves STEP_CHANGE of the mass (`accuracy_dt`),
+# and at most a MIN_STEPS_PER_SNAPSHOT-th of the shortest interval still ahead; a p > 1
+# run marches implicitly from the first snapshot at which dt_run exceeds
+# IMPLICIT_STEP_COST CFL steps.  An implicit step costs about 9-10 / 9-10 / 25-28
+# explicit ones, each with its CFL step, at N = 512 / 2048 / 8192 (tools/step_cost.py:
+# p = 2 Barenblatt at t = 1 and the accuracy step, 1 / 1 / 3 solves per step; 2 cores,
+# numpy 2.4.6), so the march breaks even lower, but below about 57 the 512-node run of
+# `test_barenblatt_concavity_exit_zero` goes implicit and fails on resolution.
+STEP_CHANGE = 2e-3
+MIN_STEPS_PER_SNAPSHOT = 10
 IMPLICIT_STEP_COST = 100.0
 
 
@@ -102,15 +117,16 @@ class _Kernel:
 
     The grid is read only as its weights w and `Grid.conductances`; every flux is
     formed in `_net_flux`, as conductance * dv.  `advance` is the explicit step
-    u + dt L(v) / w, `implicit_advance` the BDF2 one, which keeps the previous u and
-    step as its history.  The implicit step's `_ReductionPlan` and buffers (`work`,
-    about 8N doubles, and a third u buffer) are made on its first call, so `step`,
+    u + dt L(v) / w, `implicit_advance` the BDF2 one, which keeps the last two u and
+    steps as its history and proposes the next step, `dt_next`.  The implicit step's
+    `_ReductionPlan` and buffers (`work`, about 8N doubles, and `ring`, the four u
+    levels as rows) are made on its first call, so `step`,
     `cfl_dt` and explicit runs never pay for them.  u is clipped to u >= 0 on entry
     and after a step that undershoots.  v = u^p and its differences dv serve both the
     p < 1 chord stiffness and the fluxes, and the acceptance test's max(u) is the next
     umax.  An explicit step refreshes v and dv; an implicit one uses v, dv and du as
     scratch, so callers refresh them with `_faces()` before reading them
-    (`accuracy_dt`, `cfl_dt`, `advance`).  Each out= pass of either step keeps the
+    (`speed`, `accuracy_dt`, `cfl_dt`, `advance`).  Each out= pass of either step keeps the
     operands and operation order of the plain array expressions: bitwise theirs.
     """
 
@@ -125,7 +141,10 @@ class _Kernel:
         self.flux = np.zeros(n + 1)  # walls: zero flux
         self.v_hi, self.v_lo, self.flux_in = self.v[1:], self.v[:-1], self.flux[1:-1]
         self.flux_hi, self.flux_lo = self.flux[1:], self.flux[:-1]
-        self.u_prev, self.dt_prev = None, 0.0  # BDF2 history: none before the first implicit step
+        # BDF2 history (none before the first implicit step) and the next step's proposal
+        self.u_prev = self.u_prev2 = None
+        self.dt_prev = self.dt_prev2 = self.dt_next = 0.0
+        self.error_tol = math.inf  # the local error, in mass, a step may make (evolve sets it)
         self.plan = self.work = None  # the implicit solver and buffers: made by its first call
         self._faces()
 
@@ -185,13 +204,14 @@ class _Kernel:
         np.multiply(self.conductance, self.dv, out=self.flux_in)
         return np.subtract(self.flux_hi, self.flux_lo, out=self.div)
 
-    def accuracy_dt(self, mass_step: float) -> float:
-        """Step that moves at most mass_step of mass: mass_step / ||u_t||_1, u_t = L v / W.
+    def speed(self) -> float:
+        """||u_t||_1, u_t = L v / W: the mass the flow moves per unit time (dv is _faces()'s)."""
+        return float(np.abs(self._net_flux(), out=self.div).sum())
 
-        ||u_t||_1 does not grow along the flow (it is an L1 contraction), so a
-        step sized now keeps later steps near the same bound.
-        """
-        rate = float(np.abs(self._net_flux(), out=self.div).sum())  # dv is _faces()'s
+    def accuracy_dt(self, mass_step: float) -> float:
+        """Step that moves at most mass_step of mass, mass_step / ||u_t||_1: read by the
+        explicit-to-implicit switch only."""
+        rate = self.speed()
         return mass_step / rate if rate > 0.0 else math.inf
 
     def implicit_advance(self, dt: float, t: float) -> tuple[float, int]:
@@ -217,13 +237,33 @@ class _Kernel:
         front a cell further.  d is formed at the front nodes only, in a zeroed buffer
         that is zeroed again after use.  b can be negative near a front, so an
         undershoot of any solve halves dt, a rejection.
+
+        From the third step on, the step also estimates its local error by Milne's
+        device (Hairer and Wanner, *Solving Ordinary Differential Equations II*, 2nd ed.
+        1996, ch. III.5).  With h1 = dt_prev, h2 = dt_prev2 and u_ttt the third time
+        derivative, the quadratic P2 through the last three levels, extrapolated to
+        t + dt, errs by u_ttt/6 dt (dt+h1) (dt+h1+h2), and the variable-step BDF2
+        solution by u_ttt/6 dt (dt+h1) theta, with the same sign (each from the
+        interpolation error of its quadratic).  So the step's error is C (u' - P2) with
+        C = theta / (theta + dt + h1 + h2), 2/11 at equal steps, and the estimate is
+        C w @ |u' - P2|.  A step whose estimate exceeds `error_tol` (set by `evolve`,
+        infinite otherwise) is a rejection, retried at dt times the controller's
+        factor 0.9 (error_tol / estimate)^(1/3): the elementary controller, the
+        integral part of Gustafsson, Lundh and Söderlind's (BIT 28, 1988).  An accepted
+        step proposes `dt_next`, dt times that factor capped at 2, so omega <= 2;
+        before three levels the factor is 2: the doubling ramp.
         """
-        p, w, u, new, scratch, conduct = self.p, self.weights, self.u, self.new, self.v, self.du
+        p, w, scratch, conduct = self.p, self.weights, self.v, self.du
         if self.plan is None:
             n = w.size
             self.plan = _ReductionPlan(n)
             self.work = [np.empty(n) for _ in range(7)] + [np.zeros(n), np.empty(n, dtype=bool)]
-        plan = self.plan
+            # u, new, u_prev and u_prev2 take turns as the rows of one block, so the
+            # estimate's P2 is a single product with it
+            self.ring, self.head, self.coef = np.empty((4, n)), 0, np.empty(4)
+            np.copyto(self.ring[0], self.u)
+            self.u, self.new = self.ring[0], self.ring[1]
+        u, new, plan = self.u, self.new, self.plan
         bdf_base, spring, load, slope, shift, g_buf, trial_buf, defect, front = self.work
         floor = 0.0 if p > 1.0 else EPS * self.umax
         rejections = 0
@@ -278,18 +318,39 @@ class _Kernel:
                 g, trial = trial, g
             else:
                 raise StabilityError(f"implicit step at t = {t}: linearization did not settle")
-            if not undershoot:
-                break
+            if undershoot:
+                factor = 0.5
+            else:
+                error = self._local_error(dt, theta, slope)
+                factor = 2.0  # the controller: 0.9 (error_tol / error)^(1/3), at most 2
+                if 8.0 * error > 0.9 ** 3 * self.error_tol:
+                    factor = 0.9 * (self.error_tol / error) ** (1.0 / 3.0)
+                if not error > self.error_tol:
+                    break
             rejections += 1
             if rejections > MAX_REJECTIONS:
                 raise StabilityError(f"implicit step at t = {t} failed {rejections} times")
-            dt *= 0.5
+            dt *= factor
         np.maximum(new, 0.0, out=new)
-        # u, u_prev and new take turns; the third buffer is made at the first step
-        spare = np.empty_like(new) if self.u_prev is None else self.u_prev
-        self.u_prev, self.dt_prev, self.u, self.new = u, dt, new, spare
-        self.umax = float(umax)  # v, dv and du are left stale
+        self.head += 1
+        self.u_prev2, self.dt_prev2 = self.u_prev, self.dt_prev
+        self.u_prev, self.dt_prev, self.u = u, dt, new
+        self.new = self.ring[(self.head + 1) % 4]  # the oldest row
+        self.umax, self.dt_next = float(umax), factor * dt  # v, dv and du are left stale
         return dt, rejections
+
+    def _local_error(self, dt: float, theta: float, gap: np.ndarray) -> float:
+        """C w @ |new - P2| for the step of dt to new (self.new), 0 before three levels."""
+        if self.u_prev2 is None:
+            return 0.0
+        h1, h2, head, coef = self.dt_prev, self.dt_prev2, self.head, self.coef
+        # P2 = u + a (u - u_prev) - b (u_prev - u_prev2), the Newton form through the levels
+        k = dt * (dt + h1) / (h1 + h2)
+        a, b = (dt + k) / h1, k / h2
+        coef[(head + 1) % 4], coef[head % 4] = 1.0, -1.0 - a
+        coef[(head - 1) % 4], coef[(head - 2) % 4] = a + b, -b
+        np.dot(coef, self.ring, out=gap)  # new - P2
+        return theta / (theta + dt + h1 + h2) * float(self.weights @ np.abs(gap, out=gap))
 
 
 class _ReductionPlan:
@@ -423,18 +484,20 @@ def evolve(f0: DensityField, params: DiffusionParams,
 
     The step toward the next snapshot divides the remaining interval into
     equal parts no longer than the proposed step, so the recorded functional
-    series has no step-size kinks inside an interval.  Before each interval,
-    dt_run is re-sized to the step that moves STEP_CHANGE of the mass now, and
-    at most a MIN_STEPS_PER_SNAPSHOT-th of the shortest interval still ahead.
-    The proposal is the explicit CFL step until dt_run exceeds
-    IMPLICIT_STEP_COST CFL steps (for p < 1 from the start); from then on the
-    march is linearly implicit BDF2, with its history, to the end.  It starts
-    at the CFL step of the switch and doubles it up to dt_run, and a later
-    dt_run is reached by doubling too, so omega <= 2 keeps BDF2 zero-stable,
-    and the backward-Euler start puts no kink in N_p(t).  As the flow slows,
-    dt_run grows from one interval to the next; BDF2's second-order time error
-    keeps that growth from bending N_p(t) the way a growing backward-Euler
-    step did.
+    series has no step-size kinks inside an interval.  The proposal is the
+    explicit CFL step until the switch: before each interval, dt_run is the
+    step that moves STEP_CHANGE of the mass now, and at most a
+    MIN_STEPS_PER_SNAPSHOT-th of the shortest interval still ahead, and once it
+    exceeds IMPLICIT_STEP_COST CFL steps (for p < 1 from the start) the march
+    is linearly implicit BDF2, with its history, to the end.  It starts at the
+    CFL step of the switch and doubles it while it has fewer than three levels;
+    from then on each step proposes the next from its own local-error estimate
+    (`_Kernel.implicit_advance`), at most twice as long, so omega <= 2 keeps
+    BDF2 zero-stable, and the backward-Euler start puts no kink in N_p(t).  The
+    estimate may be LOCAL_ERROR_TOL of the most mass the flow can move over
+    the interval, and a step is at most MAX_CFL_STEPS CFL steps, both taken
+    before each interval.  As the flow slows, its local error falls and the
+    steps grow.
 
     The edge mass, the mass in the last node_count // EDGE_CELLS cells at each
     wall, is read at the datum and at every snapshot; above DOMAIN_TOL, the
@@ -459,17 +522,24 @@ def evolve(f0: DensityField, params: DiffusionParams,
     edge_mass = float(edge @ f0.values)
     snaps = [snapshot(f0, params.p, params.dim, t=t, with_dissipation=with_dissipation)]
     fields = [f0]
+    rate = kernel.speed()  # the largest ||u_t||_1 of the run: the flow is an L1 contraction
     for i, target in enumerate(times[1:]):
         kernel._faces()  # an implicit step leaves v = u^p stale
-        dt_run = min(kernel.accuracy_dt(STEP_CHANGE * m0),
-                     float(intervals[i:].min()) / MIN_STEPS_PER_SNAPSHOT)
         if not implicit:
+            dt_run = min(kernel.accuracy_dt(STEP_CHANGE * m0),
+                         float(intervals[i:].min()) / MIN_STEPS_PER_SNAPSHOT)
             first = kernel.cfl_dt(params.cfl_safety)
             implicit = params.p < 1.0 or dt_run > IMPLICIT_STEP_COST * first
+        if implicit:
+            # the most mass the flow can move over this interval, and sqrt(eps) of the
+            # mass where it barely moves, so that rounding fails no step
+            moved = min(rate * float(intervals[i]), m0)
+            kernel.error_tol = LOCAL_ERROR_TOL * max(moved, math.sqrt(EPS) * m0)
+            longest = MAX_CFL_STEPS * kernel.cfl_dt(1.0)
         march = kernel.implicit_advance if implicit else kernel.advance
         while t < target:
             if implicit:
-                proposal = min(dt_run, 2.0 * kernel.dt_prev) if kernel.dt_prev else first
+                proposal = min(kernel.dt_next or first, longest)
             else:
                 proposal = kernel.cfl_dt(params.cfl_safety)
             remaining = target - t

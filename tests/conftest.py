@@ -6,14 +6,25 @@ from renyiflow import solver
 
 
 def record_marches(monkeypatch):
-    """Wrap both steps of _Kernel; returns the list of (march, t, dt used) of every step."""
-    record = []
+    """Wrap both steps of _Kernel; returns the list of (march, t, dt used, ratio) of every
+    step, ratio the accepted step's local-error estimate over its tolerance (0 for an
+    explicit step, and for an implicit one before three levels or outside evolve)."""
+    record, ratios = [], []
+    real_error = solver._Kernel._local_error
+
+    def local_error(self, *args):
+        error = real_error(self, *args)
+        ratios.append(error / self.error_tol)
+        return error
+
+    monkeypatch.setattr(solver._Kernel, "_local_error", local_error)
     for march in ("advance", "implicit_advance"):
         real = getattr(solver._Kernel, march)
 
         def wrapped(self, dt, t, real=real, march=march):
+            ratios.clear()
             out = real(self, dt, t)
-            record.append((march, t, out[0]))
+            record.append((march, t, out[0], ratios[-1] if ratios else 0.0))
             return out
 
         monkeypatch.setattr(solver._Kernel, march, wrapped)

@@ -272,18 +272,30 @@ class TestEvolveCommand:
         # default-sized p < 1 runs: their edge mass is 3.8e-8, 1.3e-8 and 1.2e-8
         assert main(_digest_configs()[label] + ["--out", str(tmp_path)]) == 0
 
-    def test_small_domain_warns(self, tmp_path):
-        # the p = 2 support reaches |x| = 2.08 at t = 1: a radius of 0.5 cuts it off
+    def test_small_domain_warns(self, tmp_path, capsys):
+        # the p = 2 support reaches |x| = 2.08 at t = 1: a radius of 0.5 cuts it off, and
+        # the run exits 3, a failed verdict, with no check requested
         with pytest.warns(BoundaryLeakWarning):
             code = main(["evolve", "--p", "2", "--dim", "1", "--nodes", "512",
                          "--initial", "barenblatt", "--t-start", "1", "--radius", "0.5",
                          "--out", str(tmp_path)])
-        assert code == 0
+        assert code == 3
+        assert "the domain cuts the flow" in capsys.readouterr().err
         (meta,) = tmp_path.glob("exp-*/run_meta.json")
         meta = json.loads(meta.read_text())
         assert meta["edge_mass"] >= 1e-2
         assert set(meta) == {"config", "steps", "rejections", "edge_mass", "final_mass",
                              "domain_sizing"}
+
+    @pytest.mark.filterwarnings("ignore::renyiflow.errors.BoundaryLeakWarning")
+    def test_cut_domain_fails_passing_checks(self, tmp_path):
+        # radius 1.5 < 2.08 at t = 1: the concavity check alone would pass
+        args = ["evolve", "--p", "2", "--dim", "1", "--nodes", "512", "--initial", "barenblatt",
+                "--t-start", "1", "--t-end", "1.5", "--snapshots", "5", "--verify", "concavity"]
+        assert main(args + ["--radius", "1.5", "--out", str(tmp_path / "cut")]) == 3
+        (verdicts,) = (tmp_path / "cut").glob("exp-*/verdicts.txt")
+        assert " pass=true " in verdicts.read_text()
+        assert main(args + ["--out", str(tmp_path / "sized")]) == 0
 
     def test_failed_verdict_exit_three(self, tmp_path):
         # debruijn at an absurdly tight tolerance must fail with exit 3
@@ -567,6 +579,21 @@ class TestConfigFile:
         cfg.write_text("nodes = 256\n")  # no section header
         assert main(["evolve", "--p", "2", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("configuration error:")
+
+    @pytest.mark.parametrize("text, nodes", [
+        ("[DEFAULT]\nnodes = 512\n[grid]\nnodes = 256\n", 256),
+        # configparser folds [DEFAULT] into every section: a later one must not bring it back
+        ("[DEFAULT]\nnodes = 512\n[grid]\nnodes = 256\n[run]\nt-end = 1.5\n", 256),
+        ("[DEFAULT]\nnodes = 512\n[run]\nt-end = 1.5\n", 512),
+        ("[grid]\nnodes = 256\n[run]\nnodes = 300\n", 300)])
+    def test_section_wins_over_default(self, tmp_path, monkeypatch, text, nodes):
+        seen = []
+        _, help_, options = cli._COMMANDS["evolve"]
+        monkeypatch.setitem(cli._COMMANDS, "evolve", (seen.append, help_, options))
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text)
+        main(["evolve", "--p", "2", "--config", str(cfg)])
+        assert seen[0].nodes == nodes
 
     def test_config_defaults_last_one_call(self, tmp_path, monkeypatch):
         # a --config run leaves the parser that every later run shares as it found it

@@ -6,11 +6,15 @@ Usage:
 For each node count N the field is the p = 2 Barenblatt at t = 1, normalized,
 on the 1-D domain of radius 1.3 times its support radius at t = 3 (the domain
 `renyiflow evolve --p 2 --initial barenblatt --t-end 3` sizes).  The implicit
-step is BDF2 at the step that moves STEP_CHANGE of the mass, `accuracy_dt`,
-after one backward-Euler step of that size; the explicit step is `advance` at
-the CFL step, timed together with its `cfl_dt`.  The explicit step is timed
-again on the radial n = 3 grid (`radial3`): the p = 2 Barenblatt in three
-dimensions at t = 1, on the radial domain sized the same way.  Every timed
+step is BDF2 at a fixed step, the one that moves STEP_CHANGE of the mass
+(`accuracy_dt`, which `evolve` reads only for its explicit-to-implicit
+switch: it sizes implicit steps by their local-error estimate), after one
+backward-Euler step and one untimed BDF2 step of that size, after which the
+kernel holds three levels, so each timed step forms its local-error estimate
+too.  The explicit step is `advance` at the CFL step, timed together with its
+`cfl_dt`, and timed again on the radial n = 3 grid (`radial3`): the p = 2
+Barenblatt in three dimensions at t = 1, on the radial domain sized the same
+way.  Every timed
 step starts from a copy of one kernel state, so all REPEATS = 400 of them do
 the same work.  The three kinds of step alternate, so a change in the host's
 speed touches them alike; the median is reported with the quartiles.  The
@@ -46,7 +50,7 @@ def _barenblatt_kernel(nodes: int, dim: int = 1) -> solver._Kernel:
 
 
 def _implicit_stepper(nodes: int):
-    """A BDF2 step at the accuracy step from one saved state, and its solves."""
+    """A BDF2 step at the fixed accuracy step from one saved state, and its solves."""
     kernel = _barenblatt_kernel(nodes)
     dt = kernel.accuracy_dt(solver.STEP_CHANGE)
     kernel.implicit_advance(dt, T_START)  # the backward-Euler start
