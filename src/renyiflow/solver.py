@@ -42,10 +42,12 @@ LINEARIZATION_TOL = 1e-3
 # starting rate ||u_t||_1 (the rate never grows: the flow is an L1 contraction), and
 # at most the mass.  The concavity check takes second differences of N_p in units of
 # its largest change per interval, so closer snapshots get more accurate steps.
-# 2048-node p = 2 Barenblatt, t 1..3, 33 snapshots: 342 steps and 343 solves (347
-# and 369 under the mass step and the floor); 768-node p = 0.8, n = 3 Barenblatt,
-# t 1..1.25, 17 snapshots: 44 steps (183).  At half this fraction their concavity
-# margins move by 1.6e-7 and 6.4e-8.
+# The starting rate is the check's unit: N_p is concave, so its largest slope is its
+# first.  2048-node p = 2 Barenblatt, t 1..3, 33 snapshots: 341 steps and 341 solves
+# (347 and 369 under the mass step and the floor); 768-node p = 0.8, n = 3 Barenblatt,
+# t 1..1.25, 17 snapshots: 39 steps (183).  At half this fraction their concavity
+# margins move by 2.8e-7 and 6.4e-8: the first snapshot's second difference carries
+# the BDF2 error the first steps build up from an exact datum.
 LOCAL_ERROR_TOL = 4e-5
 # An implicit step is at most this many CFL steps (taken at each snapshot).  Its flux
 # form carries the rounding of v = u^p into u' times dt / cfl_dt: about 2 eps per CFL
@@ -80,7 +82,7 @@ class DiffusionParams:
     t_end: float
     snapshot_count: int = 9
     snapshot_times: tuple[float, ...] | None = None
-    cfl_safety: float = 0.9  # explicit steps, and the first step of an implicit march
+    cfl_safety: float = 0.9  # explicit steps
 
     def __post_init__(self):
         coefficients(self.p, self.dim)  # validates p > 1 - 2/dim
@@ -125,9 +127,9 @@ class _Kernel:
     and after a step that undershoots.  v = u^p and its differences dv serve both the
     p < 1 chord stiffness and the fluxes, and the acceptance test's max(u) is the next
     umax.  An explicit step refreshes v and dv; an implicit one uses v, dv and du as
-    scratch, so callers refresh them with `_faces()` before reading them
-    (`speed`, `accuracy_dt`, `cfl_dt`, `advance`).  Each out= pass of either step keeps the
-    operands and operation order of the plain array expressions: bitwise theirs.
+    scratch, so callers refresh them with `_faces()` before reading them (`speed`,
+    `accuracy_dt`, `cfl_dt`, `starting_dt`, `advance`).  Each out= pass of either step
+    keeps the operands and operation order of the plain array expressions: bitwise theirs.
     """
 
     def __init__(self, grid: Grid, p: float, values: np.ndarray):
@@ -145,6 +147,7 @@ class _Kernel:
         self.u_prev = self.u_prev2 = None
         self.dt_prev = self.dt_prev2 = self.dt_next = 0.0
         self.error_tol = math.inf  # the local error, in mass, a step may make (evolve sets it)
+        self.error_weights = self.weights  # the estimate's weights (evolve leaves the edge out)
         self.plan = self.work = None  # the implicit solver and buffers: made by its first call
         self._faces()
 
@@ -213,6 +216,18 @@ class _Kernel:
         explicit-to-implicit switch only."""
         rate = self.speed()
         return mass_step / rate if rate > 0.0 else math.inf
+
+    def starting_dt(self, tol_rate: float) -> float:
+        """The first implicit step, read from the flow rather than the grid: the
+        backward-Euler step whose local error, dt^2 / 2 ||u_tt||_1, is tol_rate dt, so
+        2 tol_rate / ||u_tt||_1, both norms over `error_weights`.  u_tt = L(s u_t) / w,
+        s = p u^{p-1} with u floored as in `implicit_advance` (dv is _faces()'s)."""
+        p, w = self.p, self.weights
+        rate = self._net_flux() / w
+        slope = p * np.maximum(self.u, 0.0 if p > 1.0 else EPS * self.umax) ** (p - 1.0)
+        accel = self._divergence(slope * rate) / w
+        norm = float(self.error_weights @ np.abs(accel))
+        return 2.0 * tol_rate / norm if norm > 0.0 else math.inf
 
     def implicit_advance(self, dt: float, t: float) -> tuple[float, int]:
         """One variable-step BDF2 step from t, halving dt on undershoot: (dt, rejections).
@@ -340,7 +355,8 @@ class _Kernel:
         return dt, rejections
 
     def _local_error(self, dt: float, theta: float, gap: np.ndarray) -> float:
-        """C w @ |new - P2| for the step of dt to new (self.new), 0 before three levels."""
+        """C w @ |new - P2| for the step of dt to new (self.new), 0 before three levels;
+        w here is `error_weights`."""
         if self.u_prev2 is None:
             return 0.0
         h1, h2, head, coef = self.dt_prev, self.dt_prev2, self.head, self.coef
@@ -350,7 +366,7 @@ class _Kernel:
         coef[(head + 1) % 4], coef[head % 4] = 1.0, -1.0 - a
         coef[(head - 1) % 4], coef[(head - 2) % 4] = a + b, -b
         np.dot(coef, self.ring, out=gap)  # new - P2
-        return theta / (theta + dt + h1 + h2) * float(self.weights @ np.abs(gap, out=gap))
+        return theta / (theta + dt + h1 + h2) * float(self.error_weights @ np.abs(gap, out=gap))
 
 
 class _ReductionPlan:
@@ -474,6 +490,12 @@ class EvolutionResult:
     rejection_count: int
     edge_mass: float  # the largest over the snapshots
 
+    @property
+    def domain_cut(self) -> bool:
+        """The wall held more than DOMAIN_TOL of the mass: mass the flow on R^n carries
+        past it, so the domain cuts the flow."""
+        return self.edge_mass > DOMAIN_TOL
+
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.snapshots])
 
@@ -489,15 +511,19 @@ def evolve(f0: DensityField, params: DiffusionParams,
     step that moves STEP_CHANGE of the mass now, and at most a
     MIN_STEPS_PER_SNAPSHOT-th of the shortest interval still ahead, and once it
     exceeds IMPLICIT_STEP_COST CFL steps (for p < 1 from the start) the march
-    is linearly implicit BDF2, with its history, to the end.  It starts at the
-    CFL step of the switch and doubles it while it has fewer than three levels;
-    from then on each step proposes the next from its own local-error estimate
+    is linearly implicit BDF2, with its history, to the end.  Its tolerance,
+    taken before each interval, is LOCAL_ERROR_TOL of the most mass the flow
+    can move over the interval, and a step is at most MAX_CFL_STEPS CFL steps.
+    The march starts with the backward-Euler step whose local error is its
+    share of one step's tolerance per interval (`_Kernel.starting_dt`: read
+    from the flow's acceleration, so a finer grid starts no shorter) and
+    doubles it while it has fewer than three levels; from then on each step
+    proposes the next from its own local-error estimate
     (`_Kernel.implicit_advance`), at most twice as long, so omega <= 2 keeps
-    BDF2 zero-stable, and the backward-Euler start puts no kink in N_p(t).  The
-    estimate may be LOCAL_ERROR_TOL of the most mass the flow can move over
-    the interval, and a step is at most MAX_CFL_STEPS CFL steps, both taken
-    before each interval.  As the flow slows, its local error falls and the
-    steps grow.
+    BDF2 zero-stable.  As the flow slows, its local error falls and the steps
+    grow.  The estimate leaves out the edge cells (below), where a wall that
+    cuts the flow holds a boundary layer as thin as the grid; that error is
+    the domain's, reported as the edge mass.
 
     The edge mass, the mass in the last node_count // EDGE_CELLS cells at each
     wall, is read at the datum and at every snapshot; above DOMAIN_TOL, the
@@ -516,6 +542,7 @@ def evolve(f0: DensityField, params: DiffusionParams,
         from_wall = np.minimum(from_wall, from_wall[::-1])  # either wall
     edge = np.where(from_wall < max(1, grid.node_count // EDGE_CELLS), grid.weights(), 0.0)
     kernel = _Kernel(grid, params.p, f0.values)
+    kernel.error_weights = grid.weights() - edge  # 0 at the edge: the wall's layer is the domain's
     implicit = False
     t = float(times[0])
     steps = rejections = 0
@@ -528,18 +555,20 @@ def evolve(f0: DensityField, params: DiffusionParams,
         if not implicit:
             dt_run = min(kernel.accuracy_dt(STEP_CHANGE * m0),
                          float(intervals[i:].min()) / MIN_STEPS_PER_SNAPSHOT)
-            first = kernel.cfl_dt(params.cfl_safety)
-            implicit = params.p < 1.0 or dt_run > IMPLICIT_STEP_COST * first
+            implicit = params.p < 1.0 or dt_run > IMPLICIT_STEP_COST * kernel.cfl_dt(
+                params.cfl_safety)
         if implicit:
             # the most mass the flow can move over this interval, and sqrt(eps) of the
             # mass where it barely moves, so that rounding fails no step
             moved = min(rate * float(intervals[i]), m0)
             kernel.error_tol = LOCAL_ERROR_TOL * max(moved, math.sqrt(EPS) * m0)
             longest = MAX_CFL_STEPS * kernel.cfl_dt(1.0)
+            if not kernel.dt_next:  # the march's first step
+                kernel.dt_next = kernel.starting_dt(kernel.error_tol / float(intervals[i]))
         march = kernel.implicit_advance if implicit else kernel.advance
         while t < target:
             if implicit:
-                proposal = min(kernel.dt_next or first, longest)
+                proposal = min(kernel.dt_next, longest)
             else:
                 proposal = kernel.cfl_dt(params.cfl_safety)
             remaining = target - t
@@ -554,10 +583,11 @@ def evolve(f0: DensityField, params: DiffusionParams,
                               with_dissipation=with_dissipation))
         fields.append(fld)
         edge_mass = max(edge_mass, float(edge @ kernel.u))
-    if edge_mass > DOMAIN_TOL:
+    result = EvolutionResult(params, snaps, fields, steps, rejections, edge_mass)
+    if result.domain_cut:
         warnings.warn(f"edge mass {edge_mass:.3e} exceeds {DOMAIN_TOL}; "
                       "domain is likely too small", BoundaryLeakWarning)
-    return EvolutionResult(params, snaps, fields, steps, rejections, edge_mass)
+    return result
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,8 @@ on the 1-D domain of radius 1.3 times its support radius at t = 3 (the domain
 step is BDF2 at a fixed step, the one that moves STEP_CHANGE of the mass
 (`accuracy_dt`, which `evolve` reads only for its explicit-to-implicit
 switch: it sizes implicit steps by their local-error estimate), after one
-backward-Euler step and one untimed BDF2 step of that size, after which the
-kernel holds three levels, so each timed step forms its local-error estimate
-too.  The explicit step is `advance` at the CFL step, timed together with its
+backward-Euler step and one BDF2 step of that size: every timed step starts
+from those three levels, so it forms its local-error estimate too.  The explicit step is `advance` at the CFL step, timed together with its
 `cfl_dt`, and timed again on the radial n = 3 grid (`radial3`): the p = 2
 Barenblatt in three dimensions at t = 1, on the radial domain sized the same
 way.  Every timed
@@ -50,16 +49,19 @@ def _barenblatt_kernel(nodes: int, dim: int = 1) -> solver._Kernel:
 
 
 def _implicit_stepper(nodes: int):
-    """A BDF2 step at the fixed accuracy step from one saved state, and its solves."""
+    """A BDF2 step at the fixed accuracy step from one saved three-level state, and its
+    solves."""
     kernel = _barenblatt_kernel(nodes)
     dt = kernel.accuracy_dt(solver.STEP_CHANGE)
     kernel.implicit_advance(dt, T_START)  # the backward-Euler start
-    u, u_prev, dt_prev, umax = kernel.u.copy(), kernel.u_prev.copy(), kernel.dt_prev, kernel.umax
+    kernel.implicit_advance(dt, T_START + dt)
+    levels = [kernel.u.copy(), kernel.u_prev.copy(), kernel.u_prev2.copy()]
+    steps, umax = (kernel.dt_prev, kernel.dt_prev2), kernel.umax
 
     def restore():
-        np.copyto(kernel.u, u)
-        np.copyto(kernel.u_prev, u_prev)
-        kernel.dt_prev, kernel.umax = dt_prev, umax
+        for level, saved in zip((kernel.u, kernel.u_prev, kernel.u_prev2), levels):
+            np.copyto(level, saved)
+        (kernel.dt_prev, kernel.dt_prev2), kernel.umax = steps, umax
 
     solve, solves = kernel.plan.solve, []
 
@@ -69,9 +71,9 @@ def _implicit_stepper(nodes: int):
 
     kernel.plan.solve = counted_solve
     restore()
-    kernel.implicit_advance(dt, T_START + dt)
+    kernel.implicit_advance(dt, T_START + 2.0 * dt)
     del kernel.plan.solve
-    return restore, lambda: kernel.implicit_advance(dt, T_START + dt), len(solves)
+    return restore, lambda: kernel.implicit_advance(dt, T_START + 2.0 * dt), len(solves)
 
 
 def _explicit_stepper(nodes: int, dim: int = 1, cfl_safety: float = 0.9):
