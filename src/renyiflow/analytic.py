@@ -8,6 +8,7 @@ sharp Sobolev constant.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,11 +43,16 @@ class Coefficients:
     nu: float  # mu/n = 2/n + (p-1), the entropy-power exponent
 
 
+@functools.cache
 def coefficients(p: float, n: int) -> Coefficients:
-    """Exponents (mu, nu); requires p > 1 - 2/n so both are positive."""
+    """Exponents (mu, nu); requires p > 1 - 2/n so both are positive.
+
+    Memoized per (p, n).  Equal arguments of other numeric types share an
+    entry, so the fields are always a Python float and int.
+    """
     if int(n) != n or n < 1:
         raise DomainError(f"dimension must be a positive integer, got {n}")
-    n = int(n)
+    p, n = float(p), int(n)
     mu = 2.0 + n * (p - 1.0)
     if not mu > 0.0:
         raise DomainError(f"need p > 1 - 2/n = {1.0 - 2.0 / n}; got p = {p}")
@@ -227,13 +233,16 @@ def barenblatt_entropy_power(spec: BarenblattSpec) -> float:
     return math.exp(spec.coeffs.nu * barenblatt_entropy(spec))
 
 
+@functools.cache
 def gamma_const(p: float, n: int) -> float:
     """Sharp isoperimetric constant gamma(n, p) = N_p I_p of the Barenblatt.
 
     Assembled as 2np/|p-1| * A_p^{2/n} * (((n+2)p-n)/(2p))^{mu/(n(p-1))},
     which is the closed form with the Beta-formula Gamma arguments.
+    Memoized per (p, n), and a Python float for arguments of any numeric type.
     """
     coeffs = coefficients(p, n)
+    p, n = coeffs.p, coeffs.n
     _require_second_moment(p, n)
     a_pow = barenblatt_a(p, n) ** (2.0 / n)
     ratio = ((n + 2.0) * p - n) / (2.0 * p)

@@ -8,6 +8,9 @@ Shannon pair, and the mass-preserving dilation operators.
 F_p is evaluated in the pressure form q^2 integral |grad u^{p-1}|^2 u with
 q = p/(p-1): for p > 1 the pressure u^{p-1} stays smooth across the free
 boundary, which is what keeps I_p of a Barenblatt finite on the grid.
+For p < 1 the pressure blows up where u vanishes, so the integrands are
+summed over a trust mask there (see `_pressure`); a field with no vanishing
+node, and every field at p > 1, is summed over all nodes, unmasked.
 """
 from __future__ import annotations
 
@@ -91,17 +94,20 @@ def entropy_power(f: DensityField, p: float, n: int | None = None) -> float:
     return math.exp(nu * h)
 
 
-def _pressure(values: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+def _pressure(values: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray | None]:
     """u^{p-1} and the mask on which derived integrands may be trusted.
 
-    For p > 1 the power is exact everywhere (0^{p-1} = 0).  For p < 1 it
-    blows up at vanishing nodes, so it is evaluated only where u > 0 and the
-    trust mask is eroded by the stencil width, so difference quotients never
+    The mask is None where every node may be trusted: for p > 1 the power is
+    exact everywhere (0^{p-1} = 0), and for p < 1 when no node vanishes.  Where
+    one does, u^{p-1} blows up there, so it is evaluated only where u > 0 and
+    the mask is eroded by the stencil width, so difference quotients never
     touch a fabricated node.
     """
     if p > 1.0:
-        return values ** (p - 1.0), np.ones(values.shape, dtype=bool)
+        return values ** (p - 1.0), None
     m = values > 0.0
+    if m.all():
+        return values ** (p - 1.0), None
     g = np.zeros_like(values)
     g[m] = values[m] ** (p - 1.0)
     eroded = m.copy()
@@ -131,7 +137,7 @@ def e_p_integral(f: DensityField, p: float) -> float:
 
 
 def _dissipation_terms(f: DensityField, p: float, pressure: np.ndarray,
-                       ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                       ok: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """(u^p |D^2 e_p'(u)|^2, u^p (Lap e_p'(u))^2) from `_pressure`'s pair, u^{p/2} folded in early.
 
     For a radial profile the Hessian eigenvalues are g'' and g'/r, so with
@@ -142,13 +148,16 @@ def _dissipation_terms(f: DensityField, p: float, pressure: np.ndarray,
     v = f.values
     q = p / (p - 1.0)
     g = q * pressure
-    damp = np.where(ok, v ** (p / 2.0), 0.0)
+    damp = v ** (p / 2.0)
+    if ok is not None:
+        damp = np.where(ok, damp, 0.0)
     a = second_derivative(g, f.grid) * damp
     if f.grid.kind == CARTESIAN or f.grid.dim == 1:
-        return a * a, a * a
+        aa = a * a
+        return aa, aa
     b = gradient(g, f.grid) / f.grid.nodes() * damp
-    m = f.grid.dim - 1
-    return a * a + m * b * b, (a + m * b) ** 2
+    mb = (f.grid.dim - 1) * b
+    return a * a + mb * b, (a + mb) ** 2
 
 
 def _integrals(f: DensityField, p: float,
@@ -168,7 +177,7 @@ def _integrals(f: DensityField, p: float,
     pressure, ok = _pressure(v, p)
     # |grad g|^2 u written as (grad g * sqrt(u))^2 so huge g never squares alone
     damped = gradient(pressure, f.grid) * np.sqrt(v)
-    f_p = q * q * float(w[ok] @ (damped[ok] ** 2))
+    f_p = q * q * float(w @ (damped ** 2) if ok is None else w[ok] @ (damped[ok] ** 2))
     d = lap = None
     if dissipation:
         hess_term, lap_term = _dissipation_terms(f, p, pressure, ok)

@@ -5,6 +5,8 @@ symmetric n-D half-line.  Radial grids are cell centered, starting at
 r = spacing/2, and carry the volume weight |S^{n-1}| r^{n-1} spacing per
 node, with |S^{n-1}| = 2 pi^{n/2} / Gamma(n/2).  The solver's kernel reads
 a grid only as these weights and its faces' conductances (`Grid.conductances`).
+Nodes, weights and conductances are computed once per grid and shared, so
+the arrays are read-only.
 """
 from __future__ import annotations
 
@@ -62,7 +64,17 @@ class Grid:
         return cls(RADIAL, dim, node_count, h, h / 2.0)
 
     def nodes(self) -> np.ndarray:
-        return self.origin + self.spacing * np.arange(self.node_count)
+        """Node coordinates (radii on radial grids).
+
+        Computed once per grid; the array is shared, so it is read-only, like `weights`.
+        """
+        return self._nodes
+
+    @cached_property
+    def _nodes(self) -> np.ndarray:
+        x = self.origin + self.spacing * np.arange(self.node_count)
+        x.flags.writeable = False
+        return x
 
     def weights(self) -> np.ndarray:
         """Quadrature weight per node (length, or shell volume for radial grids).
@@ -102,6 +114,10 @@ class Grid:
         coupling[1:] += conductance
         conductance.flags.writeable = coupling.flags.writeable = False
         return conductance, coupling, float(np.maximum.reduce(coupling / self.weights()))
+
+    def __reduce__(self):
+        # pickle and copy rebuild from the fields, so a clone makes its own read-only caches
+        return Grid, (self.kind, self.dim, self.node_count, self.spacing, self.origin)
 
     def radius(self) -> float:
         """Outer edge of the covered domain (half-width for Cartesian grids)."""

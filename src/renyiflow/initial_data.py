@@ -76,10 +76,18 @@ def sample_mixture(grid: Grid, seed: int, components: int | None = None,
     variances = rng.uniform(var_range[0], var_range[1], size=k)
     x = grid.nodes()
     vals = np.zeros_like(x)
-    for w, m, s2 in zip(weights, means, variances):
-        vals += w * np.exp(-((x - m) ** 2) / (2.0 * s2))
-        if grid.kind != CARTESIAN:
-            vals += w * np.exp(-((x + m) ** 2) / (2.0 * s2))
+    bump = np.empty_like(x)
+    mirrored = grid.kind != CARTESIAN
+    for w, m, s2 in zip(weights.tolist(), means.tolist(), variances.tolist()):
+        # w exp((x - c)^2 / (-2 s2)) in one buffer: the sign sits in the divisor, which
+        # IEEE division passes through exactly, and x - (-m) is x + m exactly
+        for c in (m, -m) if mirrored else (m,):
+            np.subtract(x, c, out=bump)
+            np.square(bump, out=bump)
+            np.divide(bump, -2.0 * s2, out=bump)
+            np.exp(bump, out=bump)
+            np.multiply(bump, w, out=bump)
+            np.add(vals, bump, out=vals)
     total = float(grid.weights() @ vals)
     if not total > 0.0:
         raise DomainError("mixture has no mass on this grid")

@@ -60,9 +60,12 @@ def _times_values(series, attr: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _denominator(values, name: str):
-    """|values| as a relative measure's denominator; DegenerateError where it vanishes."""
-    scale = np.abs(values)
-    if np.any(scale < 1e-300):
+    """|values| as a relative measure's denominator; DegenerateError where it vanishes.
+
+    A float stays a float: the chain's scalars take no numpy call.
+    """
+    scale = abs(values)
+    if np.any(scale < 1e-300) if isinstance(scale, np.ndarray) else scale < 1e-300:
         raise DegenerateError(f"{name} vanishes (below 1e-300); a relative measure is meaningless")
     return scale
 
@@ -156,7 +159,9 @@ class ChainReport:
 
     All integrals come from one evaluation of the field.  Margins are normalized
     by the magnitude of their own right-hand side; nonnegative means the
-    inequality holds.
+    inequality holds.  Where sigma + p - 1 rounds to 0, the concavity and
+    sufficient margins are normalized by their left side instead, so they read
+    its sign.  A scale that vanishes raises DegenerateError.
     """
 
     sigma: float
@@ -194,13 +199,18 @@ def concavity_condition_chain(f: DensityField, p: float, n: int | None = None,
     _dim(f, n)
     s_p, f_val, d_val, lap_int = _integrals(f, p, dissipation=True)
     # eq-condition with (p-1) E_p = int u^p: D int u^p >= (sigma + p - 1) F^2
+    coeff = sigma + p - 1.0
     lhs = d_val * s_p
-    rhs = (sigma + p - 1.0) * f_val ** 2
-    concavity_margin = (lhs - rhs) / abs(rhs)
-    cs = (s_p * lap_int - f_val ** 2) / (s_p * lap_int)
-    trace = (d_val - 2.0 * (1.0 / n + p - 1.0) * lap_int) / abs(d_val)
-    suff_rhs = (sigma + p - 1.0) * lap_int
-    sufficient = (d_val - suff_rhs) / abs(suff_rhs) if suff_rhs != 0.0 else d_val
+    rhs = coeff * f_val ** 2
+    suff_rhs = coeff * lap_int
+    # where the coefficient rounds to 0 (sigma = nu at p = 1 - 1/n) both right sides
+    # vanish, and these two margins are normalized by their left side, keeping its sign
+    conc_scale, suff_scale = (lhs, d_val) if coeff == 0.0 else (rhs, suff_rhs)
+    concavity_margin = (lhs - rhs) / _denominator(conc_scale, "the concavity condition's scale")
+    cs_scale = _denominator(s_p * lap_int, "int u^p times int u^p (Lap e_p')^2")
+    cs = (s_p * lap_int - f_val ** 2) / cs_scale
+    trace = (d_val - 2.0 * (1.0 / n + p - 1.0) * lap_int) / _denominator(d_val, "D_p")
+    sufficient = (d_val - suff_rhs) / _denominator(suff_scale, "the sufficient condition's scale")
     return ChainReport(sigma, concavity_margin, cs, trace, sufficient)
 
 

@@ -40,6 +40,16 @@ class TestCoefficients:
         assert c.nu == pytest.approx(2.0 / n + (p - 1.0), rel=1e-14)
         assert c.mu > 0.0 and c.nu > 0.0
 
+    def test_memo_hands_out_python_numbers(self):
+        # equal arguments of numpy types share a memo entry, so whichever type comes
+        # first, every caller gets Python numbers (a numpy 2 scalar reprs as np.float64(...))
+        c = rf.coefficients(np.float64(1.2345), np.int64(6))
+        assert rf.coefficients(1.2345, 6) is c
+        assert [type(v) for v in (c.p, c.n, c.mu, c.nu)] == [float, int, float, float]
+        assert "np." not in repr(c)
+        g = rf.gamma_const(np.float64(1.2345), np.int64(6))
+        assert type(g) is float and rf.gamma_const(1.2345, 6) == g
+
 
 class TestHeatKernel:
     def test_center_value_normalizes_prefactor(self):

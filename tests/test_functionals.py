@@ -8,7 +8,8 @@ import pytest
 
 import renyiflow as rf
 from renyiflow.errors import DomainError
-from renyiflow.functionals import _dissipation_terms, _pressure
+from renyiflow.functionals import _dissipation_terms, _integrals, _pressure
+from renyiflow.grids import CARTESIAN, gradient, second_derivative
 
 
 @pytest.fixture(scope="module")
@@ -467,6 +468,119 @@ class TestVanishingRegions:
         f_val, i_val = rf.fisher_p(f, 0.8)
         assert math.isfinite(f_val) and math.isfinite(i_val) and f_val > 0.0
         assert math.isfinite(rf.d_p(f, 0.8))
+
+
+def _frozen_pressure(values, p):
+    """`_pressure` as it was before the all-trusted case returned no mask."""
+    if p > 1.0:
+        return values ** (p - 1.0), np.ones(values.shape, dtype=bool)
+    m = values > 0.0
+    g = np.zeros_like(values)
+    g[m] = values[m] ** (p - 1.0)
+    eroded = m.copy()
+    eroded[1:] &= m[:-1]
+    eroded[2:] &= m[:-2]
+    eroded[:-1] &= m[1:]
+    eroded[:-2] &= m[2:]
+    return g, eroded
+
+
+def _frozen_dissipation_terms(f, p, pressure, ok):
+    """`_dissipation_terms` with its mask always applied and no shared products."""
+    v = f.values
+    g = p / (p - 1.0) * pressure
+    damp = np.where(ok, v ** (p / 2.0), 0.0)
+    a = second_derivative(g, f.grid) * damp
+    if f.grid.kind == CARTESIAN or f.grid.dim == 1:
+        return a * a, a * a
+    x = f.grid.origin + f.grid.spacing * np.arange(f.grid.node_count)
+    b = gradient(g, f.grid) / x * damp
+    m = f.grid.dim - 1
+    return a * a + m * b * b, (a + m * b) ** 2
+
+
+def _frozen_integrals(f, p):
+    """`_integrals(f, p, dissipation=True)` recomputed with the masked arithmetic, no memo."""
+    v, w = f.values, f.grid.weights()
+    q = p / (p - 1.0)
+    pressure, ok = _frozen_pressure(v, p)
+    damped = gradient(pressure, f.grid) * np.sqrt(v)
+    f_p = q * q * float(w[ok] @ (damped[ok] ** 2))
+    hess_term, lap_term = _frozen_dissipation_terms(f, p, pressure, ok)
+    return (float(w @ v ** p), f_p, 2.0 * float(w @ (hess_term + (p - 1.0) * lap_term)),
+            float(w @ lap_term))
+
+
+def _frozen_mixture_values(grid, seed):
+    """`sample_mixture(grid, seed).values` as the bump-by-bump loop formed them."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 6))
+    weights = rng.uniform(0.2, 1.0, size=k)
+    weights /= weights.sum()
+    lo, hi = (-2.0, 2.0) if grid.kind == CARTESIAN else (0.0, 2.0)
+    means = rng.uniform(lo, hi, size=k)
+    variances = rng.uniform(0.5, 2.0, size=k)
+    x = grid.origin + grid.spacing * np.arange(grid.node_count)
+    vals = np.zeros_like(x)
+    for w, m, s2 in zip(weights, means, variances):
+        vals += w * np.exp(-((x - m) ** 2) / (2.0 * s2))
+        if grid.kind != CARTESIAN:
+            vals += w * np.exp(-((x + m) ** 2) / (2.0 * s2))
+    return vals / float(grid.weights() @ vals)
+
+
+_GRID_KINDS = pytest.mark.parametrize("kind", [1, 2, 3, 4, 5],
+                                     ids=["cartesian", "radial2", "radial3", "radial4", "radial5"])
+_NODE_COUNTS = pytest.mark.parametrize("nodes", [9, 101, 4096])
+
+
+class TestFrozenArithmetic:
+    """The shared-data functionals and the buffered mixture sampler, bit for bit the
+    arithmetic they replaced (kept above as `_frozen_*`).  Radial n = 4 is the one
+    whose n - 1 is not a power of two, so only it sees how (n-1) b b is grouped."""
+
+    PS = (0.8, 0.9, 1.5, 2.0, 3.0)
+
+    @staticmethod
+    def _grid(kind, nodes):
+        return rf.Grid.cartesian(nodes, 6.0) if kind == 1 else rf.Grid.radial(kind, nodes, 6.0)
+
+    @staticmethod
+    def _fields(grid):
+        yield from (rf.sample_mixture(grid, seed) for seed in range(3))
+        yield from (rf.compact_two_bump(grid, seed) for seed in range(2))
+        yield from (rf.sample_barenblatt(grid, p) for p in (0.8, 2.0, 3.0))
+
+    @_NODE_COUNTS
+    @_GRID_KINDS
+    def test_nodes_and_mixtures(self, kind, nodes):
+        grid = self._grid(kind, nodes)
+        x = grid.origin + grid.spacing * np.arange(grid.node_count)
+        assert grid.nodes().tobytes() == x.tobytes()
+        for seed in range(6):
+            want = _frozen_mixture_values(grid, seed)
+            assert rf.sample_mixture(grid, seed).values.tobytes() == want.tobytes()
+
+    @_NODE_COUNTS
+    @_GRID_KINDS
+    def test_functionals(self, kind, nodes):
+        masked = 0
+        for f in self._fields(self._grid(kind, nodes)):
+            for p in self.PS:
+                pressure, ok = _pressure(f.values, p)
+                frozen, frozen_ok = _frozen_pressure(f.values, p)
+                assert pressure.tobytes() == frozen.tobytes()
+                # no mask exactly where the frozen one trusts every node
+                assert (ok is None) == bool(frozen_ok.all())
+                if ok is not None:
+                    masked += 1
+                    assert np.array_equal(ok, frozen_ok)
+                for got, want in zip(_dissipation_terms(f, p, pressure, ok),
+                                     _frozen_dissipation_terms(f, p, frozen, frozen_ok)):
+                    assert got.tobytes() == want.tobytes()
+                fresh = rf.DensityField(f.grid, f.values)
+                assert repr(_integrals(fresh, p, dissipation=True)) == repr(_frozen_integrals(f, p))
+        assert masked > 0  # the compact bumps' zeros keep the masked p < 1 path
 
 
 class TestQuadratureConvergence:

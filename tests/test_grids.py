@@ -46,6 +46,26 @@ class TestGrid:
         with pytest.raises(ValueError):
             w[0] = 1.0
 
+    @pytest.mark.parametrize("grid", [rf.Grid.cartesian(64, 2.0), rf.Grid.radial(3, 32, 8.0)])
+    def test_nodes_computed_once_read_only(self, grid):
+        x = grid.nodes()
+        assert grid.nodes() is x and not x.flags.writeable
+        assert np.array_equal(x, grid.origin + grid.spacing * np.arange(grid.node_count))
+        with pytest.raises(ValueError):
+            x[0] = 1.0
+        scaled = grid.scaled(2.0)
+        assert scaled.nodes() is not x and np.array_equal(scaled.nodes(), 2.0 * x)
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))])
+    def test_clone_makes_its_own_read_only_caches(self, clone):
+        grid = rf.Grid.radial(3, 32, 8.0)
+        grid.nodes(), grid.weights(), grid.conductances()
+        twin = clone(grid)
+        assert twin == grid
+        for got, want in ((twin.nodes(), grid.nodes()), (twin.weights(), grid.weights()),
+                          *zip(twin.conductances()[:2], grid.conductances()[:2])):
+            assert got is not want and not got.flags.writeable and np.array_equal(got, want)
+
     def test_cartesian_uniform_density_mass(self):
         g = rf.Grid.cartesian(128, 3.0)
         f = rf.DensityField(g, np.full(128, 1.0 / 6.0))

@@ -1,5 +1,6 @@
 """Verdict operations: positive cases from the flow, negative controls, determinism."""
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -166,6 +167,32 @@ class TestConditionChain:
     def test_rejects_p_one(self, mixture_run):
         with pytest.raises(DomainError):
             rf.concavity_condition_chain(mixture_run.fields[0], 1.0, 1)
+
+    # at the default sigma = nu, sigma + p - 1 = 2/n + 2(p - 1) rounds to exactly 0 here
+    @pytest.mark.parametrize("p, n", [(0.75, 4), (0.8, 5)])
+    def test_vanishing_coefficient_reads_the_left_side(self, p, n):
+        sigma = rf.coefficients(p, n).nu
+        assert sigma + p - 1.0 == 0.0
+        f = rf.sample_mixture(rf.Grid.radial(n, 256, 10.0), 1)
+        rep = rf.concavity_condition_chain(f, p, n)
+        d_val, s_p = rf.d_p(f, p, n), rf.p_norm_integral(f, p)
+        # both right sides vanish, so each margin is its left side over its own size
+        assert rep.concavity_margin == math.copysign(1.0, d_val * s_p)
+        assert rep.sufficient_margin == math.copysign(1.0, d_val)
+        assert all(type(m) is float and math.isfinite(m) for m in rep.margins().values())
+        assert rep.holds()
+
+    @pytest.mark.parametrize("grid", [rf.Grid.cartesian(64, 4.0), rf.Grid.radial(3, 64, 8.0)],
+                             ids=["cartesian", "radial3"])
+    @pytest.mark.parametrize("p", [0.75, 2.0])
+    def test_flat_field_is_degenerate(self, grid, p):
+        # spacing 1/8 and q = p/(p-1) exact: every difference quotient of the constant
+        # pressure is exactly 0, so F_p = D_p = int u^p (Lap e_p')^2 = 0 and no margin
+        # has a scale
+        f = rf.DensityField(grid, np.ones(grid.node_count))
+        assert rf.fisher_p(f, p)[0] == rf.d_p(f, p) == rf.pressure_laplacian_integral(f, p) == 0.0
+        with pytest.raises(DegenerateError, match="vanishes"):
+            rf.concavity_condition_chain(f, p)
 
 
 class TestIsoperimetric:
