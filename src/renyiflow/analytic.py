@@ -25,6 +25,7 @@ UNIT_COEFF = "unit"
 PDE_NORMALIZED = "pde"
 
 _FAR_RADIUS = 2.0 ** 29  # suggest_domain_radius: tail targets needing more are unreachable
+_NO_PROFILE = "p = 1 has no Barenblatt profile; use the heat kernel"
 
 
 def lgamma(x: float) -> float:
@@ -98,10 +99,8 @@ def barenblatt_a(p: float, n: int) -> float:
         return math.pi ** (n / 2.0) * math.exp(lgamma(a + 1.0) - lgamma(n / 2.0 + a + 1.0))
     if p < 1.0:
         b = 1.0 / (1.0 - p)
-        if not b - n / 2.0 > 0.0:
-            raise DomainError(f"profile not integrable: 1/(1-p) - n/2 = {b - n / 2.0} <= 0")
         return math.pi ** (n / 2.0) * math.exp(lgamma(b - n / 2.0) - lgamma(b))
-    raise DomainError("p = 1 has no Barenblatt profile; use the heat kernel")
+    raise DomainError(_NO_PROFILE)
 
 
 def barenblatt_c(p: float, n: int) -> float:
@@ -189,9 +188,17 @@ def support_radius(spec: BarenblattSpec) -> float:
     return math.sqrt(spec.c_const / _quadratic_coefficient(spec))
 
 
-def _require_second_moment(p: float, n: int) -> None:
-    if not p > n / (n + 2.0):
-        raise DomainError(f"second moment diverges for p <= n/(n+2) = {n / (n + 2.0)}; got p = {p}")
+def _has_second_moment(p: float, n: int) -> bool:
+    """Whether a Barenblatt profile (p != 1) has a finite second moment (p > n/(n+2))."""
+    return p != 1.0 and p > n / (n + 2.0)
+
+
+def _require_second_moment(p: float, n: int, subject: str = "a finite second moment") -> None:
+    """DomainError unless _has_second_moment(p, n); the range's message names subject."""
+    if p == 1.0:
+        raise DomainError(_NO_PROFILE)
+    if not _has_second_moment(p, n):
+        raise DomainError(f"{subject} needs p > n/(n+2) = {n / (n + 2.0)}; got p = {p}")
 
 
 def barenblatt_second_moment(spec: BarenblattSpec) -> float:

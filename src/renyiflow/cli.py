@@ -270,9 +270,8 @@ def _requested_checks(args, raw: str, with_fields: bool) -> tuple[list[str], dic
     return names, tols
 
 
-def _run(cfg: dict, sized: bool = False, f0=None):
-    """The result, checks and, if sized, Barenblatt domain sizing report (None where p
-    has no envelope) of the run an evolve cfg describes, from f0 if given."""
+def _run(cfg: dict, f0=None):
+    """The result and checks of the run an evolve cfg describes, from f0 if given."""
     p, dim, nodes, radius = cfg["p"], cfg["dim"], cfg["nodes"], cfg["radius"]
     params = DiffusionParams(p=p, dim=dim, t_start=cfg["t_start"], t_end=cfg["t_end"],
                              snapshot_count=cfg["snapshots"], cfl_safety=cfg["cfl"])
@@ -280,12 +279,9 @@ def _run(cfg: dict, sized: bool = False, f0=None):
         grid = Grid.cartesian(nodes, radius) if cfg["geometry"] == "cartesian1d" \
             else Grid.radial(dim, nodes, radius)
         f0 = _initial_field(cfg["initial"], grid, p, cfg["t_start"], cfg["seed"])
-    sizing = None
-    if sized and (p > 1.0 or dim / (dim + 2.0) < p < 1.0):
-        sizing = asdict(fast_diffusion_guard(params, f0.grid))
     result = evolve(f0, params, with_dissipation="dissipation" in cfg["verify"])
     checks = run_checks(cfg["verify"], result.snapshots, p, dim, cfg["tols"], result.fields)
-    return result, checks, sizing
+    return result, checks
 
 
 def run_evolve(args) -> int:
@@ -308,7 +304,10 @@ def run_evolve(args) -> int:
         print("evolve: cartesian1d requires dim = 1 (DiffusionParams precondition)",
               file=sys.stderr)
         return EXIT_CONFIG
-    result, checks, sizing = _run(cfg, sized=True, f0=f0)
+    result, checks = _run(cfg, f0=f0)
+    sizing = None  # the Barenblatt envelope's domain sizing, where it has a second moment
+    if analytic._has_second_moment(p, dim):
+        sizing = asdict(fast_diffusion_guard(result.params, result.fields[0].grid))
 
     d = _outdir(args.out, cfg)
     write_snapshots(d / "snapshots.csv", result.snapshots)
@@ -354,14 +353,14 @@ def _sweep_row(job: tuple) -> dict:
     p, dim, seed, nodes, t_start, t_end, snapshots, cfl, outdir = job
     row = {"p": p, "dim": dim, "seed": seed, "passed": False, "edge_mass": ""}
     names = ["concavity", "upsilon"]
-    if p != 1.0 and p > dim / (dim + 2.0):
+    if analytic._has_second_moment(p, dim):
         names.append("isoperimetric")
     try:
         cfg = {"p": p, "dim": dim, "geometry": "cartesian1d" if dim == 1 else "radial",
                "nodes": nodes, "radius": _default_radius(p, dim, t_end, "mixture"),
                "t_start": t_start, "t_end": t_end, "snapshots": snapshots,
                "initial": "mixture", "seed": seed, "cfl": cfl, "verify": names, "tols": {}}
-        result, checks, _ = _run(cfg)
+        result, checks = _run(cfg)
         row.update(passed=all(c.passed for c in checks.values()), error="",
                    edge_mass=repr(result.edge_mass))
         if outdir is not None:
@@ -382,6 +381,9 @@ def run_sweep(args) -> int:
         dims = [int(x) for x in args.dim.split(",") if x]
     except ValueError:
         print("sweep: malformed --p or --dim list", file=sys.stderr)
+        return EXIT_CONFIG
+    if not (ps and dims and args.seeds > 0):
+        print("sweep: --p, --dim and --seeds select no run", file=sys.stderr)
         return EXIT_CONFIG
     cfg = {"subcommand": "sweep", "p": ps, "dim": dims, "seeds": args.seeds,
            "nodes": args.nodes, "t_start": args.t_start, "t_end": args.t_end,

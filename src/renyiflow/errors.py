@@ -6,7 +6,8 @@ class DomainError(ValueError):
 
 
 class StabilityError(RuntimeError):
-    """Raised when the explicit time step cannot be stabilized by rejection."""
+    """Raised when a time step, explicit or implicit, fails: rejected too often, or (implicit)
+    its linearization did not settle."""
 
 
 class InsufficientData(ValueError):

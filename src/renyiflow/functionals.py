@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import coefficients, gamma_const, sobolev_constant
+from .analytic import _require_second_moment, coefficients, gamma_const, sobolev_constant
 from .errors import DomainError
 from .grids import CARTESIAN, DensityField, gradient, second_derivative
 
@@ -61,8 +61,6 @@ def p_norm_integral(f: DensityField, p: float) -> float:
 
 def renyi_entropy(f: DensityField, p: float) -> float:
     """H_p = log(integral u^p) / (1 - p) for p > 0, p != 1."""
-    if not p > 0.0:
-        raise DomainError("Renyi order p must be positive")
     if p == 1.0:
         raise DomainError("p = 1 is the Shannon limit; use shannon_entropy")
     s = p_norm_integral(f, p)
@@ -214,8 +212,6 @@ def rescale(f: DensityField, a: float) -> DensityField:
     Implemented as exact index remapping: the grid spacing is multiplied by a
     and the values by a^{-n}, so the dilation identities hold to rounding.
     """
-    if not a > 0.0:
-        raise DomainError("dilation factor must be positive")
     return DensityField(f.grid.scaled(a), f.values * a ** (-f.grid.dim))
 
 
@@ -236,10 +232,7 @@ def gn_lhs_rhs(f: DensityField, p: float, n: int | None = None) -> tuple[float, 
     and the right side is the bare constant.
     """
     n = _dim(f, n)
-    if p == 1.0:
-        raise DomainError("the exponent degenerates at p = 1")
-    if not p > n / (n + 2.0):
-        raise DomainError(f"requires p > n/(n+2) = {n / (n + 2.0)}")
+    _require_second_moment(p, n, "Gagliardo-Nirenberg bound")
     lhs = fisher_p(f, p)[0]
     expo = (2.0 + 2.0 * n * (p - 1.0)) / (n * (p - 1.0))
     rhs = gamma_const(p, n) * p_norm_integral(f, p) ** expo

@@ -38,9 +38,7 @@ def sample_barenblatt(grid: Grid, p: float, t: float = 1.0,
     The default pde convention is the one whose time orbit solves
     u_t = Lap(u^p), so it is the right initial datum for the solver.
     """
-    spec = barenblatt_spec(p, grid.dim, convention)
-    vals = barenblatt_self_similar(np.abs(grid.nodes()), t, spec)
-    return _maybe_normalize(grid, vals, normalize)
+    return sample_barenblatt_from_spec(grid, barenblatt_spec(p, grid.dim, convention), t, normalize)
 
 
 def sample_barenblatt_from_spec(grid: Grid, spec: BarenblattSpec, t: float = 1.0,
@@ -128,18 +126,14 @@ def compact_two_bump(grid: Grid, seed: int,
     lo, hi = mean_range
     m1 = rng.uniform(lo, hi)
     widths = rng.uniform(width_range[0], width_range[1], size=2)
+    mirrored = grid.kind != CARTESIAN
+    # each Cartesian bump has mass proportional to weight * width
+    means = (0.0, m1) if mirrored else (m1, -weights[0] * widths[0] * m1 / (weights[1] * widths[1]))
     x = grid.nodes()
     vals = np.zeros_like(x)
-    if grid.kind == CARTESIAN:
-        # each bump has mass proportional to weight * width
-        m2 = -weights[0] * widths[0] * m1 / (weights[1] * widths[1])
-        for w, m, s in zip(weights, (m1, m2), widths):
-            vals += w * np.maximum(1.0 - ((x - m) / s) ** 2, 0.0) ** 3
-    else:
-        means = (0.0, m1)
-        for w, m, s in zip(weights, means, widths):
-            vals += w * np.maximum(1.0 - ((x - m) / s) ** 2, 0.0) ** 3
-            vals += w * np.maximum(1.0 - ((x + m) / s) ** 2, 0.0) ** 3
+    for w, m, s in zip(weights, means, widths):
+        for c in (m, -m) if mirrored else (m,):  # x - (-m) is x + m exactly
+            vals += w * np.maximum(1.0 - ((x - c) / s) ** 2, 0.0) ** 3
     total = float(grid.weights() @ vals)
     if not total > 0.0:
         raise DomainError("bumps have no mass on this grid")

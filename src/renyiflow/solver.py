@@ -25,7 +25,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import barenblatt_spec, barenblatt_tail_mass, coefficients, suggest_domain_radius
+from .analytic import (
+    _require_second_moment,
+    barenblatt_spec,
+    barenblatt_tail_mass,
+    coefficients,
+    suggest_domain_radius,
+)
 from .errors import BoundaryLeakWarning, DomainError, StabilityError
 from .functionals import FunctionalSnapshot, snapshot
 from .grids import RADIAL, DensityField, Grid
@@ -43,11 +49,10 @@ LINEARIZATION_TOL = 1e-3
 # at most the mass.  The concavity check takes second differences of N_p in units of
 # its largest change per interval, so closer snapshots get more accurate steps.
 # The starting rate is the check's unit: N_p is concave, so its largest slope is its
-# first.  2048-node p = 2 Barenblatt, t 1..3, 33 snapshots: 341 steps and 341 solves
-# (347 and 369 under the mass step and the floor); 768-node p = 0.8, n = 3 Barenblatt,
-# t 1..1.25, 17 snapshots: 39 steps (183).  At half this fraction their concavity
-# margins move by 2.8e-7 and 6.4e-8: the first snapshot's second difference carries
-# the BDF2 error the first steps build up from an exact datum.
+# first.  2048-node p = 2 Barenblatt, t 1..3, 33 snapshots: 341 steps and 341 solves;
+# 768-node p = 0.8, n = 3 Barenblatt, t 1..1.25, 17 snapshots: 39 steps.  At half this
+# fraction their concavity margins move by 2.8e-7 and 6.4e-8: the first snapshot's
+# second difference carries the BDF2 error the first steps build up from an exact datum.
 LOCAL_ERROR_TOL = 4e-5
 # An implicit step is at most this many CFL steps (taken at each snapshot).  Its flux
 # form carries the rounding of v = u^p into u' times dt / cfl_dt: about 2 eps per CFL
@@ -605,14 +610,11 @@ def fast_diffusion_guard(params: DiffusionParams, grid: Grid) -> DomainSizingRep
     The report gives its closed-form mass outside the grid, whether that is
     at most DOMAIN_TOL, and the `suggest_domain_radius` radius scaled by
     the spread t^{1/mu}: the support edge for p > 1, and for
-    n/(n+2) < p < 1 the radius with tail mass DOMAIN_TOL.
+    n/(n+2) < p < 1 the radius with tail mass DOMAIN_TOL.  Raises DomainError
+    where the envelope has no finite second moment (p = 1 or p <= n/(n+2)).
     """
     p, n = params.p, params.dim
-    if p == 1.0:
-        raise DomainError("no Barenblatt envelope at p = 1; size by Gaussian tails")
-    if p < 1.0 and not p > n / (n + 2.0):
-        raise DomainError(
-            f"tail-mass sizing needs p > n/(n+2) = {n / (n + 2.0)} (finite second moment)")
+    _require_second_moment(p, n, "tail-mass sizing")
     spec = barenblatt_spec(p, n, "pde")
     spread = max(params.t_end, 1.0) ** (1.0 / spec.coeffs.mu)
     tail = barenblatt_tail_mass(spec, grid.radius() / spread)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import barenblatt_spec, coefficients, gamma_const
+from .analytic import _require_second_moment, barenblatt_spec, coefficients, gamma_const
 from .errors import DegenerateError, DomainError, InsufficientData
 from .functionals import (
     _dim,
@@ -117,6 +117,19 @@ def _require_uniform(t: np.ndarray) -> float:
     return float(dt[0])
 
 
+def _flow_identity(name: str, t: np.ndarray, y: np.ndarray, rate: np.ndarray, label: str,
+                   tol: float) -> CheckResult:
+    """Central-difference dy/dt against rate (named label) at the interior snapshots;
+    passes while the max relative residual stays below tol."""
+    dt = _require_uniform(t)
+    dy = (y[2:] - y[:-2]) / (2.0 * dt)
+    res = np.abs(dy - rate[1:-1]) / _denominator(rate[1:-1], label)
+    worst = int(np.argmax(res))
+    value = float(res[worst])
+    return CheckResult(name, value < tol, tol - value, tol,
+                       f"max relative residual {value:.3e} at t={t[worst + 1]:.6g}")
+
+
 def debruijn_check(series, p: float, tol: float = TOL_DEBRUIJN) -> CheckResult:
     """Central-difference dH_p/dt against I_p; max relative residual.
 
@@ -126,14 +139,7 @@ def debruijn_check(series, p: float, tol: float = TOL_DEBRUIJN) -> CheckResult:
     if len(series) < 3:
         raise InsufficientData("needs at least 3 snapshots")
     t, h = _times_values(series, "h_p")
-    _, i = _times_values(series, "i_p")
-    dt = _require_uniform(t)
-    dh = (h[2:] - h[:-2]) / (2.0 * dt)
-    res = np.abs(dh - i[1:-1]) / _denominator(i[1:-1], "I_p")
-    worst = int(np.argmax(res))
-    value = float(res[worst])
-    return CheckResult("debruijn", value < tol, tol - value, tol,
-                       f"max relative residual {value:.3e} at t={t[worst + 1]:.6g}")
+    return _flow_identity("debruijn", t, h, _times_values(series, "i_p")[1], "I_p", tol)
 
 
 def dissipation_check(series, p: float, n: int, tol: float = TOL_DISSIPATION) -> CheckResult:
@@ -143,14 +149,8 @@ def dissipation_check(series, p: float, n: int, tol: float = TOL_DISSIPATION) ->
     if any(s.d_p is None for s in series):
         raise InsufficientData("series lacks D_p; evolve with dissipation enabled")
     t, f = _times_values(series, "f_p")
-    d = np.array([s.d_p for s in series], dtype=float)
-    dt = _require_uniform(t)
-    df = -(f[2:] - f[:-2]) / (2.0 * dt)
-    res = np.abs(df - d[1:-1]) / _denominator(d[1:-1], "D_p")
-    worst = int(np.argmax(res))
-    value = float(res[worst])
-    return CheckResult("dissipation", value < tol, tol - value, tol,
-                       f"max relative residual {value:.3e} at t={t[worst + 1]:.6g}")
+    # (-f)[2:] - (-f)[:-2] is -(f[2:] - f[:-2]) exactly
+    return _flow_identity("dissipation", t, -f, _times_values(series, "d_p")[1], "D_p", tol)
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ class ChainReport:
 
     All integrals come from one evaluation of the field.  Margins are normalized
     by the magnitude of their own right-hand side; nonnegative means the
-    inequality holds.  Where sigma + p - 1 rounds to 0, the concavity and
+    inequality holds.  Where sigma + p - 1 is 0 up to rounding, the concavity and
     sufficient margins are normalized by their left side instead, so they read
     its sign.  A scale that vanishes raises DegenerateError.
     """
@@ -203,9 +203,10 @@ def concavity_condition_chain(f: DensityField, p: float, n: int | None = None,
     lhs = d_val * s_p
     rhs = coeff * f_val ** 2
     suff_rhs = coeff * lap_int
-    # where the coefficient rounds to 0 (sigma = nu at p = 1 - 1/n) both right sides
-    # vanish, and these two margins are normalized by their left side, keeping its sign
-    conc_scale, suff_scale = (lhs, d_val) if coeff == 0.0 else (rhs, suff_rhs)
+    # where the coefficient is 0 up to its sum's rounding (sigma = nu at p = 1 - 1/n) both
+    # right sides vanish, and these two margins are normalized by their left side's size
+    vanishes = abs(coeff) <= 2.0 ** -52 * (abs(sigma) + abs(p) + 1.0)
+    conc_scale, suff_scale = (lhs, d_val) if vanishes else (rhs, suff_rhs)
     concavity_margin = (lhs - rhs) / _denominator(conc_scale, "the concavity condition's scale")
     cs_scale = _denominator(s_p * lap_int, "int u^p times int u^p (Lap e_p')^2")
     cs = (s_p * lap_int - f_val ** 2) / cs_scale
@@ -215,9 +216,8 @@ def concavity_condition_chain(f: DensityField, p: float, n: int | None = None,
 
 
 def _isoperimetric_gamma(p: float, n: int) -> float:
-    """gamma(n, p); DomainError where the bound is undefined (p = 1 or p <= n/(n+2))."""
-    if not p > n / (n + 2.0):
-        raise DomainError(f"isoperimetric bound needs p > n/(n+2) = {n / (n + 2.0)}")
+    """gamma(n, p); DomainError where the bound is undefined (no finite second moment)."""
+    _require_second_moment(p, n, "isoperimetric bound")
     return gamma_const(p, n)
 
 

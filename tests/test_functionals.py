@@ -529,14 +529,33 @@ def _frozen_mixture_values(grid, seed):
     return vals / float(grid.weights() @ vals)
 
 
+def _frozen_two_bump_values(grid, seed):
+    """`compact_two_bump(grid, seed).values` as the two per-geometry loops formed them."""
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.3, 1.0, size=2)
+    m1 = rng.uniform(0.4, 2.0)
+    widths = rng.uniform(0.8, 1.6, size=2)
+    x = grid.origin + grid.spacing * np.arange(grid.node_count)
+    vals = np.zeros_like(x)
+    if grid.kind == CARTESIAN:
+        m2 = -weights[0] * widths[0] * m1 / (weights[1] * widths[1])
+        for w, m, s in zip(weights, (m1, m2), widths):
+            vals += w * np.maximum(1.0 - ((x - m) / s) ** 2, 0.0) ** 3
+    else:
+        for w, m, s in zip(weights, (0.0, m1), widths):
+            vals += w * np.maximum(1.0 - ((x - m) / s) ** 2, 0.0) ** 3
+            vals += w * np.maximum(1.0 - ((x + m) / s) ** 2, 0.0) ** 3
+    return vals / float(grid.weights() @ vals)
+
+
 _GRID_KINDS = pytest.mark.parametrize("kind", [1, 2, 3, 4, 5],
                                      ids=["cartesian", "radial2", "radial3", "radial4", "radial5"])
 _NODE_COUNTS = pytest.mark.parametrize("nodes", [9, 101, 4096])
 
 
 class TestFrozenArithmetic:
-    """The shared-data functionals and the buffered mixture sampler, bit for bit the
-    arithmetic they replaced (kept above as `_frozen_*`).  Radial n = 4 is the one
+    """The shared-data functionals and the buffered mixture and bump samplers, bit for
+    bit the arithmetic they replaced (kept above as `_frozen_*`).  Radial n = 4 is the one
     whose n - 1 is not a power of two, so only it sees how (n-1) b b is grouped."""
 
     PS = (0.8, 0.9, 1.5, 2.0, 3.0)
@@ -560,6 +579,14 @@ class TestFrozenArithmetic:
         for seed in range(6):
             want = _frozen_mixture_values(grid, seed)
             assert rf.sample_mixture(grid, seed).values.tobytes() == want.tobytes()
+
+    @_NODE_COUNTS
+    @_GRID_KINDS
+    def test_two_bumps(self, kind, nodes):
+        grid = self._grid(kind, nodes)
+        for seed in range(6):
+            want = _frozen_two_bump_values(grid, seed)
+            assert rf.compact_two_bump(grid, seed).values.tobytes() == want.tobytes()
 
     @_NODE_COUNTS
     @_GRID_KINDS

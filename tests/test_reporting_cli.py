@@ -16,7 +16,7 @@ import pytest
 import renyiflow as rf
 from renyiflow import cli
 from renyiflow.cli import main
-from renyiflow.errors import BoundaryLeakWarning, DegenerateError
+from renyiflow.errors import BoundaryLeakWarning, DegenerateError, DomainError
 from renyiflow.reporting import (
     read_profile,
     read_snapshots,
@@ -459,6 +459,38 @@ class TestSweepCommand:
         monkeypatch.setattr(cli, "_run", degenerate)
         row = cli._sweep_row((2.0, 1, 0, 64, 1.0, 1.1, 3, 0.9, None))
         assert (row["passed"], row["error"], row["edge_mass"]) == (False, "D_p vanishes", "")
+
+    # isoperimetric and the domain sizing are both defined exactly where the Barenblatt
+    # profile has a finite second moment: p != 1 and p > n/(n+2)
+    MOMENT_RANGE = pytest.mark.parametrize("p, n, defined", [
+        (1.0, 3, False), (0.6, 3, False), (0.8, 3, True), (2.0, 1, True)])
+
+    @MOMENT_RANGE
+    def test_row_checks_isoperimetric_in_the_moment_range(self, monkeypatch, p, n, defined):
+        def record(cfg):
+            names.extend(cfg["verify"])
+            raise DomainError("recorded")
+
+        names = []
+        monkeypatch.setattr(cli, "_default_radius", lambda *args: 10.0)
+        monkeypatch.setattr(cli, "_run", record)
+        assert cli._sweep_row((p, n, 0, 64, 1.0, 1.01, 2, 0.9, None))["error"] == "recorded"
+        assert names == ["concavity", "upsilon"] + ["isoperimetric"] * defined
+
+    @MOMENT_RANGE
+    @pytest.mark.filterwarnings("ignore::renyiflow.errors.BoundaryLeakWarning")
+    def test_evolve_sizes_the_domain_in_the_moment_range(self, tmp_path, p, n, defined):
+        main(["evolve", "--p", str(p), "--dim", str(n), "--nodes", "64", "--radius", "10",
+              "--t-end", "1.01", "--snapshots", "2", "--out", str(tmp_path)])
+        meta = json.loads(next(tmp_path.glob("exp-*/run_meta.json")).read_text())
+        assert (meta["domain_sizing"] is not None) == defined
+
+    @pytest.mark.parametrize("selection", [["--seeds", "0"], ["--p", ""], ["--dim", ","]])
+    def test_empty_sweep_exits_one_unwritten(self, tmp_path, capsys, selection):
+        code = main(["sweep", *selection, "--nodes", "64", "--out", str(tmp_path)])
+        assert code == 1
+        assert "select no run" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_row_is_the_evolve_run(self, tmp_path):
         # a sweep row and `evolve` share one run path: same datum, grid and march

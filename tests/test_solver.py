@@ -650,8 +650,9 @@ class TestReductionPlan:
 
 
 def _implicit_march(f0, p, t_end):
-    """Drive _Kernel.implicit_advance as evolve does: from the CFL step, doubling up
-    to the accuracy step.  Returns the kernel, the time reached and the fields."""
+    """Drive _Kernel.implicit_advance from the CFL step, doubling up to the accuracy
+    step (evolve instead starts from `starting_dt` and sizes each step by its local
+    error).  Returns the kernel, the time reached and the fields."""
     kernel = solver._Kernel(f0.grid, p, f0.values)
     dt_run = kernel.accuracy_dt(solver.STEP_CHANGE)
     dt, t, fields = kernel.cfl_dt(0.9), 1.0, []

@@ -1,6 +1,7 @@
 """Verdict operations: positive cases from the flow, negative controls, determinism."""
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -182,6 +183,19 @@ class TestConditionChain:
         assert all(type(m) is float and math.isfinite(m) for m in rep.margins().values())
         assert rep.holds()
 
+    # at p = 1 - 1/n the same sum is 0 only up to rounding: 2.2e-16 at n = 3 and 7,
+    # -1.1e-16 at n = 9 and at p = 6/7, and each margin is again an O(1) ratio
+    @pytest.mark.parametrize("p, n", [(1.0 - 1.0 / 3, 3), (1.0 - 1.0 / 7, 7), (6.0 / 7, 7),
+                                      (1.0 - 1.0 / 9, 9)])
+    def test_rounded_coefficient_reads_the_left_side(self, p, n):
+        sigma = rf.coefficients(p, n).nu
+        assert 0.0 < abs(sigma + p - 1.0) < 4e-16
+        f = rf.sample_mixture(rf.Grid.radial(n, 256, 10.0), 1)
+        rep = rf.concavity_condition_chain(f, p, n)
+        assert rep.concavity_margin == pytest.approx(1.0, abs=1e-12)
+        assert rep.sufficient_margin == pytest.approx(1.0, abs=1e-12)
+        assert rep.holds()
+
     @pytest.mark.parametrize("grid", [rf.Grid.cartesian(64, 4.0), rf.Grid.radial(3, 64, 8.0)],
                              ids=["cartesian", "radial3"])
     @pytest.mark.parametrize("p", [0.75, 2.0])
@@ -193,6 +207,35 @@ class TestConditionChain:
         assert rf.fisher_p(f, p)[0] == rf.d_p(f, p) == rf.pressure_laplacian_integral(f, p) == 0.0
         with pytest.raises(DegenerateError, match="vanishes"):
             rf.concavity_condition_chain(f, p)
+
+
+def _moment_range_callers(n):
+    """Each caller of the Barenblatt moment range, and its wording for the range."""
+    grid = rf.Grid.cartesian(64, 4.0) if n == 1 else rf.Grid.radial(n, 64, 8.0)
+    f = rf.sample_mixture(grid, 0)
+    return {
+        "domain": (lambda p: verification.CHECKS["isoperimetric"].domain(p, n),
+                   "isoperimetric bound"),
+        "guard": (lambda p: rf.fast_diffusion_guard(
+            rf.DiffusionParams(p=p, dim=n, t_start=1.0, t_end=2.0), grid), "tail-mass sizing"),
+        "gn": (lambda p: rf.gn_lhs_rhs(f, p, n), "Gagliardo-Nirenberg bound"),
+        "gamma": (lambda p: rf.gamma_const(p, n), "a finite second moment"),
+    }
+
+
+class TestMomentRange:
+    """p != 1 and p > n/(n+2) is stated once (analytic); every caller raises its error."""
+
+    @pytest.mark.parametrize("caller", ["domain", "guard", "gn", "gamma"])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_outside_the_range_raises(self, caller, n):
+        call, subject = _moment_range_callers(n)[caller]
+        with pytest.raises(DomainError, match="^p = 1 has no Barenblatt profile"):
+            call(1.0)
+        edge = n / (n + 2.0)
+        with pytest.raises(DomainError, match="^" + re.escape(
+                f"{subject} needs p > n/(n+2) = {edge}; got p = {edge}") + "$"):
+            call(edge)
 
 
 class TestIsoperimetric:
@@ -359,6 +402,7 @@ class TestSeriesValidation:
         "concavity": (lambda s: rf.concavity_report(s, 1.5, 1), "n_p"),
         "upsilon": (lambda s: rf.upsilon_monotone(s), "upsilon"),
         "debruijn": (lambda s: rf.debruijn_check(s, 1.5), "i_p"),
+        "dissipation": (lambda s: rf.dissipation_check(s, 1.5, 1), "d_p"),
     }
 
     @pytest.mark.parametrize("check", list(RUNS))
@@ -382,13 +426,12 @@ class TestSeriesValidation:
     @pytest.mark.parametrize("check, k, attr", [
         ("upsilon", 0, "upsilon"), ("debruijn", 3, "i_p"), ("dissipation", 3, "d_p")])
     def test_zero_denominator_raises(self, mixture_run, check, k, attr):
-        runs = {**self.RUNS, "dissipation": (lambda s: rf.dissipation_check(s, 1.5, 1), None)}
         series = list(mixture_run.snapshots)
         series[k] = dataclasses.replace(series[k], **{attr: 0.0})
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DegenerateError, match="vanishes"):
-                runs[check][0](series)
+                self.RUNS[check][0](series)
 
     def test_flat_series_keeps_its_concavity_scale(self):
         # a constant N_p has no slope to scale by; the check falls back to 1, not to 0
