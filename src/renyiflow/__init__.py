@@ -54,8 +54,6 @@ from .functionals import (
     renyi_entropy,
     rescale,
     self_similar_rescale,
-    shannon_entropy,
-    shannon_fisher,
     snapshot,
     sobolev_pair,
     upsilon,

@@ -142,7 +142,7 @@ class DensityField:
 
     grid: Grid
     values: np.ndarray
-    # per-p integrals, filled by functionals.p_norm_integral and _integrals;
+    # per-p integrals, filled by functionals._power_pair and _integrals;
     # floats only, so a kept field holds no extra arrays and no reference
     # back to itself
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)

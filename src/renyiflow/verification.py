@@ -133,8 +133,8 @@ def _flow_identity(name: str, t: np.ndarray, y: np.ndarray, rate: np.ndarray, la
 def debruijn_check(series, p: float, tol: float = TOL_DEBRUIJN) -> CheckResult:
     """Central-difference dH_p/dt against I_p; max relative residual.
 
-    At p = 1 the snapshots already carry the Shannon quantities, so the same
-    formula checks the classical identity.
+    At p = 1 this is de Bruijn's identity for the Shannon entropy and Fisher
+    information, which the snapshots carry as the family's p = 1 member.
     """
     if len(series) < 3:
         raise InsufficientData("needs at least 3 snapshots")
@@ -187,17 +187,16 @@ def concavity_condition_chain(f: DensityField, p: float, n: int | None = None,
     """Evaluate the proof's inequality chain on one density.
 
     sigma defaults to its optimal value nu = 2/n + (p - 1); any larger sigma
-    breaks the chain already on the Barenblatt extremal.
+    breaks the chain already on the Barenblatt extremal.  At p = 1 it is the
+    chain behind Costa's concavity, and a Gaussian meets every link with equality.
     """
-    if p == 1.0:
-        raise DomainError("the chain is formulated for p != 1")
     n = f.grid.dim if n is None else n
     nu = coefficients(p, n).nu
     sigma = nu if sigma is None else sigma
     if not sigma > 0.0:
         raise DomainError("sigma must be positive")
     _dim(f, n)
-    s_p, f_val, d_val, lap_int = _integrals(f, p, dissipation=True)
+    s_p, _, f_val, d_val, lap_int = _integrals(f, p, dissipation=True)
     # eq-condition with (p-1) E_p = int u^p: D int u^p >= (sigma + p - 1) F^2
     coeff = sigma + p - 1.0
     lhs = d_val * s_p

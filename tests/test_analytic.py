@@ -83,7 +83,7 @@ class TestHeatKernel:
         grid = rf.Grid.radial(3, 4096, 30.0)
         f = rf.sample_gaussian(grid, 2.0)
         h_exact, n_exact = rf.heat_kernel_entropy_power(spec)
-        assert rf.shannon_entropy(f) == pytest.approx(h_exact, rel=1e-8)
+        assert rf.renyi_entropy(f, 1.0) == pytest.approx(h_exact, rel=1e-8)
         assert rf.entropy_power(f, 1.0) == pytest.approx(n_exact, rel=1e-7)
 
     def test_bad_time(self):

@@ -174,6 +174,18 @@ class TestEvolveCommand:
                      "--verify", "concavity,debruijn", "--out", str(tmp_path)])
         assert code == 0
 
+    def test_gaussian_p1_dissipation_and_debruijn_exit_zero(self, tmp_path):
+        # the p = 1 snapshots carry D_1 from the same functionals as every p: residuals
+        # 3.5e-3 and 1.2e-3 against 5e-2 and 1e-2
+        code = main(["evolve", "--p", "1", "--dim", "1", "--nodes", "512", "--initial", "gaussian",
+                     "--t-start", "1", "--t-end", "1.5", "--snapshots", "9",
+                     "--verify", "dissipation,debruijn", "--out", str(tmp_path)])
+        assert code == 0
+        (verdicts,) = tmp_path.glob("exp-*/verdicts.txt")
+        lines = verdicts.read_text().splitlines()
+        assert [line.split()[:2] for line in lines] == [["check=dissipation", "pass=true"],
+                                                        ["check=debruijn", "pass=true"]]
+
     def test_barenblatt_dump(self, tmp_path, capsys):
         code = main(["barenblatt", "--p", "2", "--dim", "1", "--nodes", "512",
                      "--out", str(tmp_path)])

@@ -165,9 +165,16 @@ class TestConditionChain:
         rep = rf.concavity_condition_chain(f, 2.0, 1, sigma=nu + 0.1)
         assert not rep.holds()
 
-    def test_rejects_p_one(self, mixture_run):
-        with pytest.raises(DomainError):
-            rf.concavity_condition_chain(mixture_run.fields[0], 1.0, 1)
+    @pytest.mark.parametrize("grid", [rf.Grid.cartesian(2048, 12.0), rf.Grid.radial(3, 2048, 12.0)],
+                             ids=["cartesian", "radial3"])
+    def test_costa_equality_case(self, grid):
+        # at p = 1 the chain is Costa's, and a Gaussian meets every link with equality: the
+        # concavity and Cauchy-Schwarz margins measure -6.7e-15 / 7.6e-14 (Cartesian / radial)
+        rep = rf.concavity_condition_chain(rf.sample_gaussian(grid, 1.0), 1.0)
+        assert rep.sigma == 2.0 / grid.dim
+        assert all(abs(m) <= 1e-12 for m in rep.margins().values())
+        for seed in range(3):
+            assert rf.concavity_condition_chain(rf.sample_mixture(grid, seed), 1.0).holds()
 
     # at the default sigma = nu, sigma + p - 1 = 2/n + 2(p - 1) rounds to exactly 0 here
     @pytest.mark.parametrize("p, n", [(0.75, 4), (0.8, 5)])
