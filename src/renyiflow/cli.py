@@ -20,7 +20,13 @@ from pathlib import Path
 from . import analytic
 from .errors import DegenerateError, DomainError, InsufficientData, StabilityError
 from .grids import Grid
-from .initial_data import blend_with_barenblatt, sample_barenblatt, sample_gaussian, sample_mixture
+from .initial_data import (
+    blend_with_barenblatt,
+    sample_barenblatt,
+    sample_barenblatt_from_spec,
+    sample_gaussian,
+    sample_mixture,
+)
 from .reporting import (
     config_hash,
     read_profile,
@@ -32,7 +38,7 @@ from .reporting import (
     write_verdicts,
 )
 from .solver import DOMAIN_TOL, DiffusionParams, evolve, fast_diffusion_guard
-from .verification import CHECKS, run_checks, validate_checks
+from .verification import CHECKS, require_snapshots, run_checks, validate_checks
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -77,7 +83,6 @@ def _evolve_options(e: argparse.ArgumentParser) -> None:
     e.add_argument("--initial", type=str, default="mixture",
                    help="barenblatt | gaussian | mixture | file:PATH")
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--cfl", type=float, default=0.9)
     e.add_argument("--verify", type=str, default="", help="comma list: " + ",".join(CHECKS))
     for name in CHECKS:
         e.add_argument(f"--tol-{name}", dest=f"tol_{name}", type=float, default=None)
@@ -101,7 +106,6 @@ def _sweep_options(s: argparse.ArgumentParser) -> None:
     s.add_argument("--t-start", dest="t_start", type=float, default=1.0)
     s.add_argument("--t-end", dest="t_end", type=float, default=1.15)
     s.add_argument("--snapshots", type=int, default=7)
-    s.add_argument("--cfl", type=float, default=0.9)
     s.add_argument("--workers", type=int, default=1)
 
 
@@ -167,16 +171,14 @@ def _constants_row(p: float, n: int) -> str:
 
 def run_constants(args) -> int:
     if args.pair is None:
-        print("constants: need at least one --pair P,N", file=sys.stderr)
-        return EXIT_CONFIG
+        raise DomainError("constants: need at least one --pair P,N")
     rows = [CONSTANTS_HEADER]
     for tok in args.pair:
         try:
             p_str, n_str = tok.split(",")
             rows.append(_constants_row(float(p_str), int(n_str)))
         except (ValueError, TypeError):
-            print(f"constants: malformed pair {tok!r}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise DomainError(f"constants: malformed pair {tok!r}") from None
     text = "\n".join(rows)
     print(text)
     if args.out:
@@ -191,16 +193,13 @@ def run_constants(args) -> int:
 def run_barenblatt(args) -> int:
     p, dim, t, convention = args.p, args.dim, args.t, args.convention
     if p is None:
-        print("barenblatt: --p is required", file=sys.stderr)
-        return EXIT_CONFIG
+        raise DomainError("barenblatt: --p is required")
     spec = analytic.barenblatt_spec(p, dim, convention)
     radius = args.radius
     if radius is None:
         radius = analytic.suggest_domain_radius(p, dim, 1e-8, convention) \
             * t ** (1.0 / spec.coeffs.mu) * (1.05 if p > 1.0 else 1.0)
     grid = Grid.cartesian(args.nodes, radius) if dim == 1 else Grid.radial(dim, args.nodes, radius)
-    from .initial_data import sample_barenblatt_from_spec
-
     fld = sample_barenblatt_from_spec(grid, spec, t)
     print(f"p={p} n={dim} convention={convention} t={t}")
     print(f"A_p={spec.a_const!r} C={spec.c_const!r} kappa={spec.kappa!r}")
@@ -274,7 +273,7 @@ def _run(cfg: dict, f0=None):
     """The result and checks of the run an evolve cfg describes, from f0 if given."""
     p, dim, nodes, radius = cfg["p"], cfg["dim"], cfg["nodes"], cfg["radius"]
     params = DiffusionParams(p=p, dim=dim, t_start=cfg["t_start"], t_end=cfg["t_end"],
-                             snapshot_count=cfg["snapshots"], cfl_safety=cfg["cfl"])
+                             snapshot_count=cfg["snapshots"])
     if f0 is None:
         grid = Grid.cartesian(nodes, radius) if cfg["geometry"] == "cartesian1d" \
             else Grid.radial(dim, nodes, radius)
@@ -287,8 +286,7 @@ def _run(cfg: dict, f0=None):
 def run_evolve(args) -> int:
     p, dim = args.p, args.dim
     if p is None:
-        print("evolve: --p is required", file=sys.stderr)
-        return EXIT_CONFIG
+        raise DomainError("evolve: --p is required")
     names, tols = _requested_checks(args, args.verify, with_fields=True)
     domain, f0 = {"nodes": args.nodes, "radius": args.radius, "geometry": args.geometry}, None
     if args.initial.startswith("file:"):
@@ -299,11 +297,9 @@ def run_evolve(args) -> int:
            "geometry": domain["geometry"] or ("cartesian1d" if dim == 1 else "radial"),
            "nodes": domain["nodes"], "radius": domain["radius"], "t_start": args.t_start,
            "t_end": args.t_end, "snapshots": args.snapshots, "initial": args.initial,
-           "seed": args.seed, "cfl": args.cfl, "verify": names, "tols": tols}
+           "seed": args.seed, "verify": names, "tols": tols}
     if cfg["geometry"] == "cartesian1d" and dim != 1:
-        print("evolve: cartesian1d requires dim = 1 (DiffusionParams precondition)",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise DomainError("evolve: cartesian1d requires dim = 1 (DiffusionParams precondition)")
     result, checks = _run(cfg, f0=f0)
     sizing = None  # the Barenblatt envelope's domain sizing, where it has a second moment
     if analytic._has_second_moment(p, dim):
@@ -335,8 +331,7 @@ def run_evolve(args) -> int:
 
 def run_verify(args) -> int:
     if args.snapshots_csv is None or args.p is None:
-        print("verify: --snapshots-csv and --p are required", file=sys.stderr)
-        return EXIT_CONFIG
+        raise DomainError("verify: --snapshots-csv and --p are required")
     names, tols = _requested_checks(args, args.checks, with_fields=False)
     checks = run_checks(names, read_snapshots(args.snapshots_csv), args.p, args.dim, tols)
     print(summary_table(checks))
@@ -350,7 +345,7 @@ def run_verify(args) -> int:
 # ---------------------------------------------------------------- sweep
 
 def _sweep_row(job: tuple) -> dict:
-    p, dim, seed, nodes, t_start, t_end, snapshots, cfl, outdir = job
+    p, dim, seed, nodes, t_start, t_end, snapshots, outdir = job
     row = {"p": p, "dim": dim, "seed": seed, "passed": False, "edge_mass": ""}
     names = ["concavity", "upsilon"]
     if analytic._has_second_moment(p, dim):
@@ -359,7 +354,7 @@ def _sweep_row(job: tuple) -> dict:
         cfg = {"p": p, "dim": dim, "geometry": "cartesian1d" if dim == 1 else "radial",
                "nodes": nodes, "radius": _default_radius(p, dim, t_end, "mixture"),
                "t_start": t_start, "t_end": t_end, "snapshots": snapshots,
-               "initial": "mixture", "seed": seed, "cfl": cfl, "verify": names, "tols": {}}
+               "initial": "mixture", "seed": seed, "verify": names, "tols": {}}
         result, checks = _run(cfg)
         row.update(passed=all(c.passed for c in checks.values()), error="",
                    edge_mass=repr(result.edge_mass))
@@ -380,17 +375,22 @@ def run_sweep(args) -> int:
         ps = [float(x) for x in args.p.split(",") if x]
         dims = [int(x) for x in args.dim.split(",") if x]
     except ValueError:
-        print("sweep: malformed --p or --dim list", file=sys.stderr)
-        return EXIT_CONFIG
+        raise DomainError("sweep: malformed --p or --dim list") from None
     if not (ps and dims and args.seeds > 0):
-        print("sweep: --p, --dim and --seeds select no run", file=sys.stderr)
-        return EXIT_CONFIG
+        raise DomainError("sweep: --p, --dim and --seeds select no run")
+    if args.workers < 1:
+        raise DomainError("sweep: --workers must be at least 1")
+    # a value no row could run with fails before any row, checked by the rule's owner
+    # (p = 1 in one dimension is defined) and by concavity, which every row checks
+    Grid.cartesian(args.nodes, 1.0)
+    DiffusionParams(1.0, 1, args.t_start, args.t_end, args.snapshots)
+    require_snapshots(args.snapshots, "concavity")
     cfg = {"subcommand": "sweep", "p": ps, "dim": dims, "seeds": args.seeds,
            "nodes": args.nodes, "t_start": args.t_start, "t_end": args.t_end,
-           "snapshots": args.snapshots, "cfl": args.cfl}
+           "snapshots": args.snapshots}
     d = _outdir(args.out, cfg)
-    jobs = [(p, dim, seed, args.nodes, args.t_start, args.t_end, args.snapshots, args.cfl,
-             str(d)) for p in ps for dim in dims for seed in range(args.seeds)]
+    jobs = [(p, dim, seed, args.nodes, args.t_start, args.t_end, args.snapshots, str(d))
+            for p in ps for dim in dims for seed in range(args.seeds)]
     if args.workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # no other command pays its import
 

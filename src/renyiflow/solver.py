@@ -54,6 +54,8 @@ LINEARIZATION_TOL = 1e-3
 # fraction their concavity margins move by 2.8e-7 and 6.4e-8: the first snapshot's
 # second difference carries the BDF2 error the first steps build up from an exact datum.
 LOCAL_ERROR_TOL = 4e-5
+# The explicit (CFL) step's share of the stable step, and so the unit of IMPLICIT_STEP_COST.
+CFL_SAFETY = 0.9
 # An implicit step is at most this many CFL steps (taken at each snapshot).  Its flux
 # form carries the rounding of v = u^p into u' times dt / cfl_dt: about 2 eps per CFL
 # step, relative to max(u), on the flat state of three geometries (1.7e6 CFL steps:
@@ -87,14 +89,11 @@ class DiffusionParams:
     t_end: float
     snapshot_count: int = 9
     snapshot_times: tuple[float, ...] | None = None
-    cfl_safety: float = 0.9  # explicit steps
 
     def __post_init__(self):
         coefficients(self.p, self.dim)  # validates p > 1 - 2/dim
         if not (self.t_end > self.t_start >= 0.0):
             raise DomainError("need t_end > t_start >= 0")
-        if not 0.0 < self.cfl_safety < 1.0:
-            raise DomainError("cfl_safety must lie in (0, 1)")
         if self.snapshot_times is not None:
             ts = np.asarray(self.snapshot_times, dtype=float)
             if ts.size < 2 or np.any(np.diff(ts) <= 0.0):
@@ -177,8 +176,8 @@ class _Kernel:
         # fmax skips those nans: such faces count as chord 0, below the bound
         return float(np.fmax.reduce(np.abs(chord, out=chord), initial=bound))
 
-    def cfl_dt(self, cfl_safety: float) -> float:
-        return cfl_safety / (self.stiffness() * self.max_rate)
+    def cfl_dt(self, safety: float = CFL_SAFETY) -> float:
+        return safety / (self.stiffness() * self.max_rate)
 
     def advance(self, dt: float, t: float) -> tuple[float, int]:
         """One accepted step from t, halving dt on undershoot: (dt, rejections)."""
@@ -467,15 +466,15 @@ def _eliminate(lower: list, diag: list, upper: list, rhs: list) -> list:
 
 
 def cfl_dt(f: DensityField, params: DiffusionParams) -> float:
-    """Stable explicit step cfl / (D max_i c_i / w_i), c_i node i's summed conductances."""
-    return _Kernel(f.grid, params.p, f.values).cfl_dt(params.cfl_safety)
+    """Stable explicit step CFL_SAFETY / (D max_i c_i / w_i), c_i node i's summed conductances."""
+    return _Kernel(f.grid, params.p, f.values).cfl_dt()
 
 
 def step(state: SolverState, params: DiffusionParams, dt: float | None = None) -> SolverState:
     """Advance one accepted step from max(values, 0), halving dt on CFL violations."""
     kernel = _Kernel(state.grid, params.p, state.values)
     if dt is None:
-        dt = kernel.cfl_dt(params.cfl_safety)
+        dt = kernel.cfl_dt()
     dt_used, rejections = kernel.advance(dt, state.t)
     return replace(
         state,
@@ -560,8 +559,7 @@ def evolve(f0: DensityField, params: DiffusionParams,
         if not implicit:
             dt_run = min(kernel.accuracy_dt(STEP_CHANGE * m0),
                          float(intervals[i:].min()) / MIN_STEPS_PER_SNAPSHOT)
-            implicit = params.p < 1.0 or dt_run > IMPLICIT_STEP_COST * kernel.cfl_dt(
-                params.cfl_safety)
+            implicit = params.p < 1.0 or dt_run > IMPLICIT_STEP_COST * kernel.cfl_dt()
         if implicit:
             # the most mass the flow can move over this interval, and sqrt(eps) of the
             # mass where it barely moves, so that rounding fails no step
@@ -575,7 +573,7 @@ def evolve(f0: DensityField, params: DiffusionParams,
             if implicit:
                 proposal = min(kernel.dt_next, longest)
             else:
-                proposal = kernel.cfl_dt(params.cfl_safety)
+                proposal = kernel.cfl_dt()
             remaining = target - t
             parts = max(1, math.ceil(remaining / proposal))
             dt_used, rej = march(remaining / parts, t)

@@ -70,6 +70,12 @@ def _denominator(values, name: str):
     return scale
 
 
+def require_snapshots(count: int, what: str, least: int = 3) -> None:
+    """InsufficientData unless count reaches least: 3 for a second or central difference."""
+    if count < least:
+        raise InsufficientData(f"{what} needs at least {least} snapshots")
+
+
 def second_differences(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Three-point second-derivative estimates, safe for non-uniform times."""
     dt_fwd = t[2:] - t[1:-1]
@@ -84,8 +90,7 @@ def concavity_report(series, p: float, n: int, tol: float = TOL_CONCAVITY) -> Ch
 
     The curvature scale is max|dN/dt| / mean(dt), so tol is dimensionless.
     """
-    if len(series) < 3:
-        raise InsufficientData("concavity needs at least 3 snapshots")
+    require_snapshots(len(series), "concavity")
     t, y = _times_values(series, "n_p")
     d2 = second_differences(t, y)
     slopes = np.diff(y) / np.diff(t)
@@ -100,8 +105,7 @@ def concavity_report(series, p: float, n: int, tol: float = TOL_CONCAVITY) -> Ch
 
 def upsilon_monotone(series, tol: float = TOL_UPSILON) -> CheckResult:
     """Upsilon_p(t) must be nonincreasing up to tol (relative to its start)."""
-    if len(series) < 2:
-        raise InsufficientData("monotonicity needs at least 2 snapshots")
+    require_snapshots(len(series), "monotonicity", 2)
     t, y = _times_values(series, "upsilon")
     rises = np.diff(y)
     worst = int(np.argmax(rises))
@@ -136,16 +140,14 @@ def debruijn_check(series, p: float, tol: float = TOL_DEBRUIJN) -> CheckResult:
     At p = 1 this is de Bruijn's identity for the Shannon entropy and Fisher
     information, which the snapshots carry as the family's p = 1 member.
     """
-    if len(series) < 3:
-        raise InsufficientData("needs at least 3 snapshots")
+    require_snapshots(len(series), "debruijn")
     t, h = _times_values(series, "h_p")
     return _flow_identity("debruijn", t, h, _times_values(series, "i_p")[1], "I_p", tol)
 
 
 def dissipation_check(series, p: float, n: int, tol: float = TOL_DISSIPATION) -> CheckResult:
     """-dF_p/dt against the closed-form dissipation integrand D_p."""
-    if len(series) < 3:
-        raise InsufficientData("needs at least 3 snapshots")
+    require_snapshots(len(series), "dissipation")
     if any(s.d_p is None for s in series):
         raise InsufficientData("series lacks D_p; evolve with dissipation enabled")
     t, f = _times_values(series, "f_p")
@@ -298,8 +300,7 @@ def barenblatt_convergence(run, p: float, n: int, target: float = 1e-2,
     The rescaled L1 distance must be nonincreasing (within slack), end below
     target, and Upsilon must end within upsilon_tol * gamma of gamma.
     """
-    if len(run.snapshots) < 3:
-        raise InsufficientData("needs at least 3 snapshots")
+    require_snapshots(len(run.snapshots), "convergence")
     d = rescaled_l1_distances(run, p, n)
     rises = np.diff(d)
     monotone = bool(np.all(rises <= slack))

@@ -6,11 +6,14 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import renyiflow as rf
 from renyiflow.errors import DomainError
 from renyiflow.functionals import _dissipation_terms, _integrals, _pressure
 from renyiflow.grids import CARTESIAN, gradient, second_derivative
+from renyiflow.verification import TOL_ISOPERIMETRIC
 
 
 @pytest.fixture(scope="module")
@@ -294,6 +297,41 @@ class TestRescale:
     def test_rejects_nonpositive(self, mixture):
         with pytest.raises(DomainError):
             rf.rescale(mixture, 0.0)
+
+
+# the property tests' grids: Cartesian, and radial in n = 3
+PROPERTY_GRIDS = {"cartesian": rf.Grid.cartesian(1024, 12.0),
+                  "radial3": rf.Grid.radial(3, 1024, 12.0)}
+PROPERTY_SEEDS = st.integers(0, 10 ** 6)
+PROPERTY_GEOMETRIES = st.sampled_from(sorted(PROPERTY_GRIDS))
+
+
+class TestDilationProperties:
+    """Seeded mixtures: `rescale` moves the grid, not the samples, so the dilation laws
+    hold to rounding at every p, p = 1 included (measured worst: 3.6e-15 relative)."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=PROPERTY_SEEDS, geometry=PROPERTY_GEOMETRIES,
+           p=st.sampled_from([0.8, 1.0, 1.5, 2.0]), a=st.floats(0.25, 4.0))
+    def test_dilation_laws_to_rounding(self, seed, geometry, p, a):
+        f = rf.sample_mixture(PROPERTY_GRIDS[geometry], seed=seed)
+        g = rf.rescale(f, a)
+        n, mu = f.grid.dim, rf.coefficients(p, f.grid.dim).mu
+        h, shift = rf.renyi_entropy(f, p), n * math.log(a)
+        assert abs(rf.renyi_entropy(g, p) - (h + shift)) <= 1e-13 * (abs(h) + abs(shift))
+        assert rf.entropy_power(g, p) == pytest.approx(a ** mu * rf.entropy_power(f, p),
+                                                       rel=1e-13)
+        assert rf.fisher_p(g, p)[1] == pytest.approx(a ** -mu * rf.fisher_p(f, p)[1], rel=1e-13)
+        assert rf.upsilon(g, p) == pytest.approx(rf.upsilon(f, p), rel=1e-13)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=PROPERTY_SEEDS, geometry=PROPERTY_GEOMETRIES, p=st.sampled_from([0.8, 1.5, 2.0]))
+    def test_upsilon_above_gamma(self, seed, geometry, p):
+        # gamma(n, p) is the Barenblatt's Upsilon_p, so p = 1, with no Barenblatt, is left
+        # out; the smallest measured margin is 4.8e-2 gamma (Cartesian, p = 0.8)
+        f = rf.sample_mixture(PROPERTY_GRIDS[geometry], seed=seed)
+        gamma = rf.gamma_const(p, f.grid.dim)
+        assert rf.upsilon(f, p) >= gamma * (1.0 - TOL_ISOPERIMETRIC)
 
 
 class TestSelfSimilarRescale:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import renyiflow as rf
-from renyiflow import cli
+from renyiflow import cli, solver
 from renyiflow.cli import main
 from renyiflow.errors import BoundaryLeakWarning, DegenerateError, DomainError
 from renyiflow.reporting import (
@@ -204,6 +204,24 @@ class TestEvolveCommand:
     def test_bad_exponent_exit_one(self, capsys):
         code = main(["evolve", "--p", "0.2", "--dim", "3"])
         assert code == 1
+
+    @pytest.mark.parametrize("command", [["evolve", "--p", "2"], ["sweep"]])
+    def test_cfl_is_no_option(self, command, capsys):
+        # the CFL step is solver.CFL_SAFETY of the stable step, and no option moves it
+        assert main([*command, "--cfl", "0.5"]) == 1
+        assert capsys.readouterr().err == \
+            "configuration error: unrecognized arguments: --cfl 0.5\n"
+
+    def test_stability_failure_exit_two(self, monkeypatch, tmp_path, capsys):
+        # no linearization settles below a negative tolerance, and p < 1 marches
+        # implicitly from its first step
+        monkeypatch.setattr(solver, "LINEARIZATION_TOL", -1.0)
+        code = main(["evolve", "--p", "0.8", "--nodes", "64", "--t-end", "1.05",
+                     "--snapshots", "3", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "stability failure: implicit step at t = 1.0: linearization did not settle\n"
+        assert not any(tmp_path.iterdir())
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["evolve", "--p", "1.5", "--dim", "1", "--nodes", "256",
@@ -400,6 +418,20 @@ class TestVerifyCommand:
         assert capsys.readouterr().err == "configuration error: D_p vanishes (below 1e-300); " \
             "a relative measure is meaningless\n"
 
+    def test_replay_writes_the_run_verdicts(self, tmp_path):
+        # the same checks on the same series: verify --out writes evolve's verdicts.txt
+        checks = "concavity,upsilon,debruijn"
+        run = main(["evolve", "--p", "1.5", "--dim", "1", "--nodes", "384",
+                    "--t-start", "1", "--t-end", "1.2", "--snapshots", "9",
+                    "--initial", "mixture", "--seed", "4", "--verify", checks,
+                    "--out", str(tmp_path / "run")])
+        (csv_path,) = (tmp_path / "run").glob("exp-*/snapshots.csv")
+        replay = main(["verify", "--snapshots-csv", str(csv_path), "--p", "1.5", "--dim", "1",
+                       "--checks", checks, "--out", str(tmp_path / "replay")])
+        assert run == replay == 0
+        (replayed,) = (tmp_path / "replay").glob("exp-*/verdicts.txt")
+        assert replayed.read_bytes() == (csv_path.parent / "verdicts.txt").read_bytes()
+
     def test_non_numeric_cell_named(self, short_run, tmp_path):
         path = tmp_path / "snapshots.csv"
         path.write_text("\n".join(_corrupt(short_run.snapshots, "abc")) + "\n")
@@ -459,17 +491,45 @@ class TestSweepCommand:
         assert edge["1.0"] > DOMAIN_TOL >= max(edge["1.5"], edge["2.0"])
 
     def test_error_row_has_no_edge_mass(self, tmp_path):
-        main(["sweep", "--p", "2", "--dim", "1", "--seeds", "1", "--nodes", "64",
-              "--t-end", "1.01", "--snapshots", "2", "--out", str(tmp_path)])
+        # p = 0.2 is undefined in three dimensions and p = 2 is not: an error of the
+        # row's own p stays that row's, and the next row still runs
+        code = main(["sweep", "--p", "0.2,2", "--dim", "3", "--seeds", "1",
+                     "--out", str(tmp_path)])
+        assert code == 3
+        bad, good = next(tmp_path.glob("exp-*/sweep.csv")).read_text().splitlines()[1:]
+        assert bad == "0.2,3,0,false,need p > 1 - 2/n = 0.33333333333333337; got p = 0.2,"
+        assert good.startswith("2.0,3,0,true,,") and float(good.split(",")[5]) <= DOMAIN_TOL
+
+    def test_stability_row_records_its_error(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(solver, "LINEARIZATION_TOL", -1.0)
+        code = main(["sweep", "--p", "0.8", "--seeds", "1", "--nodes", "64", "--t-end", "1.05",
+                     "--snapshots", "3", "--out", str(tmp_path)])
+        assert code == 3
         row = next(tmp_path.glob("exp-*/sweep.csv")).read_text().splitlines()[1]
-        assert row == "2.0,1,0,false,concavity needs at least 3 snapshots,"
+        assert row == \
+            "0.8,1,0,false,stability: implicit step at t = 1.0: linearization did not settle,"
+
+    @pytest.mark.parametrize("shared, message", [
+        (["--p", "2,0.8", "--seeds", "2", "--nodes", "4"],
+         "grid needs at least 8 nodes"),
+        (["--t-end", "0.5"], "need t_end > t_start >= 0"),
+        (["--t-start", "-1"], "need t_end > t_start >= 0"),
+        (["--snapshots", "2"], "concavity needs at least 3 snapshots"),
+        (["--workers", "0"], "sweep: --workers must be at least 1"),
+        (["--workers", "-3"], "sweep: --workers must be at least 1"),
+    ])
+    def test_shared_value_no_row_can_use_exits_one_unwritten(self, tmp_path, capsys, shared,
+                                                              message):
+        assert main(["sweep", "--dim", "1", *shared, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not any(tmp_path.iterdir())
 
     def test_degenerate_row_records_its_error(self, monkeypatch):
         def degenerate(cfg):
             raise DegenerateError("D_p vanishes")
 
         monkeypatch.setattr(cli, "_run", degenerate)
-        row = cli._sweep_row((2.0, 1, 0, 64, 1.0, 1.1, 3, 0.9, None))
+        row = cli._sweep_row((2.0, 1, 0, 64, 1.0, 1.1, 3, None))
         assert (row["passed"], row["error"], row["edge_mass"]) == (False, "D_p vanishes", "")
 
     # isoperimetric and the domain sizing are both defined exactly where the Barenblatt
@@ -486,7 +546,7 @@ class TestSweepCommand:
         names = []
         monkeypatch.setattr(cli, "_default_radius", lambda *args: 10.0)
         monkeypatch.setattr(cli, "_run", record)
-        assert cli._sweep_row((p, n, 0, 64, 1.0, 1.01, 2, 0.9, None))["error"] == "recorded"
+        assert cli._sweep_row((p, n, 0, 64, 1.0, 1.01, 2, None))["error"] == "recorded"
         assert names == ["concavity", "upsilon"] + ["isoperimetric"] * defined
 
     @MOMENT_RANGE
@@ -698,6 +758,23 @@ class TestUsageErrors:
     def test_bad_command_line_exit_one(self, argv, capsys):
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("configuration error: ")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["constants", "--pair", "2;1"], "constants: malformed pair '2;1'"),
+        (["barenblatt"], "barenblatt: --p is required"),
+        (["evolve"], "evolve: --p is required"),
+        (["evolve", "--p", "2", "--initial", "foo"],
+         "unknown initial data kind 'foo'"),
+        (["evolve", "--p", "2", "--dim", "3", "--geometry", "cartesian1d"],
+         "evolve: cartesian1d requires dim = 1 (DiffusionParams precondition)"),
+        (["verify", "--p", "2"], "verify: --snapshots-csv and --p are required"),
+        (["sweep", "--p", "2,x"], "sweep: malformed --p or --dim list"),
+        (["sweep", "--dim", "1,y"], "sweep: malformed --p or --dim list"),
+    ])
+    def test_exit_one_message(self, argv, message, tmp_path, capsys):
+        assert main([*argv, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not any(tmp_path.iterdir())
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exit_:

@@ -102,25 +102,25 @@ class TestCflDt:
         params = rf.DiffusionParams(p=1.0, dim=1, t_start=0.0, t_end=1.0)
         a = cfl_dt(rf.sample_gaussian(grid, 0.5), params)
         b = cfl_dt(rf.sample_mixture(grid, seed=1), params)
-        assert a == b == pytest.approx(params.cfl_safety * grid.spacing ** 2 / 2.0)
+        assert a == b == pytest.approx(solver.CFL_SAFETY * grid.spacing ** 2 / 2.0)
 
     def test_radial_geometry_factor(self):
         grid = rf.Grid.radial(3, 256, 5.0)
         f = rf.sample_mixture(grid, seed=1, mean_range=(0.0, 2.0))
         params3 = rf.DiffusionParams(p=2.0, dim=3, t_start=0.0, t_end=1.0)
         # the factor 2^(n-2) = 2 at n = 3 is set by node 0, whose inner face has zero area
-        expected = 0.9 * grid.spacing ** 2 / (2.0 * 2.0 * 2.0 * f.values.max())
+        expected = solver.CFL_SAFETY * grid.spacing ** 2 / (2.0 * 2.0 * 2.0 * f.values.max())
         assert cfl_dt(f, params3) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("kind, dim, factor", [
         ("cartesian", 1, 1.0), ("radial", 1, 1.0), ("radial", 2, 1.0), ("radial", 3, 2.0),
         ("radial", 4, 4.0), ("radial", 5, 8.0), ("radial", 6, 16.0)])
     def test_exact_bound_factor(self, kind, dim, factor):
-        # p = 1 has unit stiffness, so cfl_dt = cfl h^2 / (2 factor)
+        # p = 1 has unit stiffness, so cfl_dt = CFL_SAFETY h^2 / (2 factor)
         grid = rf.Grid.cartesian(256, 5.0) if kind == "cartesian" else rf.Grid.radial(dim, 256, 5.0)
         params = rf.DiffusionParams(p=1.0, dim=dim, t_start=0.0, t_end=1.0)
         dt = cfl_dt(rf.sample_gaussian(grid, 0.5), params)
-        got = params.cfl_safety * grid.spacing ** 2 / (2.0 * dt)
+        got = solver.CFL_SAFETY * grid.spacing ** 2 / (2.0 * dt)
         assert got == pytest.approx(factor, abs=1e-12)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
@@ -129,7 +129,7 @@ class TestCflDt:
         # (D = 1 at p = 1); c_i sums the areas / h of node i's faces that carry flux
         grid = rf.Grid.cartesian(256, 5.0) if dim == 1 else rf.Grid.radial(dim, 256, 5.0)
         params = rf.DiffusionParams(p=1.0, dim=dim, t_start=0.0, t_end=1.0)
-        dt = cfl_dt(rf.sample_gaussian(grid, 0.5), params) / params.cfl_safety
+        dt = cfl_dt(rf.sample_gaussian(grid, 0.5), params) / solver.CFL_SAFETY
         areas = grid.face_areas().copy()
         areas[[0, -1]] = 0.0
         coupling = (areas[:-1] + areas[1:]) / grid.spacing
@@ -254,10 +254,6 @@ class TestDiffusionParams:
         with pytest.raises(DomainError):
             rf.DiffusionParams(p=2.0, dim=1, t_start=2.0, t_end=1.0)
 
-    def test_validates_cfl(self):
-        with pytest.raises(DomainError):
-            rf.DiffusionParams(p=2.0, dim=1, t_start=0.0, t_end=1.0, cfl_safety=1.5)
-
     def test_validates_snapshot_times(self):
         with pytest.raises(DomainError):
             rf.DiffusionParams(p=2.0, dim=1, t_start=0.0, t_end=1.0,
@@ -357,7 +353,7 @@ def _max_rate(grid):
     return float(np.max((conductance[:-1] + conductance[1:]) / grid.weights()))
 
 
-def _reference_march(f0, params):
+def _reference_march(f0, params, safety=solver.CFL_SAFETY):
     grid = f0.grid
     rate = _max_rate(grid)
     times = params.times()
@@ -365,7 +361,7 @@ def _reference_march(f0, params):
     fields, steps, rejections = [values.copy()], 0, 0
     for target in times[1:]:
         while t < target:
-            proposal = params.cfl_safety / (rate * _reference_stiffness(values, params.p))
+            proposal = safety / (rate * _reference_stiffness(values, params.p))
             remaining = target - t
             parts = max(1, math.ceil(remaining / proposal))
             values, dt_used, rej = _reference_advance(
@@ -445,7 +441,7 @@ class TestKernelMatchesReference:
         assert np.any(np.diff(values) == 0.0) and values.min() == 0.0
         f = rf.DensityField(grid, values)
         params = rf.DiffusionParams(p=0.8, dim=grid.dim, t_start=0.0, t_end=1.0)
-        want = params.cfl_safety / (_max_rate(grid) * _reference_stiffness(values, 0.8))
+        want = solver.CFL_SAFETY / (_max_rate(grid) * _reference_stiffness(values, 0.8))
         assert cfl_dt(f, params) == want
 
 
@@ -655,7 +651,7 @@ def _implicit_march(f0, p, t_end):
     error).  Returns the kernel, the time reached and the fields."""
     kernel = solver._Kernel(f0.grid, p, f0.values)
     dt_run = kernel.accuracy_dt(solver.STEP_CHANGE)
-    dt, t, fields = kernel.cfl_dt(0.9), 1.0, []
+    dt, t, fields = kernel.cfl_dt(), 1.0, []
     while t < t_end:
         dt_used, _ = kernel.implicit_advance(min(dt, dt_run), t)
         t += dt_used
@@ -694,8 +690,8 @@ class TestImplicitPorousMedium:
         # on these coarse grids the CFL step is large: shrink it, so that the
         # oracle's own first-order time error stays below the bound
         params = rf.DiffusionParams(p=p, dim=grid.dim, t_start=1.0, t_end=t_end,
-                                    snapshot_count=2, cfl_safety=0.05)
-        want, _, _ = _reference_march(f0, params)
+                                    snapshot_count=2)
+        want, _, _ = _reference_march(f0, params, safety=0.05)
         assert float(w @ np.abs(kernel.u - want[-1])) <= IMPLICIT_L1_BOUND
 
     def test_criterion_10_style_run_stays_explicit(self):
@@ -1053,7 +1049,7 @@ class TestLeanImplicitStep:
         lean = solver._Kernel(grid, 2.0, f0.values)
         frozen = solver._Kernel(grid, 2.0, f0.values)
         dt_run = lean.accuracy_dt(solver.STEP_CHANGE)
-        dt, t, relinearized = lean.cfl_dt(0.9), 1.0, 0
+        dt, t, relinearized = lean.cfl_dt(), 1.0, 0
         reference = functools.partial(_allocating_implicit_advance, grid=grid)
         for _ in range(20):
             (got, got_solves), (want, solves) = _step_against(

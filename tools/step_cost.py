@@ -10,18 +10,20 @@ step is BDF2 at a fixed step, the one that moves STEP_CHANGE of the mass
 (`accuracy_dt`, which `evolve` reads only for its explicit-to-implicit
 switch: it sizes implicit steps by their local-error estimate), after one
 backward-Euler step and one BDF2 step of that size: every timed step starts
-from those three levels, so it forms its local-error estimate too.  The explicit step is `advance` at the CFL step, timed together with its
-`cfl_dt`, and timed again on the radial n = 3 grid (`radial3`): the p = 2
-Barenblatt in three dimensions at t = 1, on the radial domain sized the same
-way.  Every timed
-step starts from a copy of one kernel state, so all REPEATS = 400 of them do
-the same work.  The three kinds of step alternate, so a change in the host's
-speed touches them alike; the median is reported with the quartiles.  The
-solves per implicit step are counted once, outside the timing.  The ratio is
-that of the medians, implicit / explicit (Cartesian).
+from those three levels, so it forms its local-error estimate too.  The
+explicit step is `advance` at the CFL step (`solver.CFL_SAFETY` of the stable
+step), timed together with its `cfl_dt`, and timed again on the radial n = 3
+grid (`radial3`): the p = 2 Barenblatt in three dimensions at t = 1, on the
+radial domain sized the same way.  Every timed step starts from a copy of one
+kernel state, so all REPEATS = 400 of them do the same work.  The three kinds
+of step alternate, so a change in the host's speed touches them alike; the
+median is reported with the quartiles.  The solves per implicit step are
+counted once, outside the timing.  The ratio is that of the medians,
+implicit / explicit (Cartesian).
 
 The renyiflow imported is whichever PYTHONPATH finds, so pointing it at
-another checkout's ``src`` times that checkout with this same method.
+another checkout's ``src`` times that checkout with this same method, given a
+`_Kernel.cfl_dt` whose safety defaults to `solver.CFL_SAFETY`.
 """
 from __future__ import annotations
 
@@ -76,7 +78,7 @@ def _implicit_stepper(nodes: int):
     return restore, lambda: kernel.implicit_advance(dt, T_START + 2.0 * dt), len(solves)
 
 
-def _explicit_stepper(nodes: int, dim: int = 1, cfl_safety: float = 0.9):
+def _explicit_stepper(nodes: int, dim: int = 1):
     """An explicit step at the CFL step, with its `cfl_dt`, from one saved state."""
     kernel = _barenblatt_kernel(nodes, dim)
     u, umax = kernel.u.copy(), kernel.umax
@@ -86,7 +88,7 @@ def _explicit_stepper(nodes: int, dim: int = 1, cfl_safety: float = 0.9):
         kernel.umax = umax
         kernel._faces()
 
-    return restore, lambda: kernel.advance(kernel.cfl_dt(cfl_safety), T_START)
+    return restore, lambda: kernel.advance(kernel.cfl_dt(), T_START)
 
 
 def step_cost(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
