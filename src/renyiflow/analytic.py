@@ -46,7 +46,7 @@ class Coefficients:
 
 @functools.cache
 def coefficients(p: float, n: int) -> Coefficients:
-    """Exponents (mu, nu); requires p > 1 - 2/n so both are positive.
+    """Exponents (mu, nu); requires p > 0, and p > 1 - 2/n so both are positive.
 
     Memoized per (p, n).  Equal arguments of other numeric types share an
     entry, so the fields are always a Python float and int.
@@ -54,6 +54,8 @@ def coefficients(p: float, n: int) -> Coefficients:
     if int(n) != n or n < 1:
         raise DomainError(f"dimension must be a positive integer, got {n}")
     p, n = float(p), int(n)
+    if not p > 0.0:  # the equation's u^p; n = 1 admits p in (-1, 0] otherwise
+        raise DomainError(f"need p > 0; got p = {p}")
     mu = 2.0 + n * (p - 1.0)
     if not mu > 0.0:
         raise DomainError(f"need p > 1 - 2/n = {1.0 - 2.0 / n}; got p = {p}")

@@ -259,11 +259,12 @@ def _profile_grid(args):
     return own, field
 
 
-def _requested_checks(args, raw: str, with_fields: bool) -> tuple[list[str], dict[str, float]]:
-    """The check names in the comma list raw, validated at (args.p, args.dim),
-    and the --tol-NAME values given for the checks the subcommand offers."""
+def _requested_checks(args, raw: str, with_fields: bool,
+                      snapshots: int | None = None) -> tuple[list[str], dict[str, float]]:
+    """The check names in the comma list raw, validated at (args.p, args.dim) and any
+    snapshot count given, and the --tol-NAME values for the checks the subcommand offers."""
     names = [n for n in raw.split(",") if n]
-    validate_checks(names, args.p, args.dim, with_fields)
+    validate_checks(names, args.p, args.dim, with_fields, snapshots)
     tols = {key[len("tol_"):]: val for key, val in vars(args).items()
             if key.startswith("tol_") and val is not None}
     return names, tols
@@ -287,7 +288,7 @@ def run_evolve(args) -> int:
     p, dim = args.p, args.dim
     if p is None:
         raise DomainError("evolve: --p is required")
-    names, tols = _requested_checks(args, args.verify, with_fields=True)
+    names, tols = _requested_checks(args, args.verify, with_fields=True, snapshots=args.snapshots)
     domain, f0 = {"nodes": args.nodes, "radius": args.radius, "geometry": args.geometry}, None
     if args.initial.startswith("file:"):
         domain, f0 = _profile_grid(args)

@@ -46,14 +46,16 @@ class Grid:
             raise DomainError("grid needs at least 8 nodes")
         if not self.spacing > 0.0:
             raise DomainError("grid spacing must be positive")
+        if self.kind == RADIAL and self.origin != self.spacing / 2.0:  # first face at r = 0
+            raise DomainError(f"radial origin {self.origin!r} is not half the spacing")
 
     @classmethod
-    def cartesian(cls, node_count: int, radius: float, center: float = 0.0) -> Grid:
-        """Cell-centered grid covering [center-radius, center+radius]."""
+    def cartesian(cls, node_count: int, radius: float) -> Grid:
+        """Cell-centered grid covering [-radius, radius]."""
         if not radius > 0.0:
             raise DomainError("domain radius must be positive")
         h = 2.0 * radius / node_count
-        return cls(CARTESIAN, 1, node_count, h, center - radius + h / 2.0)
+        return cls(CARTESIAN, 1, node_count, h, -radius + h / 2.0)
 
     @classmethod
     def radial(cls, dim: int, node_count: int, radius: float) -> Grid:

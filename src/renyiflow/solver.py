@@ -11,11 +11,11 @@ h^2 / (2 D) on Cartesian grids and h^2 / (2^(n-1) D), set by node 0, on radial o
 of n >= 2.  Where that step is far below the one the flow's rate of change allows,
 `evolve` takes linearly implicit BDF2 steps instead: always for p < 1, whose
 diffusivity p u^{p-1} peaks in the far tail, and for p >= 1 from the first snapshot
-at which that is cheaper.  Each implicit step estimates its own local error and
-sizes the next from it, so a slowing flow takes longer steps.  Their tridiagonal
-systems are solved by odd-even cyclic reduction, on buffers and views prepared once
-per run.  The degenerate p > 1 front
-is handled as in Vazquez, *The Porous Medium Equation* (2007), ch. 5 and 9.
+at which a stable step moves less than SWITCH_MASS_FRACTION of the mass.  Each
+implicit step estimates its own local error and sizes the next from it, so a slowing
+flow takes longer steps.  Their tridiagonal systems are solved by odd-even cyclic
+reduction, on buffers and views prepared once per run.  The degenerate p > 1 front is
+handled as in Vazquez, *The Porous Medium Equation* (2007), ch. 5 and 9.
 """
 from __future__ import annotations
 
@@ -54,7 +54,7 @@ LINEARIZATION_TOL = 1e-3
 # fraction their concavity margins move by 2.8e-7 and 6.4e-8: the first snapshot's
 # second difference carries the BDF2 error the first steps build up from an exact datum.
 LOCAL_ERROR_TOL = 4e-5
-# The explicit (CFL) step's share of the stable step, and so the unit of IMPLICIT_STEP_COST.
+# The explicit (CFL) step's share of the stable step; the explicit step alone reads it.
 CFL_SAFETY = 0.9
 # An implicit step is at most this many CFL steps (taken at each snapshot).  Its flux
 # form carries the rounding of v = u^p into u' times dt / cfl_dt: about 2 eps per CFL
@@ -65,18 +65,13 @@ CFL_SAFETY = 0.9
 MAX_CFL_STEPS = 1e6
 EPS = float(np.finfo(float).eps)
 SEQUENTIAL_SIZE = 64  # tridiagonal systems this small are solved row by row
-# The explicit-to-implicit switch, and nothing else, reads the next three.  Taken at
-# each snapshot, dt_run is the step that moves STEP_CHANGE of the mass (`accuracy_dt`),
-# and at most a MIN_STEPS_PER_SNAPSHOT-th of the shortest interval still ahead; a p > 1
-# run marches implicitly from the first snapshot at which dt_run exceeds
-# IMPLICIT_STEP_COST CFL steps.  An implicit step costs about 9-10 / 9-10 / 25-28
-# explicit ones, each with its CFL step, at N = 512 / 2048 / 8192 (tools/step_cost.py:
-# p = 2 Barenblatt at t = 1 and the accuracy step, 1 / 1 / 3 solves per step; 2 cores,
-# numpy 2.4.6), so the march breaks even lower, but below about 57 the 512-node run of
-# `test_barenblatt_concavity_exit_zero` goes implicit and fails on resolution.
-STEP_CHANGE = 2e-3
-MIN_STEPS_PER_SNAPSHOT = 10
-IMPLICIT_STEP_COST = 100.0
+# A p >= 1 run marches implicitly from the first snapshot at which one stable step moves
+# less than this fraction of the mass, ||u_t||_1 cfl_dt(1.0) < SWITCH_MASS_FRACTION m0.
+# An implicit step costs about 10 / 10 / 32 explicit ones at N = 512 / 2048 / 8192
+# (tools/step_cost.py; 2 cores, numpy 2.4.6), so the march would break even at a larger
+# fraction, but above 3.4e-5 the 512-node run of `test_barenblatt_concavity_exit_zero`
+# (3.9e-5 at t = 1, 3.4e-5 at t = 1.25) mostly switches early enough to fail.
+SWITCH_MASS_FRACTION = 2.2e-5
 
 
 @dataclass(frozen=True)
@@ -132,8 +127,8 @@ class _Kernel:
     p < 1 chord stiffness and the fluxes, and the acceptance test's max(u) is the next
     umax.  An explicit step refreshes v and dv; an implicit one uses v, dv and du as
     scratch, so callers refresh them with `_faces()` before reading them (`speed`,
-    `accuracy_dt`, `cfl_dt`, `starting_dt`, `advance`).  Each out= pass of either step
-    keeps the operands and operation order of the plain array expressions: bitwise theirs.
+    `cfl_dt`, `starting_dt`, `advance`).  Each out= pass of either step keeps the
+    operands and operation order of the plain array expressions: bitwise theirs.
     """
 
     def __init__(self, grid: Grid, p: float, values: np.ndarray):
@@ -214,12 +209,6 @@ class _Kernel:
     def speed(self) -> float:
         """||u_t||_1, u_t = L v / W: the mass the flow moves per unit time (dv is _faces()'s)."""
         return float(np.abs(self._net_flux(), out=self.div).sum())
-
-    def accuracy_dt(self, mass_step: float) -> float:
-        """Step that moves at most mass_step of mass, mass_step / ||u_t||_1: read by the
-        explicit-to-implicit switch only."""
-        rate = self.speed()
-        return mass_step / rate if rate > 0.0 else math.inf
 
     def starting_dt(self, tol_rate: float) -> float:
         """The first implicit step, read from the flow rather than the grid: the
@@ -508,26 +497,23 @@ def evolve(f0: DensityField, params: DiffusionParams,
            with_dissipation: bool = False) -> EvolutionResult:
     """March from t_start to t_end, landing exactly on every snapshot time.
 
-    The step toward the next snapshot divides the remaining interval into
-    equal parts no longer than the proposed step, so the recorded functional
-    series has no step-size kinks inside an interval.  The proposal is the
-    explicit CFL step until the switch: before each interval, dt_run is the
-    step that moves STEP_CHANGE of the mass now, and at most a
-    MIN_STEPS_PER_SNAPSHOT-th of the shortest interval still ahead, and once it
-    exceeds IMPLICIT_STEP_COST CFL steps (for p < 1 from the start) the march
-    is linearly implicit BDF2, with its history, to the end.  Its tolerance,
-    taken before each interval, is LOCAL_ERROR_TOL of the most mass the flow
-    can move over the interval, and a step is at most MAX_CFL_STEPS CFL steps.
-    The march starts with the backward-Euler step whose local error is its
-    share of one step's tolerance per interval (`_Kernel.starting_dt`: read
-    from the flow's acceleration, so a finer grid starts no shorter) and
-    doubles it while it has fewer than three levels; from then on each step
-    proposes the next from its own local-error estimate
-    (`_Kernel.implicit_advance`), at most twice as long, so omega <= 2 keeps
-    BDF2 zero-stable.  As the flow slows, its local error falls and the steps
-    grow.  The estimate leaves out the edge cells (below), where a wall that
-    cuts the flow holds a boundary layer as thin as the grid; that error is
-    the domain's, reported as the edge mass.
+    The step toward the next snapshot divides the remaining interval into equal
+    parts no longer than the proposed step, so the recorded functional series has no
+    step-size kinks inside an interval.  The proposal is the explicit CFL step until
+    the switch: from the first snapshot at which one stable step moves less than
+    SWITCH_MASS_FRACTION of the mass (for p < 1 from the start), the march is
+    linearly implicit BDF2, with its history, to the end.  Its tolerance, taken
+    before each interval, is LOCAL_ERROR_TOL of the most mass the flow can move over
+    the interval, and a step is at most MAX_CFL_STEPS CFL steps.  The march starts
+    with the backward-Euler step whose local error is its share of one step's
+    tolerance per interval (`_Kernel.starting_dt`: read from the flow's
+    acceleration, so a finer grid starts no shorter) and doubles it while it has
+    fewer than three levels; from then on each step proposes the next from its own
+    local-error estimate (`_Kernel.implicit_advance`), at most twice as long, so
+    omega <= 2 keeps BDF2 zero-stable.  As the flow slows, its local error falls and
+    the steps grow.  The estimate leaves out the edge cells (below), where a wall
+    that cuts the flow holds a boundary layer as thin as the grid; that error is the
+    domain's, reported as the edge mass.
 
     The edge mass, the mass in the last node_count // EDGE_CELLS cells at each
     wall, is read at the datum and at every snapshot; above DOMAIN_TOL, the
@@ -539,7 +525,6 @@ def evolve(f0: DensityField, params: DiffusionParams,
     if abs(m0 - 1.0) > 1e-6:
         raise DomainError(f"initial mass must be 1 within 1e-6, got {m0}")
     times = params.times()
-    intervals = np.diff(times)
     grid = f0.grid
     from_wall = np.arange(grid.node_count)[::-1]  # cells between a node and the wall
     if grid.kind != RADIAL:
@@ -547,33 +532,29 @@ def evolve(f0: DensityField, params: DiffusionParams,
     edge = np.where(from_wall < max(1, grid.node_count // EDGE_CELLS), grid.weights(), 0.0)
     kernel = _Kernel(grid, params.p, f0.values)
     kernel.error_weights = grid.weights() - edge  # 0 at the edge: the wall's layer is the domain's
-    implicit = False
+    implicit = params.p < 1.0
     t = float(times[0])
     steps = rejections = 0
     edge_mass = float(edge @ f0.values)
     snaps = [snapshot(f0, params.p, params.dim, t=t, with_dissipation=with_dissipation)]
     fields = [f0]
     rate = kernel.speed()  # the largest ||u_t||_1 of the run: the flow is an L1 contraction
-    for i, target in enumerate(times[1:]):
+    for target in times[1:]:
+        interval = float(target - t)
         kernel._faces()  # an implicit step leaves v = u^p stale
-        if not implicit:
-            dt_run = min(kernel.accuracy_dt(STEP_CHANGE * m0),
-                         float(intervals[i:].min()) / MIN_STEPS_PER_SNAPSHOT)
-            implicit = params.p < 1.0 or dt_run > IMPLICIT_STEP_COST * kernel.cfl_dt()
+        stable = kernel.cfl_dt(1.0)
+        implicit = implicit or kernel.speed() * stable < SWITCH_MASS_FRACTION * m0
         if implicit:
             # the most mass the flow can move over this interval, and sqrt(eps) of the
             # mass where it barely moves, so that rounding fails no step
-            moved = min(rate * float(intervals[i]), m0)
+            moved = min(rate * interval, m0)
             kernel.error_tol = LOCAL_ERROR_TOL * max(moved, math.sqrt(EPS) * m0)
-            longest = MAX_CFL_STEPS * kernel.cfl_dt(1.0)
+            longest = MAX_CFL_STEPS * stable
             if not kernel.dt_next:  # the march's first step
-                kernel.dt_next = kernel.starting_dt(kernel.error_tol / float(intervals[i]))
+                kernel.dt_next = kernel.starting_dt(kernel.error_tol / interval)
         march = kernel.implicit_advance if implicit else kernel.advance
         while t < target:
-            if implicit:
-                proposal = min(kernel.dt_next, longest)
-            else:
-                proposal = kernel.cfl_dt()
+            proposal = min(kernel.dt_next, longest) if implicit else kernel.cfl_dt()
             remaining = target - t
             parts = max(1, math.ceil(remaining / proposal))
             dt_used, rej = march(remaining / parts, t)

@@ -31,6 +31,10 @@ TOL_DEBRUIJN = 1e-2
 TOL_DISSIPATION = 5e-2
 TOL_ISOPERIMETRIC = 1e-3
 TOL_UPSILON = 1e-8
+# The fewest snapshots each series check reads, by the name its message gives: a second
+# or central difference takes three, a rise two.
+LEAST_SNAPSHOTS = {"concavity": 3, "monotonicity": 2, "debruijn": 3, "dissipation": 3,
+                   "convergence": 3}
 
 
 @dataclass(frozen=True)
@@ -70,10 +74,10 @@ def _denominator(values, name: str):
     return scale
 
 
-def require_snapshots(count: int, what: str, least: int = 3) -> None:
-    """InsufficientData unless count reaches least: 3 for a second or central difference."""
-    if count < least:
-        raise InsufficientData(f"{what} needs at least {least} snapshots")
+def require_snapshots(count: int, what: str) -> None:
+    """InsufficientData unless count reaches LEAST_SNAPSHOTS[what]."""
+    if count < LEAST_SNAPSHOTS[what]:
+        raise InsufficientData(f"{what} needs at least {LEAST_SNAPSHOTS[what]} snapshots")
 
 
 def second_differences(t: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -105,7 +109,7 @@ def concavity_report(series, p: float, n: int, tol: float = TOL_CONCAVITY) -> Ch
 
 def upsilon_monotone(series, tol: float = TOL_UPSILON) -> CheckResult:
     """Upsilon_p(t) must be nonincreasing up to tol (relative to its start)."""
-    require_snapshots(len(series), "monotonicity", 2)
+    require_snapshots(len(series), "monotonicity")
     t, y = _times_values(series, "upsilon")
     rises = np.diff(y)
     worst = int(np.argmax(rises))
@@ -234,12 +238,13 @@ def isoperimetric_check(f: DensityField, p: float, n: int | None = None,
 
 @dataclass(frozen=True)
 class Check:
-    """One entry of CHECKS: run(series, fields, p, n, tol) -> CheckResult, the
-    default tol, whether it needs the evolved fields, not just the series, and
-    domain(p, n), which raises DomainError where the check is undefined."""
+    """One entry of CHECKS: run(series, fields, p, n, tol) -> CheckResult, the default
+    tol, its LEAST_SNAPSHOTS key (None: no minimum), whether it needs the evolved fields,
+    not just the series, and domain(p, n), which raises DomainError where undefined."""
 
     run: Callable[..., CheckResult]
     tol: float
+    series: str | None
     needs_fields: bool = False
     domain: Callable[[float, int], object] | None = None
 
@@ -248,21 +253,26 @@ class Check:
 # and the --tol-* flags.  Entries call the checks by their module-global names,
 # so rebinding a check (for instrumentation) reaches every caller.
 CHECKS: dict[str, Check] = {
-    "concavity": Check(lambda s, f, p, n, tol: concavity_report(s, p, n, tol), TOL_CONCAVITY),
-    "upsilon": Check(lambda s, f, p, n, tol: upsilon_monotone(s, tol), TOL_UPSILON),
-    "debruijn": Check(lambda s, f, p, n, tol: debruijn_check(s, p, tol), TOL_DEBRUIJN),
+    "concavity": Check(lambda s, f, p, n, tol: concavity_report(s, p, n, tol), TOL_CONCAVITY,
+                       "concavity"),
+    "upsilon": Check(lambda s, f, p, n, tol: upsilon_monotone(s, tol), TOL_UPSILON,
+                     "monotonicity"),
+    "debruijn": Check(lambda s, f, p, n, tol: debruijn_check(s, p, tol), TOL_DEBRUIJN,
+                      "debruijn"),
     "dissipation": Check(lambda s, f, p, n, tol: dissipation_check(s, p, n, tol),
-                         TOL_DISSIPATION),
+                         TOL_DISSIPATION, "dissipation"),
     # the worst snapshot decides; on ties the earliest
     "isoperimetric": Check(lambda s, f, p, n, tol: min(
         (isoperimetric_check(fld, p, n, tol) for fld in f), key=lambda r: r.margin),
-        TOL_ISOPERIMETRIC, needs_fields=True, domain=_isoperimetric_gamma),
+        TOL_ISOPERIMETRIC, None, needs_fields=True, domain=_isoperimetric_gamma),
 }
 
 
-def validate_checks(names, p: float, n: int, with_fields: bool) -> None:
+def validate_checks(names, p: float, n: int, with_fields: bool,
+                    snapshots: int | None = None) -> None:
     """Raise DomainError for a name not in CHECKS, one that needs fields there are none
-    of, or one undefined at (p, n): what no solve could make verifiable."""
+    of, or one undefined at (p, n), and InsufficientData for one whose series needs more
+    than `snapshots` snapshots (when given): what no solve could make verifiable."""
     for name in names:
         if name not in CHECKS:
             raise DomainError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
@@ -272,6 +282,8 @@ def validate_checks(names, p: float, n: int, with_fields: bool) -> None:
                               f"series lacks; run it as `evolve --verify {name}`")
         if check.domain is not None:
             check.domain(p, n)
+        if snapshots is not None and check.series is not None:
+            require_snapshots(snapshots, check.series)
 
 
 def run_checks(names, series, p: float, n: int, tols: dict[str, float],

@@ -31,6 +31,12 @@ class TestCoefficients:
         with pytest.raises(DomainError):
             rf.coefficients(1.0 / 3.0, 3)
 
+    @pytest.mark.parametrize("p", [0.0, -0.5])
+    def test_nonpositive_p_rejected_in_one_dimension(self, p):
+        # mu = 1 + p is positive down to p = -1, but u^p needs p > 0
+        with pytest.raises(DomainError, match="need p > 0"):
+            rf.coefficients(p, 1)
+
     @pytest.mark.parametrize("p", [0.4, 0.8, 1.0, 1.7, 3.0])
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_nu_identity(self, p, n):

@@ -205,6 +205,10 @@ class TestEvolveCommand:
         code = main(["evolve", "--p", "0.2", "--dim", "3"])
         assert code == 1
 
+    def test_nonpositive_exponent_exit_one(self, capsys):
+        assert main(["evolve", "--p", "0", "--dim", "1"]) == 1
+        assert capsys.readouterr().err == "configuration error: need p > 0; got p = 0.0\n"
+
     @pytest.mark.parametrize("command", [["evolve", "--p", "2"], ["sweep"]])
     def test_cfl_is_no_option(self, command, capsys):
         # the CFL step is solver.CFL_SAFETY of the stable step, and no option moves it
@@ -344,6 +348,36 @@ class TestEvolveCommand:
                      "--initial", "barenblatt", "--verify", "concavty"])
         assert code == 1
         assert "unknown check 'concavty'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check", ["concavity", "debruijn"])
+    def test_too_few_snapshots_exits_before_solving(self, monkeypatch, capsys, check):
+        calls = []
+        monkeypatch.setattr(cli, "evolve", lambda *args, **kwargs: calls.append(args))
+        code = main(["evolve", "--p", "2", "--nodes", "1024", "--t-end", "2",
+                     "--snapshots", "2", "--verify", check])
+        assert code == 1 and calls == []
+        assert capsys.readouterr().err == \
+            f"configuration error: {check} needs at least 3 snapshots\n"
+
+    def test_upsilon_runs_on_two_snapshots(self, tmp_path):
+        assert main(["evolve", "--p", "2", "--nodes", "256", "--t-end", "1.05",
+                     "--snapshots", "2", "--verify", "upsilon", "--out", str(tmp_path)]) == 0
+
+    def test_shifted_radial_profile_exit_one(self, tmp_path, capsys):
+        # node 0 written 10.5 spacings out, where the kernel's first face stays at r = 0
+        h, nodes = 0.0234375, 256
+        r = 10.5 * h + h * np.arange(nodes)
+        u = np.exp(-r * r)
+        u /= rf.sphere_surface(3) * h * (r * r) @ u
+        head = f"# geometry=radial dim=3 spacing={h!r} origin={float(r[0])!r}"
+        rows = (f"{x!r},{v!r}" for x, v in zip(r.tolist(), u.tolist()))
+        src = tmp_path / "shifted.csv"
+        src.write_text("\n".join([head, "r,u", *rows]) + "\n")
+        code = main(["evolve", "--p", "2", "--dim", "3", "--t-end", "1.05", "--snapshots", "3",
+                     "--initial", f"file:{src}", "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert "radial origin 0.24609375 is not half the spacing" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["--p", "1", "--dim", "1", "--initial", "gaussian"], "p = 1 has no Barenblatt profile"),
@@ -499,6 +533,14 @@ class TestSweepCommand:
         bad, good = next(tmp_path.glob("exp-*/sweep.csv")).read_text().splitlines()[1:]
         assert bad == "0.2,3,0,false,need p > 1 - 2/n = 0.33333333333333337; got p = 0.2,"
         assert good.startswith("2.0,3,0,true,,") and float(good.split(",")[5]) <= DOMAIN_TOL
+
+    def test_nonpositive_p_row_records_its_error(self, tmp_path):
+        code = main(["sweep", "--p=-0.5,2", "--dim", "1", "--seeds", "1", "--nodes", "64",
+                     "--out", str(tmp_path)])
+        assert code == 3
+        bad, good = next(tmp_path.glob("exp-*/sweep.csv")).read_text().splitlines()[1:]
+        assert bad == "-0.5,1,0,false,need p > 0; got p = -0.5,"
+        assert good.startswith("2.0,1,0,true,,")
 
     def test_stability_row_records_its_error(self, monkeypatch, tmp_path):
         monkeypatch.setattr(solver, "LINEARIZATION_TOL", -1.0)

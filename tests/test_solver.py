@@ -20,6 +20,11 @@ def make_state(field, t=1.0):
     return SolverState(t=t, grid=field.grid, values=field.values.copy())
 
 
+def _mass_step(kernel):
+    """The step that moves 0.2% of the mass now, 2e-3 / ||u_t||_1."""
+    return 2e-3 / kernel.speed()
+
+
 class TestStep:
     def test_constant_field_unchanged(self):
         grid = rf.Grid.cartesian(128, 2.0)
@@ -511,7 +516,7 @@ class TestImplicitFastDiffusion:
     def test_undershooting_solve_halves_dt(self, monkeypatch):
         f0, params = _mixture_case("radial3", 0.8, (1.5, 3.0))
         kernel = solver._Kernel(f0.grid, 0.8, f0.values)
-        dt = 4.0 * kernel.accuracy_dt(solver.STEP_CHANGE)
+        dt = 4.0 * _mass_step(kernel)
         _count_solves(monkeypatch, f0.grid.node_count, undershoot_first=True)
         dt_used, rejections = kernel.implicit_advance(dt, 1.0)
         assert rejections == 1 and dt_used == dt / 2
@@ -639,18 +644,18 @@ class TestReductionPlan:
         kernel = solver._Kernel(grid, 2.0, f0.values)
         works = []
         for _ in range(2):
-            kernel.implicit_advance(kernel.accuracy_dt(solver.STEP_CHANGE), 1.0)
+            kernel.implicit_advance(_mass_step(kernel), 1.0)
             works.append(kernel.work)
         assert built == [256] and works[0] is works[1]
         assert all(a.size == 256 for a in works[0])
 
 
 def _implicit_march(f0, p, t_end):
-    """Drive _Kernel.implicit_advance from the CFL step, doubling up to the accuracy
-    step (evolve instead starts from `starting_dt` and sizes each step by its local
-    error).  Returns the kernel, the time reached and the fields."""
+    """Drive _Kernel.implicit_advance from the CFL step, doubling up to the step that
+    moves 0.2% of the mass (evolve instead starts from `starting_dt` and sizes each step
+    by its local error).  Returns the kernel, the time reached and the fields."""
     kernel = solver._Kernel(f0.grid, p, f0.values)
-    dt_run = kernel.accuracy_dt(solver.STEP_CHANGE)
+    dt_run = _mass_step(kernel)
     dt, t, fields = kernel.cfl_dt(), 1.0, []
     while t < t_end:
         dt_used, _ = kernel.implicit_advance(min(dt, dt_run), t)
@@ -695,7 +700,7 @@ class TestImplicitPorousMedium:
         assert float(w @ np.abs(kernel.u - want[-1])) <= IMPLICIT_L1_BOUND
 
     def test_criterion_10_style_run_stays_explicit(self):
-        # compact bumps on a grid sized for t = 1000: the CFL step is near the accuracy step
+        # compact bumps on a grid sized for t = 1000: a stable step moves 1.7e-3 of the mass
         spec = rf.barenblatt_spec(2.0, 1, rf.PDE_NORMALIZED)
         grid = rf.Grid.cartesian(2048, rf.support_radius(spec) * 1000.0 ** (1.0 / 3.0) * 1.25)
         f0 = rf.compact_two_bump(grid, seed=11)
@@ -717,7 +722,7 @@ class TestImplicitPorousMedium:
         assert np.array_equal(run.fields[-1].values, fields[-1])
 
     def test_barenblatt_run_goes_implicit(self):
-        # the accuracy step is about 190 CFL steps here; explicit would take ~37,000
+        # a stable step moves 1.2e-5 of the mass here; explicit would take ~37,000
         spec = rf.barenblatt_spec(2.0, 1, rf.PDE_NORMALIZED)
         grid = rf.Grid.cartesian(1024, rf.support_radius(spec) * 2.0 ** (1.0 / 3.0) * 1.3)
         f0 = rf.sample_barenblatt(grid, 2.0, 1.0, normalize=True)
@@ -880,7 +885,7 @@ class TestLinearlyImplicitStep:
         monkeypatch.setattr(solver, "LINEARIZATION_TOL", -1.0)
         calls = _count_solves(monkeypatch, 64)
         with pytest.raises(StabilityError):
-            kernel.implicit_advance(kernel.accuracy_dt(solver.STEP_CHANGE), 1.0)
+            kernel.implicit_advance(_mass_step(kernel), 1.0)
         assert len(calls) == 64
 
 
@@ -1024,7 +1029,7 @@ class TestLeanImplicitStep:
             _allocating_implicit_advance if exact else _reference_implicit_advance, grid=f0.grid)
         lean = solver._Kernel(f0.grid, params.p, f0.values)
         frozen = solver._Kernel(f0.grid, params.p, f0.values)
-        dt = lean.accuracy_dt(solver.STEP_CHANGE)
+        dt = _mass_step(lean)
         # backward Euler, BDF2 at omega = 2 and 1, then a step whose first solve
         # undershoots, so that it is rejected and retried at dt/2
         schedule = [(0.5 * dt, False), (dt, False), (dt, False), (dt, True)]
@@ -1048,7 +1053,7 @@ class TestLeanImplicitStep:
         f0 = rf.sample_barenblatt(grid, 2.0, 1.0, normalize=True)
         lean = solver._Kernel(grid, 2.0, f0.values)
         frozen = solver._Kernel(grid, 2.0, f0.values)
-        dt_run = lean.accuracy_dt(solver.STEP_CHANGE)
+        dt_run = _mass_step(lean)
         dt, t, relinearized = lean.cfl_dt(), 1.0, 0
         reference = functools.partial(_allocating_implicit_advance, grid=grid)
         for _ in range(20):
@@ -1117,6 +1122,18 @@ class TestRechosenMarch:
         assert switch > 0 and set(marches[switch:]) == {"implicit_advance"}
         assert abs(float(grid.weights() @ run.fields[-1].values) - 1.0) <= 1e-13
         _assert_agrees_with_reference(run, f0, params)
+
+    def test_short_intervals_go_implicit_from_the_start(self, monkeypatch):
+        # criterion 5's 768-node radial p = 2 mixture: a stable step moves 9.7e-6 of the
+        # mass at t = 1, below SWITCH_MASS_FRACTION, however short the intervals, so the
+        # march is implicit from t_start
+        grid = rf.Grid.radial(3, 768, 8.0)
+        f0 = rf.sample_mixture(grid, 22, mean_range=(0.0, 2.0))
+        params = rf.DiffusionParams(p=2.0, dim=3, t_start=1.0, t_end=1.3, snapshot_count=9)
+        record = _record_marches(monkeypatch)
+        run = rf.evolve(f0, params)
+        assert {march for march, *_ in record} == {"implicit_advance"}
+        assert run.step_count == len(record) == 14
 
     def test_criterion_10_config(self, criterion_10_run):
         # explicit with dt fixed at t_start it took 368,555 steps; the march switches

@@ -6,11 +6,11 @@ Usage:
 For each node count N the field is the p = 2 Barenblatt at t = 1, normalized,
 on the 1-D domain of radius 1.3 times its support radius at t = 3 (the domain
 `renyiflow evolve --p 2 --initial barenblatt --t-end 3` sizes).  The implicit
-step is BDF2 at a fixed step, the one that moves STEP_CHANGE of the mass
-(`accuracy_dt`, which `evolve` reads only for its explicit-to-implicit
-switch: it sizes implicit steps by their local-error estimate), after one
-backward-Euler step and one BDF2 step of that size: every timed step starts
-from those three levels, so it forms its local-error estimate too.  The
+step is BDF2 at a fixed step, the one that moves MASS_STEP = 0.2% of the
+(unit) mass, MASS_STEP / ||u_t||_1 (`evolve` sizes implicit steps by their
+local-error estimate instead; a fixed step keeps the timed work the same),
+after one backward-Euler step and one BDF2 step of that size: every timed step
+starts from those three levels, so it forms its local-error estimate too.  The
 explicit step is `advance` at the CFL step (`solver.CFL_SAFETY` of the stable
 step), timed together with its `cfl_dt`, and timed again on the radial n = 3
 grid (`radial3`): the p = 2 Barenblatt in three dimensions at t = 1, on the
@@ -40,6 +40,7 @@ from renyiflow import solver
 
 P, T_START, T_DOMAIN = 2.0, 1.0, 3.0
 REPEATS = 400  # timed steps per march and N
+MASS_STEP = 2e-3  # the share of the mass one timed implicit step moves
 
 
 def _barenblatt_kernel(nodes: int, dim: int = 1) -> solver._Kernel:
@@ -51,10 +52,10 @@ def _barenblatt_kernel(nodes: int, dim: int = 1) -> solver._Kernel:
 
 
 def _implicit_stepper(nodes: int):
-    """A BDF2 step at the fixed accuracy step from one saved three-level state, and its
-    solves."""
+    """A BDF2 step that moves MASS_STEP of the mass, from one saved three-level state,
+    and its solves."""
     kernel = _barenblatt_kernel(nodes)
-    dt = kernel.accuracy_dt(solver.STEP_CHANGE)
+    dt = MASS_STEP / kernel.speed()
     kernel.implicit_advance(dt, T_START)  # the backward-Euler start
     kernel.implicit_advance(dt, T_START + dt)
     levels = [kernel.u.copy(), kernel.u_prev.copy(), kernel.u_prev2.copy()]
