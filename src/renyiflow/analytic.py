@@ -46,7 +46,7 @@ class Coefficients:
 
 @functools.cache
 def coefficients(p: float, n: int) -> Coefficients:
-    """Exponents (mu, nu); requires p > 0, and p > 1 - 2/n so both are positive.
+    """Exponents (mu, nu); requires a finite p > 0, and p > 1 - 2/n so both are positive.
 
     Memoized per (p, n).  Equal arguments of other numeric types share an
     entry, so the fields are always a Python float and int.
@@ -54,6 +54,8 @@ def coefficients(p: float, n: int) -> Coefficients:
     if int(n) != n or n < 1:
         raise DomainError(f"dimension must be a positive integer, got {n}")
     p, n = float(p), int(n)
+    if not math.isfinite(p):
+        raise DomainError(f"need a finite p; got p = {p}")
     if not p > 0.0:  # the equation's u^p; n = 1 admits p in (-1, 0] otherwise
         raise DomainError(f"need p > 0; got p = {p}")
     mu = 2.0 + n * (p - 1.0)
@@ -175,12 +177,17 @@ def barenblatt_self_similar(x, t: float, spec: BarenblattSpec):
     under the unit convention it is the same dilation family (unit mass and
     linear entropy power in t) but not a solution of the equation.
     """
-    if not t > 0.0:
-        raise DomainError("self-similar time must be positive")
+    _require_self_similar_time(t)
     x = np.asarray(x, dtype=float)
     mu = spec.coeffs.mu
     s = t ** (-1.0 / mu)
     return t ** (-spec.n / mu) * barenblatt_profile(x * s, spec)
+
+
+def _require_self_similar_time(t: float) -> None:
+    """DomainError unless t > 0, a time on the self-similar orbit."""
+    if not t > 0.0:
+        raise DomainError("self-similar time must be positive")
 
 
 def support_radius(spec: BarenblattSpec) -> float:

@@ -74,7 +74,6 @@ def _barenblatt_options(b: argparse.ArgumentParser) -> None:
 def _evolve_options(e: argparse.ArgumentParser) -> None:
     e.add_argument("--p", type=float, default=None)
     e.add_argument("--dim", type=int, default=1)
-    e.add_argument("--geometry", choices=["cartesian1d", "radial"], default=None)
     e.add_argument("--nodes", type=int, default=1024)
     e.add_argument("--radius", type=float, default=None)
     e.add_argument("--t-start", dest="t_start", type=float, default=1.0)
@@ -195,12 +194,12 @@ def run_barenblatt(args) -> int:
     if p is None:
         raise DomainError("barenblatt: --p is required")
     spec = analytic.barenblatt_spec(p, dim, convention)
+    analytic._require_self_similar_time(t)
     radius = args.radius
     if radius is None:
         radius = analytic.suggest_domain_radius(p, dim, 1e-8, convention) \
             * t ** (1.0 / spec.coeffs.mu) * (1.05 if p > 1.0 else 1.0)
-    grid = Grid.cartesian(args.nodes, radius) if dim == 1 else Grid.radial(dim, args.nodes, radius)
-    fld = sample_barenblatt_from_spec(grid, spec, t)
+    fld = sample_barenblatt_from_spec(_grid(dim, args.nodes, radius), spec, t)
     print(f"p={p} n={dim} convention={convention} t={t}")
     print(f"A_p={spec.a_const!r} C={spec.c_const!r} kappa={spec.kappa!r}")
     print(f"Hp={analytic.barenblatt_entropy(spec)!r} Ip={analytic.barenblatt_fisher(spec)!r}")
@@ -216,6 +215,10 @@ def run_barenblatt(args) -> int:
 
 
 # ---------------------------------------------------------------- evolve
+
+def _grid(dim: int, nodes: int, radius: float) -> Grid:  # the line in 1-D, else the half-line
+    return Grid.cartesian(nodes, radius) if dim == 1 else Grid.radial(dim, nodes, radius)
+
 
 def _default_radius(p: float, dim: int, t_end: float, initial: str) -> float:
     if initial.startswith("gaussian") or p == 1.0:
@@ -241,14 +244,14 @@ def _initial_field(kind: str, grid: Grid, p: float, t_start: float, seed: int):
 
 
 def _profile_grid(args):
-    """The --initial file:PATH profile's grid (nodes, radius, geometry) and the profile.
+    """The --initial file:PATH profile's grid (nodes, radius) and the profile.
 
-    The profile brings its own grid, so a --nodes, --radius or --geometry value
-    (flag or config) other than the option's default and the grid's own is an error.
+    The profile brings its own grid, so a --nodes or --radius value (flag or
+    config) other than the option's default and the grid's own is an error.
     """
     field = read_profile(args.initial[len("file:"):])
     grid, command = field.grid, _build_parser()[1]["evolve"]
-    own = {"nodes": grid.node_count, "radius": grid.radius(), "geometry": grid.kind}
+    own = {"nodes": grid.node_count, "radius": grid.radius()}
     for name, value in own.items():
         given = getattr(args, name)
         if given in (command.get_default(name), value):
@@ -262,23 +265,25 @@ def _profile_grid(args):
 def _requested_checks(args, raw: str, with_fields: bool,
                       snapshots: int | None = None) -> tuple[list[str], dict[str, float]]:
     """The check names in the comma list raw, validated at (args.p, args.dim) and any
-    snapshot count given, and the --tol-NAME values for the checks the subcommand offers."""
+    snapshot count given, and the finite --tol-NAME values of the checks the command offers."""
     names = [n for n in raw.split(",") if n]
     validate_checks(names, args.p, args.dim, with_fields, snapshots)
     tols = {key[len("tol_"):]: val for key, val in vars(args).items()
             if key.startswith("tol_") and val is not None}
+    for name, tol in tols.items():
+        if not math.isfinite(tol):
+            raise DomainError(f"--tol-{name} must be finite; got {tol}")
     return names, tols
 
 
 def _run(cfg: dict, f0=None):
     """The result and checks of the run an evolve cfg describes, from f0 if given."""
-    p, dim, nodes, radius = cfg["p"], cfg["dim"], cfg["nodes"], cfg["radius"]
+    p, dim = cfg["p"], cfg["dim"]
     params = DiffusionParams(p=p, dim=dim, t_start=cfg["t_start"], t_end=cfg["t_end"],
                              snapshot_count=cfg["snapshots"])
     if f0 is None:
-        grid = Grid.cartesian(nodes, radius) if cfg["geometry"] == "cartesian1d" \
-            else Grid.radial(dim, nodes, radius)
-        f0 = _initial_field(cfg["initial"], grid, p, cfg["t_start"], cfg["seed"])
+        f0 = _initial_field(cfg["initial"], _grid(dim, cfg["nodes"], cfg["radius"]), p,
+                            cfg["t_start"], cfg["seed"])
     result = evolve(f0, params, with_dissipation="dissipation" in cfg["verify"])
     checks = run_checks(cfg["verify"], result.snapshots, p, dim, cfg["tols"], result.fields)
     return result, checks
@@ -289,19 +294,16 @@ def run_evolve(args) -> int:
     if p is None:
         raise DomainError("evolve: --p is required")
     names, tols = _requested_checks(args, args.verify, with_fields=True, snapshots=args.snapshots)
-    domain, f0 = {"nodes": args.nodes, "radius": args.radius, "geometry": args.geometry}, None
+    domain, f0 = {"nodes": args.nodes, "radius": args.radius}, None
     if args.initial.startswith("file:"):
         domain, f0 = _profile_grid(args)
     elif domain["radius"] is None:
         domain["radius"] = _default_radius(p, dim, args.t_end, args.initial)
-    cfg = {"subcommand": "evolve", "p": p, "dim": dim,
-           "geometry": domain["geometry"] or ("cartesian1d" if dim == 1 else "radial"),
-           "nodes": domain["nodes"], "radius": domain["radius"], "t_start": args.t_start,
+    cfg = {"subcommand": "evolve", "p": p, "dim": dim, **domain, "t_start": args.t_start,
            "t_end": args.t_end, "snapshots": args.snapshots, "initial": args.initial,
            "seed": args.seed, "verify": names, "tols": tols}
-    if cfg["geometry"] == "cartesian1d" and dim != 1:
-        raise DomainError("evolve: cartesian1d requires dim = 1 (DiffusionParams precondition)")
     result, checks = _run(cfg, f0=f0)
+    cfg["geometry"] = result.fields[0].grid.kind  # the profile's, or the one --dim gives
     sizing = None  # the Barenblatt envelope's domain sizing, where it has a second moment
     if analytic._has_second_moment(p, dim):
         sizing = asdict(fast_diffusion_guard(result.params, result.fields[0].grid))
@@ -352,10 +354,10 @@ def _sweep_row(job: tuple) -> dict:
     if analytic._has_second_moment(p, dim):
         names.append("isoperimetric")
     try:
-        cfg = {"p": p, "dim": dim, "geometry": "cartesian1d" if dim == 1 else "radial",
-               "nodes": nodes, "radius": _default_radius(p, dim, t_end, "mixture"),
-               "t_start": t_start, "t_end": t_end, "snapshots": snapshots,
-               "initial": "mixture", "seed": seed, "verify": names, "tols": {}}
+        cfg = {"p": p, "dim": dim, "nodes": nodes,
+               "radius": _default_radius(p, dim, t_end, "mixture"), "t_start": t_start,
+               "t_end": t_end, "snapshots": snapshots, "initial": "mixture", "seed": seed,
+               "verify": names, "tols": {}}
         result, checks = _run(cfg)
         row.update(passed=all(c.passed for c in checks.values()), error="",
                    edge_mass=repr(result.edge_mass))

@@ -44,24 +44,20 @@ class Grid:
             raise DomainError("radial dimension must be a positive integer")
         if self.node_count < 8:
             raise DomainError("grid needs at least 8 nodes")
-        if not self.spacing > 0.0:
-            raise DomainError("grid spacing must be positive")
+        if not 0.0 < self.spacing < math.inf:  # so is radius(), a multiple of it
+            raise DomainError("domain radius and grid spacing must be positive and finite")
         if self.kind == RADIAL and self.origin != self.spacing / 2.0:  # first face at r = 0
             raise DomainError(f"radial origin {self.origin!r} is not half the spacing")
 
     @classmethod
     def cartesian(cls, node_count: int, radius: float) -> Grid:
         """Cell-centered grid covering [-radius, radius]."""
-        if not radius > 0.0:
-            raise DomainError("domain radius must be positive")
         h = 2.0 * radius / node_count
         return cls(CARTESIAN, 1, node_count, h, -radius + h / 2.0)
 
     @classmethod
     def radial(cls, dim: int, node_count: int, radius: float) -> Grid:
         """Cell-centered radial grid covering [0, radius] in dimension dim."""
-        if not radius > 0.0:
-            raise DomainError("domain radius must be positive")
         h = radius / node_count
         return cls(RADIAL, dim, node_count, h, h / 2.0)
 

@@ -8,16 +8,18 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError
 from .functionals import FunctionalSnapshot
-from .grids import CARTESIAN, RADIAL, DensityField, Grid
+from .grids import CARTESIAN, DensityField, Grid
 from .verification import CheckResult
 
 SNAPSHOT_HEADER = "t,mass,Ep,Hp,Np,Fp,Ip,Dp,upsilon"
+_PROFILE_HEADER = r"# geometry=(\S+) dim=(\S+) spacing=(\S+) origin=(\S+)"
 
 
 def _fmt(x: float | None) -> str:
@@ -71,30 +73,36 @@ def write_profile(path, f: DensityField) -> None:
 
 
 def read_profile(path) -> DensityField:
-    lines = Path(path).read_text().strip().splitlines()
-    meta = {}
-    rows = []
-    for line in lines:
-        if line.startswith("#"):
-            for tok in line[1:].split():
-                if "=" in tok:
-                    k, v = tok.split("=", 1)
-                    meta[k] = v
-        elif line and not line[0].isalpha():
-            x_str, u_str = line.split(",")
-            rows.append((float(x_str), float(u_str)))
-    if len(rows) < 8:
-        raise DomainError(f"{path}: too few samples for a grid")
-    xs = np.array([r[0] for r in rows])
-    us = np.array([r[1] for r in rows])
-    spacing = float(meta.get("spacing", np.diff(xs).mean()))
-    kind = meta.get("geometry", CARTESIAN)
-    dim = int(meta.get("dim", 1))
-    if kind not in (CARTESIAN, RADIAL):
-        raise DomainError(f"unknown geometry {kind!r} in {path}")
-    grid = Grid(kind, dim, xs.size, spacing, float(meta.get("origin", xs[0])))
-    if not np.allclose(grid.nodes(), xs, rtol=0.0, atol=1e-9 * spacing):
-        raise DomainError(f"{path}: coordinates are not a uniform grid")
+    """The field `write_profile` wrote to path: the header line is its grid, and each row
+    below the column line a node of that grid and the value there.  Any other text is a
+    DomainError that names path and, where it can, the line."""
+    try:
+        return _parse_profile(Path(path).read_text().rstrip().splitlines())
+    except ValueError as err:  # a DomainError, or bytes that are not text
+        raise DomainError(f"{path}: {err}") from None
+
+
+def _parse_profile(lines: list[str]) -> DensityField:
+    head = re.fullmatch(_PROFILE_HEADER, lines[0] if lines else "")
+    if head is None:
+        raise DomainError("line 1 is not a '# geometry= dim= spacing= origin=' header")
+    try:
+        kind, dim, spacing, origin = head[1], int(head[2]), float(head[3]), float(head[4])
+    except ValueError as err:
+        raise DomainError(f"line 1: {err}") from None
+    grid = Grid(kind, dim, len(lines) - 2, spacing, origin)
+    col = "x" if kind == CARTESIAN else "r"
+    if lines[1] != f"{col},u":
+        raise DomainError(f"line 2 is {lines[1]!r}, not the column line '{col},u'")
+    xs, us = np.empty(grid.node_count), np.empty(grid.node_count)
+    for i, text in enumerate(lines[2:]):
+        try:
+            xs[i], us[i] = map(float, text.split(","))
+        except ValueError:
+            raise DomainError(f"line {i + 3}: {text!r} is not two numbers {col},u") from None
+    off = np.flatnonzero(~np.isclose(xs, grid.nodes(), rtol=0.0, atol=1e-9 * spacing))
+    if off.size:
+        raise DomainError(f"line {off[0] + 3}: {col} = {xs[off[0]]} is off the header's grid")
     return DensityField(grid, us)
 
 

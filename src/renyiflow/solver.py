@@ -87,6 +87,8 @@ class DiffusionParams:
 
     def __post_init__(self):
         coefficients(self.p, self.dim)  # validates p > 1 - 2/dim
+        if not math.isfinite(self.t_end):
+            raise DomainError("t_end must be finite")
         if not (self.t_end > self.t_start >= 0.0):
             raise DomainError("need t_end > t_start >= 0")
         if self.snapshot_times is not None:

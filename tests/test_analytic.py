@@ -31,6 +31,11 @@ class TestCoefficients:
         with pytest.raises(DomainError):
             rf.coefficients(1.0 / 3.0, 3)
 
+    @pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
+    def test_non_finite_p_rejected(self, p):
+        with pytest.raises(DomainError, match="need a finite p"):
+            rf.coefficients(p, 3)
+
     @pytest.mark.parametrize("p", [0.0, -0.5])
     def test_nonpositive_p_rejected_in_one_dimension(self, p):
         # mu = 1 + p is positive down to p = -1, but u^p needs p > 0

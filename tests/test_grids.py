@@ -90,6 +90,13 @@ class TestGrid:
         with pytest.raises(DomainError):
             rf.Grid.radial(2, 64, -1.0)
 
+    @pytest.mark.parametrize("make", [lambda: rf.Grid.cartesian(64, math.inf),
+                                      lambda: rf.Grid.radial(3, 64, math.nan),
+                                      lambda: rf.Grid("radial", 3, 64, math.inf, math.inf)])
+    def test_non_finite_extent_rejected(self, make):
+        with pytest.raises(DomainError, match="must be positive and finite"):
+            make()
+
 
 class TestDensityField:
     def test_rejects_negative(self):

@@ -150,6 +150,12 @@ class TestConstantsCommand:
     def test_missing_pair_is_config_error(self, capsys):
         assert main(["constants"]) == 1
 
+    @pytest.mark.parametrize("p", ["inf", "nan"])
+    def test_non_finite_p_row_records_its_error(self, capsys, p):
+        assert main(["constants", "--pair", f"{p},1"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == \
+            f"{p},1,,,,,,,,,need a finite p; got p = {p}"
+
 
 class TestEvolveCommand:
     def test_barenblatt_concavity_exit_zero(self, tmp_path):
@@ -253,7 +259,7 @@ class TestEvolveCommand:
         base = ["evolve", "--p", "1.5", "--dim", "1", "--t-start", "1", "--t-end", "1.05",
                 "--snapshots", "3", "--initial", f"file:{src}"]
         assert main(base + ["--out", str(tmp_path / "bare")]) == 0
-        assert main(base + ["--nodes", "256", "--radius", "8", "--geometry", "cartesian1d",
+        assert main(base + ["--nodes", "256", "--radius", "8",
                             "--out", str(tmp_path / "given")]) == 0
         (bare,) = (tmp_path / "bare").glob("exp-*")
         (given,) = (tmp_path / "given").glob("exp-*")
@@ -265,6 +271,16 @@ class TestEvolveCommand:
         want = rf.fast_diffusion_guard(params, short_run.fields[0].grid)
         assert meta["domain_sizing"]["tail_mass"] == want.tail_mass
         assert meta["domain_sizing"]["recommended_radius"] == want.recommended_radius
+
+    def test_radial_line_profile_runs(self, tmp_path):
+        # the half-line r >= 0 in one dimension: a grid only a profile's header can give
+        src = tmp_path / "initial.csv"
+        write_profile(src, rf.sample_barenblatt(rf.Grid.radial(1, 128, 4.0), 2.0, normalize=True))
+        assert main(["evolve", "--p", "2", "--t-end", "1.05", "--snapshots", "3",
+                     "--initial", f"file:{src}", "--out", str(tmp_path / "run")]) == 0
+        (meta,) = (tmp_path / "run").glob("exp-*/run_meta.json")
+        config = json.loads(meta.read_text())["config"]
+        assert (config["geometry"], config["dim"], config["nodes"]) == ("radial", 1, 128)
 
     def test_file_initial_read_once(self, tmp_path, short_run, monkeypatch):
         reads = []
@@ -282,7 +298,7 @@ class TestEvolveCommand:
         assert reads == [str(src)]
 
     @pytest.mark.parametrize("flags", [["--nodes", "512"], ["--radius", "30"],
-                                       ["--geometry", "radial"], ["--config", "nodes = 512"]])
+                                       ["--config", "radius = 30"], ["--config", "nodes = 512"]])
     def test_file_initial_conflicting_grid_exit_one(self, tmp_path, short_run, monkeypatch,
                                                     capsys, flags):
         def no_solve(*args, **kwargs):
@@ -377,6 +393,39 @@ class TestEvolveCommand:
                      "--initial", f"file:{src}", "--out", str(tmp_path / "run")])
         assert code == 1
         assert "radial origin 0.24609375 is not half the spacing" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("defect, where", [
+        ("spacing=abc", "line 1"), ("origin=np.float64(0.24609375)", "line 1"),
+        ("headerless", "line 1"), ("no origin", "line 1"), ("three cells", "line 5"),
+        ("non-numeric cell", "line 7"), ("off the grid", "line 9"),
+        ("dim=3", "cartesian1d grids are one-dimensional")])
+    def test_malformed_profile_exit_one(self, tmp_path, short_run, monkeypatch, capsys,
+                                        defect, where):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("evolve ran from a profile that does not parse")
+
+        monkeypatch.setattr(cli, "evolve", no_solve)
+        src = tmp_path / "initial.csv"
+        write_profile(src, short_run.fields[0])
+        lines = src.read_text().splitlines()
+        if defect.startswith(("dim=", "spacing=", "origin=")):
+            lines[0] = re.sub(defect.split("=")[0] + r"=\S+", defect, lines[0])
+        elif defect == "no origin":
+            lines[0] = re.sub(r" origin=\S+", "", lines[0])
+        elif defect == "headerless":
+            del lines[0]
+        elif defect == "three cells":
+            lines[4] += ",1.0"
+        elif defect == "non-numeric cell":
+            lines[6] = lines[6].split(",")[0] + ",abc"
+        else:
+            lines[8] = "0.5," + lines[8].split(",")[1]
+        src.write_text("\n".join(lines) + "\n")
+        code = main(["evolve", "--p", "1.5", "--t-end", "1.05", "--snapshots", "3",
+                     "--initial", f"file:{src}", "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"configuration error: {src}: {where}")
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("argv, message", [
@@ -707,18 +756,18 @@ class TestConfigFile:
             "configuration error: argument --nodes: invalid int value: 'abc'\n"
 
     def test_bad_config_choice_exit_one(self, tmp_path, monkeypatch, capsys):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("evolve ran on a geometry no flag could give")
+        def no_sample(*args, **kwargs):
+            raise AssertionError("barenblatt ran in a convention no flag could give")
 
-        monkeypatch.setattr(cli, "evolve", no_solve)
+        monkeypatch.setattr(cli, "sample_barenblatt_from_spec", no_sample)
         cfg = tmp_path / "run.ini"
-        cfg.write_text("[grid]\ngeometry = spherical\n")
-        assert main(["evolve", "--p", "2", "--config", str(cfg)]) == 1
+        cfg.write_text("[profile]\nconvention = spherical\n")
+        assert main(["barenblatt", "--p", "2", "--config", str(cfg)]) == 1
         by_config = capsys.readouterr().err
-        assert main(["evolve", "--p", "2", "--geometry", "spherical"]) == 1
+        assert main(["barenblatt", "--p", "2", "--convention", "spherical"]) == 1
         assert by_config == capsys.readouterr().err
         assert by_config.startswith(
-            "configuration error: argument --geometry: invalid choice: 'spherical'")
+            "configuration error: argument --convention: invalid choice: 'spherical'")
 
     def test_malformed_config_exit_one(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
@@ -796,7 +845,8 @@ class TestUsageErrors:
         assert capsys.readouterr().err == \
             "configuration error: argument --nodes: invalid int value: 'abc'\n"
 
-    @pytest.mark.parametrize("argv", [[], ["evolv", "--p", "2"], ["evolve", "--colour", "red"]])
+    @pytest.mark.parametrize("argv", [[], ["evolv", "--p", "2"], ["evolve", "--colour", "red"],
+                                      ["evolve", "--p", "2", "--geometry", "radial"]])
     def test_bad_command_line_exit_one(self, argv, capsys):
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("configuration error: ")
@@ -807,11 +857,19 @@ class TestUsageErrors:
         (["evolve"], "evolve: --p is required"),
         (["evolve", "--p", "2", "--initial", "foo"],
          "unknown initial data kind 'foo'"),
-        (["evolve", "--p", "2", "--dim", "3", "--geometry", "cartesian1d"],
-         "evolve: cartesian1d requires dim = 1 (DiffusionParams precondition)"),
+        (["evolve", "--p", "inf"], "need a finite p; got p = inf"),
         (["verify", "--p", "2"], "verify: --snapshots-csv and --p are required"),
         (["sweep", "--p", "2,x"], "sweep: malformed --p or --dim list"),
         (["sweep", "--dim", "1,y"], "sweep: malformed --p or --dim list"),
+        (["evolve", "--p", "2", "--t-end", "inf"], "t_end must be finite"),
+        (["evolve", "--p", "2", "--radius", "inf"],
+         "domain radius and grid spacing must be positive and finite"),
+        (["evolve", "--p", "2", "--nodes", "64", "--t-end", "1.1", "--snapshots", "3",
+          "--verify", "concavity", "--tol-concavity", "nan"],
+         "--tol-concavity must be finite; got nan"),
+        (["barenblatt", "--p", "2", "--t", "-1"], "self-similar time must be positive"),
+        (["barenblatt", "--p", "0.8", "--dim", "3", "--t", "-1"],
+         "self-similar time must be positive"),
     ])
     def test_exit_one_message(self, argv, message, tmp_path, capsys):
         assert main([*argv, "--out", str(tmp_path)]) == 1

@@ -219,6 +219,11 @@ class TestEvolve:
         with pytest.raises(DomainError):
             rf.evolve(f, params)
 
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan])
+    def test_non_finite_t_end_rejected(self, t_end):
+        with pytest.raises(DomainError, match="t_end must be finite"):
+            rf.DiffusionParams(p=2.0, dim=1, t_start=1.0, t_end=t_end)
+
     def test_dimension_mismatch_rejected(self):
         grid = rf.Grid.radial(3, 256, 5.0)
         f = rf.sample_mixture(grid, seed=1, mean_range=(0.0, 2.0))
