@@ -139,6 +139,9 @@ def barenblatt_spec(p: float, n: int, convention: str = UNIT_COEFF) -> Barenblat
     a_const = barenblatt_a(p, n)
     c_p = a_const ** (-2.0 * (p - 1.0) / coeffs.mu)
     kappa = (p - 1.0) / (2.0 * coeffs.mu * p)
+    if kappa == 0.0:  # mu p overflows: (C - kappa |x|^2) would have no quadratic term
+        raise DomainError(f"p = {p} is too large: the Barenblatt profile's quadratic "
+                          "coefficient (p-1)/(2 mu p) underflows to 0")
     if convention == UNIT_COEFF:
         c = c_p
     else:
@@ -320,9 +323,14 @@ def barenblatt_tail_mass(spec: BarenblattSpec, radius: float) -> float:
     return _incomplete_beta(1.0 / (1.0 - p) - half_n, half_n, c / (c - qr2))
 
 
+@functools.cache
 def suggest_domain_radius(p: float, n: int, tail_mass: float = 1e-6,
                           convention: str = UNIT_COEFF) -> float:
     """Smallest float radius r >= 1 whose profile tail mass is at most tail_mass.
+
+    Memoized per argument list, as `coefficients` and `gamma_const` are: one `evolve`
+    asks twice with the same arguments (its default radius, then `fast_diffusion_guard`),
+    and a sweep's rows ask once per seed with their (p, n).
 
     For p > 1 this is just the support edge.  For p < 1, Newton's method on
     log T against log r, with the exact slope -|S^{n-1}| r^n profile(r) / T,

@@ -244,14 +244,14 @@ def _initial_field(kind: str, grid: Grid, p: float, t_start: float, seed: int):
 
 
 def _profile_grid(args):
-    """The --initial file:PATH profile's grid (nodes, radius) and the profile.
+    """The --initial file:PATH profile's grid (dim, nodes, radius) and the profile.
 
-    The profile brings its own grid, so a --nodes or --radius value (flag or
-    config) other than the option's default and the grid's own is an error.
+    The profile brings its own grid, so a --dim, --nodes or --radius value (flag
+    or config) other than the option's default and the grid's own is an error.
     """
     field = read_profile(args.initial[len("file:"):])
     grid, command = field.grid, _build_parser()[1]["evolve"]
-    own = {"nodes": grid.node_count, "radius": grid.radius()}
+    own = {"dim": grid.dim, "nodes": grid.node_count, "radius": grid.radius()}
     for name, value in own.items():
         given = getattr(args, name)
         if given in (command.get_default(name), value):
@@ -290,16 +290,17 @@ def _run(cfg: dict, f0=None):
 
 
 def run_evolve(args) -> int:
-    p, dim = args.p, args.dim
-    if p is None:
+    if args.p is None:
         raise DomainError("evolve: --p is required")
-    names, tols = _requested_checks(args, args.verify, with_fields=True, snapshots=args.snapshots)
-    domain, f0 = {"nodes": args.nodes, "radius": args.radius}, None
+    domain, f0 = {"dim": args.dim, "nodes": args.nodes, "radius": args.radius}, None
     if args.initial.startswith("file:"):
         domain, f0 = _profile_grid(args)
-    elif domain["radius"] is None:
+        args.dim = domain["dim"]  # the checks are validated in the profile's dimension
+    p, dim = args.p, domain["dim"]
+    names, tols = _requested_checks(args, args.verify, with_fields=True, snapshots=args.snapshots)
+    if domain["radius"] is None:
         domain["radius"] = _default_radius(p, dim, args.t_end, args.initial)
-    cfg = {"subcommand": "evolve", "p": p, "dim": dim, **domain, "t_start": args.t_start,
+    cfg = {"subcommand": "evolve", "p": p, **domain, "t_start": args.t_start,
            "t_end": args.t_end, "snapshots": args.snapshots, "initial": args.initial,
            "seed": args.seed, "verify": names, "tols": tols}
     result, checks = _run(cfg, f0=f0)

@@ -27,6 +27,11 @@ def sphere_surface(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
+def _require_nodes(node_count: int) -> None:
+    if not node_count >= 8:
+        raise DomainError("grid needs at least 8 nodes")
+
+
 @dataclass(frozen=True)
 class Grid:
     kind: str
@@ -42,8 +47,7 @@ class Grid:
             raise DomainError("cartesian1d grids are one-dimensional")
         if self.kind == RADIAL and self.dim < 1:
             raise DomainError("radial dimension must be a positive integer")
-        if self.node_count < 8:
-            raise DomainError("grid needs at least 8 nodes")
+        _require_nodes(self.node_count)
         if not 0.0 < self.spacing < math.inf:  # so is radius(), a multiple of it
             raise DomainError("domain radius and grid spacing must be positive and finite")
         if self.kind == RADIAL and self.origin != self.spacing / 2.0:  # first face at r = 0
@@ -52,12 +56,14 @@ class Grid:
     @classmethod
     def cartesian(cls, node_count: int, radius: float) -> Grid:
         """Cell-centered grid covering [-radius, radius]."""
+        _require_nodes(node_count)  # before dividing by it
         h = 2.0 * radius / node_count
         return cls(CARTESIAN, 1, node_count, h, -radius + h / 2.0)
 
     @classmethod
     def radial(cls, dim: int, node_count: int, radius: float) -> Grid:
         """Cell-centered radial grid covering [0, radius] in dimension dim."""
+        _require_nodes(node_count)  # before dividing by it
         h = radius / node_count
         return cls(RADIAL, dim, node_count, h, h / 2.0)
 

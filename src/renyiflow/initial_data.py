@@ -1,12 +1,15 @@
 """Initial-data menu: sampled source solutions and seeded Gaussian mixtures."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .analytic import (
     PDE_NORMALIZED,
     BarenblattSpec,
     HeatKernelSpec,
+    _quadratic_coefficient,
     barenblatt_self_similar,
     barenblatt_spec,
     gaussian_density,
@@ -43,10 +46,38 @@ def sample_barenblatt(grid: Grid, p: float, t: float = 1.0,
 
 def sample_barenblatt_from_spec(grid: Grid, spec: BarenblattSpec, t: float = 1.0,
                                 normalize: bool = False) -> DensityField:
+    """The spec's profile at time t sampled on the grid.
+
+    normalize=True fits the profile's constant C to unit grid mass instead of
+    scaling the sample.  A scaled sample would scale e'(u) = p u^{p-1} / (p-1) by a
+    power of the factor; the fitted one stays a Barenblatt profile, whose u^{p-1} is
+    C less a multiple of |x|^2, so under the pde convention it is a steady state of
+    the solver's self-similar frame.  C comes from Newton's method on the grid mass,
+    which is monotone in C, from the spec's own C until a step moves it by at most
+    4 ulps; the rounding left is divided out.
+    """
     if spec.n != grid.dim:
         raise DomainError("spec dimension does not match the grid")
-    vals = barenblatt_self_similar(np.abs(grid.nodes()), t, spec)
-    return _maybe_normalize(grid, vals, normalize)
+    if normalize:
+        spec = replace(spec, c_const=_unit_mass_constant(grid, spec, t))
+    return _maybe_normalize(grid, barenblatt_self_similar(np.abs(grid.nodes()), t, spec),
+                            normalize)
+
+
+def _unit_mass_constant(grid: Grid, spec: BarenblattSpec, t: float) -> float:
+    """The constant C that gives the spec's profile at time t unit grid mass."""
+    p, mu = spec.p, spec.coeffs.mu
+    quad = _quadratic_coefficient(spec) * (np.abs(grid.nodes()) * t ** (-1.0 / mu)) ** 2
+    height, w, c = t ** (-spec.n / mu), grid.weights(), spec.c_const
+    for _ in range(50):
+        base = np.maximum(c - quad, 0.0)  # 0 outside the support for p > 1
+        u = base ** (1.0 / (p - 1.0))
+        rate = np.divide(u, base, out=np.zeros_like(u), where=base > 0.0)  # base^{1/(p-1) - 1}
+        step = (height * float(w @ u) - 1.0) / (height * float(w @ rate) / (p - 1.0))
+        c -= step
+        if abs(step) <= 4.0 * np.finfo(float).eps * abs(c):
+            return c
+    raise DomainError("no Barenblatt constant gives this grid unit mass")
 
 
 def sample_mixture(grid: Grid, seed: int, components: int | None = None,

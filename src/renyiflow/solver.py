@@ -16,6 +16,14 @@ implicit step estimates its own local error and sizes the next from it, so a slo
 flow takes longer steps.  Their tridiagonal systems are solved by odd-even cyclic
 reduction, on buffers and views prepared once per run.  The degenerate p > 1 front is
 handled as in Vazquez, *The Porous Medium Equation* (2007), ch. 5 and 9.
+
+The implicit march runs in the self-similar frame of Carrillo and Toscani (Indiana
+Univ. Math. J. 49, 2000) where that frame carries most of the motion:
+v(tau, y) = R^n u(t, R y) with R = t^{1/mu} and tau = log t solves
+v_tau = Lap(v^p) + div(y v) / mu, and the Barenblatt stands still.  The kernel's drift
+adds c m dphi to each face flux, phi = |y|^2 / (2 mu) and m the secant mobility, so
+the flux is c m d(xi) with xi = e'(v) + phi and the sampled Barenblatt, on which xi is
+constant, is a discrete steady state; a face whose upwind cell is empty is closed.
 """
 from __future__ import annotations
 
@@ -33,7 +41,7 @@ from .analytic import (
     suggest_domain_radius,
 )
 from .errors import BoundaryLeakWarning, DomainError, StabilityError
-from .functionals import FunctionalSnapshot, snapshot
+from .functionals import FunctionalSnapshot, rescale, snapshot
 from .grids import RADIAL, DensityField, Grid
 
 MAX_REJECTIONS = 40
@@ -64,6 +72,7 @@ CFL_SAFETY = 0.9
 # 5.8e-9 after steps of 1.7e7 CFL steps.
 MAX_CFL_STEPS = 1e6
 EPS = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).tiny)
 SEQUENTIAL_SIZE = 64  # tridiagonal systems this small are solved row by row
 # A p >= 1 run marches implicitly from the first snapshot at which one stable step moves
 # less than this fraction of the mass, ||u_t||_1 cfl_dt(1.0) < SWITCH_MASS_FRACTION m0.
@@ -72,6 +81,17 @@ SEQUENTIAL_SIZE = 64  # tridiagonal systems this small are solved row by row
 # fraction, but above 3.4e-5 the 512-node run of `test_barenblatt_concavity_exit_zero`
 # (3.9e-5 at t = 1, 3.4e-5 at t = 1.25) mostly switches early enough to fail.
 SWITCH_MASS_FRACTION = 2.2e-5
+# The implicit march runs in the self-similar frame when the flow there moves less than this
+# fraction of the mass it moves in x per unit of log t, ||v_tau||_1 < SELF_SIMILAR_RATE
+# t ||u_t||_1: where the dilation carries nearly all of the motion, so that the march takes
+# few enough steps to pay for the drift (a drift step costs about 1.3 drift-free ones,
+# tools/step_cost.py).  The sampled Barenblatt reads 3e-7 (p = 2) and 1e-8 (p = 0.8,
+# n = 3), and criterion 10's bumps 0.034 at its switch (40 steps in y, 187 in x); the
+# sweep's p = 0.8 mixtures read 0.34-0.75 and take only 3-12% fewer steps in y; compact
+# two-bump data reads 0.90-0.95 (its waiting fronts retreat in y, cell by cell), and
+# criterion 5's mixtures at p = 2 and 1.5, n = 3, 40 and 5.2 (the drift drains their thin
+# tails at the wall).
+SELF_SIMILAR_RATE = 0.1
 
 
 @dataclass(frozen=True)
@@ -131,9 +151,18 @@ class _Kernel:
     scratch, so callers refresh them with `_faces()` before reading them (`speed`,
     `cfl_dt`, `starting_dt`, `advance`).  Each out= pass of either step keeps the
     operands and operation order of the plain array expressions: bitwise theirs.
+
+    With a drift c > 0 the kernel steps v_tau = Lap(v^p) + c div(y v) on the y-grid:
+    every face flux gains c m dphi (`_drift_faces`), read by `speed`, `starting_dt`
+    and `implicit_advance`, whose linearization takes it as an upwind term in u' with
+    the ratio m / g_up frozen at the extrapolation g.  Its system stays a
+    column-diagonally-dominant M-matrix with zero column sums for p >= 1 (for p < 1
+    while neighbouring g differ by less than a factor (1-p)^{-1/p}).  The explicit
+    `advance` and `cfl_dt` read no drift: with none the kernel is the drift-free one,
+    bit for bit.
     """
 
-    def __init__(self, grid: Grid, p: float, values: np.ndarray):
+    def __init__(self, grid: Grid, p: float, values: np.ndarray, drift: float = 0.0):
         n = grid.node_count
         self.p, self.weights = p, grid.weights()
         self.conductance, self.coupling, self.max_rate = grid.conductances()
@@ -150,6 +179,14 @@ class _Kernel:
         self.error_tol = math.inf  # the local error, in mass, a step may make (evolve sets it)
         self.error_weights = self.weights  # the estimate's weights (evolve leaves the edge out)
         self.plan = self.work = None  # the implicit solver and buffers: made by its first call
+        self.drift = drift
+        if drift:
+            phi = 0.5 * drift * grid.nodes() ** 2
+            self.pull = self.conductance * (phi[1:] - phi[:-1])  # c dphi per face
+            self.lift, self.lift_hi, self.mobility, self.log_ratio, self.open_c = (
+                np.empty(n - 1) for _ in range(5))
+            self.cond_p, self.log_g, self.up = self.conductance / p, np.empty(n), np.empty(n - 1, bool)
+            self.closed = np.empty(n - 1, bool) if p > 1.0 else None  # no cell is empty for p <= 1
         self._faces()
 
     def _faces(self) -> None:
@@ -208,19 +245,108 @@ class _Kernel:
         np.multiply(self.conductance, self.dv, out=self.flux_in)
         return np.subtract(self.flux_hi, self.flux_lo, out=self.div)
 
+    def _floor(self) -> float:
+        """The floor of g = max(u, floor): 0 for p > 1; for p <= 1 the rounding of max(u),
+        and with a drift the least normal float, which keeps log g finite: there the
+        tail below max(u)'s rounding is part of the steady state, on which xi is
+        constant, and a higher floor would move it."""
+        if self.p > 1.0:
+            return 0.0
+        return TINY if self.drift else EPS * self.umax
+
+    def _flow(self) -> np.ndarray:
+        """The net flux into each cell at u: L v (dv is _faces()'s), and with a drift the
+        drift kernel's flux at g = max(u, floor), across open faces (`_drift_faces`)."""
+        if not self.drift:
+            return self._net_flux()
+        g = np.maximum(self.u, self._floor())
+        np.multiply(self.conductance, np.diff(g ** self.p), out=self.flux_in)
+        self._drift_faces(g)
+        return np.subtract(self.flux_hi, self.flux_lo, out=self.div)
+
+    def _drift_faces(self, g: np.ndarray) -> None:
+        """The drift's face terms at g, with flux_in holding c (g_{j+1}^p - g_j^p) on entry.
+
+        Adds the drift flux c m dphi to flux_in, where m = d(g^p) / d(e'(g)) is the
+        secant mobility across the face, e'(g) = p g^{p-1} / (p-1) (log g at p = 1), so
+        flux_in becomes c m d(xi), xi = e'(g) + phi.  Where it is positive the upper cell
+        is upwind (`up`): the mass leaves it.  `lift` is c m dphi / g_up, the drift's
+        share of the flux per unit of the upwind cell.  For p > 1 a face whose upwind
+        cell is empty is closed (`closed`): it carries no flux, so flux_in and lift are 0
+        there; so is one whose ratio m / g_up overflows, g_up being rounding beside m.
+        m is formed from r = min / max of the pair's g as
+        max(g) (r^p - 1) / (p (r^{p-1} - 1) / (p - 1)), through expm1 and log as
+        `functionals._pressure` does (log r for the denominator's quotient at p = 1); at
+        r = 1 (0/0), and where both cells are empty, the quotient reads 1.
+        """
+        p, flux, lift, up = self.p, self.flux_in, self.lift, self.up
+        mob, ratio = self.mobility, self.log_ratio
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            log_g = np.log(g, out=self.log_g)  # -inf where g = 0
+            np.subtract(log_g[1:], log_g[:-1], out=ratio)
+            np.abs(ratio, out=ratio)  # -log r
+            np.multiply(ratio, -p, out=mob)
+            np.expm1(mob, out=mob)  # r^p - 1
+            if p == 1.0:
+                np.negative(ratio, out=ratio)
+            else:
+                np.multiply(ratio, 1.0 - p, out=ratio)
+                np.expm1(ratio, out=ratio)
+                np.multiply(ratio, p / (p - 1.0), out=ratio)
+            np.divide(mob, ratio, out=mob)
+            np.fmin(mob, 1.0, out=mob)  # m / max(g), in [0, 1]; fmin reads nan as 1
+            np.multiply(mob, np.maximum(g[1:], g[:-1], out=ratio), out=mob)
+            np.multiply(mob, self.pull, out=mob)  # c m dphi
+            np.add(flux, mob, out=flux)
+            np.greater(flux, 0.0, out=up)
+            np.copyto(ratio, g[:-1])
+            np.copyto(ratio, g[1:], where=up)  # g_up
+            np.divide(mob, ratio, out=lift)
+        if self.closed is not None:  # g_up = 0, or so far below m that the ratio overflows
+            np.logical_not(np.isfinite(lift, out=self.closed), out=self.closed)
+            np.copyto(lift, 0.0, where=self.closed)
+            np.copyto(flux, 0.0, where=self.closed)
+
+    def _split(self, theta: float) -> None:
+        """open_c = theta c, 0 across closed faces, and theta lift split by the upwind
+        cell: `lift_hi` where the upper cell is upwind, `lift` where the lower one is."""
+        np.multiply(self.conductance, theta, out=self.open_c)
+        if self.closed is not None:
+            np.copyto(self.open_c, 0.0, where=self.closed)
+        np.multiply(self.lift, theta, out=self.lift)
+        np.multiply(self.lift, self.up, out=self.lift_hi)
+        np.subtract(self.lift, self.lift_hi, out=self.lift)
+
+    def _linear_flow(self, lin: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The net flux into each cell of the drift kernel's flow linearized as `_split`
+        left it, for the linearized u^p lin at the field x: the face flux is
+        open_c (lin_{j+1} - lin_j) + lift_hi x_{j+1} + lift x_j."""
+        flux, scratch = self.flux_in, self.dv
+        np.subtract(lin[1:], lin[:-1], out=flux)
+        np.multiply(flux, self.open_c, out=flux)
+        np.add(flux, np.multiply(self.lift_hi, x[1:], out=scratch), out=flux)
+        np.add(flux, np.multiply(self.lift, x[:-1], out=scratch), out=flux)
+        return np.subtract(self.flux_hi, self.flux_lo, out=out)
+
     def speed(self) -> float:
-        """||u_t||_1, u_t = L v / W: the mass the flow moves per unit time (dv is _faces()'s)."""
-        return float(np.abs(self._net_flux(), out=self.div).sum())
+        """||u_t||_1, u_t = `_flow()` / W: the mass the flow moves per unit time."""
+        return float(np.abs(self._flow(), out=self.div).sum())
 
     def starting_dt(self, tol_rate: float) -> float:
         """The first implicit step, read from the flow rather than the grid: the
         backward-Euler step whose local error, dt^2 / 2 ||u_tt||_1, is tol_rate dt, so
-        2 tol_rate / ||u_tt||_1, both norms over `error_weights`.  u_tt = L(s u_t) / w,
-        s = p u^{p-1} with u floored as in `implicit_advance` (dv is _faces()'s)."""
+        2 tol_rate / ||u_tt||_1, both norms over `error_weights`.  u_t = `_flow()` / w
+        and u_tt = J u_t / w, J the flow linearized at u as `implicit_advance` does:
+        L(s u_t) with s = p u^{p-1}, u floored as there, and with a drift its upwind
+        term at the frozen ratio m / g_up (dv is _faces()'s)."""
         p, w = self.p, self.weights
-        rate = self._net_flux() / w
-        slope = p * np.maximum(self.u, 0.0 if p > 1.0 else EPS * self.umax) ** (p - 1.0)
-        accel = self._divergence(slope * rate) / w
+        rate = self._flow() / w
+        slope = p * np.maximum(self.u, self._floor()) ** (p - 1.0)
+        if self.drift:
+            self._split(1.0)
+            accel = self._linear_flow(slope * rate, rate, self.div) / w
+        else:
+            accel = self._divergence(slope * rate) / w
         norm = float(self.error_weights @ np.abs(accel))
         return 2.0 * tol_rate / norm if norm > 0.0 else math.inf
 
@@ -235,7 +361,8 @@ class _Kernel:
         zero-stable.  The step is linearly implicit (Akrivis and Crouzeix, Math.
         Comp. 73, 2004): it solves W (u' - b) = theta L (g^p + s (u' - g)), s = p g^{p-1},
         about g = u + omega (u - u_prev) (g = u first), floored at 0 for p > 1 and at
-        the rounding of max(u) for p < 1: a column-diagonally-dominant M-matrix,
+        the rounding of max(u) for p < 1 (with a drift, at the least normal float,
+        `_floor`): a column-diagonally-dominant M-matrix,
         nonsingular where s = 0.  u' comes from the telescoping fluxes of the
         linearized u'^p, so mass is conserved.  Where u is smooth the linearization
         error is O(theta |u' - g|^2) = O(dt^5), but ahead of a p > 1 front g = 0, the
@@ -246,7 +373,9 @@ class _Kernel:
         the step relinearizes about u' (a Newton step) and solves again, moving the
         front a cell further.  d is formed at the front nodes only, in a zeroed buffer
         that is zeroed again after use.  b can be negative near a front, so an
-        undershoot of any solve halves dt, a rejection.
+        undershoot of any solve halves dt, a rejection.  With a drift, where b is
+        negative beyond rounding the step is backward Euler (b = u, theta = dt, g = u):
+        a cell the drift drains would extrapolate below 0, and no flux could fill it.
 
         From the third step on, the step also estimates its local error by Milne's
         device (Hairer and Wanner, *Solving Ordinary Differential Equations II*, 2nd ed.
@@ -275,7 +404,7 @@ class _Kernel:
             self.u, self.new = self.ring[0], self.ring[1]
         u, new, plan = self.u, self.new, self.plan
         bdf_base, spring, load, slope, shift, g_buf, trial_buf, defect, front = self.work
-        floor = 0.0 if p > 1.0 else EPS * self.umax
+        floor = self._floor()
         rejections = 0
         while True:
             g, trial = g_buf, trial_buf
@@ -292,6 +421,9 @@ class _Kernel:
                 np.multiply(change, omega, out=g)
                 np.add(u, g, out=g)
                 np.maximum(g, floor, out=g)
+                if self.drift and base.min() < -NEGATIVITY_SLACK * self.umax:
+                    base, theta = u, dt  # a draining cell: backward Euler, from u >= 0
+                    np.maximum(u, floor, out=g)
             np.multiply(self.conductance, theta, out=conduct)
             np.multiply(self.coupling, theta, out=spring)
             np.multiply(w, base, out=load)
@@ -301,15 +433,21 @@ class _Kernel:
                 np.multiply(g, 1.0 - p, out=shift)
                 np.multiply(shift, slope, out=shift)  # the linearized u'^p is shift + slope u'
                 np.multiply(slope, p, out=slope)
-                np.multiply(conduct, slope[:-1], out=plan.lower)
-                np.multiply(conduct, slope[1:], out=plan.upper)
-                np.add(w, np.multiply(spring, slope, out=plan.diag), out=plan.diag)
-                np.multiply(theta, self._divergence(shift), out=plan.rhs)
-                np.add(load, plan.rhs, out=plan.rhs)
+                if self.drift:
+                    self._drift_rows(g, slope, shift, theta, load)
+                else:
+                    np.multiply(conduct, slope[:-1], out=plan.lower)
+                    np.multiply(conduct, slope[1:], out=plan.upper)
+                    np.add(w, np.multiply(spring, slope, out=plan.diag), out=plan.diag)
+                    np.multiply(theta, self._divergence(shift), out=plan.rhs)
+                    np.add(load, plan.rhs, out=plan.rhs)
                 sol = plan.solve()
                 np.multiply(slope, sol, out=scratch)
                 np.add(shift, scratch, out=scratch)
-                np.multiply(theta, self._divergence(scratch), out=new)
+                if self.drift:
+                    self._linear_flow(scratch, sol, new)
+                else:
+                    np.multiply(theta, self._divergence(scratch), out=new)
                 np.divide(new, w, out=new)
                 np.add(base, new, out=new)
                 umax = new.max()
@@ -331,7 +469,7 @@ class _Kernel:
             if undershoot:
                 factor = 0.5
             else:
-                error = self._local_error(dt, theta, slope)
+                error = self._local_error(dt, theta, slope, base is u)
                 factor = 2.0  # the controller: 0.9 (error_tol / error)^(1/3), at most 2
                 if 8.0 * error > 0.9 ** 3 * self.error_tol:
                     factor = 0.9 * (self.error_tol / error) ** (1.0 / 3.0)
@@ -349,9 +487,32 @@ class _Kernel:
         self.umax, self.dt_next = float(umax), factor * dt  # v, dv and du are left stale
         return dt, rejections
 
-    def _local_error(self, dt: float, theta: float, gap: np.ndarray) -> float:
+    def _drift_rows(self, g: np.ndarray, slope: np.ndarray, shift: np.ndarray, theta: float,
+                    load: np.ndarray) -> None:
+        """The plan's system for the step linearized about g with the drift: theta times
+        the face fluxes of `_linear_flow`, about g's faces (`_drift_faces`), with the
+        linearized u'^p = shift + slope u'.  Each face's upwind term adds to the coupling
+        of its upwind cell, so the columns still sum to the weights."""
+        plan, open_c, flux = self.plan, self.open_c, self.flux_in
+        np.multiply(slope, g, out=self.v)  # p g^p
+        np.subtract(self.v_hi, self.v_lo, out=flux)
+        np.multiply(flux, self.cond_p, out=flux)
+        self._drift_faces(g)
+        self._split(theta)
+        lower, diag, upper = plan.lower, plan.diag, plan.upper
+        np.add(np.multiply(open_c, slope[1:], out=upper), self.lift_hi, out=upper)
+        np.subtract(np.multiply(open_c, slope[:-1], out=lower), self.lift, out=lower)
+        np.copyto(diag, self.weights)
+        np.add(diag[:-1], lower, out=diag[:-1])
+        np.add(diag[1:], upper, out=diag[1:])
+        np.subtract(shift[1:], shift[:-1], out=flux)
+        np.multiply(flux, open_c, out=flux)
+        np.add(load, np.subtract(self.flux_hi, self.flux_lo, out=plan.rhs), out=plan.rhs)
+
+    def _local_error(self, dt: float, theta: float, gap: np.ndarray, euler: bool) -> float:
         """C w @ |new - P2| for the step of dt to new (self.new), 0 before three levels;
-        w here is `error_weights`."""
+        w here is `error_weights`.  A backward-Euler step errs by dt^2 / 2 u_tt, which
+        new - P2 holds whole: C = 1."""
         if self.u_prev2 is None:
             return 0.0
         h1, h2, head, coef = self.dt_prev, self.dt_prev2, self.head, self.coef
@@ -361,7 +522,8 @@ class _Kernel:
         coef[(head + 1) % 4], coef[head % 4] = 1.0, -1.0 - a
         coef[(head - 1) % 4], coef[(head - 2) % 4] = a + b, -b
         np.dot(coef, self.ring, out=gap)  # new - P2
-        return theta / (theta + dt + h1 + h2) * float(self.error_weights @ np.abs(gap, out=gap))
+        share = 1.0 if euler else theta / (theta + dt + h1 + h2)
+        return share * float(self.error_weights @ np.abs(gap, out=gap))
 
 
 class _ReductionPlan:
@@ -476,6 +638,15 @@ def step(state: SolverState, params: DiffusionParams, dt: float | None = None) -
     )
 
 
+def _edge_weights(grid: Grid) -> np.ndarray:
+    """The weights of the last node_count // EDGE_CELLS cells at each wall (the outer one
+    on radial grids), 0 elsewhere."""
+    from_wall = np.arange(grid.node_count)[::-1]  # cells between a node and the wall
+    if grid.kind != RADIAL:
+        from_wall = np.minimum(from_wall, from_wall[::-1])  # either wall
+    return np.where(from_wall < max(1, grid.node_count // EDGE_CELLS), grid.weights(), 0.0)
+
+
 @dataclass
 class EvolutionResult:
     params: DiffusionParams
@@ -520,6 +691,19 @@ def evolve(f0: DensityField, params: DiffusionParams,
     The edge mass, the mass in the last node_count // EDGE_CELLS cells at each
     wall, is read at the datum and at every snapshot; above DOMAIN_TOL, the
     wall holds mass the flow on R^n would carry past it, and the run warns once.
+
+    Where the implicit march starts (at t_start, or at the switch snapshot) at t > 0,
+    it runs in the self-similar frame when the flow there moves less than
+    SELF_SIMILAR_RATE of the mass it moves in x per unit of log t: the field is dilated
+    exactly onto the y-grid (`functionals.rescale` by t^{-1/mu}), the kernel gets the
+    drift 1 / mu, and the march's clock is tau = log t.  Each snapshot is mapped back
+    by `rescale(., t_k^{1/mu})`, so the snapshots, the checks and the messages read
+    the physical field at physical t, and `fields[k]` lives on the grid dilated to
+    t_k.  The tolerance keeps its unit, mass over the interval in t.  The y-frame's
+    wall moves out with the grid in x.  A backward-Euler step stands in for BDF2 there
+    when BDF2's base is negative beyond rounding: a cell the drift drains (the thin
+    tail an explicit march leaves ahead of a p > 1 front, a front retreating in y)
+    extrapolates below 0.
     """
     if f0.grid.dim != params.dim:
         raise DomainError("initial field dimension does not match params.dim")
@@ -527,25 +711,34 @@ def evolve(f0: DensityField, params: DiffusionParams,
     if abs(m0 - 1.0) > 1e-6:
         raise DomainError(f"initial mass must be 1 within 1e-6, got {m0}")
     times = params.times()
-    grid = f0.grid
-    from_wall = np.arange(grid.node_count)[::-1]  # cells between a node and the wall
-    if grid.kind != RADIAL:
-        from_wall = np.minimum(from_wall, from_wall[::-1])  # either wall
-    edge = np.where(from_wall < max(1, grid.node_count // EDGE_CELLS), grid.weights(), 0.0)
-    kernel = _Kernel(grid, params.p, f0.values)
+    p, grid = params.p, f0.grid
+    edge = _edge_weights(grid)
+    kernel = _Kernel(grid, p, f0.values)
     kernel.error_weights = grid.weights() - edge  # 0 at the edge: the wall's layer is the domain's
-    implicit = params.p < 1.0
+    implicit, dilate = False, 0.0  # dilate: 1 / mu once the march runs in y
     t = float(times[0])
     steps = rejections = 0
     edge_mass = float(edge @ f0.values)
-    snaps = [snapshot(f0, params.p, params.dim, t=t, with_dissipation=with_dissipation)]
+    snaps = [snapshot(f0, p, params.dim, t=t, with_dissipation=with_dissipation)]
     fields = [f0]
     rate = kernel.speed()  # the largest ||u_t||_1 of the run: the flow is an L1 contraction
     for target in times[1:]:
         interval = float(target - t)
         kernel._faces()  # an implicit step leaves v = u^p stale
         stable = kernel.cfl_dt(1.0)
-        implicit = implicit or kernel.speed() * stable < SWITCH_MASS_FRACTION * m0
+        if not implicit and (p < 1.0 or kernel.speed() * stable < SWITCH_MASS_FRACTION * m0):
+            implicit = True
+            if t > 0.0:  # tau = log t is the self-similar frame's clock
+                drift = 1.0 / coefficients(p, params.dim).mu
+                start = rescale(fields[-1], t ** -drift)  # onto the y-grid
+                frame = _Kernel(start.grid, p, start.values, drift)
+                if frame.speed() < SELF_SIMILAR_RATE * t * kernel.speed():
+                    dilate, grid, kernel = drift, start.grid, frame
+                    edge = _edge_weights(grid)
+                    kernel.error_weights = grid.weights() - edge
+                    stable = kernel.cfl_dt(1.0)
+        # the march's clock: t, or tau = log t in the self-similar frame
+        now, end = (math.log(t), math.log(target)) if dilate else (t, target)
         if implicit:
             # the most mass the flow can move over this interval, and sqrt(eps) of the
             # mass where it barely moves, so that rounding fails no step
@@ -553,20 +746,23 @@ def evolve(f0: DensityField, params: DiffusionParams,
             kernel.error_tol = LOCAL_ERROR_TOL * max(moved, math.sqrt(EPS) * m0)
             longest = MAX_CFL_STEPS * stable
             if not kernel.dt_next:  # the march's first step
-                kernel.dt_next = kernel.starting_dt(kernel.error_tol / interval)
+                kernel.dt_next = kernel.starting_dt(kernel.error_tol / (end - now))
         march = kernel.implicit_advance if implicit else kernel.advance
-        while t < target:
+        at = t  # the step's start in t, for messages
+        while now < end:
             proposal = min(kernel.dt_next, longest) if implicit else kernel.cfl_dt()
-            remaining = target - t
+            remaining = end - now
             parts = max(1, math.ceil(remaining / proposal))
-            dt_used, rej = march(remaining / parts, t)
-            t += dt_used
+            dt_used, rej = march(remaining / parts, at)
+            now += dt_used
+            at = math.exp(now) if dilate else now
             steps += 1
             rejections += rej
         t = float(target)  # absorb roundoff from the exact landing
         fld = DensityField(grid, kernel.u)
-        snaps.append(snapshot(fld, params.p, params.dim, t=t,
-                              with_dissipation=with_dissipation))
+        if dilate:
+            fld = rescale(fld, t ** dilate)  # back to x at t
+        snaps.append(snapshot(fld, p, params.dim, t=t, with_dissipation=with_dissipation))
         fields.append(fld)
         edge_mass = max(edge_mass, float(edge @ kernel.u))
     result = EvolutionResult(params, snaps, fields, steps, rejections, edge_mass)

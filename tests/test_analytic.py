@@ -477,6 +477,15 @@ class TestSuggestDomainRadius:
         assert rf.suggest_domain_radius(0.95, 1, 3e-6) == 1.0
         assert len(tail_calls) <= 16
 
+    def test_repeat_call_is_memoized(self, tail_calls):
+        # one evolve sizes its domain twice with the same arguments
+        rf.suggest_domain_radius.cache_clear()
+        first = rf.suggest_domain_radius(0.8, 3, 1e-6, rf.PDE_NORMALIZED)
+        assert tail_calls
+        tail_calls.clear()
+        again = rf.suggest_domain_radius(0.8, 3, 1e-6, rf.PDE_NORMALIZED)
+        assert tail_calls == [] and again == first and type(again) is float
+
     def test_support_edge_for_porous_medium(self):
         spec = rf.barenblatt_spec(2.0, 3, rf.PDE_NORMALIZED)
         assert rf.suggest_domain_radius(2.0, 3, 1e-6, rf.PDE_NORMALIZED) == rf.support_radius(spec)

@@ -173,6 +173,19 @@ class TestEvolveCommand:
         assert (exp_dirs[0] / "run_meta.json").exists()
         assert (exp_dirs[0] / "verdicts.txt").exists()
 
+    def test_barenblatt_concavity_exit_zero_forced_implicit(self, monkeypatch, tmp_path):
+        # the same config marched implicitly from t = 1, in y, where the Barenblatt
+        # stands still: x-frame implicit steps failed concavity here (-1.05e-6)
+        monkeypatch.setattr(solver, "SWITCH_MASS_FRACTION", math.inf)
+        code = main(["evolve", "--p", "2", "--dim", "1", "--nodes", "512",
+                     "--t-start", "1", "--t-end", "1.5", "--snapshots", "5",
+                     "--initial", "barenblatt", "--verify", "concavity,upsilon,debruijn",
+                     "--tol-debruijn", "0.05", "--tol-upsilon", "1e-4",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        (meta,) = tmp_path.glob("exp-*/run_meta.json")
+        assert json.loads(meta.read_text())["steps"] == 4
+
     def test_mixture_concavity_debruijn_exit_zero(self, tmp_path):
         code = main(["evolve", "--p", "1.5", "--dim", "1", "--nodes", "384",
                      "--t-start", "1", "--t-end", "1.2", "--snapshots", "9",
@@ -233,6 +246,17 @@ class TestEvolveCommand:
             "stability failure: implicit step at t = 1.0: linearization did not settle\n"
         assert not any(tmp_path.iterdir())
 
+    def test_self_similar_stability_failure_reads_t(self, monkeypatch, tmp_path, capsys):
+        # the Barenblatt marches in y = x / t^{1/mu} with the clock log t; the message
+        # gives the step's start in t
+        monkeypatch.setattr(solver, "LINEARIZATION_TOL", -1.0)
+        code = main(["evolve", "--p", "0.8", "--dim", "3", "--nodes", "64",
+                     "--initial", "barenblatt", "--t-start", "1.5", "--t-end", "1.6",
+                     "--snapshots", "3", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "stability failure: implicit step at t = 1.5: linearization did not settle\n"
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["evolve", "--p", "1.5", "--dim", "1", "--nodes", "256",
                 "--t-start", "1", "--t-end", "1.1", "--snapshots", "3",
@@ -281,6 +305,31 @@ class TestEvolveCommand:
         (meta,) = (tmp_path / "run").glob("exp-*/run_meta.json")
         config = json.loads(meta.read_text())["config"]
         assert (config["geometry"], config["dim"], config["nodes"]) == ("radial", 1, 128)
+
+    def test_profile_dimension_from_its_header(self, tmp_path):
+        # a radial n = 3 profile written by `barenblatt --dim 3` runs in three dimensions
+        # with no --dim; --dim 3 agrees with it, and --dim 2 names the file
+        assert main(["barenblatt", "--p", "2", "--dim", "3", "--nodes", "1024",
+                     "--out", str(tmp_path / "profile")]) == 0
+        (src,) = (tmp_path / "profile").glob("exp-*/profile.csv")
+        base = ["evolve", "--p", "2", "--t-end", "1.05", "--snapshots", "3",
+                "--initial", f"file:{src}", "--verify", "isoperimetric"]
+        assert main(base + ["--out", str(tmp_path / "bare")]) == 0
+        assert main(base + ["--dim", "3", "--out", str(tmp_path / "given")]) == 0
+        (bare,) = (tmp_path / "bare").glob("exp-*")
+        (given,) = (tmp_path / "given").glob("exp-*")
+        assert bare.name == given.name
+        config = json.loads((bare / "run_meta.json").read_text())["config"]
+        assert (config["geometry"], config["dim"], config["nodes"]) == ("radial", 3, 1024)
+
+    def test_profile_dimension_conflict_names_the_file(self, tmp_path, capsys):
+        src = tmp_path / "initial.csv"
+        write_profile(src, rf.sample_barenblatt(rf.Grid.radial(3, 128, 4.0), 2.0, normalize=True))
+        assert main(["evolve", "--p", "2", "--dim", "2", "--initial", f"file:{src}",
+                     "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: --dim 2 differs from the 3 of the grid of file:{src}\n")
+        assert not (tmp_path / "run").exists()
 
     def test_file_initial_read_once(self, tmp_path, short_run, monkeypatch):
         reads = []
@@ -870,6 +919,12 @@ class TestUsageErrors:
         (["barenblatt", "--p", "2", "--t", "-1"], "self-similar time must be positive"),
         (["barenblatt", "--p", "0.8", "--dim", "3", "--t", "-1"],
          "self-similar time must be positive"),
+        # the grid counts its nodes before it divides by them
+        (["evolve", "--p", "2", "--nodes", "0"], "grid needs at least 8 nodes"),
+        (["sweep", "--nodes", "0"], "grid needs at least 8 nodes"),
+        (["barenblatt", "--p", "2", "--nodes", "0"], "grid needs at least 8 nodes"),
+        (["evolve", "--p", "1e300"], "p = 1e+300 is too large: the Barenblatt profile's "
+                                     "quadratic coefficient (p-1)/(2 mu p) underflows to 0"),
     ])
     def test_exit_one_message(self, argv, message, tmp_path, capsys):
         assert main([*argv, "--out", str(tmp_path)]) == 1

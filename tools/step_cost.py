@@ -10,20 +10,26 @@ step is BDF2 at a fixed step, the one that moves MASS_STEP = 0.2% of the
 (unit) mass, MASS_STEP / ||u_t||_1 (`evolve` sizes implicit steps by their
 local-error estimate instead; a fixed step keeps the timed work the same),
 after one backward-Euler step and one BDF2 step of that size: every timed step
-starts from those three levels, so it forms its local-error estimate too.  The
-explicit step is `advance` at the CFL step (`solver.CFL_SAFETY` of the stable
-step), timed together with its `cfl_dt`, and timed again on the radial n = 3
-grid (`radial3`): the p = 2 Barenblatt in three dimensions at t = 1, on the
-radial domain sized the same way.  Every timed step starts from a copy of one
-kernel state, so all REPEATS = 400 of them do the same work.  The three kinds
-of step alternate, so a change in the host's speed touches them alike; the
-median is reported with the quartiles.  The solves per implicit step are
-counted once, outside the timing.  The ratio is that of the medians,
-implicit / explicit (Cartesian).
+starts from those three levels, so it forms its local-error estimate too.  It
+is timed twice: drift-free, as `evolve` steps in x, and with the drift of the
+self-similar frame (`drift`), as `evolve` steps the Barenblatt, whose y-grid
+at t = 1 is the same grid (the same step, now in tau = log t; the field stands
+still there, so the drift column is the step's cost, not its work on a moving
+front).  The explicit step is `advance` at the CFL step (`solver.CFL_SAFETY` of
+the stable step), timed together with its `cfl_dt`, and timed again on the
+radial n = 3 grid (`radial3`): the p = 2 Barenblatt in three dimensions at
+t = 1, on the radial domain sized the same way.  Every timed step starts from
+a copy of one kernel state, so all REPEATS = 400 of them do the same work.
+The four kinds of step alternate, so a change in the host's speed touches them
+alike; the median is reported with the quartiles.  The solves per implicit
+step are counted once, outside the timing.  The ratios are those of the
+medians: implicit / explicit (Cartesian), and drift / implicit, the drift's
+share of a step's cost.
 
 The renyiflow imported is whichever PYTHONPATH finds, so pointing it at
 another checkout's ``src`` times that checkout with this same method, given a
-`_Kernel.cfl_dt` whose safety defaults to `solver.CFL_SAFETY`.
+`_Kernel.cfl_dt` whose safety defaults to `solver.CFL_SAFETY` and a `_Kernel` that
+takes a drift.
 """
 from __future__ import annotations
 
@@ -43,19 +49,19 @@ REPEATS = 400  # timed steps per march and N
 MASS_STEP = 2e-3  # the share of the mass one timed implicit step moves
 
 
-def _barenblatt_kernel(nodes: int, dim: int = 1) -> solver._Kernel:
+def _barenblatt_kernel(nodes: int, dim: int = 1, drift: float = 0.0) -> solver._Kernel:
     spec = rf.barenblatt_spec(P, dim, rf.PDE_NORMALIZED)
     radius = 1.3 * rf.support_radius(spec) * T_DOMAIN ** (1.0 / spec.coeffs.mu)
     grid = rf.Grid.cartesian(nodes, radius) if dim == 1 else rf.Grid.radial(dim, nodes, radius)
     f0 = rf.sample_barenblatt(grid, P, T_START, normalize=True)
-    return solver._Kernel(f0.grid, P, f0.values)
+    return solver._Kernel(f0.grid, P, f0.values, drift)
 
 
-def _implicit_stepper(nodes: int):
-    """A BDF2 step that moves MASS_STEP of the mass, from one saved three-level state,
-    and its solves."""
-    kernel = _barenblatt_kernel(nodes)
-    dt = MASS_STEP / kernel.speed()
+def _implicit_stepper(nodes: int, drift: float = 0.0):
+    """A BDF2 step that moves MASS_STEP of the mass in x, from one saved three-level
+    state, and its solves; with the drift, that step in the self-similar frame."""
+    dt = MASS_STEP / _barenblatt_kernel(nodes).speed()
+    kernel = _barenblatt_kernel(nodes, drift=drift)
     kernel.implicit_advance(dt, T_START)  # the backward-Euler start
     kernel.implicit_advance(dt, T_START + dt)
     levels = [kernel.u.copy(), kernel.u_prev.copy(), kernel.u_prev2.copy()]
@@ -92,22 +98,24 @@ def _explicit_stepper(nodes: int, dim: int = 1):
     return restore, lambda: kernel.advance(kernel.cfl_dt(), T_START)
 
 
-def step_cost(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Quartiles of µs per implicit step, per explicit step and per radial n = 3
-    explicit step, and the solves per implicit step.  The three kinds of step
-    alternate, so all see the same host."""
+def step_cost(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """Quartiles of µs per implicit step, per explicit step, per radial n = 3 explicit
+    step and per implicit step with the drift, and the solves per implicit step without
+    and with it.  The four kinds of step alternate, so all see the same host."""
     restore, advance, solves = _implicit_stepper(nodes)
-    steppers = [(restore, advance), _explicit_stepper(nodes), _explicit_stepper(nodes, 3)]
-    samples = [[], [], []]
+    *drifting, drift_solves = _implicit_stepper(nodes, 1.0 / rf.coefficients(P, 1).mu)
+    steppers = [(restore, advance), _explicit_stepper(nodes), _explicit_stepper(nodes, 3),
+                drifting]
+    samples = [[], [], [], []]
     for _ in range(REPEATS):
         for (restore, advance), times in zip(steppers, samples):
             restore()
             start = time.perf_counter_ns()
             advance()
             times.append(time.perf_counter_ns() - start)
-    implicit, explicit, radial = (np.percentile(np.array(t) / 1e3, [25.0, 50.0, 75.0])
-                                  for t in samples)
-    return implicit, explicit, radial, solves
+    implicit, explicit, radial, drift = (np.percentile(np.array(t) / 1e3, [25.0, 50.0, 75.0])
+                                         for t in samples)
+    return implicit, explicit, radial, drift, solves, drift_solves
 
 
 def main(argv: list[str]) -> int:
@@ -121,12 +129,14 @@ def main(argv: list[str]) -> int:
           f"numpy {np.__version__}; renyiflow from {os.path.dirname(rf.__file__)}")
     print(f"# p = {P} Barenblatt at t = {T_START}; median [q1, q3] of {REPEATS} steps, µs")
     print(f"{'N':>6}  {'implicit':>24}  {'solves':>6}  {'explicit':>24}  {'ratio':>6}  "
-          f"{'radial3 explicit':>24}")
+          f"{'radial3 explicit':>24}  {'drift':>24}  {'solves':>6}  {'ratio':>6}")
     for nodes in args.nodes:
-        implicit, explicit, radial, solves = step_cost(nodes)
-        cells = [f"{q[1]:9.1f} [{q[0]:.1f}, {q[2]:.1f}]" for q in (implicit, explicit, radial)]
+        implicit, explicit, radial, drift, solves, drift_solves = step_cost(nodes)
+        cells = [f"{q[1]:9.1f} [{q[0]:.1f}, {q[2]:.1f}]"
+                 for q in (implicit, explicit, radial, drift)]
         print(f"{nodes:>6}  {cells[0]:>24}  {solves:>6}  {cells[1]:>24}  "
-              f"{implicit[1] / explicit[1]:>6.1f}  {cells[2]:>24}")
+              f"{implicit[1] / explicit[1]:>6.1f}  {cells[2]:>24}  {cells[3]:>24}  "
+              f"{drift_solves:>6}  {drift[1] / implicit[1]:>6.2f}")
     return 0
 
 
