@@ -19,6 +19,7 @@ field at p > 1, is summed over all nodes, unmasked.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,38 +38,78 @@ def _dim(f: DensityField, n: int | None) -> int:
 
 
 def mass(f: DensityField) -> float:
-    return float(f.grid.weights() @ f.values)
+    got = f._memo.get("mass")
+    if got is None:
+        got = f._memo["mass"] = float(f.grid.weights() @ f.values)
+    return got
 
 
-def _quotient(num, den: float, limit):
-    """num / den, and limit where den is 0: the family's two removable singularities,
-    expm1(x)/(p-1) -> log(u/c) at p = 1 and log1p(r)/r -> 1 at r = 0."""
-    return num / den if den != 0.0 else limit
+# The p-independent passes over the last read-only values array evaluated, in one
+# slot: a weak reference to the array and its `_passes`, a pair that the next array's
+# replaces whole.  The arrays go with the values they came from (`_drop_passes`), so
+# nothing holds them between fields: held on, they raised a 2048-node evolve run's
+# peak resident memory by 0.6 MB.
+_NO_PASSES = (lambda: None, None)
+_last_passes = [_NO_PASSES]
+
+
+def _drop_passes(ref: weakref.ref) -> None:
+    if _last_passes[0][0] is ref:
+        _last_passes[0] = _NO_PASSES
+
+
+def _passes(values: np.ndarray) -> tuple[float, np.ndarray | None, np.ndarray, np.ndarray]:
+    """(c, positive, log(u/c), sqrt(u)) for c = max u: what every p's pressure shares.
+
+    positive is the mask of nodes u > 0, None where every node is; log(u/c) is 0 at
+    the others, so log 0 is never formed.  A field's values are read-only, so their
+    passes cannot go stale: they are formed once for every p and kept, read-only,
+    until the passes of another array replace them or the values are freed.  A
+    writable array's are formed afresh on every call.
+    """
+    ref, got = _last_passes[0]
+    if ref() is values:
+        return got
+    c = values.max()
+    positive = values > 0.0
+    if positive.all():
+        positive = None
+    scaled = np.multiply(values, 1.0 / c)
+    log_uc = np.log(scaled, out=scaled) if positive is None else np.log(
+        scaled, out=np.zeros_like(values), where=positive)
+    got = (c, positive, log_uc, np.sqrt(values))
+    if not values.flags.writeable:
+        for a in got[1:]:
+            if a is not None:
+                a.flags.writeable = False
+        _last_passes[0] = (weakref.ref(values, _drop_passes), got)
+    return got
 
 
 def _pressure(values: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray | None, float]:
     """The shifted pressure P of u/c, the trust mask, and log c, for c = max u.
 
     P = ((u/c)^{p-1} - 1)/(p-1) = expm1(x)/(p-1), x = (p-1) log(u/c), and
-    log(u/c) at p = 1; the pressure of u is c^{p-1} P plus a constant.  The
-    level c, not 1, keeps P's differences to rounding at any scale of u.
-    log 0 is never formed.  The mask is None where every node may be trusted:
-    at p > 1, where a vanishing node takes log(u/c) = -inf and so
-    P = -1/(p-1) exactly, and at p <= 1 when no node vanishes.  Where one
-    does, P blows up there, so it is set to 0 and the mask is eroded by the
-    stencil width, so difference quotients never touch a fabricated node.
+    log(u/c) at p = 1, where P is `_passes`' shared, read-only array; the pressure
+    of u is c^{p-1} P plus a constant.  The level c, not 1, keeps P's differences to
+    rounding at any scale of u.  log 0 is never formed.  The mask is None where
+    every node may be trusted: at p > 1, where a vanishing node takes
+    log(u/c) = -inf and so P = -1/(p-1) exactly, and at p <= 1 when no node
+    vanishes.  Where one does, P is 0 there, and the mask is eroded by the stencil
+    width, so difference quotients never touch a fabricated node.
     """
     if not p > 0.0:
         raise DomainError("p must be positive")
-    c = values.max()
-    positive = values > 0.0
-    every = positive.all()
-    scaled = values * (1.0 / c)
-    log_uc = np.log(scaled) if every else np.log(
-        scaled, out=np.full_like(values, -np.inf if p > 1.0 else 0.0), where=positive)
-    x = (p - 1.0) * log_uc
-    pressure = _quotient(np.expm1(x, out=x), p - 1.0, log_uc)
-    if every or p > 1.0:
+    c, positive, log_uc, _ = _passes(values)
+    if p == 1.0:
+        pressure = log_uc
+    else:
+        if positive is None or p < 1.0:
+            x = np.multiply(log_uc, p - 1.0)
+        else:  # (p-1) log 0 = -inf where u vanishes
+            x = np.multiply(log_uc, p - 1.0, out=np.full_like(values, -np.inf), where=positive)
+        pressure = np.divide(np.expm1(x, out=x), p - 1.0, out=x)
+    if positive is None or p > 1.0:
         return pressure, None, math.log(c)
     eroded = positive.copy()
     eroded[1:] &= positive[:-1]
@@ -78,9 +119,10 @@ def _pressure(values: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray | No
     return pressure, eroded, math.log(c)
 
 
-def _power_terms(f: DensityField, p: float, pressure: np.ndarray,
-                 log_c: float) -> tuple[float, float]:
-    """(integral u^p, H_p) from `_pressure`'s P and log c, with no gradient.
+def _power_terms(f: DensityField, p: float, pressure: np.ndarray, log_c: float,
+                 out: np.ndarray | None = None) -> tuple[float, float]:
+    """(integral u^p, H_p) from `_pressure`'s P and log c, with no gradient; u P is
+    formed in out if given.
 
     With r = (p-1) integral u P / m, integral u^p = c^{p-1} m (1 + r) and
     H_p = -log c - log1p(r)/(p-1) = -log c - (log1p(r)/r) integral u P / m,
@@ -90,12 +132,13 @@ def _power_terms(f: DensityField, p: float, pressure: np.ndarray,
     mass-conserving flow whatever m is.
     """
     m = mass(f)
-    u_p = float(f.grid.weights() @ (f.values * pressure))
+    u_p = float(f.grid.weights() @ np.multiply(f.values, pressure, out=out))
     r = (p - 1.0) * u_p / m
     s = math.exp((p - 1.0) * log_c) * (m + (p - 1.0) * u_p)
     if not s > 0.0:
         raise DomainError("integral of u^p vanishes")
-    return s, -log_c - _quotient(math.log1p(r), r, 1.0) * u_p / m
+    ratio = math.log1p(r) / r if r != 0.0 else 1.0  # its limit at r = 0, as at p = 1
+    return s, -log_c - ratio * u_p / m
 
 
 def _power_pair(f: DensityField, p: float) -> tuple:
@@ -151,20 +194,28 @@ def _dissipation_terms(f: DensityField, p: float, pressure: np.ndarray, ok: np.n
     For a radial profile the Hessian eigenvalues are g'' and g'/r, so with
     a = g'' u^{p/2} and b = (g'/r) u^{p/2} the two integrands are
     a^2 + (n-1) b^2 and (a + (n-1) b)^2; the nodewise trace inequality
-    |D^2 g|^2 >= (Lap g)^2 / n is preserved exactly by this grouping.
+    |D^2 g|^2 >= (Lap g)^2 / n is preserved exactly by this grouping.  Past g, u^{p/2}
+    and the two derivatives, every pass writes into one of those arrays, with the
+    operands and operation order of the plain expressions, so the bits are theirs.
     """
     v = f.values
-    g = p * math.exp((p - 1.0) * log_c) * pressure
+    g = np.multiply(pressure, p * math.exp((p - 1.0) * log_c))
     damp = v ** (p / 2.0)
     if ok is not None:
-        damp = np.where(ok, damp, 0.0)
-    a = second_derivative(g, f.grid) * damp
+        np.copyto(damp, 0.0, where=~ok)
+    a = second_derivative(g, f.grid)
+    np.multiply(a, damp, out=a)
     if f.grid.kind == CARTESIAN or f.grid.dim == 1:
-        aa = a * a
+        aa = np.multiply(a, a, out=a)
         return aa, aa
-    b = gradient(g, f.grid) / f.grid.nodes() * damp
-    mb = (f.grid.dim - 1) * b
-    return a * a + mb * b, (a + mb) ** 2
+    b = gradient(g, f.grid)
+    np.divide(b, f.grid.nodes(), out=b)
+    np.multiply(b, damp, out=b)
+    mb = np.multiply(b, f.grid.dim - 1, out=damp)
+    hess = np.multiply(mb, b, out=b)  # (n-1) b b, then a a added below
+    lap = np.add(a, mb, out=mb)
+    np.add(np.multiply(a, a, out=a), hess, out=hess)
+    return hess, np.square(lap, out=lap)
 
 
 def _integrals(f: DensityField, p: float,
@@ -173,23 +224,34 @@ def _integrals(f: DensityField, p: float,
 
     One pressure pass per (field, p), kept in f._memo next to `_power_pair`'s
     first two entries: the last two come from the same pressure as F_p, and
-    only once asked for (None until then).
+    only once asked for (None until then).  The p-independent passes (max u, the
+    positivity mask, log(u/c), sqrt(u), the mass) are formed once per field for
+    every p (`_passes`, `mass`), and each later pass writes into an array the
+    evaluation already holds.
     """
     got = f._memo.get(p)
     if got is not None and got[2] is not None and (got[3] is not None or not dissipation):
         return got
     v, w = f.values, f.grid.weights()
     pressure, ok, log_c = _pressure(v, p)
-    s, h = _power_terms(f, p, pressure, log_c) if got is None else got[:2]
     # |grad P|^2 u written as (grad P * sqrt(u))^2 so huge P never squares alone
-    damped = gradient(pressure, f.grid) * np.sqrt(v)
+    damped = gradient(pressure, f.grid)
+    np.multiply(damped, _passes(v)[3], out=damped)
+    if ok is None:
+        sum_sq = float(w @ np.square(damped, out=damped))
+    else:
+        trusted = damped[ok]
+        sum_sq = float(w[ok] @ np.square(trusted, out=trusted))
     scale = p * math.exp((p - 1.0) * log_c)
-    f_p = scale * scale * float(w @ (damped ** 2) if ok is None else w[ok] @ (damped[ok] ** 2))
+    f_p = scale * scale * sum_sq
+    s, h = _power_terms(f, p, pressure, log_c, out=damped) if got is None else got[:2]
     d = lap = None
     if dissipation:
         hess_term, lap_term = _dissipation_terms(f, p, pressure, ok, log_c)
-        d = 2.0 * float(w @ (hess_term + (p - 1.0) * lap_term))
         lap = float(w @ lap_term)
+        # hess_term is lap_term in one dimension, so (p-1) lap_term goes to a third array
+        weighted = np.multiply(lap_term, p - 1.0, out=damped)
+        d = 2.0 * float(w @ np.add(hess_term, weighted, out=weighted))
     got = f._memo[p] = (s, h, f_p, d, lap)
     return got
 

@@ -20,6 +20,7 @@ from .errors import DomainError
 
 CARTESIAN = "cartesian1d"
 RADIAL = "radial"
+EXTENT_BITS = 1000  # of the double exponent's 1022 below 1 and 1023 above
 
 
 def sphere_surface(n: int) -> float:
@@ -50,6 +51,14 @@ class Grid:
         _require_nodes(self.node_count)
         if not 0.0 < self.spacing < math.inf:  # so is radius(), a multiple of it
             raise DomainError("domain radius and grid spacing must be positive and finite")
+        # weights r^{n-1} h, rates 1/h^2 and squared coordinates are products of at most
+        # dim + 1 powers of the spacing or the radius, so these bounds keep them finite
+        # and normal, with room for the sphere's constant
+        bits = EXTENT_BITS // (self.dim + 1)
+        if not (2.0 ** -bits <= self.spacing and self.radius() <= 2.0 ** bits):
+            raise DomainError(f"grid spacing {self.spacing!r} and domain radius "
+                              f"{self.radius()!r} must lie within 2**-{bits} and 2**{bits} "
+                              f"in dimension {self.dim}")
         if self.kind == RADIAL and self.origin != self.spacing / 2.0:  # first face at r = 0
             raise DomainError(f"radial origin {self.origin!r} is not half the spacing")
 
@@ -146,9 +155,11 @@ class DensityField:
 
     grid: Grid
     values: np.ndarray
-    # per-p integrals, filled by functionals._power_pair and _integrals;
-    # floats only, so a kept field holds no extra arrays and no reference
-    # back to itself
+    # the mass and the per-p integrals, filled lazily by functionals.mass,
+    # _power_pair and _integrals; floats only, so a kept field holds no extra
+    # arrays and no reference back to itself (the arrays all its p share,
+    # functionals._passes, are held for the last field evaluated only, and
+    # freed with its values)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -191,15 +202,24 @@ def gradient(values: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def second_derivative(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Second derivative with the same boundary treatment as `gradient`."""
+    """Second derivative with the same boundary treatment as `gradient`.
+
+    Like `gradient` it writes into its result, with the operation order of
+    (v[2:] - 2 v[1:-1] + v[:-2]) / h^2, so the bits are that expression's.
+    """
     h2 = grid.spacing ** 2
     v = values
-    d2 = np.empty_like(v)
-    d2[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
-    d2[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2
+    d2 = np.empty_like(v, dtype=float)
+    inner = d2[1:-1]
+    np.multiply(v[1:-1], 2.0, out=inner)
+    np.subtract(v[2:], inner, out=inner)
+    np.add(inner, v[:-2], out=inner)
+    np.divide(inner, h2, out=inner)
+    v0, v1, v2, v3 = v[:4].tolist()
+    far = v[-4:].tolist()
+    d2[-1] = (2.0 * far[3] - 5.0 * far[2] + 4.0 * far[1] - far[0]) / h2
     if grid.kind == CARTESIAN:
-        d2[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2
+        d2[0] = (2.0 * v0 - 5.0 * v1 + 4.0 * v2 - v3) / h2
     else:
-        d2[0] = (v[1] - v[0]) / h2  # mirror ghost: v[-1] == v[0]
+        d2[0] = (v1 - v0) / h2  # mirror ghost: v[-1] == v[0]
     return d2
-

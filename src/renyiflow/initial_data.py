@@ -10,6 +10,7 @@ from .analytic import (
     BarenblattSpec,
     HeatKernelSpec,
     _quadratic_coefficient,
+    _require_self_similar_time,
     barenblatt_self_similar,
     barenblatt_spec,
     gaussian_density,
@@ -58,6 +59,7 @@ def sample_barenblatt_from_spec(grid: Grid, spec: BarenblattSpec, t: float = 1.0
     """
     if spec.n != grid.dim:
         raise DomainError("spec dimension does not match the grid")
+    _require_self_similar_time(t)  # before the fit raises t to a negative power
     if normalize:
         spec = replace(spec, c_const=_unit_mass_constant(grid, spec, t))
     return _maybe_normalize(grid, barenblatt_self_similar(np.abs(grid.nodes()), t, spec),
@@ -80,6 +82,13 @@ def _unit_mass_constant(grid: Grid, spec: BarenblattSpec, t: float) -> float:
     raise DomainError("no Barenblatt constant gives this grid unit mass")
 
 
+def _generator(seed: int) -> np.random.Generator:
+    """numpy's generator for a seed, which must be nonnegative."""
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative; got {seed}")
+    return np.random.default_rng(seed)
+
+
 def sample_mixture(grid: Grid, seed: int, components: int | None = None,
                    mean_range: tuple[float, float] = (-2.0, 2.0),
                    var_range: tuple[float, float] = (0.5, 2.0)) -> DensityField:
@@ -92,7 +101,7 @@ def sample_mixture(grid: Grid, seed: int, components: int | None = None,
     For fast-diffusion (p < 1) solver runs, pass a variance range with a
     floor around 1.5 so the truncated-domain tails stay near the envelope.
     """
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     k = int(components) if components is not None else int(rng.integers(2, 6))
     if k < 1:
         raise DomainError("mixture needs at least one component")
@@ -104,23 +113,26 @@ def sample_mixture(grid: Grid, seed: int, components: int | None = None,
     means = rng.uniform(lo, hi, size=k)
     variances = rng.uniform(var_range[0], var_range[1], size=k)
     x = grid.nodes()
-    vals = np.zeros_like(x)
+    vals = np.empty_like(x)
     bump = np.empty_like(x)
     mirrored = grid.kind != CARTESIAN
+    out = vals  # the first bump is formed in vals itself, as 0 + bump is bump
     for w, m, s2 in zip(weights.tolist(), means.tolist(), variances.tolist()):
         # w exp((x - c)^2 / (-2 s2)) in one buffer: the sign sits in the divisor, which
         # IEEE division passes through exactly, and x - (-m) is x + m exactly
         for c in (m, -m) if mirrored else (m,):
-            np.subtract(x, c, out=bump)
-            np.square(bump, out=bump)
-            np.divide(bump, -2.0 * s2, out=bump)
-            np.exp(bump, out=bump)
-            np.multiply(bump, w, out=bump)
-            np.add(vals, bump, out=vals)
+            np.subtract(x, c, out=out)
+            np.square(out, out=out)
+            np.divide(out, -2.0 * s2, out=out)
+            np.exp(out, out=out)
+            np.multiply(out, w, out=out)
+            if out is bump:
+                np.add(vals, bump, out=vals)
+            out = bump
     total = float(grid.weights() @ vals)
     if not total > 0.0:
         raise DomainError("mixture has no mass on this grid")
-    return DensityField(grid, vals / total)
+    return DensityField(grid, np.divide(vals, total, out=vals))
 
 
 def blend_with_barenblatt(f: DensityField, p: float, t: float = 1.0,
@@ -152,7 +164,7 @@ def compact_two_bump(grid: Grid, seed: int,
     flow approaches is origin-centered, and an off-center datum would leave
     a slowly decaying (t^{-1/mu}) translation mode in the rescaled distance.
     """
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     weights = rng.uniform(0.3, 1.0, size=2)
     lo, hi = mean_range
     m1 = rng.uniform(lo, hi)

@@ -57,10 +57,10 @@ LINEARIZATION_TOL = 1e-3
 # at most the mass.  The concavity check takes second differences of N_p in units of
 # its largest change per interval, so closer snapshots get more accurate steps.
 # The starting rate is the check's unit: N_p is concave, so its largest slope is its
-# first.  2048-node p = 2 Barenblatt, t 1..3, 33 snapshots: 341 steps and 341 solves;
-# 768-node p = 0.8, n = 3 Barenblatt, t 1..1.25, 17 snapshots: 39 steps.  At half this
-# fraction their concavity margins move by 2.8e-7 and 6.4e-8: the first snapshot's
-# second difference carries the BDF2 error the first steps build up from an exact datum.
+# first.  In the self-similar frame, where the fitted Barenblatt datum stands still,
+# the 2048-node p = 2 run (t 1..3, 33 snapshots) takes 32 steps and 32 solves and the
+# 768-node p = 0.8, n = 3 run (t 1..1.25, 17 snapshots) 16 steps and 16 solves: one step
+# per snapshot interval, so at half this fraction their steps and margins are unchanged.
 LOCAL_ERROR_TOL = 4e-5
 # The explicit (CFL) step's share of the stable step; the explicit step alone reads it.
 CFL_SAFETY = 0.9

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import renyiflow as rf
 from renyiflow.errors import DomainError
-from renyiflow.functionals import _dissipation_terms, _integrals, _pressure
+from renyiflow.functionals import _dissipation_terms, _integrals, _passes, _pressure
 from renyiflow.grids import CARTESIAN, gradient, second_derivative
 from renyiflow.verification import TOL_ISOPERIMETRIC
 
@@ -519,6 +519,70 @@ class TestMemo:
     def test_snapshot_after_dissipation_omits_it(self, mixture):
         rf.d_p(mixture, 1.5)
         assert rf.snapshot(mixture, 1.5).d_p is None
+
+
+class TestSharedPasses:
+    """A field's p-independent passes (max u, the positivity mask, log(u/c), sqrt(u), the
+    mass) are formed once for every p, and leave every functional's bits unchanged."""
+
+    PS = (0.8, 1.0, 1.5, 2.0)
+    GRIDS = (rf.Grid.cartesian(512, 6.0), rf.Grid.radial(3, 512, 6.0))
+
+    @staticmethod
+    def _functionals(f, p):
+        snap = rf.snapshot(f, p, with_dissipation=True)
+        chain = rf.concavity_condition_chain(f, p)
+        return (snap, chain, rf.pressure_laplacian_integral(f, p), rf.p_norm_integral(f, p),
+                rf.renyi_entropy(f, p), rf.fisher_p(f, p), rf.d_p(f, p), rf.upsilon(f, p))
+
+    def _alone(self, f, p):
+        return self._functionals(rf.DensityField(f.grid, f.values.copy()), p)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["cartesian", "radial3"])
+    @pytest.mark.parametrize("sample", [rf.sample_mixture, rf.compact_two_bump],
+                             ids=["mixture", "two_bump"])
+    def test_every_order_matches_a_fresh_field(self, grid, sample):
+        f, other = sample(grid, 1), sample(grid, 2)
+        assert np.all(f.values > 0.0) == (sample is rf.sample_mixture)
+        want = {p: self._alone(f, p) for p in self.PS}
+        want_other = {p: self._alone(other, p) for p in self.PS}
+        for ps in (self.PS, self.PS[::-1]):
+            g = rf.DensityField(grid, f.values)
+            assert {p: self._functionals(g, p) for p in ps} == want
+        g, h = rf.DensityField(grid, f.values), rf.DensityField(grid, other.values)
+        for p in self.PS:  # each field's passes push the other's out of the cache
+            assert self._functionals(g, p) == want[p]
+            assert self._functionals(h, p) == want_other[p]
+
+    def test_passes_are_shared_and_read_only(self):
+        f = rf.sample_mixture(self.GRIDS[1], 3)
+        passes = _passes(f.values)
+        assert _passes(f.values) is passes
+        assert all(not a.flags.writeable for a in passes[2:])
+        assert _pressure(f.values, 1.0)[0] is passes[2]  # P is log(u/c) at p = 1
+        with pytest.raises(ValueError):
+            passes[2][0] = 0.0
+
+    def test_writable_arrays_are_not_cached(self):
+        v = rf.sample_mixture(self.GRIDS[0], 4).values.copy()
+        first = _passes(v)
+        assert _passes(v) is not first and first[2].flags.writeable
+        v *= 2.0  # a writable array may change, so nothing of it is kept
+        assert _pressure(v, 1.5)[2] == math.log(float(v.max()))
+
+    def test_evolve_keeps_no_arrays(self):
+        grid = rf.Grid.cartesian(128, 6.0)
+        params = rf.DiffusionParams(p=2.0, dim=1, t_start=1.0, t_end=1.1, snapshot_count=4)
+        result = rf.evolve(rf.compact_two_bump(grid, 0), params, with_dissipation=True)
+        for fld in result.fields:
+            for key, entry in fld._memo.items():
+                entries = entry if isinstance(entry, tuple) else (entry,)
+                assert all(x is None or type(x) is float for x in entries), key
+        (ref, passes), = rf.functionals._last_passes
+        assert any(ref() is fld.values for fld in result.fields)
+        assert all(a is None or a.shape == (grid.node_count,) for a in passes[1:])
+        del result, fld
+        assert rf.functionals._last_passes[0][1] is None  # freed with the last field's values
 
 
 class TestVanishingRegions:

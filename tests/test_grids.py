@@ -8,7 +8,7 @@ import pytest
 
 import renyiflow as rf
 from renyiflow.errors import DomainError
-from renyiflow.grids import gradient, second_derivative
+from renyiflow.grids import EXTENT_BITS, gradient, second_derivative
 
 
 class TestSphereSurface:
@@ -97,6 +97,34 @@ class TestGrid:
         with pytest.raises(DomainError, match="must be positive and finite"):
             make()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("make", [lambda: rf.Grid.cartesian(512, 1e-300),
+                                      lambda: rf.Grid.cartesian(512, 1e300),
+                                      lambda: rf.Grid.radial(3, 512, 1e-300),
+                                      lambda: rf.Grid.radial(3, 512, 1e300),
+                                      lambda: rf.Grid.radial(3, 8, 2.0 ** 251)])
+    def test_extent_out_of_range_rejected(self, make):
+        with pytest.raises(DomainError, match=r"must lie within 2\*\*-\d+ and 2\*\*\d+ in dim"):
+            make()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_extent_bounds_keep_the_grid_arithmetic_finite(self, dim):
+        bits = EXTENT_BITS // (dim + 1)
+        make = (lambda r: rf.Grid.cartesian(8, r)) if dim == 1 else \
+            (lambda r: rf.Grid.radial(dim, 8, r))
+        smallest = make(8 * 2.0 ** -bits / (2 if dim == 1 else 1))
+        largest = make(2.0 ** bits)
+        assert smallest.spacing == 2.0 ** -bits and largest.radius() == 2.0 ** bits
+        for grid in (smallest, largest):
+            conductance, coupling, max_rate = grid.conductances()
+            assert np.all(grid.weights() >= np.finfo(float).tiny)
+            assert np.all(np.isfinite(grid.weights())) and math.isfinite(max_rate)
+            assert np.all(conductance > 0.0) and np.all(np.isfinite(coupling))
+            assert np.all(np.isfinite(grid.nodes() ** 2))
+        with pytest.raises(DomainError):
+            make(math.nextafter(2.0 ** bits, math.inf))
+
 
 class TestDensityField:
     def test_rejects_negative(self):
@@ -138,6 +166,19 @@ class TestDensityField:
         g = clone(f)
         assert not g.values.flags.writeable and np.array_equal(g.values, f.values)
         assert g.grid == f.grid and not g._memo
+
+
+class TestSamplerInputs:
+    @pytest.mark.parametrize("sample", [rf.sample_mixture, rf.compact_two_bump])
+    def test_negative_seed_refused(self, sample):
+        with pytest.raises(DomainError, match="seed must be nonnegative; got -1"):
+            sample(rf.Grid.cartesian(64, 5.0), -1)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("t", [0.0, -1.0])
+    def test_barenblatt_at_nonpositive_time_refused(self, t, normalize):
+        with pytest.raises(DomainError, match="self-similar time must be positive"):
+            rf.sample_barenblatt(rf.Grid.cartesian(64, 5.0), 2.0, t, normalize=normalize)
 
 
 class TestDerivatives:

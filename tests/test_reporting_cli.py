@@ -925,7 +925,19 @@ class TestUsageErrors:
         (["barenblatt", "--p", "2", "--nodes", "0"], "grid needs at least 8 nodes"),
         (["evolve", "--p", "1e300"], "p = 1e+300 is too large: the Barenblatt profile's "
                                      "quadratic coefficient (p-1)/(2 mu p) underflows to 0"),
+        # refused before the fit takes t ** (-1/mu), and before numpy refuses the seed
+        (["evolve", "--p", "2", "--t-start", "0", "--initial", "barenblatt"],
+         "self-similar time must be positive"),
+        (["evolve", "--p", "2", "--seed", "-1"], "seed must be nonnegative; got -1"),
+        # refused by the grid before its rates or a mixture's squares overflow
+        (["evolve", "--p", "2", "--radius", "1e-300"],
+         "grid spacing 1.953125e-303 and domain radius 1e-300 must lie within 2**-500 and "
+         "2**500 in dimension 1"),
+        (["evolve", "--p", "2", "--radius", "1e300"],
+         "grid spacing 1.953125e+297 and domain radius 1e+300 must lie within 2**-500 and "
+         "2**500 in dimension 1"),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exit_one_message(self, argv, message, tmp_path, capsys):
         assert main([*argv, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"configuration error: {message}\n"

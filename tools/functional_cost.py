@@ -9,7 +9,9 @@ grid and on the radial n = 3 grid of radius 12 (the grids of the benchmark's
 `snapshot(with_dissipation=True)`, `isoperimetric_check` and
 `concavity_condition_chain`, the survey's calls in its order.  The two parts are
 timed apart, the functionals on the fresh field `sample_mixture` returned, so
-they include the one pressure pass per p that the field's memo then serves.
+they include the field's shared passes (max u, the positivity mask, log(u/c),
+sqrt(u) and the mass, formed once for all three p) and the one pressure pass per
+p that the field's memo then serves.
 Each of the REPEATS = 400 densities per grid has its own seed.  The two grids
 alternate, so a change in the host's speed touches them alike, and one untimed
 density per grid fills the per-grid and per-(p, n) caches first, as the survey's
