@@ -3,8 +3,8 @@
 A numerical laboratory for the functionals H_p, N_p, F_p, I_p, D_p and
 Upsilon_p = N_p I_p on 1-D and radially symmetric densities: closed-form
 source solutions and sharp constants, a conservative finite-volume solver
-(explicit CFL steps or linearly implicit BDF2, chosen before each snapshot
-interval), and verdict-style verification of concavity, the DeBruijn-type
+(linearly implicit BDF2 steps, in x or in the self-similar frame chosen at
+the start), and verdict-style verification of concavity, the DeBruijn-type
 identity, the dissipation identity, the isoperimetric bound and Sobolev
 sharpness.
 """

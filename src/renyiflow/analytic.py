@@ -334,10 +334,11 @@ def suggest_domain_radius(p: float, n: int, tail_mass: float = 1e-6,
 
     For p > 1 this is just the support edge.  For p < 1, Newton's method on
     log T against log r, with the exact slope -|S^{n-1}| r^n profile(r) / T,
-    lands within an ulp or so of the root of T(r) = tail_mass, where T is
-    `barenblatt_tail_mass`; a nextafter walk then steps to the smallest
-    float r with T(r) <= tail_mass.  Raises DomainError when T(2^29) is
-    still above the target.
+    lands near the root of T(r) = tail_mass, where T is `barenblatt_tail_mass`:
+    within an ulp or so, but 1e-9 off near p = 1, where T is flat.  Floats on
+    both sides, an ulp off and then twice as far each step, bracket a bisection
+    to the smallest float r with T(r) <= tail_mass.  Raises DomainError when
+    T(2^29) is still above the target.
     """
     spec = barenblatt_spec(p, n, convention)
     if p > 1.0:
@@ -356,11 +357,20 @@ def suggest_domain_radius(p: float, n: int, tail_mass: float = 1e-6,
         r, tail = nxt, barenblatt_tail_mass(spec, nxt)
         if abs(step) < 2.0 ** -49:
             break
+    lo = hi = r  # floats about the root, T(lo) > tail_mass >= T(hi), at gaps that double
+    gap = math.ulp(r)
     while tail > tail_mass:
-        if r >= _FAR_RADIUS:
+        if hi >= _FAR_RADIUS:
             raise DomainError("tail target unreachable; p too close to n/(n+2)?")
-        r = math.nextafter(r, math.inf)
-        tail = barenblatt_tail_mass(spec, r)
-    while r > 1.0 and barenblatt_tail_mass(spec, math.nextafter(r, 0.0)) <= tail_mass:
-        r = math.nextafter(r, 0.0)
-    return r
+        lo, hi, gap = hi, min(hi + gap, _FAR_RADIUS), 2.0 * gap
+        tail = barenblatt_tail_mass(spec, hi)
+    while lo == hi > 1.0:
+        lo, gap = max(hi - gap, 1.0), 2.0 * gap
+        if barenblatt_tail_mass(spec, lo) <= tail_mass:
+            hi = lo
+    while (mid := lo + 0.5 * (hi - lo)) not in (lo, hi):  # down to adjacent floats
+        if barenblatt_tail_mass(spec, mid) > tail_mass:
+            lo = mid
+        else:
+            hi = mid
+    return hi

@@ -61,6 +61,11 @@ class Grid:
                               f"in dimension {self.dim}")
         if self.kind == RADIAL and self.origin != self.spacing / 2.0:  # first face at r = 0
             raise DomainError(f"radial origin {self.origin!r} is not half the spacing")
+        # the walls at -radius() and radius(), up to the rounding of a dilated a * origin
+        centered = self.spacing / 2.0 - self.radius()
+        if self.kind == CARTESIAN and not math.isclose(self.origin, centered, rel_tol=1e-12):
+            raise DomainError(f"cartesian origin {self.origin!r} is not {centered!r}, "
+                              "half a spacing in from -radius: the grid is not centered at 0")
 
     @classmethod
     def cartesian(cls, node_count: int, radius: float) -> Grid:

@@ -75,8 +75,11 @@ def _unit_mass_constant(grid: Grid, spec: BarenblattSpec, t: float) -> float:
         base = np.maximum(c - quad, 0.0)  # 0 outside the support for p > 1
         u = base ** (1.0 / (p - 1.0))
         rate = np.divide(u, base, out=np.zeros_like(u), where=base > 0.0)  # base^{1/(p-1) - 1}
-        step = (height * float(w @ u) - 1.0) / (height * float(w @ rate) / (p - 1.0))
+        slope = height * float(w @ rate) / (p - 1.0)  # d(mass) / dC: 0 with no node in the support
+        step = (height * float(w @ u) - 1.0) / slope if slope else np.inf
         c -= step
+        if not c > 0.0:  # a step past C = 0: the nodes hold too little of any profile
+            raise DomainError("the grid's nodes miss the Barenblatt profile: no C gives it unit mass")
         if abs(step) <= 4.0 * np.finfo(float).eps * abs(c):
             return c
     raise DomainError("no Barenblatt constant gives this grid unit mass")

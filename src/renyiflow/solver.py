@@ -8,14 +8,13 @@ only through the (closed, zero-flux) boundary.  The explicit step u + dt L(v) / 
 neighbor values while dt D c_i <= w_i at every node (D the stiffness, c_i node i's
 summed conductances, w the weights): for dt up to 1 / (D max_i c_i / w_i), which is
 h^2 / (2 D) on Cartesian grids and h^2 / (2^(n-1) D), set by node 0, on radial ones
-of n >= 2.  Where that step is far below the one the flow's rate of change allows,
-`evolve` takes linearly implicit BDF2 steps instead: always for p < 1, whose
-diffusivity p u^{p-1} peaks in the far tail, and for p >= 1 from the first snapshot
-at which a stable step moves less than SWITCH_MASS_FRACTION of the mass.  Each
-implicit step estimates its own local error and sizes the next from it, so a slowing
-flow takes longer steps.  Their tridiagonal systems are solved by odd-even cyclic
-reduction, on buffers and views prepared once per run.  The degenerate p > 1 front is
-handled as in Vazquez, *The Porous Medium Equation* (2007), ch. 5 and 9.
+of n >= 2.  That step is far below the one the flow's rate of change allows (for
+p < 1 the diffusivity p u^{p-1} peaks in the far tail), so `evolve` takes linearly
+implicit BDF2 steps, for every p and from t_start on.  Each implicit step estimates
+its own local error and sizes the next from it, so a slowing flow takes longer steps.
+Their tridiagonal systems are solved by odd-even cyclic reduction, on buffers and
+views prepared once per run.  The degenerate p > 1 front is handled as in Vazquez,
+*The Porous Medium Equation* (2007), ch. 5 and 9.
 
 The implicit march runs in the self-similar frame of Carrillo and Toscani (Indiana
 Univ. Math. J. 49, 2000) where that frame carries most of the motion:
@@ -74,23 +73,16 @@ MAX_CFL_STEPS = 1e6
 EPS = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).tiny)
 SEQUENTIAL_SIZE = 64  # tridiagonal systems this small are solved row by row
-# A p >= 1 run marches implicitly from the first snapshot at which one stable step moves
-# less than this fraction of the mass, ||u_t||_1 cfl_dt(1.0) < SWITCH_MASS_FRACTION m0.
-# An implicit step costs about 10 / 10 / 32 explicit ones at N = 512 / 2048 / 8192
-# (tools/step_cost.py; 2 cores, numpy 2.4.6), so the march would break even at a larger
-# fraction, but above 3.4e-5 the 512-node run of `test_barenblatt_concavity_exit_zero`
-# (3.9e-5 at t = 1, 3.4e-5 at t = 1.25) mostly switches early enough to fail.
-SWITCH_MASS_FRACTION = 2.2e-5
-# The implicit march runs in the self-similar frame when the flow there moves less than this
+# The march runs in the self-similar frame when the flow there moves less than this
 # fraction of the mass it moves in x per unit of log t, ||v_tau||_1 < SELF_SIMILAR_RATE
 # t ||u_t||_1: where the dilation carries nearly all of the motion, so that the march takes
 # few enough steps to pay for the drift (a drift step costs about 1.3 drift-free ones,
-# tools/step_cost.py).  The sampled Barenblatt reads 3e-7 (p = 2) and 1e-8 (p = 0.8,
-# n = 3), and criterion 10's bumps 0.034 at its switch (40 steps in y, 187 in x); the
-# sweep's p = 0.8 mixtures read 0.34-0.75 and take only 3-12% fewer steps in y; compact
-# two-bump data reads 0.90-0.95 (its waiting fronts retreat in y, cell by cell), and
-# criterion 5's mixtures at p = 2 and 1.5, n = 3, 40 and 5.2 (the drift drains their thin
-# tails at the wall).
+# tools/step_cost.py).  The ratio is read at t_start on the x-grid, where ||v_tau||_1 is
+# t times the speed of the flow with the drift 1 / (mu t).  The fitted Barenblatt reads
+# 1e-11 (p = 2) and 3e-13 (p = 0.8, n = 3); the sweep's mixtures 0.34-0.99 (one p = 1,
+# n = 3 row, 0.072, goes to y), and at p >= 1.5, n = 3, 2.9-54; compact two-bump data
+# 0.90-0.96 (its waiting fronts retreat in y, cell by cell), and criterion 5's mixtures at
+# p = 2 and 1.5, n = 3, 40 and 5.2 (the drift drains their thin tails at the wall).
 SELF_SIMILAR_RATE = 0.1
 
 
@@ -143,14 +135,14 @@ class _Kernel:
     u + dt L(v) / w, `implicit_advance` the BDF2 one, which keeps the last two u and
     steps as its history and proposes the next step, `dt_next`.  The implicit step's
     `_ReductionPlan` and buffers (`work`, about 8N doubles, and `ring`, the four u
-    levels as rows) are made on its first call, so `step`,
-    `cfl_dt` and explicit runs never pay for them.  u is clipped to u >= 0 on entry
-    and after a step that undershoots.  v = u^p and its differences dv serve both the
-    p < 1 chord stiffness and the fluxes, and the acceptance test's max(u) is the next
-    umax.  An explicit step refreshes v and dv; an implicit one uses v, dv and du as
-    scratch, so callers refresh them with `_faces()` before reading them (`speed`,
-    `cfl_dt`, `starting_dt`, `advance`).  Each out= pass of either step keeps the
-    operands and operation order of the plain array expressions: bitwise theirs.
+    levels as rows) are made on its first call, so `step` and `cfl_dt` never pay for
+    them.  u is clipped to u >= 0 on entry and after a step that undershoots.  v = u^p
+    and its differences dv serve both the p < 1 chord stiffness and the fluxes, and
+    the acceptance test's max(u) is the next umax.  An explicit step refreshes v and
+    dv; an implicit one uses v, dv and du as scratch, so callers refresh them with
+    `_faces()` before reading them (`speed`, `cfl_dt`, `starting_dt`, `advance`).
+    Each out= pass of either step keeps the operands and operation order of the plain
+    array expressions: bitwise theirs.
 
     With a drift c > 0 the kernel steps v_tau = Lap(v^p) + c div(y v) on the y-grid:
     every face flux gains c m dphi (`_drift_faces`), read by `speed`, `starting_dt`
@@ -672,38 +664,36 @@ def evolve(f0: DensityField, params: DiffusionParams,
 
     The step toward the next snapshot divides the remaining interval into equal
     parts no longer than the proposed step, so the recorded functional series has no
-    step-size kinks inside an interval.  The proposal is the explicit CFL step until
-    the switch: from the first snapshot at which one stable step moves less than
-    SWITCH_MASS_FRACTION of the mass (for p < 1 from the start), the march is
-    linearly implicit BDF2, with its history, to the end.  Its tolerance, taken
-    before each interval, is LOCAL_ERROR_TOL of the most mass the flow can move over
-    the interval, and a step is at most MAX_CFL_STEPS CFL steps.  The march starts
-    with the backward-Euler step whose local error is its share of one step's
-    tolerance per interval (`_Kernel.starting_dt`: read from the flow's
-    acceleration, so a finer grid starts no shorter) and doubles it while it has
-    fewer than three levels; from then on each step proposes the next from its own
-    local-error estimate (`_Kernel.implicit_advance`), at most twice as long, so
-    omega <= 2 keeps BDF2 zero-stable.  As the flow slows, its local error falls and
-    the steps grow.  The estimate leaves out the edge cells (below), where a wall
-    that cuts the flow holds a boundary layer as thin as the grid; that error is the
-    domain's, reported as the edge mass.
+    step-size kinks inside an interval.  The march is linearly implicit BDF2, with its
+    history, from t_start to the end, for every p.  Its tolerance, taken before each
+    interval, is LOCAL_ERROR_TOL of the most mass the flow can move over the interval,
+    and a step is at most MAX_CFL_STEPS CFL steps.  The march starts with the
+    backward-Euler step whose local error is its share of one step's tolerance per
+    interval (`_Kernel.starting_dt`: read from the flow's acceleration, so a finer
+    grid starts no shorter) and doubles it while it has fewer than three levels; from
+    then on each step proposes the next from its own local-error estimate
+    (`_Kernel.implicit_advance`), at most twice as long, so omega <= 2 keeps BDF2
+    zero-stable.  As the flow slows, its local error falls and the steps grow.  The
+    estimate leaves out the edge cells (below), where a wall that cuts the flow holds
+    a boundary layer as thin as the grid; that error is the domain's, reported as the
+    edge mass.
 
     The edge mass, the mass in the last node_count // EDGE_CELLS cells at each
     wall, is read at the datum and at every snapshot; above DOMAIN_TOL, the
     wall holds mass the flow on R^n would carry past it, and the run warns once.
 
-    Where the implicit march starts (at t_start, or at the switch snapshot) at t > 0,
-    it runs in the self-similar frame when the flow there moves less than
-    SELF_SIMILAR_RATE of the mass it moves in x per unit of log t: the field is dilated
-    exactly onto the y-grid (`functionals.rescale` by t^{-1/mu}), the kernel gets the
-    drift 1 / mu, and the march's clock is tau = log t.  Each snapshot is mapped back
-    by `rescale(., t_k^{1/mu})`, so the snapshots, the checks and the messages read
-    the physical field at physical t, and `fields[k]` lives on the grid dilated to
-    t_k.  The tolerance keeps its unit, mass over the interval in t.  The y-frame's
-    wall moves out with the grid in x.  A backward-Euler step stands in for BDF2 there
-    when BDF2's base is negative beyond rounding: a cell the drift drains (the thin
-    tail an explicit march leaves ahead of a p > 1 front, a front retreating in y)
-    extrapolates below 0.
+    The frame is chosen once, before the first step.  From t_start > 0 the march runs
+    in the self-similar frame when the flow there moves less than SELF_SIMILAR_RATE of
+    the mass it moves in x per unit of log t, read on the x-grid (a kernel with the
+    drift 1 / (mu t) there), so a run that stays in x dilates nothing.  In y the datum
+    is dilated exactly onto the y-grid (`functionals.rescale` by t^{-1/mu}), the
+    kernel gets the drift 1 / mu, and the march's clock is tau = log t.  Each snapshot
+    is mapped back by `rescale(., t_k^{1/mu})`, so the snapshots, the checks and the
+    messages read the physical field at physical t, and `fields[k]` lives on the grid
+    dilated to t_k.  The tolerance keeps its unit, mass over the interval in t.  The
+    y-frame's wall moves out with the grid in x.  A backward-Euler step stands in for
+    BDF2 there when BDF2's base is negative beyond rounding: a cell the drift drains (a
+    thin tail ahead of a p > 1 front, a front retreating in y) extrapolates below 0.
     """
     if f0.grid.dim != params.dim:
         raise DomainError("initial field dimension does not match params.dim")
@@ -712,48 +702,38 @@ def evolve(f0: DensityField, params: DiffusionParams,
         raise DomainError(f"initial mass must be 1 within 1e-6, got {m0}")
     times = params.times()
     p, grid = params.p, f0.grid
-    edge = _edge_weights(grid)
-    kernel = _Kernel(grid, p, f0.values)
-    kernel.error_weights = grid.weights() - edge  # 0 at the edge: the wall's layer is the domain's
-    implicit, dilate = False, 0.0  # dilate: 1 / mu once the march runs in y
     t = float(times[0])
-    steps = rejections = 0
+    kernel, edge = _Kernel(grid, p, f0.values), _edge_weights(grid)
     edge_mass = float(edge @ f0.values)
+    rate = kernel.speed()  # the largest ||u_t||_1 of the run: the flow is an L1 contraction
+    dilate = 0.0  # 1 / mu when the march runs in y
+    if t > 0.0:  # tau = log t is the self-similar frame's clock
+        drift = 1.0 / coefficients(p, params.dim).mu
+        # ||v_tau||_1 is t times the mass the x-grid flow with the drift drift / t moves
+        if _Kernel(grid, p, kernel.u, drift / t).speed() < SELF_SIMILAR_RATE * rate:
+            start = rescale(f0, t ** -drift)  # onto the y-grid
+            dilate, grid, kernel = drift, start.grid, _Kernel(start.grid, p, start.values, drift)
+            edge = _edge_weights(grid)
+    kernel.error_weights = grid.weights() - edge  # 0 at the edge: the wall's layer is the domain's
+    steps = rejections = 0
     snaps = [snapshot(f0, p, params.dim, t=t, with_dissipation=with_dissipation)]
     fields = [f0]
-    rate = kernel.speed()  # the largest ||u_t||_1 of the run: the flow is an L1 contraction
     for target in times[1:]:
-        interval = float(target - t)
         kernel._faces()  # an implicit step leaves v = u^p stale
-        stable = kernel.cfl_dt(1.0)
-        if not implicit and (p < 1.0 or kernel.speed() * stable < SWITCH_MASS_FRACTION * m0):
-            implicit = True
-            if t > 0.0:  # tau = log t is the self-similar frame's clock
-                drift = 1.0 / coefficients(p, params.dim).mu
-                start = rescale(fields[-1], t ** -drift)  # onto the y-grid
-                frame = _Kernel(start.grid, p, start.values, drift)
-                if frame.speed() < SELF_SIMILAR_RATE * t * kernel.speed():
-                    dilate, grid, kernel = drift, start.grid, frame
-                    edge = _edge_weights(grid)
-                    kernel.error_weights = grid.weights() - edge
-                    stable = kernel.cfl_dt(1.0)
+        longest = MAX_CFL_STEPS * kernel.cfl_dt(1.0)
+        # the most mass the flow can move over this interval, and sqrt(eps) of the mass
+        # where it barely moves, so that rounding fails no step
+        moved = min(rate * float(target - t), m0)
+        kernel.error_tol = LOCAL_ERROR_TOL * max(moved, math.sqrt(EPS) * m0)
         # the march's clock: t, or tau = log t in the self-similar frame
         now, end = (math.log(t), math.log(target)) if dilate else (t, target)
-        if implicit:
-            # the most mass the flow can move over this interval, and sqrt(eps) of the
-            # mass where it barely moves, so that rounding fails no step
-            moved = min(rate * interval, m0)
-            kernel.error_tol = LOCAL_ERROR_TOL * max(moved, math.sqrt(EPS) * m0)
-            longest = MAX_CFL_STEPS * stable
-            if not kernel.dt_next:  # the march's first step
-                kernel.dt_next = kernel.starting_dt(kernel.error_tol / (end - now))
-        march = kernel.implicit_advance if implicit else kernel.advance
+        if not kernel.dt_next:  # the march's first step
+            kernel.dt_next = kernel.starting_dt(kernel.error_tol / (end - now))
         at = t  # the step's start in t, for messages
         while now < end:
-            proposal = min(kernel.dt_next, longest) if implicit else kernel.cfl_dt()
             remaining = end - now
-            parts = max(1, math.ceil(remaining / proposal))
-            dt_used, rej = march(remaining / parts, at)
+            parts = max(1, math.ceil(remaining / min(kernel.dt_next, longest)))
+            dt_used, rej = kernel.implicit_advance(remaining / parts, at)
             now += dt_used
             at = math.exp(now) if dilate else now
             steps += 1

@@ -31,6 +31,21 @@ def record_marches(monkeypatch):
     return record
 
 
+@pytest.fixture
+def tail_calls(monkeypatch):
+    """Counts the tail-mass evaluations suggest_domain_radius makes, from an empty memo."""
+    calls = []
+    original = rf.analytic.barenblatt_tail_mass
+
+    def counted(spec, radius):
+        calls.append(radius)
+        return original(spec, radius)
+
+    monkeypatch.setattr(rf.analytic, "barenblatt_tail_mass", counted)
+    rf.suggest_domain_radius.cache_clear()
+    return calls
+
+
 @pytest.fixture(scope="session")
 def barenblatt_run():
     """p=2 Barenblatt marched on [1, 1.5], 512 nodes; exact N_p is linear."""

@@ -419,20 +419,6 @@ SIZING_COVER = [(SIZING_P[i // 2], SIZING_N[i % 3], SIZING_TAILS[i % 4], SIZING_
                 for i in range(8)]
 
 
-@pytest.fixture
-def tail_calls(monkeypatch):
-    """Counts the tail-mass evaluations suggest_domain_radius makes."""
-    calls = []
-    original = rf.analytic.barenblatt_tail_mass
-
-    def counted(spec, radius):
-        calls.append(radius)
-        return original(spec, radius)
-
-    monkeypatch.setattr(rf.analytic, "barenblatt_tail_mass", counted)
-    return calls
-
-
 class TestSuggestDomainRadius:
     @pytest.mark.parametrize("p,n,tail,convention", SIZING_COVER)
     def test_matches_bisection_bitwise(self, p, n, tail, convention, tail_calls):
@@ -476,6 +462,16 @@ class TestSuggestDomainRadius:
         assert rf.barenblatt_tail_mass(spec, 0.9) < 3e-6  # the root lies below 1
         assert rf.suggest_domain_radius(0.95, 1, 3e-6) == 1.0
         assert len(tail_calls) <= 16
+
+    @pytest.mark.parametrize("p", [1.0 - 1e-6, 1.0 - 1e-10, 1.0 - 1e-13])
+    def test_near_one_bounded(self, p, tail_calls):
+        # T is so flat in log r here that Newton's 40 steps stop short of the root (at
+        # 1 - 1e-10, 2.6e-9 off it), where a walk of an ulp per call took >10,000 calls
+        spec = rf.barenblatt_spec(p, 2, rf.PDE_NORMALIZED)
+        r = rf.suggest_domain_radius(p, 2, 1e-6, rf.PDE_NORMALIZED)
+        assert len(tail_calls) <= 200
+        assert rf.barenblatt_tail_mass(spec, r) <= 1e-6 < \
+            rf.barenblatt_tail_mass(spec, math.nextafter(r, 0.0))
 
     def test_repeat_call_is_memoized(self, tail_calls):
         # one evolve sizes its domain twice with the same arguments

@@ -173,10 +173,10 @@ class TestEvolveCommand:
         assert (exp_dirs[0] / "run_meta.json").exists()
         assert (exp_dirs[0] / "verdicts.txt").exists()
 
-    def test_barenblatt_concavity_exit_zero_forced_implicit(self, monkeypatch, tmp_path):
-        # the same config marched implicitly from t = 1, in y, where the Barenblatt
-        # stands still: x-frame implicit steps failed concavity here (-1.05e-6)
-        monkeypatch.setattr(solver, "SWITCH_MASS_FRACTION", math.inf)
+    def test_barenblatt_concavity_exit_zero_forced_implicit(self, tmp_path):
+        # the same config, which marches implicitly from t = 1 in y, where the Barenblatt
+        # stands still: a step per interval, where explicit steps took 5,111 and
+        # implicit ones in x failed concavity (-1.05e-6)
         code = main(["evolve", "--p", "2", "--dim", "1", "--nodes", "512",
                      "--t-start", "1", "--t-end", "1.5", "--snapshots", "5",
                      "--initial", "barenblatt", "--verify", "concavity,upsilon,debruijn",
@@ -443,6 +443,32 @@ class TestEvolveCommand:
         assert code == 1
         assert "radial origin 0.24609375 is not half the spacing" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_shifted_cartesian_profile_exit_one(self, tmp_path, capsys):
+        # the header origin and the x column moved 8 out: the grid spans [0.03, 16], where
+        # its radius() and the run's sizing read [-8, 8]
+        grid = rf.Grid.cartesian(256, 8.0)
+        x = grid.nodes() + 8.0
+        u = rf.sample_gaussian(grid, 1.0, normalize=True).values
+        head = f"# geometry=cartesian1d dim=1 spacing={grid.spacing!r} origin={float(x[0])!r}"
+        rows = (f"{a!r},{b!r}" for a, b in zip(x.tolist(), u.tolist()))
+        src = tmp_path / "shifted.csv"
+        src.write_text("\n".join([head, "x,u", *rows]) + "\n")
+        code = main(["evolve", "--p", "2", "--t-end", "1.05", "--snapshots", "3",
+                     "--initial", f"file:{src}", "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: {src}: cartesian origin 0.03125 is not -7.96875, half a "
+            "spacing in from -radius: the grid is not centered at 0\n")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_p_near_one_sizes_quickly(self, tmp_path, tail_calls):
+        # Newton stops 2.6e-9 off the tail root here, where the sizing walked an ulp per
+        # tail-mass call, more than 10,000 calls in 8 s
+        code = main(["evolve", "--p", "0.9999999999", "--dim", "2", "--initial", "barenblatt",
+                     "--out", str(tmp_path)])
+        assert code == 0 and len(tail_calls) <= 200
 
     @pytest.mark.parametrize("defect, where", [
         ("spacing=abc", "line 1"), ("origin=np.float64(0.24609375)", "line 1"),
@@ -936,6 +962,12 @@ class TestUsageErrors:
         (["evolve", "--p", "2", "--radius", "1e300"],
          "grid spacing 1.953125e+297 and domain radius 1e+300 must lie within 2**-500 and "
          "2**500 in dimension 1"),
+        # the Barenblatt's support falls between two nodes, or the nodes hold 4e-13 of a
+        # p < 1 profile at any C > 0: the fit has nothing to scale
+        (["evolve", "--p", "2", "--radius", "1e140", "--initial", "barenblatt"],
+         "the grid's nodes miss the Barenblatt profile: no C gives it unit mass"),
+        (["evolve", "--p", "0.8", "--dim", "3", "--t-end", "1e6", "--initial", "barenblatt"],
+         "the grid's nodes miss the Barenblatt profile: no C gives it unit mass"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exit_one_message(self, argv, message, tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Finite-volume solver, explicit and implicit: conservation, stability, analytic oracles."""
 import functools
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -172,9 +174,9 @@ class TestEvolve:
         grid = rf.Grid.cartesian(1024, 25.0)
         f0 = rf.sample_gaussian(grid, 1.0, normalize=True)
         params = rf.DiffusionParams(p=1.0, dim=1, t_start=1.0, t_end=2.0, snapshot_count=3)
-        run = rf.evolve(f0, params)
-        exact = rf.sample_gaussian(grid, 2.0)
-        err = float(grid.weights() @ np.abs(run.fields[-1].values - exact.values))
+        final = rf.evolve(f0, params).fields[-1]  # on the grid dilated to t = 2
+        exact = rf.sample_gaussian(final.grid, 2.0)
+        err = float(final.grid.weights() @ np.abs(final.values - exact.values))
         assert err < 5e-3
 
     def test_mixture_snapshots_finite(self, mixture_run):
@@ -482,18 +484,49 @@ def _assert_agrees_with_reference(run, f0, params):
         assert float(got.grid.weights() @ np.abs(got.values - want.values)) <= IMPLICIT_L1_BOUND
 
 
+def _step_march(f0, params):
+    """`_reference_march` by the package's explicit step: `cfl_dt`, then `step` by the
+    share of the remaining interval."""
+    state = make_state(f0, params.t_start)
+    fields = [f0.values]
+    for target in params.times()[1:]:
+        while state.t < target:
+            proposal = cfl_dt(rf.DensityField(state.grid, state.values), params)
+            remaining = target - state.t
+            state = step(state, params, remaining / max(1, math.ceil(remaining / proposal)))
+        state = replace(state, t=float(target))
+        fields.append(state.values)
+    return fields, state.step_count, state.rejection_count
+
+
 class TestKernelMatchesReference:
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     @pytest.mark.parametrize("geometry", ["cartesian", "radial3"])
-    def test_evolve_bitwise(self, p, geometry):
+    def test_evolve_bitwise(self, p, geometry, monkeypatch):
+        # these narrow bumps stay in x: the run is one x-grid kernel's recorded implicit
+        # steps, bit for bit, so the frame's probe leaves the march alone
+        f0, params = _mixture_case(geometry, p, (0.2, 0.5))
+        record = _record_marches(monkeypatch)
+        run = rf.evolve(f0, params)
+        assert all(f.grid == f0.grid for f in run.fields)
+        counts = _steps_per_interval(record, params.times())[0]
+        assert run.step_count == len(record) == counts.sum() and run.rejection_count == 0
+        kernel, steps = solver._Kernel(f0.grid, p, f0.values), iter(record.copy())
+        for count, got in zip(counts, run.fields[1:]):
+            for _, t, dt, _ in itertools.islice(steps, count):
+                assert kernel.implicit_advance(dt, t) == (dt, 0)
+            assert got.values.tobytes() == kernel.u.tobytes()
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("geometry", ["cartesian", "radial3"])
+    def test_step_bitwise(self, p, geometry):
         # narrow bumps make max(u) fall fast, so a stale max would change the steps
         f0, params = _mixture_case(geometry, p, (0.2, 0.5))
-        run = rf.evolve(f0, params)
-        fields, steps, rejections = _reference_march(f0, params)
-        assert len(run.fields) == len(fields)
-        for got, want in zip(run.fields, fields):
-            assert np.array_equal(got.values, want)
-        assert (run.step_count, run.rejection_count) == (steps, rejections)
+        fields, steps, rejections = _step_march(f0, params)
+        want, want_steps, want_rejections = _reference_march(f0, params)
+        assert (steps, rejections) == (want_steps, want_rejections)
+        for got, field in zip(fields, want, strict=True):
+            assert got.tobytes() == field.tobytes()
 
     @pytest.mark.filterwarnings("ignore::renyiflow.errors.BoundaryLeakWarning")
     @pytest.mark.parametrize("geometry", ["cartesian", "radial3"])
@@ -723,11 +756,12 @@ class TestReductionPlan:
         params = rf.DiffusionParams(p=2.0, dim=1, t_start=1.0, t_end=1.05, snapshot_count=3)
         cfl_dt(f0, params)
         step(make_state(f0), params)
-        record = _record_marches(monkeypatch)
+        assert built == [] and len(kernels) == 2
         rf.evolve(f0, params)
-        assert record and {march for march, *_ in record} == {"advance"}
-        assert built == [] and len(kernels) == 3
-        assert all(k.plan is None and k.work is None for k in kernels)  # no step buffers
+        # cfl_dt, step, then evolve's march and its frame's probe: the march alone steps
+        assert built == [256] and len(kernels) == 4
+        assert [k.work is not None for k in kernels] == [False, False, True, False]
+        built.clear()
         kernel = solver._Kernel(grid, 2.0, f0.values)
         works = []
         for _ in range(2):
@@ -786,27 +820,26 @@ class TestImplicitPorousMedium:
         want, _, _ = _reference_march(f0, params, safety=0.05)
         assert float(w @ np.abs(kernel.u - want[-1])) <= IMPLICIT_L1_BOUND
 
-    def test_criterion_10_style_run_stays_explicit(self):
-        # compact bumps on a grid sized for t = 1000: a stable step moves 1.7e-3 of the mass
+    def test_criterion_10_style_run_agrees(self):
+        # compact bumps on a grid sized for t = 1000, where a stable step moves 1.7e-3 of
+        # the mass: implicit in x from t = 1, within the time error of the explicit march
         spec = rf.barenblatt_spec(2.0, 1, rf.PDE_NORMALIZED)
         grid = rf.Grid.cartesian(2048, rf.support_radius(spec) * 1000.0 ** (1.0 / 3.0) * 1.25)
         f0 = rf.compact_two_bump(grid, seed=11)
         params = rf.DiffusionParams(p=2.0, dim=1, t_start=1.0, t_end=1.02,
                                     snapshot_times=tuple(np.geomspace(1.0, 1.02, 3)))
         run = rf.evolve(f0, params)
-        fields, steps, _ = _reference_march(f0, params)
-        assert run.step_count == steps
-        assert np.array_equal(run.fields[-1].values, fields[-1])
+        assert run.rejection_count == 0 and run.step_count <= 40  # observed: 33
+        _assert_agrees_with_reference(run, f0, params)
 
-    def test_sweep_mixture_stays_explicit(self):
-        # the sweep's p = 2, n = 3, seed 0 row: the accuracy step is 49 CFL steps
+    def test_sweep_mixture_agrees(self):
+        # the sweep's p = 2, n = 3, seed 0 row, where the accuracy step is 49 CFL steps
         grid = rf.Grid.radial(3, 512, 10.0)
         f0 = rf.sample_mixture(grid, seed=0, mean_range=(0.0, 2.0))
         params = rf.DiffusionParams(p=2.0, dim=3, t_start=1.0, t_end=1.15, snapshot_count=7)
         run = rf.evolve(f0, params)
-        fields, steps, _ = _reference_march(f0, params)
-        assert run.step_count == steps
-        assert np.array_equal(run.fields[-1].values, fields[-1])
+        assert run.rejection_count == 0 and run.step_count <= 12  # observed: 10
+        _assert_agrees_with_reference(run, f0, params)
 
     def test_barenblatt_run_goes_implicit(self):
         # a stable step moves 1.2e-5 of the mass here; explicit would take ~37,000
@@ -1228,46 +1261,47 @@ def _assert_controlled(counts, dts, ratios):
 
 
 class TestRechosenMarch:
-    """evolve re-chooses its march and dt at every snapshot; explicit to implicit is one-way."""
+    """evolve splits each snapshot interval afresh by the last step's proposal, and every
+    run is one implicit march, in the frame chosen at t_start."""
 
-    def test_switches_to_implicit_once(self, monkeypatch):
+    def test_barenblatt_768_implicit_throughout(self, monkeypatch):
         # `evolve --p 2 --dim 1 --nodes 768 --initial barenblatt --t-start 1 --t-end 3
-        # --snapshots 9`: explicit all the way it took 25,187 steps
+        # --snapshots 9`: explicit all the way it took 25,187 steps, and a march that
+        # turned implicit partway left a kink in N_p (second differences -2.0e-6 and
+        # +6.8e-7); in y, where the datum stands still, N_p is linear to rounding
         spec = rf.barenblatt_spec(2.0, 1, rf.PDE_NORMALIZED)
         grid = rf.Grid.cartesian(768, rf.support_radius(spec) * 3.0 ** (1.0 / 3.0) * 1.3)
         f0 = rf.sample_barenblatt(grid, 2.0, 1.0, normalize=True)
         params = rf.DiffusionParams(p=2.0, dim=1, t_start=1.0, t_end=3.0, snapshot_count=9)
         record = _record_marches(monkeypatch)
         run = rf.evolve(f0, params)
-        marches = [march for march, *_ in record]
-        switch = marches.index("implicit_advance")
-        assert switch > 0 and set(marches[switch:]) == {"implicit_advance"}
-        assert record[switch][1] in params.times()[1:-1]  # the switch is at a snapshot
-        assert run.step_count == len(record) < 10_000
+        assert {march for march, *_ in record} == {"implicit_advance"}
+        assert run.step_count == len(record) == 8 and run.rejection_count == 0
         m0 = float(grid.weights() @ f0.values)
         for fld in run.fields:  # each on the grid dilated to its time
-            assert abs(float(fld.grid.weights() @ fld.values) - m0) <= 1e-12
+            assert abs(float(fld.grid.weights() @ fld.values) - m0) <= 1e-13
             assert fld.values.min() >= 0.0
+        report = rf.concavity_report(run.snapshots, 2.0, 1)
+        assert report.tolerance - report.margin <= 1e-12
 
-    def test_heat_flow_switches_march(self, monkeypatch):
-        # p = 1 is re-chosen like every p: at h = 1/102 the CFL step falls below a
-        # hundredth of dt_run by the second snapshot
+    def test_heat_flow_implicit_in_y(self, monkeypatch):
+        # p = 1 takes the march every p takes: the heat kernel stands still in y, a step
+        # per interval, where explicit steps at h = 1/102 took thousands; observed within
+        # 1.6e-12 of the exact kernel, the datum's own normalization
         grid = rf.Grid.cartesian(2048, 10.0)
         f0 = rf.sample_gaussian(grid, 1.0, normalize=True)
         params = rf.DiffusionParams(p=1.0, dim=1, t_start=1.0, t_end=1.25, snapshot_count=3)
         record = _record_marches(monkeypatch)
         run = rf.evolve(f0, params)
-        marches = [march for march, *_ in record]
-        switch = marches.index("implicit_advance")
-        assert switch > 0 and set(marches[switch:]) == {"implicit_advance"}
-        final = run.fields[-1]  # on the grid dilated to t = 1.25
-        assert abs(float(final.grid.weights() @ final.values) - 1.0) <= 1e-13
-        _assert_agrees_with_reference(run, f0, params)
+        assert {march for march, *_ in record} == {"implicit_advance"} and len(record) == 2
+        assert run.fields[-1].grid == grid.scaled(1.25 ** 0.5)
+        for fld, snap in zip(run.fields, run.snapshots):  # each on the grid dilated to its time
+            exact = rf.sample_gaussian(fld.grid, snap.t)
+            assert float(fld.grid.weights() @ np.abs(fld.values - exact.values)) <= 1e-11
 
     def test_short_intervals_go_implicit_from_the_start(self, monkeypatch):
-        # criterion 5's 768-node radial p = 2 mixture: a stable step moves 9.7e-6 of the
-        # mass at t = 1, below SWITCH_MASS_FRACTION, however short the intervals, so the
-        # march is implicit from t_start
+        # criterion 5's 768-node radial p = 2 mixture, where a stable step moves 9.7e-6 of
+        # the mass at t = 1: however short the intervals, the march is implicit from t_start
         grid = rf.Grid.radial(3, 768, 8.0)
         f0 = rf.sample_mixture(grid, 22, mean_range=(0.0, 2.0))
         params = rf.DiffusionParams(p=2.0, dim=3, t_start=1.0, t_end=1.3, snapshot_count=9)
@@ -1277,15 +1311,16 @@ class TestRechosenMarch:
         assert run.step_count == len(record) == 14
 
     def test_criterion_10_config(self, criterion_10_run):
-        # explicit with dt fixed at t_start it took 368,555 steps; the march switches
-        # partway, and from there on its steps keep the controller's contract
+        # explicit with dt fixed at t_start it took 368,555 steps, and 33,330 when it
+        # turned implicit partway; implicit from t = 1 in x, every step keeps the
+        # controller's contract (observed: 434 steps, no rejection)
         run, record = criterion_10_run
         times = run.params.times()
-        assert run.step_count < 50_000
+        assert all(f.grid == run.fields[0].grid for f in run.fields)
+        assert run.step_count == len(record) <= 500 and run.rejection_count == 0
         counts, dts, ratios = _steps_per_interval(record, times)
-        switch = np.flatnonzero(counts)[0]
-        assert switch > 0
-        _assert_controlled(counts[switch:], dts, ratios)
+        assert len(dts) == len(record)
+        _assert_controlled(counts, dts, ratios)
 
     @pytest.mark.filterwarnings("ignore::renyiflow.errors.BoundaryLeakWarning")
     def test_fast_diffusion_geometric_snapshots(self, monkeypatch):
@@ -1302,18 +1337,72 @@ class TestRechosenMarch:
 
     @pytest.mark.filterwarnings("ignore::renyiflow.errors.BoundaryLeakWarning")
     def test_explicit_run_bitwise(self, monkeypatch):
-        # `evolve --p 1 --dim 3 --nodes 512 --initial gaussian`: explicit throughout, so
-        # the step controller never runs and the march is the reference's, bit for bit
+        # `evolve --p 1 --dim 3 --nodes 512 --initial gaussian`: `step`'s explicit run is
+        # the reference's, bit for bit, in 2,920 steps; evolve marches in y, where the
+        # heat kernel stands still, a step per interval
         grid = rf.Grid.radial(3, 512, 8.0 * math.sqrt(4.0) + 4.0)
         f0 = rf.sample_gaussian(grid, 1.0, normalize=True)
         params = rf.DiffusionParams(p=1.0, dim=3, t_start=1.0, t_end=2.0, snapshot_count=9)
+        fields, steps, rejections = _step_march(f0, params)
+        want, want_steps, want_rejections = _reference_march(f0, params)
+        assert (steps, rejections) == (want_steps, want_rejections) == (2920, 0)
+        for got, field in zip(fields, want, strict=True):
+            assert got.tobytes() == field.tobytes()
         record = _record_marches(monkeypatch)
         run = rf.evolve(f0, params)
-        assert {march for march, *_ in record} == {"advance"} and run.step_count == 2920
-        fields, steps, rejections = _reference_march(f0, params)
-        assert (run.step_count, run.rejection_count) == (steps, rejections)
-        for got, want in zip(run.fields, fields):
-            assert got.values.tobytes() == want.tobytes()
+        assert {march for march, *_ in record} == {"implicit_advance"} and run.step_count == 8
+        for fld, snap in zip(run.fields, run.snapshots):
+            exact = rf.sample_gaussian(fld.grid, snap.t, normalize=True)
+            assert float(fld.grid.weights() @ np.abs(fld.values - exact.values)) <= 1e-11
+
+
+def _source_case(geometry, p, nodes=128):
+    """The source solution at t = 1, which stands still in y: the heat kernel for
+    p = 1, else the fitted Barenblatt, on the domain evolve sizes up to t = 1.2."""
+    if p == 1.0:
+        grid = rf.Grid.cartesian(nodes, 8.0) if geometry == "cartesian" else rf.Grid.radial(3, nodes, 8.0)
+        f0 = rf.sample_gaussian(grid, 1.0, normalize=True)
+    else:
+        f0 = _fitted_barenblatt(p, 1 if geometry == "cartesian" else 3, nodes, 1.2)
+    return f0, rf.DiffusionParams(p=p, dim=f0.grid.dim, t_start=1.0, t_end=1.2,
+                                  snapshot_count=5)
+
+
+class TestOneMarch:
+    """evolve takes the implicit BDF2 step from t_start for every p, in the frame chosen
+    once, before its first step; the explicit step is `step`'s alone."""
+
+    @pytest.mark.filterwarnings("ignore::renyiflow.errors.BoundaryLeakWarning")
+    @pytest.mark.parametrize("datum", ["mixture", "source"])
+    @pytest.mark.parametrize("p", [0.8, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("geometry", ["cartesian", "radial3"])
+    def test_never_explicit(self, geometry, p, datum, monkeypatch):
+        # the mixtures march in x, the source solutions in y
+        if datum == "mixture":
+            f0, params = _mixture_case(geometry, p, (1.5, 3.0) if p < 1.0 else (0.2, 0.5))
+        else:
+            f0, params = _source_case(geometry, p)
+        record = _record_marches(monkeypatch)
+        run = rf.evolve(f0, params)
+        assert record and {march for march, *_ in record} == {"implicit_advance"}
+        assert run.step_count == len(record)
+        assert (run.fields[-1].grid == f0.grid) == (datum == "mixture")
+
+    def test_x_run_builds_no_dilated_kernel(self, monkeypatch):
+        # criterion 5's radial p = 2 mixture stays in x: its march and the frame's probe
+        # are kernels on the x-grid, and no field is dilated
+        grids, rescaled, real = [], [], solver._Kernel.__init__
+
+        def kernel_init(kernel, grid, *args):
+            grids.append(grid)
+            real(kernel, grid, *args)
+
+        monkeypatch.setattr(solver._Kernel, "__init__", kernel_init)
+        monkeypatch.setattr(solver, "rescale", lambda *args: rescaled.append(args))
+        grid = rf.Grid.radial(3, 768, 8.0)
+        f0 = rf.sample_mixture(grid, 22, mean_range=(0.0, 2.0))
+        rf.evolve(f0, rf.DiffusionParams(2.0, 3, 1.0, 1.3, snapshot_count=9))
+        assert grids == [grid, grid] and rescaled == []
 
 
 def _bdf2_march(f0, p, h, steps):
@@ -1384,8 +1473,7 @@ class TestSelfSimilarFrame:
     # and a tail at the wall below the rounding of max(u), which a floor of g at that
     # rounding moved (15 steps, violation 1.3e-4)
     @pytest.mark.parametrize("p, dim, nodes", [(2.0, 1, 512), (0.8, 3, 512), (0.65, 3, 1024)])
-    def test_fitted_barenblatt_is_steady(self, p, dim, nodes, monkeypatch):
-        monkeypatch.setattr(solver, "SWITCH_MASS_FRACTION", math.inf)  # implicit from t = 1
+    def test_fitted_barenblatt_is_steady(self, p, dim, nodes):
         f0 = _fitted_barenblatt(p, dim, nodes, 3.0)
         params = rf.DiffusionParams(p=p, dim=dim, t_start=1.0, t_end=3.0, snapshot_count=9)
         run = rf.evolve(f0, params)

@@ -36,7 +36,8 @@ CONFIGS = {
                   "--t-end", "1.25", "--snapshots", "17"] + BARENBLATT_VERIFY,
     "sweep": ["sweep", "--p", "0.8,1.0,1.5,2.0", "--dim", "1,3", "--seeds", "3",
               "--nodes", "512", "--workers", "1"],
-    # explicit at first, implicit from a later snapshot on
+    # a p = 2 Barenblatt that stands still in the self-similar frame: one implicit step
+    # per interval (the label is kept from when its march turned implicit partway)
     "switch_pme_768": ["evolve", "--p", "2", "--dim", "1", "--nodes", "768",
                        "--initial", "barenblatt", "--t-start", "1", "--t-end", "3",
                        "--snapshots", "9"],
@@ -49,7 +50,7 @@ CONFIGS = {
                          "--initial", "mixture", "--verify", "concavity,upsilon"],
     "gaussian_p1": ["evolve", "--p", "1", "--dim", "1", "--nodes", "512",
                     "--initial", "gaussian", "--verify", "concavity,upsilon,debruijn"],
-    # the radial explicit march outside the sweep
+    # the radial p = 1 march outside the sweep: the heat kernel, still in the self-similar frame
     "heat_radial3": ["evolve", "--p", "1", "--dim", "3", "--nodes", "512",
                      "--initial", "gaussian", "--verify", "concavity,upsilon"],
     "verify_evolve_fd": ["verify", "--snapshots-csv", "{evolve_fd}", "--p", "0.8",
