@@ -69,12 +69,10 @@ from .initial_data import (
 )
 from .solver import (
     DiffusionParams,
-    DomainSizingReport,
     EvolutionResult,
     SolverState,
     cfl_dt,
     evolve,
-    fast_diffusion_guard,
     step,
 )
 from .verification import (

@@ -329,8 +329,8 @@ def suggest_domain_radius(p: float, n: int, tail_mass: float = 1e-6,
     """Smallest float radius r >= 1 whose profile tail mass is at most tail_mass.
 
     Memoized per argument list, as `coefficients` and `gamma_const` are: one `evolve`
-    asks twice with the same arguments (its default radius, then `fast_diffusion_guard`),
-    and a sweep's rows ask once per seed with their (p, n).
+    asks twice with the same arguments (its default radius, then its `domain_sizing`
+    record), and a sweep's rows ask once per seed with their (p, n).
 
     For p > 1 this is just the support edge.  For p < 1, Newton's method on
     log T against log r, with the exact slope -|S^{n-1}| r^n profile(r) / T,

@@ -14,7 +14,6 @@ import configparser
 import functools
 import math
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from . import analytic
@@ -37,7 +36,7 @@ from .reporting import (
     write_snapshots,
     write_verdicts,
 )
-from .solver import DOMAIN_TOL, DiffusionParams, evolve, fast_diffusion_guard
+from .solver import DOMAIN_TOL, DiffusionParams, evolve
 from .verification import CHECKS, require_snapshots, run_checks, validate_checks
 
 EXIT_OK = 0
@@ -220,11 +219,20 @@ def _grid(dim: int, nodes: int, radius: float) -> Grid:  # the line in 1-D, else
     return Grid.cartesian(nodes, radius) if dim == 1 else Grid.radial(dim, nodes, radius)
 
 
+def _envelope(p: float, dim: int, t_end: float) -> tuple[analytic.BarenblattSpec, float, float]:
+    """The domain sizing's Barenblatt envelope, the pde source solution at max(t_end, 1):
+    its spec, the radius at t = 1 outside which it holds DOMAIN_TOL of its mass (the
+    support edge for p > 1), and its spread t^{1/mu}, by which that radius grows."""
+    spec = analytic.barenblatt_spec(p, dim, "pde")
+    spread = max(t_end, 1.0) ** (1.0 / spec.coeffs.mu)
+    return spec, analytic.suggest_domain_radius(p, dim, DOMAIN_TOL, "pde"), spread
+
+
 def _default_radius(p: float, dim: int, t_end: float, initial: str) -> float:
     if initial.startswith("gaussian") or p == 1.0:
         return 8.0 * math.sqrt(2.0 * t_end) + 4.0
-    spread = max(t_end, 1.0) ** (1.0 / analytic.coefficients(p, dim).mu)
-    radius = 1.3 * analytic.suggest_domain_radius(p, dim, DOMAIN_TOL, "pde") * spread
+    _, r, spread = _envelope(p, dim, t_end)
+    radius = 1.3 * r * spread
     # mixtures put bumps out to |mean| + a few sigmas regardless of p
     return max(radius, 10.0) if initial == "mixture" else radius
 
@@ -305,9 +313,12 @@ def run_evolve(args) -> int:
            "seed": args.seed, "verify": names, "tols": tols}
     result, checks = _run(cfg, f0=f0)
     cfg["geometry"] = result.fields[0].grid.kind  # the profile's, or the one --dim gives
-    sizing = None  # the Barenblatt envelope's domain sizing, where it has a second moment
+    sizing = None  # the envelope's mass outside the grid, where it has a second moment
     if analytic._has_second_moment(p, dim):
-        sizing = asdict(fast_diffusion_guard(result.params, result.fields[0].grid))
+        spec, r, spread = _envelope(p, dim, args.t_end)
+        tail = analytic.barenblatt_tail_mass(spec, result.fields[0].grid.radius() / spread)
+        sizing = {"compact_support": p > 1.0, "tail_mass": tail,
+                  "recommended_radius": r * spread, "adequate": tail <= DOMAIN_TOL}
 
     d = _outdir(args.out, cfg)
     write_snapshots(d / "snapshots.csv", result.snapshots)

@@ -32,13 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import (
-    _require_second_moment,
-    barenblatt_spec,
-    barenblatt_tail_mass,
-    coefficients,
-    suggest_domain_radius,
-)
+from .analytic import coefficients
 from .errors import BoundaryLeakWarning, DomainError, StabilityError
 from .functionals import FunctionalSnapshot, rescale, snapshot
 from .grids import RADIAL, DensityField, Grid
@@ -160,6 +154,10 @@ class _Kernel:
         self.conductance, self.coupling, self.max_rate = grid.conductances()
         self.u = np.maximum(values, 0.0)
         self.umax = float(self.u.max())
+        with np.errstate(over="ignore"):  # 2 N max(c) max(u)^p bounds the fluxes' sum
+            if not 2 * n * self.conductance.max() * np.float64(self.umax) ** p < math.inf:
+                raise DomainError(f"domain radius {grid.radius()!r} is too small for this "
+                                  "datum: u^p or its fluxes overflow")
         self.new, self.v, self.div = np.empty(n), np.empty(n), np.empty(n)
         self.dv, self.du = np.empty(n - 1), np.empty(n - 1)
         self.flux = np.zeros(n + 1)  # walls: zero flux
@@ -667,7 +665,8 @@ def evolve(f0: DensityField, params: DiffusionParams,
     step-size kinks inside an interval.  The march is linearly implicit BDF2, with its
     history, from t_start to the end, for every p.  Its tolerance, taken before each
     interval, is LOCAL_ERROR_TOL of the most mass the flow can move over the interval,
-    and a step is at most MAX_CFL_STEPS CFL steps.  The march starts with the
+    and a step is at most MAX_CFL_STEPS CFL steps: DomainError where such a step cannot
+    move the clock, on a domain too small for the datum.  The march starts with the
     backward-Euler step whose local error is its share of one step's tolerance per
     interval (`_Kernel.starting_dt`: read from the flow's acceleration, so a finer
     grid starts no shorter) and doubles it while it has fewer than three levels; from
@@ -721,12 +720,16 @@ def evolve(f0: DensityField, params: DiffusionParams,
     for target in times[1:]:
         kernel._faces()  # an implicit step leaves v = u^p stale
         longest = MAX_CFL_STEPS * kernel.cfl_dt(1.0)
+        # the march's clock: t, or tau = log t in the self-similar frame
+        now, end = (math.log(t), math.log(target)) if dilate else (t, target)
+        # a step the cap shortens is over half the cap, or lands on the end
+        if end + 0.5 * longest == end:
+            raise DomainError(f"domain radius {f0.grid.radius()!r} is too small for this "
+                              f"datum: its longest step, {longest:.3g}, cannot advance t = {t!r}")
         # the most mass the flow can move over this interval, and sqrt(eps) of the mass
         # where it barely moves, so that rounding fails no step
         moved = min(rate * float(target - t), m0)
         kernel.error_tol = LOCAL_ERROR_TOL * max(moved, math.sqrt(EPS) * m0)
-        # the march's clock: t, or tau = log t in the self-similar frame
-        now, end = (math.log(t), math.log(target)) if dilate else (t, target)
         if not kernel.dt_next:  # the march's first step
             kernel.dt_next = kernel.starting_dt(kernel.error_tol / (end - now))
         at = t  # the step's start in t, for messages
@@ -750,30 +753,3 @@ def evolve(f0: DensityField, params: DiffusionParams,
         warnings.warn(f"edge mass {edge_mass:.3e} exceeds {DOMAIN_TOL}; "
                       "domain is likely too small", BoundaryLeakWarning)
     return result
-
-
-@dataclass(frozen=True)
-class DomainSizingReport:
-    compact_support: bool          # p > 1
-    tail_mass: float               # envelope mass outside the domain
-    recommended_radius: float
-    adequate: bool                 # tail_mass <= DOMAIN_TOL
-
-
-def fast_diffusion_guard(params: DiffusionParams, grid: Grid) -> DomainSizingReport:
-    """Check the truncated domain against the Barenblatt envelope at t_end.
-
-    The envelope is the pde-normalized source solution at max(t_end, 1).
-    The report gives its closed-form mass outside the grid, whether that is
-    at most DOMAIN_TOL, and the `suggest_domain_radius` radius scaled by
-    the spread t^{1/mu}: the support edge for p > 1, and for
-    n/(n+2) < p < 1 the radius with tail mass DOMAIN_TOL.  Raises DomainError
-    where the envelope has no finite second moment (p = 1 or p <= n/(n+2)).
-    """
-    p, n = params.p, params.dim
-    _require_second_moment(p, n, "tail-mass sizing")
-    spec = barenblatt_spec(p, n, "pde")
-    spread = max(params.t_end, 1.0) ** (1.0 / spec.coeffs.mu)
-    tail = barenblatt_tail_mass(spec, grid.radius() / spread)
-    rec = suggest_domain_radius(p, n, DOMAIN_TOL, "pde") * spread
-    return DomainSizingReport(p > 1.0, tail, rec, tail <= DOMAIN_TOL)

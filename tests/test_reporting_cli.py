@@ -291,10 +291,10 @@ class TestEvolveCommand:
         meta = json.loads((bare / "run_meta.json").read_text())
         config = meta["config"]
         assert (config["nodes"], config["radius"], config["geometry"]) == (256, 8.0, "cartesian1d")
-        params = rf.DiffusionParams(p=1.5, dim=1, t_start=1.0, t_end=1.05)
-        want = rf.fast_diffusion_guard(params, short_run.fields[0].grid)
-        assert meta["domain_sizing"]["tail_mass"] == want.tail_mass
-        assert meta["domain_sizing"]["recommended_radius"] == want.recommended_radius
+        spec, r, spread = cli._envelope(1.5, 1, 1.05)
+        tail = rf.barenblatt_tail_mass(spec, short_run.fields[0].grid.radius() / spread)
+        assert meta["domain_sizing"]["tail_mass"] == tail
+        assert meta["domain_sizing"]["recommended_radius"] == r * spread
 
     def test_radial_line_profile_runs(self, tmp_path):
         # the half-line r >= 0 in one dimension: a grid only a profile's header can give
@@ -517,6 +517,53 @@ class TestEvolveCommand:
         code = main(["evolve", *argv, "--verify", "concavity,isoperimetric"])
         assert code == 1
         assert message in capsys.readouterr().err
+
+
+class TestDomainSizing:
+    """`evolve` sizes its domain against the pde Barenblatt envelope at max(t_end, 1)
+    (`cli._envelope`) and records the envelope's mass outside the grid in run_meta.json."""
+
+    BARENBLATT = ["evolve", "--initial", "barenblatt", "--t-start", "1", "--snapshots", "3"]
+
+    # the default radius and the record, pinned bit for bit so that any change to the
+    # sizing shows: a compact envelope, and a fat-tailed one that leaves 1.6e-7 of its mass out
+    @pytest.mark.parametrize("argv, radius, sizing", [
+        (["--p", "2", "--dim", "1", "--nodes", "256", "--t-end", "1.5"], 3.0954320513379896,
+         {"compact_support": True, "tail_mass": 0.0, "recommended_radius": 2.3811015779522995,
+          "adequate": True}),
+        (["--p", "0.8", "--dim", "3", "--nodes", "128", "--t-end", "1.25"], 66.42904486700604,
+         {"compact_support": False, "tail_mass": 1.6326824159512175e-07,
+          "recommended_radius": 51.09926528231234, "adequate": True}),
+    ], ids=["pme", "fd"])
+    def test_default_domain_record(self, tmp_path, argv, radius, sizing):
+        assert main([*self.BARENBLATT, *argv, "--out", str(tmp_path)]) == 0
+        meta = json.loads(next(tmp_path.glob("exp-*/run_meta.json")).read_text())
+        assert meta["config"]["radius"] == radius
+        assert meta["domain_sizing"] == sizing
+
+    @pytest.mark.filterwarnings("ignore::renyiflow.errors.BoundaryLeakWarning")
+    def test_support_cutting_grid_records_its_tail(self, tmp_path):
+        # p = 2, n = 1: (1 - s^2) puts 5/16 of its mass beyond half the support edge
+        spec = rf.barenblatt_spec(2.0, 1, rf.PDE_NORMALIZED)
+        edge = rf.support_radius(spec) * 2.0 ** (1.0 / spec.coeffs.mu)
+        assert main([*self.BARENBLATT, "--p", "2", "--dim", "1", "--nodes", "256", "--t-end",
+                     "2", "--radius", repr(0.5 * edge), "--out", str(tmp_path)]) == 3
+        meta = json.loads(next(tmp_path.glob("exp-*/run_meta.json")).read_text())
+        assert meta["domain_sizing"] == {"compact_support": True, "tail_mass": 0.3124999999999998,
+                                         "recommended_radius": edge, "adequate": False}
+        assert meta["domain_sizing"]["tail_mass"] == pytest.approx(0.3125, rel=1e-12)
+
+    @staticmethod
+    def _recommended(p, dim, t_end):
+        _, r, spread = cli._envelope(p, dim, t_end)
+        return r * spread
+
+    def test_radius_grows_toward_critical_p(self):
+        assert self._recommended(0.7, 1, 1.0001) > self._recommended(0.9, 1, 1.0001)
+
+    def test_recommended_radius_captures_mass(self):
+        grid = rf.Grid.cartesian(8192, self._recommended(0.9, 1, 1.0001))
+        assert rf.mass(rf.sample_barenblatt(grid, 0.9)) >= 1.0 - 1e-6
 
 
 class TestVerifyCommand:
@@ -968,6 +1015,18 @@ class TestUsageErrors:
          "the grid's nodes miss the Barenblatt profile: no C gives it unit mass"),
         (["evolve", "--p", "0.8", "--dim", "3", "--t-end", "1e6", "--initial", "barenblatt"],
          "the grid's nodes miss the Barenblatt profile: no C gives it unit mass"),
+        # radii the grid admits, on which a unit mass is so large that u^p or its fluxes
+        # overflow, or that the longest step (MAX_CFL_STEPS stable steps) cannot move t
+        (["evolve", "--p", "2", "--radius", "1e-140"],
+         "domain radius 1e-140 is too small for this datum: u^p or its fluxes overflow"),
+        (["evolve", "--p", "2", "--radius", "1e-70", "--dim", "3"],
+         "domain radius 1e-70 is too small for this datum: u^p or its fluxes overflow"),
+        (["evolve", "--p", "2", "--radius", "1e-100"],
+         "domain radius 1e-100 is too small for this datum: its longest step, 1.91e-300, "
+         "cannot advance t = 1.0"),
+        (["evolve", "--p", "2", "--radius", "1e-70"],
+         "domain radius 1e-70 is too small for this datum: its longest step, 1.91e-210, "
+         "cannot advance t = 1.0"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exit_one_message(self, argv, message, tmp_path, capsys):

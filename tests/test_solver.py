@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import renyiflow as rf
-from renyiflow import solver
+from renyiflow import cli, solver
 from renyiflow.errors import BoundaryLeakWarning, DomainError, StabilityError
 from renyiflow.solver import MAX_REJECTIONS, NEGATIVITY_SLACK, SolverState, cfl_dt, step
 
@@ -270,46 +270,6 @@ class TestDiffusionParams:
         with pytest.raises(DomainError):
             rf.DiffusionParams(p=2.0, dim=1, t_start=0.0, t_end=1.0,
                                snapshot_times=(0.0, 0.5, 0.4, 1.0))
-
-
-class TestFastDiffusionGuard:
-    def test_radius_grows_toward_critical_p(self):
-        params_flat = rf.DiffusionParams(p=0.7, dim=1, t_start=1.0, t_end=1.0001)
-        params_steep = rf.DiffusionParams(p=0.9, dim=1, t_start=1.0, t_end=1.0001)
-        grid = rf.Grid.cartesian(256, 10.0)
-        rec_flat = rf.fast_diffusion_guard(params_flat, grid).recommended_radius
-        rec_steep = rf.fast_diffusion_guard(params_steep, grid).recommended_radius
-        assert rec_flat > rec_steep
-
-    def test_compact_support_report(self):
-        params = rf.DiffusionParams(p=2.0, dim=1, t_start=1.0, t_end=2.0)
-        grid = rf.Grid.cartesian(256, 10.0)
-        rep = rf.fast_diffusion_guard(params, grid)
-        assert rep.compact_support and rep.tail_mass == 0.0 and rep.adequate
-
-    def test_support_cutting_grid_reports_tail(self):
-        # p = 2, n = 1: (1 - s^2) puts 5/16 of its mass beyond half the support edge
-        params = rf.DiffusionParams(p=2.0, dim=1, t_start=1.0, t_end=2.0)
-        spec = rf.barenblatt_spec(2.0, 1, rf.PDE_NORMALIZED)
-        edge = rf.support_radius(spec) * 2.0 ** (1.0 / spec.coeffs.mu)
-        rep = rf.fast_diffusion_guard(params, rf.Grid.cartesian(256, 0.5 * edge))
-        assert rep.compact_support and not rep.adequate
-        assert rep.tail_mass == pytest.approx(0.3125, rel=1e-12)
-        assert rep.recommended_radius == edge
-
-    def test_recommended_radius_captures_mass(self):
-        params = rf.DiffusionParams(p=0.9, dim=1, t_start=1.0, t_end=1.0001)
-        grid = rf.Grid.cartesian(256, 10.0)
-        rep = rf.fast_diffusion_guard(params, grid)
-        sample_grid = rf.Grid.cartesian(8192, rep.recommended_radius)
-        f = rf.sample_barenblatt(sample_grid, 0.9)
-        assert rf.mass(f) >= 1.0 - 1e-6
-
-    def test_rejects_divergent_second_moment(self):
-        params = rf.DiffusionParams(p=0.55, dim=3, t_start=1.0, t_end=2.0)
-        grid = rf.Grid.radial(3, 256, 10.0)
-        with pytest.raises(DomainError):
-            rf.fast_diffusion_guard(params, grid)
 
 
 class TestConservationLongHaul:
@@ -1457,8 +1417,7 @@ class TestLocalErrorEstimate:
 
 def _fitted_barenblatt(p, dim, nodes, t_end):
     """The unit-mass Barenblatt, C fitted, at t = 1 on the domain `evolve` sizes up to t_end."""
-    mu = rf.coefficients(p, dim).mu
-    radius = 1.3 * rf.suggest_domain_radius(p, dim, solver.DOMAIN_TOL, "pde") * t_end ** (1 / mu)
+    radius = cli._default_radius(p, dim, t_end, "barenblatt")
     grid = rf.Grid.cartesian(nodes, radius) if dim == 1 else rf.Grid.radial(dim, nodes, radius)
     return rf.sample_barenblatt(grid, p, normalize=True)
 
@@ -1502,8 +1461,7 @@ class TestSelfSimilarFrame:
     def test_closed_faces(self):
         # `evolve_pme`'s datum: every face beyond the support has an empty upwind cell,
         # so it carries no flux, and the field moves only by rounding
-        spec = rf.barenblatt_spec(2.0, 1, rf.PDE_NORMALIZED)
-        grid = rf.Grid.cartesian(2048, 1.3 * rf.support_radius(spec) * 3.0 ** (1.0 / 3.0))
+        grid = rf.Grid.cartesian(2048, cli._default_radius(2.0, 1, 3.0, "barenblatt"))
         f0 = rf.sample_barenblatt(grid, 2.0, 1.0, normalize=True)
         kernel = solver._Kernel(grid, 2.0, f0.values, drift=1.0 / 3.0)
         moved = kernel.speed()
@@ -1520,7 +1478,7 @@ class TestSelfSimilarFrame:
         # the Barenblatt goes to y; a run from t = 0, where log t is undefined, and a
         # p > 1 mixture whose thin tail at the wall the drift would drain stay in x
         spec = rf.barenblatt_spec(0.8, 3, rf.PDE_NORMALIZED)
-        grid = rf.Grid.radial(3, 256, 1.3 * rf.suggest_domain_radius(0.8, 3, 1e-6, "pde"))
+        grid = rf.Grid.radial(3, 256, cli._default_radius(0.8, 3, 1.0, "barenblatt"))
         f0 = rf.sample_barenblatt(grid, 0.8, 1.0, normalize=True)
         run = rf.evolve(f0, rf.DiffusionParams(0.8, 3, 1.0, 1.1, snapshot_count=3))
         assert run.fields[1].grid == grid.scaled(1.05 ** (1.0 / spec.coeffs.mu))
