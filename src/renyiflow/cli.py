@@ -56,6 +56,13 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
+class _Given(argparse.Action):
+    """Stores an option's value, flag or config, and notes it in the namespace's `given`."""
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = {*getattr(namespace, "given", ()), self.dest}
+
+
 def _constants_options(c: argparse.ArgumentParser) -> None:
     c.add_argument("--pair", action="append", default=None, metavar="P,N",
                    help="a (p, n) pair; repeatable")
@@ -72,9 +79,9 @@ def _barenblatt_options(b: argparse.ArgumentParser) -> None:
 
 def _evolve_options(e: argparse.ArgumentParser) -> None:
     e.add_argument("--p", type=float, default=None)
-    e.add_argument("--dim", type=int, default=1)
-    e.add_argument("--nodes", type=int, default=1024)
-    e.add_argument("--radius", type=float, default=None)
+    e.add_argument("--dim", type=int, default=1, action=_Given)
+    e.add_argument("--nodes", type=int, default=1024, action=_Given)
+    e.add_argument("--radius", type=float, default=None, action=_Given)
     e.add_argument("--t-start", dest="t_start", type=float, default=1.0)
     e.add_argument("--t-end", dest="t_end", type=float, default=2.0)
     e.add_argument("--snapshots", type=int, default=9)
@@ -254,17 +261,14 @@ def _initial_field(kind: str, grid: Grid, p: float, t_start: float, seed: int):
 def _profile_grid(args):
     """The --initial file:PATH profile's grid (dim, nodes, radius) and the profile.
 
-    The profile brings its own grid, so a --dim, --nodes or --radius value (flag
-    or config) other than the option's default and the grid's own is an error.
+    The profile brings its own grid, so a --dim, --nodes or --radius value given
+    (flag or config) other than the grid's own, a radius to its rounding, is an error.
     """
     field = read_profile(args.initial[len("file:"):])
-    grid, command = field.grid, _build_parser()[1]["evolve"]
-    own = {"dim": grid.dim, "nodes": grid.node_count, "radius": grid.radius()}
+    own = {"dim": field.grid.dim, "nodes": field.grid.node_count, "radius": field.grid.radius()}
     for name, value in own.items():
-        given = getattr(args, name)
-        if given in (command.get_default(name), value):
-            continue
-        if name != "radius" or not math.isclose(given, value, rel_tol=1e-12):
+        given, tol = getattr(args, name), 1e-12 if name == "radius" else 0.0
+        if name in getattr(args, "given", ()) and not math.isclose(given, value, rel_tol=tol):
             raise DomainError(f"--{name} {given!r} differs from the {value!r} of the "
                               f"grid of {args.initial}")
     return own, field

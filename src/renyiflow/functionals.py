@@ -120,9 +120,9 @@ def _pressure(values: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray | No
 
 
 def _power_terms(f: DensityField, p: float, pressure: np.ndarray, log_c: float,
-                 out: np.ndarray | None = None) -> tuple[float, float]:
+                 out: np.ndarray) -> tuple[float, float]:
     """(integral u^p, H_p) from `_pressure`'s P and log c, with no gradient; u P is
-    formed in out if given.
+    formed in out.
 
     With r = (p-1) integral u P / m, integral u^p = c^{p-1} m (1 + r) and
     H_p = -log c - log1p(r)/(p-1) = -log c - (log1p(r)/r) integral u P / m,
@@ -141,19 +141,9 @@ def _power_terms(f: DensityField, p: float, pressure: np.ndarray, log_c: float,
     return s, -log_c - ratio * u_p / m
 
 
-def _power_pair(f: DensityField, p: float) -> tuple:
-    """f._memo[p] with at least (integral u^p, H_p) filled, the rest None until a
-    gradient pass fills them."""
-    got = f._memo.get(p)
-    if got is None:
-        pressure, _, log_c = _pressure(f.values, p)
-        got = f._memo[p] = _power_terms(f, p, pressure, log_c) + (None, None, None)
-    return got
-
-
 def p_norm_integral(f: DensityField, p: float) -> float:
     """Integral of u^p for p > 0 (zero values contribute zero)."""
-    return _power_pair(f, p)[0]
+    return _integrals(f, p)[0]
 
 
 def renyi_entropy(f: DensityField, p: float) -> float:
@@ -164,7 +154,7 @@ def renyi_entropy(f: DensityField, p: float) -> float:
     log(integral u^p) / (1 - p) would shift it by p log(m) / (1 - p), which has
     no limit at p = 1.
     """
-    return _power_pair(f, p)[1]
+    return _integrals(f, p)[1]
 
 
 def entropy_power(f: DensityField, p: float, n: int | None = None) -> float:
@@ -222,15 +212,15 @@ def _integrals(f: DensityField, p: float,
                dissipation: bool = False) -> tuple[float, float, float, float | None, float | None]:
     """(integral u^p, H_p, F_p, D_p, integral u^p (Lap g)^2) of f for p > 0.
 
-    One pressure pass per (field, p), kept in f._memo next to `_power_pair`'s
-    first two entries: the last two come from the same pressure as F_p, and
-    only once asked for (None until then).  The p-independent passes (max u, the
-    positivity mask, log(u/c), sqrt(u), the mass) are formed once per field for
-    every p (`_passes`, `mass`), and each later pass writes into an array the
-    evaluation already holds.
+    One pressure pass per (field, p), whichever functional asks first, kept in
+    f._memo: the last two come from the same pressure as F_p, and only once asked
+    for (None until then; asking then passes over the pressure again).  The
+    p-independent passes (max u, the positivity mask, log(u/c), sqrt(u), the mass)
+    are formed once per field for every p (`_passes`, `mass`), and each later pass
+    writes into an array the evaluation already holds.
     """
     got = f._memo.get(p)
-    if got is not None and got[2] is not None and (got[3] is not None or not dissipation):
+    if got is not None and (got[3] is not None or not dissipation):
         return got
     v, w = f.values, f.grid.weights()
     pressure, ok, log_c = _pressure(v, p)
@@ -269,8 +259,7 @@ def pressure_laplacian_integral(f: DensityField, p: float) -> float:
 
 def upsilon(f: DensityField, p: float, n: int | None = None) -> float:
     """The dilation invariant N_p(f) I_p(f)."""
-    i_p = fisher_p(f, p)[1]  # first, so that one pressure pass also serves H_p
-    return entropy_power(f, p, n) * i_p
+    return entropy_power(f, p, n) * fisher_p(f, p)[1]
 
 
 def rescale(f: DensityField, a: float) -> DensityField:

@@ -160,8 +160,8 @@ class DensityField:
 
     grid: Grid
     values: np.ndarray
-    # the mass and the per-p integrals, filled lazily by functionals.mass,
-    # _power_pair and _integrals; floats only, so a kept field holds no extra
+    # the mass and, per p, every integral of one pressure pass, filled lazily by
+    # functionals.mass and _integrals; floats only, so a kept field holds no extra
     # arrays and no reference back to itself (the arrays all its p share,
     # functionals._passes, are held for the last field evaluated only, and
     # freed with its values)

@@ -82,7 +82,8 @@ SELF_SIMILAR_RATE = 0.1
 
 @dataclass(frozen=True)
 class DiffusionParams:
-    """Run parameters; the boundary is a closed, zero-flux wall."""
+    """Run parameters; the boundary is a closed, zero-flux wall.  The snapshot times,
+    given or snapshot_count evenly spaced, must strictly increase (not t 1, 1, 1 + 2 eps)."""
 
     p: float
     dim: int
@@ -97,14 +98,14 @@ class DiffusionParams:
             raise DomainError("t_end must be finite")
         if not (self.t_end > self.t_start >= 0.0):
             raise DomainError("need t_end > t_start >= 0")
-        if self.snapshot_times is not None:
-            ts = np.asarray(self.snapshot_times, dtype=float)
-            if ts.size < 2 or np.any(np.diff(ts) <= 0.0):
-                raise DomainError("snapshot times must be strictly increasing")
-            if not (math.isclose(ts[0], self.t_start) and math.isclose(ts[-1], self.t_end)):
-                raise DomainError("snapshot times must span [t_start, t_end]")
-        elif self.snapshot_count < 2:
+        if self.snapshot_times is None and self.snapshot_count < 2:
             raise DomainError("need at least 2 snapshots")
+        ts = self.times()
+        if ts.size < 2 or np.any(np.diff(ts) <= 0.0):
+            raise DomainError(f"snapshot times must be strictly increasing; {ts.size} "
+                              f"in [{self.t_start!r}, {self.t_end!r}] are not")
+        if not (math.isclose(ts[0], self.t_start) and math.isclose(ts[-1], self.t_end)):
+            raise DomainError("snapshot times must span [t_start, t_end]")
 
     def times(self) -> np.ndarray:
         if self.snapshot_times is not None:
@@ -685,14 +686,15 @@ def evolve(f0: DensityField, params: DiffusionParams,
     in the self-similar frame when the flow there moves less than SELF_SIMILAR_RATE of
     the mass it moves in x per unit of log t, read on the x-grid (a kernel with the
     drift 1 / (mu t) there), so a run that stays in x dilates nothing.  In y the datum
-    is dilated exactly onto the y-grid (`functionals.rescale` by t^{-1/mu}), the
-    kernel gets the drift 1 / mu, and the march's clock is tau = log t.  Each snapshot
-    is mapped back by `rescale(., t_k^{1/mu})`, so the snapshots, the checks and the
-    messages read the physical field at physical t, and `fields[k]` lives on the grid
-    dilated to t_k.  The tolerance keeps its unit, mass over the interval in t.  The
-    y-frame's wall moves out with the grid in x.  A backward-Euler step stands in for
-    BDF2 there when BDF2's base is negative beyond rounding: a cell the drift drains (a
-    thin tail ahead of a p > 1 front, a front retreating in y) extrapolates below 0.
+    is dilated exactly onto the y-grid (`functionals.rescale` by t^{-1/mu}), the kernel
+    gets the drift 1 / mu, and the march's clock is tau = log t (refused before any step
+    where it does not advance: t 1e6 to 1e6 + 1e-10).  Each snapshot is mapped back by
+    `rescale(., t_k^{1/mu})`, so the snapshots, the checks and the messages read the
+    physical field at physical t, and `fields[k]` lives on the grid dilated to t_k.  The
+    tolerance keeps its unit, mass over the interval in t.  The y-frame's wall moves out
+    with the grid in x.  A backward-Euler step stands in for BDF2 there when BDF2's base
+    is negative beyond rounding: a cell the drift drains (a thin tail ahead of a p > 1
+    front, a front retreating in y) extrapolates below 0.
     """
     if f0.grid.dim != params.dim:
         raise DomainError("initial field dimension does not match params.dim")
@@ -714,14 +716,18 @@ def evolve(f0: DensityField, params: DiffusionParams,
             dilate, grid, kernel = drift, start.grid, _Kernel(start.grid, p, start.values, drift)
             edge = _edge_weights(grid)
     kernel.error_weights = grid.weights() - edge  # 0 at the edge: the wall's layer is the domain's
+    # the march's clock at each snapshot: t, or tau = log t in the self-similar frame
+    clock = [math.log(x) for x in times] if dilate else [float(x) for x in times]
+    for k in range(1, len(clock)):
+        if not clock[k] > clock[k - 1]:
+            raise DomainError(f"snapshot interval [{float(times[k - 1])!r}, {float(times[k])!r}] "
+                              f"does not advance the march's clock, {'log t' if dilate else 't'}")
     steps = rejections = 0
     snaps = [snapshot(f0, p, params.dim, t=t, with_dissipation=with_dissipation)]
     fields = [f0]
-    for target in times[1:]:
+    for target, now, end in zip(times[1:], clock, clock[1:]):
         kernel._faces()  # an implicit step leaves v = u^p stale
         longest = MAX_CFL_STEPS * kernel.cfl_dt(1.0)
-        # the march's clock: t, or tau = log t in the self-similar frame
-        now, end = (math.log(t), math.log(target)) if dilate else (t, target)
         # a step the cap shortens is over half the cap, or lands on the end
         if end + 0.5 * longest == end:
             raise DomainError(f"domain radius {f0.grid.radius()!r} is too small for this "

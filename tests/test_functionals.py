@@ -511,10 +511,28 @@ class TestMemo:
         f, fresh = self._field(1), self._field(1)
         h = rf.renyi_entropy(f, p)
         s = f._memo[p][0]
-        assert f._memo[p] == (s, h, None, None, None)
+        assert f._memo[p] == (s, h, rf.fisher_p(fresh, p)[0], None, None)
         assert s == pytest.approx(float(f.grid.weights() @ f.values ** p), rel=1e-14)
         assert rf.fisher_p(f, p) == rf.fisher_p(fresh, p)
         assert (rf.p_norm_integral(f, p), rf.renyi_entropy(f, p)) == (s, h) == f._memo[p][:2]
+
+    @pytest.mark.parametrize("first, then", [
+        (rf.renyi_entropy, rf.fisher_p), (rf.fisher_p, rf.renyi_entropy),
+        (rf.entropy_power, rf.upsilon), (rf.p_norm_integral, rf.snapshot)],
+        ids=["entropy-fisher", "fisher-entropy", "power-upsilon", "norm-snapshot"])
+    @pytest.mark.parametrize("p", [0.8, 1.0, 2.0])
+    def test_one_pressure_pass_in_any_order(self, first, then, p, monkeypatch):
+        calls = []
+
+        def counted(values, p):
+            calls.append(p)
+            return _pressure(values, p)
+
+        monkeypatch.setattr(rf.functionals, "_pressure", counted)
+        f = self._field(3)
+        first(f, p)
+        then(f, p)
+        assert calls == [p]
 
     def test_snapshot_after_dissipation_omits_it(self, mixture):
         rf.d_p(mixture, 1.5)

@@ -347,20 +347,26 @@ class TestEvolveCommand:
         assert reads == [str(src)]
 
     @pytest.mark.parametrize("flags", [["--nodes", "512"], ["--radius", "30"],
-                                       ["--config", "radius = 30"], ["--config", "nodes = 512"]])
+                                       ["--config", "radius = 30"], ["--config", "nodes = 512"],
+                                       # the options' defaults, against a 128-node radial
+                                       # n = 3 profile
+                                       ["--dim", "1", "radial3"], ["--nodes", "1024", "radial3"]])
     def test_file_initial_conflicting_grid_exit_one(self, tmp_path, short_run, monkeypatch,
                                                     capsys, flags):
         def no_solve(*args, **kwargs):
             raise AssertionError("evolve ran on a grid the profile does not have")
 
         monkeypatch.setattr(cli, "evolve", no_solve)
-        src = tmp_path / "initial.csv"
-        write_profile(src, short_run.fields[0])
+        src, profile = tmp_path / "initial.csv", short_run.fields[0]
+        base = ["evolve", "--p", "1.5", "--dim", "1"]
+        if flags[-1] == "radial3":
+            profile = rf.sample_barenblatt(rf.Grid.radial(3, 128, 4.0), 2.0, normalize=True)
+            base, flags = ["evolve", "--p", "2"], flags[:-1]
+        write_profile(src, profile)
         if flags[0] == "--config":
             (tmp_path / "run.ini").write_text(f"[grid]\n{flags[1]}\n")
             flags = ["--config", str(tmp_path / "run.ini")]
-        code = main(["evolve", "--p", "1.5", "--dim", "1", "--initial", f"file:{src}",
-                     "--out", str(tmp_path / "run")] + flags)
+        code = main(base + ["--initial", f"file:{src}", "--out", str(tmp_path / "run")] + flags)
         assert code == 1
         assert capsys.readouterr().err.startswith("configuration error: --")
         assert not (tmp_path / "run").exists()
@@ -1027,6 +1033,15 @@ class TestUsageErrors:
         (["evolve", "--p", "2", "--radius", "1e-70"],
          "domain radius 1e-70 is too small for this datum: its longest step, 1.91e-210, "
          "cannot advance t = 1.0"),
+        # intervals the march's clock does not advance, refused before the first step:
+        # linspace repeats t = 1.0, and log t maps both ends to one float
+        (["evolve", "--p", "2", "--snapshots", "3", "--t-start", "1",
+          "--t-end", "1.0000000000000002"],
+         "snapshot times must be strictly increasing; 3 in [1.0, 1.0000000000000002] are not"),
+        (["evolve", "--p", "2", "--initial", "barenblatt", "--t-start", "1e6",
+          "--t-end", "1000000.0000000001", "--snapshots", "2"],
+         "snapshot interval [1000000.0, 1000000.0000000001] does not advance the march's "
+         "clock, log t"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exit_one_message(self, argv, message, tmp_path, capsys):

@@ -1414,6 +1414,30 @@ class TestLocalErrorEstimate:
         assert float(w @ np.abs(levels[64][3] - exact[3])) <= 0.1 * true
         assert 0.5 * true <= estimates[-1] <= 2.0 * true
 
+    def test_rejected_step_retries_at_the_controllers_factor(self, monkeypatch):
+        # three levels at the step that moves 0.2% of the mass, then a step eight times as
+        # long against a tolerance of 1e-12: its estimate is far above it, and so is the
+        # first retry's (observed: 2 rejections, no undershoot)
+        grid = rf.Grid.cartesian(256, 8.0)
+        kernel = solver._Kernel(grid, 1.5, rf.sample_mixture(grid, seed=4).values)
+        step = _mass_step(kernel)
+        for k in range(2):
+            kernel.implicit_advance(step, 1.0 + k * step)
+        kernel.error_tol = 1e-12
+        tries, real = [], solver._Kernel._local_error
+
+        def local_error(k, dt, *args):
+            tries.append((dt, real(k, dt, *args)))
+            return tries[-1][1]
+
+        monkeypatch.setattr(solver._Kernel, "_local_error", local_error)
+        dt, rejections = kernel.implicit_advance(8.0 * step, 1.0 + 2.0 * step)
+        assert rejections == len(tries) - 1 >= 1 and (tries[0][0], tries[-1][0]) == (8.0 * step, dt)
+        for (dt_tried, error), (retry, _) in zip(tries, tries[1:]):
+            assert error > kernel.error_tol
+            assert retry == dt_tried * (0.9 * (kernel.error_tol / error) ** (1.0 / 3.0))
+        assert tries[-1][1] <= kernel.error_tol
+
 
 def _fitted_barenblatt(p, dim, nodes, t_end):
     """The unit-mass Barenblatt, C fitted, at t = 1 on the domain `evolve` sizes up to t_end."""
@@ -1473,6 +1497,28 @@ class TestSelfSimilarFrame:
         params = rf.DiffusionParams(p=2.0, dim=1, t_start=1.0, t_end=3.0, snapshot_count=33)
         run = rf.evolve(f0, params)
         assert run.rejection_count == 0 and run.step_count <= 60
+
+    def test_draining_cell_falls_back_to_backward_euler(self, monkeypatch):
+        # compact two-bump data forced into y: the drift drains the thin tails ahead of
+        # its fronts, where BDF2's base goes negative, so some steps are backward Euler
+        # from u >= 0 instead; the run still conserves mass and keeps u >= 0
+        spec = rf.barenblatt_spec(2.0, 1, rf.PDE_NORMALIZED)
+        grid = rf.Grid.cartesian(512, rf.support_radius(spec) * 2.0 ** (1.0 / 3.0) * 2.6)
+        f0 = rf.compact_two_bump(grid, seed=11)
+        euler_after_first, real = [], solver._Kernel._local_error
+
+        def local_error(kernel, dt, theta, gap, euler):
+            euler_after_first.append(euler and kernel.u_prev is not None)
+            return real(kernel, dt, theta, gap, euler)
+
+        monkeypatch.setattr(solver, "SELF_SIMILAR_RATE", math.inf)
+        monkeypatch.setattr(solver._Kernel, "_local_error", local_error)
+        run = rf.evolve(f0, rf.DiffusionParams(2.0, 1, 1.0, 2.0, snapshot_count=5))
+        assert run.fields[-1].grid != grid  # the march ran in y
+        assert any(euler_after_first) and not all(euler_after_first)
+        for fld in run.fields:
+            assert float(fld.grid.weights() @ fld.values) == pytest.approx(1.0, abs=1e-13)
+            assert fld.values.min() >= 0.0
 
     def test_frame_choice(self):
         # the Barenblatt goes to y; a run from t = 0, where log t is undefined, and a
