@@ -57,12 +57,12 @@ LINEARIZATION_TOL = 1e-3
 LOCAL_ERROR_TOL = 4e-5
 # The explicit (CFL) step's share of the stable step; the explicit step alone reads it.
 CFL_SAFETY = 0.9
-# An implicit step is at most this many CFL steps (taken at each snapshot).  Its flux
-# form carries the rounding of v = u^p into u' times dt / cfl_dt: about 2 eps per CFL
-# step, relative to max(u), on the flat state of three geometries (1.7e6 CFL steps:
-# 4.3e-10).  Near the flat state the local-error estimate vanishes, and that rounding
-# is all the error there is: the 256-node flat p = 0.8, n = 3 state ended uneven by
-# 5.8e-9 after steps of 1.7e7 CFL steps.
+# An implicit step is at most this many CFL steps (`_stable_dt` at safety 1, read at each
+# snapshot).  Its flux form carries the rounding of v = u^p into u' times dt over that
+# step: about 2 eps per CFL step, relative to max(u), on the flat state of three
+# geometries (1.7e6 CFL steps: 4.3e-10).  Near the flat state the local-error estimate
+# vanishes, and that rounding is all the error there is: the 256-node flat p = 0.8,
+# n = 3 state ended uneven by 5.8e-9 after steps of 1.7e7 CFL steps.
 MAX_CFL_STEPS = 1e6
 EPS = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).tiny)
@@ -123,43 +123,31 @@ class SolverState:
 
 
 class _Kernel:
-    """The flux steps on one (grid, p), in preallocated buffers and slice views.
+    """The implicit march on one (grid, p), in preallocated buffers and slice views.
 
-    The grid is read only as its weights w and `Grid.conductances`; every flux is
-    formed in `_net_flux`, as conductance * dv.  `advance` is the explicit step
-    u + dt L(v) / w, `implicit_advance` the BDF2 one, which keeps the last two u and
-    steps as its history and proposes the next step, `dt_next`.  The implicit step's
-    `_ReductionPlan` and buffers (`work`, about 8N doubles, and `ring`, the four u
-    levels as rows) are made on its first call, so `step` and `cfl_dt` never pay for
-    them.  u is clipped to u >= 0 on entry and after a step that undershoots.  v = u^p
-    and its differences dv serve both the p < 1 chord stiffness and the fluxes, and
-    the acceptance test's max(u) is the next umax.  An explicit step refreshes v and
-    dv; an implicit one uses v, dv and du as scratch, so callers refresh them with
-    `_faces()` before reading them (`speed`, `cfl_dt`, `starting_dt`, `advance`).
-    Each out= pass of either step keeps the operands and operation order of the plain
-    array expressions: bitwise theirs.
+    The grid is read only as its weights w and `Grid.conductances`, and every flux is
+    conductance * dv.  `implicit_advance` is the BDF2 step: it keeps the last two u and
+    steps as its history and proposes the next step, `dt_next`.  Its `_ReductionPlan`
+    and buffers (`work`, about 8N doubles, and `ring`, the four u levels as rows) are
+    made on its first call, so the frame's probe, which reads only `speed`, never pays
+    for them.  u is clipped to u >= 0 on entry (`_clipped`) and after each step, whose
+    acceptance test's max(u) is the next umax; v, dv, du and div are scratch.  Each
+    out= pass keeps the operands and operation order of the plain array expressions.
 
     With a drift c > 0 the kernel steps v_tau = Lap(v^p) + c div(y v) on the y-grid:
     every face flux gains c m dphi (`_drift_faces`), read by `speed`, `starting_dt`
     and `implicit_advance`, whose linearization takes it as an upwind term in u' with
     the ratio m / g_up frozen at the extrapolation g.  Its system stays a
     column-diagonally-dominant M-matrix with zero column sums for p >= 1 (for p < 1
-    while neighbouring g differ by less than a factor (1-p)^{-1/p}).  The explicit
-    `advance` and `cfl_dt` read no drift: with none the kernel is the drift-free one,
-    bit for bit.
+    while neighbouring g differ by less than a factor (1-p)^{-1/p}).
     """
 
     def __init__(self, grid: Grid, p: float, values: np.ndarray, drift: float = 0.0):
         n = grid.node_count
         self.p, self.weights = p, grid.weights()
-        self.conductance, self.coupling, self.max_rate = grid.conductances()
-        self.u = np.maximum(values, 0.0)
-        self.umax = float(self.u.max())
-        with np.errstate(over="ignore"):  # 2 N max(c) max(u)^p bounds the fluxes' sum
-            if not 2 * n * self.conductance.max() * np.float64(self.umax) ** p < math.inf:
-                raise DomainError(f"domain radius {grid.radius()!r} is too small for this "
-                                  "datum: u^p or its fluxes overflow")
-        self.new, self.v, self.div = np.empty(n), np.empty(n), np.empty(n)
+        self.conductance, self.coupling, _ = grid.conductances()
+        self.u, self.umax = _clipped(grid, p, values)
+        self.v, self.div = np.empty(n), np.empty(n)
         self.dv, self.du = np.empty(n - 1), np.empty(n - 1)
         self.flux = np.zeros(n + 1)  # walls: zero flux
         self.v_hi, self.v_lo, self.flux_in = self.v[1:], self.v[:-1], self.flux[1:-1]
@@ -178,61 +166,10 @@ class _Kernel:
                 np.empty(n - 1) for _ in range(5))
             self.cond_p, self.log_g, self.up = self.conductance / p, np.empty(n), np.empty(n - 1, bool)
             self.closed = np.empty(n - 1, bool) if p > 1.0 else None  # no cell is empty for p <= 1
-        self._faces()
-
-    def _faces(self) -> None:
-        np.power(self.u, self.p, out=self.v)
-        np.subtract(self.v_hi, self.v_lo, out=self.dv)
-
-    def stiffness(self) -> float:
-        """Max diffusivity bound entering the CFL step: p * max(u)^{p-1} for p >= 1.
-
-        For p < 1 that would pick the *least* stiff node, so the max face chord slope
-        of u -> u^p is used instead: the convex-combination (monotonicity) bound.
-        """
-        if not self.umax > 0.0:
-            raise DomainError("field has no positive maximum")
-        bound = self.p * self.umax ** (self.p - 1.0)
-        if self.p >= 1.0:
-            return bound
-        chord = np.subtract(self.u[1:], self.u[:-1], out=self.du)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(self.dv, chord, out=chord)  # 0/0 = nan where du == 0
-        # fmax skips those nans: such faces count as chord 0, below the bound
-        return float(np.fmax.reduce(np.abs(chord, out=chord), initial=bound))
-
-    def cfl_dt(self, safety: float = CFL_SAFETY) -> float:
-        return safety / (self.stiffness() * self.max_rate)
-
-    def advance(self, dt: float, t: float) -> tuple[float, int]:
-        """One accepted step from t, halving dt on undershoot: (dt, rejections)."""
-        div = self._net_flux()
-        new, rejections = self.new, 0
-        while True:
-            np.multiply(div, dt, out=new)
-            np.divide(new, self.weights, out=new)
-            np.add(self.u, new, out=new)
-            umax, umin = np.maximum.reduce(new), np.minimum.reduce(new)
-            if umin >= -NEGATIVITY_SLACK * umax:
-                break
-            rejections += 1
-            if rejections > MAX_REJECTIONS:
-                raise StabilityError(
-                    f"step at t = {t} rejected {rejections} times; CFL bound violated")
-            dt *= 0.5
-        if umin < 0.0:
-            np.maximum(new, 0.0, out=new)
-        self.u, self.new, self.umax = new, self.u, float(umax)
-        self._faces()
-        return dt, rejections
 
     def _divergence(self, v: np.ndarray) -> np.ndarray:
         """(L v)_i: net face flux of v into cell i, walls closed."""
         np.subtract(v[1:], v[:-1], out=self.dv)
-        return self._net_flux()
-
-    def _net_flux(self) -> np.ndarray:
-        """(L v)_i from the differences dv: the net flux conductance * dv into cell i."""
         np.multiply(self.conductance, self.dv, out=self.flux_in)
         return np.subtract(self.flux_hi, self.flux_lo, out=self.div)
 
@@ -246,10 +183,10 @@ class _Kernel:
         return TINY if self.drift else EPS * self.umax
 
     def _flow(self) -> np.ndarray:
-        """The net flux into each cell at u: L v (dv is _faces()'s), and with a drift the
-        drift kernel's flux at g = max(u, floor), across open faces (`_drift_faces`)."""
+        """The net flux into each cell at u: L u^p, and with a drift the drift kernel's
+        flux at g = max(u, floor), across open faces (`_drift_faces`)."""
         if not self.drift:
-            return self._net_flux()
+            return self._divergence(np.power(self.u, self.p, out=self.v))
         g = np.maximum(self.u, self._floor())
         np.multiply(self.conductance, np.diff(g ** self.p), out=self.flux_in)
         self._drift_faces(g)
@@ -329,7 +266,7 @@ class _Kernel:
         2 tol_rate / ||u_tt||_1, both norms over `error_weights`.  u_t = `_flow()` / w
         and u_tt = J u_t / w, J the flow linearized at u as `implicit_advance` does:
         L(s u_t) with s = p u^{p-1}, u floored as there, and with a drift its upwind
-        term at the frozen ratio m / g_up (dv is _faces()'s)."""
+        term at the frozen ratio m / g_up."""
         p, w = self.p, self.weights
         rate = self._flow() / w
         slope = p * np.maximum(self.u, self._floor()) ** (p - 1.0)
@@ -475,7 +412,7 @@ class _Kernel:
         self.u_prev2, self.dt_prev2 = self.u_prev, self.dt_prev
         self.u_prev, self.dt_prev, self.u = u, dt, new
         self.new = self.ring[(self.head + 1) % 4]  # the oldest row
-        self.umax, self.dt_next = float(umax), factor * dt  # v, dv and du are left stale
+        self.umax, self.dt_next = float(umax), factor * dt
         return dt, rejections
 
     def _drift_rows(self, g: np.ndarray, slope: np.ndarray, shift: np.ndarray, theta: float,
@@ -609,21 +546,68 @@ def _eliminate(lower: list, diag: list, upper: list, rhs: list) -> list:
     return x
 
 
+def _clipped(grid: Grid, p: float, values: np.ndarray) -> tuple[np.ndarray, float]:
+    """(max(values, 0), its max), refused where u^p or its fluxes overflow on the grid."""
+    u = np.maximum(values, 0.0)
+    umax = float(u.max())
+    with np.errstate(over="ignore"):  # 2 N max(c) max(u)^p bounds the fluxes' sum
+        fluxes = 2 * grid.node_count * grid.conductances()[0].max() * np.float64(umax) ** p
+    if not fluxes < math.inf:
+        raise DomainError(f"domain radius {grid.radius()!r} is too small for this "
+                          "datum: u^p or its fluxes overflow")
+    return u, umax
+
+
+def _divergence(conductance: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(L v)_i: the net flux conductance * dv into cell i, walls closed."""
+    flux = np.zeros(v.size + 1)
+    np.multiply(conductance, np.diff(v), out=flux[1:-1])
+    return np.subtract(flux[1:], flux[:-1])
+
+
+def _stable_dt(grid: Grid, p: float, u: np.ndarray, umax: float,
+               safety: float = CFL_SAFETY) -> float:
+    """safety / (D max_i c_i / w_i), D = p umax^{p-1}; for p < 1, where that is the least
+    stiff node's, the max face chord slope of u -> u^p: the convex-combination bound."""
+    if not umax > 0.0:
+        raise DomainError("field has no positive maximum")
+    stiffness = p * umax ** (p - 1.0)
+    if p < 1.0:
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 = nan where du == 0
+            chord = np.diff(np.power(u, p)) / np.diff(u)
+        # fmax skips those nans: such faces count as chord 0, below the bound
+        stiffness = float(np.fmax.reduce(np.abs(chord), initial=stiffness))
+    return safety / (stiffness * grid.conductances()[2])
+
+
 def cfl_dt(f: DensityField, params: DiffusionParams) -> float:
     """Stable explicit step CFL_SAFETY / (D max_i c_i / w_i), c_i node i's summed conductances."""
-    return _Kernel(f.grid, params.p, f.values).cfl_dt()
+    return _stable_dt(f.grid, params.p, *_clipped(f.grid, params.p, f.values))
 
 
 def step(state: SolverState, params: DiffusionParams, dt: float | None = None) -> SolverState:
     """Advance one accepted step from max(values, 0), halving dt on CFL violations."""
-    kernel = _Kernel(state.grid, params.p, state.values)
+    grid, p = state.grid, params.p
+    u, umax = _clipped(grid, p, state.values)
     if dt is None:
-        dt = kernel.cfl_dt()
-    dt_used, rejections = kernel.advance(dt, state.t)
+        dt = _stable_dt(grid, p, u, umax)
+    div, rejections = _divergence(grid.conductances()[0], np.power(u, p)), 0
+    while True:
+        new = u + div * dt / grid.weights()
+        umin = new.min()
+        if umin >= -NEGATIVITY_SLACK * new.max():
+            break
+        rejections += 1
+        if rejections > MAX_REJECTIONS:
+            raise StabilityError(
+                f"step at t = {state.t} rejected {rejections} times; CFL bound violated")
+        dt *= 0.5
+    if umin < 0.0:
+        np.maximum(new, 0.0, out=new)
     return replace(
         state,
-        t=state.t + dt_used,
-        values=kernel.u,
+        t=state.t + dt,
+        values=new,
         step_count=state.step_count + 1,
         rejection_count=state.rejection_count + rejections,
     )
@@ -684,8 +668,9 @@ def evolve(f0: DensityField, params: DiffusionParams,
 
     The frame is chosen once, before the first step.  From t_start > 0 the march runs
     in the self-similar frame when the flow there moves less than SELF_SIMILAR_RATE of
-    the mass it moves in x per unit of log t, read on the x-grid (a kernel with the
-    drift 1 / (mu t) there), so a run that stays in x dilates nothing.  In y the datum
+    the mass it moves in x per unit of log t, read on the x-grid (by a probe kernel with
+    the drift 1 / (mu t) there); the march's one kernel is then built on the frame's
+    grid, so a run that stays in x dilates nothing.  In y the datum
     is dilated exactly onto the y-grid (`functionals.rescale` by t^{-1/mu}), the kernel
     gets the drift 1 / mu, and the march's clock is tau = log t (refused before any step
     where it does not advance: t 1e6 to 1e6 + 1e-10).  Each snapshot is mapped back by
@@ -704,17 +689,18 @@ def evolve(f0: DensityField, params: DiffusionParams,
     times = params.times()
     p, grid = params.p, f0.grid
     t = float(times[0])
-    kernel, edge = _Kernel(grid, p, f0.values), _edge_weights(grid)
+    u0, edge = _clipped(grid, p, f0.values)[0], _edge_weights(grid)
     edge_mass = float(edge @ f0.values)
-    rate = kernel.speed()  # the largest ||u_t||_1 of the run: the flow is an L1 contraction
-    dilate = 0.0  # 1 / mu when the march runs in y
+    # the largest ||u_t||_1 of the run: the flow is an L1 contraction
+    rate = float(np.abs(_divergence(grid.conductances()[0], np.power(u0, p))).sum())
+    start, dilate = f0, 0.0  # dilate: 1 / mu when the march runs in y
     if t > 0.0:  # tau = log t is the self-similar frame's clock
         drift = 1.0 / coefficients(p, params.dim).mu
         # ||v_tau||_1 is t times the mass the x-grid flow with the drift drift / t moves
-        if _Kernel(grid, p, kernel.u, drift / t).speed() < SELF_SIMILAR_RATE * rate:
-            start = rescale(f0, t ** -drift)  # onto the y-grid
-            dilate, grid, kernel = drift, start.grid, _Kernel(start.grid, p, start.values, drift)
-            edge = _edge_weights(grid)
+        if _Kernel(grid, p, u0, drift / t).speed() < SELF_SIMILAR_RATE * rate:
+            start, dilate = rescale(f0, t ** -drift), drift  # onto the y-grid
+            edge = _edge_weights(start.grid)
+    grid, kernel = start.grid, _Kernel(start.grid, p, start.values, dilate)
     kernel.error_weights = grid.weights() - edge  # 0 at the edge: the wall's layer is the domain's
     # the march's clock at each snapshot: t, or tau = log t in the self-similar frame
     clock = [math.log(x) for x in times] if dilate else [float(x) for x in times]
@@ -726,8 +712,7 @@ def evolve(f0: DensityField, params: DiffusionParams,
     snaps = [snapshot(f0, p, params.dim, t=t, with_dissipation=with_dissipation)]
     fields = [f0]
     for target, now, end in zip(times[1:], clock, clock[1:]):
-        kernel._faces()  # an implicit step leaves v = u^p stale
-        longest = MAX_CFL_STEPS * kernel.cfl_dt(1.0)
+        longest = MAX_CFL_STEPS * _stable_dt(grid, p, kernel.u, kernel.umax, 1.0)
         # a step the cap shortens is over half the cap, or lands on the end
         if end + 0.5 * longest == end:
             raise DomainError(f"domain radius {f0.grid.radius()!r} is too small for this "

@@ -6,9 +6,10 @@ from renyiflow import solver
 
 
 def record_marches(monkeypatch):
-    """Wrap both steps of _Kernel; returns the list of (march, t, dt used, ratio) of every
-    step, ratio the accepted step's local-error estimate over its tolerance (0 for an
-    explicit step, and for an implicit one before three levels or outside evolve)."""
+    """Wrap the explicit `solver.step` and `_Kernel.implicit_advance`; returns the list of
+    (march, t, dt used, ratio) of every step, ratio the accepted step's local-error
+    estimate over its tolerance (0 for an explicit step, and for an implicit one before
+    three levels or outside evolve)."""
     record, ratios = [], []
     real_error = solver._Kernel._local_error
 
@@ -18,16 +19,21 @@ def record_marches(monkeypatch):
         return error
 
     monkeypatch.setattr(solver._Kernel, "_local_error", local_error)
-    for march in ("advance", "implicit_advance"):
-        real = getattr(solver._Kernel, march)
+    real_step, real_implicit = solver.step, solver._Kernel.implicit_advance
 
-        def wrapped(self, dt, t, real=real, march=march):
-            ratios.clear()
-            out = real(self, dt, t)
-            record.append((march, t, out[0], ratios[-1] if ratios else 0.0))
-            return out
+    def explicit(state, params, dt=None):
+        out = real_step(state, params, dt)
+        record.append(("step", state.t, out.t - state.t, 0.0))
+        return out
 
-        monkeypatch.setattr(solver._Kernel, march, wrapped)
+    def implicit(self, dt, t):
+        ratios.clear()
+        out = real_implicit(self, dt, t)
+        record.append(("implicit_advance", t, out[0], ratios[-1] if ratios else 0.0))
+        return out
+
+    monkeypatch.setattr(solver, "step", explicit)
+    monkeypatch.setattr(solver._Kernel, "implicit_advance", implicit)
     return record
 
 

@@ -507,7 +507,7 @@ class TestMemo:
             gc.enable()
 
     @pytest.mark.parametrize("p", [0.8, 1.0, 2.0])
-    def test_entropy_alone_evaluates_only_the_power_integral(self, p):
+    def test_entropy_alone_fills_the_whole_entry(self, p):
         f, fresh = self._field(1), self._field(1)
         h = rf.renyi_entropy(f, p)
         s = f._memo[p][0]

@@ -1,6 +1,7 @@
 """Serialization round trips and the command-line contract (exit codes, determinism)."""
 import dataclasses
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -28,13 +29,18 @@ from renyiflow.solver import DOMAIN_TOL
 from renyiflow.verification import CHECKS
 
 
-def _digest_configs() -> dict:
-    """The CLI configs of tools/artifact_digests.py, label -> argv."""
+def _digest_tool():
+    """tools/artifact_digests.py, as a module."""
     path = Path(__file__).resolve().parents[1] / "tools" / "artifact_digests.py"
     spec = importlib.util.spec_from_file_location("artifact_digests", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.CONFIGS
+    return module
+
+
+def _digest_configs() -> dict:
+    """The CLI configs of tools/artifact_digests.py, label -> argv."""
+    return _digest_tool().CONFIGS
 
 
 def _corrupt(series, defect):
@@ -61,6 +67,23 @@ def short_run():
     f0 = rf.sample_mixture(grid, seed=12)
     params = rf.DiffusionParams(p=1.5, dim=1, t_start=1.0, t_end=1.2, snapshot_count=5)
     return rf.evolve(f0, params)
+
+
+RUN_FACTS = Path(__file__).resolve().parent / "data" / "run_facts.txt"
+
+
+def test_run_facts_ledger(tmp_path, capsys):
+    # the digest configs' exit codes, steps, rejections, verdicts and margins (4
+    # significant figures) against the committed ledger, whatever numpy is installed:
+    # a mismatch names the first line that differs and both numpy versions
+    tool = _digest_tool()
+    header, *want = RUN_FACTS.read_text().splitlines()
+    got = tool.facts(*tool.run_all(tmp_path))
+    capsys.readouterr()
+    for number, (line, recorded) in enumerate(itertools.zip_longest(got, want), start=2):
+        if line != recorded:
+            pytest.fail(f"{RUN_FACTS.name} line {number}: the runs give {line!r}, the ledger "
+                        f"{recorded!r}; numpy {np.__version__} here, ledger header {header!r}")
 
 
 class TestSnapshotCsv:

@@ -64,6 +64,21 @@ class TestStep:
         with pytest.raises(StabilityError):
             step(make_state(f, 0.0), params, dt=1e9)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_datum_refused(self):
+        # a unit mass on a domain this small makes u^p and its fluxes overflow: step and
+        # cfl_dt refuse it with evolve's message, before any power is formed
+        grid = rf.Grid.cartesian(64, 1e-140)
+        f = rf.DensityField(grid, np.full(64, 1.0 / float(grid.weights().sum())))
+        params = rf.DiffusionParams(p=2.0, dim=1, t_start=1.0, t_end=2.0)
+        with pytest.raises(DomainError) as refused:
+            rf.evolve(f, params)
+        assert "u^p or its fluxes overflow" in str(refused.value)
+        for call in (lambda: step(make_state(f), params), lambda: cfl_dt(f, params)):
+            with pytest.raises(DomainError) as got:
+                call()
+            assert str(got.value) == str(refused.value)
+
     def test_nonnegativity_preserved(self):
         grid = rf.Grid.cartesian(256, 6.0)
         f = rf.sample_mixture(grid, seed=0)
@@ -87,7 +102,6 @@ class TestKernelSetUp:
             for p in (2.0, 0.8):
                 kernel = solver._Kernel(grid, p, values)
                 assert kernel.conductance is conductance and kernel.coupling is coupling
-                assert kernel.max_rate == max_rate
             for array in (conductance, coupling):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
@@ -716,11 +730,22 @@ class TestReductionPlan:
         params = rf.DiffusionParams(p=2.0, dim=1, t_start=1.0, t_end=1.05, snapshot_count=3)
         cfl_dt(f0, params)
         step(make_state(f0), params)
-        assert built == [] and len(kernels) == 2
-        rf.evolve(f0, params)
-        # cfl_dt, step, then evolve's march and its frame's probe: the march alone steps
-        assert built == [256] and len(kernels) == 4
-        assert [k.work is not None for k in kernels] == [False, False, True, False]
+        assert built == [] and kernels == []  # the explicit step is array code
+        # from t > 0 the frame's probe on the x-grid, then the march on the frame's grid:
+        # the mixture stays in x, the fitted Barenblatt goes to y; the march alone steps
+        source, _ = _source_case("cartesian", 2.0, nodes=256)
+        for datum in (f0, source):
+            built.clear()
+            kernels.clear()
+            rf.evolve(datum, params)
+            assert built == [256] and len(kernels) == 2
+            assert [k.work is not None for k in kernels] == [False, True]
+            assert kernels[0].drift > 0.0 and (kernels[1].drift > 0.0) == (datum is source)
+        # from t = 0 there is no frame to choose: the march's kernel alone
+        built.clear()
+        kernels.clear()
+        rf.evolve(f0, replace(params, t_start=0.0))
+        assert built == [256] and len(kernels) == 1 and kernels[0].work is not None
         built.clear()
         kernel = solver._Kernel(grid, 2.0, f0.values)
         works = []
@@ -737,7 +762,8 @@ def _implicit_march(f0, p, t_end):
     by its local error).  Returns the kernel, the time reached and the fields."""
     kernel = solver._Kernel(f0.grid, p, f0.values)
     dt_run = _mass_step(kernel)
-    dt, t, fields = kernel.cfl_dt(), 1.0, []
+    params = rf.DiffusionParams(p=p, dim=f0.grid.dim, t_start=1.0, t_end=t_end)
+    dt, t, fields = cfl_dt(f0, params), 1.0, []
     while t < t_end:
         dt_used, _ = kernel.implicit_advance(min(dt, dt_run), t)
         t += dt_used
@@ -906,7 +932,6 @@ def _newton_implicit_advance(kernel, dt, t, grid):
     np.maximum(new, 0.0, out=new)
     kernel.u_prev, kernel.dt_prev = kernel.u, dt
     kernel.u, kernel.umax = new, float(umax)
-    kernel._faces()
     return dt, rejections
 
 
@@ -1067,7 +1092,6 @@ def _reference_implicit_advance(kernel, dt, t, grid):
     np.maximum(new, 0.0, out=new)
     kernel.u_prev, kernel.dt_prev = kernel.u, dt
     kernel.u, kernel.umax = new, float(umax)
-    kernel._faces()
     return dt, rejections
 
 
@@ -1188,7 +1212,8 @@ class TestLeanImplicitStep:
         lean = solver._Kernel(grid, 2.0, f0.values)
         frozen = solver._Kernel(grid, 2.0, f0.values)
         dt_run = _mass_step(lean)
-        dt, t, relinearized = lean.cfl_dt(), 1.0, 0
+        params = rf.DiffusionParams(p=2.0, dim=1, t_start=1.0, t_end=2.0)
+        dt, t, relinearized = cfl_dt(f0, params), 1.0, 0
         reference = functools.partial(_allocating_implicit_advance, grid=grid)
         for _ in range(20):
             (got, got_solves), (want, solves) = _step_against(

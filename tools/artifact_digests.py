@@ -10,6 +10,14 @@ two trees whose configs differ (say, in a default radius) still list the
 same keys, and their outputs compare line by line with ``diff``.  Each
 run's exit code and ``exp-*`` name go to stderr.
 
+The run facts, which do not depend on the hardware, go to OUTDIR/facts.txt,
+outside the digested trees, under a header that names the numpy and python
+versions: for each config its exit code and ``exp-*`` name, the steps and
+rejections its ``run_meta.json`` records, and each verdict's pass flag and
+margin to 4 significant figures, sweep rows included.  The listing is
+committed as ``tests/data/run_facts.txt``, which a tier-1 test compares with
+a fresh one line by line; a change that moves a fact updates that file.
+
 The renyiflow imported is whichever PYTHONPATH finds, so pointing it at
 another checkout's ``src`` digests that checkout with this same config set.
 Digests can differ across numpy versions, so compare trees on one machine.
@@ -18,9 +26,13 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import json
 import os
+import platform
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from renyiflow import cli
 
@@ -60,18 +72,39 @@ CONFIGS = {
 }
 
 
-def run_all(outdir: Path) -> dict[str, Path]:
-    """Run every config into outdir/LABEL; returns each run's exp-* directory."""
-    exps = {}
+def run_all(outdir: Path) -> tuple[dict[str, int], dict[str, Path]]:
+    """Run every config into outdir/LABEL; returns each run's exit code and exp-* directory."""
+    codes, exps = {}, {}
     for label, argv in CONFIGS.items():
         argv = [str(exps[a[1:-1]] / "snapshots.csv") if a.startswith("{") else a
                 for a in argv]
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), \
                 contextlib.redirect_stderr(sink):
-            code = cli.main(argv + ["--out", str(outdir / label)])
+            codes[label] = cli.main(argv + ["--out", str(outdir / label)])
         (exps[label],) = (outdir / label).glob("exp-*")
-        print(f"{label}: exit {code}, {exps[label].name}", file=sys.stderr)
-    return exps
+        print(f"{label}: exit {codes[label]}, {exps[label].name}", file=sys.stderr)
+    return codes, exps
+
+
+def facts(codes: dict[str, int], exps: dict[str, Path]) -> list[str]:
+    """The run facts, one per line, in config order.  A run that reads an earlier run's
+    CSV hashes that file's path into its exp-* name, so that name is not listed."""
+    lines = []
+    for label, exp in exps.items():
+        reads = any(a.startswith("{") for a in CONFIGS[label])
+        name = "exp-* from the path it reads" if reads else exp.name
+        lines.append(f"{label} exit {codes[label]} {name}")
+        if (exp / "run_meta.json").is_file():
+            meta = json.loads((exp / "run_meta.json").read_text())
+            lines.append(f"{label} steps {meta['steps']} rejections {meta['rejections']}")
+        for verdicts in sorted(exp.rglob("verdicts.txt")):
+            row = verdicts.parent.relative_to(exp).as_posix()  # "." but in a sweep
+            run = label if row == "." else f"{label}/{row}"
+            for line in verdicts.read_text().splitlines():
+                # check=NAME pass=FLAG margin=FLOAT tolerance=... detail=...
+                check, passed, margin = (f.split("=", 1)[1] for f in line.split(" ", 3)[:3])
+                lines.append(f"{run} {check} pass {passed} margin {float(margin):.3e}")
+    return lines
 
 
 def digests(exps: dict[str, Path]) -> list[str]:
@@ -93,7 +126,10 @@ def main(argv: list[str]) -> int:
         print(f"{outdir} is not empty; digests need fresh run directories", file=sys.stderr)
         return 2
     print(f"renyiflow from {Path(cli.__file__).parent}", file=sys.stderr)
-    print("\n".join(digests(run_all(outdir))))
+    codes, exps = run_all(outdir)
+    print("\n".join(digests(exps)))
+    header = f"# run facts; numpy {np.__version__}, python {platform.python_version()}"
+    (outdir / "facts.txt").write_text("\n".join([header, *facts(codes, exps)]) + "\n")
     return 0
 
 

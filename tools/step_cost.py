@@ -15,11 +15,13 @@ is timed twice: drift-free, as `evolve` steps in x, and with the drift of the
 self-similar frame (`drift`), as `evolve` steps the Barenblatt, whose y-grid
 at t = 1 is the same grid (the same step, now in tau = log t; the field stands
 still there, so the drift column is the step's cost, not its work on a moving
-front).  The explicit step is `advance` at the CFL step (`solver.CFL_SAFETY` of
-the stable step), timed together with its `cfl_dt`, and timed again on the
-radial n = 3 grid (`radial3`): the p = 2 Barenblatt in three dimensions at
-t = 1, on the radial domain sized the same way.  Every timed step starts from
-a copy of one kernel state, so all REPEATS = 400 of them do the same work.
+front).  The explicit step is the public `solver.step` with no dt, so each call
+clips the field, forms its CFL step (`solver.CFL_SAFETY` of the stable step)
+and takes it; it is timed again on the radial n = 3 grid (`radial3`): the
+p = 2 Barenblatt in three dimensions at t = 1, on the radial domain sized the
+same way.  Every timed implicit step starts from a copy of one kernel state,
+and every explicit one from the same `SolverState`, so all REPEATS = 400 of
+them do the same work.
 The four kinds of step alternate, so a change in the host's speed touches them
 alike; the median is reported with the quartiles.  The solves per implicit
 step are counted once, outside the timing.  The ratios are those of the
@@ -28,8 +30,7 @@ share of a step's cost.
 
 The renyiflow imported is whichever PYTHONPATH finds, so pointing it at
 another checkout's ``src`` times that checkout with this same method, given a
-`_Kernel.cfl_dt` whose safety defaults to `solver.CFL_SAFETY` and a `_Kernel` that
-takes a drift.
+`_Kernel` that takes a drift.
 """
 from __future__ import annotations
 
@@ -49,11 +50,15 @@ REPEATS = 400  # timed steps per march and N
 MASS_STEP = 2e-3  # the share of the mass one timed implicit step moves
 
 
-def _barenblatt_kernel(nodes: int, dim: int = 1, drift: float = 0.0) -> solver._Kernel:
+def _barenblatt(nodes: int, dim: int = 1) -> rf.DensityField:
     spec = rf.barenblatt_spec(P, dim, rf.PDE_NORMALIZED)
     radius = 1.3 * rf.support_radius(spec) * T_DOMAIN ** (1.0 / spec.coeffs.mu)
     grid = rf.Grid.cartesian(nodes, radius) if dim == 1 else rf.Grid.radial(dim, nodes, radius)
-    f0 = rf.sample_barenblatt(grid, P, T_START, normalize=True)
+    return rf.sample_barenblatt(grid, P, T_START, normalize=True)
+
+
+def _barenblatt_kernel(nodes: int, drift: float = 0.0) -> solver._Kernel:
+    f0 = _barenblatt(nodes)
     return solver._Kernel(f0.grid, P, f0.values, drift)
 
 
@@ -86,16 +91,11 @@ def _implicit_stepper(nodes: int, drift: float = 0.0):
 
 
 def _explicit_stepper(nodes: int, dim: int = 1):
-    """An explicit step at the CFL step, with its `cfl_dt`, from one saved state."""
-    kernel = _barenblatt_kernel(nodes, dim)
-    u, umax = kernel.u.copy(), kernel.umax
-
-    def restore():
-        np.copyto(kernel.u, u)
-        kernel.umax = umax
-        kernel._faces()
-
-    return restore, lambda: kernel.advance(kernel.cfl_dt(), T_START)
+    """`solver.step` at its CFL step, from one state (the call leaves it unchanged)."""
+    f0 = _barenblatt(nodes, dim)
+    state = solver.SolverState(t=T_START, grid=f0.grid, values=f0.values)
+    params = rf.DiffusionParams(p=P, dim=dim, t_start=T_START, t_end=T_DOMAIN)
+    return lambda: None, lambda: solver.step(state, params)
 
 
 def step_cost(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
