@@ -10,7 +10,6 @@ that held more than DOMAIN_TOL of the mass).
 from __future__ import annotations
 
 import argparse
-import configparser
 import functools
 import math
 import sys
@@ -30,6 +29,7 @@ from .reporting import (
     config_hash,
     read_profile,
     read_snapshots,
+    snapshot_csv_lines,
     summary_table,
     write_profile,
     write_run_meta,
@@ -119,6 +119,8 @@ def _config_tokens(command: argparse.ArgumentParser, argv: list[str], path: str)
     command, as `t-end` or `t_end`, and that no flag of argv sets, in full or abbreviated; a
     repeatable option gets one token per `;`-separated value.  A key set in a section wins
     over `[DEFAULT]`, and a later section over an earlier one."""
+    import configparser  # only a run with --config pays its import
+
     ini = configparser.ConfigParser()
     # [DEFAULT] read as a section of its own: each section with only the keys it sets
     own = configparser.ConfigParser(default_section="", interpolation=None)
@@ -352,11 +354,13 @@ def run_verify(args) -> int:
     if args.snapshots_csv is None or args.p is None:
         raise DomainError("verify: --snapshots-csv and --p are required")
     names, tols = _requested_checks(args, args.checks, with_fields=False)
-    checks = run_checks(names, read_snapshots(args.snapshots_csv), args.p, args.dim, tols)
+    series = read_snapshots(args.snapshots_csv)
+    checks = run_checks(names, series, args.p, args.dim, tols)
     print(summary_table(checks))
     if args.out:
-        d = _outdir(args.out, {"subcommand": "verify", "csv": str(args.snapshots_csv),
-                               "checks": names})
+        # named from what decides the verdicts, not from the path the series was read at
+        d = _outdir(args.out, {"subcommand": "verify", "series": snapshot_csv_lines(series),
+                               "p": args.p, "dim": args.dim, "checks": names, "tols": tols})
         write_verdicts(d / "verdicts.txt", checks)
     return _exit_code(c.passed for c in checks.values())
 

@@ -5,7 +5,6 @@ byte-identical files and reloaded values compare exactly.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import re
@@ -17,6 +16,15 @@ from .errors import DomainError
 from .functionals import FunctionalSnapshot
 from .grids import CARTESIAN, DensityField, Grid
 from .verification import CheckResult
+
+# CPython's built-in module first, as random.py takes sha512: hashlib maps OpenSSL (3.4 MB)
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 SNAPSHOT_HEADER = "t,mass,Ep,Hp,Np,Fp,Ip,Dp,upsilon"
 _PROFILE_HEADER = r"# geometry=(\S+) dim=(\S+) spacing=(\S+) origin=(\S+)"
@@ -135,4 +143,4 @@ def write_run_meta(path, meta: dict) -> None:
 def config_hash(config: dict) -> str:
     """Stable short hash of a config mapping, used to name experiment dirs."""
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(canon.encode()).hexdigest()[:12]
+    return _sha256(canon.encode()).hexdigest()[:12]

@@ -1,5 +1,6 @@
 """Serialization round trips and the command-line contract (exit codes, determinism)."""
 import dataclasses
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import renyiflow as rf
-from renyiflow import cli, solver
+from renyiflow import cli, reporting, solver
 from renyiflow.cli import main
 from renyiflow.errors import BoundaryLeakWarning, DegenerateError, DomainError
 from renyiflow.reporting import (
@@ -665,6 +666,26 @@ class TestVerifyCommand:
         assert run == replay == 0
         (replayed,) = (tmp_path / "replay").glob("exp-*/verdicts.txt")
         assert replayed.read_bytes() == (csv_path.parent / "verdicts.txt").read_bytes()
+        # the directory is named from the series, p, dim, checks and tolerances: one
+        # per configuration under one root, and the same for the same series at another path
+        main(["evolve", "--p", "2", "--nodes", "256", "--initial", "barenblatt",
+              "--t-start", "1", "--snapshots", "5", "--out", str(tmp_path / "line")])
+        (csv_path,) = (tmp_path / "line").glob("exp-*/snapshots.csv")
+        replays = [["--p", "2"], ["--p", "1.5"], ["--p", "2", "--tol-concavity", "1e-30"]]
+        named = []
+        for flags in replays:
+            main(["verify", "--snapshots-csv", str(csv_path), *flags, "--checks", "concavity",
+                  "--out", str(tmp_path / "one")])
+            (new,) = set((tmp_path / "one").glob("exp-*")).difference(named)
+            named.append(new)
+        verdicts = [(d / "verdicts.txt").read_text() for d in named]
+        assert "pass=true" in verdicts[0] and "pass=false" in verdicts[2]
+        moved = tmp_path / "elsewhere" / "snapshots.csv"
+        moved.parent.mkdir()
+        moved.write_bytes(csv_path.read_bytes())
+        main(["verify", "--snapshots-csv", str(moved), *replays[0], "--checks", "concavity",
+              "--out", str(tmp_path / "two")])
+        assert [d.name for d in (tmp_path / "two").glob("exp-*")] == [named[0].name]
 
     def test_non_numeric_cell_named(self, short_run, tmp_path):
         path = tmp_path / "snapshots.csv"
@@ -819,20 +840,68 @@ class TestSweepCommand:
 
 
 class TestStartUp:
+    @staticmethod
+    def _fresh(probe: str, *args: str) -> str:
+        """The stdout of probe, run with args in a fresh interpreter on this checkout's src."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        return subprocess.run([sys.executable, "-c", probe, *args], capture_output=True,
+                              text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": src}).stdout.strip()
+
     def test_cli_import_leaves_out_the_process_pool(self):
         # only `sweep --workers` > 1 needs it; test_parallel_workers_match_serial runs that
-        src = str(Path(cli.__file__).resolve().parents[1])
         probe = "import sys, renyiflow.cli; print('concurrent.futures.process' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.strip() == "False"
+        assert self._fresh(probe) == "False"
 
     def test_cli_import_builds_no_parser(self):
-        src = str(Path(cli.__file__).resolve().parents[1])
         probe = "import renyiflow.cli as c; print(c._build_parser.cache_info().currsize)"
-        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.strip() == "0"
+        assert self._fresh(probe) == "0"
+
+    @pytest.mark.parametrize("config", [False, True])
+    def test_barenblatt_evolve_maps_no_openssl(self, tmp_path, config):
+        # hashlib loads OpenSSL (3.4 MB resident); only a run with --config needs configparser
+        argv = ["evolve", "--p", "2", "--initial", "barenblatt", "--t-start", "1",
+                "--t-end", "1.1", "--nodes", "64", "--snapshots", "3", "--out", str(tmp_path)]
+        if config:
+            (tmp_path / "run.ini").write_text("[grid]\nnodes = 64\n")
+            argv += ["--config", str(tmp_path / "run.ini")]
+        probe = ("import sys; from renyiflow import cli; code = cli.main(sys.argv[1:]); "
+                 "print(code, *(m in sys.modules for m in ('_hashlib', 'hashlib', 'configparser')))")
+        assert self._fresh(probe, *argv) == f"0 False False {config}"
+
+
+HASHED_CONFIGS = [
+    {},
+    {"subcommand": "constants", "pairs": ["2,1", "0.9,1"]},
+    {"subcommand": "evolve", "p": 2.0, "dim": 1, "nodes": 2048, "radius": None,
+     "verify": ["concavity"], "tols": {"upsilon": 1e-4}},
+    {"subcommand": "verify", "series": ["t,mass", "1.0,1.0"], "p": 0.8, "dim": 1,
+     "checks": ["concavity"], "tols": {}},
+    {"path": Path("out") / "snapshots.csv"},  # through default=str
+]
+
+
+class TestConfigHash:
+    @staticmethod
+    def _hashlib_name(config: dict) -> str:
+        canon = json.dumps(config, sort_keys=True, separators=(",", ":"), default=str)
+        return hashlib.sha256(canon.encode()).hexdigest()[:12]
+
+    @pytest.mark.parametrize("config", HASHED_CONFIGS)
+    def test_is_the_hashlib_digest(self, config):
+        assert reporting.config_hash(config) == self._hashlib_name(config)
+
+    def test_hashlib_stands_in_for_the_built_in_module(self, monkeypatch):
+        for name in ("_sha2", "_sha256"):
+            monkeypatch.setitem(sys.modules, name, None)  # unimportable
+        try:
+            fallback = importlib.reload(reporting)
+            assert fallback._sha256 is hashlib.sha256
+            for config in HASHED_CONFIGS:
+                assert fallback.config_hash(config) == self._hashlib_name(config)
+        finally:
+            monkeypatch.undo()
+            importlib.reload(reporting)
 
 
 class TestConfigFile:

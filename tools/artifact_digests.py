@@ -12,11 +12,13 @@ run's exit code and ``exp-*`` name go to stderr.
 
 The run facts, which do not depend on the hardware, go to OUTDIR/facts.txt,
 outside the digested trees, under a header that names the numpy and python
-versions: for each config its exit code and ``exp-*`` name, the steps and
-rejections its ``run_meta.json`` records, and each verdict's pass flag and
-margin to 4 significant figures, sweep rows included.  The listing is
-committed as ``tests/data/run_facts.txt``, which a tier-1 test compares with
-a fresh one line by line; a change that moves a fact updates that file.
+versions: for each config its exit code and ``exp-*`` name (a ``verify``
+name hashes every digit of the series it reads, so it holds where those
+do), the steps and rejections its ``run_meta.json`` records, and each
+verdict's pass flag and margin to 4 significant figures, sweep rows
+included.  The listing is committed as ``tests/data/run_facts.txt``, which a
+tier-1 test compares with a fresh one line by line; a change that moves a
+fact updates that file.
 
 The renyiflow imported is whichever PYTHONPATH finds, so pointing it at
 another checkout's ``src`` digests that checkout with this same config set.
@@ -87,13 +89,10 @@ def run_all(outdir: Path) -> tuple[dict[str, int], dict[str, Path]]:
 
 
 def facts(codes: dict[str, int], exps: dict[str, Path]) -> list[str]:
-    """The run facts, one per line, in config order.  A run that reads an earlier run's
-    CSV hashes that file's path into its exp-* name, so that name is not listed."""
+    """The run facts, one per line, in config order."""
     lines = []
     for label, exp in exps.items():
-        reads = any(a.startswith("{") for a in CONFIGS[label])
-        name = "exp-* from the path it reads" if reads else exp.name
-        lines.append(f"{label} exit {codes[label]} {name}")
+        lines.append(f"{label} exit {codes[label]} {exp.name}")
         if (exp / "run_meta.json").is_file():
             meta = json.loads((exp / "run_meta.json").read_text())
             lines.append(f"{label} steps {meta['steps']} rejections {meta['rejections']}")
