@@ -47,7 +47,10 @@ def write_snapshots(path, series) -> None:
 
 
 def read_snapshots(path) -> list[FunctionalSnapshot]:
-    lines = Path(path).read_text().strip().splitlines()
+    try:
+        lines = Path(path).read_text().strip().splitlines()
+    except ValueError as err:  # bytes that are not text
+        raise DomainError(f"{path}: {err}") from None
     if not lines or lines[0] != SNAPSHOT_HEADER:
         raise DomainError(f"{path} is not a snapshot CSV (bad header)")
     out = []

@@ -19,10 +19,12 @@ views prepared once per run.  The degenerate p > 1 front is handled as in Vazque
 The implicit march runs in the self-similar frame of Carrillo and Toscani (Indiana
 Univ. Math. J. 49, 2000) where that frame carries most of the motion:
 v(tau, y) = R^n u(t, R y) with R = t^{1/mu} and tau = log t solves
-v_tau = Lap(v^p) + div(y v) / mu, and the Barenblatt stands still.  The kernel's drift
-adds c m dphi to each face flux, phi = |y|^2 / (2 mu) and m the secant mobility, so
-the flux is c m d(xi) with xi = e'(v) + phi and the sampled Barenblatt, on which xi is
-constant, is a discrete steady state; a face whose upwind cell is empty is closed.
+v_tau = Lap(v^p) + div(y v) / mu, and the Barenblatt stands still.  Both frames take
+one implicit step; in y its drift adds c m dphi to each face flux, phi = |y|^2 / (2 mu)
+and m the secant mobility, so the flux is c m d(xi) with xi = e'(v) + phi (the
+gradient-flow form of Carrillo, Chertock and Huang, Commun. Comput. Phys. 17, 2015)
+and the sampled Barenblatt, on which xi is constant, is a discrete steady state; a
+face whose upwind cell is empty is closed.
 """
 from __future__ import annotations
 
@@ -134,10 +136,14 @@ class _Kernel:
     acceptance test's max(u) is the next umax; v, dv, du and div are scratch.  Each
     out= pass keeps the operands and operation order of the plain array expressions.
 
-    With a drift c > 0 the kernel steps v_tau = Lap(v^p) + c div(y v) on the y-grid:
-    every face flux gains c m dphi (`_drift_faces`), read by `speed`, `starting_dt`
-    and `implicit_advance`, whose linearization takes it as an upwind term in u' with
-    the ratio m / g_up frozen at the extrapolation g.  Its system stays a
+    Both frames take the one step.  The frame is fixed here and nowhere else: it sets
+    the floor of g (`_floor`) and which drift terms exist.  With a drift c > 0 the
+    kernel steps v_tau = Lap(v^p) + c div(y v) on the y-grid: every face flux gains
+    c m dphi (`_drift_faces`, `pull` = c dphi), which the linearization takes as an
+    upwind term in u' with the ratio m / g_up frozen at the extrapolation g, and for
+    p > 1 a face whose upwind cell is empty is `closed`.  The face terms, the rows
+    (`_drift_rows`) and the linearized flow (`_linear_flow`) add those terms to the
+    drift-free ones, and without a drift form none of them.  The system stays a
     column-diagonally-dominant M-matrix with zero column sums for p >= 1 (for p < 1
     while neighbouring g differ by less than a factor (1-p)^{-1/p}).
     """
@@ -146,6 +152,7 @@ class _Kernel:
         n = grid.node_count
         self.p, self.weights = p, grid.weights()
         self.conductance, self.coupling, _ = grid.conductances()
+        self.open_c = self.conductance  # c across the faces that are not closed
         self.u, self.umax = _clipped(grid, p, values)
         self.v, self.div = np.empty(n), np.empty(n)
         self.dv, self.du = np.empty(n - 1), np.empty(n - 1)
@@ -159,56 +166,70 @@ class _Kernel:
         self.error_weights = self.weights  # the estimate's weights (evolve leaves the edge out)
         self.plan = self.work = None  # the implicit solver and buffers: made by its first call
         self.drift = drift
+        self.floor_share = EPS if p <= 1.0 and not drift else 0.0  # of umax, `_floor`
+        self.floor_least = TINY if p <= 1.0 and drift else 0.0
+        self.pull = self.closed = None  # the drift's terms: none without one
         if drift:
             phi = 0.5 * drift * grid.nodes() ** 2
             self.pull = self.conductance * (phi[1:] - phi[:-1])  # c dphi per face
-            self.lift, self.lift_hi, self.mobility, self.log_ratio, self.open_c = (
-                np.empty(n - 1) for _ in range(5))
+            self.lift, self.lift_hi, self.mobility, self.log_ratio = (
+                np.empty(n - 1) for _ in range(4))
             self.cond_p, self.log_g, self.up = self.conductance / p, np.empty(n), np.empty(n - 1, bool)
-            self.closed = np.empty(n - 1, bool) if p > 1.0 else None  # no cell is empty for p <= 1
+            if p > 1.0:  # no cell is empty for p <= 1
+                self.closed, self.open_c = np.empty(n - 1, bool), np.empty(n - 1)
 
     def _divergence(self, v: np.ndarray) -> np.ndarray:
-        """(L v)_i: net face flux of v into cell i, walls closed."""
+        """(L v)_i: net face flux of v into cell i across the open faces, walls closed."""
         np.subtract(v[1:], v[:-1], out=self.dv)
-        np.multiply(self.conductance, self.dv, out=self.flux_in)
+        np.multiply(self.open_c, self.dv, out=self.flux_in)
         return np.subtract(self.flux_hi, self.flux_lo, out=self.div)
 
     def _floor(self) -> float:
-        """The floor of g = max(u, floor): 0 for p > 1; for p <= 1 the rounding of max(u),
-        and with a drift the least normal float, which keeps log g finite: there the
-        tail below max(u)'s rounding is part of the steady state, on which xi is
-        constant, and a higher floor would move it."""
-        if self.p > 1.0:
-            return 0.0
-        return TINY if self.drift else EPS * self.umax
+        """The floor of g = max(u, floor), fixed by the frame: 0 for p > 1; for p <= 1 the
+        rounding of max(u) in x, and with a drift the least normal float, which keeps
+        log g finite: there the tail below max(u)'s rounding is part of the steady
+        state, on which xi is constant, and a higher floor moves it.  Neither serves
+        both frames (compact two-bump data, seed 11, t 1..2, 9 snapshots, floored at
+        the least normal float in x: p = 0.8 takes 293 steps for 99 on a 512-node
+        Cartesian grid of radius 12 and 312 for 119 on the radial n = 3 one, p = 0.5
+        602 for 117 on the Cartesian one of radius 30; the 1024-node p = 0.65, n = 3
+        fitted Barenblatt floored at max(u)'s rounding in y, 15 steps for 8), nor does
+        flooring only the empty cells (that p = 0.36, n = 3 compact run then drifts in
+        mass by 3.9e-14, for 2.2e-16)."""
+        return max(self.floor_share * self.umax, self.floor_least)
 
-    def _flow(self) -> np.ndarray:
-        """The net flux into each cell at u: L u^p, and with a drift the drift kernel's
-        flux at g = max(u, floor), across open faces (`_drift_faces`)."""
-        if not self.drift:
-            return self._divergence(np.power(self.u, self.p, out=self.v))
+    def _flow(self) -> tuple[np.ndarray, np.ndarray]:
+        """The net flux into each cell at u, `_linear_flow` at lin = u^p and x = u about
+        g = max(u, floor), where the drift's flux reads c m dphi u_up / g_up; and the
+        slope p g^{p-1} it was linearized with."""
         g = np.maximum(self.u, self._floor())
-        np.multiply(self.conductance, np.diff(g ** self.p), out=self.flux_in)
-        self._drift_faces(g)
-        return np.subtract(self.flux_hi, self.flux_lo, out=self.div)
+        slope = self.p * g ** (self.p - 1.0)
+        self._drift_faces(g, slope)
+        return self._linear_flow(np.power(self.u, self.p, out=self.v), self.u, 1.0, self.div), slope
 
-    def _drift_faces(self, g: np.ndarray) -> None:
-        """The drift's face terms at g, with flux_in holding c (g_{j+1}^p - g_j^p) on entry.
+    def _drift_faces(self, g: np.ndarray, slope: np.ndarray) -> None:
+        """The drift's face terms at g, slope = p g^{p-1}; none without a drift.
 
-        Adds the drift flux c m dphi to flux_in, where m = d(g^p) / d(e'(g)) is the
+        The face flux is c d(g^p) + c m dphi, where m = d(g^p) / d(e'(g)) is the
         secant mobility across the face, e'(g) = p g^{p-1} / (p-1) (log g at p = 1), so
-        flux_in becomes c m d(xi), xi = e'(g) + phi.  Where it is positive the upper cell
-        is upwind (`up`): the mass leaves it.  `lift` is c m dphi / g_up, the drift's
-        share of the flux per unit of the upwind cell.  For p > 1 a face whose upwind
-        cell is empty is closed (`closed`): it carries no flux, so flux_in and lift are 0
+        it is c m d(xi), xi = e'(g) + phi.  Where it is positive the upper cell is
+        upwind (`up`): the mass leaves it.  c m dphi / g_up is the drift's share of
+        the flux per unit of the upwind cell, `lift_hi` where the upper cell is upwind
+        and `lift` where the lower one is.  For p > 1 a face whose upwind cell is empty
+        is closed (`closed`): it carries no flux, so the shares and `open_c` are 0
         there; so is one whose ratio m / g_up overflows, g_up being rounding beside m.
         m is formed from r = min / max of the pair's g as
         max(g) (r^p - 1) / (p (r^{p-1} - 1) / (p - 1)), through expm1 and log as
         `functionals._pressure` does (log r for the denominator's quotient at p = 1); at
         r = 1 (0/0), and where both cells are empty, the quotient reads 1.
         """
-        p, flux, lift, up = self.p, self.flux_in, self.lift, self.up
+        if self.pull is None:
+            return
+        p, lift, up, against = self.p, self.lift, self.up, self.flux_in
         mob, ratio = self.mobility, self.log_ratio
+        np.multiply(slope, g, out=self.v)  # p g^p
+        np.subtract(self.v_lo, self.v_hi, out=against)
+        np.multiply(against, self.cond_p, out=against)  # -c d(g^p)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             log_g = np.log(g, out=self.log_g)  # -inf where g = 0
             np.subtract(log_g[1:], log_g[:-1], out=ratio)
@@ -225,56 +246,64 @@ class _Kernel:
             np.fmin(mob, 1.0, out=mob)  # m / max(g), in [0, 1]; fmin reads nan as 1
             np.multiply(mob, np.maximum(g[1:], g[:-1], out=ratio), out=mob)
             np.multiply(mob, self.pull, out=mob)  # c m dphi
-            np.add(flux, mob, out=flux)
-            np.greater(flux, 0.0, out=up)
-            np.copyto(ratio, g[:-1])
-            np.copyto(ratio, g[1:], where=up)  # g_up
-            np.divide(mob, ratio, out=lift)
-        if self.closed is not None:  # g_up = 0, or so far below m that the ratio overflows
-            np.logical_not(np.isfinite(lift, out=self.closed), out=self.closed)
-            np.copyto(lift, 0.0, where=self.closed)
-            np.copyto(flux, 0.0, where=self.closed)
+            np.greater(mob, against, out=up)  # the flux is positive
+            np.divide(mob, np.where(up, g[1:], g[:-1]), out=lift)  # over g_up
+        closed = self.closed
+        if closed is not None:  # g_up = 0, or so far below m that the ratio overflows
+            np.logical_not(np.isfinite(lift, out=closed), out=closed)
+            np.copyto(lift, 0.0, where=closed)
+            np.copyto(self.open_c, self.conductance)
+            np.copyto(self.open_c, 0.0, where=closed)
+        np.multiply(lift, up, out=self.lift_hi)
+        np.subtract(lift, self.lift_hi, out=lift)
 
-    def _split(self, theta: float) -> None:
-        """open_c = theta c, 0 across closed faces, and theta lift split by the upwind
-        cell: `lift_hi` where the upper cell is upwind, `lift` where the lower one is."""
-        np.multiply(self.conductance, theta, out=self.open_c)
-        if self.closed is not None:
-            np.copyto(self.open_c, 0.0, where=self.closed)
-        np.multiply(self.lift, theta, out=self.lift)
-        np.multiply(self.lift, self.up, out=self.lift_hi)
-        np.subtract(self.lift, self.lift_hi, out=self.lift)
+    def _drift_rows(self, g: np.ndarray, slope: np.ndarray, theta: float) -> None:
+        """Adds the drift's terms to the plan's rows, linearized about g (`_drift_faces`);
+        none without a drift.  Each face's upwind term theta lift u'_up adds to the
+        coupling of its upwind cell, so the columns still sum to the weights.  A closed
+        face's diffusion terms, already in the rows, are taken out with them."""
+        if self.pull is None:
+            return
+        self._drift_faces(g, slope)
+        lower, diag, upper, lo, hi = (
+            self.plan.lower, self.plan.diag, self.plan.upper, self.mobility, self.log_ratio)
+        np.multiply(self.lift, theta, out=lo)
+        np.multiply(self.lift_hi, -theta, out=hi)
+        if self.closed is not None:  # there lo and hi are 0: cancel the diffusion terms
+            np.copyto(lo, lower, where=self.closed)
+            np.copyto(hi, upper, where=self.closed)
+        np.subtract(upper, hi, out=upper)
+        np.subtract(lower, lo, out=lower)
+        np.subtract(diag[:-1], lo, out=diag[:-1])
+        np.subtract(diag[1:], hi, out=diag[1:])
 
-    def _linear_flow(self, lin: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The net flux into each cell of the drift kernel's flow linearized as `_split`
-        left it, for the linearized u^p lin at the field x: the face flux is
-        open_c (lin_{j+1} - lin_j) + lift_hi x_{j+1} + lift x_j."""
-        flux, scratch = self.flux_in, self.dv
-        np.subtract(lin[1:], lin[:-1], out=flux)
-        np.multiply(flux, self.open_c, out=flux)
-        np.add(flux, np.multiply(self.lift_hi, x[1:], out=scratch), out=flux)
-        np.add(flux, np.multiply(self.lift, x[:-1], out=scratch), out=flux)
-        return np.subtract(self.flux_hi, self.flux_lo, out=out)
+    def _linear_flow(self, lin: np.ndarray, x: np.ndarray, theta: float,
+                     out: np.ndarray) -> np.ndarray:
+        """theta times the net flux into each cell of the flow linearized about g, for
+        the linearized u^p lin at the field x: the face flux is c (lin_{j+1} - lin_j)
+        across open faces, and with a drift lift_hi x_{j+1} + lift x_j added."""
+        np.subtract(lin[1:], lin[:-1], out=self.dv)
+        np.multiply(self.open_c, self.dv, out=self.flux_in)
+        if self.pull is not None:
+            np.add(self.flux_in, np.multiply(self.lift_hi, x[1:], out=self.dv), out=self.flux_in)
+            np.add(self.flux_in, np.multiply(self.lift, x[:-1], out=self.dv), out=self.flux_in)
+        np.subtract(self.flux_hi, self.flux_lo, out=out)
+        return np.multiply(theta, out, out=out)
 
     def speed(self) -> float:
-        """||u_t||_1, u_t = `_flow()` / W: the mass the flow moves per unit time."""
-        return float(np.abs(self._flow(), out=self.div).sum())
+        """||u_t||_1, u_t = `_flow` / W: the mass the flow moves per unit time."""
+        return float(np.abs(self._flow()[0], out=self.div).sum())
 
     def starting_dt(self, tol_rate: float) -> float:
         """The first implicit step, read from the flow rather than the grid: the
         backward-Euler step whose local error, dt^2 / 2 ||u_tt||_1, is tol_rate dt, so
-        2 tol_rate / ||u_tt||_1, both norms over `error_weights`.  u_t = `_flow()` / w
-        and u_tt = J u_t / w, J the flow linearized at u as `implicit_advance` does:
-        L(s u_t) with s = p u^{p-1}, u floored as there, and with a drift its upwind
-        term at the frozen ratio m / g_up."""
-        p, w = self.p, self.weights
-        rate = self._flow() / w
-        slope = p * np.maximum(self.u, self._floor()) ** (p - 1.0)
-        if self.drift:
-            self._split(1.0)
-            accel = self._linear_flow(slope * rate, rate, self.div) / w
-        else:
-            accel = self._divergence(slope * rate) / w
+        2 tol_rate / ||u_tt||_1, both norms over `error_weights`.  u_t = `_flow` / w
+        and u_tt = J u_t / w, J the flow linearized about g = max(u, floor) as
+        `implicit_advance` does (`_linear_flow`): L(s u_t) with s = p g^{p-1}, and with
+        a drift its upwind term at the frozen ratio m / g_up."""
+        flow, slope = self._flow()
+        rate = flow / self.weights
+        accel = self._linear_flow(slope * rate, rate, 1.0, self.div) / self.weights
         norm = float(self.error_weights @ np.abs(accel))
         return 2.0 * tol_rate / norm if norm > 0.0 else math.inf
 
@@ -288,11 +317,10 @@ class _Kernel:
         (b = u, theta = dt).  Callers keep omega <= 2 < 1 + sqrt(2), where BDF2 is
         zero-stable.  The step is linearly implicit (Akrivis and Crouzeix, Math.
         Comp. 73, 2004): it solves W (u' - b) = theta L (g^p + s (u' - g)), s = p g^{p-1},
-        about g = u + omega (u - u_prev) (g = u first), floored at 0 for p > 1 and at
-        the rounding of max(u) for p < 1 (with a drift, at the least normal float,
-        `_floor`): a column-diagonally-dominant M-matrix,
-        nonsingular where s = 0.  u' comes from the telescoping fluxes of the
-        linearized u'^p, so mass is conserved.  Where u is smooth the linearization
+        about g = u + omega (u - u_prev) (g = u first), floored (`_floor`), and with a
+        drift its upwind terms (`_drift_rows`): a column-diagonally-dominant M-matrix,
+        nonsingular where s = 0.  u' comes from the telescoping fluxes of the linearized
+        flow (`_linear_flow`), so mass is conserved.  Where u is smooth the linearization
         error is O(theta |u' - g|^2) = O(dt^5), but ahead of a p > 1 front g = 0, the
         linearized u'^p is 0, and one solve moves the front at most one cell.  While
         the defect d = u'^p - (g^p + s (u' - g)) at the front (nodes with u' > 2 g;
@@ -301,9 +329,10 @@ class _Kernel:
         the step relinearizes about u' (a Newton step) and solves again, moving the
         front a cell further.  d is formed at the front nodes only, in a zeroed buffer
         that is zeroed again after use.  b can be negative near a front, so an
-        undershoot of any solve halves dt, a rejection.  With a drift, where b is
-        negative beyond rounding the step is backward Euler (b = u, theta = dt, g = u):
-        a cell the drift drains would extrapolate below 0, and no flux could fill it.
+        undershoot of any solve halves dt, a rejection.  Where b is negative beyond
+        rounding, in either frame, the step is backward Euler (b = u, theta = dt,
+        g = u): a draining cell, such as a thin tail the drift empties, would
+        extrapolate below 0, and no flux could fill it.
 
         From the third step on, the step also estimates its local error by Milne's
         device (Hairer and Wanner, *Solving Ordinary Differential Equations II*, 2nd ed.
@@ -336,22 +365,19 @@ class _Kernel:
         rejections = 0
         while True:
             g, trial = g_buf, trial_buf
-            if self.u_prev is None:
-                base, theta = u, dt
-                np.maximum(u, floor, out=g)
-            else:
+            base, theta = u, dt
+            if self.u_prev is not None:
                 omega = dt / self.dt_prev
                 scale = 1.0 + 2.0 * omega
                 change = np.subtract(u, self.u_prev, out=g)
-                base = np.multiply(change, omega * omega / scale, out=bdf_base)
-                np.add(u, base, out=base)
-                theta = dt * (1.0 + omega) / scale
-                np.multiply(change, omega, out=g)
-                np.add(u, g, out=g)
-                np.maximum(g, floor, out=g)
-                if self.drift and base.min() < -NEGATIVITY_SLACK * self.umax:
-                    base, theta = u, dt  # a draining cell: backward Euler, from u >= 0
-                    np.maximum(u, floor, out=g)
+                np.multiply(change, omega * omega / scale, out=bdf_base)
+                np.add(u, bdf_base, out=bdf_base)
+                # else a draining cell: backward Euler, from u >= 0
+                if not np.minimum.reduce(bdf_base) < -NEGATIVITY_SLACK * self.umax:
+                    base, theta = bdf_base, dt * (1.0 + omega) / scale
+                    np.multiply(change, omega, out=g)
+                    np.add(u, g, out=g)
+            np.maximum(u if base is u else g, floor, out=g)
             np.multiply(self.conductance, theta, out=conduct)
             np.multiply(self.coupling, theta, out=spring)
             np.multiply(w, base, out=load)
@@ -361,25 +387,20 @@ class _Kernel:
                 np.multiply(g, 1.0 - p, out=shift)
                 np.multiply(shift, slope, out=shift)  # the linearized u'^p is shift + slope u'
                 np.multiply(slope, p, out=slope)
-                if self.drift:
-                    self._drift_rows(g, slope, shift, theta, load)
-                else:
-                    np.multiply(conduct, slope[:-1], out=plan.lower)
-                    np.multiply(conduct, slope[1:], out=plan.upper)
-                    np.add(w, np.multiply(spring, slope, out=plan.diag), out=plan.diag)
-                    np.multiply(theta, self._divergence(shift), out=plan.rhs)
-                    np.add(load, plan.rhs, out=plan.rhs)
+                np.multiply(conduct, slope[:-1], out=plan.lower)
+                np.multiply(conduct, slope[1:], out=plan.upper)
+                np.add(w, np.multiply(spring, slope, out=plan.diag), out=plan.diag)
+                self._drift_rows(g, slope, theta)
+                np.multiply(theta, self._divergence(shift), out=plan.rhs)
+                np.add(load, plan.rhs, out=plan.rhs)
                 sol = plan.solve()
                 np.multiply(slope, sol, out=scratch)
                 np.add(shift, scratch, out=scratch)
-                if self.drift:
-                    self._linear_flow(scratch, sol, new)
-                else:
-                    np.multiply(theta, self._divergence(scratch), out=new)
+                self._linear_flow(scratch, sol, theta, new)
                 np.divide(new, w, out=new)
                 np.add(base, new, out=new)
-                umax = new.max()
-                undershoot = not new.min() >= -NEGATIVITY_SLACK * umax  # nan counts too
+                umax = np.maximum.reduce(new)
+                undershoot = not np.minimum.reduce(new) >= -NEGATIVITY_SLACK * umax  # and nan
                 np.maximum(new, floor, out=trial)
                 (at,) = np.greater(trial, np.multiply(g, 2.0, out=scratch), out=front).nonzero()
                 misplaced = 0.0  # no front node: no defect
@@ -414,28 +435,6 @@ class _Kernel:
         self.new = self.ring[(self.head + 1) % 4]  # the oldest row
         self.umax, self.dt_next = float(umax), factor * dt
         return dt, rejections
-
-    def _drift_rows(self, g: np.ndarray, slope: np.ndarray, shift: np.ndarray, theta: float,
-                    load: np.ndarray) -> None:
-        """The plan's system for the step linearized about g with the drift: theta times
-        the face fluxes of `_linear_flow`, about g's faces (`_drift_faces`), with the
-        linearized u'^p = shift + slope u'.  Each face's upwind term adds to the coupling
-        of its upwind cell, so the columns still sum to the weights."""
-        plan, open_c, flux = self.plan, self.open_c, self.flux_in
-        np.multiply(slope, g, out=self.v)  # p g^p
-        np.subtract(self.v_hi, self.v_lo, out=flux)
-        np.multiply(flux, self.cond_p, out=flux)
-        self._drift_faces(g)
-        self._split(theta)
-        lower, diag, upper = plan.lower, plan.diag, plan.upper
-        np.add(np.multiply(open_c, slope[1:], out=upper), self.lift_hi, out=upper)
-        np.subtract(np.multiply(open_c, slope[:-1], out=lower), self.lift, out=lower)
-        np.copyto(diag, self.weights)
-        np.add(diag[:-1], lower, out=diag[:-1])
-        np.add(diag[1:], upper, out=diag[1:])
-        np.subtract(shift[1:], shift[:-1], out=flux)
-        np.multiply(flux, open_c, out=flux)
-        np.add(load, np.subtract(self.flux_hi, self.flux_lo, out=plan.rhs), out=plan.rhs)
 
     def _local_error(self, dt: float, theta: float, gap: np.ndarray, euler: bool) -> float:
         """C w @ |new - P2| for the step of dt to new (self.new), 0 before three levels;
@@ -677,9 +676,9 @@ def evolve(f0: DensityField, params: DiffusionParams,
     `rescale(., t_k^{1/mu})`, so the snapshots, the checks and the messages read the
     physical field at physical t, and `fields[k]` lives on the grid dilated to t_k.  The
     tolerance keeps its unit, mass over the interval in t.  The y-frame's wall moves out
-    with the grid in x.  A backward-Euler step stands in for BDF2 there when BDF2's base
-    is negative beyond rounding: a cell the drift drains (a thin tail ahead of a p > 1
-    front, a front retreating in y) extrapolates below 0.
+    with the grid in x.  Both frames take the kernel's one step, and where BDF2's base
+    is negative beyond rounding (a cell the drift drains: a thin tail ahead of a p > 1
+    front, a front retreating in y) it is a backward-Euler step.
     """
     if f0.grid.dim != params.dim:
         raise DomainError("initial field dimension does not match params.dim")

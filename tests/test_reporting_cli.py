@@ -627,6 +627,13 @@ class TestVerifyCommand:
     def test_missing_csv_exit_one(self):
         assert main(["verify", "--snapshots-csv", "/nonexistent.csv", "--p", "2"]) == 1
 
+    def test_non_text_csv_exit_one(self, tmp_path, capsys):
+        csv_path = tmp_path / "snapshots.csv"
+        csv_path.write_bytes(b"\xff\xfe\x00\x81t,N_p")
+        assert main(["verify", "--snapshots-csv", str(csv_path), "--p", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {csv_path}: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("defect", ["nan", "abc", "repeated_t", "zero_ip", "zero_upsilon"])
     def test_bad_csv_exit_one_without_warnings(self, short_run, tmp_path, capsys, defect):
         # the reader takes a zero; the check that divides by it rejects the series
