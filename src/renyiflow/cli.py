@@ -46,9 +46,6 @@ EXIT_VERDICT = 3
 
 CONSTANTS_HEADER = "p,n,mu,nu,A_p,C_p,Hp_B,Ip_B,gamma,Sn,error"
 
-# the checks that need only a snapshot series, so `verify` can run them
-SERIES_CHECKS = tuple(name for name, check in CHECKS.items() if not check.needs_fields)
-
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are configuration errors (exit 1)."""
@@ -88,19 +85,21 @@ def _evolve_options(e: argparse.ArgumentParser) -> None:
     e.add_argument("--initial", type=str, default="mixture",
                    help="barenblatt | gaussian | mixture | file:PATH")
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--verify", type=str, default="", help="comma list: " + ",".join(CHECKS))
-    for name in CHECKS:
-        e.add_argument(f"--tol-{name}", dest=f"tol_{name}", type=float, default=None)
+    _check_options(e, "--verify", "")
 
 
 def _verify_options(v: argparse.ArgumentParser) -> None:
     v.add_argument("--snapshots-csv", dest="snapshots_csv", type=str, default=None)
     v.add_argument("--p", type=float, default=None)
     v.add_argument("--dim", type=int, default=1)
-    v.add_argument("--checks", type=str, default="concavity,upsilon",
-                   help="comma list: " + ",".join(SERIES_CHECKS))
-    for name in SERIES_CHECKS:
-        v.add_argument(f"--tol-{name}", dest=f"tol_{name}", type=float, default=None)
+    _check_options(v, "--checks", "concavity,upsilon")
+
+
+def _check_options(command: argparse.ArgumentParser, flag: str, default: str) -> None:
+    """flag, the comma list of CHECKS to run, and a --tol-NAME option for each check."""
+    command.add_argument(flag, type=str, default=default, help="comma list: " + ",".join(CHECKS))
+    for name in CHECKS:
+        command.add_argument(f"--tol-{name}", dest=f"tol_{name}", type=float, default=None)
 
 
 def _sweep_options(s: argparse.ArgumentParser) -> None:
@@ -276,12 +275,12 @@ def _profile_grid(args):
     return own, field
 
 
-def _requested_checks(args, raw: str, with_fields: bool,
+def _requested_checks(args, raw: str,
                       snapshots: int | None = None) -> tuple[list[str], dict[str, float]]:
     """The check names in the comma list raw, validated at (args.p, args.dim) and any
-    snapshot count given, and the finite --tol-NAME values of the checks the command offers."""
+    snapshot count given, and the finite --tol-NAME values given."""
     names = [n for n in raw.split(",") if n]
-    validate_checks(names, args.p, args.dim, with_fields, snapshots)
+    validate_checks(names, args.p, args.dim, snapshots)
     tols = {key[len("tol_"):]: val for key, val in vars(args).items()
             if key.startswith("tol_") and val is not None}
     for name, tol in tols.items():
@@ -299,7 +298,7 @@ def _run(cfg: dict, f0=None):
         f0 = _initial_field(cfg["initial"], _grid(dim, cfg["nodes"], cfg["radius"]), p,
                             cfg["t_start"], cfg["seed"])
     result = evolve(f0, params, with_dissipation="dissipation" in cfg["verify"])
-    checks = run_checks(cfg["verify"], result.snapshots, p, dim, cfg["tols"], result.fields)
+    checks = run_checks(cfg["verify"], result.snapshots, p, dim, cfg["tols"])
     return result, checks
 
 
@@ -311,7 +310,7 @@ def run_evolve(args) -> int:
         domain, f0 = _profile_grid(args)
         args.dim = domain["dim"]  # the checks are validated in the profile's dimension
     p, dim = args.p, domain["dim"]
-    names, tols = _requested_checks(args, args.verify, with_fields=True, snapshots=args.snapshots)
+    names, tols = _requested_checks(args, args.verify, args.snapshots)
     if domain["radius"] is None:
         domain["radius"] = _default_radius(p, dim, args.t_end, args.initial)
     cfg = {"subcommand": "evolve", "p": p, **domain, "t_start": args.t_start,
@@ -353,7 +352,7 @@ def run_evolve(args) -> int:
 def run_verify(args) -> int:
     if args.snapshots_csv is None or args.p is None:
         raise DomainError("verify: --snapshots-csv and --p are required")
-    names, tols = _requested_checks(args, args.checks, with_fields=False)
+    names, tols = _requested_checks(args, args.checks)
     series = read_snapshots(args.snapshots_csv)
     checks = run_checks(names, series, args.p, args.dim, tols)
     print(summary_table(checks))

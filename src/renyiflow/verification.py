@@ -31,10 +31,10 @@ TOL_DEBRUIJN = 1e-2
 TOL_DISSIPATION = 5e-2
 TOL_ISOPERIMETRIC = 1e-3
 TOL_UPSILON = 1e-8
-# The fewest snapshots each series check reads, by the name its message gives: a second
-# or central difference takes three, a rise two.
-LEAST_SNAPSHOTS = {"concavity": 3, "monotonicity": 2, "debruijn": 3, "dissipation": 3,
-                   "convergence": 3}
+# The fewest snapshots each check reads, by its name: a second or central difference
+# takes three, a rise two, a least value one.
+LEAST_SNAPSHOTS = {"concavity": 3, "upsilon": 2, "debruijn": 3, "dissipation": 3,
+                   "isoperimetric": 1, "convergence": 3}
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def concavity_report(series, p: float, n: int, tol: float = TOL_CONCAVITY) -> Ch
 
 def upsilon_monotone(series, tol: float = TOL_UPSILON) -> CheckResult:
     """Upsilon_p(t) must be nonincreasing up to tol (relative to its start)."""
-    require_snapshots(len(series), "monotonicity")
+    require_snapshots(len(series), "upsilon")
     t, y = _times_values(series, "upsilon")
     rises = np.diff(y)
     worst = int(np.argmax(rises))
@@ -226,71 +226,71 @@ def _isoperimetric_gamma(p: float, n: int) -> float:
     return gamma_const(p, n)
 
 
+def _isoperimetric_verdict(ups: float, gamma: float, rel_tol: float) -> CheckResult:
+    """The margin ups - gamma, required >= -rel_tol * gamma."""
+    margin = ups - gamma
+    return CheckResult("isoperimetric", margin >= -rel_tol * gamma, margin,
+                       rel_tol * gamma, f"Upsilon - gamma = {margin:.6e} (gamma {gamma:.6e})")
+
+
 def isoperimetric_check(f: DensityField, p: float, n: int | None = None,
                         rel_tol: float = TOL_ISOPERIMETRIC) -> CheckResult:
     """Margin Upsilon_p(f) - gamma(n,p), required >= -rel_tol * gamma."""
     n = f.grid.dim if n is None else n
     gamma = _isoperimetric_gamma(p, n)
-    margin = upsilon(f, p, n) - gamma
-    return CheckResult("isoperimetric", margin >= -rel_tol * gamma, margin,
-                       rel_tol * gamma, f"Upsilon - gamma = {margin:.6e} (gamma {gamma:.6e})")
+    return _isoperimetric_verdict(upsilon(f, p, n), gamma, rel_tol)
+
+
+def _least_upsilon_check(series, p: float, n: int, tol: float) -> CheckResult:
+    """isoperimetric_check of a series: its first snapshot of least Upsilon_p decides."""
+    require_snapshots(len(series), "isoperimetric")
+    gamma = _isoperimetric_gamma(p, n)
+    least = int(np.argmin(_times_values(series, "upsilon")[1]))
+    return _isoperimetric_verdict(series[least].upsilon, gamma, tol)
 
 
 @dataclass(frozen=True)
 class Check:
-    """One entry of CHECKS: run(series, fields, p, n, tol) -> CheckResult, the default
-    tol, its LEAST_SNAPSHOTS key (None: no minimum), whether it needs the evolved fields,
-    not just the series, and domain(p, n), which raises DomainError where undefined."""
+    """One entry of CHECKS, named as the verdict it gives: run(series, p, n, tol) ->
+    CheckResult on a snapshot series, the default tol, and domain(p, n), which raises
+    DomainError where the check is undefined."""
 
     run: Callable[..., CheckResult]
     tol: float
-    series: str | None
-    needs_fields: bool = False
     domain: Callable[[float, int], object] | None = None
 
 
 # The one table of verdicts behind `evolve --verify`, `verify --checks`, `sweep`
-# and the --tol-* flags.  Entries call the checks by their module-global names,
-# so rebinding a check (for instrumentation) reaches every caller.
+# and the --tol-* flags.  The entries that adapt a check's signature call it by its
+# module-global name, so rebinding it (for instrumentation) reaches every caller.
 CHECKS: dict[str, Check] = {
-    "concavity": Check(lambda s, f, p, n, tol: concavity_report(s, p, n, tol), TOL_CONCAVITY,
-                       "concavity"),
-    "upsilon": Check(lambda s, f, p, n, tol: upsilon_monotone(s, tol), TOL_UPSILON,
-                     "monotonicity"),
-    "debruijn": Check(lambda s, f, p, n, tol: debruijn_check(s, p, tol), TOL_DEBRUIJN,
-                      "debruijn"),
-    "dissipation": Check(lambda s, f, p, n, tol: dissipation_check(s, p, n, tol),
-                         TOL_DISSIPATION, "dissipation"),
-    # the worst snapshot decides; on ties the earliest
-    "isoperimetric": Check(lambda s, f, p, n, tol: min(
-        (isoperimetric_check(fld, p, n, tol) for fld in f), key=lambda r: r.margin),
-        TOL_ISOPERIMETRIC, None, needs_fields=True, domain=_isoperimetric_gamma),
+    "concavity": Check(concavity_report, TOL_CONCAVITY),
+    "upsilon": Check(lambda s, p, n, tol: upsilon_monotone(s, tol), TOL_UPSILON),
+    "debruijn": Check(lambda s, p, n, tol: debruijn_check(s, p, tol), TOL_DEBRUIJN),
+    "dissipation": Check(dissipation_check, TOL_DISSIPATION),
+    "isoperimetric": Check(_least_upsilon_check, TOL_ISOPERIMETRIC,
+                           domain=_isoperimetric_gamma),
 }
 
 
-def validate_checks(names, p: float, n: int, with_fields: bool,
-                    snapshots: int | None = None) -> None:
-    """Raise DomainError for a name not in CHECKS, one that needs fields there are none
-    of, or one undefined at (p, n), and InsufficientData for one whose series needs more
-    than `snapshots` snapshots (when given): what no solve could make verifiable."""
+def validate_checks(names, p: float, n: int, snapshots: int | None = None) -> None:
+    """Raise DomainError for a (p, n) the equation does not admit, a name not in CHECKS
+    or one undefined at (p, n), and InsufficientData for one that needs more than
+    `snapshots` snapshots (when given): what no solve could make verifiable."""
+    coefficients(p, n)
     for name in names:
         if name not in CHECKS:
             raise DomainError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
-        check = CHECKS[name]
-        if check.needs_fields and not with_fields:
-            raise DomainError(f"check {name!r} needs the evolved fields, which a snapshot "
-                              f"series lacks; run it as `evolve --verify {name}`")
-        if check.domain is not None:
-            check.domain(p, n)
-        if snapshots is not None and check.series is not None:
-            require_snapshots(snapshots, check.series)
+        if CHECKS[name].domain is not None:
+            CHECKS[name].domain(p, n)
+        if snapshots is not None:
+            require_snapshots(snapshots, name)
 
 
-def run_checks(names, series, p: float, n: int, tols: dict[str, float],
-               fields=None) -> dict[str, CheckResult]:
+def run_checks(names, series, p: float, n: int, tols: dict[str, float]) -> dict[str, CheckResult]:
     """Run the named CHECKS in order; tols[name] overrides a check's default tolerance."""
-    validate_checks(names, p, n, with_fields=bool(fields))
-    return {name: CHECKS[name].run(series, fields, p, n, tols.get(name, CHECKS[name].tol))
+    validate_checks(names, p, n)
+    return {name: CHECKS[name].run(series, p, n, tols.get(name, CHECKS[name].tol))
             for name in names}
 
 

@@ -73,14 +73,18 @@ def short_run():
 RUN_FACTS = Path(__file__).resolve().parent / "data" / "run_facts.txt"
 
 
+@pytest.mark.filterwarnings("error::UserWarning")
 def test_run_facts_ledger(tmp_path, capsys):
     # the digest configs' exit codes, steps, rejections, verdicts and margins (4
     # significant figures) against the committed ledger, whatever numpy is installed:
-    # a mismatch names the first line that differs and both numpy versions
-    tool = _digest_tool()
+    # a mismatch names the first line that differs and both numpy versions.  The tool
+    # runs as its command line does, so a BoundaryLeakWarning (the package's only
+    # UserWarning) on a default-sized config fails it, as a floating-point warning does
     header, *want = RUN_FACTS.read_text().splitlines()
-    got = tool.facts(*tool.run_all(tmp_path))
-    capsys.readouterr()
+    assert _digest_tool().main([str(tmp_path)]) == 0
+    listing = capsys.readouterr().out.splitlines()
+    assert len(listing) == 82 and all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in listing)
+    _, *got = (tmp_path / "facts.txt").read_text().splitlines()
     for number, (line, recorded) in enumerate(itertools.zip_longest(got, want), start=2):
         if line != recorded:
             pytest.fail(f"{RUN_FACTS.name} line {number}: the runs give {line!r}, the ledger "
@@ -615,14 +619,28 @@ class TestVerifyCommand:
                      "--dim", "1", "--checks", "concavity"])
         assert code == 3
 
-    def test_isoperimetric_points_to_evolve(self, short_run, tmp_path, capsys):
+    def test_replay_matches_evolve_on_every_check(self, tmp_path):
+        # every check reads only the series, so verify gives evolve's verdicts, line for line
+        argv = _digest_configs()["mixture_p1.5"]
+        checks = argv[argv.index("--verify") + 1]
+        assert checks.split(",") == list(CHECKS)
+        assert main([*argv, "--out", str(tmp_path / "run")]) == 0
+        (csv_path,) = (tmp_path / "run").glob("exp-*/snapshots.csv")
+        assert main(["verify", "--snapshots-csv", str(csv_path), "--p", "1.5", "--dim", "1",
+                     "--checks", checks, "--out", str(tmp_path / "replay")]) == 0
+        (replayed,) = (tmp_path / "replay").glob("exp-*/verdicts.txt")
+        want = (csv_path.parent / "verdicts.txt").read_text().splitlines()
+        assert replayed.read_text().splitlines() == want and len(want) == len(CHECKS)
+
+    def test_header_only_csv_exit_one(self, tmp_path, capsys):
         csv_path = tmp_path / "snapshots.csv"
-        write_snapshots(csv_path, short_run.snapshots)
+        write_snapshots(csv_path, [])
+        assert read_snapshots(csv_path) == []
         code = main(["verify", "--snapshots-csv", str(csv_path), "--p", "1.5",
-                     "--dim", "1", "--checks", "concavity,isoperimetric"])
+                     "--dim", "1", "--checks", "isoperimetric"])
         assert code == 1
-        err = capsys.readouterr().err
-        assert "needs the evolved fields" in err and "evolve --verify isoperimetric" in err
+        assert capsys.readouterr().err == \
+            "configuration error: isoperimetric needs at least 1 snapshots\n"
 
     def test_missing_csv_exit_one(self):
         assert main(["verify", "--snapshots-csv", "/nonexistent.csv", "--p", "2"]) == 1
@@ -711,8 +729,10 @@ class TestCheckRegistry:
         assert self._tol_flags("evolve") == list(CHECKS)
 
     def test_verify_flags_are_the_series_checks(self):
-        assert self._tol_flags("verify") == [n for n, c in CHECKS.items() if not c.needs_fields]
-        assert self._tol_flags("verify") == ["concavity", "upsilon", "debruijn", "dissipation"]
+        # every check reads only the snapshot series, so verify offers the whole table
+        assert self._tol_flags("verify") == list(CHECKS)
+        assert self._tol_flags("verify") == ["concavity", "upsilon", "debruijn", "dissipation",
+                                             "isoperimetric"]
 
 
 class TestSweepCommand:
@@ -1141,6 +1161,21 @@ class TestUsageErrors:
           "--t-end", "1000000.0000000001", "--snapshots", "2"],
          "snapshot interval [1000000.0, 1000000.0000000001] does not advance the march's "
          "clock, log t"),
+        # the console-script refusals that had no case of their own here
+        (["evolve", "--p", "2", "--geometry", "radial"],
+         "unrecognized arguments: --geometry radial"),
+        (["evolve", "--p", "-0.5", "--dim", "1"], "need p > 0; got p = -0.5"),
+        (["sweep", "--nodes", "4"], "grid needs at least 8 nodes"),
+        # verify applies evolve's rule on (p, n) before it reads the series, so the
+        # file named is never opened
+        *[(["verify", "--snapshots-csv", "never-read.csv", *flags,
+            "--checks", "concavity,upsilon"], message) for flags, message in [
+            (["--p", "-5", "--dim", "0"], "dimension must be a positive integer, got 0"),
+            (["--p", "nan"], "need a finite p; got p = nan"),
+            (["--p", "inf"], "need a finite p; got p = inf"),
+            (["--p", "2", "--dim", "-3"], "dimension must be a positive integer, got -3"),
+            (["--p", "0.2", "--dim", "3"],
+             "need p > 1 - 2/n = 0.33333333333333337; got p = 0.2")]],
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exit_one_message(self, argv, message, tmp_path, capsys):

@@ -345,14 +345,17 @@ class TestRunChecks:
         assert tight.tolerance == -1.0 and not tight.passed
 
     def test_isoperimetric_takes_worst_field(self, mixture_run):
-        checks = rf.run_checks(["isoperimetric"], mixture_run.snapshots, 1.5, 1, {},
-                               mixture_run.fields)
+        checks = rf.run_checks(["isoperimetric"], mixture_run.snapshots, 1.5, 1, {})
         each = [rf.isoperimetric_check(f, 1.5, 1) for f in mixture_run.fields]
         assert checks["isoperimetric"] == min(each, key=lambda r: r.margin)
 
-    def test_isoperimetric_needs_fields(self, mixture_run):
-        with pytest.raises(DomainError, match="needs the evolved fields"):
-            rf.run_checks(["isoperimetric"], mixture_run.snapshots, 1.5, 1, {})
+    def test_isoperimetric_reads_the_series(self, mixture_run):
+        # a snapshot's Upsilon_p is the field's, bit for bit, so the series decides as
+        # the fields did; a series with no snapshot has no verdict
+        assert [s.upsilon for s in mixture_run.snapshots] == [
+            rf.upsilon(f, 1.5, 1) for f in mixture_run.fields]
+        with pytest.raises(InsufficientData, match="isoperimetric needs at least 1 snapshot"):
+            rf.run_checks(["isoperimetric"], [], 1.5, 1, {})
 
     def test_unknown_name_runs_nothing(self, mixture_run, monkeypatch):
         # entries look their check up by module-global name, so this stub is what runs
@@ -370,23 +373,43 @@ class TestRunChecks:
         def not_called(*args):
             raise AssertionError("a check ran before the (p, n) domain was validated")
 
-        monkeypatch.setattr(verification, "concavity_report", not_called)
+        concavity = dataclasses.replace(verification.CHECKS["concavity"], run=not_called)
+        monkeypatch.setitem(verification.CHECKS, "concavity", concavity)
         with pytest.raises(DomainError):
-            rf.run_checks(["concavity", "isoperimetric"], mixture_run.snapshots, p, n, {},
-                          mixture_run.fields)
+            rf.run_checks(["concavity", "isoperimetric"], mixture_run.snapshots, p, n, {})
 
     def test_validate_checks_domain(self):
-        verification.validate_checks(["isoperimetric"], 1.5, 1, with_fields=True)
-        verification.validate_checks(["concavity", "upsilon"], 1.0, 1, with_fields=False)
+        verification.validate_checks(["isoperimetric"], 1.5, 1)
+        verification.validate_checks(["concavity", "upsilon"], 1.0, 1)
         with pytest.raises(DomainError, match="p = 1 has no Barenblatt profile"):
-            verification.validate_checks(["isoperimetric"], 1.0, 1, with_fields=True)
+            verification.validate_checks(["isoperimetric"], 1.0, 1)
         with pytest.raises(DomainError, match=r"needs p > n/\(n\+2\) = 0.6"):
-            verification.validate_checks(["isoperimetric"], 0.6, 3, with_fields=True)
+            verification.validate_checks(["isoperimetric"], 0.6, 3)
+
+    @pytest.mark.parametrize("p, n, message", [
+        (-5.0, 0, "dimension must be a positive integer, got 0"),
+        (2.0, -3, "dimension must be a positive integer, got -3"),
+        (math.nan, 1, "need a finite p; got p = nan"),
+        (math.inf, 1, "need a finite p; got p = inf"),
+        (0.2, 3, "need p > 1 - 2/n = 0.33333333333333337; got p = 0.2"),
+    ])
+    def test_inadmissible_exponent_runs_nothing(self, mixture_run, monkeypatch, p, n, message):
+        # the equation's own rule, as DiffusionParams applies it, before any name or check
+        def not_called(*args):
+            raise AssertionError("a check ran at a (p, n) the equation does not admit")
+
+        monkeypatch.setitem(verification.CHECKS, "upsilon", dataclasses.replace(
+            verification.CHECKS["upsilon"], run=not_called))
+        for names in ([], ["upsilon"], ["concavty"]):
+            with pytest.raises(DomainError) as err:
+                verification.validate_checks(names, p, n)
+            assert str(err.value) == message
+        with pytest.raises(DomainError, match=re.escape(message)):
+            rf.run_checks(["upsilon"], mixture_run.snapshots, p, n, {})
 
     def test_margins_are_python_floats(self, mixture_run):
         # verdicts.txt prints repr(margin), which for a numpy scalar reads np.float64(...)
-        checks = rf.run_checks(list(rf.CHECKS), mixture_run.snapshots, 1.5, 1, {},
-                               mixture_run.fields)
+        checks = rf.run_checks(list(rf.CHECKS), mixture_run.snapshots, 1.5, 1, {})
         assert {name: type(c.margin) for name, c in checks.items()} == dict.fromkeys(
             rf.CHECKS, float)
         assert not any("np." in line for line in verdict_lines(checks))
@@ -396,7 +419,6 @@ class TestRunChecks:
         assert {name: c.tol for name, c in rf.CHECKS.items()} == {
             "concavity": 1e-6, "upsilon": 1e-8, "debruijn": 1e-2,
             "dissipation": 5e-2, "isoperimetric": 1e-3}
-        assert [name for name, c in rf.CHECKS.items() if c.needs_fields] == ["isoperimetric"]
 
 
 class TestSeriesValidation:
