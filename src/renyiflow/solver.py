@@ -36,8 +36,9 @@ import numpy as np
 
 from .analytic import coefficients
 from .errors import BoundaryLeakWarning, DomainError, StabilityError
-from .functionals import FunctionalSnapshot, rescale, snapshot
+from .functionals import FunctionalSnapshot, _pressure, rescale, snapshot
 from .grids import RADIAL, DensityField, Grid
+from .verification import TOL_CONCAVITY
 
 MAX_REJECTIONS = 40
 NEGATIVITY_SLACK = 1e-14  # relative to max(u): tolerated roundoff undershoot
@@ -46,25 +47,27 @@ EDGE_CELLS = 64  # the edge mass is read in the last node_count // EDGE_CELLS ce
 # An implicit step relinearizes while it misplaces more than this fraction of the mass it
 # moves (4096-node p = 2 Barenblatt, L1 off Newton's steps: 2.0e-6 at 1e-2, 4.8e-7 at 1e-3).
 LINEARIZATION_TOL = 1e-3
-# An implicit step's local-error estimate, in mass, is at most this fraction of the
-# most mass the flow can move over its snapshot interval: the interval times the
-# starting rate ||u_t||_1 (the rate never grows: the flow is an L1 contraction), and
-# at most the mass.  The concavity check takes second differences of N_p in units of
-# its largest change per interval, so closer snapshots get more accurate steps.
-# The starting rate is the check's unit: N_p is concave, so its largest slope is its
-# first.  In the self-similar frame, where the fitted Barenblatt datum stands still,
-# the 2048-node p = 2 run (t 1..3, 33 snapshots) takes 32 steps and 32 solves and the
-# 768-node p = 0.8, n = 3 run (t 1..1.25, 17 snapshots) 16 steps and 16 solves: one step
-# per snapshot interval, so at half this fraction their steps and margins are unchanged.
+# An x-frame implicit step's local-error estimate, in mass, is at most this fraction of
+# the most mass the flow can move over the snapshot interval it starts in: the interval
+# times the starting rate ||u_t||_1 (the rate never grows: the flow is an L1
+# contraction), and at most the mass.  The concavity check takes second differences of
+# N_p in units of its largest change per interval, so closer snapshots get more
+# accurate steps.  The starting rate is the check's unit: N_p is concave, so its
+# largest slope is its first.  (Runs in y take TOL_CONCAVITY in N_p's units instead;
+# there the fitted Barenblatt datum stands still, and the 2048-node p = 2 run, t 1..3
+# with 33 snapshots, and the 768-node p = 0.8, n = 3 run, t 1..1.25 with 17, take 6
+# steps and 6 solves each: two that land on the first two snapshots, then steps that
+# double and pass the rest.)
 LOCAL_ERROR_TOL = 4e-5
 # The explicit (CFL) step's share of the stable step; the explicit step alone reads it.
 CFL_SAFETY = 0.9
-# An implicit step is at most this many CFL steps (`_stable_dt` at safety 1, read at each
-# snapshot).  Its flux form carries the rounding of v = u^p into u' times dt over that
-# step: about 2 eps per CFL step, relative to max(u), on the flat state of three
-# geometries (1.7e6 CFL steps: 4.3e-10).  Near the flat state the local-error estimate
-# vanishes, and that rounding is all the error there is: the 256-node flat p = 0.8,
-# n = 3 state ended uneven by 5.8e-9 after steps of 1.7e7 CFL steps.
+# An implicit step is at most this many CFL steps (`_stable_dt` at safety 1, read once
+# for each snapshot interval a step starts in).  Its flux form carries the rounding of
+# v = u^p into u' times dt over that step: about 2 eps per CFL step, relative to max(u),
+# on the flat state of three geometries (1.7e6 CFL steps: 4.3e-10).  Near the flat state
+# the local-error estimate vanishes, and that rounding is all the error there is: the
+# 256-node flat p = 0.8, n = 3 state ended uneven by 5.8e-9 after steps of 1.7e7 CFL
+# steps.
 MAX_CFL_STEPS = 1e6
 EPS = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).tiny)
@@ -128,11 +131,12 @@ class _Kernel:
     """The implicit march on one (grid, p), in preallocated buffers and slice views.
 
     The grid is read only as its weights w and `Grid.conductances`, and every flux is
-    conductance * dv.  `implicit_advance` is the BDF2 step: it keeps the last two u and
-    steps as its history and proposes the next step, `dt_next`.  Its `_ReductionPlan`
-    and buffers (`work`, about 8N doubles, and `ring`, the four u levels as rows) are
-    made on its first call, so the frame's probe, which reads only `speed`, never pays
-    for them.  u is clipped to u >= 0 on entry (`_clipped`) and after each step, whose
+    conductance * dv.  `implicit_advance` is the BDF2 step: it keeps the last three u and
+    two steps as its history and proposes the next step, `dt_next`; `interpolant` reads
+    u inside the last step from that history, in `level`.  Its `_ReductionPlan` and
+    buffers (`work`, about 8N doubles, and `ring`, the four u levels as rows) are made
+    on its first call, so the frame's probe, which reads only `speed`, never pays for
+    them.  u is clipped to u >= 0 on entry (`_clipped`) and after each step, whose
     acceptance test's max(u) is the next umax; v, dv, du and div are scratch.  Each
     out= pass keeps the operands and operation order of the plain array expressions.
 
@@ -154,7 +158,7 @@ class _Kernel:
         self.conductance, self.coupling, _ = grid.conductances()
         self.open_c = self.conductance  # c across the faces that are not closed
         self.u, self.umax = _clipped(grid, p, values)
-        self.v, self.div = np.empty(n), np.empty(n)
+        self.v, self.div, self.level = np.empty(n), np.empty(n), np.empty(n)
         self.dv, self.du = np.empty(n - 1), np.empty(n - 1)
         self.flux = np.zeros(n + 1)  # walls: zero flux
         self.v_hi, self.v_lo, self.flux_in = self.v[1:], self.v[:-1], self.flux[1:-1]
@@ -452,6 +456,31 @@ class _Kernel:
         share = 1.0 if euler else theta / (theta + dt + h1 + h2)
         return share * float(self.error_weights @ np.abs(gap, out=gap))
 
+    def interpolant(self, back: float) -> np.ndarray:
+        """u at `back` before the last level in the march's clock, 0 <= back <= dt_prev:
+        the last level itself at back = 0, else the quadratic through u, u_prev and
+        u_prev2, in `level` (the next call overwrites it; v is its scratch).
+
+        Its weights are Lagrange's, which sum to 1, so it keeps the mass to rounding.
+        Inside the step it errs by u_ttt/6 max |(s-a0)(s-a1)(s-a2)| over the nodes a_i,
+        0.385 h^3 at equal steps h, where the step errs by u_ttt/6 dt (dt+h1) theta,
+        4/3 h^3: the interpolant adds at most 0.294 of the error Milne's estimate
+        bounds for every omega <= 2 (0.289 at omega = 1, 0.25 as omega -> 0).  Where
+        the quadratic is below 0 at a node, the whole field is the linear interpolant
+        of the step's two ends instead: a convex combination, so u >= 0 and the mass is
+        kept; a per-node mix would not keep it."""
+        if not back:
+            return self.u
+        h1, h2, level, scratch = self.dt_prev, self.dt_prev2, self.level, self.v
+        span, ahead = h1 + h2, h1 - back
+        np.multiply(self.u, ahead * (span - back) / (h1 * span), out=level)
+        level += np.multiply(self.u_prev, back * (span - back) / (h1 * h2), out=scratch)
+        level -= np.multiply(self.u_prev2, back * ahead / (span * h2), out=scratch)
+        if np.minimum.reduce(level) < 0.0:
+            np.multiply(self.u, ahead / h1, out=level)
+            level += np.multiply(self.u_prev, back / h1, out=scratch)
+        return level
+
 
 class _ReductionPlan:
     """Odd-even cyclic reduction for tridiagonal systems of one size, in its own buffers.
@@ -621,6 +650,22 @@ def _edge_weights(grid: Grid) -> np.ndarray:
     return np.where(from_wall < max(1, grid.node_count // EDGE_CELLS), grid.weights(), 0.0)
 
 
+def _entropy_weights(kernel: _Kernel, interior: np.ndarray, nu: float) -> np.ndarray:
+    """The first variation of log N_p at the kernel's u, times the interior weights: the
+    estimate's weights in the self-similar frame.
+
+    log N_p = nu H_p varies by nu p u^{p-1} / ((1-p) integral u^p).  A step's estimate
+    new - P2 carries no mass (its weighted sum is below 1.3e-6 of its weighted L1
+    norm), so a constant comes off: nu p c^{p-1} |P| / integral u^p, with P the
+    pressure `functionals._pressure` forms of g = max(u, 1e-8 c), c = max u, which is
+    continuous through p = 1.  The floor bounds the weight in the far tail."""
+    u, p = kernel.u, kernel.p
+    pressure, _, log_c = _pressure(np.maximum(u, 1e-8 * kernel.umax), p)
+    scale = nu * p * math.exp((p - 1.0) * log_c) / float(kernel.weights @ u ** p)
+    np.multiply(np.abs(pressure, out=pressure), interior, out=pressure)
+    return np.multiply(pressure, scale, out=pressure)
+
+
 @dataclass
 class EvolutionResult:
     params: DiffusionParams
@@ -642,15 +687,22 @@ class EvolutionResult:
 
 def evolve(f0: DensityField, params: DiffusionParams,
            with_dissipation: bool = False) -> EvolutionResult:
-    """March from t_start to t_end, landing exactly on every snapshot time.
+    """March from t_start to t_end, reading each snapshot from the step that reaches it.
 
-    The step toward the next snapshot divides the remaining interval into equal
-    parts no longer than the proposed step, so the recorded functional series has no
-    step-size kinks inside an interval.  The march is linearly implicit BDF2, with its
-    history, from t_start to the end, for every p.  Its tolerance, taken before each
-    interval, is LOCAL_ERROR_TOL of the most mass the flow can move over the interval,
-    and a step is at most MAX_CFL_STEPS CFL steps: DomainError where such a step cannot
-    move the clock, on a domain too small for the datum.  The march starts with the
+    A step divides what remains into equal parts no longer than the proposed step.  The
+    first two steps carry no local-error estimate (Milne's device needs three levels),
+    so each divides what remains to the next snapshot and lands on it.  From the third
+    on, a step divides what remains to t_end, and each snapshot time it passes is read
+    from the quadratic through the kernel's last three levels (`_Kernel.interpolant`:
+    dense output, Hairer, Norsett and Wanner, *Solving Ordinary Differential Equations
+    I*, 2nd ed. 1993, II.6), whose error inside the step is under 0.3 of the error the
+    step's estimate bounds.  So a flow that barely moves passes many snapshots in one
+    step, and the tolerance, not the landing, keeps the series accurate.  The march is
+    linearly implicit BDF2, with its history, from t_start to the end, for every p.
+    Its bounds are read once for each snapshot interval a step starts in: the tolerance,
+    in x LOCAL_ERROR_TOL of the most mass the flow can move over the interval, and the
+    longest step, MAX_CFL_STEPS CFL steps: DomainError where such a step cannot move
+    the clock, on a domain too small for the datum.  The march starts with the
     backward-Euler step whose local error is its share of one step's tolerance per
     interval (`_Kernel.starting_dt`: read from the flow's acceleration, so a finer
     grid starts no shorter) and doubles it while it has fewer than three levels; from
@@ -674,11 +726,17 @@ def evolve(f0: DensityField, params: DiffusionParams,
     gets the drift 1 / mu, and the march's clock is tau = log t (refused before any step
     where it does not advance: t 1e6 to 1e6 + 1e-10).  Each snapshot is mapped back by
     `rescale(., t_k^{1/mu})`, so the snapshots, the checks and the messages read the
-    physical field at physical t, and `fields[k]` lives on the grid dilated to t_k.  The
-    tolerance keeps its unit, mass over the interval in t.  The y-frame's wall moves out
-    with the grid in x.  Both frames take the kernel's one step, and where BDF2's base
-    is negative beyond rounding (a cell the drift drains: a thin tail ahead of a p > 1
-    front, a front retreating in y) it is a backward-Euler step.
+    physical field at physical t, and `fields[k]` lives on the grid dilated to t_k.  In y
+    the tolerance is in the concavity check's units: the estimate is weighed by the
+    first variation of log N_p (`_entropy_weights`, read at the interval's first step),
+    and it may be TOL_CONCAVITY of log N_p's change over the interval in t,
+    nu I_p (t_k - t_(k-1)), I_p read from the last snapshot.  A datum that relaxes in y,
+    such as a Barenblatt sample scaled rather than fitted to unit mass, needs it: under
+    the mass tolerance the time error of its first steps bent N_p past the bound.  The
+    y-frame's wall moves out with the grid in x.  Both frames take the kernel's one
+    step, and where BDF2's base is negative beyond rounding (a cell the drift drains: a
+    thin tail ahead of a p > 1 front, a front retreating in y) it is a backward-Euler
+    step.
     """
     if f0.grid.dim != params.dim:
         raise DomainError("initial field dimension does not match params.dim")
@@ -700,7 +758,8 @@ def evolve(f0: DensityField, params: DiffusionParams,
             start, dilate = rescale(f0, t ** -drift), drift  # onto the y-grid
             edge = _edge_weights(start.grid)
     grid, kernel = start.grid, _Kernel(start.grid, p, start.values, dilate)
-    kernel.error_weights = grid.weights() - edge  # 0 at the edge: the wall's layer is the domain's
+    interior = grid.weights() - edge  # 0 at the edge: the wall's layer is the domain's
+    kernel.error_weights = interior
     # the march's clock at each snapshot: t, or tau = log t in the self-similar frame
     clock = [math.log(x) for x in times] if dilate else [float(x) for x in times]
     for k in range(1, len(clock)):
@@ -710,34 +769,51 @@ def evolve(f0: DensityField, params: DiffusionParams,
     steps = rejections = 0
     snaps = [snapshot(f0, p, params.dim, t=t, with_dissipation=with_dissipation)]
     fields = [f0]
-    for target, now, end in zip(times[1:], clock, clock[1:]):
-        longest = MAX_CFL_STEPS * _stable_dt(grid, p, kernel.u, kernel.umax, 1.0)
-        # a step the cap shortens is over half the cap, or lands on the end
-        if end + 0.5 * longest == end:
-            raise DomainError(f"domain radius {f0.grid.radius()!r} is too small for this "
-                              f"datum: its longest step, {longest:.3g}, cannot advance t = {t!r}")
-        # the most mass the flow can move over this interval, and sqrt(eps) of the mass
-        # where it barely moves, so that rounding fails no step
-        moved = min(rate * float(target - t), m0)
-        kernel.error_tol = LOCAL_ERROR_TOL * max(moved, math.sqrt(EPS) * m0)
-        if not kernel.dt_next:  # the march's first step
-            kernel.dt_next = kernel.starting_dt(kernel.error_tol / (end - now))
-        at = t  # the step's start in t, for messages
-        while now < end:
-            remaining = end - now
-            parts = max(1, math.ceil(remaining / min(kernel.dt_next, longest)))
-            dt_used, rej = kernel.implicit_advance(remaining / parts, at)
+    now, at, k, entered = clock[0], t, 1, 0  # at: now in t, for messages
+    while k < len(clock):
+        if entered < k:  # the march enters interval k: its step bounds, read once
+            entered, end, span = k, clock[k], float(times[k] - times[k - 1])
+            longest = MAX_CFL_STEPS * _stable_dt(grid, p, kernel.u, kernel.umax, 1.0)
+            # a step the cap shortens is over half the cap, or lands on the end
+            if end + 0.5 * longest == end:
+                raise DomainError(f"domain radius {f0.grid.radius()!r} is too small for this "
+                                  f"datum: its longest step, {longest:.3g}, cannot advance "
+                                  f"t = {float(times[k - 1])!r}")
+            if dilate:  # TOL_CONCAVITY of the interval's change of log N_p, nu I_p dt
+                nu = coefficients(p, params.dim).nu
+                kernel.error_weights = _entropy_weights(kernel, interior, nu)
+                kernel.error_tol = TOL_CONCAVITY * abs(nu * snaps[-1].i_p) * span
+            else:
+                # the most mass the flow can move over this interval, and sqrt(eps) of the
+                # mass where it barely moves, so that rounding fails no step
+                moved = min(rate * span, m0)
+                kernel.error_tol = LOCAL_ERROR_TOL * max(moved, math.sqrt(EPS) * m0)
+            if not kernel.dt_next:  # the march's first step
+                kernel.dt_next = kernel.starting_dt(kernel.error_tol / (end - now))
+        # a step with a local-error estimate (the third on) aims at t_end and passes
+        # snapshot times; the first two land on the next snapshot
+        last = len(clock) - 1 if kernel.u_prev2 is not None else k
+        remaining = clock[last] - now
+        parts = max(1, math.ceil(remaining / min(kernel.dt_next, longest)))
+        dt = remaining / parts
+        dt_used, rej = kernel.implicit_advance(dt, at)
+        if dt_used == remaining:  # it lands exactly
+            now, at = clock[last], float(times[last])
+        else:
             now += dt_used
             at = math.exp(now) if dilate else now
-            steps += 1
-            rejections += rej
-        t = float(target)  # absorb roundoff from the exact landing
-        fld = DensityField(grid, kernel.u)
-        if dilate:
-            fld = rescale(fld, t ** dilate)  # back to x at t
-        snaps.append(snapshot(fld, p, params.dim, t=t, with_dissipation=with_dissipation))
-        fields.append(fld)
-        edge_mass = max(edge_mass, float(edge @ kernel.u))
+        steps += 1
+        rejections += rej
+        while k < len(clock) and clock[k] <= now:  # the snapshots the step reached
+            t = float(times[k])
+            values = kernel.interpolant(now - clock[k])
+            edge_mass = max(edge_mass, float(edge @ values))
+            fld = DensityField(grid, values)
+            if dilate:
+                fld = rescale(fld, t ** dilate)  # back to x at t
+            snaps.append(snapshot(fld, p, params.dim, t=t, with_dissipation=with_dissipation))
+            fields.append(fld)
+            k += 1
     result = EvolutionResult(params, snaps, fields, steps, rejections, edge_mass)
     if result.domain_cut:
         warnings.warn(f"edge mass {edge_mass:.3e} exceeds {DOMAIN_TOL}; "

@@ -203,8 +203,8 @@ class TestEvolveCommand:
 
     def test_barenblatt_concavity_exit_zero_forced_implicit(self, tmp_path):
         # the same config, which marches implicitly from t = 1 in y, where the Barenblatt
-        # stands still: a step per interval, where explicit steps took 5,111 and
-        # implicit ones in x failed concavity (-1.05e-6)
+        # stands still: 3 steps, the third passing two snapshots, where explicit steps
+        # took 5,111 and implicit ones in x failed concavity (-1.05e-6)
         code = main(["evolve", "--p", "2", "--dim", "1", "--nodes", "512",
                      "--t-start", "1", "--t-end", "1.5", "--snapshots", "5",
                      "--initial", "barenblatt", "--verify", "concavity,upsilon,debruijn",
@@ -212,7 +212,7 @@ class TestEvolveCommand:
                      "--out", str(tmp_path)])
         assert code == 0
         (meta,) = tmp_path.glob("exp-*/run_meta.json")
-        assert json.loads(meta.read_text())["steps"] == 4
+        assert json.loads(meta.read_text())["steps"] == 3
 
     def test_mixture_concavity_debruijn_exit_zero(self, tmp_path):
         code = main(["evolve", "--p", "1.5", "--dim", "1", "--nodes", "384",

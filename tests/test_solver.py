@@ -1,6 +1,5 @@
 """Finite-volume solver, explicit and implicit: conservation, stability, analytic oracles."""
 import functools
-import itertools
 import math
 from dataclasses import replace
 
@@ -473,23 +472,44 @@ def _step_march(f0, params):
     return fields, state.step_count, state.rejection_count
 
 
+def _record_interpolants(monkeypatch, record):
+    """Wrap `_Kernel.interpolant`; returns the list of (steps in record so far, back) of
+    every snapshot evolve reads."""
+    reads, real = [], solver._Kernel.interpolant
+
+    def interpolant(self, back):
+        reads.append((len(record), back))
+        return real(self, back)
+
+    monkeypatch.setattr(solver._Kernel, "interpolant", interpolant)
+    return reads
+
+
 class TestKernelMatchesReference:
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     @pytest.mark.parametrize("geometry", ["cartesian", "radial3"])
     def test_evolve_bitwise(self, p, geometry, monkeypatch):
         # these narrow bumps stay in x: the run is one x-grid kernel's recorded implicit
-        # steps, bit for bit, so the frame's probe leaves the march alone
+        # steps, and each snapshot that kernel's interpolant inside the step that reached
+        # it, bit for bit, so the frame's probe leaves the march alone
+        steps = {"cartesian": {1.0: 42, 1.5: 44, 2.0: 45},
+                 "radial3": {1.0: 42, 1.5: 25, 2.0: 13}}[geometry][p]
         f0, params = _mixture_case(geometry, p, (0.2, 0.5))
         record = _record_marches(monkeypatch)
+        reads = _record_interpolants(monkeypatch, record)
         run = rf.evolve(f0, params)
+        monkeypatch.undo()
         assert all(f.grid == f0.grid for f in run.fields)
-        counts = _steps_per_interval(record, params.times())[0]
-        assert run.step_count == len(record) == counts.sum() and run.rejection_count == 0
-        kernel, steps = solver._Kernel(f0.grid, p, f0.values), iter(record.copy())
-        for count, got in zip(counts, run.fields[1:]):
-            for _, t, dt, _ in itertools.islice(steps, count):
-                assert kernel.implicit_advance(dt, t) == (dt, 0)
-            assert got.values.tobytes() == kernel.u.tobytes()
+        assert run.step_count == len(record) == steps and run.rejection_count == 0
+        assert any(back for _, back in reads)  # some snapshots lie inside a step
+        kernel, taken = solver._Kernel(f0.grid, p, f0.values), 0
+        for (after, back), got, t in zip(reads, run.fields[1:], params.times()[1:], strict=True):
+            for _, start, dt, _ in record[taken:after]:
+                assert kernel.implicit_advance(dt, start) == (dt, 0)
+            taken, (_, start, dt, _) = after, record[after - 1]
+            assert 0.0 <= back < dt and start + dt - back == pytest.approx(t, rel=1e-14)
+            assert got.values.tobytes() == kernel.interpolant(back).tobytes()
+        assert taken == len(record)  # the last step lands on t_end
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     @pytest.mark.parametrize("geometry", ["cartesian", "radial3"])
@@ -950,6 +970,8 @@ def _newton_implicit_advance(kernel, dt, t, grid):
         assert rejections <= MAX_REJECTIONS
         dt *= 0.5
     np.maximum(new, 0.0, out=new)
+    # the kernel's three levels, which evolve's snapshots are interpolated from
+    kernel.u_prev2, kernel.dt_prev2 = kernel.u_prev, kernel.dt_prev
     kernel.u_prev, kernel.dt_prev = kernel.u, dt
     kernel.u, kernel.umax = new, float(umax)
     return dt, rejections
@@ -1068,10 +1090,10 @@ class TestLinearlyImplicitStep:
         assert len(calls) == 64
 
 
-# A frozen copy of the implicit step before it dropped the passes it does not use
-# (the BDF2 base from both levels, two powers per linearization, the defect built
-# on every solve, u'^p refreshed over the whole grid after every step): the lean
-# step must take the same dt, rejections and solves, and agree to rounding.
+# A frozen copy of the implicit step before it dropped the passes it does not use (two
+# powers per linearization, the defect built on every solve, u'^p refreshed over the
+# whole grid after every step), with the kernel's form of the BDF2 base: the lean step
+# must take the same dt, rejections and solves, and agree to rounding.
 def _reference_implicit_advance(kernel, dt, t, grid):
     p, w = kernel.p, kernel.weights
     conductance, coupling = _operator(grid)
@@ -1083,7 +1105,7 @@ def _reference_implicit_advance(kernel, dt, t, grid):
         else:
             omega = dt / kernel.dt_prev
             scale = 1.0 + 2.0 * omega
-            base = ((1.0 + omega) ** 2 * kernel.u - omega * omega * kernel.u_prev) / scale
+            base = kernel.u + (kernel.u - kernel.u_prev) * (omega * omega / scale)
             theta = dt * (1.0 + omega) / scale
             g = kernel.u + omega * (kernel.u - kernel.u_prev)
         g = np.maximum(g, floor)
@@ -1219,11 +1241,10 @@ class TestLeanImplicitStep:
             if exact:
                 _assert_same_bits(lean, frozen)
             else:
-                # headroom: the 4096-node case reads 9.87e-13 on its third step, all of
-                # it from the reference's textbook BDF2 base ((1+w)^2 u - w^2 u_prev) /
-                # (1+2w) against the kernel's u + w^2 (u - u_prev) / (1+2w) (with the
-                # kernel's form it reads 0, and the mixture at most 8.3e-16); any change
-                # to the step's operation order can cross the bound
+                # observed: 0 on the 4096-node case and at most 8.3e-16 on the mixture;
+                # with the textbook BDF2 base ((1+w)^2 u - w^2 u_prev) / (1+2w) in the
+                # reference, against the kernel's u + w^2 (u - u_prev) / (1+2w), the
+                # 4096-node case read 9.87e-13 on its third step
                 assert np.max(np.abs(lean.u - frozen.u)) <= 1e-12 * np.max(frozen.u)
             assert (want[1] > 0) == undershoot_first
             relinearized |= want_solves > 1 + want[1]
@@ -1263,22 +1284,26 @@ def _steps_per_interval(record, times):
 
 def _assert_controlled(counts, dts, ratios):
     """The step controller's contract: every accepted step's local-error estimate is at
-    most its tolerance, omega <= 2 (up to the rounding of the landing on a snapshot),
-    and every interval has a step.  The estimate, not the ramp alone, sizes the steps."""
+    most its tolerance and omega <= 2 (up to the rounding of the equal parts); on
+    these runs, whose steps are far shorter than an interval, every interval has a step.
+    The estimate, not the ramp alone, sizes the steps."""
     assert np.all(ratios <= 1.0) and ratios.max() > 0.5
     assert np.all(dts[1:] <= 2.0 * (1.0 + 1e-12) * dts[:-1])
     assert np.all(counts >= 1)
 
 
 class TestRechosenMarch:
-    """evolve splits each snapshot interval afresh by the last step's proposal, and every
-    run is one implicit march, in the frame chosen at t_start."""
+    """evolve splits what remains afresh by the last step's proposal (to the next snapshot
+    for the first two steps, to t_end for the rest), and every run is one implicit march,
+    in the frame chosen at t_start."""
 
     def test_barenblatt_768_implicit_throughout(self, monkeypatch):
         # `evolve --p 2 --dim 1 --nodes 768 --initial barenblatt --t-start 1 --t-end 3
         # --snapshots 9`: explicit all the way it took 25,187 steps, and a march that
         # turned implicit partway left a kink in N_p (second differences -2.0e-6 and
-        # +6.8e-7); in y, where the datum stands still, N_p is linear to rounding
+        # +6.8e-7); in y, where the datum stands still, N_p is linear to rounding (observed
+        # 2.5e-13), and two steps that land on the first two snapshots and two that pass
+        # the other six make the run
         spec = rf.barenblatt_spec(2.0, 1, rf.PDE_NORMALIZED)
         grid = rf.Grid.cartesian(768, rf.support_radius(spec) * 3.0 ** (1.0 / 3.0) * 1.3)
         f0 = rf.sample_barenblatt(grid, 2.0, 1.0, normalize=True)
@@ -1286,7 +1311,7 @@ class TestRechosenMarch:
         record = _record_marches(monkeypatch)
         run = rf.evolve(f0, params)
         assert {march for march, *_ in record} == {"implicit_advance"}
-        assert run.step_count == len(record) == 8 and run.rejection_count == 0
+        assert run.step_count == len(record) == 4 and run.rejection_count == 0
         m0 = float(grid.weights() @ f0.values)
         for fld in run.fields:  # each on the grid dilated to its time
             assert abs(float(fld.grid.weights() @ fld.values) - m0) <= 1e-13
@@ -1318,7 +1343,7 @@ class TestRechosenMarch:
         record = _record_marches(monkeypatch)
         run = rf.evolve(f0, params)
         assert {march for march, *_ in record} == {"implicit_advance"}
-        assert run.step_count == len(record) == 14
+        assert run.step_count == len(record) == 10
 
     def test_criterion_10_config(self, criterion_10_run):
         # explicit with dt fixed at t_start it took 368,555 steps, and 33,330 when it
@@ -1349,7 +1374,7 @@ class TestRechosenMarch:
     def test_explicit_run_bitwise(self, monkeypatch):
         # `evolve --p 1 --dim 3 --nodes 512 --initial gaussian`: `step`'s explicit run is
         # the reference's, bit for bit, in 2,920 steps; evolve marches in y, where the
-        # heat kernel stands still, a step per interval
+        # heat kernel stands still, in 4 steps
         grid = rf.Grid.radial(3, 512, 8.0 * math.sqrt(4.0) + 4.0)
         f0 = rf.sample_gaussian(grid, 1.0, normalize=True)
         params = rf.DiffusionParams(p=1.0, dim=3, t_start=1.0, t_end=2.0, snapshot_count=9)
@@ -1360,7 +1385,7 @@ class TestRechosenMarch:
             assert got.tobytes() == field.tobytes()
         record = _record_marches(monkeypatch)
         run = rf.evolve(f0, params)
-        assert {march for march, *_ in record} == {"implicit_advance"} and run.step_count == 8
+        assert {march for march, *_ in record} == {"implicit_advance"} and run.step_count == 4
         for fld, snap in zip(run.fields, run.snapshots):
             exact = rf.sample_gaussian(fld.grid, snap.t, normalize=True)
             assert float(fld.grid.weights() @ np.abs(fld.values - exact.values)) <= 1e-11
@@ -1489,6 +1514,62 @@ class TestLocalErrorEstimate:
         assert tries[-1][1] <= kernel.error_tol
 
 
+def _kernel_with_levels(levels, h1, h2):
+    """A p = 2 kernel on an 8-node grid whose last three levels are given by hand,
+    oldest first, with the steps h2 and then h1 between them."""
+    grid = rf.Grid.cartesian(8, 4.0)
+    kernel = solver._Kernel(grid, 2.0, levels[-1])
+    kernel.u_prev2, kernel.u_prev, kernel.u = (np.array(v, dtype=float) for v in levels)
+    kernel.dt_prev, kernel.dt_prev2 = h1, h2
+    return kernel
+
+
+class TestInterpolant:
+    """A snapshot inside a step is read from the quadratic through the kernel's last
+    three levels, or, where that dips below 0 at a node, from the step's linear
+    interpolant."""
+
+    def test_quadratic_through_the_levels(self):
+        levels = ([1.0, 2.0, 3.0, 1.0, 0.5, 0.2, 0.1, 0.0],
+                  [1.5, 2.0, 2.0, 1.2, 0.6, 0.3, 0.1, 0.0],
+                  [1.8, 2.2, 1.5, 1.3, 0.7, 0.3, 0.2, 0.1])
+        h1, h2, back = 0.3, 0.2, 0.1
+        kernel = _kernel_with_levels(levels, h1, h2)
+        assert kernel.interpolant(0.0) is kernel.u  # a landing reads the level itself
+        nodes, s = (-h1 - h2, -h1, 0.0), -back
+        want = sum(np.array(level) * math.prod((s - b) / (a - b) for b in nodes if b != a)
+                   for level, a in zip(levels, nodes))
+        got = kernel.interpolant(back)
+        assert np.allclose(got, want, rtol=1e-15, atol=1e-16)
+        linear = (2 / 3) * kernel.u + (1 / 3) * kernel.u_prev
+        assert got.min() >= 0.0 and not np.allclose(got, linear)
+
+    def test_below_zero_reads_the_linear_interpolant(self):
+        # at equal steps the quadratic halfway through the last one weighs the levels
+        # -1/8, 3/4 and 3/8: node 0's levels 1, 0, 0 read -1/8
+        levels = ([1.0] * 8, [0.0] + [1.0] * 7, [0.0] + [2.0] * 7)
+        kernel = _kernel_with_levels(levels, 0.5, 0.5)
+        got = kernel.interpolant(0.25)
+        assert got.tobytes() == (kernel.u * 0.5 + kernel.u_prev * 0.5).tobytes()
+        assert got[0] == 0.0 and np.all(got[1:] == 1.5)
+
+    def test_compact_mixture_keeps_mass_and_sign(self, monkeypatch):
+        # p = 2 compact two-bump data, which marches in x: observed 153 steps, 23 of the
+        # 24 snapshots inside one, no quadratic below 0, the mass within 4.4e-16 of 1
+        spec = rf.barenblatt_spec(2.0, 1, rf.PDE_NORMALIZED)
+        grid = rf.Grid.cartesian(512, rf.support_radius(spec) * 2.0 ** (1.0 / 3.0) * 2.6)
+        f0 = rf.compact_two_bump(grid, seed=11)
+        record = _record_marches(monkeypatch)
+        reads = _record_interpolants(monkeypatch, record)
+        run = rf.evolve(f0, rf.DiffusionParams(2.0, 1, 1.0, 2.0, snapshot_count=25))
+        assert run.fields[-1].grid == grid
+        inside = [fld for (_, back), fld in zip(reads, run.fields[1:], strict=True) if back]
+        assert len(inside) >= 20
+        for fld in inside:
+            assert abs(float(grid.weights() @ fld.values) - 1.0) <= 1e-12
+            assert fld.values.min() >= 0.0
+
+
 def _fitted_barenblatt(p, dim, nodes, t_end):
     """The unit-mass Barenblatt, C fitted, at t = 1 on the domain `evolve` sizes up to t_end."""
     radius = cli._default_radius(p, dim, t_end, "barenblatt")
@@ -1500,8 +1581,9 @@ class TestSelfSimilarFrame:
     """The implicit march in y = x / t^{1/mu}, with the clock tau = log t, where the
     Barenblatt stands still."""
 
-    # observed: 8 steps each; concavity violation 9.6e-14, 9.1e-15 and 6.7e-14, and the
-    # fields within 4.2e-13, 5.9e-15 and 6.5e-16 of the datum (relative to its maximum).
+    # observed: 4 steps each, two that land on the first two snapshots and two that pass
+    # the rest; concavity violation 7.3e-14, 1.4e-14 and 7.4e-14, and the fields within
+    # 5.2e-13, 6.8e-15 and 4.9e-16 of the datum (relative to its maximum).
     # p = 0.65, n = 3: 1024 cells 4.3 wide, the profile's core in the first cell or two,
     # and a tail at the wall below the rounding of max(u), which a floor of g at that
     # rounding moved (15 steps, violation 1.3e-4)
@@ -1510,7 +1592,7 @@ class TestSelfSimilarFrame:
         f0 = _fitted_barenblatt(p, dim, nodes, 3.0)
         params = rf.DiffusionParams(p=p, dim=dim, t_start=1.0, t_end=3.0, snapshot_count=9)
         run = rf.evolve(f0, params)
-        assert run.step_count == 8 and run.rejection_count == 0  # a step per interval
+        assert run.step_count == 4 and run.rejection_count == 0
         dilate = 1.0 / rf.coefficients(p, dim).mu
         for fld, snap in zip(run.fields[1:], run.snapshots[1:]):
             assert fld.grid == f0.grid.scaled(snap.t ** dilate)
@@ -1518,6 +1600,20 @@ class TestSelfSimilarFrame:
             assert np.abs(v - f0.values).max() <= 1e-11 * f0.values.max()
         report = rf.concavity_report(run.snapshots, p, dim)
         assert report.tolerance - report.margin <= 1e-9
+
+    # ROADMAP 6a's datum: the p = 0.65, n = 3 sample scaled to unit mass, not fitted,
+    # relaxes in y.  Steps that pass snapshots keep N_p concave to the unchanged bound
+    # by the tolerance in N_p's units (observed curvature 5.6e-8 and 2.5e-7); under the
+    # mass tolerance, a step per interval read +4.41e-6 and +2.24e-6
+    @pytest.mark.parametrize("snapshots, steps", [(17, 11), (33, 13)])
+    def test_relaxing_datum_keeps_concavity(self, snapshots, steps):
+        radius = cli._default_radius(0.65, 3, 2.0, "barenblatt")
+        f0 = _scaled_barenblatt(rf.Grid.radial(3, 1024, radius), 0.65)
+        run = rf.evolve(f0, rf.DiffusionParams(0.65, 3, 1.0, 2.0, snapshot_count=snapshots))
+        assert run.fields[-1].grid != f0.grid  # the march ran in y
+        assert run.step_count == steps and run.rejection_count == 0
+        report = rf.concavity_report(run.snapshots, 0.65, 3)
+        assert report.tolerance == 1e-6 and report.passed
 
     @pytest.mark.parametrize("p, dim", [(2.0, 1), (0.8, 3), (3.0, 1), (0.65, 3)])
     def test_fitted_barenblatt(self, p, dim):
@@ -1582,6 +1678,6 @@ class TestSelfSimilarFrame:
         assert all(f.grid == grid for f in run.fields)
         grid = rf.Grid.radial(3, 768, 8.0)  # criterion 5's radial mixtures
         f0 = rf.sample_mixture(grid, 22, mean_range=(0.0, 2.0))
-        for p, steps in ((2.0, 14), (1.5, 22)):
+        for p, steps in ((2.0, 10), (1.5, 19)):
             run = rf.evolve(f0, rf.DiffusionParams(p, 3, 1.0, 1.3, snapshot_count=9))
             assert all(f.grid == grid for f in run.fields) and run.step_count == steps
