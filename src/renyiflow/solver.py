@@ -332,7 +332,8 @@ class _Kernel:
         misplaces theta ||L d||_1 above LINEARIZATION_TOL of the mass the step moves,
         the step relinearizes about u' (a Newton step) and solves again, moving the
         front a cell further.  d is formed at the front nodes only, in a zeroed buffer
-        that is zeroed again after use.  b can be negative near a front, so an
+        that is zeroed again after use; with no front node the step has settled, and
+        the mass it moves is not formed.  b can be negative near a front, so an
         undershoot of any solve halves dt, a rejection.  Where b is negative beyond
         rounding, in either frame, the step is backward Euler (b = u, theta = dt,
         g = u): a draining cell, such as a thin tail the drift empties, would
@@ -407,14 +408,15 @@ class _Kernel:
                 undershoot = not np.minimum.reduce(new) >= -NEGATIVITY_SLACK * umax  # and nan
                 np.maximum(new, floor, out=trial)
                 (at,) = np.greater(trial, np.multiply(g, 2.0, out=scratch), out=front).nonzero()
-                misplaced = 0.0  # no front node: no defect
+                settled = True  # no front node: no defect
                 if at.size:
                     front_u = trial[at]
                     defect[at] = front_u ** p - shift[at] - slope[at] * front_u
                     misplaced = theta * np.abs(self._divergence(defect), out=self.div).sum()
                     defect[at] = 0.0
-                if undershoot or misplaced <= LINEARIZATION_TOL * (
-                        w @ np.abs(np.subtract(new, u, out=scratch), out=scratch)):
+                    settled = misplaced <= LINEARIZATION_TOL * (
+                        w @ np.abs(np.subtract(new, u, out=scratch), out=scratch))
+                if undershoot or settled:
                     break
                 g, trial = trial, g
             else:

@@ -18,7 +18,7 @@ import pytest
 import renyiflow as rf
 from renyiflow import cli, reporting, solver
 from renyiflow.cli import main
-from renyiflow.errors import BoundaryLeakWarning, DegenerateError, DomainError
+from renyiflow.errors import BoundaryLeakWarning, DegenerateError, DomainError, StabilityError
 from renyiflow.reporting import (
     read_profile,
     read_snapshots,
@@ -30,18 +30,28 @@ from renyiflow.solver import DOMAIN_TOL
 from renyiflow.verification import CHECKS
 
 
-def _digest_tool():
-    """tools/artifact_digests.py, as a module."""
-    path = Path(__file__).resolve().parents[1] / "tools" / "artifact_digests.py"
-    spec = importlib.util.spec_from_file_location("artifact_digests", path)
+def _tool(name):
+    """tools/NAME.py, as a module."""
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def _unsettled(monkeypatch):
+    """Every implicit step fails as one whose linearization does not settle, at the t
+    evolve gives it (`test_unsettled_linearization_raises` reaches that failure through
+    an input)."""
+    def advance(kernel, dt, t):
+        raise StabilityError(f"implicit step at t = {t}: linearization did not settle")
+
+    monkeypatch.setattr(solver._Kernel, "implicit_advance", advance)
+
+
 def _digest_configs() -> dict:
     """The CLI configs of tools/artifact_digests.py, label -> argv."""
-    return _digest_tool().CONFIGS
+    return _tool("artifact_digests").CONFIGS
 
 
 def _corrupt(series, defect):
@@ -73,6 +83,16 @@ def short_run():
 RUN_FACTS = Path(__file__).resolve().parent / "data" / "run_facts.txt"
 
 
+def test_mutants_name_text_in_src():
+    # each mutation of tools/mutants.py replaces text that occurs exactly once in its
+    # file, on one line, so the list cannot silently stop mutating as src/ changes
+    tool = _tool("mutants")
+    assert len(tool.MUTANTS) >= 20
+    for what, name, original, mutated in tool.MUTANTS:
+        assert (tool.SRC / name).read_text().count(original) == 1, what
+        assert original != mutated and "\n" not in original + mutated, what
+
+
 @pytest.mark.filterwarnings("error::UserWarning")
 def test_run_facts_ledger(tmp_path, capsys):
     # the digest configs' exit codes, steps, rejections, verdicts and margins (4
@@ -81,7 +101,7 @@ def test_run_facts_ledger(tmp_path, capsys):
     # runs as its command line does, so a BoundaryLeakWarning (the package's only
     # UserWarning) on a default-sized config fails it, as a floating-point warning does
     header, *want = RUN_FACTS.read_text().splitlines()
-    assert _digest_tool().main([str(tmp_path)]) == 0
+    assert _tool("artifact_digests").main([str(tmp_path)]) == 0
     listing = capsys.readouterr().out.splitlines()
     assert len(listing) == 82 and all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in listing)
     _, *got = (tmp_path / "facts.txt").read_text().splitlines()
@@ -264,9 +284,8 @@ class TestEvolveCommand:
             "configuration error: unrecognized arguments: --cfl 0.5\n"
 
     def test_stability_failure_exit_two(self, monkeypatch, tmp_path, capsys):
-        # no linearization settles below a negative tolerance, and p < 1 marches
-        # implicitly from its first step
-        monkeypatch.setattr(solver, "LINEARIZATION_TOL", -1.0)
+        # p < 1 marches implicitly from its first step
+        _unsettled(monkeypatch)
         code = main(["evolve", "--p", "0.8", "--nodes", "64", "--t-end", "1.05",
                      "--snapshots", "3", "--out", str(tmp_path)])
         assert code == 2
@@ -277,7 +296,7 @@ class TestEvolveCommand:
     def test_self_similar_stability_failure_reads_t(self, monkeypatch, tmp_path, capsys):
         # the Barenblatt marches in y = x / t^{1/mu} with the clock log t; the message
         # gives the step's start in t
-        monkeypatch.setattr(solver, "LINEARIZATION_TOL", -1.0)
+        _unsettled(monkeypatch)
         code = main(["evolve", "--p", "0.8", "--dim", "3", "--nodes", "64",
                      "--initial", "barenblatt", "--t-start", "1.5", "--t-end", "1.6",
                      "--snapshots", "3", "--out", str(tmp_path)])
@@ -791,7 +810,7 @@ class TestSweepCommand:
         assert good.startswith("2.0,1,0,true,,")
 
     def test_stability_row_records_its_error(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(solver, "LINEARIZATION_TOL", -1.0)
+        _unsettled(monkeypatch)
         code = main(["sweep", "--p", "0.8", "--seeds", "1", "--nodes", "64", "--t-end", "1.05",
                      "--snapshots", "3", "--out", str(tmp_path)])
         assert code == 3

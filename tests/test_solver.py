@@ -1,5 +1,4 @@
 """Finite-volume solver, explicit and implicit: conservation, stability, analytic oracles."""
-import functools
 import math
 from dataclasses import replace
 
@@ -77,6 +76,18 @@ class TestStep:
             with pytest.raises(DomainError) as got:
                 call()
             assert str(got.value) == str(refused.value)
+
+    @pytest.mark.parametrize("p", [0.8, 2.0])
+    def test_negative_entries_read_as_zero(self, p):
+        # the state is read as max(values, 0): a dented state steps as its clipped copy
+        grid = rf.Grid.cartesian(128, 4.0)
+        values = rf.sample_mixture(grid, seed=1).values
+        dented = values - 1e-2 * values.max()
+        assert dented.min() < 0.0
+        params = rf.DiffusionParams(p=p, dim=1, t_start=1.0, t_end=2.0)
+        got = step(SolverState(t=1.0, grid=grid, values=dented), params)
+        want = step(SolverState(t=1.0, grid=grid, values=np.maximum(dented, 0.0)), params)
+        assert got.t == want.t and got.values.tobytes() == want.values.tobytes()
 
     def test_nonnegativity_preserved(self):
         grid = rf.Grid.cartesian(256, 6.0)
@@ -227,6 +238,16 @@ class TestEvolve:
         e_vals = np.array([s.e_p for s in run.snapshots])
         assert np.all(np.diff(e_vals) < 0.0)
 
+    def test_edge_mass_read_in_the_wall_cells(self):
+        # the last node_count // 64 cells at each wall, at the outer wall only on radial
+        # grids, and at least one cell
+        for grid, cells in ((rf.Grid.cartesian(512, 5.0), [*range(8), *range(504, 512)]),
+                            (rf.Grid.radial(3, 512, 5.0), [*range(504, 512)]),
+                            (rf.Grid.cartesian(32, 5.0), [0, 31])):
+            weights = solver._edge_weights(grid)
+            assert np.flatnonzero(weights).tolist() == cells
+            assert np.array_equal(weights[cells], grid.weights()[cells])
+
     def test_nonunit_mass_rejected(self):
         grid = rf.Grid.cartesian(256, 5.0)
         f = rf.DensityField(grid, rf.sample_mixture(grid, seed=1).values * 1.1)
@@ -285,22 +306,8 @@ class TestDiffusionParams:
                                snapshot_times=(0.0, 0.5, 0.4, 1.0))
 
 
-class TestConservationLongHaul:
-    def test_mass_and_positivity_over_1e4_steps(self):
-        grid = rf.Grid.cartesian(512, 6.0)
-        f0 = rf.sample_mixture(grid, seed=8)
-        params = rf.DiffusionParams(p=2.0, dim=1, t_start=0.0, t_end=1e9)
-        state = make_state(f0, 0.0)
-        m0 = rf.mass(f0)
-        w = grid.weights()
-        for _ in range(10_000):
-            state = step(state, params)
-            assert state.values.min() >= -1e-14 * state.values.max()
-        assert abs(float(w @ state.values) - m0) / m0 <= 1e-12
-
-
-# A frozen copy of the unbuffered march (stiffness, flux update and rejection
-# loop as plain array expressions): the buffered kernel must match it bitwise.
+# The explicit reference march, as plain array expressions: `step` must take its steps
+# bit for bit, and evolve's fields must stay within its time error of it.
 def _reference_stiffness(values, p):
     umax = float(values.max())
     if p >= 1.0:
@@ -312,14 +319,18 @@ def _reference_stiffness(values, p):
     return float(np.max(np.abs(chord), initial=p * umax ** (p - 1.0)))
 
 
-def _reference_advance(values, p, dt, grid):
-    weights, areas = grid.weights(), grid.face_areas()
+def _reference_advance(values, p, dt, grid, drift=0.0):
+    """One explicit step from values, dt halved while it undershoots: (new, dt, rejections);
+    with a drift, of the self-similar frame's flow v_tau = Lap(v^p) + drift div(y v)."""
+    flux = np.zeros(values.size + 1)
+    if drift:
+        flux[1:-1] = _self_similar_faces(np.maximum(values, 0.0), p, grid, drift)[0]
+    else:
+        v = np.maximum(values, 0.0) ** p
+        flux[1:-1] = (grid.face_areas()[1:-1] / grid.spacing) * (v[1:] - v[:-1])
     rejections = 0
     while True:
-        v = np.maximum(values, 0.0) ** p
-        flux = np.zeros(values.size + 1)
-        flux[1:-1] = (areas[1:-1] / grid.spacing) * (v[1:] - v[:-1])
-        new = values + dt * (flux[1:] - flux[:-1]) / weights
+        new = values + dt * (flux[1:] - flux[:-1]) / grid.weights()
         if new.min() >= -NEGATIVITY_SLACK * new.max():
             break
         rejections += 1
@@ -336,27 +347,6 @@ def _max_rate(grid):
     areas[[0, -1]] = 0.0  # the walls carry no flux
     conductance = areas / grid.spacing
     return float(np.max((conductance[:-1] + conductance[1:]) / grid.weights()))
-
-
-def _reference_march(f0, params, safety=solver.CFL_SAFETY):
-    grid = f0.grid
-    rate = _max_rate(grid)
-    times = params.times()
-    values, t = f0.values.copy(), float(times[0])
-    fields, steps, rejections = [values.copy()], 0, 0
-    for target in times[1:]:
-        while t < target:
-            proposal = safety / (rate * _reference_stiffness(values, params.p))
-            remaining = target - t
-            parts = max(1, math.ceil(remaining / proposal))
-            values, dt_used, rej = _reference_advance(
-                values, params.p, remaining / parts, grid)
-            t += dt_used
-            steps += 1
-            rejections += rej
-        t = float(target)
-        fields.append(values.copy())
-    return fields, steps, rejections
 
 
 def _mixture_case(geometry, p, widths, nodes=128, t_end=1.2, seed=4, blend=None, snapshots=5):
@@ -402,55 +392,38 @@ def _self_similar_faces(u, p, grid, drift):
     return np.where(is_open, flux, 0.0), up, np.where(is_open, share, 0.0), is_open
 
 
-def _reference_drift_advance(values, p, dt, grid, drift):
-    """`_reference_advance` for the self-similar frame's flow, v_tau = Lap(v^p) + drift div(y v)."""
-    flux = np.zeros(values.size + 1)
-    flux[1:-1] = _self_similar_faces(np.maximum(values, 0.0), p, grid, drift)[0]
-    rejections = 0
-    while True:
-        new = values + dt * (flux[1:] - flux[:-1]) / grid.weights()
-        if new.min() >= -NEGATIVITY_SLACK * new.max():
-            break
-        rejections += 1
-        assert rejections <= MAX_REJECTIONS
-        dt *= 0.5
-    np.maximum(new, 0.0, out=new)
-    return new, dt, rejections
-
-
-def _reference_fields(f0, params, start, safety=solver.CFL_SAFETY):
-    """The physical fields of an explicit march in evolve's frames: x up to snapshot
-    `start`, then the self-similar frame (y = x / t^{1/mu}, tau = log t) dilated exactly
-    as evolve dilates, in x throughout when start is None."""
+def _reference_fields(f0, params, start=None, safety=solver.CFL_SAFETY):
+    """The reference march's fields, steps and rejections: each step the share of what
+    remains of the interval, no longer than safety times the stable step, in evolve's
+    frames: x up to snapshot `start`, then the self-similar frame (y = x / t^{1/mu},
+    tau = log t) dilated exactly as evolve dilates, in x throughout when start is None."""
     p, grid, times = params.p, f0.grid, params.times()
-    values, t, dilate = f0.values.copy(), float(times[0]), 0.0
-    fields = [f0]
+    values, t, dilate, rate = f0.values.copy(), float(times[0]), 0.0, _max_rate(grid)
+    fields, steps, rejections = [f0], 0, 0
     for k, target in enumerate(times[1:]):
         if k == start:
             dilate = 1.0 / rf.coefficients(p, grid.dim).mu
             begin = rf.rescale(fields[-1], t ** -dilate)
-            grid, values = begin.grid, begin.values.copy()
+            grid, values, rate = begin.grid, begin.values.copy(), _max_rate(begin.grid)
         now, end = (math.log(t), math.log(target)) if dilate else (t, float(target))
         while now < end:
-            proposal = safety / (_max_rate(grid) * _reference_stiffness(values, p))
+            proposal = safety / (rate * _reference_stiffness(values, p))
             parts = max(1, math.ceil((end - now) / proposal))
-            if dilate:
-                values, dt_used, _ = _reference_drift_advance(
-                    values, p, (end - now) / parts, grid, dilate)
-            else:
-                values, dt_used, _ = _reference_advance(values, p, (end - now) / parts, grid)
+            values, dt_used, rej = _reference_advance(values, p, (end - now) / parts, grid, dilate)
             now += dt_used
+            steps += 1
+            rejections += rej
         t = float(target)
         fld = rf.DensityField(grid, values)
         fields.append(rf.rescale(fld, t ** dilate) if dilate else fld)
-    return fields
+    return fields, steps, rejections
 
 
 def _assert_agrees_with_reference(run, f0, params):
     # the oracle takes the run's frames: x up to the snapshot after which the run's
     # fields live on dilated grids
     start = next((k for k, f in enumerate(run.fields[1:]) if f.grid != f0.grid), None)
-    fields = _reference_fields(f0, params, start)
+    fields = _reference_fields(f0, params, start)[0]
     assert len(run.fields) == len(fields)
     for got, want in zip(run.fields, fields):
         assert got.grid == want.grid
@@ -458,7 +431,7 @@ def _assert_agrees_with_reference(run, f0, params):
 
 
 def _step_march(f0, params):
-    """`_reference_march` by the package's explicit step: `cfl_dt`, then `step` by the
+    """The reference march by the package's explicit step: `cfl_dt`, then `step` by the
     share of the remaining interval."""
     state = make_state(f0, params.t_start)
     fields = [f0.values]
@@ -486,6 +459,10 @@ def _record_interpolants(monkeypatch, record):
 
 
 class TestKernelMatchesReference:
+    """evolve's snapshots are its kernel's steps, read through the interpolant, bit for
+    bit; `step` and `cfl_dt` take the reference march's steps bit for bit; and evolve's
+    fields stay within the time error of that march."""
+
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     @pytest.mark.parametrize("geometry", ["cartesian", "radial3"])
     def test_evolve_bitwise(self, p, geometry, monkeypatch):
@@ -517,10 +494,10 @@ class TestKernelMatchesReference:
         # narrow bumps make max(u) fall fast, so a stale max would change the steps
         f0, params = _mixture_case(geometry, p, (0.2, 0.5))
         fields, steps, rejections = _step_march(f0, params)
-        want, want_steps, want_rejections = _reference_march(f0, params)
+        want, want_steps, want_rejections = _reference_fields(f0, params)
         assert (steps, rejections) == (want_steps, want_rejections)
         for got, field in zip(fields, want, strict=True):
-            assert got.tobytes() == field.tobytes()
+            assert got.tobytes() == field.values.tobytes()
 
     @pytest.mark.filterwarnings("ignore::renyiflow.errors.BoundaryLeakWarning")
     @pytest.mark.parametrize("geometry", ["cartesian", "radial3"])
@@ -696,8 +673,8 @@ def _tridiagonal_m_matrix(n, seed):
     return sub, diag, sup, rng.standard_normal(n)
 
 
-# A frozen copy of the recursive cyclic reduction that `_ReductionPlan` replaced,
-# which sliced, allocated and negated anew at every level: the plan must give its bits.
+# The reduction's oracle: the plain recursive cyclic reduction, which slices, allocates
+# and negates anew at every level; `_ReductionPlan` must give its bits.
 def _recursive_solve(sub, diag, sup, rhs):
     n = diag.size
     if n <= solver.SEQUENTIAL_SIZE:
@@ -734,7 +711,7 @@ def _recursive_eliminate(sub, diag, sup, rhs):
 
 
 class TestReductionPlan:
-    """The implicit step's prepared cyclic reduction against the recursion it replaced."""
+    """The implicit step's prepared cyclic reduction against the plain recursion."""
 
     # odd sizes at the top level (777 -> 389 -> 195 -> 98 -> 49) and further down
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 63, 64, 65, 66, 129, 130, 777, 1000,
@@ -796,16 +773,15 @@ class TestReductionPlan:
         assert all(a.size == 256 for a in works[0])
 
 
-def _implicit_march(f0, p, t_end):
-    """Drive _Kernel.implicit_advance from the CFL step, doubling up to the step that
-    moves 0.2% of the mass (evolve instead starts from `starting_dt` and sizes each step
-    by its local error).  Returns the kernel, the time reached and the fields."""
+def _implicit_march(f0, p, first, longest, t_end):
+    """Drive _Kernel.implicit_advance from f0 at t = 1 until t_end: from the step `first`,
+    doubling up to `longest` (evolve instead starts from `starting_dt` and sizes each
+    step by its local error).  Returns the kernel, the time reached and the fields, f0's
+    first."""
     kernel = solver._Kernel(f0.grid, p, f0.values)
-    dt_run = _mass_step(kernel)
-    params = rf.DiffusionParams(p=p, dim=f0.grid.dim, t_start=1.0, t_end=t_end)
-    dt, t, fields = cfl_dt(f0, params), 1.0, []
+    dt, t, fields = first, 1.0, [kernel.u.copy()]
     while t < t_end:
-        dt_used, _ = kernel.implicit_advance(min(dt, dt_run), t)
+        dt_used, _ = kernel.implicit_advance(min(dt, longest), t)
         t += dt_used
         dt = 2.0 * dt_used
         fields.append(kernel.u.copy())
@@ -833,7 +809,9 @@ class TestImplicitPorousMedium:
         grid = rf.Grid.cartesian(128, 8.0) if geometry == "cartesian" else rf.Grid.radial(3, 128, 8.0)
         f0 = (rf.compact_two_bump(grid, seed=seed) if compact else
               rf.sample_mixture(grid, seed=seed, mean_range=(0.0, 2.0), var_range=(0.2, 0.5)))
-        kernel, t_end, fields = _implicit_march(f0, p, t_end=1.1)
+        first = cfl_dt(f0, rf.DiffusionParams(p=p, dim=grid.dim, t_start=1.0, t_end=1.1))
+        longest = _mass_step(solver._Kernel(grid, p, f0.values))
+        kernel, t_end, fields = _implicit_march(f0, p, first, longest, t_end=1.1)
         w = grid.weights()
         m0 = float(w @ f0.values)
         for u in fields:
@@ -843,8 +821,8 @@ class TestImplicitPorousMedium:
         # oracle's own first-order time error stays below the bound
         params = rf.DiffusionParams(p=p, dim=grid.dim, t_start=1.0, t_end=t_end,
                                     snapshot_count=2)
-        want, _, _ = _reference_march(f0, params, safety=0.05)
-        assert float(w @ np.abs(kernel.u - want[-1])) <= IMPLICIT_L1_BOUND
+        want = _reference_fields(f0, params, safety=0.05)[0][-1]
+        assert float(w @ np.abs(kernel.u - want.values)) <= IMPLICIT_L1_BOUND
 
     def test_criterion_10_style_run_agrees(self):
         # compact bumps on a grid sized for t = 1000, where a stable step moves 1.7e-3 of
@@ -895,8 +873,8 @@ def _divergence(conductance, v):
     return flux[1:] - flux[:-1]
 
 
-# A frozen copy of the Newton-converged BDF2 step the linearly implicit one
-# replaced: Newton in u on W (u' - b) = theta L u'^p from u (floored at the
+# The implicit step's oracle, in both frames: the Newton-converged BDF2 step,
+# Newton in u on W (u' - b) = theta L u'^p from u (floored at the
 # rounding of max(u) for p < 1), until every change is below
 # 1e-8 u' + eps max(u'), else retried at dt/2.
 NEWTON_RTOL, NEWTON_MAX_ITER = 1e-8, 25
@@ -980,9 +958,7 @@ def _newton_implicit_advance(kernel, dt, t, grid):
 def _implicit_cases():
     spec = rf.barenblatt_spec(2.0, 1, rf.PDE_NORMALIZED)
     params = rf.DiffusionParams(p=2.0, dim=1, t_start=1.0, t_end=1.5, snapshot_count=9)
-    cases = {"mixture-p0.8-radial3": _mixture_case("radial3", 0.8, (1.5, 3.0)),
-             # h = 0.08: an operator rounded otherwise than area / h shows in the last bits
-             "mixture-p0.8-radial3-100": _mixture_case("radial3", 0.8, (1.5, 3.0), nodes=100)}
+    cases = {"mixture-p0.8-radial3": _mixture_case("radial3", 0.8, (1.5, 3.0))}
     # the front moves about 0.43 cells per step at 1024 nodes, 1.7 at 4096, 3.5 at 8192
     for name, nodes in (("barenblatt-p2", 1024), ("barenblatt-p2-4096", 4096),
                         ("barenblatt-p2-8192", 8192)):
@@ -992,10 +968,8 @@ def _implicit_cases():
 
 
 def _scaled_barenblatt(grid, p):
-    """The sampled Barenblatt at t = 1 scaled to unit grid mass, not fitted: the x-frame
-    checks of the step were calibrated on it (test_matches_frozen_step's 4096-node case
-    reads 0.99 of its bound here and 1.03 on the fitted profile, a rounding difference
-    the solve amplifies); in y it relaxes toward the fitted profile."""
+    """The sampled Barenblatt at t = 1 scaled to unit grid mass, not fitted: off the
+    discrete steady state, so in y it relaxes toward the fitted profile."""
     values = rf.sample_barenblatt(grid, p).values
     return rf.DensityField(grid, values / float(grid.weights() @ values))
 
@@ -1061,7 +1035,9 @@ class TestLinearlyImplicitStep:
         run = rf.evolve(f0, params)
         assert all(f.grid == f0.grid for f in run.fields)
         assert run.rejection_count == 0
-        assert run.step_count < len(calls) < 3 * run.step_count
+        # a solve per step and 113 relinearizations; front nodes counted from u' > 4 g
+        # instead took 131 steps and 187 solves
+        assert (run.step_count, len(calls)) == (122, 235)
 
     @pytest.mark.filterwarnings("ignore::renyiflow.errors.BoundaryLeakWarning")
     @pytest.mark.parametrize("p, geometry", [(2.0, "cartesian"), (0.8, "radial3")])
@@ -1080,196 +1056,16 @@ class TestLinearlyImplicitStep:
         assert u.max() - u.min() <= 1e-9 * u.max()
 
     def test_unsettled_linearization_raises(self, monkeypatch):
-        # with no tolerance left the step relinearizes once per node, then gives up
-        f0, _ = _mixture_case("cartesian", 2.0, (0.2, 0.5), nodes=64)
-        kernel = solver._Kernel(f0.grid, 2.0, f0.values)
-        monkeypatch.setattr(solver, "LINEARIZATION_TOL", -1.0)
+        # a unit spike in cell 0 and a backward-Euler step of 100: the front would cross
+        # the grid, a cell per solve, so the step relinearizes once per node, then gives up
+        spike = np.zeros(64)
+        spike[0] = 1.0
+        kernel = solver._Kernel(rf.Grid.cartesian(64, 1.0), 2.0, spike)
         calls = _count_solves(monkeypatch, 64)
-        with pytest.raises(StabilityError):
-            kernel.implicit_advance(_mass_step(kernel), 1.0)
+        with pytest.raises(StabilityError) as raised:
+            kernel.implicit_advance(100.0, 1.0)
+        assert str(raised.value) == "implicit step at t = 1.0: linearization did not settle"
         assert len(calls) == 64
-
-
-# A frozen copy of the implicit step before it dropped the passes it does not use (two
-# powers per linearization, the defect built on every solve, u'^p refreshed over the
-# whole grid after every step), with the kernel's form of the BDF2 base: the lean step
-# must take the same dt, rejections and solves, and agree to rounding.
-def _reference_implicit_advance(kernel, dt, t, grid):
-    p, w = kernel.p, kernel.weights
-    conductance, coupling = _operator(grid)
-    floor = 0.0 if p > 1.0 else solver.EPS * kernel.umax
-    rejections = 0
-    while True:
-        if kernel.u_prev is None:
-            base, theta, g = kernel.u, dt, kernel.u
-        else:
-            omega = dt / kernel.dt_prev
-            scale = 1.0 + 2.0 * omega
-            base = kernel.u + (kernel.u - kernel.u_prev) * (omega * omega / scale)
-            theta = dt * (1.0 + omega) / scale
-            g = kernel.u + omega * (kernel.u - kernel.u_prev)
-        g = np.maximum(g, floor)
-        off = -theta * conductance
-        for _ in range(w.size):
-            slope = p * g ** (p - 1.0)
-            shift = g ** p - slope * g
-            sol = _plan_solve(off * slope[:-1], w + theta * coupling * slope,
-                              off * slope[1:], w * base + theta * _divergence(conductance, shift))
-            new = base + theta * _divergence(conductance, shift + slope * sol) / w
-            umax = new.max()
-            undershoot = not new.min() >= -NEGATIVITY_SLACK * umax
-            trial = np.maximum(new, floor)
-            defect = np.where(trial > 2.0 * g, trial ** p - shift - slope * trial, 0.0)
-            if undershoot or theta * np.abs(_divergence(conductance, defect)).sum() <= (
-                    solver.LINEARIZATION_TOL * (w @ np.abs(new - kernel.u))):
-                break
-            g = trial
-        else:
-            raise StabilityError(f"implicit step at t = {t}: linearization did not settle")
-        if not undershoot:
-            break
-        rejections += 1
-        assert rejections <= MAX_REJECTIONS
-        dt *= 0.5
-    np.maximum(new, 0.0, out=new)
-    kernel.u_prev, kernel.dt_prev = kernel.u, dt
-    kernel.u, kernel.umax = new, float(umax)
-    return dt, rejections
-
-
-# A frozen copy of the implicit step before its linearization moved into prepared
-# buffers: every pass allocated afresh, and the defect was built over the whole grid
-# before np.where kept the front nodes.  The step in buffers must give its bits.
-def _allocating_implicit_advance(kernel, dt, t, grid):
-    p, w = kernel.p, kernel.weights
-    conductance, coupling = _operator(grid)
-    if kernel.plan is None:
-        kernel.plan = solver._ReductionPlan(w.size)
-    plan = kernel.plan
-    floor = 0.0 if p > 1.0 else solver.EPS * kernel.umax
-    rejections = 0
-    while True:
-        if kernel.u_prev is None:
-            base, theta, g = kernel.u, dt, kernel.u
-        else:
-            omega = dt / kernel.dt_prev
-            scale = 1.0 + 2.0 * omega
-            change = kernel.u - kernel.u_prev
-            base = kernel.u + (omega * omega / scale) * change
-            theta = dt * (1.0 + omega) / scale
-            g = kernel.u + omega * change
-        g = np.maximum(g, floor)
-        conduct, spring, load = theta * conductance, theta * coupling, w * base
-        for _ in range(w.size):
-            power = g ** (p - 1.0)
-            slope = p * power
-            shift = (1.0 - p) * g * power
-            np.multiply(conduct, slope[:-1], out=plan.lower)
-            np.multiply(conduct, slope[1:], out=plan.upper)
-            np.add(w, np.multiply(spring, slope, out=plan.diag), out=plan.diag)
-            np.multiply(theta, _divergence(conductance, shift), out=plan.rhs)
-            np.add(load, plan.rhs, out=plan.rhs)
-            sol = plan.solve()
-            new = base + theta * _divergence(conductance, shift + slope * sol) / w
-            umax = new.max()
-            undershoot = not new.min() >= -NEGATIVITY_SLACK * umax
-            trial = np.maximum(new, floor)
-            front = trial > 2.0 * g
-            misplaced = 0.0
-            if front.any():
-                defect = np.where(front, trial ** p - shift - slope * trial, 0.0)
-                misplaced = theta * np.abs(_divergence(conductance, defect)).sum()
-            if undershoot or misplaced <= solver.LINEARIZATION_TOL * (w @ np.abs(new - kernel.u)):
-                break
-            g = trial
-        else:
-            raise StabilityError(f"implicit step at t = {t}: linearization did not settle")
-        if not undershoot:
-            break
-        rejections += 1
-        assert rejections <= MAX_REJECTIONS
-        dt *= 0.5
-    np.maximum(new, 0.0, out=new)
-    kernel.u_prev, kernel.dt_prev = kernel.u, dt
-    kernel.u, kernel.umax = new, float(umax)
-    return dt, rejections
-
-
-def _step_against(monkeypatch, kernel, frozen, reference, dt, t, undershoot_first=False):
-    """One step of the kernel and one of its frozen copy from the same state:
-    ((dt, rejections), solves) of each."""
-    outcomes = []
-    for k, advance in ((kernel, solver._Kernel.implicit_advance), (frozen, reference)):
-        with monkeypatch.context() as m:
-            calls = _count_solves(m, k.weights.size, undershoot_first)
-            outcomes.append((advance(k, dt, t), len(calls)))
-    return outcomes
-
-
-def _assert_same_bits(kernel, frozen):
-    for got, want in ((kernel.u, frozen.u), (kernel.u_prev, frozen.u_prev)):
-        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
-    assert (kernel.dt_prev, kernel.umax) == (frozen.dt_prev, frozen.umax)
-
-
-class TestLeanImplicitStep:
-    """The implicit step against its frozen predecessors, one step at a time: to
-    rounding against the step with the unused passes, bit for bit against the
-    allocating step."""
-
-    @pytest.mark.parametrize("case, exact", [
-        pytest.param("mixture-p0.8-radial3", False, id="mixture-p0.8-radial3"),
-        pytest.param("barenblatt-p2-4096", False, id="barenblatt-p2-4096"),
-        pytest.param("mixture-p0.8-radial3", True, id="bitwise-mixture-p0.8-radial3"),
-        pytest.param("barenblatt-p2-4096", True, id="bitwise-barenblatt-p2-4096"),
-        pytest.param("mixture-p0.8-radial3-100", True, id="bitwise-mixture-p0.8-radial3-100")])
-    def test_matches_frozen_step(self, case, exact, monkeypatch):
-        f0, params = _implicit_cases()[case]
-        reference = functools.partial(
-            _allocating_implicit_advance if exact else _reference_implicit_advance, grid=f0.grid)
-        lean = solver._Kernel(f0.grid, params.p, f0.values)
-        frozen = solver._Kernel(f0.grid, params.p, f0.values)
-        dt = _mass_step(lean)
-        # backward Euler, BDF2 at omega = 2 and 1, then a step whose first solve
-        # undershoots, so that it is rejected and retried at dt/2
-        schedule = [(0.5 * dt, False), (dt, False), (dt, False), (dt, True)]
-        relinearized = False
-        for dt_try, undershoot_first in schedule:
-            (got, got_solves), (want, want_solves) = _step_against(
-                monkeypatch, lean, frozen, reference, dt_try, 1.0, undershoot_first)
-            assert got == want and got_solves == want_solves
-            if exact:
-                _assert_same_bits(lean, frozen)
-            else:
-                # observed: 0 on the 4096-node case and at most 8.3e-16 on the mixture;
-                # with the textbook BDF2 base ((1+w)^2 u - w^2 u_prev) / (1+2w) in the
-                # reference, against the kernel's u + w^2 (u - u_prev) / (1+2w), the
-                # 4096-node case read 9.87e-13 on its third step
-                assert np.max(np.abs(lean.u - frozen.u)) <= 1e-12 * np.max(frozen.u)
-            assert (want[1] > 0) == undershoot_first
-            relinearized |= want_solves > 1 + want[1]
-        assert relinearized == (params.p > 1.0)  # the p = 2 front outruns a cell per step
-
-    def test_front_relinearizing_run(self, monkeypatch):
-        # 2048 nodes: from about the twelfth step on, the front outruns a cell per solve
-        spec = rf.barenblatt_spec(2.0, 1, rf.PDE_NORMALIZED)
-        grid = rf.Grid.cartesian(2048, rf.support_radius(spec) * 2.0 ** (1.0 / 3.0) * 1.3)
-        f0 = rf.sample_barenblatt(grid, 2.0, 1.0, normalize=True)
-        lean = solver._Kernel(grid, 2.0, f0.values)
-        frozen = solver._Kernel(grid, 2.0, f0.values)
-        dt_run = _mass_step(lean)
-        params = rf.DiffusionParams(p=2.0, dim=1, t_start=1.0, t_end=2.0)
-        dt, t, relinearized = cfl_dt(f0, params), 1.0, 0
-        reference = functools.partial(_allocating_implicit_advance, grid=grid)
-        for _ in range(20):
-            (got, got_solves), (want, solves) = _step_against(
-                monkeypatch, lean, frozen, reference, min(dt, dt_run), t)
-            assert got == want and got_solves == solves
-            _assert_same_bits(lean, frozen)
-            relinearized += solves > 1
-            t += want[0]
-            dt = 2.0 * want[0]
-        assert relinearized > 0
 
 
 def _steps_per_interval(record, times):
@@ -1299,11 +1095,9 @@ class TestRechosenMarch:
 
     def test_barenblatt_768_implicit_throughout(self, monkeypatch):
         # `evolve --p 2 --dim 1 --nodes 768 --initial barenblatt --t-start 1 --t-end 3
-        # --snapshots 9`: explicit all the way it took 25,187 steps, and a march that
-        # turned implicit partway left a kink in N_p (second differences -2.0e-6 and
-        # +6.8e-7); in y, where the datum stands still, N_p is linear to rounding (observed
-        # 2.5e-13), and two steps that land on the first two snapshots and two that pass
-        # the other six make the run
+        # --snapshots 9`: in y, where the datum stands still, N_p is linear to rounding
+        # (observed 2.5e-13), and two steps that land on the first two snapshots and two
+        # that pass the other six make the run
         spec = rf.barenblatt_spec(2.0, 1, rf.PDE_NORMALIZED)
         grid = rf.Grid.cartesian(768, rf.support_radius(spec) * 3.0 ** (1.0 / 3.0) * 1.3)
         f0 = rf.sample_barenblatt(grid, 2.0, 1.0, normalize=True)
@@ -1319,20 +1113,27 @@ class TestRechosenMarch:
         report = rf.concavity_report(run.snapshots, 2.0, 1)
         assert report.tolerance - report.margin <= 1e-12
 
+    @pytest.mark.filterwarnings("ignore::renyiflow.errors.BoundaryLeakWarning")
     def test_heat_flow_implicit_in_y(self, monkeypatch):
-        # p = 1 takes the march every p takes: the heat kernel stands still in y, a step
-        # per interval, where explicit steps at h = 1/102 took thousands; observed within
-        # 1.6e-12 of the exact kernel, the datum's own normalization
-        grid = rf.Grid.cartesian(2048, 10.0)
-        f0 = rf.sample_gaussian(grid, 1.0, normalize=True)
-        params = rf.DiffusionParams(p=1.0, dim=1, t_start=1.0, t_end=1.25, snapshot_count=3)
-        record = _record_marches(monkeypatch)
-        run = rf.evolve(f0, params)
-        assert {march for march, *_ in record} == {"implicit_advance"} and len(record) == 2
-        assert run.fields[-1].grid == grid.scaled(1.25 ** 0.5)
-        for fld, snap in zip(run.fields, run.snapshots):  # each on the grid dilated to its time
-            exact = rf.sample_gaussian(fld.grid, snap.t)
-            assert float(fld.grid.weights() @ np.abs(fld.values - exact.values)) <= 1e-11
+        # p = 1 takes the march every p takes: the heat kernel stands still in y, so a few
+        # steps make the run, within 1.6e-12 of the exact kernel in 1-D (observed; the
+        # datum's own normalization), and in 3-D on `evolve --p 1 --dim 3 --nodes 512
+        # --initial gaussian`'s grid
+        for grid, t_end, snapshots, steps, normalize in (
+                (rf.Grid.cartesian(2048, 10.0), 1.25, 3, 2, False),
+                (rf.Grid.radial(3, 512, 8.0 * math.sqrt(4.0) + 4.0), 2.0, 9, 4, True)):
+            f0 = rf.sample_gaussian(grid, 1.0, normalize=True)
+            params = rf.DiffusionParams(p=1.0, dim=grid.dim, t_start=1.0, t_end=t_end,
+                                        snapshot_count=snapshots)
+            with monkeypatch.context() as m:
+                record = _record_marches(m)
+                run = rf.evolve(f0, params)
+            assert {march for march, *_ in record} == {"implicit_advance"}
+            assert run.step_count == len(record) == steps
+            assert run.fields[-1].grid == grid.scaled(t_end ** 0.5)
+            for fld, snap in zip(run.fields, run.snapshots):  # each on the grid dilated to its time
+                exact = rf.sample_gaussian(fld.grid, snap.t, normalize=normalize)
+                assert float(fld.grid.weights() @ np.abs(fld.values - exact.values)) <= 1e-11
 
     def test_short_intervals_go_implicit_from_the_start(self, monkeypatch):
         # criterion 5's 768-node radial p = 2 mixture, where a stable step moves 9.7e-6 of
@@ -1346,9 +1147,8 @@ class TestRechosenMarch:
         assert run.step_count == len(record) == 10
 
     def test_criterion_10_config(self, criterion_10_run):
-        # explicit with dt fixed at t_start it took 368,555 steps, and 33,330 when it
-        # turned implicit partway; implicit from t = 1 in x, every step keeps the
-        # controller's contract (observed: 434 steps, no rejection)
+        # implicit from t = 1 in x, every step keeps the controller's contract (observed:
+        # 434 steps, no rejection)
         run, record = criterion_10_run
         times = run.params.times()
         assert all(f.grid == run.fields[0].grid for f in run.fields)
@@ -1369,26 +1169,6 @@ class TestRechosenMarch:
         assert len(dts) == len(record)  # p < 1 is implicit from the start
         _assert_controlled(counts, dts, ratios)
         assert dts[-1] > 4.0 * dts[counts[0]]  # dt grows with the flow
-
-    @pytest.mark.filterwarnings("ignore::renyiflow.errors.BoundaryLeakWarning")
-    def test_explicit_run_bitwise(self, monkeypatch):
-        # `evolve --p 1 --dim 3 --nodes 512 --initial gaussian`: `step`'s explicit run is
-        # the reference's, bit for bit, in 2,920 steps; evolve marches in y, where the
-        # heat kernel stands still, in 4 steps
-        grid = rf.Grid.radial(3, 512, 8.0 * math.sqrt(4.0) + 4.0)
-        f0 = rf.sample_gaussian(grid, 1.0, normalize=True)
-        params = rf.DiffusionParams(p=1.0, dim=3, t_start=1.0, t_end=2.0, snapshot_count=9)
-        fields, steps, rejections = _step_march(f0, params)
-        want, want_steps, want_rejections = _reference_march(f0, params)
-        assert (steps, rejections) == (want_steps, want_rejections) == (2920, 0)
-        for got, field in zip(fields, want, strict=True):
-            assert got.tobytes() == field.tobytes()
-        record = _record_marches(monkeypatch)
-        run = rf.evolve(f0, params)
-        assert {march for march, *_ in record} == {"implicit_advance"} and run.step_count == 4
-        for fld, snap in zip(run.fields, run.snapshots):
-            exact = rf.sample_gaussian(fld.grid, snap.t, normalize=True)
-            assert float(fld.grid.weights() @ np.abs(fld.values - exact.values)) <= 1e-11
 
 
 def _source_case(geometry, p, nodes=128):
@@ -1440,16 +1220,6 @@ class TestOneMarch:
         assert grids == [grid, grid] and rescaled == []
 
 
-def _bdf2_march(f0, p, h, steps):
-    """The fields of BDF2 at the constant step h from f0 (backward-Euler start)."""
-    kernel = solver._Kernel(f0.grid, p, f0.values)
-    fields = [kernel.u.copy()]
-    for i in range(steps):
-        kernel.implicit_advance(h, 1.0 + i * h)
-        fields.append(kernel.u.copy())
-    return fields
-
-
 class TestLocalErrorEstimate:
     """The BDF2 step's local-error estimate against its true local error."""
 
@@ -1465,9 +1235,10 @@ class TestLocalErrorEstimate:
                                       0.8, 1.0, 1e-2)
         w = grid.weights()
         levels = {}
-        for sub in (64, 128):
-            fields = _bdf2_march(f0, 0.8, step / sub, round((3.0 + omega) * sub))
-            levels[sub] = [fields[j * sub] for j in (1, 2, 3)] + [fields[-1]]
+        for sub in (64, 128):  # BDF2 at the constant step step / sub
+            h, last = step / sub, round((3.0 + omega) * sub)
+            fields = _implicit_march(f0, 0.8, h, h, 1.0 + last * h)[2]
+            levels[sub] = [fields[j * sub] for j in (1, 2, 3)] + [fields[last]]
         exact = levels[128]
         kernel = solver._Kernel(grid, 0.8, exact[2])
         for _ in range(2):
@@ -1601,10 +1372,9 @@ class TestSelfSimilarFrame:
         report = rf.concavity_report(run.snapshots, p, dim)
         assert report.tolerance - report.margin <= 1e-9
 
-    # ROADMAP 6a's datum: the p = 0.65, n = 3 sample scaled to unit mass, not fitted,
-    # relaxes in y.  Steps that pass snapshots keep N_p concave to the unchanged bound
-    # by the tolerance in N_p's units (observed curvature 5.6e-8 and 2.5e-7); under the
-    # mass tolerance, a step per interval read +4.41e-6 and +2.24e-6
+    # the p = 0.65, n = 3 sample scaled to unit mass, not fitted, relaxes in y: the
+    # tolerance in N_p's units keeps N_p concave to the bound while steps pass snapshots
+    # (observed curvature 5.6e-8 and 2.5e-7; in mass units +4.41e-6 and +2.24e-6)
     @pytest.mark.parametrize("snapshots, steps", [(17, 11), (33, 13)])
     def test_relaxing_datum_keeps_concavity(self, snapshots, steps):
         radius = cli._default_radius(0.65, 3, 2.0, "barenblatt")
@@ -1642,7 +1412,7 @@ class TestSelfSimilarFrame:
         assert moved <= 1e-6 * solver._Kernel(grid, 2.0, f0.values).speed()
         params = rf.DiffusionParams(p=2.0, dim=1, t_start=1.0, t_end=3.0, snapshot_count=33)
         run = rf.evolve(f0, params)
-        assert run.rejection_count == 0 and run.step_count <= 60
+        assert run.rejection_count == 0 and run.step_count == 6
 
     def test_draining_cell_falls_back_to_backward_euler(self, monkeypatch):
         # compact two-bump data forced into y: the drift drains the thin tails ahead of

@@ -30,8 +30,12 @@ class TestConcavity:
 
     def test_convex_series_fails(self):
         t = np.linspace(1.0, 2.0, 9)
-        r = rf.concavity_report(series_with_np(t, t * t), 2.0, 1)
+        series = series_with_np(t, t * t)
+        r = rf.concavity_report(series, 2.0, 1)
         assert not r.passed
+        # the bound is inclusive: a violation equal to the tolerance passes
+        violation = -rf.concavity_report(series, 2.0, 1, tol=0.0).margin
+        assert rf.concavity_report(series, 2.0, 1, tol=violation).passed
 
     def test_insufficient_data(self, make_series):
         with pytest.raises(InsufficientData):
