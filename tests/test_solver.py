@@ -1115,25 +1115,19 @@ class TestRechosenMarch:
 
     @pytest.mark.filterwarnings("ignore::renyiflow.errors.BoundaryLeakWarning")
     def test_heat_flow_implicit_in_y(self, monkeypatch):
-        # p = 1 takes the march every p takes: the heat kernel stands still in y, so a few
-        # steps make the run, within 1.6e-12 of the exact kernel in 1-D (observed; the
-        # datum's own normalization), and in 3-D on `evolve --p 1 --dim 3 --nodes 512
-        # --initial gaussian`'s grid
-        for grid, t_end, snapshots, steps, normalize in (
-                (rf.Grid.cartesian(2048, 10.0), 1.25, 3, 2, False),
-                (rf.Grid.radial(3, 512, 8.0 * math.sqrt(4.0) + 4.0), 2.0, 9, 4, True)):
-            f0 = rf.sample_gaussian(grid, 1.0, normalize=True)
-            params = rf.DiffusionParams(p=1.0, dim=grid.dim, t_start=1.0, t_end=t_end,
-                                        snapshot_count=snapshots)
-            with monkeypatch.context() as m:
-                record = _record_marches(m)
-                run = rf.evolve(f0, params)
-            assert {march for march, *_ in record} == {"implicit_advance"}
-            assert run.step_count == len(record) == steps
-            assert run.fields[-1].grid == grid.scaled(t_end ** 0.5)
-            for fld, snap in zip(run.fields, run.snapshots):  # each on the grid dilated to its time
-                exact = rf.sample_gaussian(fld.grid, snap.t, normalize=normalize)
-                assert float(fld.grid.weights() @ np.abs(fld.values - exact.values)) <= 1e-11
+        # p = 1 takes the march every p takes: the heat kernel stands still in y, a step
+        # per interval, where explicit steps at h = 1/102 took thousands; observed within
+        # 1.6e-12 of the exact kernel, the datum's own normalization
+        grid = rf.Grid.cartesian(2048, 10.0)
+        f0 = rf.sample_gaussian(grid, 1.0, normalize=True)
+        params = rf.DiffusionParams(p=1.0, dim=1, t_start=1.0, t_end=1.25, snapshot_count=3)
+        record = _record_marches(monkeypatch)
+        run = rf.evolve(f0, params)
+        assert {march for march, *_ in record} == {"implicit_advance"} and len(record) == 2
+        assert run.fields[-1].grid == grid.scaled(1.25 ** 0.5)
+        for fld, snap in zip(run.fields, run.snapshots):  # each on the grid dilated to its time
+            exact = rf.sample_gaussian(fld.grid, snap.t)
+            assert float(fld.grid.weights() @ np.abs(fld.values - exact.values)) <= 1e-11
 
     def test_short_intervals_go_implicit_from_the_start(self, monkeypatch):
         # criterion 5's 768-node radial p = 2 mixture, where a stable step moves 9.7e-6 of
@@ -1169,6 +1163,26 @@ class TestRechosenMarch:
         assert len(dts) == len(record)  # p < 1 is implicit from the start
         _assert_controlled(counts, dts, ratios)
         assert dts[-1] > 4.0 * dts[counts[0]]  # dt grows with the flow
+
+    @pytest.mark.filterwarnings("ignore::renyiflow.errors.BoundaryLeakWarning")
+    def test_explicit_run_bitwise(self, monkeypatch):
+        # `evolve --p 1 --dim 3 --nodes 512 --initial gaussian`: `step`'s explicit run is
+        # the reference's, bit for bit, in 2,920 steps; evolve marches in y, where the
+        # heat kernel stands still, in 4 steps
+        grid = rf.Grid.radial(3, 512, 8.0 * math.sqrt(4.0) + 4.0)
+        f0 = rf.sample_gaussian(grid, 1.0, normalize=True)
+        params = rf.DiffusionParams(p=1.0, dim=3, t_start=1.0, t_end=2.0, snapshot_count=9)
+        fields, steps, rejections = _step_march(f0, params)
+        want, want_steps, want_rejections = _reference_fields(f0, params)
+        assert (steps, rejections) == (want_steps, want_rejections) == (2920, 0)
+        for got, field in zip(fields, want, strict=True):
+            assert got.tobytes() == field.values.tobytes()
+        record = _record_marches(monkeypatch)
+        run = rf.evolve(f0, params)
+        assert {march for march, *_ in record} == {"implicit_advance"} and run.step_count == 4
+        for fld, snap in zip(run.fields, run.snapshots):
+            exact = rf.sample_gaussian(fld.grid, snap.t, normalize=True)
+            assert float(fld.grid.weights() @ np.abs(fld.values - exact.values)) <= 1e-11
 
 
 def _source_case(geometry, p, nodes=128):
