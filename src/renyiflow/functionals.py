@@ -271,6 +271,16 @@ def rescale(f: DensityField, a: float) -> DensityField:
     return DensityField(f.grid.scaled(a), f.values * a ** (-f.grid.dim))
 
 
+def rescale_snapshot(s: FunctionalSnapshot, a: float, p: float, n: int) -> FunctionalSnapshot:
+    """`snapshot(rescale(f, a))` from s = `snapshot(f)`, each column by its dilation law
+    (the mass and Upsilon_p are invariant); at a = 1 every value is unchanged."""
+    mu, spread = coefficients(p, n).mu, n * (p - 1.0)
+    return FunctionalSnapshot(
+        s.t, s.mass, None if s.e_p is None else s.e_p * a ** -spread, s.h_p + n * math.log(a),
+        s.n_p * a ** mu, s.f_p * a ** (2.0 - 2.0 * mu), s.i_p * a ** -mu,
+        None if s.d_p is None else s.d_p * a ** (-4.0 - 3.0 * spread), s.upsilon)
+
+
 def self_similar_rescale(f: DensityField, t: float, p: float, n: int | None = None) -> DensityField:
     """Send u(., t) to its self-similar frame, undoing the t^{1/mu} spreading."""
     if not t > 0.0:

@@ -173,11 +173,13 @@ class DensityField:
         object.__setattr__(self, "values", v)
         if v.shape != (self.grid.node_count,):
             raise DomainError("values shape does not match the grid")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("density values must be finite")
-        if v.min() < 0.0:
-            raise DomainError("density values must be nonnegative")
-        if not float(self.grid.weights() @ v) > 0.0:
+        # two passes: min >= 0, then (so never inf - inf) a finite weighted sum: no NaN or inf
+        if not (v.min() >= 0.0 and (total := float(self.grid.weights() @ v)) < math.inf):
+            if not np.all(np.isfinite(v)):
+                raise DomainError("density values must be finite")
+            if v.min() < 0.0:
+                raise DomainError("density values must be nonnegative")
+        if not total > 0.0:
             raise DomainError("density must have positive mass")
 
     def __reduce__(self):

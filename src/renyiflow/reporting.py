@@ -79,7 +79,7 @@ def write_profile(path, f: DensityField) -> None:
     head = (f"# geometry={g.kind} dim={g.dim} "
             f"spacing={float(g.spacing)!r} origin={float(g.origin)!r}")
     col = "x" if g.kind == CARTESIAN else "r"
-    rows = map(",".join, zip(map(repr, g.nodes().tolist()), map(repr, f.values.tolist())))
+    rows = [f"{x!r},{u!r}" for x, u in zip(g.nodes().tolist(), f.values.tolist())]
     Path(path).write_text("\n".join([head, f"{col},u", *rows]) + "\n")
 
 

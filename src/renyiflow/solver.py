@@ -30,13 +30,14 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analytic import coefficients
 from .errors import BoundaryLeakWarning, DomainError, StabilityError
-from .functionals import FunctionalSnapshot, _pressure, rescale, snapshot
+from .functionals import FunctionalSnapshot, _pressure, rescale, rescale_snapshot, snapshot
 from .grids import RADIAL, DensityField, Grid
 from .verification import TOL_CONCAVITY
 
@@ -668,11 +669,31 @@ def _entropy_weights(kernel: _Kernel, interior: np.ndarray, nu: float) -> np.nda
     return np.multiply(pressure, scale, out=pressure)
 
 
+class FieldSeries(Sequence):
+    """The snapshot fields, each (field, t_k, dilate) in the frame it was marched in,
+    x = t_k^dilate y (0 in x, 1 / mu in y).  Item k, in x, is `rescale(field, t_k^dilate)`
+    formed on read, so a reader of one field maps only it; a slice is a FieldSeries."""
+
+    def __init__(self, marched: list[tuple[DensityField, float, float]]):
+        self.marched = marched
+
+    def __len__(self) -> int:
+        return len(self.marched)
+
+    def __getitem__(self, k):
+        return FieldSeries(self.marched[k]) if isinstance(k, slice) else self.in_frame(k, 0.0)
+
+    def in_frame(self, k: int, dilate: float) -> DensityField:
+        """Field k in the frame x = t_k^dilate y, as marched where it was marched there."""
+        f, t, own = self.marched[k]
+        return f if own == dilate else rescale(f, t ** (own - dilate))
+
+
 @dataclass
 class EvolutionResult:
     params: DiffusionParams
     snapshots: list[FunctionalSnapshot]
-    fields: list[DensityField]
+    fields: FieldSeries
     step_count: int
     rejection_count: int
     edge_mass: float  # the largest over the snapshots
@@ -726,9 +747,11 @@ def evolve(f0: DensityField, params: DiffusionParams,
     grid, so a run that stays in x dilates nothing.  In y the datum
     is dilated exactly onto the y-grid (`functionals.rescale` by t^{-1/mu}), the kernel
     gets the drift 1 / mu, and the march's clock is tau = log t (refused before any step
-    where it does not advance: t 1e6 to 1e6 + 1e-10).  Each snapshot is mapped back by
-    `rescale(., t_k^{1/mu})`, so the snapshots, the checks and the messages read the
-    physical field at physical t, and `fields[k]` lives on the grid dilated to t_k.  In y
+    where it does not advance: t 1e6 to 1e6 + 1e-10).  Each snapshot is read on the
+    march's field and mapped to x by the dilation laws (`functionals.rescale_snapshot`),
+    so the snapshots, the checks and the messages read the physical field at physical t.
+    The fields are kept as marched (`FieldSeries`); `fields[k]`, rescaled by t_k^{1/mu}
+    when read, lives on the grid dilated to t_k.  In y
     the tolerance is in the concavity check's units: the estimate is weighed by the
     first variation of log N_p (`_entropy_weights`, read at the interval's first step),
     and it may be TOL_CONCAVITY of log N_p's change over the interval in t,
@@ -770,7 +793,7 @@ def evolve(f0: DensityField, params: DiffusionParams,
                               f"does not advance the march's clock, {'log t' if dilate else 't'}")
     steps = rejections = 0
     snaps = [snapshot(f0, p, params.dim, t=t, with_dissipation=with_dissipation)]
-    fields = [f0]
+    fields = [(f0, t, 0.0)]
     now, at, k, entered = clock[0], t, 1, 0  # at: now in t, for messages
     while k < len(clock):
         if entered < k:  # the march enters interval k: its step bounds, read once
@@ -811,12 +834,11 @@ def evolve(f0: DensityField, params: DiffusionParams,
             values = kernel.interpolant(now - clock[k])
             edge_mass = max(edge_mass, float(edge @ values))
             fld = DensityField(grid, values)
-            if dilate:
-                fld = rescale(fld, t ** dilate)  # back to x at t
-            snaps.append(snapshot(fld, p, params.dim, t=t, with_dissipation=with_dissipation))
-            fields.append(fld)
+            snap = snapshot(fld, p, params.dim, t=t, with_dissipation=with_dissipation)
+            snaps.append(rescale_snapshot(snap, t ** dilate, p, params.dim))  # to x at t
+            fields.append((fld, t, dilate))
             k += 1
-    result = EvolutionResult(params, snaps, fields, steps, rejections, edge_mass)
+    result = EvolutionResult(params, snaps, FieldSeries(fields), steps, rejections, edge_mass)
     if result.domain_cut:
         warnings.warn(f"edge mass {edge_mass:.3e} exceeds {DOMAIN_TOL}; "
                       "domain is likely too small", BoundaryLeakWarning)

@@ -14,13 +14,7 @@ import numpy as np
 
 from .analytic import _require_second_moment, barenblatt_spec, coefficients, gamma_const
 from .errors import DegenerateError, DomainError, InsufficientData
-from .functionals import (
-    _dim,
-    _integrals,
-    self_similar_rescale,
-    sobolev_pair,
-    upsilon,
-)
+from .functionals import _dim, _integrals, sobolev_pair, upsilon
 from .grids import DensityField
 from .initial_data import sample_barenblatt_from_spec
 
@@ -295,11 +289,13 @@ def run_checks(names, series, p: float, n: int, tols: dict[str, float]) -> dict[
 
 
 def rescaled_l1_distances(run, p: float, n: int) -> np.ndarray:
-    """L1 distance of each rescaled field to the unit-mass Barenblatt profile."""
-    spec = barenblatt_spec(p, n, "pde")
+    """L1 distance of each field, read in the self-similar frame, to the Barenblatt profile."""
+    spec, dilate = barenblatt_spec(p, n, "pde"), 1.0 / coefficients(p, n).mu
+    if not run.snapshots[0].t > 0.0:  # the earliest: at t = 0 there is no such frame
+        raise DomainError("rescaling time must be positive")
     out = []
-    for snap, fld in zip(run.snapshots, run.fields):
-        u = self_similar_rescale(fld, snap.t, p, n)
+    for k in range(len(run.snapshots)):
+        u = run.fields.in_frame(k, dilate)
         ref = sample_barenblatt_from_spec(u.grid, spec, 1.0)
         out.append(float(u.grid.weights() @ np.abs(u.values - ref.values)))
     return np.array(out)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import renyiflow as rf
 from renyiflow.errors import DomainError
-from renyiflow.functionals import _dissipation_terms, _integrals, _passes, _pressure
+from renyiflow.functionals import (_dissipation_terms, _integrals, _passes, _pressure,
+                                   rescale_snapshot)
 from renyiflow.grids import CARTESIAN, gradient, second_derivative
 from renyiflow.verification import TOL_ISOPERIMETRIC
 
@@ -308,7 +309,8 @@ PROPERTY_GEOMETRIES = st.sampled_from(sorted(PROPERTY_GRIDS))
 
 class TestDilationProperties:
     """Seeded mixtures: `rescale` moves the grid, not the samples, so the dilation laws
-    hold to rounding at every p, p = 1 included (measured worst: 3.6e-15 relative)."""
+    hold to rounding at every p, p = 1 included (measured worst: 3.6e-15 relative; 8.6e-15
+    for D_p), and `rescale_snapshot` maps a snapshot by them."""
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(seed=PROPERTY_SEEDS, geometry=PROPERTY_GEOMETRIES,
@@ -323,6 +325,37 @@ class TestDilationProperties:
                                                        rel=1e-13)
         assert rf.fisher_p(g, p)[1] == pytest.approx(a ** -mu * rf.fisher_p(f, p)[1], rel=1e-13)
         assert rf.upsilon(g, p) == pytest.approx(rf.upsilon(f, p), rel=1e-13)
+        # the rest of the snapshot's columns, which `rescale_snapshot` maps by these laws
+        spread = n * (p - 1.0)
+        assert rf.mass(g) == pytest.approx(rf.mass(f), rel=1e-13)
+        assert rf.p_norm_integral(g, p) == pytest.approx(
+            a ** -spread * rf.p_norm_integral(f, p), rel=1e-13)
+        assert rf.fisher_p(g, p)[0] == pytest.approx(
+            a ** (2.0 - 2.0 * mu) * rf.fisher_p(f, p)[0], rel=1e-13)
+        assert rf.d_p(g, p) == pytest.approx(a ** (-4.0 - 3.0 * spread) * rf.d_p(f, p), rel=1e-13)
+        assert rf.pressure_laplacian_integral(g, p) == pytest.approx(
+            a ** (-4.0 - 3.0 * spread) * rf.pressure_laplacian_integral(f, p), rel=1e-13)
+        if p != 1.0:
+            assert rf.e_p_integral(g, p) == pytest.approx(
+                a ** -spread * rf.e_p_integral(f, p), rel=1e-13)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=PROPERTY_SEEDS, geometry=PROPERTY_GEOMETRIES,
+           p=st.sampled_from([0.8, 1.0, 1.5, 2.0]), a=st.floats(0.25, 4.0))
+    def test_rescale_snapshot_is_the_rescaled_fields(self, seed, geometry, p, a):
+        f = rf.sample_mixture(PROPERTY_GRIDS[geometry], seed=seed)
+        n = f.grid.dim
+        got = rescale_snapshot(rf.snapshot(f, p, t=2.0, with_dissipation=True), a, p, n)
+        want = rf.snapshot(rf.rescale(f, a), p, t=2.0, with_dissipation=True)
+        assert got.t == want.t and (got.e_p is None) == (want.e_p is None) == (p == 1.0)
+        for column in ("mass", "e_p", "n_p", "f_p", "i_p", "d_p", "upsilon"):
+            assert getattr(got, column) == pytest.approx(getattr(want, column), rel=1e-13), column
+        shift = n * math.log(a)  # H_p may pass near 0, so its bound is in H_p and the shift
+        assert abs(got.h_p - want.h_p) <= 1e-13 * (abs(got.h_p - shift) + abs(shift))
+
+    def test_rescale_snapshot_at_one_is_the_identity(self, mixture):
+        s = rf.snapshot(mixture, 1.5, t=1.0, with_dissipation=True)
+        assert rescale_snapshot(s, 1.0, 1.5, 1) == s
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=PROPERTY_SEEDS, geometry=PROPERTY_GEOMETRIES, p=st.sampled_from([0.8, 1.5, 2.0]))

@@ -139,6 +139,26 @@ class TestDensityField:
         with pytest.raises(DomainError):
             rf.DensityField(g, v)
 
+    # the two-pass check (min and weighted sum) keeps each refusal and its message, in
+    # the order of the three single checks: finite, then nonnegative, then positive mass
+    @pytest.mark.parametrize("bad, message", [
+        ({3: np.nan}, "finite"), ({3: np.inf}, "finite"), ({3: -np.inf}, "finite"),
+        ({3: -1e-300}, "nonnegative"), ({3: np.inf, 5: -1.0}, "finite"),
+        ({3: np.nan, 5: -1.0}, "finite"), ({3: np.inf, 5: -np.inf}, "finite")])
+    def test_refusals_keep_their_messages(self, bad, message):
+        v = np.ones(16)
+        for i, x in bad.items():
+            v[i] = x
+        with pytest.raises(DomainError, match=f"density values must be {message}$"):
+            rf.DensityField(rf.Grid.cartesian(16, 1.0), v)
+
+    def test_overflowing_mass_is_accepted(self):
+        # finite, nonnegative values whose weighted sum overflows pass, as they always have,
+        # under numpy's overflow warning
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            f = rf.DensityField(rf.Grid.cartesian(16, 1.0), np.full(16, 1e308))
+        assert np.array_equal(f.values, np.full(16, 1e308))
+
     def test_rejects_zero_mass(self):
         g = rf.Grid.cartesian(16, 1.0)
         with pytest.raises(DomainError):

@@ -87,7 +87,7 @@ def test_mutants_name_text_in_src():
     # each mutation of tools/mutants.py replaces text that occurs exactly once in its
     # file, on one line, so the list cannot silently stop mutating as src/ changes
     tool = _tool("mutants")
-    assert len(tool.MUTANTS) >= 20
+    assert len(tool.MUTANTS) >= 24
     for what, name, original, mutated in tool.MUTANTS:
         assert (tool.SRC / name).read_text().count(original) == 1, what
         assert original != mutated and "\n" not in original + mutated, what
@@ -303,6 +303,31 @@ class TestEvolveCommand:
         assert code == 2
         assert capsys.readouterr().err == \
             "stability failure: implicit step at t = 1.5: linearization did not settle\n"
+
+    # each snapshot is read on the y-grid the march ran on and mapped to x by the
+    # functionals' dilation laws: one grid for the march, one for the final profile, and
+    # a DensityField per snapshot (dilating each snapshot to x, with its own grid and a
+    # second field, made 34, 66 and 33, and 18, 34 and 17)
+    @pytest.mark.parametrize("label, grids, fields", [("evolve_pme", 3, 35),
+                                                      ("evolve_fd", 3, 19)])
+    def test_snapshots_build_no_dilated_grids(self, label, grids, fields, tmp_path,
+                                              monkeypatch):
+        counts = {"Grid": 0, "DensityField": 0, "rescale": 0}
+
+        def counted(name, real):
+            def call(*args):
+                counts[name] += 1
+                return real(*args)
+            return call
+
+        for cls in (rf.Grid, rf.DensityField):
+            monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+        rescale = counted("rescale", rf.functionals.rescale)
+        monkeypatch.setattr(rf.functionals, "rescale", rescale)
+        monkeypatch.setattr(solver, "rescale", rescale)
+        assert main(_digest_configs()[label] + ["--out", str(tmp_path)]) == 0
+        # the datum's grid, its dilation onto the y-grid and the final profile's map to x
+        assert counts == {"Grid": grids, "DensityField": fields, "rescale": 2}
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["evolve", "--p", "1.5", "--dim", "1", "--nodes", "256",

@@ -1450,6 +1450,28 @@ class TestSelfSimilarFrame:
             assert float(fld.grid.weights() @ fld.values) == pytest.approx(1.0, abs=1e-13)
             assert fld.values.min() >= 0.0
 
+    @pytest.mark.parametrize("datum", ["fitted", "two_bump"])
+    def test_snapshots_are_the_fields(self, datum, monkeypatch):
+        # each snapshot is read in y and mapped to x by `rescale_snapshot`; it is the
+        # snapshot of the field read in x, every column, D_p included (observed within
+        # 1.3e-15 relative)
+        if datum == "fitted":
+            f0, p = _fitted_barenblatt(0.8, 3, 256, 1.5), 0.8
+        else:  # forced into y, as in the test above
+            spec = rf.barenblatt_spec(2.0, 1, rf.PDE_NORMALIZED)
+            grid = rf.Grid.cartesian(512, rf.support_radius(spec) * 2.0 ** (1.0 / 3.0) * 2.6)
+            f0, p = rf.compact_two_bump(grid, seed=11), 2.0
+            monkeypatch.setattr(solver, "SELF_SIMILAR_RATE", math.inf)
+        params = rf.DiffusionParams(p, f0.grid.dim, 1.0, 1.5, snapshot_count=5)
+        run = rf.evolve(f0, params, with_dissipation=True)
+        assert run.fields[-1].grid != f0.grid  # the march ran in y
+        for fld, got in zip(run.fields, run.snapshots, strict=True):
+            want = rf.snapshot(fld, p, t=got.t, with_dissipation=True)
+            assert got.t == want.t and got.e_p is not None and got.d_p is not None
+            for column in ("mass", "e_p", "h_p", "n_p", "f_p", "i_p", "d_p", "upsilon"):
+                assert getattr(got, column) == pytest.approx(getattr(want, column),
+                                                             rel=1e-12), column
+
     def test_frame_choice(self):
         # the Barenblatt goes to y; a run from t = 0, where log t is undefined, and a
         # p > 1 mixture whose thin tail at the wall the drift would drain stay in x

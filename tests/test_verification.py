@@ -302,6 +302,12 @@ class TestBarenblattConvergence:
         with pytest.raises(InsufficientData):
             rf.barenblatt_convergence(short, 2.0, 1)
 
+    def test_run_from_zero_has_no_self_similar_frame(self):
+        f0 = rf.sample_mixture(rf.Grid.cartesian(256, 8.0), seed=1)
+        run = rf.evolve(f0, rf.DiffusionParams(2.0, 1, 0.0, 0.05, snapshot_count=3))
+        with pytest.raises(DomainError, match="^rescaling time must be positive$"):
+            rf.rescaled_l1_distances(run, 2.0, 1)
+
 
 class TestSobolevCheck:
     def test_extremal_and_bumps(self):

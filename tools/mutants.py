@@ -79,6 +79,9 @@ MUTANTS = [
      "return np.subtract(self.flux_lo, self.flux_hi, out=self.div)"),
     ("drift's upwind side flipped", "solver.py",
      "np.greater(mob, against, out=up)", "np.less(mob, against, out=up)"),
+    ("N_p's dilation law a^-mu", "functionals.py", "s.n_p * a ** mu", "s.n_p * a ** -mu"),
+    ("H_p's dilation shift negated", "functionals.py",
+     "s.h_p + n * math.log(a)", "s.h_p - n * math.log(a)"),
     ("pressure mask not eroded from the left", "functionals.py",
      "eroded[1:] &= positive[:-1]", "pass"),
     ("second differences halved", "verification.py",
