@@ -7,7 +7,7 @@ from renyiflow import solver
 
 def record_marches(monkeypatch):
     """Wrap the explicit `solver.step` and `_Kernel.implicit_advance`; returns the list of
-    (march, t, dt used, ratio) of every step, ratio the accepted step's local-error
+    (march, t, dt used, ratio) of every step (of a kernel's first block), ratio the accepted step's local-error
     estimate over its tolerance (0 for an explicit step, and for an implicit one before
     three levels or outside evolve)."""
     record, ratios = [], []
@@ -15,7 +15,7 @@ def record_marches(monkeypatch):
 
     def local_error(self, *args):
         error = real_error(self, *args)
-        ratios.append(error / self.error_tol)
+        ratios.append(float(error[0] / self.error_tol[0]))
         return error
 
     monkeypatch.setattr(solver._Kernel, "_local_error", local_error)
@@ -29,7 +29,8 @@ def record_marches(monkeypatch):
     def implicit(self, dt, t):
         ratios.clear()
         out = real_implicit(self, dt, t)
-        record.append(("implicit_advance", t, out[0], ratios[-1] if ratios else 0.0))
+        record.append(("implicit_advance", float(np.ravel(t)[0]), float(out[0][0]),
+                       ratios[-1] if ratios else 0.0))
         return out
 
     monkeypatch.setattr(solver, "step", explicit)

@@ -44,7 +44,8 @@ def _unsettled(monkeypatch):
     evolve gives it (`test_unsettled_linearization_raises` reaches that failure through
     an input)."""
     def advance(kernel, dt, t):
-        raise StabilityError(f"implicit step at t = {t}: linearization did not settle")
+        raise solver._failure({b: f"implicit step at t = {at}: linearization did not settle"
+                               for b, at in enumerate(t)})
 
     monkeypatch.setattr(solver._Kernel, "implicit_advance", advance)
 
@@ -802,16 +803,20 @@ class TestSweepCommand:
 
     def test_parallel_workers_match_serial(self, tmp_path):
         # p = 1 sizes its domain for the heat kernel at t_end = 0.02 (radius 5.6), which
-        # cuts the mixture's tails; p >= 1.5 keeps the mixture's radius of 10
-        args = ["sweep", "--p", "1,1.5,2", "--dim", "1", "--seeds", "1",
+        # cuts the mixture's tails; p >= 1.5 keeps the mixture's radius of 10.  The
+        # workers take the groups of one p, each marching its two seeds together
+        args = ["sweep", "--p", "1,1.5,2", "--dim", "1", "--seeds", "2",
                 "--nodes", "256", "--t-start", "0.01", "--t-end", "0.02", "--snapshots", "3"]
         with pytest.warns(BoundaryLeakWarning):
             main(args + ["--workers", "1", "--out", str(tmp_path / "serial")])
         main(args + ["--workers", "2", "--out", str(tmp_path / "par")])  # warns in a worker
-        a = next((tmp_path / "serial").glob("exp-*/sweep.csv")).read_bytes()
-        b = next((tmp_path / "par").glob("exp-*/sweep.csv")).read_bytes()
-        assert a == b
-        header, *rows = a.decode().splitlines()
+        (serial,), (par,) = ((tmp_path / run).glob("exp-*") for run in ("serial", "par"))
+        files = sorted(path.relative_to(serial) for path in serial.rglob("*") if path.is_file())
+        assert len(files) == 1 + 2 * 6  # sweep.csv, and each row's snapshots and verdicts
+        assert files == sorted(path.relative_to(par) for path in par.rglob("*") if path.is_file())
+        for name in files:
+            assert (serial / name).read_bytes() == (par / name).read_bytes(), name
+        header, *rows = (serial / "sweep.csv").read_text().splitlines()
         assert header == "p,n,seed,passed,error,edge_mass"
         edge = {row.split(",")[0]: float(row.split(",")[5]) for row in rows}
         assert edge["1.0"] > DOMAIN_TOL >= max(edge["1.5"], edge["2.0"])
@@ -862,7 +867,7 @@ class TestSweepCommand:
         def degenerate(cfg):
             raise DegenerateError("D_p vanishes")
 
-        monkeypatch.setattr(cli, "_run", degenerate)
+        monkeypatch.setattr(cli, "_datum", degenerate)
         row = cli._sweep_row((2.0, 1, 0, 64, 1.0, 1.1, 3, None))
         assert (row["passed"], row["error"], row["edge_mass"]) == (False, "D_p vanishes", "")
 
@@ -879,7 +884,7 @@ class TestSweepCommand:
 
         names = []
         monkeypatch.setattr(cli, "_default_radius", lambda *args: 10.0)
-        monkeypatch.setattr(cli, "_run", record)
+        monkeypatch.setattr(cli, "_datum", record)
         assert cli._sweep_row((p, n, 0, 64, 1.0, 1.01, 2, None))["error"] == "recorded"
         assert names == ["concavity", "upsilon"] + ["isoperimetric"] * defined
 
@@ -897,6 +902,110 @@ class TestSweepCommand:
         assert code == 1
         assert "select no run" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_rows_march_together_bitwise_their_evolve_runs(self, tmp_path, monkeypatch):
+        # two p, both dims, three seeds: each p's rows march as the blocks of one kernel
+        # per frame (the p = 1, n = 3, seed 2 row in y, the others in x), and each row's
+        # snapshots, steps and rejections are its own `evolve --seed` run's, bit for bit
+        common = ["--nodes", "512", "--t-end", "1.15", "--snapshots", "7"]
+        marched, real = [], cli._march
+
+        def march(data):
+            marched.extend(real(data))
+            return marched[-len(data):]
+
+        monkeypatch.setattr(cli, "_march", march)
+        assert main(["sweep", "--p", "1,2", "--dim", "1,3", "--seeds", "3", *common,
+                     "--out", str(tmp_path / "sweep")]) == 0
+        monkeypatch.undo()
+        (sweep,) = (tmp_path / "sweep").glob("exp-*")
+        rows = [(p, n, seed) for p in (1.0, 2.0) for n in (1, 3) for seed in range(3)]
+        assert len(marched) == len(rows)
+        for (p, n, seed), result in zip(rows, marched):
+            out = tmp_path / f"evolve-{p}-{n}-{seed}"
+            assert main(["evolve", "--p", str(p), "--dim", str(n), "--seed", str(seed),
+                         *common, "--out", str(out)]) == 0
+            (run,) = out.glob("exp-*")
+            meta = json.loads((run / "run_meta.json").read_text())
+            row = sweep / f"row-p{p}-n{n}-s{seed}"
+            assert (row / "snapshots.csv").read_bytes() == (run / "snapshots.csv").read_bytes()
+            assert (result.step_count, result.rejection_count) == (meta["steps"], meta["rejections"])
+            assert (result.fields.marched[-1][2] > 0.0) == ((p, n, seed) == (1.0, 3, 2))  # in y
+
+    def test_groups_build_one_probe_kernel_and_plan(self, tmp_path, monkeypatch):
+        # the benchmark's sweep_mixed argv: one probe kernel per p, one march kernel and
+        # plan per p and frame (p = 1 has a row in y), and 179 grouped steps for the
+        # 24 rows' 595
+        kernels, plans = [], []
+        real_kernel, real_plan = solver._Kernel.__init__, solver._ReductionPlan.__init__
+        steps, real_step = [], solver._Kernel.implicit_advance
+
+        def kernel(k, grids, *args):
+            real_kernel(k, grids, *args)
+            kernels.append((k, len(grids)))
+
+        def plan(pl, n, blocks=1):
+            plans.append(blocks)
+            real_plan(pl, n, blocks)
+
+        def step(k, dt, t):
+            steps.append(k.blocks)
+            return real_step(k, dt, t)
+
+        monkeypatch.setattr(solver._Kernel, "__init__", kernel)
+        monkeypatch.setattr(solver._ReductionPlan, "__init__", plan)
+        monkeypatch.setattr(solver._Kernel, "implicit_advance", step)
+        argv = ["sweep", "--p", "0.8,1.0,1.5,2.0", "--dim", "1,3", "--seeds", "3",
+                "--nodes", "512", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        probes = [blocks for k, blocks in kernels if k.plan is None]  # the probes never step
+        marches = [blocks for k, blocks in kernels if k.plan is not None]
+        assert (probes, marches, plans) == ([6, 6, 6, 6], [6, 5, 1, 6, 6], [6, 5, 1, 6, 6])
+        assert (len(steps), sum(steps)) == (179, 595)
+
+    def test_failed_row_leaves_the_others_bitwise(self, tmp_path, monkeypatch):
+        # the p = 2, n = 1, seed 1 block fails in its group's third step, the seed 2 block
+        # fails as it enters its first interval, before the group's first step, and the
+        # seed 1 row of n = 3 is refused before it marches; the other rows are laid end to
+        # end again, start from their own first steps and keep the bytes of a sweep where
+        # nothing failed
+        args = ["sweep", "--p", "2", "--dim", "1,3", "--seeds", "3", "--nodes", "256",
+                "--t-end", "1.1", "--snapshots", "5"]
+        assert main(args + ["--out", str(tmp_path / "whole")]) == 0
+        calls, real_step, real_field = [], solver._Kernel.implicit_advance, cli._initial_field
+        real_enter = solver._Run.enter
+
+        def enter(run, kernel, b):
+            if run.index == 2:  # the n = 1, seed 2 row
+                raise DomainError("injected at entry")
+            real_enter(run, kernel, b)
+
+        def step(kernel, dt, t):
+            calls.append(1)
+            if len(calls) == 3:  # origin 1: the n = 1, seed 1 row
+                b = kernel.origins.index(1)
+                raise solver._failure({b: f"implicit step at t = {t[b]}: injected"})
+            return real_step(kernel, dt, t)
+
+        def initial_field(kind, grid, p, t_start, seed):
+            f0 = real_field(kind, grid, p, t_start, seed)
+            return rf.DensityField(grid, 2.0 * f0.values) if (grid.dim, seed) == (3, 1) else f0
+
+        monkeypatch.setattr(solver._Kernel, "implicit_advance", step)
+        monkeypatch.setattr(solver._Run, "enter", enter)
+        monkeypatch.setattr(cli, "_initial_field", initial_field)
+        assert main(args + ["--out", str(tmp_path / "failed")]) == 3
+        (whole,), (failed,) = ((tmp_path / run).glob("exp-*") for run in ("whole", "failed"))
+        lines = (failed / "sweep.csv").read_text().splitlines()
+        assert lines[2].startswith("2.0,1,1,false,stability: implicit step at t = 1.0")
+        assert lines[2].endswith(": injected,")
+        assert lines[3].startswith("2.0,1,2,false,injected at entry,")
+        assert lines[5].startswith("2.0,3,1,false,initial mass must be 1 within 1e-6; got 2.0")
+        assert sorted(path.name for path in failed.iterdir()) == [
+            "row-p2.0-n1-s0", "row-p2.0-n3-s0", "row-p2.0-n3-s2", "sweep.csv"]
+        for row in ("row-p2.0-n1-s0", "row-p2.0-n3-s0", "row-p2.0-n3-s2"):
+            for name in ("snapshots.csv", "verdicts.txt"):
+                assert (failed / row / name).read_bytes() == (whole / row / name).read_bytes()
 
     def test_row_is_the_evolve_run(self, tmp_path):
         # a sweep row and `evolve` share one run path: same datum, grid and march

@@ -20,9 +20,14 @@ def make_state(field, t=1.0):
     return SolverState(t=t, grid=field.grid, values=field.values.copy())
 
 
+def _kernel(grid, p, values, drift=None):
+    """A kernel of one block: the datum values on grid, with the drift if given."""
+    return solver._Kernel([grid], p, [values], None if drift is None else [drift])
+
+
 def _mass_step(kernel):
     """The step that moves 0.2% of the mass now, 2e-3 / ||u_t||_1."""
-    return 2e-3 / kernel.speed()
+    return 2e-3 / float(kernel.speed()[0])
 
 
 class TestStep:
@@ -109,9 +114,21 @@ class TestKernelSetUp:
             conductance, coupling, max_rate = terms
             assert np.array_equal(conductance, grid.face_areas()[1:-1] / grid.spacing)
             assert max_rate == _max_rate(grid)
+            saved = conductance.copy(), coupling.copy()
             for p in (2.0, 0.8):
-                kernel = solver._Kernel(grid, p, values)
-                assert kernel.conductance is conductance and kernel.coupling is coupling
+                # a kernel of one block reads the grid's own node terms; its conductances
+                # are a copy, which holds each block's closing face too
+                kernel = _kernel(grid, p, values)
+                assert np.shares_memory(kernel.coupling, coupling)
+                assert np.shares_memory(kernel.weights, grid.weights())
+                assert np.array_equal(kernel.conductance, conductance)
+                # blocks copy the terms into their own buffers, which `keep` rewrites
+                kernel = solver._Kernel([grid, grid], p, [values, 0.5 * values])
+                kernel.keep([1])
+                assert not np.shares_memory(kernel.coupling, coupling)
+                assert np.array_equal(kernel.conductance, conductance)
+                assert np.array_equal(kernel.coupling, coupling)
+            assert all(np.array_equal(a, b) for a, b in zip((conductance, coupling), saved))
             for array in (conductance, coupling):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
@@ -450,9 +467,9 @@ def _record_interpolants(monkeypatch, record):
     every snapshot evolve reads."""
     reads, real = [], solver._Kernel.interpolant
 
-    def interpolant(self, back):
+    def interpolant(self, back, b=0):
         reads.append((len(record), back))
-        return real(self, back)
+        return real(self, back, b)
 
     monkeypatch.setattr(solver._Kernel, "interpolant", interpolant)
     return reads
@@ -479,10 +496,10 @@ class TestKernelMatchesReference:
         assert all(f.grid == f0.grid for f in run.fields)
         assert run.step_count == len(record) == steps and run.rejection_count == 0
         assert any(back for _, back in reads)  # some snapshots lie inside a step
-        kernel, taken = solver._Kernel(f0.grid, p, f0.values), 0
+        kernel, taken = _kernel(f0.grid, p, f0.values), 0
         for (after, back), got, t in zip(reads, run.fields[1:], params.times()[1:], strict=True):
             for _, start, dt, _ in record[taken:after]:
-                assert kernel.implicit_advance(dt, start) == (dt, 0)
+                assert kernel.implicit_advance(dt, start) == ([dt], [0])
             taken, (_, start, dt, _) = after, record[after - 1]
             assert 0.0 <= back < dt and start + dt - back == pytest.approx(t, rel=1e-14)
             assert got.values.tobytes() == kernel.interpolant(back).tobytes()
@@ -606,10 +623,10 @@ class TestImplicitFastDiffusion:
 
     def test_undershooting_solve_halves_dt(self, monkeypatch):
         f0, params = _mixture_case("radial3", 0.8, (1.5, 3.0))
-        kernel = solver._Kernel(f0.grid, 0.8, f0.values)
+        kernel = _kernel(f0.grid, 0.8, f0.values)
         dt = 4.0 * _mass_step(kernel)
         _count_solves(monkeypatch, f0.grid.node_count, undershoot_first=True)
-        dt_used, rejections = kernel.implicit_advance(dt, 1.0)
+        (dt_used,), (rejections,) = kernel.implicit_advance(dt, 1.0)
         assert rejections == 1 and dt_used == dt / 2
         w = f0.grid.weights()
         assert abs(float(w @ kernel.u) - 1.0) <= 1e-14
@@ -617,6 +634,48 @@ class TestImplicitFastDiffusion:
         _count_solves(monkeypatch, f0.grid.node_count, undershoot_first=True)
         with pytest.raises(StabilityError):
             kernel.implicit_advance(dt, 1.0)
+
+    def test_retry_after_undershoot_reads_the_starting_max(self, monkeypatch):
+        # a BDF2 step from a draining cell (u = 0 there, u_prev > 0) whose first solve
+        # comes back nan, an undershoot: its retry at dt / 2 still extrapolates below 0
+        # there, so it is backward Euler by max(u) at the step's start, not the rejected
+        # trial's (nan, which no base is below), and it is that step taken afresh
+        eulers, real = [], solver._Kernel._local_error
+
+        def local_error(kernel, dt, theta, euler):
+            eulers.append(euler[0])
+            return real(kernel, dt, theta, euler)
+
+        def kernel_and_step():
+            grid = rf.Grid.cartesian(128, 8.0)
+            f0 = rf.sample_barenblatt(grid, 2.0, 1.0, normalize=True)
+            kernel = _kernel(grid, 2.0, f0.values)
+            dt = _mass_step(kernel)
+            for k in range(2):
+                kernel.implicit_advance(dt, 1.0 + k * dt)
+            kernel.u_prev[0] = kernel.umax[0]  # the first cell, empty now, drains
+            assert kernel.u[0] == 0.0
+            eulers.clear()
+            return kernel, dt
+
+        monkeypatch.setattr(solver._Kernel, "_local_error", local_error)
+        fresh, dt = kernel_and_step()
+        assert fresh.implicit_advance(0.5 * dt, 1.0 + 2.0 * dt) == ([0.5 * dt], [0])
+        assert eulers == [True]
+        kernel, dt = kernel_and_step()
+        solve, solves = kernel.plan.solve, []
+
+        def nan_first():
+            x = solve()
+            solves.append(1)
+            if len(solves) == 1:
+                x[:] = math.nan
+            return x
+
+        kernel.plan.solve = nan_first
+        assert kernel.implicit_advance(dt, 1.0 + 2.0 * dt) == ([0.5 * dt], [1])
+        assert eulers == [True, True]  # the rejected try, then the retry
+        assert kernel.u.tobytes() == fresh.u.tobytes() and kernel.umax == fresh.umax
 
     def test_start_independent_of_grid_stiffness(self):
         # the first implicit step reads the flow's acceleration, which converges with
@@ -626,7 +685,7 @@ class TestImplicitFastDiffusion:
         for nodes in (384, 1536):
             grid = rf.Grid.radial(3, nodes, 66.0)
             f0 = rf.sample_barenblatt(grid, 0.8, 1.0, normalize=True)
-            starts.append(solver._Kernel(grid, 0.8, f0.values).starting_dt(1e-6))
+            starts.append(_kernel(grid, 0.8, f0.values).starting_dt(1e-6)[0])
         assert starts[1] == pytest.approx(starts[0], rel=0.05)
 
     @pytest.mark.filterwarnings("ignore::renyiflow.errors.BoundaryLeakWarning")
@@ -730,9 +789,9 @@ class TestReductionPlan:
     def test_built_on_the_first_implicit_step_only(self, monkeypatch):
         built, real = [], solver._ReductionPlan.__init__
 
-        def init(plan, n):
+        def init(plan, n, *args):
             built.append(n)
-            real(plan, n)
+            real(plan, n, *args)
 
         kernels, real_kernel = [], solver._Kernel.__init__
 
@@ -757,14 +816,14 @@ class TestReductionPlan:
             rf.evolve(datum, params)
             assert built == [256] and len(kernels) == 2
             assert [k.work is not None for k in kernels] == [False, True]
-            assert kernels[0].drift > 0.0 and (kernels[1].drift > 0.0) == (datum is source)
+            assert kernels[0].drift[0] > 0.0 and (kernels[1].drift[0] > 0.0) == (datum is source)
         # from t = 0 there is no frame to choose: the march's kernel alone
         built.clear()
         kernels.clear()
         rf.evolve(f0, replace(params, t_start=0.0))
         assert built == [256] and len(kernels) == 1 and kernels[0].work is not None
         built.clear()
-        kernel = solver._Kernel(grid, 2.0, f0.values)
+        kernel = _kernel(grid, 2.0, f0.values)
         works = []
         for _ in range(2):
             kernel.implicit_advance(_mass_step(kernel), 1.0)
@@ -778,10 +837,10 @@ def _implicit_march(f0, p, first, longest, t_end):
     doubling up to `longest` (evolve instead starts from `starting_dt` and sizes each
     step by its local error).  Returns the kernel, the time reached and the fields, f0's
     first."""
-    kernel = solver._Kernel(f0.grid, p, f0.values)
+    kernel = _kernel(f0.grid, p, f0.values)
     dt, t, fields = first, 1.0, [kernel.u.copy()]
     while t < t_end:
-        dt_used, _ = kernel.implicit_advance(min(dt, longest), t)
+        dt_used = float(kernel.implicit_advance(min(dt, longest), t)[0][0])
         t += dt_used
         dt = 2.0 * dt_used
         fields.append(kernel.u.copy())
@@ -810,7 +869,7 @@ class TestImplicitPorousMedium:
         f0 = (rf.compact_two_bump(grid, seed=seed) if compact else
               rf.sample_mixture(grid, seed=seed, mean_range=(0.0, 2.0), var_range=(0.2, 0.5)))
         first = cfl_dt(f0, rf.DiffusionParams(p=p, dim=grid.dim, t_start=1.0, t_end=1.1))
-        longest = _mass_step(solver._Kernel(grid, p, f0.values))
+        longest = _mass_step(_kernel(grid, p, f0.values))
         kernel, t_end, fields = _implicit_march(f0, p, first, longest, t_end=1.1)
         w = grid.weights()
         m0 = float(w @ f0.values)
@@ -884,7 +943,7 @@ def _newton_solve(kernel, base, theta, conductance, coupling, drift=None):
     """Newton on u'^p; with drift = (open faces, upper cell upwind, share) the drift's
     upwind term share u'_up joins the flux, its share frozen as the step freezes it."""
     p, w, eps = kernel.p, kernel.weights, solver.EPS
-    u = kernel.u if p > 1.0 else np.maximum(kernel.u, eps * kernel.umax)
+    u = kernel.u if p > 1.0 else np.maximum(kernel.u, eps * kernel.umax[0])
     if drift is not None:
         is_open, up, share = drift
         conductance = conductance * is_open
@@ -917,23 +976,25 @@ def _drift_divergence(hi, lo, u):
 
 
 def _newton_implicit_advance(kernel, dt, t, grid):
+    """The oracle's step of a kernel of one block, in place of its `implicit_advance`."""
     conductance, coupling = _operator(grid)
-    p, floor = kernel.p, kernel._floor()  # the step's floor of g
+    p, floor = kernel.p, kernel._floor()[0]  # the step's floor of g
     rejections = 0
     while True:
         if kernel.u_prev is None:
             base, theta, g = kernel.u, dt, kernel.u
         else:
-            omega = dt / kernel.dt_prev
+            omega = dt / kernel.dt_prev[0]
             scale = 1.0 + 2.0 * omega
             base = ((1.0 + omega) ** 2 * kernel.u - omega * omega * kernel.u_prev) / scale
             theta = dt * (1.0 + omega) / scale
             g = kernel.u + omega * (kernel.u - kernel.u_prev)
-            if base.min() < -NEGATIVITY_SLACK * kernel.umax:
+            if base.min() < -NEGATIVITY_SLACK * kernel.umax[0]:
                 base, theta, g = kernel.u, dt, kernel.u  # the step's backward-Euler fallback
         drift = None
-        if kernel.drift:  # the upwind side and share at the step's extrapolation g
-            _, up, share, is_open = _self_similar_faces(np.maximum(g, floor), p, grid, kernel.drift)
+        if kernel.drift[0]:  # the upwind side and share at the step's extrapolation g
+            _, up, share, is_open = _self_similar_faces(np.maximum(g, floor), p, grid,
+                                                        kernel.drift[0])
             drift = (is_open, up, share)
         u = _newton_solve(kernel, base, theta, conductance, coupling, drift)
         if u is not None:
@@ -950,9 +1011,9 @@ def _newton_implicit_advance(kernel, dt, t, grid):
     np.maximum(new, 0.0, out=new)
     # the kernel's three levels, which evolve's snapshots are interpolated from
     kernel.u_prev2, kernel.dt_prev2 = kernel.u_prev, kernel.dt_prev
-    kernel.u_prev, kernel.dt_prev = kernel.u, dt
-    kernel.u, kernel.umax = new, float(umax)
-    return dt, rejections
+    kernel.u_prev, kernel.dt_prev = kernel.u, [dt]
+    kernel.u, kernel.umax = new, [float(umax)]
+    return [dt], [rejections]
 
 
 def _implicit_cases():
@@ -1060,7 +1121,7 @@ class TestLinearlyImplicitStep:
         # the grid, a cell per solve, so the step relinearizes once per node, then gives up
         spike = np.zeros(64)
         spike[0] = 1.0
-        kernel = solver._Kernel(rf.Grid.cartesian(64, 1.0), 2.0, spike)
+        kernel = _kernel(rf.Grid.cartesian(64, 1.0), 2.0, spike)
         calls = _count_solves(monkeypatch, 64)
         with pytest.raises(StabilityError) as raised:
             kernel.implicit_advance(100.0, 1.0)
@@ -1222,9 +1283,9 @@ class TestOneMarch:
         # are kernels on the x-grid, and no field is dilated
         grids, rescaled, real = [], [], solver._Kernel.__init__
 
-        def kernel_init(kernel, grid, *args):
-            grids.append(grid)
-            real(kernel, grid, *args)
+        def kernel_init(kernel, grids_, *args):
+            grids.extend(grids_)
+            real(kernel, grids_, *args)
 
         monkeypatch.setattr(solver._Kernel, "__init__", kernel_init)
         monkeypatch.setattr(solver, "rescale", lambda *args: rescaled.append(args))
@@ -1254,13 +1315,13 @@ class TestLocalErrorEstimate:
             fields = _implicit_march(f0, 0.8, h, h, 1.0 + last * h)[2]
             levels[sub] = [fields[j * sub] for j in (1, 2, 3)] + [fields[last]]
         exact = levels[128]
-        kernel = solver._Kernel(grid, 0.8, exact[2])
+        kernel = _kernel(grid, 0.8, exact[2])
         for _ in range(2):
             kernel.implicit_advance(step, 1.0)  # makes the step's buffers and history
         for level, value in zip((kernel.u_prev2, kernel.u_prev, kernel.u), exact):
             np.copyto(level, value)
-        kernel.dt_prev = kernel.dt_prev2 = step
-        kernel.umax, kernel.error_tol = float(exact[2].max()), 1.0  # 1.0: no rejection
+        kernel.dt_prev, kernel.dt_prev2 = [step], [step]
+        kernel.umax, kernel.error_tol = [float(exact[2].max())], [1.0]  # 1.0: no rejection
         estimates, real = [], solver._Kernel._local_error
 
         def local_error(k, *args):
@@ -1272,40 +1333,42 @@ class TestLocalErrorEstimate:
             kernel.implicit_advance(omega * step, 1.0 + 3.0 * step)
         true = float(w @ np.abs(kernel.u - exact[3]))
         assert float(w @ np.abs(levels[64][3] - exact[3])) <= 0.1 * true
-        assert 0.5 * true <= estimates[-1] <= 2.0 * true
+        assert 0.5 * true <= estimates[-1][0] <= 2.0 * true
 
     def test_rejected_step_retries_at_the_controllers_factor(self, monkeypatch):
         # three levels at the step that moves 0.2% of the mass, then a step eight times as
         # long against a tolerance of 1e-12: its estimate is far above it, and so is the
         # first retry's (observed: 2 rejections, no undershoot)
         grid = rf.Grid.cartesian(256, 8.0)
-        kernel = solver._Kernel(grid, 1.5, rf.sample_mixture(grid, seed=4).values)
+        kernel = _kernel(grid, 1.5, rf.sample_mixture(grid, seed=4).values)
         step = _mass_step(kernel)
         for k in range(2):
             kernel.implicit_advance(step, 1.0 + k * step)
-        kernel.error_tol = 1e-12
+        tol = 1e-12
+        kernel.error_tol = [tol]
         tries, real = [], solver._Kernel._local_error
 
         def local_error(k, dt, *args):
-            tries.append((dt, real(k, dt, *args)))
-            return tries[-1][1]
+            error = real(k, dt, *args)
+            tries.append((float(dt[0]), float(error[0])))
+            return error
 
         monkeypatch.setattr(solver._Kernel, "_local_error", local_error)
-        dt, rejections = kernel.implicit_advance(8.0 * step, 1.0 + 2.0 * step)
+        (dt,), (rejections,) = kernel.implicit_advance(8.0 * step, 1.0 + 2.0 * step)
         assert rejections == len(tries) - 1 >= 1 and (tries[0][0], tries[-1][0]) == (8.0 * step, dt)
         for (dt_tried, error), (retry, _) in zip(tries, tries[1:]):
-            assert error > kernel.error_tol
-            assert retry == dt_tried * (0.9 * (kernel.error_tol / error) ** (1.0 / 3.0))
-        assert tries[-1][1] <= kernel.error_tol
+            assert error > tol
+            assert retry == dt_tried * (0.9 * (tol / error) ** (1.0 / 3.0))
+        assert tries[-1][1] <= tol
 
 
 def _kernel_with_levels(levels, h1, h2):
     """A p = 2 kernel on an 8-node grid whose last three levels are given by hand,
     oldest first, with the steps h2 and then h1 between them."""
     grid = rf.Grid.cartesian(8, 4.0)
-    kernel = solver._Kernel(grid, 2.0, levels[-1])
+    kernel = _kernel(grid, 2.0, levels[-1])
     kernel.u_prev2, kernel.u_prev, kernel.u = (np.array(v, dtype=float) for v in levels)
-    kernel.dt_prev, kernel.dt_prev2 = h1, h2
+    kernel.dt_prev, kernel.dt_prev2 = [h1], [h2]
     return kernel
 
 
@@ -1320,7 +1383,8 @@ class TestInterpolant:
                   [1.8, 2.2, 1.5, 1.3, 0.7, 0.3, 0.2, 0.1])
         h1, h2, back = 0.3, 0.2, 0.1
         kernel = _kernel_with_levels(levels, h1, h2)
-        assert kernel.interpolant(0.0) is kernel.u  # a landing reads the level itself
+        landing = kernel.interpolant(0.0)  # a landing reads the level itself
+        assert np.shares_memory(landing, kernel.u) and landing.tobytes() == kernel.u.tobytes()
         nodes, s = (-h1 - h2, -h1, 0.0), -back
         want = sum(np.array(level) * math.prod((s - b) / (a - b) for b in nodes if b != a)
                    for level, a in zip(levels, nodes))
@@ -1417,13 +1481,13 @@ class TestSelfSimilarFrame:
         # so it carries no flux, and the field moves only by rounding
         grid = rf.Grid.cartesian(2048, cli._default_radius(2.0, 1, 3.0, "barenblatt"))
         f0 = rf.sample_barenblatt(grid, 2.0, 1.0, normalize=True)
-        kernel = solver._Kernel(grid, 2.0, f0.values, drift=1.0 / 3.0)
-        moved = kernel.speed()
+        kernel = _kernel(grid, 2.0, f0.values, drift=1.0 / 3.0)
+        (moved,) = kernel.speed()
         empty = f0.values == 0.0
         upwind_empty = np.where(kernel.up, empty[1:], empty[:-1])
         assert np.array_equal(kernel.closed, upwind_empty)
         assert np.array_equal(kernel.closed, empty[1:] | empty[:-1])  # the edge faces too
-        assert moved <= 1e-6 * solver._Kernel(grid, 2.0, f0.values).speed()
+        assert moved <= 1e-6 * _kernel(grid, 2.0, f0.values).speed()[0]
         params = rf.DiffusionParams(p=2.0, dim=1, t_start=1.0, t_end=3.0, snapshot_count=33)
         run = rf.evolve(f0, params)
         assert run.rejection_count == 0 and run.step_count == 6
@@ -1437,9 +1501,9 @@ class TestSelfSimilarFrame:
         f0 = rf.compact_two_bump(grid, seed=11)
         euler_after_first, real = [], solver._Kernel._local_error
 
-        def local_error(kernel, dt, theta, gap, euler):
-            euler_after_first.append(euler and kernel.u_prev is not None)
-            return real(kernel, dt, theta, gap, euler)
+        def local_error(kernel, dt, theta, euler):
+            euler_after_first.append(euler[0] and kernel.u_prev is not None)  # one block
+            return real(kernel, dt, theta, euler)
 
         monkeypatch.setattr(solver, "SELF_SIMILAR_RATE", math.inf)
         monkeypatch.setattr(solver._Kernel, "_local_error", local_error)
