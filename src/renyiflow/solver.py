@@ -299,8 +299,8 @@ class _Kernel:
         return a if self.blocks == 1 else a.reshape(self.blocks, self.n)
 
     def _per_block(self, reduce, a: np.ndarray) -> list:
-        """reduce (a ufunc's) of the node array a over each block, as floats: of each
-        (B, N) row, bitwise the reduction of that block alone."""
+        """reduce (a ufunc's) of the node array a over each block, as Python numbers:
+        of each (B, N) row, bitwise the reduction of that block alone."""
         if self.blocks == 1:
             return [float(reduce(a))]
         return reduce(a.reshape(self.blocks, self.n), axis=1).tolist()
@@ -580,7 +580,7 @@ class _Kernel:
                                                                     out=self.div))
                     defect[at] = 0.0
                     moved = np.abs(np.subtract(new, u, out=scratch), out=scratch)
-                    nears = self._per_block(np.logical_or.reduce, front)  # 1.0: a front node
+                    nears = self._per_block(np.logical_or.reduce, front)  # has a front node
                     for b in (b for b, near in enumerate(nears) if near):
                         misplaced = theta[b] * defects[b]
                         done[b] = undershoot[b] or misplaced <= LINEARIZATION_TOL * float(
@@ -595,7 +595,7 @@ class _Kernel:
                 raise _failure({b: f"implicit step at t = {_each(t, blocks)[b]}: linearization "
                                    "did not settle" for b in range(blocks) if not done[b]})
             errors = self._local_error(dt, theta, euler)
-            factor, rejected = [0.5] * blocks, undershoot
+            factor, rejected = [0.5] * blocks, list(undershoot)
             for b, (error, tol) in enumerate(zip(errors, self.error_tol)):
                 if not undershoot[b]:
                     factor[b] = 2.0  # the controller: 0.9 (error_tol / error)^(1/3), at most 2
