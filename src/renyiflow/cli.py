@@ -36,7 +36,7 @@ from .reporting import (
     write_snapshots,
     write_verdicts,
 )
-from .solver import _ROW_ERRORS, DOMAIN_TOL, DiffusionParams, _march, evolve
+from .solver import DOMAIN_TOL, DiffusionParams, evolve
 from .verification import CHECKS, require_snapshots, run_checks, validate_checks
 
 EXIT_OK = 0
@@ -289,22 +289,16 @@ def _requested_checks(args, raw: str,
     return names, tols
 
 
-def _datum(cfg: dict, f0=None) -> tuple:
-    """The datum (f0 if given), params and with_dissipation of the run an evolve cfg
-    describes: `solver.evolve`'s arguments."""
+def _run(cfg: dict, f0=None):
+    """The result and checks of the run an evolve cfg describes, from f0 if given."""
     p, dim = cfg["p"], cfg["dim"]
     params = DiffusionParams(p=p, dim=dim, t_start=cfg["t_start"], t_end=cfg["t_end"],
                              snapshot_count=cfg["snapshots"])
     if f0 is None:
         f0 = _initial_field(cfg["initial"], _grid(dim, cfg["nodes"], cfg["radius"]), p,
                             cfg["t_start"], cfg["seed"])
-    return f0, params, "dissipation" in cfg["verify"]
-
-
-def _run(cfg: dict, f0=None):
-    """The result and checks of the run an evolve cfg describes, from f0 if given."""
-    result = evolve(*_datum(cfg, f0))
-    checks = run_checks(cfg["verify"], result.snapshots, cfg["p"], cfg["dim"], cfg["tols"])
+    result = evolve(f0, params, with_dissipation="dissipation" in cfg["verify"])
+    checks = run_checks(cfg["verify"], result.snapshots, p, dim, cfg["tols"])
     return result, checks
 
 
@@ -373,48 +367,29 @@ def run_verify(args) -> int:
 # ---------------------------------------------------------------- sweep
 
 def _sweep_row(job: tuple) -> dict:
-    """The sweep row of job, a group of one (`_sweep_group`)."""
-    return _sweep_group([job])[0]
-
-
-def _sweep_group(jobs: list[tuple]) -> list[dict]:
-    """The sweep rows of jobs, which share p: their runs march together (`solver._march`,
-    which steps the runs of one frame and node count as one kernel), and each row's
-    datum, result, checks, error and artifacts are its own, as its `evolve` run's."""
-    rows, runs = [], []
-    for p, dim, seed, nodes, t_start, t_end, snapshots, outdir in jobs:
-        rows.append({"p": p, "dim": dim, "seed": seed, "passed": False, "edge_mass": ""})
-        names = ["concavity", "upsilon"]
-        if analytic._has_second_moment(p, dim):
-            names.append("isoperimetric")
-        try:
-            cfg = {"p": p, "dim": dim, "nodes": nodes,
-                   "radius": _default_radius(p, dim, t_end, "mixture"), "t_start": t_start,
-                   "t_end": t_end, "snapshots": snapshots, "initial": "mixture", "seed": seed,
-                   "verify": names, "tols": {}}
-            runs.append((rows[-1], cfg, outdir, _datum(cfg)))
-        except _ROW_ERRORS as err:
-            rows[-1]["error"] = _row_error(err)
-    for (row, cfg, outdir, _), result in zip(runs, _march([datum for *_, datum in runs])):
-        try:
-            if isinstance(result, Exception):
-                raise result
-            checks = run_checks(cfg["verify"], result.snapshots, cfg["p"], cfg["dim"], cfg["tols"])
-            row.update(passed=all(c.passed for c in checks.values()), error="",
-                       edge_mass=repr(result.edge_mass))
-            if outdir is not None:
-                d = Path(outdir) / f"row-p{cfg['p']}-n{cfg['dim']}-s{cfg['seed']}"
-                d.mkdir(parents=True, exist_ok=True)
-                write_snapshots(d / "snapshots.csv", result.snapshots)
-                write_verdicts(d / "verdicts.txt", checks)
-        except _ROW_ERRORS as err:
-            row["error"] = _row_error(err)
-    return rows
-
-
-def _row_error(err: Exception) -> str:
-    """A sweep row's error cell."""
-    return f"stability: {err}" if isinstance(err, StabilityError) else str(err)
+    p, dim, seed, nodes, t_start, t_end, snapshots, outdir = job
+    row = {"p": p, "dim": dim, "seed": seed, "passed": False, "edge_mass": ""}
+    names = ["concavity", "upsilon"]
+    if analytic._has_second_moment(p, dim):
+        names.append("isoperimetric")
+    try:
+        cfg = {"p": p, "dim": dim, "nodes": nodes,
+               "radius": _default_radius(p, dim, t_end, "mixture"), "t_start": t_start,
+               "t_end": t_end, "snapshots": snapshots, "initial": "mixture", "seed": seed,
+               "verify": names, "tols": {}}
+        result, checks = _run(cfg)
+        row.update(passed=all(c.passed for c in checks.values()), error="",
+                   edge_mass=repr(result.edge_mass))
+        if outdir is not None:
+            d = Path(outdir) / f"row-p{p}-n{dim}-s{seed}"
+            d.mkdir(parents=True, exist_ok=True)
+            write_snapshots(d / "snapshots.csv", result.snapshots)
+            write_verdicts(d / "verdicts.txt", checks)
+    except StabilityError as err:
+        row["error"] = f"stability: {err}"
+    except (DomainError, InsufficientData, DegenerateError) as err:
+        row["error"] = str(err)
+    return row
 
 
 def run_sweep(args) -> int:
@@ -438,21 +413,13 @@ def run_sweep(args) -> int:
     d = _outdir(args.out, cfg)
     jobs = [(p, dim, seed, args.nodes, args.t_start, args.t_end, args.snapshots, str(d))
             for p in ps for dim in dims for seed in range(args.seeds)]
-    groups: dict = {}  # the jobs of each p, by their index: a group marches together
-    for index, job in enumerate(jobs):
-        groups.setdefault(job[0], []).append(index)
-    grouped = [[jobs[index] for index in group] for group in groups.values()]
     if args.workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # no other command pays its import
 
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            done = list(pool.map(_sweep_group, grouped))
+            rows = list(pool.map(_sweep_row, jobs))
     else:
-        done = [_sweep_group(group) for group in grouped]
-    rows = [None] * len(jobs)
-    for group, group_rows in zip(groups.values(), done):
-        for index, row in zip(group, group_rows):
-            rows[index] = row
+        rows = [_sweep_row(j) for j in jobs]
     lines = ["p,n,seed,passed,error,edge_mass"]
     for r in rows:
         lines.append(f"{r['p']!r},{r['dim']},{r['seed']},{str(r['passed']).lower()},"

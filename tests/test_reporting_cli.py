@@ -44,8 +44,7 @@ def _unsettled(monkeypatch):
     evolve gives it (`test_unsettled_linearization_raises` reaches that failure through
     an input)."""
     def advance(kernel, dt, t):
-        raise solver._failure({b: f"implicit step at t = {at}: linearization did not settle"
-                               for b, at in enumerate(t)})
+        raise StabilityError(f"implicit step at t = {t}: linearization did not settle")
 
     monkeypatch.setattr(solver._Kernel, "implicit_advance", advance)
 
@@ -304,6 +303,16 @@ class TestEvolveCommand:
         assert code == 2
         assert capsys.readouterr().err == \
             "stability failure: implicit step at t = 1.5: linearization did not settle\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_step_budget_exit_two(self, tmp_path, capsys):
+        # a radius the march admits, but on which its steps stay near 2e-6: it stops at
+        # solver.MAX_STEPS steps, 2% of the way to t_end, and writes nothing
+        assert main(["evolve", "--p", "2", "--radius", "1e-2", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "stability failure: march spent its budget of 10000 steps by "
+            "t = 1.0188421926634794, short of t_end = 2.0; its last step was 1.89e-06 in t\n")
+        assert not any(tmp_path.iterdir())
 
     # each snapshot is read on the y-grid the march ran on and mapped to x by the
     # functionals' dilation laws: one grid for the march, one for the final profile, and
@@ -803,8 +812,8 @@ class TestSweepCommand:
 
     def test_parallel_workers_match_serial(self, tmp_path):
         # p = 1 sizes its domain for the heat kernel at t_end = 0.02 (radius 5.6), which
-        # cuts the mixture's tails; p >= 1.5 keeps the mixture's radius of 10.  The
-        # workers take the groups of one p, each marching its two seeds together
+        # cuts the mixture's tails; p >= 1.5 keeps the mixture's radius of 10.  Two seeds
+        # per p, so rows of one p can run in different workers
         args = ["sweep", "--p", "1,1.5,2", "--dim", "1", "--seeds", "2",
                 "--nodes", "256", "--t-start", "0.01", "--t-end", "0.02", "--snapshots", "3"]
         with pytest.warns(BoundaryLeakWarning):
@@ -867,7 +876,7 @@ class TestSweepCommand:
         def degenerate(cfg):
             raise DegenerateError("D_p vanishes")
 
-        monkeypatch.setattr(cli, "_datum", degenerate)
+        monkeypatch.setattr(cli, "_run", degenerate)
         row = cli._sweep_row((2.0, 1, 0, 64, 1.0, 1.1, 3, None))
         assert (row["passed"], row["error"], row["edge_mass"]) == (False, "D_p vanishes", "")
 
@@ -884,7 +893,7 @@ class TestSweepCommand:
 
         names = []
         monkeypatch.setattr(cli, "_default_radius", lambda *args: 10.0)
-        monkeypatch.setattr(cli, "_datum", record)
+        monkeypatch.setattr(cli, "_run", record)
         assert cli._sweep_row((p, n, 0, 64, 1.0, 1.01, 2, None))["error"] == "recorded"
         assert names == ["concavity", "upsilon"] + ["isoperimetric"] * defined
 
@@ -903,18 +912,18 @@ class TestSweepCommand:
         assert "select no run" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
-    def test_rows_march_together_bitwise_their_evolve_runs(self, tmp_path, monkeypatch):
-        # two p, both dims, three seeds: each p's rows march as the blocks of one kernel
-        # per frame (the p = 1, n = 3, seed 2 row in y, the others in x), and each row's
-        # snapshots, steps and rejections are its own `evolve --seed` run's, bit for bit
+    def test_rows_are_bitwise_their_evolve_runs(self, tmp_path, monkeypatch):
+        # two p, both dims, three seeds (the p = 1, n = 3, seed 2 row marches in y, the
+        # others in x): each row's snapshots, steps and rejections are its own
+        # `evolve --seed` run's, bit for bit
         common = ["--nodes", "512", "--t-end", "1.15", "--snapshots", "7"]
-        marched, real = [], cli._march
+        marched, real = [], cli.evolve
 
-        def march(data):
-            marched.extend(real(data))
-            return marched[-len(data):]
+        def evolve(*args, **kwargs):
+            marched.append(real(*args, **kwargs))
+            return marched[-1]
 
-        monkeypatch.setattr(cli, "_march", march)
+        monkeypatch.setattr(cli, "evolve", evolve)
         assert main(["sweep", "--p", "1,2", "--dim", "1,3", "--seeds", "3", *common,
                      "--out", str(tmp_path / "sweep")]) == 0
         monkeypatch.undo()
@@ -932,74 +941,36 @@ class TestSweepCommand:
             assert (result.step_count, result.rejection_count) == (meta["steps"], meta["rejections"])
             assert (result.fields.marched[-1][2] > 0.0) == ((p, n, seed) == (1.0, 3, 2))  # in y
 
-    def test_groups_build_one_probe_kernel_and_plan(self, tmp_path, monkeypatch):
-        # the benchmark's sweep_mixed argv: one probe kernel per p, one march kernel and
-        # plan per p and frame (p = 1 has a row in y), and 179 grouped steps for the
-        # 24 rows' 595
-        kernels, plans = [], []
-        real_kernel, real_plan = solver._Kernel.__init__, solver._ReductionPlan.__init__
-        steps, real_step = [], solver._Kernel.implicit_advance
-
-        def kernel(k, grids, *args):
-            real_kernel(k, grids, *args)
-            kernels.append((k, len(grids)))
-
-        def plan(pl, n, blocks=1):
-            plans.append(blocks)
-            real_plan(pl, n, blocks)
-
-        def step(k, dt, t):
-            steps.append(k.blocks)
-            return real_step(k, dt, t)
-
-        monkeypatch.setattr(solver._Kernel, "__init__", kernel)
-        monkeypatch.setattr(solver._ReductionPlan, "__init__", plan)
-        monkeypatch.setattr(solver._Kernel, "implicit_advance", step)
-        argv = ["sweep", "--p", "0.8,1.0,1.5,2.0", "--dim", "1,3", "--seeds", "3",
-                "--nodes", "512", "--out", str(tmp_path)]
-        assert main(argv) == 0
-        probes = [blocks for k, blocks in kernels if k.plan is None]  # the probes never step
-        marches = [blocks for k, blocks in kernels if k.plan is not None]
-        assert (probes, marches, plans) == ([6, 6, 6, 6], [6, 5, 1, 6, 6], [6, 5, 1, 6, 6])
-        assert (len(steps), sum(steps)) == (179, 595)
-
     def test_failed_row_leaves_the_others_bitwise(self, tmp_path, monkeypatch):
-        # the p = 2, n = 1, seed 1 block fails in its group's third step, the seed 2 block
-        # fails as it enters its first interval, before the group's first step, and the
-        # seed 1 row of n = 3 is refused before it marches; the other rows are laid end to
-        # end again, start from their own first steps and keep the bytes of a sweep where
-        # nothing failed
+        # the p = 2, n = 1, seed 1 row fails in its third step, the seed 2 row in its
+        # first, and the seed 1 row of n = 3 is refused before it marches; the other rows
+        # keep the bytes of a sweep where nothing failed
         args = ["sweep", "--p", "2", "--dim", "1,3", "--seeds", "3", "--nodes", "256",
                 "--t-end", "1.1", "--snapshots", "5"]
         assert main(args + ["--out", str(tmp_path / "whole")]) == 0
-        calls, real_step, real_field = [], solver._Kernel.implicit_advance, cli._initial_field
-        real_enter = solver._Run.enter
-
-        def enter(run, kernel, b):
-            if run.index == 2:  # the n = 1, seed 2 row
-                raise DomainError("injected at entry")
-            real_enter(run, kernel, b)
-
-        def step(kernel, dt, t):
-            calls.append(1)
-            if len(calls) == 3:  # origin 1: the n = 1, seed 1 row
-                b = kernel.origins.index(1)
-                raise solver._failure({b: f"implicit step at t = {t[b]}: injected"})
-            return real_step(kernel, dt, t)
+        current, real_step, real_field = [], solver._Kernel.implicit_advance, cli._initial_field
 
         def initial_field(kind, grid, p, t_start, seed):
+            current[:] = [(grid.dim, seed), 0]  # the row now running, and its steps so far
             f0 = real_field(kind, grid, p, t_start, seed)
             return rf.DensityField(grid, 2.0 * f0.values) if (grid.dim, seed) == (3, 1) else f0
 
+        def step(kernel, dt, t):
+            current[1] += 1
+            if current == [(1, 1), 3]:
+                raise StabilityError(f"implicit step at t = {t}: injected")
+            if current == [(1, 2), 1]:
+                raise DomainError("injected at the first step")
+            return real_step(kernel, dt, t)
+
         monkeypatch.setattr(solver._Kernel, "implicit_advance", step)
-        monkeypatch.setattr(solver._Run, "enter", enter)
         monkeypatch.setattr(cli, "_initial_field", initial_field)
         assert main(args + ["--out", str(tmp_path / "failed")]) == 3
         (whole,), (failed,) = ((tmp_path / run).glob("exp-*") for run in ("whole", "failed"))
         lines = (failed / "sweep.csv").read_text().splitlines()
         assert lines[2].startswith("2.0,1,1,false,stability: implicit step at t = 1.0")
         assert lines[2].endswith(": injected,")
-        assert lines[3].startswith("2.0,1,2,false,injected at entry,")
+        assert lines[3].startswith("2.0,1,2,false,injected at the first step,")
         assert lines[5].startswith("2.0,3,1,false,initial mass must be 1 within 1e-6; got 2.0")
         assert sorted(path.name for path in failed.iterdir()) == [
             "row-p2.0-n1-s0", "row-p2.0-n3-s0", "row-p2.0-n3-s2", "sweep.csv"]

@@ -33,8 +33,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "renyiflow"
-TIMEOUT = 150.0  # seconds per run: tier-1 takes about 10, a mutant whose steps never
-# settle up to 100 (the kernel divergence's sign flipped)
+TIMEOUT = 60.0  # seconds per run: tier-1 takes about 10 and the slowest kill 12; a
+# mutant whose steps never grow is stopped by the solver's step budget, MAX_STEPS
 # tier-1, less the test that checks MUTANTS against src/: a mutant fails it by design
 TIER_1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
           "--continue-on-collection-errors",
@@ -43,33 +43,30 @@ TIER_1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
 # (what the fault is, file under src/renyiflow, original text, mutated text)
 MUTANTS = [
     ("BDF2 step ratio inverted", "solver.py",
-     "omega = [step / last for step, last in zip(dt, self.dt_prev)]",
-     "omega = [last / step for step, last in zip(dt, self.dt_prev)]"),
+     "omega = dt / self.dt_prev", "omega = self.dt_prev / dt"),
     ("BDF2 scale 1 + omega", "solver.py",
-     "scale = [1.0 + 2.0 * w for w in omega]", "scale = [1.0 + w for w in omega]"),
+     "scale = 1.0 + 2.0 * omega", "scale = 1.0 + omega"),
     ("Milne share without h2", "solver.py",
-     "share = 1.0 if back else th / (th + step + h1 + h2)",
-     "share = 1.0 if back else th / (th + step + h1)"),
-    ("controller cap 1.5", "solver.py", "factor[b] = 2.0", "factor[b] = 1.5"),
+     "share = 1.0 if euler else theta / (theta + dt + h1 + h2)",
+     "share = 1.0 if euler else theta / (theta + dt + h1)"),
+    ("controller cap 1.5", "solver.py", "factor = 2.0", "factor = 1.5"),
     ("interpolant's linear fallback off", "solver.py",
      "if np.minimum.reduce(level) < 0.0:", "if False:"),
     ("x-frame floor of g 0", "solver.py",
-     "self.floor_share = EPS if p <= 1.0 and not drifted else 0.0", "self.floor_share = 0.0"),
+     "self.floor_share = EPS if p <= 1.0 and not drift else 0.0", "self.floor_share = 0.0"),
     ("BDF2 backward-Euler fallback off", "solver.py",
-     "euler = [low < -NEGATIVITY_SLACK * high",
-     "euler = [False and low < -NEGATIVITY_SLACK * high"),
+     "if not np.minimum.reduce(bdf_base) < -NEGATIVITY_SLACK * self.umax:", "if True:"),
     ("entropy weights' floor 1e-4", "solver.py",
-     "np.maximum(u, 1e-8 * umax)", "np.maximum(u, 1e-4 * umax)"),
+     "np.maximum(u, 1e-8 * kernel.umax)", "np.maximum(u, 1e-4 * kernel.umax)"),
     ("every step lands on the next snapshot", "solver.py",
-     "self.last = len(self.clock) - 1 if kernel.u_prev2 is not None else self.k",
-     "self.last = self.k"),
+     "last = len(clock) - 1 if kernel.u_prev2 is not None else k", "last = k"),
     ("y tolerance x10", "solver.py",
-     "kernel.error_tol[b] = TOL_CONCAVITY * abs(",
-     "kernel.error_tol[b] = 10 * TOL_CONCAVITY * abs("),
+     "kernel.error_tol = TOL_CONCAVITY * abs(", "kernel.error_tol = 10 * TOL_CONCAVITY * abs("),
     ("x tolerance's moved mass uncapped", "solver.py",
-     "moved = min(self.rate * span, m0)", "moved = self.rate * span"),
+     "moved = min(rate * span, m0)", "moved = rate * span"),
     ("front defect ignored", "solver.py",
-     "misplaced = theta[b] * defects[b]", "misplaced = 0.0"),
+     "misplaced = theta * np.abs(self._divergence(defect), out=self.div).sum()",
+     "misplaced = 0.0"),
     ("front threshold 4 g", "solver.py",
      "np.multiply(g, 2.0, out=scratch)", "np.multiply(g, 4.0, out=scratch)"),
     ("sequential solve below 32 rows", "solver.py",
@@ -95,11 +92,6 @@ MUTANTS = [
      "_denominator(y[0], ", "_denominator(y[-1], "),
     ("concavity at its bound fails", "verification.py",
      'CheckResult("concavity", violation <= tol,', 'CheckResult("concavity", violation < tol,'),
-    # the batch: blocks of one kernel must step as they would alone
-    ("a seam coupling left at the conductance", "solver.py",
-     "seam.fill(0.0)", "seam[:] = self.du[self.n - 2::self.n][:seam.size]"),
-    ("per-block step broadcast shifted by one block", "solver.py",
-     "column = _column(theta)", "column = _column(theta[1:] + theta[:1])"),
 ]
 
 
