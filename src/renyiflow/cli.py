@@ -1,11 +1,10 @@
 """Batch front-end: constants tables, profile dumps, evolution runs, sweeps.
 
-Configuration comes from an INI-style file (key = value under sections, all
-sections merged: a section's key wins over `[DEFAULT]`'s, a later section's over an
-earlier one's), read as `--name=value` tokens before the command-line flags, which
-win.  Exit codes are the machine contract: 0 success, 1 configuration
-or domain error, 2 stability failure, 3 failed verdict (for `evolve`, also a wall
-that held more than DOMAIN_TOL of the mass).
+Flags win over an INI config file (`_config_tokens`).  Exit codes are the machine
+contract: 0 success, 1 configuration or domain error, 2 stability failure, 3 failed
+verdict (for `evolve`, also a wall that held more than DOMAIN_TOL of the mass).  A
+refused input exits 1 with one `configuration error: ` line and writes nothing; each
+rule is stated where it is raised, and tier-1's TestUsageErrors holds each input.
 """
 from __future__ import annotations
 
@@ -237,6 +236,8 @@ def _envelope(p: float, dim: int, t_end: float) -> tuple[analytic.BarenblattSpec
 
 
 def _default_radius(p: float, dim: int, t_end: float, initial: str) -> float:
+    """The radius a run gets without --radius: 1.3 times the envelope's (`_envelope`), at
+    least 10 for mixtures; for Gaussian data and at p = 1, 8 sqrt(2 t_end) + 4."""
     if initial.startswith("gaussian") or p == 1.0:
         return 8.0 * math.sqrt(2.0 * t_end) + 4.0
     _, r, spread = _envelope(p, dim, t_end)
@@ -263,7 +264,8 @@ def _profile_grid(args):
     """The --initial file:PATH profile's grid (dim, nodes, radius) and the profile.
 
     The profile brings its own grid, so a --dim, --nodes or --radius value given
-    (flag or config) other than the grid's own, a radius to its rounding, is an error.
+    (flag or config, even the option's default) other than the grid's own, a radius to
+    its rounding, is an error.  Only a profile gives a radial grid in one dimension.
     """
     field = read_profile(args.initial[len("file:"):])
     own = {"dim": field.grid.dim, "nodes": field.grid.node_count, "radius": field.grid.radius()}

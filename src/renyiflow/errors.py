@@ -6,8 +6,10 @@ class DomainError(ValueError):
 
 
 class StabilityError(RuntimeError):
-    """Raised when a time step, explicit or implicit, fails: rejected too often, or (implicit)
-    its linearization did not settle."""
+    """Raised when a march fails: a time step, explicit or implicit, rejected too often; an
+    implicit step whose linearization did not settle; or an `evolve` march still short of
+    t_end after `solver.MAX_STEPS` steps, its budget.  The command line exits 2 on each,
+    but for a `sweep` row, which records it as the row's error."""
 
 
 class InsufficientData(ValueError):

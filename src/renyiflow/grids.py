@@ -160,11 +160,9 @@ class DensityField:
 
     grid: Grid
     values: np.ndarray
-    # the mass and, per p, every integral of one pressure pass, filled lazily by
-    # functionals.mass and _integrals; floats only, so a kept field holds no extra
-    # arrays and no reference back to itself (the arrays all its p share,
-    # functionals._passes, are held for the last field evaluated only, and
-    # freed with its values)
+    # the mass and, per p, every integral of one pressure pass (functionals._integrals),
+    # floats only: a kept field holds no extra arrays (`_passes` keeps those of the last
+    # field only) and no reference to itself, so the cyclic collector need not free it
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -17,7 +17,8 @@ from .functionals import FunctionalSnapshot
 from .grids import CARTESIAN, DensityField, Grid
 from .verification import CheckResult
 
-# CPython's built-in module first, as random.py takes sha512: hashlib maps OpenSSL (3.4 MB)
+# CPython's built-in module first, as random.py takes sha512: hashlib maps OpenSSL (3.4 MB),
+# so an evolve of a Barenblatt or Gaussian datum maps none (a mixture's numpy.random does)
 try:
     from _sha2 import sha256 as _sha256  # Python 3.12 on
 except ImportError:
@@ -84,9 +85,10 @@ def write_profile(path, f: DensityField) -> None:
 
 
 def read_profile(path) -> DensityField:
-    """The field `write_profile` wrote to path: the header line is its grid, and each row
-    below the column line a node of that grid and the value there.  Any other text is a
-    DomainError that names path and, where it can, the line."""
+    """The field `write_profile` wrote to path: the header line is its grid (origin the
+    first node, half a spacing in from r = 0 or -radius), and each row below the column
+    line a node of that grid and the value there.  Any other text is a DomainError that
+    names path and, where it can, the line."""
     try:
         return _parse_profile(Path(path).read_text().rstrip().splitlines())
     except ValueError as err:  # a DomainError, or bytes that are not text

@@ -10,11 +10,10 @@ summed conductances, w the weights): for dt up to 1 / (D max_i c_i / w_i), which
 h^2 / (2 D) on Cartesian grids and h^2 / (2^(n-1) D), set by node 0, on radial ones
 of n >= 2.  That step is far below the one the flow's rate of change allows (for
 p < 1 the diffusivity p u^{p-1} peaks in the far tail), so `evolve` takes linearly
-implicit BDF2 steps, for every p and from t_start on.  Each implicit step estimates
-its own local error and sizes the next from it, so a slowing flow takes longer steps.
-Their tridiagonal systems are solved by odd-even cyclic reduction, on buffers and
-views prepared once per run.  The degenerate p > 1 front is handled as in Vazquez,
-*The Porous Medium Equation* (2007), ch. 5 and 9.
+implicit BDF2 steps, for every p and from t_start on, each sized by its own local-error
+estimate, so a slowing flow takes longer steps.  Their tridiagonal systems are solved by
+odd-even cyclic reduction, on buffers and views prepared once per run.  The degenerate
+p > 1 front is handled as in Vazquez, *The Porous Medium Equation* (2007), ch. 5 and 9.
 
 The implicit march runs in the self-similar frame of Carrillo and Toscani (Indiana
 Univ. Math. J. 49, 2000) where that frame carries most of the motion:
@@ -54,13 +53,10 @@ LINEARIZATION_TOL = 1e-3
 # contraction), and at most the mass.  The concavity check takes second differences of
 # N_p in units of its largest change per interval, so closer snapshots get more
 # accurate steps.  The starting rate is the check's unit: N_p is concave, so its
-# largest slope is its first.  (Runs in y take TOL_CONCAVITY in N_p's units instead;
-# there the fitted Barenblatt datum stands still, and the 2048-node p = 2 run, t 1..3
-# with 33 snapshots, and the 768-node p = 0.8, n = 3 run, t 1..1.25 with 17, take 6
-# steps and 6 solves each: two that land on the first two snapshots, then steps that
-# double and pass the rest.)
+# largest slope is its first.  (Runs in y take TOL_CONCAVITY in N_p's units: `evolve`.)
 LOCAL_ERROR_TOL = 4e-5
-# The explicit (CFL) step's share of the stable step; the explicit step alone reads it.
+# The explicit (CFL) step's share of the stable step; the explicit step alone reads it,
+# and no option sets it, so a verdict depends only on the flow, grid and tolerances.
 CFL_SAFETY = 0.9
 # An implicit step is at most this many CFL steps (`_stable_dt` at safety 1, read once
 # for each snapshot interval a step starts in).  Its flux form carries the rounding of
@@ -507,7 +503,9 @@ class _ReductionPlan:
     recursion on (sub, diag, sup) = (-lower, diag, -upper), in its order, and
     negation is exact, so the solution is bitwise the recursion's.  There is no
     pivoting: the Schur complements of a column-diagonally-dominant M-matrix are
-    again such matrices, so no pivot vanishes.
+    again such matrices, so no pivot vanishes.  The tests compare it with LAPACK's dense
+    solve, to 1e-12.  It is numpy's so that scipy, whose import would add to every run's
+    start-up time and memory, stays out of the runtime dependencies.
     """
 
     def __init__(self, n: int):
@@ -622,7 +620,8 @@ def cfl_dt(f: DensityField, params: DiffusionParams) -> float:
 
 
 def step(state: SolverState, params: DiffusionParams, dt: float | None = None) -> SolverState:
-    """Advance one accepted step from max(values, 0), halving dt on CFL violations."""
+    """Advance one accepted step from max(values, 0), halving dt on CFL violations: the
+    plain explicit scheme, criterion 11's reference, with one u^p for every retry."""
     grid, p = state.grid, params.p
     u, umax = _clipped(grid, p, state.values)
     if dt is None:
@@ -725,22 +724,18 @@ def evolve(f0: DensityField, params: DiffusionParams,
     dense output, Hairer, Norsett and Wanner, *Solving Ordinary Differential Equations
     I*, 2nd ed. 1993, II.6), whose error inside the step is under 0.3 of the error the
     step's estimate bounds.  So a flow that barely moves passes many snapshots in one
-    step, and the tolerance, not the landing, keeps the series accurate.  The march is
-    linearly implicit BDF2, with its history, from t_start to the end, for every p.
-    Its bounds are read once for each snapshot interval a step starts in: the tolerance,
-    in x LOCAL_ERROR_TOL of the most mass the flow can move over the interval, and the
+    step, and the tolerance, not the landing, keeps the series accurate.  The march's
+    bounds are read once for each snapshot interval a step starts in: the tolerance, in
+    x LOCAL_ERROR_TOL of the most mass the flow can move over the interval, and the
     longest step, MAX_CFL_STEPS CFL steps: DomainError where such a step cannot move
     the clock, on a domain too small for the datum; a march still short of t_end after
-    MAX_STEPS steps raises StabilityError.  The march starts with the
-    backward-Euler step whose local error is its share of one step's tolerance per
-    interval (`_Kernel.starting_dt`: read from the flow's acceleration, so a finer
-    grid starts no shorter) and doubles it while it has fewer than three levels; from
-    then on each step proposes the next from its own local-error estimate
-    (`_Kernel.implicit_advance`), at most twice as long, so omega <= 2 keeps BDF2
-    zero-stable.  As the flow slows, its local error falls and the steps grow.  The
-    estimate leaves out the edge cells (below), where a wall that cuts the flow holds
-    a boundary layer as thin as the grid; that error is the domain's, reported as the
-    edge mass.
+    MAX_STEPS steps raises StabilityError.  The march starts with the backward-Euler
+    step whose local error is its share of one step's tolerance per interval
+    (`_Kernel.starting_dt`: read from the flow's acceleration, so a finer grid starts
+    no shorter) and doubles it while it has fewer than three levels; from then on each
+    step proposes the next (`_Kernel.implicit_advance`).  The estimate leaves out the
+    edge cells (below), where a wall that cuts the flow holds a boundary layer as thin
+    as the grid; that error is the domain's, reported as the edge mass.
 
     The edge mass, the mass in the last node_count // EDGE_CELLS cells at each
     wall, is read at the datum and at every snapshot; above DOMAIN_TOL, the

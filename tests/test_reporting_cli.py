@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -81,6 +82,10 @@ def short_run():
 
 
 RUN_FACTS = Path(__file__).resolve().parent / "data" / "run_facts.txt"
+README = Path(__file__).resolve().parents[1] / "README.md"
+# flags and names the package no longer has
+RETIRED = ("--cfl", "--geometry", "fast_diffusion_guard", "DomainSizingReport", "_power_pair",
+           "needs_fields")
 
 
 def test_mutants_name_text_in_src():
@@ -91,6 +96,33 @@ def test_mutants_name_text_in_src():
     for what, name, original, mutated in tool.MUTANTS:
         assert (tool.SRC / name).read_text().count(original) == 1, what
         assert original != mutated and "\n" not in original + mutated, what
+
+
+@pytest.mark.filterwarnings("ignore::renyiflow.errors.BoundaryLeakWarning")
+def test_readme_commands(tmp_path):
+    # each command of the README's block exits with the code the README states, run in
+    # order as a user would: its --out under tmp_path, its exp-* glob matching one file
+    # there; the README's check table and edge-mass bound are the package's; and no
+    # README line names a retired flag or name
+    text = README.read_text()
+    for number, line in enumerate(text.splitlines(), start=1):
+        assert not any(name in line for name in RETIRED), f"README line {number}: {line}"
+    table = re.findall(r"^\| `(\w+)` +\|[^|\n]*\| `([^`]+)` +\|$", text, re.M)
+    assert {name: float(tol) for name, tol in table} == {n: c.tol for n, c in CHECKS.items()}
+    assert float(re.search(r"more than `([^`]+)` of the mass", text)[1]) == DOMAIN_TOL
+    blocks = re.findall(r"^```\n(.*?)^```", text, re.M | re.S)
+    (block,) = [b for b in blocks if b.startswith("renyiflow ")]
+    for line in block.replace("\\\n", " ").splitlines():  # a trailing \ continues a line
+        command, stated = line.split("# exit ")
+        program, *argv = shlex.split(command)
+        assert program == "renyiflow", line
+        argv = [str(tmp_path / arg) if flag == "--out" else arg
+                for flag, arg in zip([None, *argv], argv)]
+        for i, arg in enumerate(argv):
+            if "*" in arg:
+                (match,) = tmp_path.glob(arg)  # one file, as the README's shell would expand
+                argv[i] = str(match)
+        assert main(argv) == int(stated), line
 
 
 @pytest.mark.filterwarnings("error::UserWarning")
@@ -306,12 +338,14 @@ class TestEvolveCommand:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_step_budget_exit_two(self, tmp_path, capsys):
-        # a radius the march admits, but on which its steps stay near 2e-6: it stops at
-        # solver.MAX_STEPS steps, 2% of the way to t_end, and writes nothing
-        assert main(["evolve", "--p", "2", "--radius", "1e-2", "--out", str(tmp_path)]) == 2
+        # a radius the march admits, but far too small for the datum: its steps stay short,
+        # and on 64 nodes it stops at solver.MAX_STEPS steps, 61% of the way to t_end, and
+        # writes nothing (at --radius 1e-2, 16 to 128 nodes finish instead, and exit 3)
+        assert main(["evolve", "--p", "2", "--nodes", "64", "--radius", "5e-3",
+                     "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == (
             "stability failure: march spent its budget of 10000 steps by "
-            "t = 1.0188421926634794, short of t_end = 2.0; its last step was 1.89e-06 in t\n")
+            "t = 1.6065756536099762, short of t_end = 2.0; its last step was 6.1e-05 in t\n")
         assert not any(tmp_path.iterdir())
 
     # each snapshot is read on the y-grid the march ran on and mapped to x by the

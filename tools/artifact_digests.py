@@ -3,12 +3,17 @@
 Usage:
     PYTHONPATH=src python tools/artifact_digests.py OUTDIR
 
+Run under ``python -W error::UserWarning -W error::RuntimeWarning``, it fails on a
+BoundaryLeakWarning (a wall that held mass on a default-sized config) or a
+floating-point warning, as the tier-1 test does.
+
 Runs eleven configurations, each into OUTDIR/LABEL, and prints one line
 ``LABEL/RELATIVE-PATH SHA256`` per file written, sorted.  The ``exp-*``
 directory the CLI names after its config hash is left out of the path, so
 two trees whose configs differ (say, in a default radius) still list the
-same keys, and their outputs compare line by line with ``diff``.  Each
-run's exit code and ``exp-*`` name go to stderr.
+same keys: run it once per checkout, on one machine, and ``diff`` the two
+listings.  Each run's exit code and ``exp-*`` name go to stderr, as
+``LABEL: exit N, exp-*``.
 
 The run facts, which do not depend on the hardware, go to OUTDIR/facts.txt,
 outside the digested trees, under a header that names the numpy and python
@@ -17,8 +22,9 @@ name hashes every digit of the series it reads, so it holds where those
 do), the steps and rejections its ``run_meta.json`` records, and each
 verdict's pass flag and margin to 4 significant figures, sweep rows
 included.  The listing is committed as ``tests/data/run_facts.txt``, which a
-tier-1 test compares with a fresh one line by line; a change that moves a
-fact updates that file.
+tier-1 test (``test_run_facts_ledger``) compares with a fresh one line by line,
+naming the first line that differs and both numpy versions; a change that moves
+a fact updates that file.
 
 The renyiflow imported is whichever PYTHONPATH finds, so pointing it at
 another checkout's ``src`` digests that checkout with this same config set.

@@ -15,7 +15,8 @@ p that the field's memo then serves.
 Each of the REPEATS = 400 densities per grid has its own seed.  The two grids
 alternate, so a change in the host's speed touches them alike, and one untimed
 density per grid fills the per-grid and per-(p, n) caches first, as the survey's
-first density does.  The median is reported with the quartiles.
+first density does.  The median is reported with the quartiles, under a line
+that names nproc and the python and numpy versions.
 
 The renyiflow imported is whichever PYTHONPATH finds, so pointing it at
 another checkout's ``src`` times that checkout with this same method.

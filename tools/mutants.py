@@ -7,9 +7,10 @@ Copies this checkout, without .git and caches, to a temporary directory and runs
 tier-1 there unmutated, which must pass.  Then, for each entry of MUTANTS, it
 replaces the entry's original text (which occurs exactly once in its file) by the
 mutated text in the copy, runs tier-1 with -x under a limit of TIMEOUT seconds, and
-restores the file.  The tier-1 test that checks this list against src/ is left out
-of every run, as each mutant fails it by design.  The checkout itself is never
-written.  Each mutant gets one line:
+restores the file.  The tier-1 test that checks this list against src/, so that it
+cannot go stale as src/ changes (``test_mutants_name_text_in_src``), is left out of
+every run, as each mutant fails it by design.  The checkout itself is never written.
+Each mutant gets one line:
 
     killed      a test failed; the first one is named
     survived    every test passed: the suite does not see this fault

@@ -26,7 +26,8 @@ The four kinds of step alternate, so a change in the host's speed touches them
 alike; the median is reported with the quartiles.  The solves per implicit
 step are counted once, outside the timing.  The ratios are those of the
 medians: implicit / explicit (Cartesian), and drift / implicit, the drift's
-share of a step's cost.
+share of a step's cost.  The first line names nproc and the python and numpy
+versions.
 
 The renyiflow imported is whichever PYTHONPATH finds, so pointing it at
 another checkout's ``src`` times that checkout with this same method, given a
