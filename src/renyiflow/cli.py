@@ -201,6 +201,7 @@ def run_barenblatt(args) -> int:
         raise DomainError("barenblatt: --p is required")
     spec = analytic.barenblatt_spec(p, dim, convention)
     analytic._require_self_similar_time(t)
+    analytic._require_second_moment(p, dim)  # the entropy and Fisher values below
     radius = args.radius
     if radius is None:
         radius = analytic.suggest_domain_radius(p, dim, 1e-8, convention) \

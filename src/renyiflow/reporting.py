@@ -58,7 +58,8 @@ def read_snapshots(path) -> list[FunctionalSnapshot]:
     for row, line in enumerate(lines[1:], start=1):
         cells = line.split(",")
         if len(cells) != 9:
-            raise DomainError(f"malformed snapshot row: {line!r}")
+            raise DomainError(
+                f"{path}: snapshot row {row} has {len(cells)} cells, not 9: {line!r}")
         vals = []
         for cell in cells:
             try:

@@ -1,4 +1,5 @@
 """Finite-volume solver, explicit and implicit: conservation, stability, analytic oracles."""
+import contextlib
 import math
 from dataclasses import replace
 
@@ -13,7 +14,7 @@ from renyiflow import cli, solver
 from renyiflow.errors import BoundaryLeakWarning, DomainError, StabilityError
 from renyiflow.solver import MAX_REJECTIONS, NEGATIVITY_SLACK, SolverState, cfl_dt, step
 
-from conftest import record_marches as _record_marches
+from conftest import record_implicit_steps
 
 
 def make_state(field, t=1.0):
@@ -301,9 +302,12 @@ class TestDiffusionParams:
             rf.DiffusionParams(p=2.0, dim=1, t_start=2.0, t_end=1.0)
 
     def test_validates_snapshot_times(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="strictly increasing"):
             rf.DiffusionParams(p=2.0, dim=1, t_start=0.0, t_end=1.0,
                                snapshot_times=(0.0, 0.5, 0.4, 1.0))
+        with pytest.raises(DomainError, match="snapshot times must span"):
+            rf.DiffusionParams(p=2.0, dim=1, t_start=0.0, t_end=1.0,
+                               snapshot_times=(0.0, 0.5, 0.9))
 
 
 # The explicit reference march, as plain array expressions: `step` must take its steps
@@ -458,10 +462,10 @@ def _record_interpolants(monkeypatch, record):
     return reads
 
 
-class TestKernelMatchesReference:
-    """evolve's snapshots are its kernel's steps, read through the interpolant, bit for
-    bit; `step` and `cfl_dt` take the reference march's steps bit for bit; and evolve's
-    fields stay within the time error of that march."""
+class TestAgreesWithExplicitReference:
+    """`step` and `cfl_dt` take the explicit reference march's steps bit for bit;
+    evolve's fields stay within the time error of that march, and its snapshots are its
+    kernel's steps, read through the interpolant, bit for bit."""
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     @pytest.mark.parametrize("geometry", ["cartesian", "radial3"])
@@ -472,7 +476,7 @@ class TestKernelMatchesReference:
         steps = {"cartesian": {1.0: 42, 1.5: 44, 2.0: 45},
                  "radial3": {1.0: 42, 1.5: 25, 2.0: 13}}[geometry][p]
         f0, params = _mixture_case(geometry, p, (0.2, 0.5))
-        record = _record_marches(monkeypatch)
+        record = record_implicit_steps(monkeypatch)
         reads = _record_interpolants(monkeypatch, record)
         run = rf.evolve(f0, params)
         monkeypatch.undo()
@@ -481,9 +485,9 @@ class TestKernelMatchesReference:
         assert any(back for _, back in reads)  # some snapshots lie inside a step
         kernel, taken = solver._Kernel(f0.grid, p, f0.values), 0
         for (after, back), got, t in zip(reads, run.fields[1:], params.times()[1:], strict=True):
-            for _, start, dt, _ in record[taken:after]:
+            for start, dt, _ in record[taken:after]:
                 assert kernel.implicit_advance(dt, start) == (dt, 0)
-            taken, (_, start, dt, _) = after, record[after - 1]
+            taken, (start, dt, _) = after, record[after - 1]
             assert 0.0 <= back < dt and start + dt - back == pytest.approx(t, rel=1e-14)
             assert got.values.tobytes() == kernel.interpolant(back).tobytes()
         assert taken == len(record)  # the last step lands on t_end
@@ -887,8 +891,8 @@ class TestImplicitPorousMedium:
         assert run.rejection_count == 0 and run.step_count <= 12  # observed: 10
         _assert_agrees_with_reference(run, f0, params)
 
-    def test_barenblatt_run_goes_implicit(self):
-        # a stable step moves 1.2e-5 of the mass here; explicit would take ~37,000
+    def test_barenblatt_run_concave_in_few_steps(self):
+        # a stable step moves 1.2e-5 of the mass here; explicit steps would take ~37,000
         spec = rf.barenblatt_spec(2.0, 1, rf.PDE_NORMALIZED)
         grid = rf.Grid.cartesian(1024, rf.support_radius(spec) * 2.0 ** (1.0 / 3.0) * 1.3)
         f0 = rf.sample_barenblatt(grid, 2.0, 1.0, normalize=True)
@@ -1045,9 +1049,9 @@ class TestLinearlyImplicitStep:
                 monkeypatch.setattr(solver, "SELF_SIMILAR_RATE", rate)
         f0, params = _implicit_cases()[case]
         with monkeypatch.context() as m:
-            record = _record_marches(m)
+            record = record_implicit_steps(m)
             run = rf.evolve(f0, params)
-        steps = iter([dt for _, _, dt, _ in record])
+        steps = iter([dt for _, dt, _ in record])
         monkeypatch.setattr(solver._Kernel, "implicit_advance", lambda kernel, dt, t:
                             _newton_implicit_advance(kernel, next(steps), t, f0.grid))
         oracle = rf.evolve(f0, params)
@@ -1113,8 +1117,7 @@ class TestLinearlyImplicitStep:
 def _steps_per_interval(record, times):
     """Implicit steps started in each snapshot interval, and their dt and ratio of local-
     error estimate to tolerance in order."""
-    starts, dts, ratios = (np.array(column) for column in zip(
-        *[(t, dt, ratio) for march, t, dt, ratio in record if march == "implicit_advance"]))
+    starts, dts, ratios = (np.array(column) for column in zip(*record))
     counts = np.bincount(np.searchsorted(times, starts, side="right") - 1,
                          minlength=times.size - 1)
     return counts, dts, ratios
@@ -1130,12 +1133,12 @@ def _assert_controlled(counts, dts, ratios):
     assert np.all(counts >= 1)
 
 
-class TestRechosenMarch:
-    """evolve splits what remains afresh by the last step's proposal (to the next snapshot
-    for the first two steps, to t_end for the rest), and every run is one implicit march,
-    in the frame chosen at t_start."""
+class TestStepPlacement:
+    """How many steps evolve takes and how it sizes them: it splits what remains afresh by
+    the last step's proposal (to the next snapshot for the first two steps, to t_end for
+    the rest), and every accepted step keeps the controller's contract."""
 
-    def test_barenblatt_768_implicit_throughout(self, monkeypatch):
+    def test_barenblatt_768_linear_in_four_steps(self):
         # `evolve --p 2 --dim 1 --nodes 768 --initial barenblatt --t-start 1 --t-end 3
         # --snapshots 9`: in y, where the datum stands still, N_p is linear to rounding
         # (observed 2.5e-13), and two steps that land on the first two snapshots and two
@@ -1144,10 +1147,8 @@ class TestRechosenMarch:
         grid = rf.Grid.cartesian(768, rf.support_radius(spec) * 3.0 ** (1.0 / 3.0) * 1.3)
         f0 = rf.sample_barenblatt(grid, 2.0, 1.0, normalize=True)
         params = rf.DiffusionParams(p=2.0, dim=1, t_start=1.0, t_end=3.0, snapshot_count=9)
-        record = _record_marches(monkeypatch)
         run = rf.evolve(f0, params)
-        assert {march for march, *_ in record} == {"implicit_advance"}
-        assert run.step_count == len(record) == 4 and run.rejection_count == 0
+        assert run.step_count == 4 and run.rejection_count == 0
         m0 = float(grid.weights() @ f0.values)
         for fld in run.fields:  # each on the grid dilated to its time
             assert abs(float(fld.grid.weights() @ fld.values) - m0) <= 1e-13
@@ -1156,31 +1157,27 @@ class TestRechosenMarch:
         assert report.tolerance - report.margin <= 1e-12
 
     @pytest.mark.filterwarnings("ignore::renyiflow.errors.BoundaryLeakWarning")
-    def test_heat_flow_implicit_in_y(self, monkeypatch):
+    def test_heat_flow_two_steps_match_kernel(self):
         # p = 1 takes the march every p takes: the heat kernel stands still in y, a step
         # per interval, where explicit steps at h = 1/102 took thousands; observed within
         # 1.6e-12 of the exact kernel, the datum's own normalization
         grid = rf.Grid.cartesian(2048, 10.0)
         f0 = rf.sample_gaussian(grid, 1.0, normalize=True)
         params = rf.DiffusionParams(p=1.0, dim=1, t_start=1.0, t_end=1.25, snapshot_count=3)
-        record = _record_marches(monkeypatch)
         run = rf.evolve(f0, params)
-        assert {march for march, *_ in record} == {"implicit_advance"} and len(record) == 2
+        assert run.step_count == 2
         assert run.fields[-1].grid == grid.scaled(1.25 ** 0.5)
         for fld, snap in zip(run.fields, run.snapshots):  # each on the grid dilated to its time
             exact = rf.sample_gaussian(fld.grid, snap.t)
             assert float(fld.grid.weights() @ np.abs(fld.values - exact.values)) <= 1e-11
 
-    def test_short_intervals_go_implicit_from_the_start(self, monkeypatch):
+    def test_short_intervals_take_ten_steps(self):
         # criterion 5's 768-node radial p = 2 mixture, where a stable step moves 9.7e-6 of
-        # the mass at t = 1: however short the intervals, the march is implicit from t_start
+        # the mass at t = 1: however short the intervals, the error sizes the steps
         grid = rf.Grid.radial(3, 768, 8.0)
         f0 = rf.sample_mixture(grid, 22, mean_range=(0.0, 2.0))
         params = rf.DiffusionParams(p=2.0, dim=3, t_start=1.0, t_end=1.3, snapshot_count=9)
-        record = _record_marches(monkeypatch)
-        run = rf.evolve(f0, params)
-        assert {march for march, *_ in record} == {"implicit_advance"}
-        assert run.step_count == len(record) == 10
+        assert rf.evolve(f0, params).step_count == 10
 
     def test_criterion_10_config(self, criterion_10_run):
         # implicit from t = 1 in x, every step keeps the controller's contract (observed:
@@ -1189,9 +1186,7 @@ class TestRechosenMarch:
         times = run.params.times()
         assert all(f.grid == run.fields[0].grid for f in run.fields)
         assert run.step_count == len(record) <= 500 and run.rejection_count == 0
-        counts, dts, ratios = _steps_per_interval(record, times)
-        assert len(dts) == len(record)
-        _assert_controlled(counts, dts, ratios)
+        _assert_controlled(*_steps_per_interval(record, times))
 
     @pytest.mark.filterwarnings("ignore::renyiflow.errors.BoundaryLeakWarning")
     def test_fast_diffusion_geometric_snapshots(self, monkeypatch):
@@ -1199,15 +1194,14 @@ class TestRechosenMarch:
         times = np.geomspace(1.0, 10.0, 7)
         params = rf.DiffusionParams(p=0.8, dim=3, t_start=1.0, t_end=10.0,
                                     snapshot_times=tuple(times))
-        record = _record_marches(monkeypatch)
+        record = record_implicit_steps(monkeypatch)
         rf.evolve(f0, params)
         counts, dts, ratios = _steps_per_interval(record, times)
-        assert len(dts) == len(record)  # p < 1 is implicit from the start
         _assert_controlled(counts, dts, ratios)
         assert dts[-1] > 4.0 * dts[counts[0]]  # dt grows with the flow
 
     @pytest.mark.filterwarnings("ignore::renyiflow.errors.BoundaryLeakWarning")
-    def test_explicit_run_bitwise(self, monkeypatch):
+    def test_explicit_run_bitwise(self):
         # `evolve --p 1 --dim 3 --nodes 512 --initial gaussian`: `step`'s explicit run is
         # the reference's, bit for bit, in 2,920 steps; evolve marches in y, where the
         # heat kernel stands still, in 4 steps
@@ -1219,9 +1213,8 @@ class TestRechosenMarch:
         assert (steps, rejections) == (want_steps, want_rejections) == (2920, 0)
         for got, field in zip(fields, want, strict=True):
             assert got.tobytes() == field.values.tobytes()
-        record = _record_marches(monkeypatch)
         run = rf.evolve(f0, params)
-        assert {march for march, *_ in record} == {"implicit_advance"} and run.step_count == 4
+        assert run.step_count == 4
         for fld, snap in zip(run.fields, run.snapshots):
             exact = rf.sample_gaussian(fld.grid, snap.t, normalize=True)
             assert float(fld.grid.weights() @ np.abs(fld.values - exact.values)) <= 1e-11
@@ -1237,43 +1230,6 @@ def _source_case(geometry, p, nodes=128):
         f0 = _fitted_barenblatt(p, 1 if geometry == "cartesian" else 3, nodes, 1.2)
     return f0, rf.DiffusionParams(p=p, dim=f0.grid.dim, t_start=1.0, t_end=1.2,
                                   snapshot_count=5)
-
-
-class TestOneMarch:
-    """evolve takes the implicit BDF2 step from t_start for every p, in the frame chosen
-    once, before its first step; the explicit step is `step`'s alone."""
-
-    @pytest.mark.filterwarnings("ignore::renyiflow.errors.BoundaryLeakWarning")
-    @pytest.mark.parametrize("datum", ["mixture", "source"])
-    @pytest.mark.parametrize("p", [0.8, 1.0, 1.5, 2.0])
-    @pytest.mark.parametrize("geometry", ["cartesian", "radial3"])
-    def test_never_explicit(self, geometry, p, datum, monkeypatch):
-        # the mixtures march in x, the source solutions in y
-        if datum == "mixture":
-            f0, params = _mixture_case(geometry, p, (1.5, 3.0) if p < 1.0 else (0.2, 0.5))
-        else:
-            f0, params = _source_case(geometry, p)
-        record = _record_marches(monkeypatch)
-        run = rf.evolve(f0, params)
-        assert record and {march for march, *_ in record} == {"implicit_advance"}
-        assert run.step_count == len(record)
-        assert (run.fields[-1].grid == f0.grid) == (datum == "mixture")
-
-    def test_x_run_builds_no_dilated_kernel(self, monkeypatch):
-        # criterion 5's radial p = 2 mixture stays in x: its march and the frame's probe
-        # are kernels on the x-grid, and no field is dilated
-        grids, rescaled, real = [], [], solver._Kernel.__init__
-
-        def kernel_init(kernel, grid, *args):
-            grids.append(grid)
-            real(kernel, grid, *args)
-
-        monkeypatch.setattr(solver._Kernel, "__init__", kernel_init)
-        monkeypatch.setattr(solver, "rescale", lambda *args: rescaled.append(args))
-        grid = rf.Grid.radial(3, 768, 8.0)
-        f0 = rf.sample_mixture(grid, 22, mean_range=(0.0, 2.0))
-        rf.evolve(f0, rf.DiffusionParams(2.0, 3, 1.0, 1.3, snapshot_count=9))
-        assert grids == [grid, grid] and rescaled == []
 
 
 class TestLocalErrorEstimate:
@@ -1386,7 +1342,7 @@ class TestInterpolant:
         spec = rf.barenblatt_spec(2.0, 1, rf.PDE_NORMALIZED)
         grid = rf.Grid.cartesian(512, rf.support_radius(spec) * 2.0 ** (1.0 / 3.0) * 2.6)
         f0 = rf.compact_two_bump(grid, seed=11)
-        record = _record_marches(monkeypatch)
+        record = record_implicit_steps(monkeypatch)
         reads = _record_interpolants(monkeypatch, record)
         run = rf.evolve(f0, rf.DiffusionParams(2.0, 1, 1.0, 2.0, snapshot_count=25))
         assert run.fields[-1].grid == grid
@@ -1529,3 +1485,28 @@ class TestSelfSimilarFrame:
         for p, steps in ((2.0, 10), (1.5, 19)):
             run = rf.evolve(f0, rf.DiffusionParams(p, 3, 1.0, 1.3, snapshot_count=9))
             assert all(f.grid == grid for f in run.fields) and run.step_count == steps
+        # at every p on both geometries the source solutions, which stand still in y, are
+        # dilated, and the mixtures stay in x (R = 8 cuts the p = 0.8 ones' tails)
+        for geometry in ("cartesian", "radial3"):
+            for p in (0.8, 1.0, 1.5, 2.0):
+                f0, params = _source_case(geometry, p)
+                assert rf.evolve(f0, params).fields[-1].grid != f0.grid, (geometry, p)
+                f0, params = _mixture_case(geometry, p, (1.5, 3.0) if p < 1.0 else (0.2, 0.5))
+                with pytest.warns(BoundaryLeakWarning) if p < 1.0 else contextlib.nullcontext():
+                    assert rf.evolve(f0, params).fields[-1].grid == f0.grid, (geometry, p)
+
+    def test_x_run_builds_no_dilated_kernel(self, monkeypatch):
+        # criterion 5's radial p = 2 mixture stays in x: its march and the frame's probe
+        # are kernels on the x-grid, and no field is dilated
+        grids, rescaled, real = [], [], solver._Kernel.__init__
+
+        def kernel_init(kernel, grid, *args):
+            grids.append(grid)
+            real(kernel, grid, *args)
+
+        monkeypatch.setattr(solver._Kernel, "__init__", kernel_init)
+        monkeypatch.setattr(solver, "rescale", lambda *args: rescaled.append(args))
+        grid = rf.Grid.radial(3, 768, 8.0)
+        f0 = rf.sample_mixture(grid, 22, mean_range=(0.0, 2.0))
+        rf.evolve(f0, rf.DiffusionParams(2.0, 3, 1.0, 1.3, snapshot_count=9))
+        assert grids == [grid, grid] and rescaled == []
